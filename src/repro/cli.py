@@ -328,7 +328,7 @@ def cmd_mesh_bench(args) -> int:
         sections = compare_capture_v2(v2_shapes, batch=batch,
                                       reps=args.reps, backends=backends)
         print(format_capture_v2_table(sections))
-        rows = sections["fused"] + sections["prefill"]
+        rows = sections["prefill"]
         return 0 if all(r["bit_identical"] for r in rows) else 1
     if args.capture:
         batch = args.batch if args.batch is not None else CAPTURE_BATCH
@@ -842,8 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of loop vs stacked (exits nonzero if "
                         "replay is not bit-identical)")
     p.add_argument("--capture-v2", action="store_true",
-                   help="time the capture-v2 paths: fused multi-step "
-                        "decode vs single-step replay, prefill-chunk "
+                   help="time the capture-v2 paths: prefill-chunk "
                         "replay vs eager, and the program-cache hit "
                         "rate on a shrinking continuous batch (exits "
                         "nonzero if any replay is not bit-identical)")

@@ -80,11 +80,6 @@ class ShardedKVCache:
     def max_len(self) -> int:
         return self.global_shape[1]
 
-    @property
-    def room(self) -> int:
-        """Unfilled positions left — the fused-window boundary clamp."""
-        return self.max_len - self.length
-
     def per_chip_bytes(self) -> int:
         """Per-chip KV memory — the quantity Table 1 budgets against.
 

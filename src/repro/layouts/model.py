@@ -459,21 +459,13 @@ class ShardedTransformer:
         if recorder is not None and recorder.recording:
             # Step-varying program entry points: the decode position and
             # the token embeddings are rederived from the replay context.
-            # In a fused multi-step capture, a later sub-step's tokens
-            # are themselves a tape value (the previous sub-step's
-            # sampled tokens) and feed the embedding gather directly.
             seq_len = tokens.shape[1]
             recorder.record(
                 lambda ctx: np.arange(seq_len) + ctx.caches[0].length,
                 (recorder.CTX,), positions, "positions")
-            if recorder.is_live(tokens):
-                recorder.record(
-                    lambda t, w=self.weights.embedding: w[t],
-                    (tokens,), emb, "embed")
-            else:
-                recorder.record(
-                    lambda ctx, w=self.weights.embedding: w[ctx.tokens],
-                    (recorder.CTX,), emb, "embed")
+            recorder.record(
+                lambda ctx, w=self.weights.embedding: w[ctx.tokens],
+                (recorder.CTX,), emb, "embed")
         x = ShardedTensor.from_global(self.mesh, emb, self._residual_spec)
         for i, (layer, cache) in enumerate(zip(self.layers, caches)):
             if tracer is None:
@@ -499,14 +491,7 @@ class ShardedTransformer:
                     caches: list[ShardedKVCache]) -> np.ndarray:
         with self._tracer_phase("decode"):
             recorder = getattr(self.mesh, "capture", None)
-            expanded = tokens[:, None]
-            if recorder is not None and recorder.recording \
-                    and recorder.is_live(tokens):
-                # Fused sub-step: the [B] -> [B, 1] expansion of a
-                # previous sub-step's sampled tokens is itself replayed.
-                recorder.record(lambda t: t[:, None], (tokens,),
-                                expanded, "expand_tokens")
-            full = self.forward(expanded, caches)
+            full = self.forward(tokens[:, None], caches)
             out = full[:, -1]
             if recorder is not None and recorder.recording:
                 recorder.record(lambda f: f[:, -1], (full,), out,

@@ -192,105 +192,8 @@ def compare_capture(mesh_shapes=MESH_SHAPES, *, steps: int = 4,
             for shape in mesh_shapes for backend in backends]
 
 
-#: Fusion window the capture-v2 benchmark times.  Wider windows amortize
-#: more per-step dispatch but replay later sub-steps against a longer KV
-#: history (attention cost grows with the fill), so the per-step gain
-#: saturates and then falls; 4 is the measured sweet spot on the decode
-#: workload.
-CAPTURE_V2_WINDOW = 4
-
 #: Prefill chunk length the capture-v2 benchmark times.
 CAPTURE_V2_CHUNK = 8
-
-# Interleaved paired timing: alternating the two step functions within
-# one loop keeps scheduler/allocator drift common-mode (cross-process or
-# phase-separated timings of these sub-millisecond steps are dominated
-# by noise).  Each sample resets the KV fill to the common base first.
-
-
-def time_capture_fused(mesh_shape, backend, *,
-                       window: int = CAPTURE_V2_WINDOW,
-                       batch: int = CAPTURE_BATCH, reps: int = 8,
-                       seed: int = 0) -> dict:
-    """Single-step replay vs fused ``window``-step replay, per step.
-
-    Both modes decode the same ``window`` positions from the same cache
-    base per sample (the fused program replays them in one call), so the
-    numpy work is identical and the delta is per-step dispatch +
-    fused-tape optimization.  Bit-identity of the fused tokens against
-    ``window`` eager greedy steps is asserted from the same base.
-    """
-    from repro.mesh.capture import capture_decode_step, capture_fused_decode
-    from repro.model.sampling import greedy
-
-    model, caches, prompt = _build(mesh_shape, backend, batch,
-                                   4 + 3 + 2 * window, seed)
-    token = prompt[:, -1]
-    logits = model.decode_step(token, caches)  # warm-up
-    token = np.argmax(logits, -1)
-    _, program = capture_decode_step(model, token, caches)
-    sampled, fused = capture_fused_decode(model, token, caches, window)
-    if program is None or fused is None:
-        raise AssertionError(
-            f"decode step did not capture on {mesh_shape} {backend}")
-    base = caches[0].length
-
-    def reset():
-        for cache in caches:
-            cache.length = base
-
-    # Bit-identity: eager window vs fused replay from the same base.
-    reset()
-    eager_tokens = []
-    current = token
-    for _ in range(window):
-        current = greedy(model.decode_step(current, caches))
-        eager_tokens.append(current)
-    reset()
-    replayed = fused.replay(token, caches)
-    bit_identical = all(
-        np.array_equal(e, r) for e, r in zip(eager_tokens, replayed))
-
-    def single_window():
-        for _ in range(window):
-            program.replay(token, caches)
-
-    # Each mode is timed in consecutive blocks (a warm-up window, then
-    # ``reps`` timed windows) because that is how replays run in the
-    # serving loop — a decode stream replays the same program back to
-    # back, never alternating with a different program's working set.
-    # The blocks themselves alternate across rounds so slow machine
-    # drift hits both modes equally.
-    best_single = best_fused = float("inf")
-    for _ in range(3):
-        reset()
-        single_window()
-        for _ in range(reps):
-            reset()
-            start = time.perf_counter()
-            single_window()
-            best_single = min(best_single,
-                              (time.perf_counter() - start) / window)
-        reset()
-        fused.replay(token, caches)
-        for _ in range(reps):
-            reset()
-            start = time.perf_counter()
-            fused.replay(token, caches)
-            best_fused = min(best_fused,
-                             (time.perf_counter() - start) / window)
-    reset()
-    return {
-        "mesh": "x".join(map(str, mesh_shape)),
-        "chips": int(np.prod(mesh_shape)),
-        "backend": backend,
-        "window": window,
-        "replay1_s": best_single,
-        "fused_s": best_fused,
-        "speedup": best_single / best_fused,
-        "bit_identical": bool(bit_identical),
-        "instructions": fused.n_instructions,
-    }
 
 
 def time_capture_prefill(mesh_shape, backend, *,
@@ -328,35 +231,33 @@ def time_capture_prefill(mesh_shape, backend, *,
     replay_logits = program.replay(chunk2, caches)
     bit_identical = bool(np.array_equal(eager_logits, replay_logits))
 
-    # Blocked per mode for the same reason as ``time_capture_fused``:
-    # chunked prefill replays the same chunk program consecutively, so
-    # each mode is timed in its steady state, alternating block rounds
-    # to absorb machine drift.
-    best_eager = best_replay = float("inf")
-    for _ in range(3):
+    def timed(step_fn) -> float:
         reset()
-        model.forward(chunk2, caches)
-        for _ in range(reps):
-            reset()
-            start = time.perf_counter()
-            model.forward(chunk2, caches)
-            best_eager = min(best_eager, time.perf_counter() - start)
-        reset()
-        program.replay(chunk2, caches)
-        for _ in range(reps):
-            reset()
-            start = time.perf_counter()
-            program.replay(chunk2, caches)
-            best_replay = min(best_replay, time.perf_counter() - start)
+        start = time.perf_counter()
+        step_fn(chunk2, caches)
+        return time.perf_counter() - start
+
+    # Paired samples: each pair times both modes back to back (order
+    # alternating), so host speed swings over seconds hit both sides of
+    # a pair alike; the speedup is the median per-pair ratio.  Separate
+    # best-of minima per mode, taken seconds apart, gave 1.4-2.1x on
+    # runs of the same code on a shared 2-vCPU host.
+    modes = (model.forward, program.replay)
+    eager, replay, ratios = [], [], []
+    for i in range(3 * reps):
+        times = {fn: timed(fn) for fn in (modes if i % 2 else modes[::-1])}
+        eager.append(times[model.forward])
+        replay.append(times[program.replay])
+        ratios.append(eager[-1] / replay[-1])
     reset()
     return {
         "mesh": "x".join(map(str, mesh_shape)),
         "chips": int(np.prod(mesh_shape)),
         "backend": backend,
         "chunk": chunk,
-        "eager_s": best_eager,
-        "replay_s": best_replay,
-        "speedup": best_eager / best_replay,
+        "eager_s": float(np.median(eager)),
+        "replay_s": float(np.median(replay)),
+        "speedup": float(np.median(ratios)),
         "bit_identical": bit_identical,
         "instructions": program.n_instructions,
     }
@@ -398,15 +299,11 @@ CAPTURE_V2_SHAPES = ((2, 2, 2), (4, 4, 4))
 
 
 def compare_capture_v2(mesh_shapes=CAPTURE_V2_SHAPES, *,
-                       window: int = CAPTURE_V2_WINDOW,
                        chunk: int = CAPTURE_V2_CHUNK,
                        batch: int = CAPTURE_BATCH, reps: int = 8,
                        backends=BACKENDS) -> dict:
-    """Fused / prefill / hit-rate sections, one row per (shape, backend)."""
+    """Prefill / hit-rate sections, one row per (shape, backend)."""
     return {
-        "fused": [time_capture_fused(shape, backend, window=window,
-                                     batch=batch, reps=reps)
-                  for shape in mesh_shapes for backend in backends],
         "prefill": [time_capture_prefill(shape, backend, chunk=chunk,
                                          batch=batch, reps=reps)
                     for shape in mesh_shapes for backend in backends],
@@ -416,19 +313,9 @@ def compare_capture_v2(mesh_shapes=CAPTURE_V2_SHAPES, *,
 
 
 def format_capture_v2_table(sections: dict) -> str:
-    lines = ["Fused decode: single-step replay vs fused window "
-             "(seconds/step)",
-             f"{'mesh':>7s} {'backend':>8s} {'w':>3s} {'replay1':>10s} "
-             f"{'fused':>10s} {'speedup':>8s} {'bits':>5s}"]
-    for row in sections["fused"]:
-        lines.append(
-            f"{row['mesh']:>7s} {row['backend']:>8s} {row['window']:>3d} "
-            f"{row['replay1_s'] * 1e3:9.3f}m {row['fused_s'] * 1e3:9.3f}m "
-            f"{row['speedup']:7.2f}x "
-            f"{'ok' if row['bit_identical'] else 'FAIL':>5s}")
-    lines += ["", "Prefill chunk: eager vs captured replay (seconds/chunk)",
-              f"{'mesh':>7s} {'backend':>8s} {'len':>4s} {'eager':>10s} "
-              f"{'replay':>10s} {'speedup':>8s} {'bits':>5s}"]
+    lines = ["Prefill chunk: eager vs captured replay (seconds/chunk)",
+             f"{'mesh':>7s} {'backend':>8s} {'len':>4s} {'eager':>10s} "
+             f"{'replay':>10s} {'speedup':>8s} {'bits':>5s}"]
     for row in sections["prefill"]:
         lines.append(
             f"{row['mesh']:>7s} {row['backend']:>8s} {row['chunk']:>4d} "

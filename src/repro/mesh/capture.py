@@ -35,13 +35,21 @@ the tape into a :class:`CapturedProgram`:
   pages, the decode position) enter through a :class:`ReplayContext`
   bound per replay; cache instructions index ``ctx.caches``, so a
   program survives cache hand-off as long as the cache *layout* matches.
+* **Tape optimization** — on the stacked backend every program (decode
+  step and prefill chunk alike) additionally runs the tape optimizer in
+  :mod:`repro.mesh.replay_opt` — projection-einsum fusion, RoPE table
+  CSE, flat multiquery attention, in-place elementwise runners, indexed
+  collectives — and replays through a source-generated straight-line
+  runner.  Every pass is bit-exact by construction and asserted
+  differentially.  Loop-backend programs replay the plain tape.
 
 ``program.replay(tokens, caches)`` then executes the flat closure list —
 no layout selection, no ``ShardSpec`` work, no group construction, no
 ``ShardedTensor`` validation — and is required to be **bit-identical** to
-the eager step (the differential suite in
-``tests/unit/test_step_capture.py`` asserts exact equality on both mesh
-backends, across multiple steps and mesh shapes).
+the eager step (the differential suites in
+``tests/unit/test_step_capture.py`` and ``tests/unit/test_capture_v2.py``
+assert exact equality on both mesh backends, across multiple steps, mesh
+shapes, plans and batch sizes).
 
 Capture v2 extends the single decode program to a cache covering the
 serving hot path end-to-end:
@@ -50,35 +58,28 @@ serving hot path end-to-end:
   ``model.forward`` chunk; :meth:`StepCompiler.prefill_chunk` keys the
   resulting program per chunk length, so chunked prefill replays every
   chunk after the first of each length bucket through the arena.
-* **Fused multi-step decode** — :func:`capture_fused_decode` runs N
-  decode steps inside one capture, recording the greedy sampling between
-  steps as tape instructions; the resulting program appends to the KV
-  cache in-arena N times and amortizes per-step Python dispatch over the
-  fusion window.  Fused (and prefill) programs additionally run the
-  tape optimizer in :mod:`repro.mesh.replay_opt` — projection-einsum
-  fusion, RoPE table CSE, prebound collectives — all bit-exact by
-  construction and asserted differentially.  :meth:`StepCompiler.
-  decode_window` falls back to single-step execution at window
-  boundaries (cache nearly full) and whenever the mesh's fault state is
-  not quiescent for the whole window.
 * **Shape-bucketed program cache** — :class:`StepCompiler` keeps an LRU
-  ``OrderedDict`` of programs keyed by (kind, window, backend, mesh
-  shape, plan, token shape/dtype, cache layouts, dead-chip set), so a
+  ``OrderedDict`` of programs keyed by (kind, backend, mesh shape, plan,
+  token shape/dtype, cache layouts, dead-chip set), so a
   continuous-batching workload whose batch shrinks as sequences finish
   hits warm programs (the compiler pads the token batch up to the cache
   capacity when ``batch_bucket`` rounds it there) instead of thrashing
   re-capture.  Hits, misses, evictions and per-reason invalidations are
   counted and surfaced through the observability metrics tables.
+* **Shared capture state** — the programs of one deployment share the
+  fused projection weights the optimizer concatenates (held by the
+  :class:`StepCompiler`, dropped by :meth:`StepCompiler.invalidate`),
+  and every program in the process shares the read-only collective
+  index tables (:func:`repro.mesh.stacked.prebind_collective_indexed`),
+  so capture pays for each once.
 
 Interplay with the rest of the stack:
 
 * **Faults** — replay consults nothing mid-step, so it only runs when
   the mesh's fault state is :meth:`~repro.mesh.faults.FaultState.
-  quiescent` (for fused windows: quiescent for every step in the
-  window, via :meth:`~repro.mesh.faults.FaultState.quiescent_for`);
-  :class:`StepCompiler` falls back to eager execution for any step on
-  which a scheduled fault is live, so kills, timeouts, corruption and
-  straggler delay fire exactly as they would eagerly.
+  quiescent`; :class:`StepCompiler` falls back to eager execution for
+  any step on which a scheduled fault is live, so kills, timeouts,
+  corruption and straggler delay fire exactly as they would eagerly.
 * **Observability** — a replayed step emits one condensed
   ``kind="replay"`` span carrying the instruction/collective counts
   (inside the usual ``decode`` phase envelope), so Tracer-based tooling
@@ -94,10 +95,10 @@ Interplay with the rest of the stack:
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -158,7 +159,6 @@ class ProgramSignature:
     tokens_dtype: str | None = None
     cache_sig: tuple = ()
     kind: str = "decode"
-    window: int = 1
     dead_chips: tuple = ()
 
 
@@ -184,19 +184,14 @@ def bucket_batch(n: int, bucket: int) -> int:
     return ((n + bucket - 1) // bucket) * bucket
 
 
-FUSE_ENV = "REPRO_CAPTURE_FUSE"
+@lru_cache(maxsize=64)
+def _compile_source(source: str):
+    """Code object of a generated runner, shared by identical sources
+    (every program of one model and shape generates the same text)."""
+    return compile(source, "<captured-program>", "exec")
 
 
-def fuse_window_from_env(default: int = 1) -> int:
-    """Fusion window from the ``REPRO_CAPTURE_FUSE`` env knob (>= 1)."""
-    raw = os.environ.get(FUSE_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return max(1, default)
-
-
-def _compile_ops(ops, template, out_vids):
+def _compile_ops(ops, out_vid):
     """Source-generate a straight-line runner for an instruction list.
 
     The interpreted executor pays a loop iteration, a list comprehension
@@ -205,8 +200,9 @@ def _compile_ops(ops, template, out_vids):
     slice of replay time.  The generated function calls the exact same
     closures in the exact same order with values held in locals, reads
     step-varying slots from ``values`` once, and writes back only the
-    program outputs — so the executed kernel stream (and every bit of
-    the result) is unchanged.
+    program output — so the executed kernel stream (and every bit of
+    the result) is unchanged.  Closures and buffers are bound through
+    the function's globals, so the source names only positions.
     """
     env: dict[str, Any] = {}
     lines = ["def _replay(values):"]
@@ -228,22 +224,16 @@ def _compile_ops(ops, template, out_vids):
         else:
             lines.append(f" v{out} = {call}")
             available.add(out)
-    for vid in out_vids:
-        lines.append(f" values[{vid}] = v{vid}")
-    exec(compile("\n".join(lines), "<captured-program>", "exec"), env)
+    lines.append(f" values[{out_vid}] = v{out_vid}")
+    exec(_compile_source("\n".join(lines)), env)
     return env["_replay"]
 
 
 class CapturedProgram:
-    """A flat list of whole-mesh kernels replaying one traced program.
-
-    ``out_vid`` may be a single value id (a decode step's logits) or a
-    tuple of ids (a fused window's per-step sampled tokens); ``replay``
-    returns the matching single array or tuple of arrays.
-    """
+    """A flat list of whole-mesh kernels replaying one traced program."""
 
     def __init__(self, mesh, instrs: list[_Instr], template: list,
-                 out_vid, signature: ProgramSignature, *,
+                 out_vid: int, signature: ProgramSignature, *,
                  tokens_2d: bool = False, span_name: str = "captured_step",
                  collectives_captured: int = 0,
                  collectives_folded: int = 0,
@@ -252,9 +242,7 @@ class CapturedProgram:
         self.signature = signature
         self.replays = 0
         self._instrs = instrs
-        self._multi = isinstance(out_vid, tuple)
-        self._out_vids = out_vid if self._multi else (out_vid,)
-        self._out_vid = self._out_vids[-1]
+        self._out_vid = out_vid
         self._tokens_2d = tokens_2d
         self._span_name = span_name
         self.collectives_captured = collectives_captured
@@ -268,8 +256,7 @@ class CapturedProgram:
         # Optimized programs additionally compile the instruction list
         # to straight-line Python (locals instead of a values list, no
         # dispatch loop) — same closures called in the same order.
-        self._compiled = _compile_ops(self._ops, template,
-                                      self._out_vids) if optimized \
+        self._compiled = _compile_ops(self._ops, out_vid) if optimized \
             else None
 
     @property
@@ -279,10 +266,6 @@ class CapturedProgram:
     @property
     def collectives_live(self) -> int:
         return self.collectives_captured - self.collectives_folded
-
-    @property
-    def window(self) -> int:
-        return self.signature.window
 
     @property
     def kind(self) -> str:
@@ -345,8 +328,7 @@ class CapturedProgram:
                         self._span_name, kind="replay",
                         instructions=self.n_instructions,
                         collectives=self.collectives_live,
-                        collectives_folded=self.collectives_folded,
-                        window=self.window):
+                        collectives_folded=self.collectives_folded):
                     self._run(values)
         state = getattr(self.mesh, "fault_state", None)
         if state is not None:
@@ -354,8 +336,6 @@ class CapturedProgram:
             # would have bumped the counter once per captured collective.
             state.op_counter += self.collectives_captured
         self.replays += 1
-        if self._multi:
-            return tuple(values[v] for v in self._out_vids)
         return values[self._out_vid]
 
     def _run(self, values: list) -> None:
@@ -372,7 +352,7 @@ class CapturedProgram:
                 values[out] = result
 
     def __repr__(self) -> str:
-        return (f"CapturedProgram({self.signature.kind}x{self.window}, "
+        return (f"CapturedProgram({self.signature.kind}, "
                 f"{self.n_instructions} instrs, "
                 f"{self.collectives_live}/{self.collectives_captured} "
                 f"collectives live, mesh={self.signature.mesh_shape}, "
@@ -390,14 +370,18 @@ class StepRecorder:
     input never seen before is a *constant* (a step-invariant like a
     weight shard).  Recording is failure-tolerant by design: anything
     unsupported calls :meth:`mark_broken` and the eager step simply
-    completes without producing a program.
+    completes without producing a program.  ``weight_share`` is the
+    deployment's fused-weight map the tape optimizer reuses
+    concatenations from (see :class:`StepCompiler`).
     """
 
     CTX = object()  # sentinel input: the per-replay ReplayContext
 
-    def __init__(self, mesh, caches: Sequence = ()):
+    def __init__(self, mesh, caches: Sequence = (),
+                 weight_share: dict | None = None):
         self.mesh = mesh
         self.caches = list(caches)
+        self.weight_share = weight_share
         self.broken: str | None = None
         self.collectives = 0
         self._suppressed = 0
@@ -451,16 +435,6 @@ class StepRecorder:
         self._vid_of[id(arr)] = vid
         return vid
 
-    def is_live(self, arr) -> bool:
-        """True when ``arr`` was produced by a recorded instruction.
-
-        Multi-step capture uses this to tell whether the tokens feeding a
-        sub-step are a step-varying tape value (the previous sub-step's
-        sampled tokens) rather than a caller-provided constant.
-        """
-        vid = self._vid_of.get(id(arr))
-        return vid is not None and vid not in self._const
-
     def record(self, fn: Callable, inputs: Sequence, output,
                label: str = "", *, collective: bool = False,
                arena: bool = False, meta: tuple | None = None) -> None:
@@ -489,26 +463,23 @@ class StepRecorder:
     def finalize(self, output, *,
                  signature: ProgramSignature | None = None,
                  tokens_2d: bool = False,
-                 span_name: str = "captured_step",
-                 optimize: bool = False) -> CapturedProgram | None:
+                 span_name: str = "captured_step"
+                 ) -> CapturedProgram | None:
         """Fold constants, build the arena, and emit the program.
 
-        ``output`` may be a single array or a sequence of arrays (a
-        fused window's per-step outputs).  Returns ``None`` when the
-        capture broke, an output was not produced by a recorded
-        instruction, or the whole program folded to a constant — the
-        eager step still completed correctly, there is just nothing to
-        replay.  ``optimize=True`` additionally runs the bit-exact tape
-        optimizer (:mod:`repro.mesh.replay_opt`) over the live
-        instructions before the arena is laid out.
+        Returns ``None`` when the capture broke, ``output`` was not
+        produced by a recorded instruction, or the whole program folded
+        to a constant — the eager step still completed correctly, there
+        is just nothing to replay.  On the stacked backend the bit-exact
+        tape optimizer (:mod:`repro.mesh.replay_opt`) additionally
+        rewrites the live instructions before the arena is laid out.
         """
         if self.broken is not None:
             return None
-        multi = isinstance(output, (tuple, list))
-        outputs = tuple(output) if multi else (output,)
-        out_vids = tuple(self._vid_of.get(id(o)) for o in outputs)
-        if any(v is None or v in self._const for v in out_vids):
+        out_vid = self._vid_of.get(id(output))
+        if out_vid is None or out_vid in self._const:
             return None
+        out_vids = {out_vid}
 
         # Constant folding: an instruction whose inputs are all
         # step-invariant produced a step-invariant output — and we hold
@@ -524,19 +495,17 @@ class StepRecorder:
                     folded_collectives += 1
                 continue
             kept.append(ins)
-        if any(v in const for v in out_vids):
+        if out_vid in const:
             # The entire program is step-invariant (e.g. a probe that
             # touches no live input): replaying a constant is pointless
             # and would hide staleness bugs, so refuse to build one.
             return None
 
-        optimized = False
-        if optimize:
+        optimized = self.mesh.backend == "stacked"
+        if optimized:
             from repro.mesh import replay_opt
 
-            kept = replay_opt.optimize_tape(self, kept, const,
-                                            set(out_vids))
-            optimized = True
+            kept = replay_opt.optimize_tape(self, kept, const, out_vids)
 
         template: list[Any] = [None] * len(self._values)
         for vid in const:
@@ -547,22 +516,17 @@ class StepRecorder:
         # The program outputs themselves are never arena-backed, so
         # callers may hold logits across replays.
         for ins in kept:
-            if ins.arena and ins.out is not None \
-                    and ins.out not in out_vids:
+            if ins.arena and ins.out is not None and ins.out != out_vid:
                 captured = self._values[ins.out]
                 ins.buffer = np.empty(captured.shape, captured.dtype)
         if optimized:
-            from repro.mesh import replay_opt
-
-            kept = replay_opt.freeze_stable_views(kept, template,
-                                                  set(out_vids))
+            kept = replay_opt.freeze_stable_views(kept, template, out_vids)
 
         if signature is None:
             signature = ProgramSignature(backend=self.mesh.backend,
                                          mesh_shape=self.mesh.shape)
         return CapturedProgram(
-            self.mesh, kept, template,
-            out_vids if multi else out_vids[0], signature,
+            self.mesh, kept, template, out_vid, signature,
             tokens_2d=tokens_2d, span_name=span_name,
             collectives_captured=self.collectives,
             collectives_folded=folded_collectives,
@@ -570,7 +534,7 @@ class StepRecorder:
 
 
 @contextmanager
-def capturing(mesh, caches: Sequence = ()):
+def capturing(mesh, caches: Sequence = (), weight_share: dict | None = None):
     """Install a :class:`StepRecorder` on ``mesh`` for the ``with`` body.
 
     The generic tape API: run any mesh program inside the block, then
@@ -580,7 +544,7 @@ def capturing(mesh, caches: Sequence = ()):
     """
     if getattr(mesh, "capture", None) is not None:
         raise CaptureError("a capture is already active on this mesh")
-    recorder = StepRecorder(mesh, caches)
+    recorder = StepRecorder(mesh, caches, weight_share)
     mesh.capture = recorder
     try:
         yield recorder
@@ -589,27 +553,28 @@ def capturing(mesh, caches: Sequence = ()):
 
 
 def _signature(model, tokens: np.ndarray, caches: Sequence, *,
-               kind: str = "decode", window: int = 1) -> ProgramSignature:
+               kind: str = "decode") -> ProgramSignature:
     mesh = model.mesh
     return ProgramSignature(
         backend=mesh.backend, mesh_shape=mesh.shape,
         plan=getattr(model, "plan", None),
         tokens_shape=tokens.shape, tokens_dtype=str(tokens.dtype),
         cache_sig=tuple(_cache_sig(c) for c in caches),
-        kind=kind, window=window, dead_chips=_dead_chips(mesh))
+        kind=kind, dead_chips=_dead_chips(mesh))
 
 
-def capture_decode_step(model, tokens: np.ndarray, caches: Sequence
+def capture_decode_step(model, tokens: np.ndarray, caches: Sequence,
+                        weight_share: dict | None = None
                         ) -> tuple[np.ndarray, CapturedProgram | None]:
     """Run one eager decode step while recording it.
 
     Returns ``(logits, program)`` — the logits are the eager step's
     (the step really ran: caches advanced exactly as usual), and the
     program replays subsequent steps bit-identically, or is ``None``
-    when the step could not be captured.
+    when the step could not be captured.  ``weight_share`` is the
+    deployment's fused-weight map (:class:`StepCompiler` passes its own).
     """
-    mesh = model.mesh
-    with capturing(mesh, caches) as recorder:
+    with capturing(model.mesh, caches, weight_share) as recorder:
         logits = model.decode_step(tokens, caches)
     program = recorder.finalize(
         logits, signature=_signature(model, tokens, caches),
@@ -617,7 +582,8 @@ def capture_decode_step(model, tokens: np.ndarray, caches: Sequence
     return logits, program
 
 
-def capture_prefill_chunk(model, tokens: np.ndarray, caches: Sequence
+def capture_prefill_chunk(model, tokens: np.ndarray, caches: Sequence,
+                          weight_share: dict | None = None
                           ) -> tuple[np.ndarray, CapturedProgram | None]:
     """Run one eager prefill chunk (``model.forward``) while recording it.
 
@@ -627,50 +593,13 @@ def capture_prefill_chunk(model, tokens: np.ndarray, caches: Sequence
     from the live caches.  Returns ``(logits, program)`` with the eager
     chunk's full ``[B, chunk, V]`` logits.
     """
-    mesh = model.mesh
-    with capturing(mesh, caches) as recorder:
+    with capturing(model.mesh, caches, weight_share) as recorder:
         logits = model.forward(tokens, caches)
     program = recorder.finalize(
         logits, signature=_signature(model, tokens, caches,
                                      kind="prefill"),
-        span_name="captured_prefill_chunk",
-        optimize=mesh.backend == "stacked")
+        span_name="captured_prefill_chunk")
     return logits, program
-
-
-def capture_fused_decode(model, tokens: np.ndarray, caches: Sequence,
-                         window: int
-                         ) -> tuple[list[np.ndarray],
-                                    CapturedProgram | None]:
-    """Run ``window`` eager decode steps inside one capture.
-
-    The greedy sampling between sub-steps is recorded as a tape
-    instruction, so each later sub-step consumes the previous sub-step's
-    sampled tokens as a live tape value (the KV appends advance the
-    cache in-tape too).  Returns ``(tokens_per_step, program)`` where
-    ``tokens_per_step`` is the eager run's ``window`` sampled token
-    arrays; the program replays a whole window per call and returns the
-    matching tuple.
-    """
-    from repro.model.sampling import greedy
-
-    mesh = model.mesh
-    sampled: list[np.ndarray] = []
-    with capturing(mesh, caches) as recorder:
-        current = tokens
-        for _ in range(window):
-            logits = model.decode_step(current, caches)
-            nxt = greedy(logits)
-            recorder.record(greedy, (logits,), nxt, "greedy")
-            sampled.append(nxt)
-            current = nxt
-    program = recorder.finalize(
-        tuple(sampled),
-        signature=_signature(model, tokens, caches, kind="fused",
-                             window=window),
-        tokens_2d=True, span_name="captured_fused_window",
-        optimize=mesh.backend == "stacked")
-    return sampled, program
 
 
 class StepCompiler:
@@ -691,8 +620,8 @@ class StepCompiler:
     exactly as usual.
 
     v2 keeps a bounded LRU cache of programs instead of a single slot,
-    keyed per (kind, window, deployment, token shape, cache layout)
-    bucket — see :class:`ProgramSignature` — plus:
+    keyed per (kind, deployment, token shape, cache layout) bucket — see
+    :class:`ProgramSignature` — plus:
 
     * ``batch_bucket`` — a token batch smaller than the cache capacity
       is padded up to it (and the result sliced back) when the bucketed
@@ -700,23 +629,22 @@ class StepCompiler:
       hitting one warm program.  Padding duplicates the last row; batch
       rows are independent through every kernel, so the live rows'
       logits are bit-identical (tests assert it).
-    * :meth:`decode_window` — fused multi-step decode via
-      :func:`capture_fused_decode`, gated on the fault state being
-      quiescent for the whole window and on cache room.
     * :meth:`prefill_chunk` — per-chunk-length prefill programs for
       :func:`repro.serving.chunked.chunked_prefill`.
     * :meth:`decode_thunk` — a pure zero-argument replay callable for
       the cluster's parallel replica stepping (all cache/counter
       bookkeeping happens on the calling thread).
+    * ``weight_share`` — the fused projection weights the tape optimizer
+      concatenates, shared by every program this compiler captures and
+      dropped with them by :meth:`invalidate`.
     """
 
     def __init__(self, warmup_steps: int = 1, *, batch_bucket: int = 1,
-                 max_programs: int = 8, fuse_window: int | None = None):
+                 max_programs: int = 8):
         self.warmup_steps = warmup_steps
         self.batch_bucket = max(1, batch_bucket)
         self.max_programs = max(1, max_programs)
-        self.fuse_window = (fuse_window_from_env() if fuse_window is None
-                            else max(1, fuse_window))
+        self.weight_share: dict = {}
         self.eager_steps = 0
         self.captures = 0
         self.replays = 0
@@ -762,15 +690,17 @@ class StepCompiler:
         }
 
     def invalidate(self) -> None:
-        """Drop every cached program (replan/failover hand-off)."""
+        """Drop every cached program and the fused weights they shared
+        (replan/failover/profile-switch hand-off)."""
         self.invalidations += len(self._programs)
         self._programs.clear()
         self._failed.clear()
+        self.weight_share.clear()
 
     def _key(self, model, tokens: np.ndarray, caches: Sequence,
-             kind: str, window: int) -> tuple:
+             kind: str) -> tuple:
         mesh = model.mesh
-        return (kind, window, mesh.backend, mesh.shape,
+        return (kind, mesh.backend, mesh.shape,
                 getattr(model, "plan", None), tokens.shape,
                 str(tokens.dtype),
                 tuple(_cache_sig(c) for c in caches), _dead_chips(mesh))
@@ -825,7 +755,7 @@ class StepCompiler:
                 caches: Sequence) -> np.ndarray:
         state = getattr(model.mesh, "fault_state", None)
         quiet = state is None or state.quiescent()
-        key = self._key(model, tokens, caches, "decode", 1)
+        key = self._key(model, tokens, caches, "decode")
         program = self._lookup(key, model, tokens, caches)
         if program is not None and quiet:
             self.hits += 1
@@ -835,8 +765,8 @@ class StepCompiler:
             self.misses += 1
             if self.eager_steps >= self.warmup_steps \
                     and key not in self._failed:
-                logits, program = capture_decode_step(model, tokens,
-                                                      caches)
+                logits, program = capture_decode_step(
+                    model, tokens, caches, self.weight_share)
                 if program is None:
                     self._failed.add(key)
                 else:
@@ -845,66 +775,6 @@ class StepCompiler:
                 return logits
         self.eager_steps += 1
         return model.decode_step(tokens, caches)
-
-    def decode_window(self, model, tokens: np.ndarray, caches: Sequence,
-                      *, window: int | None = None,
-                      advance=None) -> np.ndarray:
-        """Decode up to ``window`` fused steps; returns ``[w, B]`` tokens.
-
-        ``advance`` (optional) is called once per executed sub-step
-        *before* the work runs — the caller owns the fault clock, and
-        fused execution advances it exactly as a single-step loop would.
-        The fused path is taken only when the fault state is quiescent
-        for the whole window (:meth:`~repro.mesh.faults.FaultState.
-        quiescent_for`) and the caches have room; otherwise exactly one
-        single step runs (the caller loops), so faults, stragglers and
-        window boundaries land on the eager/single-step machinery
-        unchanged.
-        """
-        w = self.fuse_window if window is None else max(1, window)
-        if caches:
-            room = min(c.room for c in caches)
-            w = max(1, min(w, room))  # window boundary: fall to 1 step
-        state = getattr(model.mesh, "fault_state", None)
-        fused_ok = (w > 1 and self.eager_steps >= self.warmup_steps
-                    and (state is None or state.quiescent_for(w, "decode")))
-        if not fused_ok:
-            from repro.model.sampling import greedy
-
-            if advance is not None:
-                advance()
-            logits = self.decode_step(model, tokens, caches)
-            return greedy(logits)[None]
-        for _ in range(w):
-            if advance is not None:
-                advance()
-        key = self._key(model, tokens, caches, "fused", w)
-        program = self._lookup(key, model, tokens, caches)
-        if program is not None:
-            self.hits += 1
-            self.replays += 1
-            return np.stack(program.replay(tokens, caches))
-        self.misses += 1
-        if key not in self._failed:
-            sampled, program = capture_fused_decode(model, tokens, caches,
-                                                    w)
-            if program is None:
-                self._failed.add(key)
-            else:
-                self._insert(key, program)
-                self.captures += 1
-            return np.stack(sampled)
-        # Capture is known to fail for this shape: run the window as
-        # plain eager steps (the clock already advanced w times).
-        from repro.model.sampling import greedy
-
-        sampled = []
-        current = tokens
-        for _ in range(w):
-            current = greedy(model.decode_step(current, caches))
-            sampled.append(current)
-        self.eager_steps += w
-        return np.stack(sampled)
 
     def decode_thunk(self, model, tokens: np.ndarray, caches: Sequence):
         """A pure zero-argument replay callable, or None.
@@ -919,7 +789,7 @@ class StepCompiler:
         state = getattr(model.mesh, "fault_state", None)
         if state is not None and not state.quiescent():
             return None
-        key = self._key(model, tokens, caches, "decode", 1)
+        key = self._key(model, tokens, caches, "decode")
         program = self._lookup(key, model, tokens, caches)
         if program is None:
             return None
@@ -940,7 +810,7 @@ class StepCompiler:
         """
         state = getattr(model.mesh, "fault_state", None)
         quiet = state is None or state.quiescent()
-        key = self._key(model, tokens, caches, "prefill", 1)
+        key = self._key(model, tokens, caches, "prefill")
         program = self._lookup(key, model, tokens, caches)
         if program is not None and quiet:
             self.hits += 1
@@ -949,8 +819,8 @@ class StepCompiler:
         if quiet:
             self.misses += 1
             if key not in self._failed:
-                logits, program = capture_prefill_chunk(model, tokens,
-                                                        caches)
+                logits, program = capture_prefill_chunk(
+                    model, tokens, caches, self.weight_share)
                 if program is None:
                     self._failed.add(key)
                 else:

@@ -266,10 +266,6 @@ class FaultState:
         else:
             clock = self.phase_steps.get(fault.phase, 0)
             in_phase = self.phase == fault.phase
-        return self._active_at(fault, clock, in_phase)
-
-    @staticmethod
-    def _active_at(fault: Fault, clock: int, in_phase: bool) -> bool:
         until = getattr(fault, "until_step", None)
         if until is not None and clock >= until:
             return False  # windowed fault (straggler) has healed
@@ -300,33 +296,6 @@ class FaultState:
                 continue
             if self._active(fault):
                 return False
-        return True
-
-    def quiescent_for(self, n: int, phase: str = "decode") -> bool:
-        """True when no fault could fire during the next ``n`` advances.
-
-        The gate for *fused* multi-step replay: a fused window advances
-        the clock ``n`` times in ``phase`` and then replays without
-        consulting the fault hooks, so every unspent fault must stay
-        inactive on each of the simulated clocks ``+1 .. +n``.  Exactly
-        :meth:`quiescent` evaluated against each future clock, assuming
-        all ``n`` advances happen in ``phase``.
-        """
-        for k in range(1, n + 1):
-            for index, fault in enumerate(self.plan.faults):
-                if isinstance(fault, CollectiveFault) \
-                        and index in self._spent:
-                    continue
-                if fault.phase is None:
-                    clock = self.step + k
-                    in_phase = True
-                else:
-                    clock = self.phase_steps.get(fault.phase, 0)
-                    if fault.phase == phase:
-                        clock += k
-                    in_phase = fault.phase == phase
-                if self._active_at(fault, clock, in_phase):
-                    return False
         return True
 
     # -- collective hooks -------------------------------------------------

@@ -25,19 +25,26 @@ fatter calls while provably preserving every output bit:
   are computed directly from the unexpanded ``[B, M, D]`` K/V via a
   3-operand-subscript einsum, skipping the broadcast copy and the
   (provably all-True) mask branch.
-* **Prebound collectives** — recorded collective closures re-resolve
-  their ``_axes_meta`` per call; :func:`repro.mesh.stacked.
-  prebind_collective` swaps in a closure with the metadata resolved
-  once (same kernel body, so the same bits).
+* **Indexed collectives** — a recorded collective's data movement is
+  traced once to an index table, so replay is one ``np.take`` (plus the
+  same left-to-right reduction) instead of a chain of reshapes and
+  transposes (:func:`repro.mesh.stacked.prebind_collective_indexed`;
+  shapes too large for a table get :func:`repro.mesh.stacked.
+  prebind_collective`, with its metadata resolved once).
+
+Capture cost is paid once per shared value, not once per program: the
+index tables are memoized process-wide as read-only arrays, the
+reduction scratch is one buffer per (shape, dtype) within a program,
+and the fused projection weights are shared by every program of one
+deployment through the recorder's ``weight_share``.
 
 All passes are *conservative pattern matchers*: anything unrecognized
-(loop-backend instructions, sharded-weight layouts, multi-token
-attention) is left untouched.  The optimizer runs only for programs
-finalized with ``optimize=True`` — fused decode windows and prefill
-chunks — so the single-step decode program stays byte-for-byte the v1
-tape and the published fused speedups are measured against it honestly.
-The differential suites assert bit-identical logits for optimized
-programs on every plan and backend they cover.
+(loop-backend instructions, sharded-weight layouts) is left untouched.
+:meth:`repro.mesh.capture.StepRecorder.finalize` runs the optimizer for
+every stacked-backend program — the single decode step the serving
+path replays and every prefill chunk.  The differential suites assert
+bit-identical logits and KV caches for optimized programs on every plan
+and batch size they cover.
 """
 
 from __future__ import annotations
@@ -69,7 +76,7 @@ def optimize_tape(recorder, instrs, const, out_vids):
     instrs = _prebind_einsums(recorder, instrs)
     instrs = _inplace_rope(recorder, instrs, out_vids)
     instrs = _inplace_elementwise(recorder, instrs, out_vids)
-    instrs = _prebind_collectives(recorder, instrs)
+    instrs = _prebind_collectives(recorder, instrs, out_vids)
     instrs = _eliminate_dead(instrs, out_vids)
     return instrs
 
@@ -161,6 +168,32 @@ def _flat_trailing(arr: np.ndarray, n_free: int) -> np.ndarray:
     return arr.reshape(arr.shape[:arr.ndim - n_free] + (-1,))
 
 
+def _concat_weights(recorder, w_vids, n_free):
+    """The flattened weights concatenated on their free axis, read-only.
+
+    Weights that entered the tape from outside (the model's own shards,
+    not values folded inside this capture) outlive the program, so their
+    concatenation is shared through ``recorder.weight_share`` — the
+    deployment's :class:`~repro.mesh.capture.StepCompiler` map from the
+    weights' ids to ``(weights, concatenation)``.  The entry holds the
+    weights themselves, so an id cannot be reused while it is present
+    and a hit is always the concatenation of these very arrays; a
+    rebuilt model's fresh shards miss.
+    """
+    values = recorder._values
+    weights = tuple(values[v] for v in w_vids)
+    share = recorder.weight_share
+    if share is None or not all(v in recorder._const for v in w_vids):
+        share = {}
+    key = tuple(map(id, weights))
+    if key not in share:
+        w_cat = np.concatenate([_flat_trailing(w, n)
+                                for w, n in zip(weights, n_free)], axis=-1)
+        w_cat.setflags(write=False)
+        share[key] = (weights, w_cat)
+    return share[key][1]
+
+
 def _fuse_projection_einsums(recorder, instrs, const, out_vids):
     """Collapse every same-activation projection group to one einsum.
 
@@ -204,12 +237,11 @@ def _fuse_projection_einsums(recorder, instrs, const, out_vids):
         if z is None:
             continue
         f = lhs[:len(lhs) - len(c)]
-        weights = [_flat_trailing(values[meta_of[i][1]],
-                                  len(meta_of[i][4])) for i in group]
+        w_cat = _concat_weights(recorder, [meta_of[i][1] for i in group],
+                                [len(meta_of[i][4]) for i in group])
         outs = [values[instrs[i].out] for i in group]
         flat_outs = [_flat_trailing(o, len(meta_of[i][4]))
                      for o, i in zip(outs, group)]
-        w_cat = np.concatenate(weights, axis=-1)
         fused_captured = np.concatenate(flat_outs, axis=-1)
         w_vid = _add_value(recorder, w_cat, const)
         fused_vid = _add_value(recorder, fused_captured)
@@ -699,10 +731,16 @@ def _inplace_elementwise(recorder, instrs, out_vids):
 # Prebound collectives
 # ---------------------------------------------------------------------------
 
-def _prebind_collectives(recorder, instrs):
+def _prebind_collectives(recorder, instrs, out_vids):
+    """Swap recorded collectives to prebound (mostly indexed) closures.
+
+    Indexed closures return a per-instruction buffer reused across
+    replays, so a program output keeps the allocating meta-kernel form.
+    """
     from repro.mesh.capture import _Instr
 
     values = recorder._values
+    scratch: dict = {}
     rewritten = []
     for ins in instrs:
         meta = ins.meta
@@ -711,9 +749,11 @@ def _prebind_collectives(recorder, instrs):
                                 "all_reduce")):
             dim_idx = meta[2] if len(meta) > 2 else None
             operand = values[ins.inputs[0]]
-            fn = stacked_kernels.prebind_collective_indexed(
-                recorder.mesh, meta[0], meta[1], dim_idx,
-                operand.shape, operand.dtype)
+            fn = None
+            if ins.out not in out_vids:
+                fn = stacked_kernels.prebind_collective_indexed(
+                    recorder.mesh, meta[0], meta[1], dim_idx,
+                    operand.shape, operand.dtype, scratch=scratch)
             if fn is None:
                 fn = stacked_kernels.prebind_collective(
                     recorder.mesh, meta[0], meta[1], dim_idx)

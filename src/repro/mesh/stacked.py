@@ -255,9 +255,62 @@ def prebind_collective(mesh, kind: str, axes: Sequence[str],
 _INDEXED_COLLECTIVE_LIMIT = 1 << 18
 
 
+@lru_cache(maxsize=128)
+def _collective_index_table(mesh_shape: tuple[int, int, int],
+                            part: tuple[int, ...], kind: str,
+                            dim_idx: int | None, in_shape: tuple[int, ...]):
+    """``(table, out_shape)`` of one indexed collective, read-only.
+
+    Memoized process-wide: every program that replays the same
+    collective on the same mesh and operand shape (each layer of a
+    model, each program of a deployment, each replica of a fleet) shares
+    one table instead of re-tracing and storing its own.  The table is
+    frozen (``writeable=False``) because every caller holds the same
+    array.
+    """
+    meta = _axes_meta(mesh_shape, part)
+    nrest = len(meta[0])
+    k = meta[5]
+    probe = np.arange(int(np.prod(in_shape))).reshape(in_shape)
+    local = in_shape[3:]
+
+    if kind == "all_gather":
+        table = np.ascontiguousarray(_all_gather_meta(probe, dim_idx, meta))
+        table.setflags(write=False)
+        return table, table.shape
+
+    gidx = np.ascontiguousarray(_grouped_view_meta(probe, meta))
+    rows = tuple((slice(None),) * nrest + (rank,) for rank in range(k))
+    summed_shape = meta[3] + local
+    probe2 = np.arange(int(np.prod(summed_shape))).reshape(summed_shape)
+
+    if kind == "all_reduce":
+        ridx = np.ascontiguousarray(
+            _ungroup(_replicate(probe2, meta), meta, local,
+                     materialize=False))
+    else:
+        chunk = local[dim_idx] // k
+        split = probe2.reshape(meta[3] + local[:dim_idx] + (k, chunk)
+                               + local[dim_idx + 1:])
+        moved = np.moveaxis(split, nrest + dim_idx, nrest)
+        new_local = local[:dim_idx] + (chunk,) + local[dim_idx + 1:]
+        ridx = np.ascontiguousarray(_ungroup(moved, meta, new_local))
+
+    # Combined table: output position ``o`` sums ``in_flat[comb[r, o]]``
+    # over ranks ``r`` in ascending order — the same operands in the same
+    # order as the sequential row adds of ``_group_sum`` (an outer-axis
+    # ``add.reduce`` accumulates in index order; pairwise blocking only
+    # applies to innermost-axis reductions).  One gather, one reduction.
+    rflat = ridx.reshape(-1)
+    comb = np.stack([
+        np.ascontiguousarray(gidx[row]).reshape(-1)[rflat] for row in rows])
+    comb.setflags(write=False)
+    return comb, ridx.shape
+
+
 def prebind_collective_indexed(mesh, kind: str, axes: Sequence[str],
                                dim_idx: int | None, in_shape,
-                               dtype=np.float64):
+                               dtype=np.float64, *, scratch: dict):
     """A collective closure with its data movement traced to one gather.
 
     The movement portions of a collective (grouping, scattering,
@@ -271,65 +324,41 @@ def prebind_collective_indexed(mesh, kind: str, axes: Sequence[str],
     kernels.  Returns ``None`` when the shape is too large for index
     tables to pay off (the caller falls back to
     :func:`prebind_collective`).
-    """
-    size = int(np.prod(in_shape))
-    if size > _INDEXED_COLLECTIVE_LIMIT:
-        return None
-    meta = _axes_meta(mesh.shape, tuple(mesh.axis_indices(axes)))
-    nrest = len(meta[0])
-    k = meta[5]
-    if k < 2 and kind != "all_gather":
-        return None  # nothing to reduce; the generic prebind handles it
-    probe = np.arange(size).reshape(in_shape)
-    local = tuple(in_shape[3:])
 
+    The index tables are shared process-wide
+    (:func:`_collective_index_table`); each closure owns its output
+    buffer.  Reductions gather into a scratch buffer that is dead once
+    the closure returns, so closures of one program — which replays
+    serially — share one per (shape, dtype) through ``scratch``.
+    """
+    if int(np.prod(in_shape)) > _INDEXED_COLLECTIVE_LIMIT \
+            or kind not in ("all_gather", "all_reduce", "reduce_scatter"):
+        return None
+    part = tuple(mesh.axis_indices(axes))
+    if _axes_meta(mesh.shape, part)[5] < 2 and kind != "all_gather":
+        return None  # nothing to reduce; the generic prebind handles it
+    table, out_shape = _collective_index_table(
+        mesh.shape, part, kind, dim_idx, tuple(in_shape))
     dtype = np.dtype(dtype)
+    obuf = np.empty(out_shape, dtype)
 
     if kind == "all_gather":
-        idx = np.ascontiguousarray(_all_gather_meta(probe, dim_idx, meta))
-        obuf = np.empty(idx.shape, dtype)
-
-        def gather(a):
-            a.reshape(-1).take(idx, out=obuf)
+        def run(a):
+            a.reshape(-1).take(table, out=obuf)
             return obuf
-        return gather
-
-    gidx = np.ascontiguousarray(_grouped_view_meta(probe, meta))
-    rows = tuple((slice(None),) * nrest + (rank,) for rank in range(k))
-    summed_shape = meta[3] + local
-    probe2 = np.arange(int(np.prod(summed_shape))).reshape(summed_shape)
-
-    if kind == "all_reduce":
-        ridx = np.ascontiguousarray(
-            _ungroup(_replicate(probe2, meta), meta, local,
-                     materialize=False))
-    elif kind == "reduce_scatter":
-        chunk = local[dim_idx] // k
-        split = probe2.reshape(meta[3] + local[:dim_idx] + (k, chunk)
-                               + local[dim_idx + 1:])
-        moved = np.moveaxis(split, nrest + dim_idx, nrest)
-        new_local = local[:dim_idx] + (chunk,) + local[dim_idx + 1:]
-        ridx = np.ascontiguousarray(_ungroup(moved, meta, new_local))
     else:
-        return None
+        key = (table.shape, dtype)
+        if key not in scratch:
+            scratch[key] = np.empty(table.shape, dtype)
+        gbuf = scratch[key]
+        oflat = obuf.reshape(-1)
 
-    # Combined table: output position ``o`` sums ``in_flat[comb[r, o]]``
-    # over ranks ``r`` in ascending order — the same operands in the same
-    # order as the sequential row adds of ``_group_sum`` (an outer-axis
-    # ``add.reduce`` accumulates in index order; pairwise blocking only
-    # applies to innermost-axis reductions).  One gather, one reduction.
-    rflat = ridx.reshape(-1)
-    comb = np.stack([
-        np.ascontiguousarray(gidx[row]).reshape(-1)[rflat] for row in rows])
-    gbuf = np.empty(comb.shape, dtype)
-    obuf = np.empty(ridx.shape, dtype)
-    oflat = obuf.reshape(-1)
-
-    def reduce_move(a):
-        a.reshape(-1).take(comb, out=gbuf)
-        np.add.reduce(gbuf, axis=0, out=oflat)
-        return obuf
-    return reduce_move
+        def run(a):
+            a.reshape(-1).take(table, out=gbuf)
+            np.add.reduce(gbuf, axis=0, out=oflat)
+            return obuf
+    run.index_table = table
+    return run
 
 
 def all_to_all(mesh, shards: np.ndarray, axes: Sequence[str],

@@ -355,30 +355,17 @@ class ResilientTwoPhaseServer:
         caches = merge_sharded_caches(caches_per_request, self.decode_model)
         current = greedy(np.concatenate(first_logits, axis=0))
         generated = [current[:, None]]
-        # Decode through the compiler's fused window (1 unless
-        # REPRO_CAPTURE_FUSE or the compiler say otherwise — at window 1
-        # this is exactly the old single-step loop, same events, same
-        # charges).  ``advance`` keeps the fault clock ticking once per
-        # generated token either way; the fused path only engages when
-        # the fault state is quiescent for the whole window, so faults
-        # and stragglers always land on single-step machinery.
-        step = 0
-        while step < n_steps - 1:
+        for step in range(n_steps - 1):
             before = self._delay()
-            sampled = self.step_compiler.decode_window(
-                self.decode_model, current, caches,
-                window=min(self.step_compiler.fuse_window,
-                           n_steps - 1 - step),
-                advance=lambda: self._advance("decode"))
-            w = sampled.shape[0]
-            step_delay = self._charge(self.costs.decode_step_s * w, before)
-            current = sampled[-1]
-            for row in sampled:
-                generated.append(row[:, None])
-            step += w
+            self._advance("decode")
+            logits = self.step_compiler.decode_step(
+                self.decode_model, current, caches)
+            step_delay = self._charge(self.costs.decode_step_s, before)
+            current = greedy(logits)
+            generated.append(current[:, None])
             caches = self._maybe_evict_stragglers(
                 live, caches, min_deadline,
-                remaining_steps=n_steps - 1 - step, step_delay=step_delay)
+                remaining_steps=n_steps - 2 - step, step_delay=step_delay)
 
         all_generated = np.concatenate(generated, axis=1)
         completions = []

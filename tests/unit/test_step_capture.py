@@ -19,6 +19,7 @@ from repro.mesh import (
     BACKENDS,
     ShardedTensor,
     VirtualMesh,
+    all_gather,
     resolve_backend,
 )
 from repro.mesh.capture import (
@@ -282,6 +283,23 @@ class TestTapeApi:
             assert recorder.collectives == 1
             program = recorder.finalize(fused.shards)
         assert program is None
+
+    def test_collective_output_survives_the_next_replay(self):
+        """A stacked program ending in a collective still hands each
+        replay a fresh output, not the optimizer's reused buffer."""
+        mesh = VirtualMesh((1, 4, 1), backend="stacked")
+        rng = np.random.default_rng(4)
+        x = ShardedTensor.from_global(mesh, rng.normal(size=(4, 16)),
+                                      "BE_y")
+        with capturing(mesh) as recorder:
+            recorder.record(lambda ctx: ctx.tokens, (recorder.CTX,),
+                            x.shards, "input")
+            program = recorder.finalize(all_gather(x, ("y",), "E").shards)
+        assert program.optimized
+        first = program.replay(tokens=x.shards)
+        snapshot = first.copy()
+        program.replay(tokens=2 * x.shards)
+        assert np.array_equal(first, snapshot)
 
     def test_nested_capture_rejected(self):
         mesh = VirtualMesh((1, 2, 1))

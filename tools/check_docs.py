@@ -83,7 +83,6 @@ REQUIRED_HEADINGS: dict[str, tuple[str, ...]] = {
         "### Invalidation rules",
         "## Capture v2: the program cache",
         "### Prefill programs",
-        "### Fused decode windows",
         "### Parallel replica stepping",
     ),
     "docs/autoscaling.md": (
