@@ -4,8 +4,10 @@ Two serving hot paths ride the program cache beyond the single decode
 step that ``bench_step_capture.py`` times:
 
 * **Prefill programs** — ``capture_prefill_chunk`` traces one chunk of
-  ``chunked_prefill`` and replays later same-length chunks; eager and
-  replay append the same positions from the same cache base.
+  ``chunked_prefill`` and replays later same-length chunks; eager, full
+  replay and body-only replay (the KV body without the logits head, as
+  every non-final chunk runs) append the same positions from the same
+  cache base.
 * **Program-cache hit rate** — a shrinking continuous batch decoded via
   ``StepCompiler.decode_step`` with batch bucketing; the bucketed
   signature keeps shrinking batches on one warm program.
@@ -41,9 +43,10 @@ def test_capture_v2(benchmark, save_result):
     JSON_PATH.write_text(json.dumps({
         "workload": "16-layer multiquery model, WG_XY + BATCH layout, "
                     f"batch {CAPTURE_BATCH}; prefill chunk length "
-                    f"{CAPTURE_V2_CHUNK} replayed vs eager from the "
-                    "same KV base (median of 24 paired samples, each "
-                    "resetting the KV fill to a common base), and the "
+                    f"{CAPTURE_V2_CHUNK} replayed (full and body-only) "
+                    "vs eager from the same KV base (median of 24 "
+                    "rounds of back-to-back samples, each resetting the "
+                    "KV fill to a common base), and the "
                     "StepCompiler hit rate on a shrinking continuous "
                     "batch",
         "prefill": sections["prefill"],
@@ -51,7 +54,9 @@ def test_capture_v2(benchmark, save_result):
     }, indent=2) + "\n")
     print(f"[saved to {JSON_PATH}]")
 
-    # Every replay must be bit-identical to eager on both backends.
+    # Every replay — logits of the full program, KV of both the full and
+    # the body-only replay — must be bit-identical to eager on both
+    # backends.
     assert all(row["bit_identical"] for row in sections["prefill"])
     prefill = {(r["mesh"], r["backend"]): r for r in sections["prefill"]}
     # Acceptance bar on the paper's 4x4x4 torus (stacked backend):

@@ -48,7 +48,7 @@ from repro.partitioning.degraded import (
     select_profile_plan,
 )
 from repro.partitioning.selector import Phase
-from repro.serving.chunked import chunked_prefill, default_prefill_chunk
+from repro.serving.chunked import DEFAULT_PREFILL_CHUNK, chunked_prefill
 from repro.serving.engine import Completion
 from repro.serving.resilient import CostModel, ResilientRequest
 from repro.serving.sharded import merge_sharded_caches
@@ -72,7 +72,7 @@ class Replica:
                  costs: CostModel | None = None,
                  event_log: EventLog | None = None, tracer=None,
                  trace_mesh: bool = False, prompt_len_hint: int = 64,
-                 prefill_chunk: int | None | str = "auto",
+                 prefill_chunk: int | None = DEFAULT_PREFILL_CHUNK,
                  kvstore_pages: int = 256):
         from repro.layouts.model import ShardedTransformer
 
@@ -88,10 +88,8 @@ class Replica:
         self.health = ReplicaHealth.HEALTHY
         self.busy_until_s = 0.0
         # Chunked prefill is the default path (see serving.chunked);
-        # "auto" resolves the REPRO_PREFILL_* env knobs, None forces the
-        # legacy whole-prompt prefill, an int pins the chunk size.
-        self.prefill_chunk = (default_prefill_chunk()
-                              if prefill_chunk == "auto" else prefill_chunk)
+        # None forces the legacy whole-prompt prefill.
+        self.prefill_chunk = prefill_chunk
         # Decode-plan profile the autoscaler steers (see switch_profile):
         # "balanced" is the selector's own pick.  The prefill profile is
         # steered separately by the disaggregated prefill pool (see

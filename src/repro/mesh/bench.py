@@ -203,10 +203,11 @@ def time_capture_prefill(mesh_shape, backend, *,
     """Eager prefill chunk vs captured-chunk replay, same cache offset.
 
     The program is captured on one chunk, then a *different* same-shape
-    chunk is run both ways from the same cache base: eager and replay
-    append the same positions, so the work is identical and the replayed
-    logits and cache contents must match eagerly computed ones bit for
-    bit (asserted here).
+    chunk is run three ways from the same cache base: eager, full replay,
+    and body-only replay (``logits=False``, what every non-final chunk of
+    ``chunked_prefill`` runs).  All three append the same positions, so
+    the replayed logits and every mode's cache contents must match the
+    eager ones bit for bit (asserted here).
     """
     from repro.mesh.capture import capture_prefill_chunk
 
@@ -226,10 +227,23 @@ def time_capture_prefill(mesh_shape, backend, *,
         for cache in caches:
             cache.length = base
 
+    def kv():
+        return [t.to_global() for cache in caches for t in cache.as_sharded()]
+
+    def body(tokens, caches):
+        program.replay(tokens, caches, logits=False)
+
     eager_logits = model.forward(chunk2, caches)
+    eager_kv = kv()
     reset()
     replay_logits = program.replay(chunk2, caches)
-    bit_identical = bool(np.array_equal(eager_logits, replay_logits))
+    replay_kv = kv()
+    reset()
+    body(chunk2, caches)
+    bit_identical = bool(
+        np.array_equal(eager_logits, replay_logits)
+        and all(np.array_equal(a, b) and np.array_equal(a, c)
+                for a, b, c in zip(eager_kv, replay_kv, kv())))
 
     def timed(step_fn) -> float:
         reset()
@@ -237,18 +251,17 @@ def time_capture_prefill(mesh_shape, backend, *,
         step_fn(chunk2, caches)
         return time.perf_counter() - start
 
-    # Paired samples: each pair times both modes back to back (order
-    # alternating), so host speed swings over seconds hit both sides of
-    # a pair alike; the speedup is the median per-pair ratio.  Separate
+    # Paired samples: each round times every mode back to back (order
+    # rotating), so host speed swings over seconds hit all sides of a
+    # round alike; the speedups are median per-round ratios.  Separate
     # best-of minima per mode, taken seconds apart, gave 1.4-2.1x on
     # runs of the same code on a shared 2-vCPU host.
-    modes = (model.forward, program.replay)
-    eager, replay, ratios = [], [], []
+    modes = (model.forward, program.replay, body)
+    times = {fn: [] for fn in modes}
     for i in range(3 * reps):
-        times = {fn: timed(fn) for fn in (modes if i % 2 else modes[::-1])}
-        eager.append(times[model.forward])
-        replay.append(times[program.replay])
-        ratios.append(eager[-1] / replay[-1])
+        for fn in modes[i % 3:] + modes[:i % 3]:
+            times[fn].append(timed(fn))
+    eager, replay, body_only = (np.array(times[fn]) for fn in modes)
     reset()
     return {
         "mesh": "x".join(map(str, mesh_shape)),
@@ -257,9 +270,12 @@ def time_capture_prefill(mesh_shape, backend, *,
         "chunk": chunk,
         "eager_s": float(np.median(eager)),
         "replay_s": float(np.median(replay)),
-        "speedup": float(np.median(ratios)),
+        "body_s": float(np.median(body_only)),
+        "speedup": float(np.median(eager / replay)),
+        "body_speedup": float(np.median(replay / body_only)),
         "bit_identical": bit_identical,
         "instructions": program.n_instructions,
+        "body_instructions": program.n_body,
     }
 
 
@@ -313,14 +329,17 @@ def compare_capture_v2(mesh_shapes=CAPTURE_V2_SHAPES, *,
 
 
 def format_capture_v2_table(sections: dict) -> str:
-    lines = ["Prefill chunk: eager vs captured replay (seconds/chunk)",
+    lines = ["Prefill chunk: eager vs captured replay vs body-only replay "
+             "(seconds/chunk)",
              f"{'mesh':>7s} {'backend':>8s} {'len':>4s} {'eager':>10s} "
-             f"{'replay':>10s} {'speedup':>8s} {'bits':>5s}"]
+             f"{'replay':>10s} {'speedup':>8s} {'body':>10s} "
+             f"{'full/body':>9s} {'bits':>5s}"]
     for row in sections["prefill"]:
         lines.append(
             f"{row['mesh']:>7s} {row['backend']:>8s} {row['chunk']:>4d} "
             f"{row['eager_s'] * 1e3:9.2f}m {row['replay_s'] * 1e3:9.2f}m "
-            f"{row['speedup']:7.2f}x "
+            f"{row['speedup']:7.2f}x {row['body_s'] * 1e3:9.2f}m "
+            f"{row['body_speedup']:8.2f}x "
             f"{'ok' if row['bit_identical'] else 'FAIL':>5s}")
     lines += ["", "Program-cache hit rate, shrinking continuous batch",
               f"{'mesh':>7s} {'backend':>8s} {'rounds':>7s} "

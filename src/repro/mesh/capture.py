@@ -42,6 +42,12 @@ the tape into a :class:`CapturedProgram`:
   collectives — and replays through a source-generated straight-line
   runner.  Every pass is bit-exact by construction and asserted
   differentially.  Loop-backend programs replay the plain tape.
+* **Body and head** — the live instructions are split (before the
+  optimizer's views are frozen, which would hide the K/V producers) into
+  a *body*, everything the KV appends need, and a *head* that only
+  feeds the output.  ``replay(..., logits=False)`` runs the body alone:
+  the caches advance exactly as in a full replay, without the last
+  layer's remaining work, the final norm or the vocab projection.
 
 ``program.replay(tokens, caches)`` then executes the flat closure list —
 no layout selection, no ``ShardSpec`` work, no group construction, no
@@ -57,7 +63,9 @@ serving hot path end-to-end:
 * **Prefill programs** — :func:`capture_prefill_chunk` traces one
   ``model.forward`` chunk; :meth:`StepCompiler.prefill_chunk` keys the
   resulting program per chunk length, so chunked prefill replays every
-  chunk after the first of each length bucket through the arena.
+  chunk after the first of each length bucket through the arena — the
+  body alone for every chunk but the prompt's last, whose logits are
+  the only ones used.
 * **Shape-bucketed program cache** — :class:`StepCompiler` keeps an LRU
   ``OrderedDict`` of programs keyed by (kind, backend, mesh shape, plan,
   token shape/dtype, cache layouts, dead-chip set), so a
@@ -80,10 +88,13 @@ Interplay with the rest of the stack:
   quiescent`; :class:`StepCompiler` falls back to eager execution for
   any step on which a scheduled fault is live, so kills, timeouts,
   corruption and straggler delay fire exactly as they would eagerly.
+  A replay adds every captured collective to the fault clock, head run
+  or not, because the eager step would have run them all.
 * **Observability** — a replayed step emits one condensed
-  ``kind="replay"`` span carrying the instruction/collective counts
-  (inside the usual ``decode`` phase envelope), so Tracer-based tooling
-  keeps working without paying per-op span costs.
+  ``kind="replay"`` span carrying the number of instructions executed,
+  a ``head`` flag and the collective counts (inside the usual
+  ``decode``/``prefill`` phase envelope), so Tracer-based tooling keeps
+  working without paying per-op span costs.
 * **Invalidation** — a program is only replayed while its signature
   matches: same mesh *object*, same backend, same plan, same token batch
   shape, same cache layouts, same dead-chip set.  Degraded replanning
@@ -191,7 +202,7 @@ def _compile_source(source: str):
     return compile(source, "<captured-program>", "exec")
 
 
-def _compile_ops(ops, out_vid):
+def _compile_ops(ops, writeback):
     """Source-generate a straight-line runner for an instruction list.
 
     The interpreted executor pays a loop iteration, a list comprehension
@@ -200,12 +211,13 @@ def _compile_ops(ops, out_vid):
     slice of replay time.  The generated function calls the exact same
     closures in the exact same order with values held in locals, reads
     step-varying slots from ``values`` once, and writes back only the
-    program output — so the executed kernel stream (and every bit of
-    the result) is unchanged.  Closures and buffers are bound through
-    the function's globals, so the source names only positions.
+    ``writeback`` values (the program output, or what a later segment
+    reads) — so the executed kernel stream (and every bit of the result)
+    is unchanged.  Closures and buffers are bound through the function's
+    globals, so the source names only positions.
     """
     env: dict[str, Any] = {}
-    lines = ["def _replay(values):"]
+    lines = ["def _replay(values):", " pass"]  # a segment may be empty
     available: set[int] = set()
     for idx, (fn, inputs, out, buffer) in enumerate(ops):
         env[f"f{idx}"] = fn
@@ -224,16 +236,49 @@ def _compile_ops(ops, out_vid):
         else:
             lines.append(f" v{out} = {call}")
             available.add(out)
-    lines.append(f" values[{out_vid}] = v{out_vid}")
+    lines += [f" values[{vid}] = v{vid}" for vid in writeback]
     exec(_compile_source("\n".join(lines)), env)
     return env["_replay"]
 
 
+def _split_body(instrs: list[_Instr]) -> tuple[list[_Instr], list[_Instr]]:
+    """Partition live instructions into ``(body, head)``, each in tape order.
+
+    The body is every instruction a side effect (a KV append) needs,
+    directly or through other instructions, plus every reader of the
+    replay context that precedes a side effect — it must see the caches
+    as they were before that append, exactly as it did eagerly.  The
+    head is the rest: it only feeds the program output.  Nothing in the
+    body reads a head value, so running the body and then the head keeps
+    every dependence, and the body alone leaves the caches as the full
+    program would.
+    """
+    needed: set[int] = set()
+    in_body: list[bool] = []
+    effect_after = False
+    for ins in reversed(instrs):
+        body = (ins.out is None or ins.out in needed
+                or (effect_after and 0 in ins.inputs))
+        if body:
+            needed.update(ins.inputs)
+        effect_after = effect_after or ins.out is None
+        in_body.append(body)
+    in_body.reverse()
+    return ([ins for ins, b in zip(instrs, in_body) if b],
+            [ins for ins, b in zip(instrs, in_body) if not b])
+
+
 class CapturedProgram:
-    """A flat list of whole-mesh kernels replaying one traced program."""
+    """A flat list of whole-mesh kernels replaying one traced program.
+
+    The list is a *body* (the first ``n_body`` instructions: everything
+    the KV appends need) followed by a *head* (what only feeds the
+    output); see :func:`_split_body`.
+    """
 
     def __init__(self, mesh, instrs: list[_Instr], template: list,
                  out_vid: int, signature: ProgramSignature, *,
+                 n_body: int = 0,
                  tokens_2d: bool = False, span_name: str = "captured_step",
                  collectives_captured: int = 0,
                  collectives_folded: int = 0,
@@ -241,6 +286,7 @@ class CapturedProgram:
         self.mesh = mesh
         self.signature = signature
         self.replays = 0
+        self.n_body = n_body
         self._instrs = instrs
         self._out_vid = out_vid
         self._tokens_2d = tokens_2d
@@ -250,14 +296,25 @@ class CapturedProgram:
         self.optimized = optimized
         # Fast-path execution tuples: one attribute walk at build time
         # instead of per instruction per replay.
-        self._ops = tuple((ins.fn, ins.inputs, ins.out, ins.buffer)
-                          for ins in instrs)
+        ops = tuple((ins.fn, ins.inputs, ins.out, ins.buffer)
+                    for ins in instrs)
+        self._segments = (ops[:n_body], ops[n_body:])
         self._template = template
-        # Optimized programs additionally compile the instruction list
-        # to straight-line Python (locals instead of a values list, no
-        # dispatch loop) — same closures called in the same order.
-        self._compiled = _compile_ops(self._ops, out_vid) if optimized \
-            else None
+        # Optimized programs additionally compile each segment to
+        # straight-line Python (locals instead of a values list, no
+        # dispatch loop) — same closures called in the same order.  The
+        # body writes back what the head reads (and the output, should
+        # the body produce it).
+        self._compiled = None
+        if optimized:
+            body, head = self._segments
+            head_reads = {v for _, inputs, _, _ in head for v in inputs}
+            head_reads.add(out_vid)
+            self._compiled = (
+                _compile_ops(body, sorted(out for _, _, out, _ in body
+                                          if out in head_reads)),
+                _compile_ops(head, [out_vid] if any(
+                    out == out_vid for _, _, out, _ in head) else []))
 
     @property
     def n_instructions(self) -> int:
@@ -306,9 +363,11 @@ class CapturedProgram:
     # -- execution ---------------------------------------------------------
 
     def replay(self, tokens: np.ndarray | None = None,
-               caches: Sequence = ()):
+               caches: Sequence = (), logits: bool = True):
         """Execute the captured program against fresh step-varying inputs.
 
+        With ``logits=False`` only the body runs — the caches advance
+        exactly as in a full replay — and the result is ``None``.
         Callers are responsible for validity (:meth:`matches`) and for
         only replaying while the mesh's fault state is quiescent —
         :class:`StepCompiler` enforces both.
@@ -318,38 +377,43 @@ class CapturedProgram:
         if tokens is not None and self._tokens_2d:
             ctx_tokens = tokens[:, None]
         values[0] = ReplayContext(ctx_tokens, caches)
+        segments = (0, 1) if logits else (0,)
         tracer = getattr(self.mesh, "tracer", None)
         if tracer is None:
-            self._run(values)
+            self._run(values, segments)
         else:
             with tracer.phase("decode" if self.kind != "prefill"
                               else "prefill"):
                 with tracer.region(
                         self._span_name, kind="replay",
-                        instructions=self.n_instructions,
+                        instructions=sum(len(self._segments[i])
+                                         for i in segments),
+                        head=logits,
                         collectives=self.collectives_live,
                         collectives_folded=self.collectives_folded):
-                    self._run(values)
+                    self._run(values, segments)
         state = getattr(self.mesh, "fault_state", None)
         if state is not None:
             # Keep the collective bookkeeping faithful: eager execution
-            # would have bumped the counter once per captured collective.
+            # would have bumped the counter once per captured collective,
+            # head or not.
             state.op_counter += self.collectives_captured
         self.replays += 1
-        return values[self._out_vid]
+        return values[self._out_vid] if logits else None
 
-    def _run(self, values: list) -> None:
-        if self._compiled is not None:
-            self._compiled(values)
-            return
-        for fn, inputs, out, buffer in self._ops:
-            args = [values[v] for v in inputs]
-            if buffer is not None:
-                result = fn(*args, out=buffer)
-            else:
-                result = fn(*args)
-            if out is not None:
-                values[out] = result
+    def _run(self, values: list, segments: tuple[int, ...]) -> None:
+        for i in segments:
+            if self._compiled is not None:
+                self._compiled[i](values)
+                continue
+            for fn, inputs, out, buffer in self._segments[i]:
+                args = [values[v] for v in inputs]
+                if buffer is not None:
+                    result = fn(*args, out=buffer)
+                else:
+                    result = fn(*args)
+                if out is not None:
+                    values[out] = result
 
     def __repr__(self) -> str:
         return (f"CapturedProgram({self.signature.kind}, "
@@ -465,14 +529,18 @@ class StepRecorder:
                  tokens_2d: bool = False,
                  span_name: str = "captured_step"
                  ) -> CapturedProgram | None:
-        """Fold constants, build the arena, and emit the program.
+        """Fold constants, split body from head, build the arena, and
+        emit the program.
 
         Returns ``None`` when the capture broke, ``output`` was not
         produced by a recorded instruction, or the whole program folded
         to a constant — the eager step still completed correctly, there
         is just nothing to replay.  On the stacked backend the bit-exact
         tape optimizer (:mod:`repro.mesh.replay_opt`) additionally
-        rewrites the live instructions before the arena is laid out.
+        rewrites the live instructions before the split.  The split runs
+        before view freezing: frozen views leave the template, so after
+        freezing no instruction would produce the K/V the appends read,
+        and their producers would wrongly land in the head.
         """
         if self.broken is not None:
             return None
@@ -506,6 +574,9 @@ class StepRecorder:
             from repro.mesh import replay_opt
 
             kept = replay_opt.optimize_tape(self, kept, const, out_vids)
+        body, head = _split_body(kept)
+        kept = body + head
+        body_ids = {id(ins) for ins in body}
 
         template: list[Any] = [None] * len(self._values)
         for vid in const:
@@ -527,6 +598,7 @@ class StepRecorder:
                                          mesh_shape=self.mesh.shape)
         return CapturedProgram(
             self.mesh, kept, template, out_vid, signature,
+            n_body=sum(id(ins) in body_ids for ins in kept),
             tokens_2d=tokens_2d, span_name=span_name,
             collectives_captured=self.collectives,
             collectives_folded=folded_collectives,
@@ -799,14 +871,16 @@ class StepCompiler:
 
     # -- prefill -----------------------------------------------------------
 
-    def prefill_chunk(self, model, tokens: np.ndarray,
-                      caches: Sequence) -> np.ndarray:
+    def prefill_chunk(self, model, tokens: np.ndarray, caches: Sequence,
+                      logits: bool = True) -> np.ndarray | None:
         """One prefill chunk (``[B, chunk]``), replayed per length bucket.
 
         Unlike decode there is no warmup gate: the first chunk of each
         (batch, length) bucket is captured, and every later chunk of the
         same shape — within this prompt or any later prompt on the same
-        deployment — replays through the arena.
+        deployment — replays through the arena.  With ``logits=False``
+        the chunk only builds the caches: a replay runs the program's
+        body alone, and the result is ``None`` on every path.
         """
         state = getattr(model.mesh, "fault_state", None)
         quiet = state is None or state.quiescent()
@@ -815,17 +889,18 @@ class StepCompiler:
         if program is not None and quiet:
             self.hits += 1
             self.replays += 1
-            return program.replay(tokens, caches)
+            return program.replay(tokens, caches, logits)
         if quiet:
             self.misses += 1
             if key not in self._failed:
-                logits, program = capture_prefill_chunk(
+                out, program = capture_prefill_chunk(
                     model, tokens, caches, self.weight_share)
                 if program is None:
                     self._failed.add(key)
                 else:
                     self._insert(key, program)
                     self.captures += 1
-                return logits
+                return out if logits else None
         self.eager_steps += 1
-        return model.forward(tokens, caches)
+        out = model.forward(tokens, caches)
+        return out if logits else None

@@ -42,9 +42,13 @@ All passes are *conservative pattern matchers*: anything unrecognized
 (loop-backend instructions, sharded-weight layouts) is left untouched.
 :meth:`repro.mesh.capture.StepRecorder.finalize` runs the optimizer for
 every stacked-backend program — the single decode step the serving
-path replays and every prefill chunk.  The differential suites assert
-bit-identical logits and KV caches for optimized programs on every plan
-and batch size they cover.
+path replays and every prefill chunk — then splits the result into a
+KV body and a logits head, and only then calls
+:func:`freeze_stable_views`.  The order matters: a frozen view leaves
+the instruction list, so a split after freezing would find no producer
+for the K/V the appends read through views of the fused projection
+buffer.  The differential suites assert bit-identical logits and KV
+caches for optimized programs on every plan and batch size they cover.
 """
 
 from __future__ import annotations
@@ -773,7 +777,8 @@ def _prebind_collectives(recorder, instrs, out_vids):
 def freeze_stable_views(instrs, template, out_vids):
     """Hoist views of fixed arena buffers out of the replay loop.
 
-    Called from ``finalize`` *after* arena allocation: an instruction
+    Called from ``finalize`` *after* arena allocation and the body/head
+    split (the split needs the view instructions): an instruction
     whose kernel writes through ``out=`` into a preallocated buffer
     produces the *same array object* on every replay, so any pure view
     of it (``const_view``-marked slices from the fusion and rope passes)
@@ -818,14 +823,14 @@ def _eliminate_dead(instrs, out_vids):
 
     Earlier passes strand instructions (a projection view whose only
     consumer became a rope slab, say).  Side-effecting instructions —
-    ``out is None``, e.g. KV appends — and collectives are always kept:
-    the latter so the replayed collective count (and with it the fault
-    clock) matches the eager step exactly.
+    ``out is None``, e.g. KV appends — are always kept.  Dead
+    collectives go too: the fault clock does not count executed
+    collectives, since every replay adds the program's captured count.
     """
     needed = set(out_vids)
     kept_rev = []
     for ins in reversed(instrs):
-        if ins.out is None or ins.collective or ins.out in needed:
+        if ins.out is None or ins.out in needed:
             kept_rev.append(ins)
             needed.update(ins.inputs)
     return kept_rev[::-1]

@@ -10,40 +10,14 @@ adds the driver plus the analytical cost of a chunked schedule.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.partitioning.plan import LayoutPlan
 from repro.perf.estimator import InferenceEstimator, PhaseCost
 
-#: Escape hatch back to whole-prompt prefill (``whole``/``off``); the
-#: default is the chunked path everywhere a server admits prompts.
-PREFILL_MODE_ENV = "REPRO_PREFILL_MODE"
-#: Chunk size the default path uses (tokens per chunk).
-PREFILL_CHUNK_ENV = "REPRO_PREFILL_CHUNK"
+#: Chunk size every server admits prompts with (tokens per chunk); pass
+#: ``prefill_chunk=None`` to a server for single-pass prefill.
 DEFAULT_PREFILL_CHUNK = 4
-
-
-def default_prefill_chunk() -> int | None:
-    """The serving layers' default prefill chunking, from the environment.
-
-    Returns the chunk size (chunked prefill is the default, per the
-    roadmap), or ``None`` when ``REPRO_PREFILL_MODE=whole`` asks for the
-    legacy single-pass prefill.  Both paths are bit-identical; the knob
-    exists for A/B comparison and for bisecting capture-cache behavior.
-    """
-    mode = os.environ.get(PREFILL_MODE_ENV, "chunked").strip().lower()
-    if mode in ("whole", "off"):
-        return None
-    if mode != "chunked":
-        raise ValueError(
-            f"{PREFILL_MODE_ENV} must be 'chunked' or 'whole', got "
-            f"{mode!r}")
-    chunk = int(os.environ.get(PREFILL_CHUNK_ENV, DEFAULT_PREFILL_CHUNK))
-    if chunk < 1:
-        raise ValueError(f"{PREFILL_CHUNK_ENV} must be >= 1, got {chunk}")
-    return chunk
 
 
 def chunked_prefill(model, tokens: np.ndarray, chunk_size: int,
@@ -51,14 +25,21 @@ def chunked_prefill(model, tokens: np.ndarray, chunk_size: int,
     """Prefill ``tokens`` ``[B, L]`` in chunks of ``chunk_size``.
 
     Works with any model exposing ``new_cache`` / ``forward`` (reference
-    or sharded).  Returns ``(last_logits [B, V], caches)`` — identical to
-    a single-pass prefill (asserted in tests).
+    or sharded).  Returns ``(last_logits [B, V], caches)``.  The result
+    is bit-identical for the same partition into chunks, not across
+    partitions: each chunk's softmax sums over a KV view as long as the
+    prefix so far, and numpy's pairwise sum groups its terms by that
+    length, so chunks of 4 and a single pass differ in the last bits
+    (up to 8.3e-17 in logits on a 37-token prompt) while agreeing to
+    ``allclose``.  The KV store's page-aligned contract rests on the
+    same-partition case (see ``docs/kvstore.md``).
 
     With ``compiler`` (a :class:`~repro.mesh.capture.StepCompiler`) each
     chunk runs through :meth:`~repro.mesh.capture.StepCompiler.
     prefill_chunk`: the first chunk of each length bucket is captured and
     every later same-shape chunk — including across prompts — replays
-    the traced program, bit-identically.
+    the traced program, bit-identically.  Every chunk but the last
+    replays only the program's KV body (its logits would be discarded).
 
     With ``kvstore`` (a :class:`~repro.kvstore.KVStore`; batch 1 only)
     the prompt's longest cached whole-page prefix is *installed* instead
@@ -94,7 +75,11 @@ def chunked_prefill(model, tokens: np.ndarray, chunk_size: int,
         for start in range(start0, length, chunk_size):
             chunk = tokens[:, start:start + chunk_size]
             if compiler is not None:
-                logits = compiler.prefill_chunk(model, chunk, caches)
+                # Only the last chunk's logits are used: earlier chunks
+                # replay the program's KV body alone.
+                logits = compiler.prefill_chunk(
+                    model, chunk, caches,
+                    logits=start + chunk_size >= length)
             else:
                 logits = model.forward(chunk, caches)
     except BaseException:

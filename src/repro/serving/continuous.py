@@ -26,7 +26,7 @@ from repro.model.functional import masked_softmax, rmsnorm, swish
 from repro.model.reference import ReferenceTransformer
 from repro.model.rope import apply_rope
 from repro.model.sampling import greedy
-from repro.serving.chunked import chunked_prefill, default_prefill_chunk
+from repro.serving.chunked import DEFAULT_PREFILL_CHUNK, chunked_prefill
 from repro.serving.engine import Completion, Request
 
 
@@ -184,20 +184,17 @@ class ContinuousBatchingEngine:
     def __init__(self, model: ReferenceTransformer, max_slots: int,
                  max_len: int, sampler=None, seed: int = 0,
                  step_hook=None,
-                 prefill_chunk: int | None | str = "auto",
+                 prefill_chunk: int | None = DEFAULT_PREFILL_CHUNK,
                  kvstore=None):
         if max_slots < 1:
             raise ValueError("max_slots must be >= 1")
         self.model = model
         self.max_slots = max_slots
         self.max_len = max_len
-        # Admission prefills run chunked by default (bit-identical to
-        # whole-prompt; bounded activation memory).  "auto" resolves the
-        # REPRO_PREFILL_MODE / REPRO_PREFILL_CHUNK escape hatches; pass
-        # an int or None to pin the behavior explicitly.
-        self.prefill_chunk = (default_prefill_chunk()
-                              if prefill_chunk == "auto"
-                              else prefill_chunk)
+        # Admission prefills run chunked by default (bounded activation
+        # memory; equal to whole-prompt up to last-bit rounding, see
+        # chunked_prefill); None selects the single-pass prefill.
+        self.prefill_chunk = prefill_chunk
         # Optional prefix cache (repro.kvstore.KVStore): admission
         # prefills reuse cached prompt prefixes.  The slot copies the
         # installed prefix into its own buffers, so leases are released

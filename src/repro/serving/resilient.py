@@ -65,7 +65,7 @@ from repro.partitioning.degraded import (
 )
 from repro.partitioning.selector import Phase
 from repro.serving.backoff import exponential_backoff_s
-from repro.serving.chunked import default_prefill_chunk
+from repro.serving.chunked import DEFAULT_PREFILL_CHUNK
 from repro.serving.continuous import ContinuousBatchingEngine
 from repro.serving.engine import Completion, Request
 from repro.serving.scheduler import group_requests
@@ -482,18 +482,15 @@ class ResilientContinuousServer:
                  fault_plan: FaultPlan | None = None,
                  costs: CostModel | None = None,
                  event_log: EventLog | None = None, seed: int = 0,
-                 prefill_chunk: int | None | str = "auto"):
+                 prefill_chunk: int | None = DEFAULT_PREFILL_CHUNK):
         if fault_plan is not None and mesh is None:
             raise ValueError("fault_plan requires a mesh to install it on")
         self.model = model
         self.max_slots = max_slots
         self.max_len = max_len
-        # Chunked prefill is the default admission path ("auto" reads
-        # the REPRO_PREFILL_MODE / REPRO_PREFILL_CHUNK escape hatches);
-        # resolved once here so every retry engine behaves identically.
-        self.prefill_chunk = (default_prefill_chunk()
-                              if prefill_chunk == "auto"
-                              else prefill_chunk)
+        # Chunked prefill is the default admission path; every retry
+        # engine gets the same chunk size.
+        self.prefill_chunk = prefill_chunk
         self.costs = costs or CostModel()
         self.events = event_log if event_log is not None else EventLog()
         self.seed = seed

@@ -5,6 +5,9 @@ The v2 contract on top of ``test_step_capture.py``'s single-step replay:
 * :meth:`StepCompiler.prefill_chunk` replays every chunk-length bucket
   of :func:`~repro.serving.chunked.chunked_prefill` bit-identically —
   logits *and* KV contents — on both backends, across prompts;
+* non-final chunks replay only the program's KV body: caches, final
+  logits and the fault clock match full replays and eager, with and
+  without KV-store hits, and the vocab projection never runs;
 * the optimized single-step decode program (the stacked backend's tape
   optimizer) matches eager logits and KV caches bit for bit under every
   decode plan the selector returns on 2x2x2 and 4x4x4, at batch sizes
@@ -169,6 +172,206 @@ class TestPrefillReplay:
         assert compiler.captures == 1
         assert np.array_equal(logits, eager_logits)
         assert caches_equal(model.mesh, eager_caches, caches)
+
+
+def full_replay_prefill(model, compiler, prompt, max_len, chunk=4):
+    """``chunked_prefill`` with every chunk run in full, head included."""
+    caches = model.new_cache(prompt.shape[0], max_len)
+    for start in range(0, prompt.shape[1], chunk):
+        logits = compiler.prefill_chunk(
+            model, prompt[:, start:start + chunk], caches)
+    return logits[:, -1], caches
+
+
+def global_kv(caches):
+    """Every layer's K and V as global arrays (replicas must agree)."""
+    return [t.to_global() for cache in caches for t in cache.as_sharded()]
+
+
+def counting_program(program, label):
+    """``program`` rebuilt with every ``label`` instruction counting its
+    calls (same instructions, template and body/head split)."""
+    from repro.mesh.capture import CapturedProgram
+
+    calls = []
+    for ins in program._instrs:
+        if ins.label == label:
+            def counted(*args, _fn=ins.fn, **kwargs):
+                calls.append(label)
+                return _fn(*args, **kwargs)
+            ins.fn = counted
+    rebuilt = CapturedProgram(
+        program.mesh, program._instrs, program._template,
+        program._out_vid, program.signature, n_body=program.n_body,
+        collectives_captured=program.collectives_captured,
+        collectives_folded=program.collectives_folded,
+        optimized=program.optimized)
+    return rebuilt, calls
+
+
+class TestBodyOnlyPrefill:
+    """Non-final prefill chunks replay only the program's KV body.
+
+    Each program splits into a body (everything the KV appends need)
+    and a head (the last layer's remaining work, the final norm and the
+    vocab projection); ``chunked_prefill`` asks for logits on its last
+    chunk only.  The caches and the final logits must not notice.
+    """
+
+    VOCAB_EINSUM = "einsum:ble,ve->blv"
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("store", [False, True],
+                             ids=["cold", "store-hit"])
+    # One length per residue mod the chunk of 4; 63 tokens is 16 chunks.
+    @pytest.mark.parametrize("length", [12, 17, 22, 63])
+    def test_body_only_chunks_bit_identical(self, backend, store, length):
+        from repro.kvstore import KVStore
+
+        rng = np.random.default_rng(length)
+        prompt = rng.integers(0, CFG.vocab_size, size=(1, length))
+        max_len = length + 1
+        model = fresh_model(backend, plan=WS2D_HEAD)
+        eager_logits, eager_caches = chunked_prefill(model, prompt, 4,
+                                                     max_len)
+        compiler = StepCompiler()
+        full_logits, full_caches = full_replay_prefill(model, compiler,
+                                                       prompt, max_len)
+        kvstore = None
+        start = 0
+        if store:
+            # Seed the store with a prompt sharing the first half.
+            kvstore = KVStore(page_tokens=4, capacity_pages=64)
+            seed = prompt.copy()
+            seed[0, length // 2:] = (seed[0, length // 2:] + 1) \
+                % CFG.vocab_size
+            chunked_prefill(model, seed, 4, max_len, compiler=compiler,
+                            kvstore=kvstore)
+            kvstore.take_last_reuse()
+        tracer = model.mesh.install_tracer()
+        hits_before = compiler.hits
+        logits, caches = chunked_prefill(model, prompt, 4, max_len,
+                                         compiler=compiler, kvstore=kvstore)
+        if store:
+            reuse = kvstore.take_last_reuse()
+            start = reuse.matched_tokens
+            assert start > 0
+            reuse.lease.release()
+        n_chunks = -(-(length - start) // 4)
+        # Every computed chunk replayed; all but the last without a head.
+        assert compiler.hits - hits_before == n_chunks
+        heads = [s.attrs["head"] for s in tracer.spans
+                 if s.kind == "replay"]
+        assert heads == [False] * (n_chunks - 1) + [True]
+
+        assert np.array_equal(logits, full_logits)
+        assert np.array_equal(logits, eager_logits)
+        for a, b, c in zip(global_kv(caches), global_kv(full_caches),
+                           global_kv(eager_caches)):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+        assert caches_equal(model.mesh, eager_caches, caches)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_body_only_replay_never_runs_the_vocab_einsum(self, backend):
+        model = fresh_model(backend, plan=WS2D_HEAD)
+        caches = model.new_cache(1, 12)
+        chunks = np.random.default_rng(1).integers(
+            0, CFG.vocab_size, size=(3, 1, 4))
+        compiler = StepCompiler()
+        compiler.prefill_chunk(model, chunks[0], caches)
+        program, calls = counting_program(compiler.program,
+                                          self.VOCAB_EINSUM)
+        tracer = model.mesh.install_tracer()
+        assert program.replay(chunks[1], caches, logits=False) is None
+        assert calls == []
+        assert program.replay(chunks[2], caches).shape == (1, 4,
+                                                           CFG.vocab_size)
+        assert calls == [self.VOCAB_EINSUM]
+        body, full = [s.attrs for s in tracer.spans if s.kind == "replay"]
+        assert (body["instructions"], body["head"]) == (program.n_body,
+                                                        False)
+        assert (full["instructions"], full["head"]) == (
+            program.n_instructions, True)
+        assert 0 < program.n_body < program.n_instructions
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_body_only_replay_keeps_the_fault_clock(self, backend):
+        """Eager execution would have run every collective, head
+        included, so a body-only replay still adds them all."""
+        from repro.mesh.faults import FaultPlan
+
+        chunks = np.random.default_rng(2).integers(
+            0, CFG.vocab_size, size=(2, 1, 4))
+        eager = fresh_model(backend, plan=WS2D_HEAD)
+        eager_state = eager.mesh.install_faults(FaultPlan(()))
+        eager_caches = eager.new_cache(1, 8)
+        model = fresh_model(backend, plan=WS2D_HEAD)
+        state = model.mesh.install_faults(FaultPlan(()))
+        caches = model.new_cache(1, 8)
+        compiler = StepCompiler()
+        for chunk in chunks:
+            eager.forward(chunk, eager_caches)
+            compiler.prefill_chunk(model, chunk, caches, logits=False)
+            assert state.op_counter == eager_state.op_counter
+        assert compiler.replays == 1
+        head_collectives = sum(ins.collective for ins in
+                               compiler.program._instrs[
+                                   compiler.program.n_body:])
+        assert head_collectives > 0
+
+    def test_kv_producers_behind_frozen_views_stay_in_the_body(self):
+        """Split before freezing views, or K/V go stale.
+
+        On the stacked backend K and V reach the appends through views
+        of the fused projection buffer that finalize freezes into the
+        template; a split that ran after freezing would see no producer
+        for them and put the fused projection in the head.  Body-only
+        replays of *different* chunks must then still write fresh K/V
+        (and every replica of the replicated cache must agree)."""
+        model = fresh_model("stacked", plan=WS2D_HEAD)
+        chunks = np.random.default_rng(3).integers(
+            0, CFG.vocab_size, size=(4, 1, 4))
+        eager = fresh_model("stacked", plan=WS2D_HEAD)
+        eager_caches = eager.new_cache(1, 16)
+        caches = model.new_cache(1, 16)
+        compiler = StepCompiler()
+        for i, chunk in enumerate(chunks):
+            eager.forward(chunk, eager_caches)
+            compiler.prefill_chunk(model, chunk, caches, logits=i == 1)
+        program = compiler.program
+        fused = [i for i, ins in enumerate(program._instrs)
+                 if ins.label.startswith("einsum_fused")]
+        assert fused and fused[0] < program.n_body
+        for a, b in zip(global_kv(caches), global_kv(eager_caches)):
+            assert np.array_equal(a, b)
+        assert caches_equal(model.mesh, eager_caches, caches)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_context_read_before_an_append_stays_in_the_body(self,
+                                                              backend):
+        """A cache read that only feeds the output but precedes an
+        append must still see the pre-append cache: it stays in the
+        body, ahead of the append, rather than moving to the head."""
+        from repro.layouts.kv_cache import ShardedKVCache
+        from repro.mesh.capture import capturing
+        from repro.mesh.sharded_tensor import ShardedTensor
+
+        mesh = VirtualMesh((1, 2, 1), backend=backend)
+        cache = ShardedKVCache(mesh, "BMKD", batch=1, max_len=4,
+                               n_kv_heads=1, d_head=2)
+        kv = ShardedTensor.from_global(mesh, np.ones((1, 1, 1, 2)), "BLKD")
+        with capturing(mesh, [cache]) as recorder:
+            fill = np.array(cache.length)
+            recorder.record(lambda ctx: np.array(ctx.caches[0].length),
+                            (recorder.CTX,), fill, "fill")
+            cache.append(kv, kv)
+            out = fill + 1
+            recorder.record(lambda f: f + 1, (fill,), out, "out")
+            program = recorder.finalize(out)
+        assert program.n_body == 2  # the fill read, then the append
+        assert program.replay(caches=[cache]) == 2  # read at fill 1
+        assert program.replay(caches=[cache], logits=False) is None
+        assert cache.length == 3
 
 
 class TestBucketedProgramCache:
