@@ -100,7 +100,12 @@ from repro.cluster.journal import (
     replay_journal,
     token_crc,
 )
-from repro.cluster.replica import GroupRun, Replica, ReplicaHealth
+from repro.cluster.replica import (
+    GroupRun,
+    Replica,
+    ReplicaHealth,
+    ResilientTwoPhaseServer,
+)
 from repro.cluster.workload import (
     TRACES,
     BurstWindow,
@@ -123,7 +128,8 @@ __all__ = [
     "JOURNAL_KINDS", "Journal", "JournalRecord", "JournalReplayMismatch",
     "JournalTruncated", "NoHealthyReplica", "PoolPartition", "PoolSpec",
     "PriorityClass", "QueueFull", "RateLimited", "Replica",
-    "ReplicaHealth", "RestartSpec", "SCENARIOS", "SMOKE_SCENARIOS",
+    "ReplicaHealth", "ResilientTwoPhaseServer", "RestartSpec", "SCENARIOS",
+    "SMOKE_SCENARIOS",
     "TRACES", "TokenBucket", "TraceSpec", "audit_run", "autoscale_bench",
     "build_workload", "default_pools", "disagg_bench", "format_audit",
     "format_report", "generate_trace", "handoff_transfer_s", "peak_rate",

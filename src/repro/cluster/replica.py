@@ -24,6 +24,10 @@ fits.  Every transition is recorded in the shared
 the control plane one decode step at a time — that step granularity is
 what makes mid-decode failover, live KV-cache re-dispatch
 (:meth:`GroupRun.migrate_to`) and hedging observable and testable.
+
+:class:`ResilientTwoPhaseServer` is the single-mesh server: one replica,
+each attempt of a request group run as a :class:`GroupRun`, wrapped in
+admission shedding, bounded retry and straggler eviction.
 """
 
 from __future__ import annotations
@@ -33,13 +37,20 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.events import PLAN_SWITCHED, REPLICA_HEALTH, EventLog
+from repro.events import (
+    FAULT_DETECTED,
+    PLAN_SWITCHED,
+    REPLICA_HEALTH,
+    REQUEST_RETRIED,
+    EventLog,
+)
 from repro.hardware.topology import Torus3D
 from repro.mesh import VirtualMesh
 from repro.mesh.capture import StepCompiler
-from repro.mesh.faults import FaultPlan
+from repro.mesh.faults import ChipFailure, FaultPlan, MeshFault
 from repro.model.sampling import greedy
 from repro.partitioning.degraded import (
+    build_deployment,
     migrate_caches,
     plan_batch_group,
     replan_after_failure,
@@ -49,8 +60,15 @@ from repro.partitioning.degraded import (
 )
 from repro.partitioning.selector import Phase
 from repro.serving.chunked import DEFAULT_PREFILL_CHUNK, chunked_prefill
-from repro.serving.engine import Completion
-from repro.serving.resilient import CostModel, ResilientRequest
+from repro.serving.engine import Completion, Request, group_completions
+from repro.serving.resilient import (
+    CacheMigrationFailed,
+    CostModel,
+    RequestLedger,
+    RequestOutcome,
+    ResilientRequest,
+)
+from repro.serving.scheduler import group_requests
 from repro.serving.sharded import merge_sharded_caches
 
 Coord = tuple[int, int, int]
@@ -72,10 +90,7 @@ class Replica:
                  costs: CostModel | None = None,
                  event_log: EventLog | None = None, tracer=None,
                  trace_mesh: bool = False, prompt_len_hint: int = 64,
-                 prefill_chunk: int | None = DEFAULT_PREFILL_CHUNK,
                  kvstore_pages: int = 256):
-        from repro.layouts.model import ShardedTransformer
-
         self.name = name
         self.weights = weights
         self.decode_batch = decode_batch
@@ -87,9 +102,6 @@ class Replica:
         self.full_chips = self.mesh.num_chips
         self.health = ReplicaHealth.HEALTHY
         self.busy_until_s = 0.0
-        # Chunked prefill is the default path (see serving.chunked);
-        # None forces the legacy whole-prompt prefill.
-        self.prefill_chunk = prefill_chunk
         # Decode-plan profile the autoscaler steers (see switch_profile):
         # "balanced" is the selector's own pick.  The prefill profile is
         # steered separately by the disaggregated prefill pool (see
@@ -97,22 +109,9 @@ class Replica:
         self.profile = "balanced"
         self.prefill_profile = "balanced"
         self.prompt_len_hint = prompt_len_hint
-
-        config = weights.config
-        torus = Torus3D(*shape)
-        decode_plan = select_degraded_plan(
-            config, torus, Phase.DECODE, batch=decode_batch,
-            tokens_per_seq=1)
-        prefill_plan = select_degraded_plan(
-            config, torus, Phase.PREFILL, batch=1,
-            tokens_per_seq=prompt_len_hint)
-        self.decode_model = ShardedTransformer(weights, self.mesh,
-                                               decode_plan)
-        try:
-            self.prefill_model = self.decode_model.with_plan(prefill_plan)
-        except ValueError:
-            self.prefill_model = ShardedTransformer(weights, self.mesh,
-                                                    prefill_plan)
+        self.prefill_model, self.decode_model = build_deployment(
+            weights, self.mesh, decode_batch=decode_batch,
+            prompt_len=prompt_len_hint)
         self.fault_state = None
         if fault_plan is not None:
             self.fault_state = self.mesh.install_faults(fault_plan,
@@ -130,15 +129,14 @@ class Replica:
         # Per-replica paged prefix cache (repro.kvstore).  Page size is
         # the prefill chunk so cached-prefix suffixes see the cold path's
         # exact chunk boundaries (the bit-identity contract); disabled
-        # when chunked prefill is off or ``kvstore_pages == 0``.  The
-        # buffer arena recycles device-shaped KV buffers across cache
-        # lifetimes on both models.
+        # when ``kvstore_pages == 0``.  The buffer arena recycles
+        # device-shaped KV buffers across cache lifetimes on both models.
         from repro.kvstore import KVBufferArena, KVStore
 
         self.kv_arena = KVBufferArena()
-        self.kvstore = (KVStore(page_tokens=self.prefill_chunk,
+        self.kvstore = (KVStore(page_tokens=DEFAULT_PREFILL_CHUNK,
                                 capacity_pages=kvstore_pages, name=name)
-                        if self.prefill_chunk and kvstore_pages else None)
+                        if kvstore_pages else None)
         self._wire_kv()
 
     def _wire_kv(self) -> None:
@@ -224,22 +222,17 @@ class Replica:
     def replan_around(self, chips: Sequence[Coord]) -> None:
         """Rebuild this replica on its largest healthy sub-slice.
 
-        Mirrors the single-mesh resilient server: re-select layouts for
-        the shrunken torus, re-shard weights, rebase the unfired fault
-        schedule and carry the fault clock so later faults still land.
+        Re-select layouts for the shrunken torus, re-shard weights,
+        rebase the unfired fault schedule and carry the fault clock so
+        later faults still land.
         """
         deploy = replan_after_failure(
             self.weights, self.mesh, chips,
-            decode_batch=self.decode_batch, event_log=self.events)
+            decode_batch=self.decode_batch,
+            prompt_len=self.prompt_len_hint, event_log=self.events)
         if self.fault_state is not None:
-            remaining = self.fault_state.remaining_plan(
-                deploy.subslice.origin, deploy.subslice.shape)
-            new_state = deploy.mesh.install_faults(remaining, self.events)
-            new_state.step = self.fault_state.step
-            new_state.phase = self.fault_state.phase
-            new_state.phase_steps = dict(self.fault_state.phase_steps)
-            new_state.sim_delay_s = self.fault_state.sim_delay_s
-            self.fault_state = new_state
+            self.fault_state = self.fault_state.carry_to(
+                deploy.mesh, deploy.subslice.origin)
         if self.tracer is not None and self.trace_mesh:
             deploy.mesh.tracer = self.tracer
         self.mesh = deploy.mesh
@@ -269,28 +262,13 @@ class Replica:
         invalidated (the next decode step re-captures).  The control
         plane charges the corresponding downtime either way.
         """
-        from repro.layouts.model import ShardedTransformer
-
         if mode not in ("cold", "warm"):
             raise ValueError(
                 f"restart mode must be 'cold' or 'warm', got {mode!r}")
         if mode == "cold":
-            config = self.weights.config
-            torus = Torus3D(*self.mesh.shape)
-            decode_plan = select_degraded_plan(
-                config, torus, Phase.DECODE, batch=self.decode_batch,
-                tokens_per_seq=1)
-            prefill_plan = select_degraded_plan(
-                config, torus, Phase.PREFILL, batch=1,
-                tokens_per_seq=self.prompt_len_hint)
-            self.decode_model = ShardedTransformer(self.weights,
-                                                   self.mesh, decode_plan)
-            try:
-                self.prefill_model = self.decode_model.with_plan(
-                    prefill_plan)
-            except ValueError:
-                self.prefill_model = ShardedTransformer(
-                    self.weights, self.mesh, prefill_plan)
+            self.prefill_model, self.decode_model = build_deployment(
+                self.weights, self.mesh, decode_batch=self.decode_batch,
+                prompt_len=self.prompt_len_hint)
             self.profile = "balanced"
             self.prefill_profile = "balanced"
             self._wire_kv()
@@ -317,51 +295,7 @@ class Replica:
         with no valid plan on the current (possibly degraded) slice is
         refused without changing anything.
         """
-        from repro.layouts.model import ShardedTransformer
-
-        if profile not in ("balanced", "weight-stationary",
-                           "weight-gathered"):
-            raise ValueError(f"unknown decode profile {profile!r}")
-        if profile == self.profile:
-            return False
-        config = self.weights.config
-        torus = Torus3D(*self.mesh.shape)
-        try:
-            if profile == "balanced":
-                plan = select_degraded_plan(config, torus, Phase.DECODE,
-                                            batch=self.decode_batch,
-                                            tokens_per_seq=1)
-            else:
-                plan = select_profile_plan(
-                    config, torus, self.decode_batch,
-                    weight_gathered=(profile == "weight-gathered"))
-        except ValueError:
-            return False
-        old_plan = self.decode_model.plan
-        if plan == old_plan:
-            self.profile = profile
-            return False
-        try:
-            self.decode_model = self.decode_model.with_plan(plan)
-        except ValueError:
-            self.decode_model = ShardedTransformer(self.weights,
-                                                   self.mesh, plan)
-        self.step_compiler.invalidate()
-        # Pages store KV in global form, so the prefix cache survives a
-        # layout switch — install resharding onto the new plan is the
-        # same host-mediated copy either way.
-        self._wire_kv()
-        self.profile = profile
-        self.events.record(
-            PLAN_SWITCHED, replica=self.name, profile=profile,
-            old_plan=f"{old_plan.ffn.value}/{old_plan.attention.value}",
-            new_plan=f"{plan.ffn.value}/{plan.attention.value}",
-            t_s=now_s)
-        if self.tracer is not None:
-            self.tracer.mark(f"plan:{self.name}:{profile}",
-                             plan=f"{plan.ffn.value}/"
-                                  f"{plan.attention.value}")
-        return True
+        return self._switch_plan(Phase.DECODE, profile, now_s)
 
     def switch_prefill_profile(self, profile: str, now_s: float) -> bool:
         """Move the *prefill* model to one end of the Pareto frontier.
@@ -376,47 +310,65 @@ class Replica:
         invalidated.  Returns ``True`` when the plan actually changed; a
         profile with no valid plan on the current slice is refused.
         """
+        return self._switch_plan(Phase.PREFILL, profile, now_s)
+
+    def _switch_plan(self, phase: Phase, profile: str, now_s: float) -> bool:
+        """Rebuild ``phase``'s model on ``profile``'s plan (see above)."""
         from repro.layouts.model import ShardedTransformer
 
+        decode = phase is Phase.DECODE
+        attr = "profile" if decode else "prefill_profile"
         if profile not in ("balanced", "weight-stationary",
                            "weight-gathered"):
-            raise ValueError(f"unknown prefill profile {profile!r}")
-        if profile == self.prefill_profile:
+            raise ValueError(f"unknown {phase.value} profile {profile!r}")
+        if profile == getattr(self, attr):
             return False
         config = self.weights.config
         torus = Torus3D(*self.mesh.shape)
+        gathered = profile == "weight-gathered"
         try:
             if profile == "balanced":
                 plan = select_degraded_plan(
-                    config, torus, Phase.PREFILL, batch=1,
-                    tokens_per_seq=self.prompt_len_hint)
+                    config, torus, phase,
+                    batch=self.decode_batch if decode else 1,
+                    tokens_per_seq=1 if decode else self.prompt_len_hint)
+            elif decode:
+                plan = select_profile_plan(config, torus, self.decode_batch,
+                                           weight_gathered=gathered)
             else:
                 plan = select_prefill_profile_plan(
                     config, torus, self.prompt_len_hint,
-                    weight_gathered=(profile == "weight-gathered"))
+                    weight_gathered=gathered)
         except ValueError:
             return False
-        old_plan = self.prefill_model.plan
+        old_plan = (self.decode_model if decode else self.prefill_model).plan
         if plan == old_plan:
-            self.prefill_profile = profile
+            setattr(self, attr, profile)
             return False
         try:
-            self.prefill_model = self.decode_model.with_plan(plan)
+            model = self.decode_model.with_plan(plan)
         except ValueError:
-            self.prefill_model = ShardedTransformer(self.weights,
-                                                    self.mesh, plan)
+            model = ShardedTransformer(self.weights, self.mesh, plan)
+        if decode:
+            self.decode_model = model
+            self.step_compiler.invalidate()
+        else:
+            self.prefill_model = model
+        # Pages store KV in global form, so the prefix cache survives a
+        # layout switch — install resharding onto the new plan is the
+        # same host-mediated copy either way.
         self._wire_kv()
-        self.prefill_profile = profile
+        setattr(self, attr, profile)
+        described = f"{plan.ffn.value}/{plan.attention.value}"
         self.events.record(
             PLAN_SWITCHED, replica=self.name, profile=profile,
-            phase="prefill",
+            **({} if decode else {"phase": "prefill"}),
             old_plan=f"{old_plan.ffn.value}/{old_plan.attention.value}",
-            new_plan=f"{plan.ffn.value}/{plan.attention.value}",
-            t_s=now_s)
+            new_plan=described, t_s=now_s)
         if self.tracer is not None:
-            self.tracer.mark(f"prefill-plan:{self.name}:{profile}",
-                             plan=f"{plan.ffn.value}/"
-                                  f"{plan.attention.value}")
+            mark = "plan" if decode else "prefill-plan"
+            self.tracer.mark(f"{mark}:{self.name}:{profile}",
+                             plan=described)
         return True
 
     def kvstore_stats(self) -> dict:
@@ -476,30 +428,25 @@ class GroupRun:
         max_len = len(self.group[0].prompt) + self.n_steps
         caches_per_request, first_logits = [], []
         elapsed = 0.0
-        chunk = replica.prefill_chunk
         kvstore = replica.kvstore
         for request in self.group:
             before = replica.delay_s()
             replica.advance("prefill")
             computed_frac = 1.0
-            if chunk:
-                # Default path: chunked prefill through the program
-                # cache — same-length chunks replay across prompts —
-                # and, when the replica carries a prefix store, through
-                # the paged cache: only the uncached suffix is computed,
-                # and the prefill cost shrinks by the same fraction.
-                logits, caches = chunked_prefill(
-                    replica.prefill_model, request.prompt[None, :],
-                    chunk, max_len, compiler=replica.step_compiler,
-                    kvstore=kvstore)
-                if kvstore is not None:
-                    reuse = kvstore.take_last_reuse()
-                    if reuse is not None and reuse.lease is not None:
-                        self.leases.append(reuse.lease)
-                        computed_frac = reuse.computed_fraction
-            else:
-                logits, caches = replica.prefill_model.prefill(
-                    request.prompt[None, :], max_len)
+            # Chunked prefill through the program cache — same-length
+            # chunks replay across prompts — and, when the replica
+            # carries a prefix store, through the paged cache: only the
+            # uncached suffix is computed, and the prefill cost shrinks
+            # by the same fraction.
+            logits, caches = chunked_prefill(
+                replica.prefill_model, request.prompt[None, :],
+                DEFAULT_PREFILL_CHUNK, max_len,
+                compiler=replica.step_compiler, kvstore=kvstore)
+            if kvstore is not None:
+                reuse = kvstore.take_last_reuse()
+                if reuse is not None and reuse.lease is not None:
+                    self.leases.append(reuse.lease)
+                    computed_frac = reuse.computed_fraction
             elapsed += replica.costs.prefill_cost_s(
                 replica.prefill_profile) * replica.scale \
                 * computed_frac + (replica.delay_s() - before)
@@ -577,13 +524,7 @@ class GroupRun:
         return released
 
     def completions(self) -> list[Completion]:
-        all_generated = np.concatenate(self.generated, axis=1)
-        out = []
-        for i, request in enumerate(self.group):
-            n = request.max_new_tokens
-            tokens = np.concatenate([request.prompt, all_generated[i, :n]])
-            out.append(Completion(request.request_id, tokens, n))
-        return out
+        return group_completions(self.group, self.generated)
 
     def kv_cache_bytes(self) -> int:
         """Bytes of live KV cache (every layer, K and V, padding rows
@@ -626,3 +567,153 @@ class GroupRun:
         # replica's store, and the migrated caches carry their own full
         # copy of the prefix.  The control plane releases them.
         return run
+
+
+class ResilientTwoPhaseServer:
+    """Two-phase serving on one mesh with detect -> replan -> retry -> shed.
+
+    Owns one :class:`Replica` (plans chosen by the degraded-mesh
+    selector, ``fault_plan`` installed on its mesh) and runs each attempt
+    of a request group as a :class:`GroupRun`: chunked batch-1 prefill
+    through the replica's program cache and prefix store, then batched
+    greedy decode.  The fault clock ticks once per model invocation, so
+    scheduled faults land at reproducible points in the lifecycle:
+
+    * a :class:`~repro.mesh.faults.ChipFailure` replans the replica onto
+      its largest healthy sub-slice, then the group retries (re-prefill)
+      after exponential backoff; timeouts and corruption retry in place;
+    * stragglers that project a deadline miss are evicted mid-decode —
+      the replica replans without them and the live KV caches migrate;
+    * once degraded, requests whose deadline the reduced capacity
+      cannot meet are shed at admission.
+
+    Time is simulated on :attr:`now_s`, charged by the replica's
+    :class:`~repro.serving.resilient.CostModel`.
+    """
+
+    def __init__(self, weights, shape: Coord, *,
+                 backend: str | None = None, decode_batch: int = 8,
+                 fault_plan: FaultPlan | None = None,
+                 costs: CostModel | None = None,
+                 event_log: EventLog | None = None,
+                 prompt_len_hint: int = 64):
+        if decode_batch < 1:
+            raise ValueError("decode_batch must be >= 1")
+        self.replica = Replica("resilient", weights, shape, backend=backend,
+                               decode_batch=decode_batch,
+                               fault_plan=fault_plan, costs=costs,
+                               event_log=event_log,
+                               prompt_len_hint=prompt_len_hint)
+        self.costs = self.replica.costs
+        self.events = self.replica.events
+        self.now_s = 0.0
+
+    @property
+    def mesh(self) -> VirtualMesh:
+        return self.replica.mesh
+
+    def _estimate_s(self, wreq: ResilientRequest) -> float:
+        """Service-time estimate for admission control, at current capacity."""
+        c = self.costs
+        return (c.prefill_s + wreq.request.max_new_tokens * c.decode_step_s) \
+            * self.replica.scale
+
+    def serve(self, requests: Sequence[Request | ResilientRequest]
+              ) -> list[RequestOutcome]:
+        """Serve all requests; returns one outcome per request, in order."""
+        ledger = RequestLedger(requests, self.events)
+        by_id = {w.request.request_id: w for w in ledger.wrapped}
+        for group in group_requests([w.request for w in ledger.wrapped],
+                                    self.replica.decode_batch):
+            self._serve_group(ledger,
+                              [by_id[r.request_id] for r in group])
+        return ledger.results()
+
+    def _serve_group(self, ledger: RequestLedger,
+                     live: list[ResilientRequest]) -> None:
+        attempt = 0
+        while True:
+            # Shed anything the current (possibly degraded) capacity
+            # cannot finish by its deadline.
+            live = ledger.admit(live, self.now_s, self._estimate_s)
+            if not live:
+                return
+            run = GroupRun(self.replica, live)
+            try:
+                self._run(run)
+            except MeshFault as exc:
+                ledger.detected(exc, self.now_s)
+                attempt += 1
+                live = ledger.fail_exhausted(live, exc, self.now_s)
+                # A chip death is permanent: replan around it.  Timeouts
+                # and corruption are one-shot transients (and a failed
+                # cache migration already replanned), so the deployment
+                # is reused as-is.
+                if isinstance(exc, ChipFailure):
+                    self._replan([exc.chip])
+                backoff = self.costs.backoff_s(attempt)
+                self.now_s += backoff
+                ledger.retried(live, backoff, self.now_s)
+                continue
+            finally:
+                run.release_leases()
+            ledger.complete(live, run.completions(), self.now_s)
+            return
+
+    def _run(self, run: GroupRun) -> None:
+        deadlines = [w.deadline_s for w in run.wrapped
+                     if w.deadline_s is not None]
+        min_deadline = min(deadlines) if deadlines else None
+        self.now_s += run.run_prefill()
+        while not run.done:
+            before = self.replica.delay_s()
+            self.now_s += run.decode_step()
+            self._maybe_evict_stragglers(
+                run, min_deadline, self.replica.delay_s() - before)
+
+    def _replan(self, chips) -> None:
+        self.replica.replan_around(chips)
+        self.now_s += self.costs.replan_s
+
+    def _maybe_evict_stragglers(self, run: GroupRun,
+                                min_deadline: float | None,
+                                step_delay: float) -> None:
+        """Evict straggler chips when they put the group's deadline at risk.
+
+        Stragglers never raise — they only show up as latency — so the
+        server projects the group's finish time and, if a deadline would
+        be blown, replans without the slow chips and *migrates* the live
+        KV caches (the old mesh's data is intact, unlike a chip death, so
+        no recompute is needed).
+        """
+        replica = self.replica
+        remaining = run.remaining_steps
+        if replica.fault_state is None or min_deadline is None \
+                or remaining <= 0 or step_delay <= 0.0:
+            return
+        stragglers = sorted(replica.fault_state.straggler_chips())
+        if not stragglers:
+            return
+        projected = self.now_s + remaining * (
+            self.costs.decode_step_s * replica.scale + step_delay)
+        if projected <= min_deadline:
+            return
+        self.events.record(
+            FAULT_DETECTED, error="StragglerFault",
+            detail=f"straggler chips {stragglers} project finish "
+                   f"{projected:.4f}s past deadline {min_deadline:.4f}s",
+            t_s=self.now_s)
+        old = replica.decode_model
+        self._replan(stragglers)
+        try:
+            run.caches = migrate_caches(run.caches, old,
+                                        replica.decode_model)
+        except ValueError as exc:
+            raise CacheMigrationFailed(
+                f"could not migrate caches to mesh {replica.mesh.shape}: "
+                f"{exc}") from exc
+        for wreq in run.wrapped:
+            self.events.record(
+                REQUEST_RETRIED, request_id=wreq.request.request_id,
+                attempt=0, backoff_s=0.0, mode="cache-migration",
+                t_s=self.now_s)

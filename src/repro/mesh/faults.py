@@ -419,6 +419,21 @@ class FaultState:
                 kept.append(replace(fault, chip=shift(fault.chip)))
         return FaultPlan(faults=tuple(kept), seed=self.plan.seed)
 
+    def carry_to(self, mesh, origin: Coord) -> "FaultState":
+        """Install the unfired remainder on ``mesh``, a sub-slice at ``origin``.
+
+        The new state keeps this one's clock and accumulated straggler
+        delay, so faults scheduled later still fire at their intended
+        step after a replan.
+        """
+        state = install_fault_plan(
+            mesh, self.remaining_plan(origin, mesh.shape), self.events)
+        state.step = self.step
+        state.phase = self.phase
+        state.phase_steps = dict(self.phase_steps)
+        state.sim_delay_s = self.sim_delay_s
+        return state
+
 
 # ---------------------------------------------------------------------------
 # Mesh integration

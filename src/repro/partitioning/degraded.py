@@ -134,19 +134,14 @@ def plan_batch_group(plan: LayoutPlan, torus: Torus3D) -> int:
     return 1
 
 
-def select_profile_plan(config: ModelConfig, torus: Torus3D, batch: int,
-                        *, weight_gathered: bool) -> LayoutPlan:
-    """The best valid *decode* plan on one side of the Pareto frontier.
+def _frontier_side(config: ModelConfig, torus: Torus3D, batch: int,
+                   weight_gathered: bool) -> list[LayoutPlan]:
+    """Every valid plan on one side of the Pareto frontier at ``batch``.
 
-    The Section 3.2 result is that weight-stationary layouts win the
-    latency end and weight-gathered layouts the throughput end; the
-    autoscaler switches a replica between the two as the load mix
-    shifts.  :func:`~repro.partitioning.selector.candidate_plans` only
-    offers weight-gathered FFN layouts for prefill (where the selector
-    would pick them), so this enumerates the full layout space directly,
-    keeps the plans that validate and whose batch sharding divides
-    ``batch``, restricts to the requested side, and takes the cheapest
-    by FFN communication volume.
+    Enumerates the full layout space directly (the selector's
+    :func:`~repro.partitioning.selector.candidate_plans` only offers
+    weight-gathered FFN layouts for prefill), keeping the plans that
+    validate and whose batch sharding divides ``batch``.
     """
     from repro.hardware.topology import Mesh
     from repro.partitioning.plan import FfnLayoutKind
@@ -164,6 +159,20 @@ def select_profile_plan(config: ModelConfig, torus: Torus3D, batch: int,
                 continue
             if batch % max(plan_batch_group(plan, torus), 1) == 0:
                 plans.append(plan)
+    return plans
+
+
+def select_profile_plan(config: ModelConfig, torus: Torus3D, batch: int,
+                        *, weight_gathered: bool) -> LayoutPlan:
+    """The best valid *decode* plan on one side of the Pareto frontier.
+
+    The Section 3.2 result is that weight-stationary layouts win the
+    latency end and weight-gathered layouts the throughput end; the
+    autoscaler switches a replica between the two as the load mix
+    shifts.  Takes the cheapest plan on the requested side by FFN
+    communication volume.
+    """
+    plans = _frontier_side(config, torus, batch, weight_gathered)
     if not plans:
         raise ValueError(
             f"no valid {'weight-gathered' if weight_gathered else 'weight-stationary'} "
@@ -189,22 +198,9 @@ def select_prefill_profile_plan(config: ModelConfig, torus: Torus3D,
     for the weight-gathered side raises ``ValueError`` (those plans
     shard over batch and cannot host a single-sequence prefill).
     """
-    from repro.hardware.topology import Mesh
     from repro.partitioning.plan import FfnLayoutKind
 
-    mesh = Mesh(*torus.shape)
-    plans = []
-    for ffn in FfnLayoutKind:
-        if ffn.is_weight_gathered != weight_gathered:
-            continue
-        for attn in AttentionLayoutKind:
-            plan = LayoutPlan(ffn, attn)
-            try:
-                plan.validate(config, mesh)
-            except ValueError:
-                continue
-            if plan_batch_group(plan, torus) <= 1:
-                plans.append(plan)
+    plans = _frontier_side(config, torus, 1, weight_gathered)
     if not plans:
         raise ValueError(
             f"no valid "
@@ -250,13 +246,33 @@ class DegradedDeployment:
     prefill_model: ShardedTransformer
     decode_model: ShardedTransformer
 
-    @property
-    def prefill_plan(self) -> LayoutPlan:
-        return self.prefill_model.plan
 
-    @property
-    def decode_plan(self) -> LayoutPlan:
-        return self.decode_model.plan
+def build_deployment(weights: TransformerWeights, mesh: VirtualMesh, *,
+                     decode_batch: int, prompt_len: int
+                     ) -> tuple[ShardedTransformer, ShardedTransformer]:
+    """Select both phase plans for ``mesh`` and build ``(prefill, decode)``.
+
+    The Section 4.4 deployment: a batch-1 prefill plan for
+    ``prompt_len``-token prompts and a ``decode_batch`` decode plan, each
+    re-selected for this (possibly shrunken) torus.  The two models share
+    weight storage via :meth:`ShardedTransformer.with_plan` whenever their
+    storage layouts match.  Raises ``ValueError`` (or ``ShardingError``)
+    when no valid layout fits the mesh.
+    """
+    from repro.layouts.model import ShardedTransformer
+
+    config = weights.config
+    torus = Torus3D(*mesh.shape)
+    decode_plan = select_degraded_plan(config, torus, Phase.DECODE,
+                                       batch=decode_batch, tokens_per_seq=1)
+    prefill_plan = select_degraded_plan(config, torus, Phase.PREFILL,
+                                        batch=1, tokens_per_seq=prompt_len)
+    decode_model = ShardedTransformer(weights, mesh, decode_plan)
+    try:
+        prefill_model = decode_model.with_plan(prefill_plan)
+    except ValueError:
+        prefill_model = ShardedTransformer(weights, mesh, prefill_plan)
+    return prefill_model, decode_model
 
 
 def replan_after_failure(weights: TransformerWeights, mesh: VirtualMesh,
@@ -270,36 +286,20 @@ def replan_after_failure(weights: TransformerWeights, mesh: VirtualMesh,
     Tries the healthy sub-slices largest-first; a sub-slice is skipped if
     no valid layout exists for it (e.g. the model's head count does not
     divide the shrunken head group).  Weight resharding is a host-side
-    re-scatter of the same ``TransformerWeights``; prefill and decode
-    share weight storage via :meth:`ShardedTransformer.with_plan`
-    whenever their storage layouts match, exactly as in the healthy
-    deployment.
+    re-scatter of the same ``TransformerWeights`` through
+    :func:`build_deployment`, exactly as in the healthy deployment.
     """
-    from repro.layouts.model import ShardedTransformer
-
     dead = sorted(set(tuple(c) for c in dead_chips))
     if not dead:
         raise ValueError("replan_after_failure needs at least one dead chip")
     backend = backend or mesh.backend
-    config = weights.config
     last_error: Exception | None = None
     for subslice in healthy_subslices(mesh.shape, dead):
-        torus = Torus3D(*subslice.shape)
         try:
-            prefill_plan = select_degraded_plan(
-                config, torus, Phase.PREFILL, batch=1,
-                tokens_per_seq=prompt_len)
-            decode_plan = select_degraded_plan(
-                config, torus, Phase.DECODE, batch=decode_batch,
-                tokens_per_seq=1)
             new_mesh = VirtualMesh(subslice.shape, backend=backend)
-            decode_model = ShardedTransformer(weights, new_mesh,
-                                              decode_plan)
-            try:
-                prefill_model = decode_model.with_plan(prefill_plan)
-            except ValueError:
-                prefill_model = ShardedTransformer(weights, new_mesh,
-                                                   prefill_plan)
+            prefill_model, decode_model = build_deployment(
+                weights, new_mesh, decode_batch=decode_batch,
+                prompt_len=prompt_len)
         except ValueError as exc:  # includes ShardingError — try next slab
             last_error = exc
             continue
@@ -307,13 +307,13 @@ def replan_after_failure(weights: TransformerWeights, mesh: VirtualMesh,
             event_log.record(
                 REPLANNED, dead_chips=dead, old_shape=mesh.shape,
                 new_shape=subslice.shape, origin=subslice.origin,
-                prefill_plan=prefill_plan.describe(),
-                decode_plan=decode_plan.describe())
+                prefill_plan=prefill_model.plan.describe(),
+                decode_plan=decode_model.plan.describe())
         return DegradedDeployment(subslice, new_mesh, prefill_model,
                                   decode_model)
     raise ValueError(
-        f"no healthy sub-slice of {mesh.shape} supports {config.name} "
-        f"(dead: {dead})") from last_error
+        f"no healthy sub-slice of {mesh.shape} supports "
+        f"{weights.config.name} (dead: {dead})") from last_error
 
 
 def migrate_caches(caches: Sequence[ShardedKVCache],

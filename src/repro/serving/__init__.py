@@ -8,7 +8,6 @@ from repro.serving.continuous import (
 )
 from repro.serving.engine import (
     Completion,
-    InferenceEngine,
     Request,
     TwoPhaseServer,
     merge_caches,
@@ -20,17 +19,18 @@ from repro.serving.packing import (
     score_packed,
 )
 from repro.serving.resilient import (
+    CacheMigrationFailed,
     CostModel,
     RequestOutcome,
     RequestStatus,
     ResilientContinuousServer,
     ResilientRequest,
-    ResilientTwoPhaseServer,
 )
 from repro.serving.scheduler import group_requests
 from repro.serving.sharded import ShardedTwoPhaseServer, merge_sharded_caches
 
 __all__ = [
+    "CacheMigrationFailed",
     "Completion",
     "ContinuousBatchingEngine",
     "CostModel",
@@ -38,10 +38,8 @@ __all__ = [
     "RequestStatus",
     "ResilientContinuousServer",
     "ResilientRequest",
-    "ResilientTwoPhaseServer",
     "SlotState",
     "slot_decode_step",
-    "InferenceEngine",
     "Request",
     "ShardedTwoPhaseServer",
     "TwoPhaseServer",

@@ -15,8 +15,7 @@ import numpy as np
 from repro.partitioning.plan import LayoutPlan
 from repro.perf.estimator import InferenceEstimator, PhaseCost
 
-#: Chunk size every server admits prompts with (tokens per chunk); pass
-#: ``prefill_chunk=None`` to a server for single-pass prefill.
+#: Chunk size every server admits prompts with (tokens per chunk).
 DEFAULT_PREFILL_CHUNK = 4
 
 

@@ -182,28 +182,17 @@ class ContinuousBatchingEngine:
     """Slot-based decoder with batch-1 prefill admission."""
 
     def __init__(self, model: ReferenceTransformer, max_slots: int,
-                 max_len: int, sampler=None, seed: int = 0,
-                 step_hook=None,
-                 prefill_chunk: int | None = DEFAULT_PREFILL_CHUNK,
-                 kvstore=None):
+                 max_len: int, step_hook=None, kvstore=None):
         if max_slots < 1:
             raise ValueError("max_slots must be >= 1")
         self.model = model
         self.max_slots = max_slots
         self.max_len = max_len
-        # Admission prefills run chunked by default (bounded activation
-        # memory; equal to whole-prompt up to last-bit rounding, see
-        # chunked_prefill); None selects the single-pass prefill.
-        self.prefill_chunk = prefill_chunk
         # Optional prefix cache (repro.kvstore.KVStore): admission
         # prefills reuse cached prompt prefixes.  The slot copies the
         # installed prefix into its own buffers, so leases are released
         # as soon as the slot is loaded.
-        if kvstore is not None and not self.prefill_chunk:
-            raise ValueError("kvstore reuse requires chunked prefill")
         self.kvstore = kvstore
-        self.sampler = sampler or (lambda logits, rng: greedy(logits))
-        self.rng = np.random.default_rng(seed)
         self.steps = 0
         self.admissions = 0
         # Called with the global step index before each decode step; the
@@ -222,20 +211,19 @@ class ContinuousBatchingEngine:
                 if slots[slot_idx] is not None or not queue:
                     continue
                 request = queue.popleft()
-                if self.prefill_chunk:
-                    logits, caches = chunked_prefill(
-                        self.model, request.prompt[None, :],
-                        self.prefill_chunk, self.max_len,
-                        kvstore=self.kvstore)
-                else:
-                    logits, caches = self.model.prefill(
-                        request.prompt[None, :], self.max_len)
+                # Admission prefills run chunked (bounded activation
+                # memory; equal to whole-prompt up to last-bit rounding,
+                # see chunked_prefill).
+                logits, caches = chunked_prefill(
+                    self.model, request.prompt[None, :],
+                    DEFAULT_PREFILL_CHUNK, self.max_len,
+                    kvstore=self.kvstore)
                 state.load_prefill(slot_idx, caches)
                 if self.kvstore is not None:
                     reuse = self.kvstore.take_last_reuse()
                     if reuse is not None and reuse.lease is not None:
                         reuse.lease.release()
-                first = int(self.sampler(logits, self.rng)[0])
+                first = int(greedy(logits)[0])
                 running = _RunningSequence(request, pending_token=first)
                 running.generated.append(first)
                 slots[slot_idx] = running
@@ -260,8 +248,7 @@ class ContinuousBatchingEngine:
             for slot_idx, running in enumerate(slots):
                 if running is None:
                     continue
-                token = int(self.sampler(
-                    logits[slot_idx:slot_idx + 1], self.rng)[0])
+                token = int(greedy(logits[slot_idx]))
                 running.generated.append(token)
                 running.pending_token = token
                 self._retire_if_done(slots, slot_idx, completions)

@@ -11,7 +11,7 @@ and generation proceeds batched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +54,21 @@ class Completion:
         return self.tokens[len(self.tokens) - self.n_generated:]
 
 
+def group_completions(group: Sequence[Request],
+                      generated: Sequence[np.ndarray]) -> list[Completion]:
+    """Completions for a decoded group from its per-step ``[B, 1]`` tokens.
+
+    Rows past ``len(group)`` are decode-batch padding and are dropped;
+    each request keeps its own ``max_new_tokens``.
+    """
+    all_generated = np.concatenate(generated, axis=1)
+    return [Completion(r.request_id,
+                       np.concatenate([r.prompt,
+                                       all_generated[i, :r.max_new_tokens]]),
+                       r.max_new_tokens)
+            for i, r in enumerate(group)]
+
+
 def merge_caches(per_request: Sequence[Sequence[KVCache]]
                  ) -> list[KVCache]:
     """Concatenate per-request (batch-1) KV caches into one batched cache.
@@ -76,31 +91,14 @@ def merge_caches(per_request: Sequence[Sequence[KVCache]]
     return merged
 
 
-class InferenceEngine:
-    """Batch generation with a pluggable sampler."""
-
-    def __init__(self, model: ReferenceTransformer, sampler=None,
-                 seed: int = 0):
-        self.model = model
-        self.sampler = sampler or (lambda logits, rng: greedy(logits))
-        self.rng = np.random.default_rng(seed)
-
-    def generate(self, prompts: np.ndarray, n_steps: int) -> np.ndarray:
-        """Generate ``n_steps`` tokens for a batch of equal-length prompts."""
-        return self.model.generate(prompts, n_steps, self.sampler, self.rng)
-
-
 class TwoPhaseServer:
     """Batch-1 prefill pipelined into batch-N decode (Section 4.4)."""
 
-    def __init__(self, model: ReferenceTransformer, decode_batch: int = 64,
-                 sampler=None, seed: int = 0):
+    def __init__(self, model: ReferenceTransformer, decode_batch: int = 64):
         if decode_batch < 1:
             raise ValueError("decode_batch must be >= 1")
         self.model = model
         self.decode_batch = decode_batch
-        self.sampler = sampler or (lambda logits, rng: greedy(logits))
-        self.rng = np.random.default_rng(seed)
         self.prefill_count = 0
         self.decode_batches = 0
 
@@ -118,20 +116,12 @@ class TwoPhaseServer:
         # Phase 2: merge into one decode batch and generate together.
         caches = merge_caches(caches_per_request)
         self.decode_batches += 1
-        logits = np.concatenate(first_logits, axis=0)
-        current = self.sampler(logits, self.rng)
+        current = greedy(np.concatenate(first_logits, axis=0))
         generated = [current[:, None]]
         for _ in range(n_steps - 1):
-            logits = self.model.decode_step(current, caches)
-            current = self.sampler(logits, self.rng)
+            current = greedy(self.model.decode_step(current, caches))
             generated.append(current[:, None])
-        all_generated = np.concatenate(generated, axis=1)
-        completions = []
-        for i, request in enumerate(group):
-            n = request.max_new_tokens
-            tokens = np.concatenate([request.prompt, all_generated[i, :n]])
-            completions.append(Completion(request.request_id, tokens, n))
-        return completions
+        return group_completions(group, generated)
 
     def serve(self, requests: Sequence[Request]) -> list[Completion]:
         """Serve all requests; returns completions in request order."""

@@ -1,19 +1,19 @@
 """Resilient request lifecycle: detect -> replan -> retry -> shed.
 
-The two-phase recipe in :mod:`repro.serving.sharded` assumes the mesh
-stays healthy for the whole run.  This module wraps it (and the
-continuous-batching engine) with the failure handling a production
-deployment needs:
+The serving recipes assume the mesh stays healthy for the whole run.
+This module holds the lifecycle value types, the :class:`CostModel`
+that prices simulated time, the :class:`RequestLedger` every resilient
+server records its decisions through, and
+:class:`ResilientContinuousServer`.  The single-mesh two-phase server
+runs on the cluster's replica and lives in :mod:`repro.cluster.replica`.
+Both follow the same policy:
 
 * **Detection** — the collectives raise typed
   :class:`~repro.mesh.faults.MeshFault` errors instead of returning
   garbage; under SPMD the first collective after a chip dies surfaces it.
-* **Replanning** — on a :class:`~repro.mesh.faults.ChipFailure` the server
-  rebuilds its prefill/decode models on the largest healthy sub-slice via
-  :func:`~repro.partitioning.degraded.replan_after_failure`.  Stragglers
-  are detected by deadline projection and evicted the same way, with live
-  KV caches migrated to the new mesh where the old mesh's data is still
-  readable.
+* **Replanning** — a :class:`~repro.mesh.faults.ChipFailure` moves the
+  server onto the largest healthy sub-slice.  Stragglers are detected by
+  deadline projection and evicted the same way.
 * **Bounded retry** — requests whose batch died are retried with
   exponential backoff by re-prefilling from the prompt.  Decoding is
   greedy, so a retry is idempotent: completed requests' tokens are
@@ -51,25 +51,12 @@ from repro.events import (
     REQUEST_SHED,
     EventLog,
 )
-from repro.hardware.topology import Torus3D
 from repro.mesh import VirtualMesh
-from repro.mesh.capture import StepCompiler
 from repro.mesh.faults import ChipFailure, FaultPlan, MeshFault
-from repro.model.sampling import greedy
-from repro.partitioning.degraded import (
-    largest_healthy_subslice,
-    migrate_caches,
-    plan_batch_group,
-    replan_after_failure,
-    select_degraded_plan,
-)
-from repro.partitioning.selector import Phase
+from repro.partitioning.degraded import largest_healthy_subslice
 from repro.serving.backoff import exponential_backoff_s
-from repro.serving.chunked import DEFAULT_PREFILL_CHUNK
 from repro.serving.continuous import ContinuousBatchingEngine
 from repro.serving.engine import Completion, Request
-from repro.serving.scheduler import group_requests
-from repro.serving.sharded import merge_sharded_caches
 
 
 class RequestStatus(str, Enum):
@@ -157,301 +144,96 @@ class CacheMigrationFailed(MeshFault):
     """Straggler eviction could not migrate live caches; re-prefill."""
 
 
-class ResilientTwoPhaseServer:
-    """Two-phase serving with detect -> replan -> retry -> shed.
+class RequestLedger:
+    """Per-request lifecycle bookkeeping for one ``serve`` call.
 
-    Owns its deployment: builds shared-weight prefill/decode
-    ``ShardedTransformer`` models on ``mesh`` (plans chosen by the
-    degraded-mesh selector unless given), installs ``fault_plan`` on the
-    mesh, and drives the fault clock with one tick per model invocation
-    (phase ``"prefill"`` or ``"decode"``) so scheduled faults land at
-    reproducible points in the request lifecycle.
+    Both resilient servers — :class:`ResilientContinuousServer` and the
+    single-mesh :class:`~repro.cluster.replica.ResilientTwoPhaseServer` —
+    record every shed, retry, failure and completion here, so outcomes
+    and their :class:`~repro.events.EventLog` records are written once.
+    The servers keep the clock and decide *when* each call happens.
     """
 
-    def __init__(self, weights, mesh: VirtualMesh, *,
-                 decode_batch: int = 8,
-                 prefill_plan=None, decode_plan=None,
-                 fault_plan: FaultPlan | None = None,
-                 costs: CostModel | None = None,
-                 event_log: EventLog | None = None,
-                 prompt_len_hint: int = 64):
-        from repro.layouts.model import ShardedTransformer
-
-        if decode_batch < 1:
-            raise ValueError("decode_batch must be >= 1")
-        self.weights = weights
-        self.mesh = mesh
-        self.decode_batch = decode_batch
-        self.costs = costs or CostModel()
-        self.events = event_log if event_log is not None else EventLog()
-        self.full_chips = mesh.num_chips
-        self.now_s = 0.0
-
-        config = weights.config
-        torus = Torus3D(*mesh.shape)
-        if decode_plan is None:
-            decode_plan = select_degraded_plan(
-                config, torus, Phase.DECODE, batch=decode_batch,
-                tokens_per_seq=1)
-        if prefill_plan is None:
-            prefill_plan = select_degraded_plan(
-                config, torus, Phase.PREFILL, batch=1,
-                tokens_per_seq=prompt_len_hint)
-        self.decode_model = ShardedTransformer(weights, mesh, decode_plan)
-        try:
-            self.prefill_model = self.decode_model.with_plan(prefill_plan)
-        except ValueError:
-            self.prefill_model = ShardedTransformer(weights, mesh,
-                                                    prefill_plan)
-        self.fault_state = None
-        if fault_plan is not None:
-            self.fault_state = mesh.install_faults(fault_plan, self.events)
-        # Decode steps run through the capture-and-replay compiler: the
-        # first post-warmup quiescent step is traced once, later steps
-        # replay it bit-identically; replanning (below) invalidates the
-        # program and the next healthy step re-captures on the new mesh.
-        self.step_compiler = StepCompiler()
-
-    # -- simulated clock ---------------------------------------------------
-
-    @property
-    def scale(self) -> float:
-        """Slowdown factor of the current (possibly degraded) mesh."""
-        return self.full_chips / self.mesh.num_chips
-
-    def _delay(self) -> float:
-        return self.fault_state.sim_delay_s if self.fault_state else 0.0
-
-    def _advance(self, phase: str) -> None:
-        if self.fault_state is not None:
-            self.fault_state.advance(phase)
-
-    def _charge(self, base_s: float, delay_before: float) -> float:
-        """Charge one model invocation; returns the straggler delay part."""
-        delay = self._delay() - delay_before
-        self.now_s += base_s * self.scale + delay
-        return delay
-
-    def _estimate_s(self, wreq: ResilientRequest) -> float:
-        """Service-time estimate for admission control, at current capacity."""
-        c = self.costs
-        return (c.prefill_s
-                + wreq.request.max_new_tokens * c.decode_step_s) * self.scale
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def serve(self, requests: Sequence[Request | ResilientRequest]
-              ) -> list[RequestOutcome]:
-        """Serve all requests; returns one outcome per request, in order."""
-        wrapped = [r if isinstance(r, ResilientRequest)
-                   else ResilientRequest(r) for r in requests]
-        by_id = {w.request.request_id: w for w in wrapped}
-        if len(by_id) != len(wrapped):
+    def __init__(self, requests: Sequence[Request | ResilientRequest],
+                 events: EventLog):
+        self.wrapped = [r if isinstance(r, ResilientRequest)
+                        else ResilientRequest(r) for r in requests]
+        self.retries = {w.request.request_id: 0 for w in self.wrapped}
+        if len(self.retries) != len(self.wrapped):
             raise ValueError("duplicate request ids")
-        outcomes: dict[int, RequestOutcome] = {}
-        for group in group_requests([w.request for w in wrapped],
-                                    self.decode_batch):
-            self._serve_group([by_id[r.request_id] for r in group],
-                              outcomes)
-        return [outcomes[w.request.request_id] for w in wrapped]
+        self.events = events
+        self.outcomes: dict[int, RequestOutcome] = {}
 
-    def _serve_group(self, live: list[ResilientRequest],
-                     outcomes: dict[int, RequestOutcome]) -> None:
-        retries = {w.request.request_id: 0 for w in live}
-        attempt = 0
-        while live:
-            # Admission control: shed anything the current (possibly
-            # degraded) capacity cannot finish by its deadline.
-            admitted = []
-            for wreq in live:
-                rid = wreq.request.request_id
-                estimate = self._estimate_s(wreq)
-                if wreq.deadline_s is not None and \
-                        self.now_s + estimate > wreq.deadline_s:
-                    outcomes[rid] = RequestOutcome(
-                        rid, RequestStatus.SHED, retries=retries[rid],
-                        finish_s=self.now_s)
-                    self.events.record(
-                        REQUEST_SHED, request_id=rid, t_s=self.now_s,
-                        estimate_s=estimate, deadline_s=wreq.deadline_s)
-                else:
-                    admitted.append(wreq)
-            live = admitted
-            if not live:
-                return
-            try:
-                completions = self._run_group(live)
-            except MeshFault as exc:
-                self.events.record(FAULT_DETECTED,
-                                   error=type(exc).__name__,
-                                   detail=str(exc), t_s=self.now_s)
-                attempt += 1
-                survivors = []
-                for wreq in live:
-                    rid = wreq.request.request_id
-                    retries[rid] += 1
-                    if retries[rid] > wreq.max_retries:
-                        outcomes[rid] = RequestOutcome(
-                            rid, RequestStatus.FAILED,
-                            retries=retries[rid] - 1, finish_s=self.now_s)
-                        self.events.record(
-                            REQUEST_FAILED, request_id=rid,
-                            retries=retries[rid] - 1,
-                            error=type(exc).__name__)
-                    else:
-                        survivors.append(wreq)
-                self._recover(exc)
-                backoff = self.costs.backoff_s(attempt)
-                self.now_s += backoff
-                for wreq in survivors:
-                    rid = wreq.request.request_id
-                    self.events.record(
-                        REQUEST_RETRIED, request_id=rid,
-                        attempt=retries[rid], backoff_s=backoff,
-                        mode="re-prefill", t_s=self.now_s)
-                live = survivors
-                continue
-            for wreq, completion in zip(live, completions):
-                rid = wreq.request.request_id
-                met = wreq.deadline_s is None or self.now_s <= wreq.deadline_s
-                status = (RequestStatus.COMPLETED if met
-                          else RequestStatus.DEADLINE_MISSED)
-                outcomes[rid] = RequestOutcome(
-                    rid, status, completion=completion,
-                    retries=retries[rid], finish_s=self.now_s)
-                self.events.record(
-                    REQUEST_COMPLETED, request_id=rid, t_s=self.now_s,
-                    retries=retries[rid], met_deadline=met)
-            return
-
-    def _run_group(self, live: list[ResilientRequest]) -> list[Completion]:
-        group = [w.request for w in live]
-        n_steps = max(r.max_new_tokens for r in group)
-        max_len = len(group[0].prompt) + n_steps
-        deadlines = [w.deadline_s for w in live if w.deadline_s is not None]
-        min_deadline = min(deadlines) if deadlines else None
-
-        caches_per_request, first_logits = [], []
-        for request in group:
-            before = self._delay()
-            self._advance("prefill")
-            logits, caches = self.prefill_model.prefill(
-                request.prompt[None, :], max_len)
-            self._charge(self.costs.prefill_s, before)
-            caches_per_request.append(caches)
-            first_logits.append(logits)
-
-        # Pad the decode batch up to the plan's batch-sharding divisor by
-        # repeating the last request's caches.  The merge reads caches
-        # host-side, so reusing the objects costs nothing; the padded
-        # rows' tokens are simply dropped.
-        batch_group = plan_batch_group(self.decode_model.plan,
-                                       Torus3D(*self.mesh.shape))
-        pad = (-len(group)) % max(batch_group, 1)
-        for _ in range(pad):
-            caches_per_request.append(caches_per_request[-1])
-            first_logits.append(first_logits[-1])
-
-        caches = merge_sharded_caches(caches_per_request, self.decode_model)
-        current = greedy(np.concatenate(first_logits, axis=0))
-        generated = [current[:, None]]
-        for step in range(n_steps - 1):
-            before = self._delay()
-            self._advance("decode")
-            logits = self.step_compiler.decode_step(
-                self.decode_model, current, caches)
-            step_delay = self._charge(self.costs.decode_step_s, before)
-            current = greedy(logits)
-            generated.append(current[:, None])
-            caches = self._maybe_evict_stragglers(
-                live, caches, min_deadline,
-                remaining_steps=n_steps - 2 - step, step_delay=step_delay)
-
-        all_generated = np.concatenate(generated, axis=1)
-        completions = []
-        for i, request in enumerate(group):
-            n = request.max_new_tokens
-            tokens = np.concatenate([request.prompt, all_generated[i, :n]])
-            completions.append(Completion(request.request_id, tokens, n))
-        return completions
-
-    # -- recovery ----------------------------------------------------------
-
-    def _recover(self, exc: MeshFault) -> None:
-        """Repair the deployment before a retry.
-
-        A :class:`ChipFailure` is permanent: replan onto the largest
-        healthy sub-slice.  Timeouts and detected corruption are one-shot
-        transients (and :class:`CacheMigrationFailed` means we already
-        replanned), so the current deployment is reused as-is.
-        """
-        if isinstance(exc, ChipFailure):
-            self._replan([exc.chip])
-
-    def _replan(self, dead_chips) -> None:
-        deploy = replan_after_failure(
-            self.weights, self.mesh, dead_chips,
-            decode_batch=self.decode_batch, event_log=self.events)
-        if self.fault_state is not None:
-            remaining = self.fault_state.remaining_plan(
-                deploy.subslice.origin, deploy.subslice.shape)
-            new_state = deploy.mesh.install_faults(remaining, self.events)
-            # Carry the clock and accumulated delay across the swap so
-            # later-scheduled faults still fire at their intended step.
-            new_state.step = self.fault_state.step
-            new_state.phase = self.fault_state.phase
-            new_state.phase_steps = dict(self.fault_state.phase_steps)
-            new_state.sim_delay_s = self.fault_state.sim_delay_s
-            self.fault_state = new_state
-        self.mesh = deploy.mesh
-        self.prefill_model = deploy.prefill_model
-        self.decode_model = deploy.decode_model
-        # The captured program closed over the old mesh and models;
-        # replay on the replanned deployment would be invalid (the
-        # signature check would also catch this — the explicit
-        # invalidation just makes re-capture immediate and counted).
-        self.step_compiler.invalidate()
-        self.now_s += self.costs.replan_s
-
-    def _maybe_evict_stragglers(self, live, caches, min_deadline,
-                                remaining_steps: int, step_delay: float):
-        """Evict straggler chips when they put the group's deadline at risk.
-
-        Stragglers never raise — they only show up as latency — so the
-        serving layer projects the group's finish time and, if a deadline
-        would be blown, replans without the slow chips and *migrates* the
-        live KV caches (the old mesh's data is intact, unlike a chip
-        death, so no recompute is needed).
-        """
-        if self.fault_state is None or min_deadline is None \
-                or remaining_steps <= 0 or step_delay <= 0.0:
-            return caches
-        stragglers = sorted(self.fault_state.straggler_chips())
-        if not stragglers:
-            return caches
-        projected = self.now_s + remaining_steps * (
-            self.costs.decode_step_s * self.scale + step_delay)
-        if projected <= min_deadline:
-            return caches
-        self.events.record(
-            FAULT_DETECTED, error="StragglerFault",
-            detail=f"straggler chips {stragglers} project finish "
-                   f"{projected:.4f}s past deadline {min_deadline:.4f}s",
-            t_s=self.now_s)
-        old_decode = self.decode_model
-        self._replan(stragglers)
-        try:
-            migrated = migrate_caches(caches, old_decode, self.decode_model)
-        except ValueError as exc:
-            raise CacheMigrationFailed(
-                f"could not migrate caches to mesh {self.mesh.shape}: "
-                f"{exc}") from exc
+    def admit(self, live: list[ResilientRequest], now_s: float,
+              estimate_s) -> list[ResilientRequest]:
+        """Shed requests whose ``estimate_s(wreq)`` misses the deadline;
+        returns the admitted rest."""
+        admitted = []
         for wreq in live:
+            rid = wreq.request.request_id
+            estimate = estimate_s(wreq)
+            if wreq.deadline_s is not None and \
+                    now_s + estimate > wreq.deadline_s:
+                self.outcomes[rid] = RequestOutcome(
+                    rid, RequestStatus.SHED, retries=self.retries[rid],
+                    finish_s=now_s)
+                self.events.record(
+                    REQUEST_SHED, request_id=rid, t_s=now_s,
+                    estimate_s=estimate, deadline_s=wreq.deadline_s)
+            else:
+                admitted.append(wreq)
+        return admitted
+
+    def detected(self, exc: MeshFault, now_s: float) -> None:
+        self.events.record(FAULT_DETECTED, error=type(exc).__name__,
+                           detail=str(exc), t_s=now_s)
+
+    def fail_exhausted(self, live: list[ResilientRequest], exc: MeshFault,
+                       now_s: float) -> list[ResilientRequest]:
+        """Count one retry per request; fail those past their budget and
+        return the survivors."""
+        survivors = []
+        for wreq in live:
+            rid = wreq.request.request_id
+            self.retries[rid] += 1
+            if self.retries[rid] > wreq.max_retries:
+                self.outcomes[rid] = RequestOutcome(
+                    rid, RequestStatus.FAILED,
+                    retries=self.retries[rid] - 1, finish_s=now_s)
+                self.events.record(
+                    REQUEST_FAILED, request_id=rid,
+                    retries=self.retries[rid] - 1,
+                    error=type(exc).__name__)
+            else:
+                survivors.append(wreq)
+        return survivors
+
+    def retried(self, live: list[ResilientRequest], backoff_s: float,
+                now_s: float) -> None:
+        for wreq in live:
+            rid = wreq.request.request_id
             self.events.record(
-                REQUEST_RETRIED, request_id=wreq.request.request_id,
-                attempt=0, backoff_s=0.0, mode="cache-migration",
-                t_s=self.now_s)
-        return migrated
+                REQUEST_RETRIED, request_id=rid,
+                attempt=self.retries[rid], backoff_s=backoff_s,
+                mode="re-prefill", t_s=now_s)
+
+    def complete(self, live: list[ResilientRequest],
+                 completions: Sequence[Completion], now_s: float) -> None:
+        for wreq, completion in zip(live, completions):
+            rid = wreq.request.request_id
+            met = wreq.deadline_s is None or now_s <= wreq.deadline_s
+            status = (RequestStatus.COMPLETED if met
+                      else RequestStatus.DEADLINE_MISSED)
+            self.outcomes[rid] = RequestOutcome(
+                rid, status, completion=completion,
+                retries=self.retries[rid], finish_s=now_s)
+            self.events.record(
+                REQUEST_COMPLETED, request_id=rid, t_s=now_s,
+                retries=self.retries[rid], met_deadline=met)
+
+    def results(self) -> list[RequestOutcome]:
+        """One outcome per request, in submission order."""
+        return [self.outcomes[w.request.request_id] for w in self.wrapped]
 
 
 class ResilientContinuousServer:
@@ -481,19 +263,14 @@ class ResilientContinuousServer:
                  mesh: VirtualMesh | None = None,
                  fault_plan: FaultPlan | None = None,
                  costs: CostModel | None = None,
-                 event_log: EventLog | None = None, seed: int = 0,
-                 prefill_chunk: int | None = DEFAULT_PREFILL_CHUNK):
+                 event_log: EventLog | None = None):
         if fault_plan is not None and mesh is None:
             raise ValueError("fault_plan requires a mesh to install it on")
         self.model = model
         self.max_slots = max_slots
         self.max_len = max_len
-        # Chunked prefill is the default admission path; every retry
-        # engine gets the same chunk size.
-        self.prefill_chunk = prefill_chunk
         self.costs = costs or CostModel()
         self.events = event_log if event_log is not None else EventLog()
-        self.seed = seed
         self._fail_at = sorted(set(int(s) for s in fail_at_steps))
         self._steps_done = 0
         self.now_s = 0.0
@@ -554,16 +331,8 @@ class ResilientContinuousServer:
         model needs no resharding — only capacity and delay change)."""
         old_shape = self.mesh.shape
         sub = largest_healthy_subslice(old_shape, bad_chips)
-        new_mesh = VirtualMesh(sub.shape, backend=self.mesh.backend)
-        remaining_plan = self.fault_state.remaining_plan(sub.origin,
-                                                         sub.shape)
-        new_state = new_mesh.install_faults(remaining_plan, self.events)
-        new_state.step = self.fault_state.step
-        new_state.phase = self.fault_state.phase
-        new_state.phase_steps = dict(self.fault_state.phase_steps)
-        new_state.sim_delay_s = self.fault_state.sim_delay_s
-        self.mesh = new_mesh
-        self.fault_state = new_state
+        self.mesh = VirtualMesh(sub.shape, backend=self.mesh.backend)
+        self.fault_state = self.fault_state.carry_to(self.mesh, sub.origin)
         self._extra_s += self.costs.replan_s
         self.events.record(REPLANNED, dead_chips=[tuple(c) for c
                                                   in bad_chips],
@@ -591,30 +360,14 @@ class ResilientContinuousServer:
 
     def serve(self, requests: Sequence[Request | ResilientRequest]
               ) -> list[RequestOutcome]:
-        wrapped = [r if isinstance(r, ResilientRequest)
-                   else ResilientRequest(r) for r in requests]
-        outcomes: dict[int, RequestOutcome] = {}
-        retries = {w.request.request_id: 0 for w in wrapped}
-        if len(retries) != len(wrapped):
-            raise ValueError("duplicate request ids")
-
+        ledger = RequestLedger(requests, self.events)
+        costs = self.costs
         # Admission control up front; the engine has a fixed capacity, so
         # the estimate is the request's own service time.
-        pending = []
-        for wreq in wrapped:
-            rid = wreq.request.request_id
-            estimate = self.costs.prefill_s + \
-                wreq.request.max_new_tokens * self.costs.decode_step_s
-            if wreq.deadline_s is not None and \
-                    self.now_s + estimate > wreq.deadline_s:
-                outcomes[rid] = RequestOutcome(
-                    rid, RequestStatus.SHED, finish_s=self.now_s)
-                self.events.record(REQUEST_SHED, request_id=rid,
-                                   t_s=self.now_s, estimate_s=estimate,
-                                   deadline_s=wreq.deadline_s)
-            else:
-                pending.append(wreq)
-
+        pending = ledger.admit(
+            ledger.wrapped, self.now_s,
+            lambda w: costs.prefill_s
+            + w.request.max_new_tokens * costs.decode_step_s)
         attempt = 0
         while pending:
             deadlines = [w.deadline_s for w in pending
@@ -624,19 +377,13 @@ class ResilientContinuousServer:
                                        for w in pending)
             self._extra_s = 0.0
             engine = ContinuousBatchingEngine(
-                self.model, self.max_slots, self.max_len, seed=self.seed,
-                step_hook=self._step_hook,
-                prefill_chunk=self.prefill_chunk)
+                self.model, self.max_slots, self.max_len,
+                step_hook=self._step_hook)
             try:
                 completions = engine.serve([w.request for w in pending])
             except MeshFault as exc:
-                self._steps_done += engine.steps
-                self.now_s += engine.admissions * self.costs.prefill_s + \
-                    engine.steps * self.costs.decode_step_s + self._extra_s
-                self._extra_s = 0.0
-                self.events.record(FAULT_DETECTED,
-                                   error=type(exc).__name__,
-                                   detail=str(exc), t_s=self.now_s)
+                self._charge_run(engine)
+                ledger.detected(exc, self.now_s)
                 if self.fault_state is not None:
                     # Permanent mesh faults (chip kills) must be replanned
                     # around, or the next heartbeat re-raises forever.
@@ -646,43 +393,19 @@ class ResilientContinuousServer:
                         self.now_s += self._extra_s
                         self._extra_s = 0.0
                 attempt += 1
-                survivors = []
-                for wreq in pending:
-                    rid = wreq.request.request_id
-                    retries[rid] += 1
-                    if retries[rid] > wreq.max_retries:
-                        outcomes[rid] = RequestOutcome(
-                            rid, RequestStatus.FAILED,
-                            retries=retries[rid] - 1, finish_s=self.now_s)
-                        self.events.record(
-                            REQUEST_FAILED, request_id=rid,
-                            retries=retries[rid] - 1,
-                            error=type(exc).__name__)
-                    else:
-                        survivors.append(wreq)
-                backoff = self.costs.backoff_s(attempt)
+                pending = ledger.fail_exhausted(pending, exc, self.now_s)
+                backoff = costs.backoff_s(attempt)
                 self.now_s += backoff
-                for wreq in survivors:
-                    rid = wreq.request.request_id
-                    self.events.record(
-                        REQUEST_RETRIED, request_id=rid,
-                        attempt=retries[rid], backoff_s=backoff,
-                        mode="re-prefill", t_s=self.now_s)
-                pending = survivors
+                ledger.retried(pending, backoff, self.now_s)
                 continue
-            self._steps_done += engine.steps
-            self.now_s += engine.admissions * self.costs.prefill_s + \
-                engine.steps * self.costs.decode_step_s + self._extra_s
-            for wreq, completion in zip(pending, completions):
-                rid = wreq.request.request_id
-                met = wreq.deadline_s is None or self.now_s <= wreq.deadline_s
-                status = (RequestStatus.COMPLETED if met
-                          else RequestStatus.DEADLINE_MISSED)
-                outcomes[rid] = RequestOutcome(
-                    rid, status, completion=completion,
-                    retries=retries[rid], finish_s=self.now_s)
-                self.events.record(
-                    REQUEST_COMPLETED, request_id=rid, t_s=self.now_s,
-                    retries=retries[rid], met_deadline=met)
+            self._charge_run(engine)
+            ledger.complete(pending, completions, self.now_s)
             pending = []
-        return [outcomes[w.request.request_id] for w in wrapped]
+        return ledger.results()
+
+    def _charge_run(self, engine: ContinuousBatchingEngine) -> None:
+        """Charge one engine run's prefills, decode steps and surcharges."""
+        self._steps_done += engine.steps
+        self.now_s += engine.admissions * self.costs.prefill_s + \
+            engine.steps * self.costs.decode_step_s + self._extra_s
+        self._extra_s = 0.0

@@ -26,7 +26,7 @@ import numpy as np
 from repro.layouts.kv_cache import ShardedKVCache
 from repro.layouts.model import ShardedTransformer
 from repro.model.sampling import greedy
-from repro.serving.engine import Completion, Request
+from repro.serving.engine import Completion, Request, group_completions
 from repro.serving.scheduler import group_requests
 
 
@@ -84,15 +84,13 @@ class ShardedTwoPhaseServer:
 
     def __init__(self, prefill_model: ShardedTransformer,
                  decode_model: ShardedTransformer,
-                 decode_batch: int = 64, sampler=None, seed: int = 0):
+                 decode_batch: int = 64):
         if prefill_model.weights is not decode_model.weights:
             raise ValueError(
                 "prefill and decode models must share weights")
         self.prefill_model = prefill_model
         self.decode_model = decode_model
         self.decode_batch = decode_batch
-        self.sampler = sampler or (lambda logits, rng: greedy(logits))
-        self.rng = np.random.default_rng(seed)
 
     def _tracer(self):
         return getattr(self.prefill_model.mesh, "tracer", None)
@@ -111,25 +109,17 @@ class ShardedTwoPhaseServer:
             first_logits.append(logits)
         caches = merge_sharded_caches(caches_per_request,
                                       self.decode_model)
-        current = self.sampler(np.concatenate(first_logits, axis=0),
-                               self.rng)
+        current = greedy(np.concatenate(first_logits, axis=0))
         generated = [current[:, None]]
         decode_region = (tracer.region(
             "decode_batch", request_ids=[r.request_id for r in group])
             if tracer is not None else nullcontext())
         with decode_region:
             for _ in range(n_steps - 1):
-                logits = self.decode_model.decode_step(current, caches)
-                current = self.sampler(logits, self.rng)
+                current = greedy(
+                    self.decode_model.decode_step(current, caches))
                 generated.append(current[:, None])
-        all_generated = np.concatenate(generated, axis=1)
-        completions = []
-        for i, request in enumerate(group):
-            n = request.max_new_tokens
-            tokens = np.concatenate([request.prompt,
-                                     all_generated[i, :n]])
-            completions.append(Completion(request.request_id, tokens, n))
-        return completions
+        return group_completions(group, generated)
 
     def serve(self, requests: Sequence[Request]) -> list[Completion]:
         completions: dict[int, Completion] = {}

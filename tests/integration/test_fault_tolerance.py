@@ -11,6 +11,7 @@ the full detect -> replan -> retry sequence.
 import numpy as np
 import pytest
 
+from repro.cluster import ResilientTwoPhaseServer
 from repro.events import (
     FAULT_DETECTED,
     FAULT_INJECTED,
@@ -38,7 +39,6 @@ from repro.serving import (
     RequestStatus,
     ResilientContinuousServer,
     ResilientRequest,
-    ResilientTwoPhaseServer,
     TwoPhaseServer,
 )
 
@@ -85,7 +85,7 @@ class TestFaultMatrix:
         fault_plan, replans = FAULT_MATRIX[scenario]
         log = EventLog()
         server = ResilientTwoPhaseServer(
-            WEIGHTS, VirtualMesh((2, 2, 2), backend=backend),
+            WEIGHTS, (2, 2, 2), backend=backend,
             decode_batch=4, fault_plan=fault_plan, event_log=log)
         outcomes = server.serve(REQUESTS)
 
@@ -116,7 +116,7 @@ class TestStragglerEviction:
                            delay_s_per_op=1e-3, at_step=1,
                            phase="decode"),))
         server = ResilientTwoPhaseServer(
-            WEIGHTS, VirtualMesh((2, 2, 2), backend=backend),
+            WEIGHTS, (2, 2, 2), backend=backend,
             decode_batch=4, fault_plan=fault_plan, event_log=log)
         outcomes = server.serve(
             [ResilientRequest(r, deadline_s=1.2) for r in REQUESTS])
@@ -142,7 +142,7 @@ class TestLifecyclePolicies:
         fault_plan = FaultPlan(faults=(
             ChipKill(chip=(0, 0, 0), at_step=1, phase="decode"),))
         server = ResilientTwoPhaseServer(
-            WEIGHTS, VirtualMesh((2, 2, 2), backend=backend),
+            WEIGHTS, (2, 2, 2), backend=backend,
             decode_batch=4, fault_plan=fault_plan,
             costs=CostModel(replan_s=5.0), event_log=log)
         outcomes = server.serve(
@@ -157,7 +157,7 @@ class TestLifecyclePolicies:
         fault_plan = FaultPlan(faults=tuple(
             CollectiveFault(kind="timeout") for _ in range(8)))
         server = ResilientTwoPhaseServer(
-            WEIGHTS, VirtualMesh((2, 2, 2), backend=backend),
+            WEIGHTS, (2, 2, 2), backend=backend,
             decode_batch=4, fault_plan=fault_plan)
         outcomes = server.serve(
             [ResilientRequest(r, max_retries=1) for r in REQUESTS])
@@ -165,7 +165,7 @@ class TestLifecyclePolicies:
 
     def test_fault_free_run_matches_reference(self, backend):
         server = ResilientTwoPhaseServer(
-            WEIGHTS, VirtualMesh((2, 2, 2), backend=backend),
+            WEIGHTS, (2, 2, 2), backend=backend,
             decode_batch=4)
         outcomes = server.serve(REQUESTS)
         assert all(o.status is RequestStatus.COMPLETED for o in outcomes)
@@ -182,7 +182,7 @@ class TestLifecyclePolicies:
         reference = TwoPhaseServer(ReferenceTransformer(WEIGHTS),
                                    decode_batch=4).serve(requests)
         server = ResilientTwoPhaseServer(
-            WEIGHTS, VirtualMesh((2, 2, 2), backend=backend),
+            WEIGHTS, (2, 2, 2), backend=backend,
             decode_batch=4)
         outcomes = server.serve(requests)
         for outcome, want in zip(outcomes, reference):

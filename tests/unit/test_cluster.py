@@ -202,6 +202,31 @@ class TestReplica:
         replica.set_health(ReplicaHealth.DRAINING, 0.0, "maintenance")
         assert not replica.dispatchable
 
+    def test_replan_and_cold_restart_plan_for_the_prompt_hint(
+            self, monkeypatch):
+        from repro.hardware.topology import Torus3D
+        from repro.partitioning import degraded
+        from repro.partitioning.selector import Phase
+
+        # Every prefill selection on the rebuild path must see the hint.
+        prefill_tokens = []
+        select = degraded.select_degraded_plan
+
+        def spy(config, torus, phase, batch, tokens_per_seq):
+            if phase is Phase.PREFILL:
+                prefill_tokens.append(tokens_per_seq)
+            return select(config, torus, phase, batch, tokens_per_seq)
+
+        monkeypatch.setattr(degraded, "select_degraded_plan", spy)
+        replica = Replica("r0", WEIGHTS, (2, 2, 2), prompt_len_hint=6)
+        replica.replan_around([(0, 1, 0)])
+        assert replica.mesh.num_chips == 4
+        replica.restart("cold")
+        assert prefill_tokens and set(prefill_tokens) == {6}
+        want = select(CFG, Torus3D(*replica.mesh.shape), Phase.PREFILL,
+                      batch=1, tokens_per_seq=6)
+        assert replica.prefill_model.plan == want
+
 
 class TestGroupRun:
     def _reference(self, requests):

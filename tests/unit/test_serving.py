@@ -5,7 +5,6 @@ import pytest
 
 from repro.model import ReferenceTransformer, init_weights, tiny_test_config
 from repro.serving import (
-    InferenceEngine,
     Request,
     TwoPhaseServer,
     group_requests,
@@ -151,13 +150,13 @@ class TestTwoPhaseServer:
             TwoPhaseServer(model(), decode_batch=0)
 
 
-class TestInferenceEngine:
+class TestSampledGeneration:
     def test_reproducible_sampling(self):
         from repro.model import make_sampler
 
         prompts = np.array([[1, 2, 3, 4]])
-        a = InferenceEngine(model(), make_sampler(top_k=4),
-                            seed=1).generate(prompts, 5)
-        b = InferenceEngine(model(), make_sampler(top_k=4),
-                            seed=1).generate(prompts, 5)
+        a = model().generate(prompts, 5, make_sampler(top_k=4),
+                             np.random.default_rng(1))
+        b = model().generate(prompts, 5, make_sampler(top_k=4),
+                             np.random.default_rng(1))
         np.testing.assert_array_equal(a, b)
