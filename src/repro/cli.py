@@ -12,9 +12,6 @@ Subcommands mirror the library's main entry points:
 * ``fault-sim`` — the same simulation under an MTBF-driven chip-failure
   process: goodput, p99 latency and availability (docs/fault_tolerance.md).
 * ``disaggregate`` — size the §4.4 prefill-server → decode-server pipeline.
-* ``mesh-bench`` — time the loop vs stacked virtual-mesh backends on a
-  real decode workload; ``--capture`` times eager vs captured-replay
-  decode steps instead (see docs/mesh_backends.md).
 * ``chaos`` — seeded chaos scenarios against the multi-replica cluster
   control plane: availability, goodput and p99 per scenario, typed
   shed-load counts, bit-identity vs. the reference (docs/cluster.md).
@@ -306,47 +303,19 @@ def _mesh_shape(text: str) -> tuple[int, ...]:
     return shape
 
 
-def cmd_mesh_bench(args) -> int:
-    from repro.mesh.bench import (
-        CAPTURE_BATCH,
-        CAPTURE_V2_SHAPES,
-        MESH_SHAPES,
-        compare_backends,
-        compare_capture,
-        compare_capture_v2,
-        format_capture_table,
-        format_capture_v2_table,
-        format_table,
-    )
+def decode_config():
+    """The executed-workload model: deep and narrow, divisible on every
+    mesh from 1x1x1 up to 4x4x4 (H % 16, B % 64)."""
+    from repro.model import tiny_test_config
 
-    shapes = tuple(args.shapes) if args.shapes else MESH_SHAPES
-    backends = ("loop", "stacked") if args.backend == "both" \
-        else (args.backend,)
-    if args.capture_v2:
-        v2_shapes = tuple(args.shapes) if args.shapes else CAPTURE_V2_SHAPES
-        batch = args.batch if args.batch is not None else CAPTURE_BATCH
-        sections = compare_capture_v2(v2_shapes, batch=batch,
-                                      reps=args.reps, backends=backends)
-        print(format_capture_v2_table(sections))
-        rows = sections["prefill"]
-        return 0 if all(r["bit_identical"] for r in rows) else 1
-    if args.capture:
-        batch = args.batch if args.batch is not None else CAPTURE_BATCH
-        rows = compare_capture(shapes, steps=args.steps, batch=batch,
-                               reps=args.reps, backends=backends)
-        print(format_capture_table(rows))
-        return 0 if all(r["bit_identical"] for r in rows) else 1
-    batch = args.batch if args.batch is not None else 64
-    rows = compare_backends(shapes, steps=args.steps, batch=batch,
-                            reps=args.reps, backends=backends)
-    print(format_table(rows))
-    return 0
+    return tiny_test_config(n_layers=16, d_model=16, d_ff=32, n_heads=16,
+                            d_head=4, vocab_size=16)
 
 
 def _executed_workload(topology, backend, batch, steps, seed=0):
     """Run the shared decode workload with tracing on; returns the tracer.
 
-    The workload is :mod:`repro.mesh.bench`'s deep-narrow decode model
+    The workload is :func:`decode_config`'s deep-narrow decode model
     (divisible on every mesh up to 4x4x4) under the weight-gathered
     layout — the most communication-heavy regime, so traces show every
     span kind.
@@ -355,7 +324,6 @@ def _executed_workload(topology, backend, batch, steps, seed=0):
 
     from repro.layouts import ShardedTransformer
     from repro.mesh import VirtualMesh
-    from repro.mesh.bench import decode_config
     from repro.model import init_weights
     from repro.partitioning import FfnLayoutKind, LayoutPlan
 
@@ -621,7 +589,6 @@ def _capture_workload(topology, backend, batch, steps, seed=0):
 
     from repro.layouts import ShardedTransformer
     from repro.mesh import VirtualMesh
-    from repro.mesh.bench import decode_config
     from repro.mesh.capture import StepCompiler
     from repro.model import init_weights
     from repro.partitioning import FfnLayoutKind, LayoutPlan
@@ -653,7 +620,6 @@ def _kvstore_workload(topology, backend, seed=0):
     from repro.kvstore import KVStore
     from repro.layouts import ShardedTransformer
     from repro.mesh import VirtualMesh
-    from repro.mesh.bench import decode_config
     from repro.model import init_weights
     from repro.partitioning import FfnLayoutKind, LayoutPlan
     from repro.serving.chunked import chunked_prefill
@@ -821,32 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen-len", type=int, default=64)
     p.add_argument("--decode-batch", type=int, default=64)
     p.set_defaults(func=cmd_disaggregate)
-
-    p = sub.add_parser("mesh-bench",
-                       help="loop vs stacked mesh backend decode timing")
-    p.add_argument("--backend", choices=["loop", "stacked", "both"],
-                   default="both")
-    p.add_argument("--shapes", nargs="*", metavar="AxBxC",
-                   type=_mesh_shape,
-                   help="mesh shapes to time, e.g. 2x2x2 4x4x4 "
-                        "(default: the full 1..64-chip ladder)")
-    p.add_argument("--steps", type=int, default=4,
-                   help="decode steps per timed repetition")
-    p.add_argument("--batch", type=int, default=None,
-                   help="decode batch (default: 64, or 16 with --capture "
-                        "— the latency-oriented decode point)")
-    p.add_argument("--reps", type=int, default=3,
-                   help="repetitions (best is reported)")
-    p.add_argument("--capture", action="store_true",
-                   help="time eager vs captured-replay decode steps "
-                        "instead of loop vs stacked (exits nonzero if "
-                        "replay is not bit-identical)")
-    p.add_argument("--capture-v2", action="store_true",
-                   help="time the capture-v2 paths: prefill-chunk "
-                        "replay vs eager, and the program-cache hit "
-                        "rate on a shrinking continuous batch (exits "
-                        "nonzero if any replay is not bit-identical)")
-    p.set_defaults(func=cmd_mesh_bench)
 
     p = sub.add_parser("trace",
                        help="Perfetto/Chrome trace of one decode step")

@@ -33,12 +33,9 @@ from repro.mesh.ops import (
 )
 from repro.mesh.sharded_tensor import ShardedTensor
 from repro.mesh.virtual_mesh import (
-    AUTO_BACKEND_MIN_CHIPS,
-    BACKEND_CHOICES,
     BACKENDS,
     VirtualMesh,
     default_backend,
-    resolve_backend,
 )
 
 
@@ -50,8 +47,6 @@ def enable_comm_log(mesh: VirtualMesh) -> list:
 
 
 __all__ = [
-    "AUTO_BACKEND_MIN_CHIPS",
-    "BACKEND_CHOICES",
     "BACKENDS",
     "ChipFailure",
     "ChipKill",
@@ -76,7 +71,6 @@ __all__ = [
     "all_to_all",
     "enable_comm_log",
     "reduce_scatter",
-    "resolve_backend",
     "sharded_einsum",
     "split",
 ]

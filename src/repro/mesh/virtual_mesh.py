@@ -20,12 +20,6 @@ Two execution backends share the same semantics:
 
 The backend is chosen per mesh: ``VirtualMesh(shape, backend="stacked")``,
 with the ``REPRO_MESH_BACKEND`` environment variable as the default.
-``backend="auto"`` resolves by mesh size: the stacked backend's dense
-whole-mesh ops only pay off once there are enough devices to amortize
-them (``BENCH_mesh_backend.json`` measures 0.88x/0.96x on 1x1x1/1x1x2 —
-below ``loop`` — versus >= 5x from 8 chips up), so ``auto`` picks
-``loop`` below :data:`AUTO_BACKEND_MIN_CHIPS` chips and ``stacked`` at or
-above.  A concrete ``REPRO_MESH_BACKEND`` value overrides the heuristic.
 """
 
 from __future__ import annotations
@@ -39,12 +33,6 @@ import numpy as np
 from repro.hardware.topology import AXIS_NAMES, Mesh
 
 BACKENDS = ("loop", "stacked")
-BACKEND_CHOICES = BACKENDS + ("auto",)
-
-#: Below this many chips, ``backend="auto"`` picks the loop backend: the
-#: measured crossover in BENCH_mesh_backend.json (stacked is 0.88x/0.96x
-#: of loop at 1-2 chips, >= 2x from 4 chips up).
-AUTO_BACKEND_MIN_CHIPS = 4
 
 
 def default_backend() -> str:
@@ -52,38 +40,12 @@ def default_backend() -> str:
 
     Controlled by the ``REPRO_MESH_BACKEND`` environment variable so whole
     test suites / benchmarks can be flipped without touching call sites.
-    ``auto`` is accepted and resolved per mesh by chip count.
     """
     backend = os.environ.get("REPRO_MESH_BACKEND", "loop")
-    if backend not in BACKEND_CHOICES:
+    if backend not in BACKENDS:
         raise ValueError(
-            f"REPRO_MESH_BACKEND={backend!r} is not one of "
-            f"{BACKEND_CHOICES}")
+            f"REPRO_MESH_BACKEND={backend!r} is not one of {BACKENDS}")
     return backend
-
-
-def resolve_backend(backend: str, num_chips: int) -> str:
-    """Resolve ``"auto"`` to a concrete backend for a mesh of this size.
-
-    A concrete ``REPRO_MESH_BACKEND`` value wins over the size heuristic,
-    so a whole run can still be pinned to one backend; otherwise small
-    meshes (fewer than :data:`AUTO_BACKEND_MIN_CHIPS` chips) use ``loop``
-    — where the dense whole-mesh ops measurably lose to per-device
-    dispatch — and everything larger uses ``stacked``.
-    """
-    if backend != "auto":
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown mesh backend {backend!r}; choose one of "
-                f"{BACKEND_CHOICES}")
-        return backend
-    env = os.environ.get("REPRO_MESH_BACKEND")
-    if env and env != "auto":
-        if env not in BACKENDS:
-            raise ValueError(
-                f"REPRO_MESH_BACKEND={env!r} is not one of {BACKENDS}")
-        return env
-    return "loop" if num_chips < AUTO_BACKEND_MIN_CHIPS else "stacked"
 
 
 class VirtualMesh:
@@ -93,11 +55,11 @@ class VirtualMesh:
         self.topology = Mesh.from_shape(tuple(shape))
         if backend is None:
             backend = default_backend()
-        if backend not in BACKEND_CHOICES:
+        if backend not in BACKENDS:
             raise ValueError(
                 f"unknown mesh backend {backend!r}; choose one of "
-                f"{BACKEND_CHOICES}")
-        self.backend = resolve_backend(backend, self.topology.num_chips)
+                f"{BACKENDS}")
+        self.backend = backend
         # Group coordinate lists and rank grids are pure functions of
         # (shape, axes); they are re-used by every collective call, so
         # derive each once.

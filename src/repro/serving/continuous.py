@@ -130,43 +130,6 @@ def slot_decode_step(model: ReferenceTransformer, tokens: np.ndarray,
     return np.einsum("ble,ve->blv", x, w.embedding)[:, 0]
 
 
-def sharded_decode_rounds(model, compiler, first_tokens: np.ndarray,
-                          caches, budgets) -> list[list[int]]:
-    """Greedy-decode a shrinking live batch through the program cache.
-
-    The continuous-batching pattern on a sharded model: ``budgets[i]``
-    tokens are generated for row ``i`` (budgets must be non-increasing so
-    the live rows always form a prefix — retired rows' cache slots become
-    the padding rows).  Each round feeds only the live prefix to
-    ``compiler.decode_step``; the compiler's batch bucketing pads the
-    shrinking batch back to the cache capacity, so after the one capture
-    every round replays the same warm program no matter how the batch
-    shrinks — the program-cache hit rate stays high across the whole run
-    (the capture-v2 benchmark reports it).
-
-    Returns one generated-token list per row, ``budgets[i]`` long.
-    """
-    budgets = [int(b) for b in budgets]
-    if any(budgets[i] < budgets[i + 1] for i in range(len(budgets) - 1)):
-        raise ValueError(
-            "budgets must be non-increasing (live rows form a prefix)")
-    if len(budgets) != first_tokens.shape[0]:
-        raise ValueError("one budget per batch row required")
-    out: list[list[int]] = [[] for _ in budgets]
-    current = np.asarray(first_tokens)
-    done = 0
-    while True:
-        live = sum(1 for b in budgets if b > done)
-        if live == 0:
-            return out
-        logits = compiler.decode_step(model, current[:live], caches)
-        nxt = greedy(logits)
-        for i in range(live):
-            out[i].append(int(nxt[i]))
-        current = np.concatenate([nxt, current[live:]])
-        done += 1
-
-
 @dataclass
 class _RunningSequence:
     request: Request

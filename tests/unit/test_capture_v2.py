@@ -7,7 +7,8 @@ The v2 contract on top of ``test_step_capture.py``'s single-step replay:
   logits *and* KV contents — on both backends, across prompts;
 * non-final chunks replay only the program's KV body: caches, final
   logits and the fault clock match full replays and eager, with and
-  without KV-store hits, and the vocab projection never runs;
+  without KV-store hits and on the 4x4x4 torus, and the vocab
+  projection never runs;
 * the optimized single-step decode program (the stacked backend's tape
   optimizer) matches eager logits and KV caches bit for bit under every
   decode plan the selector returns on 2x2x2 and 4x4x4, at batch sizes
@@ -16,8 +17,9 @@ The v2 contract on top of ``test_step_capture.py``'s single-step replay:
   across programs and read-only, fused projection weights across one
   compiler's programs, dropped on invalidation and never handed to a
   rebuilt model;
-* the bucketed program cache pads shrinking batches onto one warm
-  program (live rows bit-identical), bounds itself by LRU eviction, and
+* the bucketed program cache pads a shrinking batch onto one warm
+  program (live rows bit-identical, every step after the capture a
+  hit), bounds itself by LRU eviction, and
   counts hits/misses/evictions/explicit invalidations;
 * parallel replica stepping (``step_threads >= 1``) is an execution
   detail: a seeded chaos run produces the same report, event log and
@@ -32,13 +34,18 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.cli import decode_config
 from repro.cluster import ClusterControlPlane, run_scenario
 from repro.cluster.replica import Replica
 from repro.events import EventLog
 from repro.hardware.topology import Torus3D
 from repro.layouts import ShardedTransformer
 from repro.mesh import BACKENDS, VirtualMesh
-from repro.mesh.capture import StepCompiler, capture_decode_step
+from repro.mesh.capture import (
+    StepCompiler,
+    capture_decode_step,
+    capture_prefill_chunk,
+)
 from repro.model import init_weights, tiny_test_config
 from repro.partitioning import (
     AttentionLayoutKind,
@@ -272,6 +279,38 @@ class TestBodyOnlyPrefill:
         assert caches_equal(model.mesh, eager_caches, caches)
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    def test_eager_full_and_body_only_chunks_agree_on_4x4x4(self,
+                                                             backend):
+        """The paper's 64-chip torus, on the 16-layer weight-gathered
+        workload: a chunk program captured on one chunk runs a different
+        same-shape chunk eagerly, in full and body-only from the same
+        cache base, and all three agree bit for bit."""
+        config = decode_config()
+        model = fresh_model(backend, (4, 4, 4),
+                            weights=init_weights(config, seed=0))
+        rng = np.random.default_rng(2)
+        prompt, first, second = (
+            rng.integers(0, config.vocab_size, size=(16, n))
+            for n in (4, 8, 8))
+        _, caches = model.prefill(prompt, 4 + 3 * 8)
+        _, program = capture_prefill_chunk(model, first, caches)
+        assert program is not None
+        base = caches[0].length
+
+        eager_logits = model.forward(second, caches)
+        eager_kv = global_kv(caches)
+        for cache in caches:
+            cache.length = base
+        full_logits = program.replay(second, caches)
+        full_kv = global_kv(caches)
+        for cache in caches:
+            cache.length = base
+        assert program.replay(second, caches, logits=False) is None
+        assert np.array_equal(full_logits, eager_logits)
+        for a, b, c in zip(eager_kv, full_kv, global_kv(caches)):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_body_only_replay_never_runs_the_vocab_einsum(self, backend):
         model = fresh_model(backend, plan=WS2D_HEAD)
         caches = model.new_cache(1, 12)
@@ -397,26 +436,30 @@ class TestBucketedProgramCache:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_batch_padding_bit_identical(self, backend):
-        """A shrunk batch pads up to the cache capacity and slices back."""
-        eager_model, eager_caches, eager_tok = build(backend)
-        model, caches, tok = build(backend)
+        """A shrinking batch pads up to the cache capacity and slices
+        back, and one warm program serves every step of it."""
+        # Rows retire in pairs, as under continuous batching: 8 live rows
+        # for three steps, then 6, 4 and 2.
+        schedule = [8] * 3 + [6] * 3 + [4] * 3 + [2] * 3
+        eager_model, eager_caches, eager_tok = build(backend,
+                                                     len(schedule))
+        model, caches, tok = build(backend, len(schedule))
         compiler = StepCompiler(warmup_steps=0, batch_bucket=8)
-        live = 5
         # The compiler pads by repeating the last live row; the eager
         # twin decodes the full batch with the same repetition, so the
         # live rows see identical inputs and KV history.
         full = eager_tok.copy()
-        full[live:] = full[live - 1]
-        for _ in range(3):
+        for live in schedule:
+            full[live:] = full[live - 1]
             eager = eager_model.decode_step(full, eager_caches)
             got = compiler.decode_step(model, full[:live], caches)
             assert got.shape[0] == live
             assert np.array_equal(got, eager[:live])
             full = np.argmax(eager, -1)
-            full[live:] = full[live - 1]
-        # One program serves every step of the shrunk batch.
+        # One capture, then every step hits however far the batch has
+        # shrunk: 11 of 12 steps (92 %) replay the warm program.
         assert compiler.captures == 1
-        assert compiler.hits >= 1
+        assert (compiler.misses, compiler.hits) == (1, len(schedule) - 1)
         assert caches_equal(model.mesh, eager_caches, caches)
 
     def test_explicit_invalidate_counts(self):

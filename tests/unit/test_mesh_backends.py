@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import decode_config
 from repro.collectives import cost
+from repro.layouts import ShardedTransformer
 from repro.mesh import (
     BACKENDS,
     ShardedTensor,
@@ -31,6 +33,12 @@ from repro.mesh import (
     reduce_scatter,
     sharded_einsum,
     split,
+)
+from repro.model import init_weights
+from repro.partitioning import (
+    AttentionLayoutKind,
+    FfnLayoutKind,
+    LayoutPlan,
 )
 
 MESH_SHAPE = (2, 2, 2)
@@ -255,6 +263,32 @@ def test_env_var_selects_default_backend(monkeypatch):
     with pytest.raises(ValueError, match="REPRO_MESH_BACKEND"):
         default_backend()
 
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 2), (1, 2, 2),
+                                   (2, 2, 2), (2, 2, 4), (2, 4, 4),
+                                   (4, 4, 4)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_decode_logits_identical(shape):
+    """Whole model, 1 to 64 chips: the 16-layer weight-gathered decode
+    workload gives the same prefill and decode logits, bit for bit."""
+    config = decode_config()
+    weights = init_weights(config, seed=0)
+    prompt = np.random.default_rng(1).integers(0, config.vocab_size,
+                                               size=(64, 4))
+    plan = LayoutPlan(FfnLayoutKind.WG_XY, AttentionLayoutKind.BATCH)
+    runs = []
+    for backend in BACKENDS:
+        model = ShardedTransformer(weights, VirtualMesh(shape, backend),
+                                   plan)
+        logits, caches = model.prefill(prompt, 7)
+        steps = [logits]
+        for _ in range(3):
+            steps.append(model.decode_step(np.argmax(steps[-1], -1),
+                                           caches))
+        runs.append(steps)
+    for loop, stacked in zip(*runs):
+        assert loop.dtype == stacked.dtype
+        np.testing.assert_array_equal(loop, stacked)
 
 # ---------------------------------------------------------------------------
 # Memoization satellites

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.cli import decode_config
 from repro.collectives.cost import all_gather_time, all_reduce_time
 from repro.hardware.chip import TPU_V4
+from repro.layouts import ShardedTransformer
 from repro.mesh import ShardedTensor, VirtualMesh, all_gather, all_reduce
 from repro.mesh.looped import all_gather_einsum
+from repro.model import init_weights
 from repro.observability import (
     COLLECTIVE,
     COMPUTE,
@@ -21,6 +24,11 @@ from repro.observability import (
     format_layer_metrics,
     remove_tracer,
     tracer_of,
+)
+from repro.partitioning import (
+    AttentionLayoutKind,
+    FfnLayoutKind,
+    LayoutPlan,
 )
 
 
@@ -154,15 +162,27 @@ class TestMeshHooks:
 
     @pytest.mark.parametrize("backend", ["loop", "stacked"])
     def test_tracing_does_not_change_numerics(self, backend):
-        mesh_a = VirtualMesh((2, 2, 1), backend=backend)
-        mesh_b = VirtualMesh((2, 2, 1), backend=backend)
-        mesh_b.install_tracer()
-        data = np.arange(64, dtype=np.float64).reshape(8, 8)
-        out_a = all_gather(ShardedTensor.from_global(mesh_a, data, "AB_xy"),
-                           ("x", "y"), "B").to_global()
-        out_b = all_gather(ShardedTensor.from_global(mesh_b, data, "AB_xy"),
-                           ("x", "y"), "B").to_global()
-        np.testing.assert_array_equal(out_a, out_b)
+        """Whole prefill + decode steps of the 16-layer weight-gathered
+        workload: logits bit-identical with the tracer installed or not."""
+        config = decode_config()
+        weights = init_weights(config, seed=0)
+        prompt = np.random.default_rng(1).integers(
+            0, config.vocab_size, size=(16, 4))
+        plan = LayoutPlan(FfnLayoutKind.WG_XY, AttentionLayoutKind.BATCH)
+        runs = []
+        for traced in (False, True):
+            mesh = VirtualMesh((2, 2, 2), backend=backend)
+            tracer = mesh.install_tracer() if traced else None
+            model = ShardedTransformer(weights, mesh, plan)
+            logits, caches = model.prefill(prompt, 7)
+            steps = [logits]
+            for _ in range(3):
+                steps.append(model.decode_step(np.argmax(steps[-1], -1),
+                                               caches))
+            runs.append(steps)
+        assert tracer.collectives() and tracer.of_kind(COMPUTE)
+        for off, on in zip(*runs):
+            np.testing.assert_array_equal(off, on)
 
 
 class TestMetrics:

@@ -4,23 +4,21 @@ The contract under test: a :class:`CapturedProgram` traced from one eager
 decode step replays later steps **bit-identically** on both mesh backends,
 invalidates on any mesh/plan/batch-shape change, falls back to eager
 execution whenever a scheduled fault is live, and emits one condensed
-``kind="replay"`` span per step.  Alongside it, the satellites: the
-``backend="auto"`` heuristic, and ``stack_shards``/``unstack_shards``
-round-trips (including the no-copy contiguous unstack).
+``kind="replay"`` span per step.  Alongside it, the satellite:
+``stack_shards``/``unstack_shards`` round-trips (including the no-copy
+contiguous unstack).
 """
 
 import numpy as np
 import pytest
 
+from repro.cli import decode_config
 from repro.layouts import ShardedTransformer
 from repro.mesh import (
-    AUTO_BACKEND_MIN_CHIPS,
-    BACKEND_CHOICES,
     BACKENDS,
     ShardedTensor,
     VirtualMesh,
     all_gather,
-    resolve_backend,
 )
 from repro.mesh.capture import (
     CaptureError,
@@ -109,6 +107,20 @@ class TestDifferentialReplay:
         assert program.collectives_folded > 0
         assert program.collectives_live < program.collectives_captured
         assert program.n_instructions > 0
+
+    def test_most_weight_gathers_folded_on_4x4x4(self):
+        """On the paper's 64-chip torus the 16-layer WG_XY decode step
+        folds more collectives than it leaves live in the replay."""
+        config = decode_config()
+        model = ShardedTransformer(init_weights(config, seed=0),
+                                   VirtualMesh((4, 4, 4), backend="stacked"),
+                                   WG_BATCH)
+        prompt = np.random.default_rng(1).integers(
+            0, config.vocab_size, size=(16, 4))
+        logits, caches = model.prefill(prompt, 6)
+        _, program = model.capture_decode_step(np.argmax(logits, -1),
+                                               caches)
+        assert program.collectives_folded > program.collectives_live > 0
 
     def test_replay_output_not_arena_backed(self):
         """Logits survive the next replay (output is freshly allocated)."""
@@ -326,43 +338,6 @@ class TestReplaySpan:
             program.collectives_folded
         # Condensed means condensed: no per-op collective spans leaked.
         assert not [s for s in tracer.spans if s.kind == "collective"]
-
-
-class TestAutoBackend:
-    def test_resolve_heuristic(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MESH_BACKEND", raising=False)
-        assert resolve_backend("auto", 1) == "loop"
-        assert resolve_backend("auto", AUTO_BACKEND_MIN_CHIPS - 1) == "loop"
-        assert resolve_backend("auto", AUTO_BACKEND_MIN_CHIPS) == "stacked"
-        assert resolve_backend("auto", 64) == "stacked"
-        # Concrete choices pass through untouched.
-        assert resolve_backend("loop", 64) == "loop"
-        assert resolve_backend("stacked", 1) == "stacked"
-
-    def test_mesh_resolves_auto_by_size(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MESH_BACKEND", raising=False)
-        assert VirtualMesh((1, 1, 2), backend="auto").backend == "loop"
-        assert VirtualMesh((1, 2, 2), backend="auto").backend == "stacked"
-        assert VirtualMesh((2, 2, 2), backend="auto").backend == "stacked"
-
-    def test_env_override_beats_heuristic(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MESH_BACKEND", "stacked")
-        assert VirtualMesh((1, 1, 1), backend="auto").backend == "stacked"
-        monkeypatch.setenv("REPRO_MESH_BACKEND", "loop")
-        assert VirtualMesh((4, 4, 4), backend="auto").backend == "loop"
-
-    def test_env_auto_resolves_by_size(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MESH_BACKEND", "auto")
-        assert VirtualMesh((1, 1, 1)).backend == "loop"
-        assert VirtualMesh((2, 2, 2)).backend == "stacked"
-
-    def test_choices_and_validation(self):
-        assert "auto" in BACKEND_CHOICES
-        assert set(BACKENDS) < set(BACKEND_CHOICES)
-        with pytest.raises(ValueError, match="backend"):
-            VirtualMesh((1, 1, 1), backend="vectorised")
-        with pytest.raises(ValueError, match="backend"):
-            resolve_backend("vectorised", 8)
 
 
 class TestStackUnstackShards:
