@@ -16,10 +16,10 @@ the simulated substrate so every behavior is deterministic and testable:
   (diurnal curves, bursts, heavy-tailed lengths, priority mixes);
 - :mod:`~repro.cluster.autoscaler` — the SLO-aware scaling loop and the
   reversible brownout ladder;
-- :mod:`~repro.cluster.disagg` — disaggregated serving: a prefill pool
-  and a decode pool with an explicit A.1-priced KV handoff between
-  them, pool-aware autoscaling and a collapse-to-colocated brownout
-  rung;
+- :mod:`~repro.cluster.disagg` — disaggregated serving as fleet
+  topology: prefill/decode pool specs, partitions and the A.1 price of
+  the KV handoff between them (the control plane and autoscaler read
+  the pool map; an empty map means colocated);
 - :mod:`~repro.cluster.journal` — the control plane's write-ahead
   journal of typed transitions; genesis snapshot + deterministic replay
   reconstruct the control-plane state bit-identically (crash recovery);
@@ -50,6 +50,7 @@ from repro.cluster.admission import (
 )
 from repro.cluster.autoscaler import (
     BROWNOUT_LADDER,
+    DISAGG_BROWNOUT_LADDER,
     Autoscaler,
     AutoscalerPolicy,
 )
@@ -79,11 +80,6 @@ from repro.cluster.control_plane import (
     RestartSpec,
 )
 from repro.cluster.disagg import (
-    DISAGG_BROWNOUT_LADDER,
-    DisaggAutoscaler,
-    DisaggAutoscalerPolicy,
-    DisaggControlPlane,
-    DisaggPolicy,
     HandoffAborted,
     PoolPartition,
     PoolSpec,
@@ -123,8 +119,7 @@ __all__ = [
     "ClassShed", "ClusterControlPlane", "ClusterOutcome",
     "ClusterPolicy", "ClusterRequestStatus", "ClusterSubmission",
     "ControlPlaneState", "DEFAULT_CLASSES", "DISAGG_BROWNOUT_LADDER",
-    "DisaggAutoscaler", "DisaggAutoscalerPolicy", "DisaggControlPlane",
-    "DisaggPolicy", "FleetConfigError", "GroupRun", "HandoffAborted",
+    "FleetConfigError", "GroupRun", "HandoffAborted",
     "JOURNAL_KINDS", "Journal", "JournalRecord", "JournalReplayMismatch",
     "JournalTruncated", "NoHealthyReplica", "PoolPartition", "PoolSpec",
     "PriorityClass", "QueueFull", "RateLimited", "Replica",

@@ -38,6 +38,14 @@ ladder degrades service *explicitly, reversibly and in order*:
    :class:`~repro.cluster.admission.ClassShed` rejections, queued
    requests still drain).
 
+**Pooled planes.**  On a plane with prefill/decode pools
+(:mod:`repro.cluster.disagg`) the same controller scales the pools
+independently — scale-out grows the pool the token mix says is the
+bottleneck, scale-in retires from the larger pool while each keeps a
+replica — and walks :data:`DISAGG_BROWNOUT_LADDER`, which inserts
+``collapse-pools`` (merge the pools back into a colocated fleet) before
+the final shed.
+
 Each engagement and release is a typed event
 (:data:`~repro.events.BROWNOUT_STEP` /
 :data:`~repro.events.BROWNOUT_RECOVERED`) carrying its explicit
@@ -63,6 +71,12 @@ Coord = tuple[int, int, int]
 #: last-to-first).
 BROWNOUT_LADDER = ("hedge-off", "cap-output", "throughput-plan",
                    "shed-lowest")
+
+#: A pooled fleet's ladder: the base rungs with ``collapse-pools``
+#: inserted before the final shed — merging the pools is less harmful
+#: than refusing users, so it engages first.
+DISAGG_BROWNOUT_LADDER = (BROWNOUT_LADDER[:-1] + ("collapse-pools",)
+                          + BROWNOUT_LADDER[-1:])
 
 
 @dataclass(frozen=True)
@@ -148,12 +162,6 @@ class Autoscaler:
     wall time.
     """
 
-    #: The brownout rung sequence this controller walks.  Subclasses may
-    #: extend it (the disaggregated fleet appends ``collapse-pools``);
-    #: rungs the base :meth:`_engage`/:meth:`_release` do not recognize
-    #: are routed to :meth:`_engage_custom`/:meth:`_release_custom`.
-    ladder: tuple[str, ...] = BROWNOUT_LADDER
-
     def __init__(self, policy: AutoscalerPolicy | None = None):
         self.policy = policy or AutoscalerPolicy()
         self.ticks = 0
@@ -168,6 +176,8 @@ class Autoscaler:
         self._wg_streak = 0
         self._last_prefill = 0
         self._last_decode = 0
+        self._scale_prefill_mark = 0     # pooled scale-out's token marks
+        self._scale_decode_mark = 0
         self._event_cursor = 0
         self._completions: list[tuple[float, str, float]] = []
         self._brownout = _BrownoutState()
@@ -189,9 +199,7 @@ class Autoscaler:
         self._scale(plane, t, pressure, slo_breach)
         # Plan steering yields once the throughput-plan rung owns the
         # profile lever (engaging rung i leaves the ladder at level i+1).
-        steer_cap = (self.ladder.index("throughput-plan")
-                     if "throughput-plan" in self.ladder
-                     else len(self.ladder))
+        steer_cap = BROWNOUT_LADDER.index("throughput-plan")
         if self.policy.switch_plans and self._brownout.level <= steer_cap:
             self._steer_plans(plane, t)
         if self.policy.brownout:
@@ -272,24 +280,55 @@ class Autoscaler:
 
     def _scale_out(self, plane, t: float, pressure: float,
                    slo_breach: bool, n_active: int) -> None:
-        """Provision one replica (subclasses pick pool/shape)."""
+        """Provision one replica (pooled: into the bottleneck pool)."""
+        pool = self._scale_out_pool(plane) if plane.pool_of else None
         replica = plane.add_replica(self.policy.replica_shape, t,
-                                    spinup_s=self.policy.spinup_s)
+                                    spinup_s=self.policy.spinup_s,
+                                    pool=pool)
         plane.events.record(
             AUTOSCALE_DECISION, action="scale-out", t_s=t,
-            replica=replica.name, pressure=round(pressure, 3),
-            slo_breach=slo_breach, fleet=n_active + 1)
+            replica=replica.name, **({"pool": pool} if pool else {}),
+            pressure=round(pressure, 3), slo_breach=slo_breach,
+            fleet=n_active + 1)
+
+    def _scale_out_pool(self, plane) -> str:
+        """The pool doing the bottleneck phase, by the token mix since
+        the last pooled scale-out."""
+        d_prefill = plane.prefill_tokens - self._scale_prefill_mark
+        d_decode = plane.decode_tokens - self._scale_decode_mark
+        self._scale_prefill_mark = plane.prefill_tokens
+        self._scale_decode_mark = plane.decode_tokens
+        total = d_prefill + d_decode
+        if total:
+            return "prefill" if d_prefill / total >= 0.5 else "decode"
+        # No token evidence yet: grow the smaller pool (prefill on
+        # ties — new groups enter the fleet there).
+        n_p = len(plane.active_replicas(pool="prefill"))
+        n_d = len(plane.active_replicas(pool="decode"))
+        return "prefill" if n_p <= n_d else "decode"
 
     def _scale_in(self, plane, t: float, pressure: float,
                   n_active: int) -> bool:
-        """Begin draining one replica; ``False`` when none is eligible."""
+        """Begin draining one replica; ``False`` when none is eligible.
+
+        Colocated, the newest replica retires.  Pooled, the newest of
+        the larger pool (decode on ties) — never a pool's last replica.
+        """
+        pool = None
         victims = plane.active_replicas()
+        if plane.pool_of:
+            pools = {name: plane.active_replicas(pool=name)
+                     for name in ("prefill", "decode")}
+            pool = max(pools, key=lambda p: (len(pools[p]), p == "decode"))
+            victims = pools[pool]
+            if len(victims) < 2:
+                return False  # both pools at their floor: keep the fleet
         victim = victims[-1]  # LIFO: retire the newest first
         plane.begin_scale_in(victim.name, t)
         plane.events.record(
             AUTOSCALE_DECISION, action="scale-in", t_s=t,
-            replica=victim.name, pressure=round(pressure, 3),
-            fleet=n_active - 1)
+            replica=victim.name, **({"pool": pool} if pool else {}),
+            pressure=round(pressure, 3), fleet=n_active - 1)
         return True
 
     # -- plan steering ------------------------------------------------------
@@ -340,13 +379,18 @@ class Autoscaler:
                 f"for {self.policy.recover_after} ticks "
                 f"({self.policy.interval_s:g}s each)")
 
+    @staticmethod
+    def ladder_for(plane) -> tuple[str, ...]:
+        """The rung sequence this controller walks on ``plane``."""
+        return DISAGG_BROWNOUT_LADDER if plane.pool_of else BROWNOUT_LADDER
+
     def _brownout_tick(self, plane, t: float, pressure: float) -> None:
         policy = self.policy
         state = self._brownout
         at_capacity = len(plane.active_replicas()) >= policy.max_replicas
         if pressure >= policy.brownout_enter_pressure and at_capacity:
             self._calm_streak = 0
-            if state.level < len(self.ladder):
+            if state.level < len(self.ladder_for(plane)):
                 self._engage(plane, t, pressure)
         elif pressure <= policy.brownout_exit_pressure:
             self._calm_streak += 1
@@ -356,17 +400,9 @@ class Autoscaler:
         else:
             self._calm_streak = 0
 
-    def _engage_custom(self, plane, t: float, rung: str) -> None:
-        """Engage a rung the base ladder does not define (subclasses)."""
-        raise ValueError(f"unknown brownout rung {rung!r}")
-
-    def _release_custom(self, plane, t: float, rung: str) -> None:
-        """Release a rung the base ladder does not define (subclasses)."""
-        raise ValueError(f"unknown brownout rung {rung!r}")
-
     def _engage(self, plane, t: float, pressure: float) -> None:
         state = self._brownout
-        rung = self.ladder[state.level]
+        rung = self.ladder_for(plane)[state.level]
         if rung == "hedge-off":
             plane.hedging_enabled = False
         elif rung == "cap-output":
@@ -389,8 +425,8 @@ class Autoscaler:
             for name in state.shed:
                 plane.admission.set_limits(name, accept=False, now_s=t,
                                            reason=f"brownout {rung}")
-        else:
-            self._engage_custom(plane, t, rung)
+        elif rung == "collapse-pools":
+            plane.collapse_pools(t)
         state.level += 1
         state.engaged.append(rung)
         plane.events.record(
@@ -402,7 +438,7 @@ class Autoscaler:
     def _release(self, plane, t: float, pressure: float) -> None:
         state = self._brownout
         state.level -= 1
-        rung = self.ladder[state.level]
+        rung = self.ladder_for(plane)[state.level]
         if rung == "hedge-off":
             plane.hedging_enabled = True
         elif rung == "cap-output":
@@ -418,8 +454,8 @@ class Autoscaler:
                                            reason=f"brownout {rung} "
                                                   f"released")
             state.shed = ()
-        else:
-            self._release_custom(plane, t, rung)
+        elif rung == "collapse-pools":
+            plane.restore_pools(t)
         plane.events.record(
             BROWNOUT_RECOVERED, step=rung, level=state.level, t_s=t,
             pressure=round(pressure, 3))
@@ -440,12 +476,14 @@ class Autoscaler:
     def settled(self, plane) -> bool:
         """Is there nothing left for idle ticks to do?
 
-        True once the brownout ladder is fully released, no replica is
-        mid-retirement, and the fleet is back at ``min_replicas`` — the
-        fixed point an empty backlog drives the controller to.  The
-        control plane's post-run cooldown ticks until this holds.
+        True once the brownout ladder is fully released (pools split
+        again), no replica is mid-retirement, and the fleet is back at
+        ``min_replicas`` — the fixed point an empty backlog drives the
+        controller to.  The control plane's post-run cooldown ticks
+        until this holds.
         """
         return (self._brownout.level == 0
+                and not plane.pools_collapsed
                 and not plane.retiring
                 and len(plane.active_replicas())
                 <= self.policy.min_replicas)
@@ -455,8 +493,8 @@ class Autoscaler:
 
         Called by tests and the chaos checker after a run whose ladder
         engaged: hedging re-enabled, no output caps, every class
-        accepting again, and the plan profile restored.  Raises
-        ``AssertionError`` otherwise.
+        accepting again, the plan profile restored, and the pools split
+        again.  Raises ``AssertionError`` otherwise.
         """
         problems = []
         if self._brownout.level != 0:
@@ -474,6 +512,8 @@ class Autoscaler:
         if plane.target_profile == "weight-gathered" and \
                 self._brownout.saved_profile is not None:
             problems.append("throughput plan not restored")
+        if plane.pools_collapsed:
+            problems.append("pools still collapsed after recovery")
         if problems:
             raise AssertionError("brownout did not fully revert: "
                                  + "; ".join(problems))

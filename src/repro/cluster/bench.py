@@ -36,11 +36,7 @@ from repro.cluster.control_plane import (
     ClusterPolicy,
     ClusterRequestStatus,
 )
-from repro.cluster.disagg import (
-    DisaggControlPlane,
-    DisaggPolicy,
-    default_pools,
-)
+from repro.cluster.disagg import default_pools
 from repro.cluster.workload import TRACES, generate_trace
 from repro.model import init_weights, tiny_test_config
 from repro.observability.metrics import slo_summary
@@ -267,10 +263,10 @@ def _serve_disagg(trace: str, seed: int, backend: str):
     submissions = generate_trace(spec, seed,
                                  vocab_size=CHAOS_CONFIG.vocab_size)
     pools = default_pools(*DISAGG_POOL_SHAPES)
-    plane = DisaggControlPlane(
-        weights, pools, backend=backend, decode_batch=4,
+    plane = ClusterControlPlane(
+        weights, pools=pools, backend=backend, decode_batch=4,
         classes=spec.priority_classes(), costs=DISAGG_COSTS,
-        policy=DisaggPolicy(max_batch_wait_s=0.05))
+        policy=BENCH_CLUSTER_POLICY)
     outcomes = plane.serve(submissions)
     return plane, outcomes
 

@@ -73,14 +73,7 @@ from repro.cluster.control_plane import (
     ClusterSubmission,
     RestartSpec,
 )
-from repro.cluster.disagg import (
-    DisaggAutoscaler,
-    DisaggControlPlane,
-    DisaggPolicy,
-    PoolPartition,
-    PoolSpec,
-    default_pools,
-)
+from repro.cluster.disagg import PoolPartition, PoolSpec, default_pools
 from repro.cluster.journal import JournalTruncated, replay_journal
 from repro.cluster.workload import TRACES, generate_trace
 from repro.events import EventLog
@@ -136,17 +129,16 @@ class ChaosScenario:
     #: Cost model override; trace scenarios slow the virtual replicas
     #: down so the trace's bursts create real queueing pressure.
     costs: CostModel | None = None
-    #: Disaggregated serving: pool specs replace ``shapes`` and the
-    #: scenario runs on a :class:`~repro.cluster.disagg.
-    #: DisaggControlPlane` (fault plan indices follow the concatenated
-    #: prefill-then-decode replica order).
+    #: Disaggregated serving: pool specs replace ``shapes`` (fault plan
+    #: indices follow the concatenated prefill-then-decode replica
+    #: order).
     pools: tuple[PoolSpec, ...] = ()
     #: Scheduled replica process deaths: (replica name, RestartSpec).
     #: The replica crashes at ``at_s`` (failing any in-flight group over
     #: to a sibling) and rejoins after its cold/warm restart downtime.
     restarts: tuple[tuple[str, RestartSpec], ...] = ()
-    #: Heartbeat-loss windows that quarantine a whole disagg pool
-    #: (ignored for colocated scenarios).
+    #: Heartbeat-loss windows that quarantine a whole pool (pooled
+    #: scenarios only).
     partitions: tuple[PoolPartition, ...] = ()
     #: Kill the control plane itself at this virtual time; it must
     #: recover by replaying its write-ahead journal.
@@ -312,8 +304,8 @@ SCENARIOS: dict[str, ChaosScenario] = {s.name: s for s in (
                     "exactly once",
         pools=default_pools([(2, 2, 2)], [(2, 2, 2)]),
         partitions=(PoolPartition("decode", 0.02, 0.25),),
-        policy=DisaggPolicy(handoff_retries=4,
-                            handoff_backoff_base_s=0.05),
+        policy=ClusterPolicy(handoff_retries=4,
+                             handoff_backoff_base_s=0.05),
         n_requests=8,
         arrival_spacing_s=0.01,
         expect_handoffs=True,
@@ -572,10 +564,11 @@ def run_scenario(scenario: ChaosScenario | str, *, backend: str = "loop",
     weights = init_weights(CHAOS_CONFIG, seed=weights_seed)
     submissions = build_workload(scenario, seed)
     events = event_log if event_log is not None else EventLog()
-    scaler_cls = DisaggAutoscaler if scenario.pools else Autoscaler
-    autoscaler = (scaler_cls(scenario.autoscale)
+    autoscaler = (Autoscaler(scenario.autoscale)
                   if scenario.autoscale is not None else None)
-    common = dict(
+    plane = ClusterControlPlane(
+        weights, () if scenario.pools else scenario.shapes,
+        pools=scenario.pools, partitions=scenario.partitions,
         backend=backend,
         decode_batch=scenario.decode_batch,
         classes=scenario.classes,
@@ -587,12 +580,6 @@ def run_scenario(scenario: ChaosScenario | str, *, backend: str = "loop",
         autoscaler=autoscaler,
         restarts=dict(scenario.restarts),
         crash_at_s=scenario.crash_at_s)
-    if scenario.pools:
-        plane = DisaggControlPlane(weights, scenario.pools,
-                                   partitions=scenario.partitions,
-                                   **common)
-    else:
-        plane = ClusterControlPlane(weights, scenario.shapes, **common)
     outcomes = plane.serve(submissions)
     reference = reference_completions(submissions, weights,
                                       scenario.decode_batch)
@@ -629,10 +616,10 @@ def run_scenario(scenario: ChaosScenario | str, *, backend: str = "loop",
     handoffs = events.of_kind("kv_handoff")
     report.kv_handoffs = len(handoffs)
     report.kv_handoff_bytes = sum(e["bytes"] for e in handoffs)
-    report.handoffs_colocated = getattr(plane, "handoffs_colocated", 0)
-    report.handoff_retries = getattr(plane, "handoff_retries", 0)
-    report.handoff_aborts = getattr(plane, "handoff_aborts", 0)
-    report.handoff_dup_drops = getattr(plane, "handoff_dups_dropped", 0)
+    report.handoffs_colocated = plane.handoffs_colocated
+    report.handoff_retries = plane.handoff_retries
+    report.handoff_aborts = plane.handoff_aborts
+    report.handoff_dup_drops = plane.handoff_dups_dropped
     report.restarts = plane.restarts
     report.recoveries = plane.recoveries
     report.quarantines = len(events.of_kind("pool_quarantined"))

@@ -24,6 +24,12 @@ scope:
   straggler threshold, the group is re-dispatched to a second replica
   and the first completion wins; both streams are asserted bit-identical
   before the winner is taken.
+* **Pools** — with ``pools=`` (:mod:`repro.cluster.disagg`) the fleet
+  splits into a prefill pool and a decode pool: new groups prefill in
+  the prefill pool, then the finished KV caches move to a decode
+  replica in a transactional, A.1-priced handoff.  The pool map
+  (``pool_of``) is empty on a colocated plane, where every replica runs
+  both phases.
 
 Time is *virtual* throughout: every model invocation charges its
 :class:`~repro.serving.resilient.CostModel` cost (scaled by replica
@@ -50,6 +56,13 @@ from repro.cluster.admission import (
     NoHealthyReplica,
     PriorityClass,
 )
+from repro.cluster.disagg import (
+    FleetConfigError,
+    HandoffAborted,
+    PoolPartition,
+    PoolSpec,
+    handoff_transfer_s,
+)
 from repro.cluster.journal import (
     ControlPlaneState,
     Journal,
@@ -64,6 +77,15 @@ from repro.events import (
     FAILOVER,
     FAULT_DETECTED,
     HEDGE,
+    KV_HANDOFF,
+    KV_HANDOFF_ABORTED,
+    KV_HANDOFF_DEDUPED,
+    KV_HANDOFF_PREPARED,
+    KV_HANDOFF_RETRIED,
+    POOL_QUARANTINED,
+    POOL_REJOINED,
+    POOLS_COLLAPSED,
+    POOLS_RESTORED,
     REPLICA_ADDED,
     REPLICA_REJOINED,
     REPLICA_REMOVED,
@@ -74,6 +96,7 @@ from repro.events import (
 )
 from repro.mesh.faults import FaultPlan, MeshFault, ReplicaCrashed
 from repro.observability.spans import Tracer
+from repro.serving.backoff import jittered_backoff_s
 from repro.serving.engine import Completion, Request
 from repro.serving.resilient import CostModel, ResilientRequest
 
@@ -106,6 +129,12 @@ class ClusterPolicy:
     #: Per-replica prefix-cache capacity in pages; 0 disables the
     #: stores entirely (prefills always recompute).
     kvstore_pages: int = 256
+    #: Pooled fleets: how many times a failed KV handoff transfer is
+    #: retried (seeded jittered exponential backoff from
+    #: ``handoff_backoff_base_s``) before the transaction aborts to
+    #: re-prefill.  0 aborts on the first fault.
+    handoff_retries: int = 2
+    handoff_backoff_base_s: float = 0.01
 
 
 @dataclass(frozen=True)
@@ -172,14 +201,6 @@ class ClusterOutcome:
 class _PendingGroup:
     wrapped: list[ResilientRequest]
     submissions: list[ClusterSubmission]
-
-
-class FleetConfigError(ValueError):
-    """Invalid fleet topology: duplicate replica names, name/shape arity
-    mismatches, empty pools, or overlapping pool membership.  Raised at
-    construction time — a misconfigured fleet never serves a request —
-    mirroring :class:`~repro.mesh.faults.FaultPlan`'s eager validation.
-    """
 
 
 @dataclass(frozen=True)
@@ -249,9 +270,18 @@ class _JournaledCaps(dict):
 
 
 class ClusterControlPlane:
-    """N heterogeneous mesh replicas behind one admission front end."""
+    """N heterogeneous mesh replicas behind one admission front end.
 
-    def __init__(self, weights, shapes: Sequence[Coord], *,
+    A colocated fleet is ``ClusterControlPlane(weights, shapes)``; a
+    disaggregated one is ``ClusterControlPlane(weights, pools=...,
+    partitions=...)``.  Pooled replicas are numbered pools-in-order
+    (prefill pool first), so ``fault_plans`` indices and replica names
+    line up with the concatenated shape list.
+    """
+
+    def __init__(self, weights, shapes: Sequence[Coord] = (), *,
+                 pools: Sequence[PoolSpec] = (),
+                 partitions: Sequence[PoolPartition] = (),
                  backend: str | None = None, decode_batch: int = 4,
                  classes: Sequence[PriorityClass] = DEFAULT_CLASSES,
                  fault_plans: Mapping[int, FaultPlan] | None = None,
@@ -266,24 +296,23 @@ class ClusterControlPlane:
                  autoscaler=None,
                  journal: Journal | None = None,
                  restarts: Mapping[str, RestartSpec] | None = None,
-                 crash_at_s: float | None = None,
-                 names: Sequence[str] | None = None):
+                 crash_at_s: float | None = None):
+        pools = tuple(pools)
+        if pools:
+            if shapes:
+                raise FleetConfigError("pass replica shapes or pools, "
+                                       "not both")
+            if sorted(p.name for p in pools) != ["decode", "prefill"]:
+                raise FleetConfigError(
+                    f"need exactly one 'prefill' and one 'decode' pool, "
+                    f"got {[p.name for p in pools]}")
+            shapes = [shape for spec in pools for shape in spec.shapes]
+        elif partitions:
+            raise FleetConfigError("pool partitions need pools")
         if not shapes:
             raise ValueError("a cluster needs at least one replica")
         if step_threads < 0:
             raise ValueError("step_threads must be >= 0")
-        if names is None:
-            names = [f"r{i}" for i in range(len(shapes))]
-        else:
-            names = list(names)
-            if len(names) != len(shapes):
-                raise FleetConfigError(
-                    f"{len(names)} replica names for {len(shapes)} "
-                    f"shapes")
-            dupes = {n for n in names if names.count(n) > 1}
-            if dupes:
-                raise FleetConfigError(
-                    f"duplicate replica names: {sorted(dupes)}")
         self.costs = costs or CostModel()
         self.policy = policy or ClusterPolicy()
         self.events = event_log if event_log is not None else EventLog()
@@ -304,14 +333,14 @@ class ClusterControlPlane:
         self.trace_mesh = trace_mesh
         self.prompt_len_hint = prompt_len_hint
         self.replicas = [
-            Replica(name, weights, shape, backend=backend,
+            Replica(f"r{i}", weights, shape, backend=backend,
                     decode_batch=decode_batch,
                     fault_plan=fault_plans.get(i), costs=self.costs,
                     event_log=self.events, tracer=self.tracer,
                     trace_mesh=trace_mesh,
                     prompt_len_hint=prompt_len_hint,
                     kvstore_pages=self.policy.kvstore_pages)
-            for i, (name, shape) in enumerate(zip(names, shapes))]
+            for i, shape in enumerate(shapes)]
         self.breakers = {
             r.name: CircuitBreaker(
                 r.name, failure_threshold=self.policy.breaker_failures,
@@ -375,6 +404,31 @@ class ClusterControlPlane:
         # 0 keeps the legacy serial path everywhere.
         self.step_threads = step_threads
         self._pool: ThreadPoolExecutor | None = None
+        # Disaggregated pools: replica name -> pool name.  Empty means
+        # colocated — every replica runs both phases, no KV handoff.
+        self.pool_specs = {spec.name: spec for spec in pools}
+        members = [spec.name for spec in pools for _ in spec.shapes]
+        self.pool_of: dict[str, str] = {
+            r.name: pool for r, pool in zip(self.replicas, members)}
+        self.pools_collapsed = False
+        self.partitions = tuple(partitions)
+        self._partition_active = [False] * len(self.partitions)
+        self.quarantined: set[str] = set()
+        self._pool_fallback_noted = False
+        self.kv_handoffs = 0
+        self.kv_handoff_bytes = 0
+        self.kv_handoff_bytes_saved = 0  # prefix pages the target held
+        self.kv_pages_adopted = 0     # source pages registered on targets
+        self.handoffs_colocated = 0   # no decode target: decoded in place
+        self.handoff_retries = 0
+        self.handoff_aborts = 0
+        self.handoff_dups_dropped = 0
+        #: Groups whose KV pages reached the decode side even though the
+        #: transfer ack was lost — the retransmit dedups against this.
+        self._handoff_delivered: set[int] = set()
+        if pools:
+            for replica in self.replicas:
+                self._steer_to_pool(replica, 0.0)
 
     def _step_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
@@ -420,14 +474,12 @@ class ClusterControlPlane:
         Journaling is proved complete by equality:
         ``replay_journal(self.journal) == self.control_state()`` after
         every run (the chaos harness asserts it; recovery relies on it).
-        The disagg-only fields fall back to their defaults on the
-        colocated plane via ``getattr``.
         """
         accepting = self.admission._accepting
         return ControlPlaneState(
             journal_seq=self.journal.next_seq,
             replicas=tuple(sorted(r.name for r in self.replicas)),
-            pools=tuple(sorted(getattr(self, "pool_of", {}).items())),
+            pools=tuple(sorted(self.pool_of.items())),
             retiring=tuple(sorted(self.retiring)),
             removed=tuple(sorted(self.replica_removed_s)),
             pending_drains=tuple(sorted(self._drains.items())),
@@ -443,10 +495,10 @@ class ClusterControlPlane:
             hedges=self.hedges,
             restarts=self.restarts,
             recoveries=self.recoveries,
-            kv_handoffs=getattr(self, "kv_handoffs", 0),
-            handoff_retries=getattr(self, "handoff_retries", 0),
-            handoff_aborts=getattr(self, "handoff_aborts", 0),
-            handoff_dup_drops=getattr(self, "handoff_dups_dropped", 0),
+            kv_handoffs=self.kv_handoffs,
+            handoff_retries=self.handoff_retries,
+            handoff_aborts=self.handoff_aborts,
+            handoff_dup_drops=self.handoff_dups_dropped,
             kv_page_leases=self.kv_page_leases,
             kv_page_releases=self.kv_page_releases,
             kv_pages_leased=self.kv_pages_leased,
@@ -456,8 +508,8 @@ class ClusterControlPlane:
             target_profile=self._target_profile,
             shed_classes=tuple(sorted(
                 c for c, ok in accepting.items() if not ok)),
-            pools_collapsed=getattr(self, "pools_collapsed", False),
-            quarantined=tuple(sorted(getattr(self, "quarantined", ()))),
+            pools_collapsed=self.pools_collapsed,
+            quarantined=tuple(sorted(self.quarantined)),
         )
 
     def _crash_and_recover(self, t: float) -> None:
@@ -493,9 +545,47 @@ class ClusterControlPlane:
     # -- replica selection --------------------------------------------------
 
     def _heartbeat_all(self, now_s: float) -> None:
+        self._update_partitions(now_s)
         self._fire_idle_restarts(now_s)
         for replica in self.replicas:
             replica.heartbeat(now_s)
+
+    def _update_partitions(self, now_s: float) -> None:
+        """Quarantine / re-admit pool members as partition windows move.
+
+        A quarantined replica is unreachable, not dead: its process and
+        caches are fine, the control plane just cannot dispatch to it
+        (or hand KV pages to it) until heartbeats resume.  Both edges
+        are journaled, so replay reconstructs the quarantine set.
+        """
+        for i, part in enumerate(self.partitions):
+            active = part.at_s <= now_s < part.until_s
+            if active and not self._partition_active[i]:
+                self._partition_active[i] = True
+                members = sorted(
+                    r.name for r in self.replicas
+                    if self.pool_of[r.name] == part.pool
+                    and r.name not in self.quarantined)
+                self.quarantined.update(members)
+                self._journal("quarantine", t_s=now_s, pool=part.pool,
+                              replicas=members)
+                self.events.record(POOL_QUARANTINED, pool=part.pool,
+                                   replicas=members, t_s=now_s,
+                                   until_s=part.until_s)
+                self.tracer.mark(f"pool-quarantined:{part.pool}",
+                                 replicas=members)
+            elif not active and self._partition_active[i] and \
+                    now_s >= part.until_s:
+                self._partition_active[i] = False
+                held = sorted(n for n in self.quarantined
+                              if self.pool_of[n] == part.pool)
+                self.quarantined.difference_update(held)
+                self._journal("pool_rejoin", t_s=now_s, pool=part.pool,
+                              replicas=held)
+                self.events.record(POOL_REJOINED, pool=part.pool,
+                                   replicas=held, t_s=now_s)
+                self.tracer.mark(f"pool-rejoined:{part.pool}",
+                                 replicas=held)
 
     def _fire_idle_restarts(self, now_s: float) -> None:
         """Fire scheduled process deaths on replicas with no group.
@@ -542,22 +632,41 @@ class ClusterControlPlane:
                            mode=mode, t_s=t, ready_s=ready)
         self.tracer.mark(f"restart:{replica.name}", mode=mode)
 
-    def _phase_candidates(self, phase: str) -> list[Replica]:
+    def _phase_candidates(self, phase: str,
+                          fallback: bool = True) -> list[Replica]:
         """Replicas eligible to serve ``phase`` ("prefill"/"decode"/"any").
 
-        The base plane is colocated — every replica runs both phases —
-        so the phase is ignored here.  The disaggregated plane
-        (:mod:`repro.cluster.disagg`) overrides this to route each phase
-        to its pool.
+        Colocated, or with the pools collapsed, every reachable replica
+        runs both phases; pooled, each phase goes to its pool.
+        Quarantined replicas (pool partition) are unreachable either
+        way.  A pool with no dispatchable member degrades to colocated
+        routing — the other pool can run both phases, on its own plans —
+        unless ``fallback`` is off: a KV handoff lands in the decode
+        pool or not at all.
         """
-        return self.replicas
+        if not self.pool_of:
+            return self.replicas
+        live = [r for r in self.replicas
+                if r.name not in self.quarantined]
+        if self.pools_collapsed or phase == "any":
+            return live
+        members = [r for r in live if self.pool_of[r.name] == phase]
+        if fallback and not any(r.dispatchable for r in members):
+            # The pool is lost (dead / draining / not yet provisioned):
+            # degrade to colocated routing rather than refuse service.
+            if not self._pool_fallback_noted:
+                self._pool_fallback_noted = True
+                self.tracer.mark(f"pool-fallback:{phase}",
+                                 pool=phase, phase=phase)
+            return live
+        return members
 
     def _pick_replica(self, now_s: float, request_id: int,
                       priority_class: str,
                       exclude: Replica | None = None,
                       phase: str = "any",
-                      prompt=None) -> Replica:
-        candidates = [r for r in self._phase_candidates(phase)
+                      prompt=None, fallback: bool = True) -> Replica:
+        candidates = [r for r in self._phase_candidates(phase, fallback)
                       if r.dispatchable
                       and self.breakers[r.name].allow(now_s)]
         if exclude is not None and len(candidates) > 1:
@@ -592,10 +701,12 @@ class ClusterControlPlane:
 
     # -- fleet management (the autoscaler's levers) --------------------------
 
-    def active_replicas(self) -> list[Replica]:
-        """Dispatchable replicas not being scaled in."""
+    def active_replicas(self, pool: str | None = None) -> list[Replica]:
+        """Dispatchable replicas not being scaled in, optionally one
+        pool's."""
         return [r for r in self.replicas
-                if r.dispatchable and r.name not in self.retiring]
+                if r.dispatchable and r.name not in self.retiring
+                and (pool is None or self.pool_of.get(r.name) == pool)]
 
     def add_replica(self, shape: Coord, now_s: float, *,
                     spinup_s: float = 0.0,
@@ -605,10 +716,12 @@ class ClusterControlPlane:
         The new replica becomes dispatchable after ``spinup_s`` of
         simulated provisioning (weight sharding, process start) — its
         ``busy_until_s`` models the warm-up, so the least-busy dispatch
-        naturally avoids it until it is ready.  ``pool`` is recorded in
-        the journal for the disaggregated plane's membership bookkeeping
-        (the colocated base plane ignores it otherwise).
+        naturally avoids it until it is ready.  A pooled plane needs the
+        ``pool`` it joins (its profiles apply at construction); a
+        colocated plane takes none.
         """
+        if pool not in (tuple(self.pool_specs) or (None,)):
+            raise ValueError(f"unknown pool {pool!r}")
         taken = {r.name for r in self.replicas} | \
             {r.name for r in self.retired} | set(self.replica_removed_s)
         name = f"r{self._replica_seq}"
@@ -636,6 +749,9 @@ class ClusterControlPlane:
                            shape=tuple(shape), t_s=now_s,
                            spinup_s=spinup_s)
         self.tracer.mark(f"scale-out:{name}", shape=tuple(shape))
+        if pool is not None:
+            self.pool_of[name] = pool
+            self._steer_to_pool(replica, now_s)
         return replica
 
     def begin_scale_in(self, name: str, now_s: float) -> None:
@@ -697,16 +813,35 @@ class ClusterControlPlane:
             self.autoscaler.maybe_tick(self, now_s)
 
     def _apply_profile(self, replica: Replica, t: float) -> float:
-        """Steer ``replica`` to the target decode profile at dispatch.
+        """Steer ``replica``'s plans at dispatch; returns the switch cost.
 
-        Plan switches happen only at group boundaries (never mid-decode,
-        the KV layout must stay put) and charge ``plan_switch_s``.
+        Pooled, the replica goes to its pool's profiles (after a
+        degraded replan reset it to ``balanced``, this is where they
+        come back); colocated or collapsed, to the target decode
+        profile.  Plan switches happen only at group boundaries (never
+        mid-decode, the KV layout must stay put) and charge
+        ``plan_switch_s``.
         """
-        desired = self.target_profile or "balanced"
-        if replica.profile != desired and \
-                replica.switch_profile(desired, t):
-            return self.policy.plan_switch_s
-        return 0.0
+        if self.pool_of and not self.pools_collapsed:
+            switched = self._steer_to_pool(replica, t)
+        else:
+            desired = self.target_profile or "balanced"
+            switched = replica.profile != desired and \
+                replica.switch_profile(desired, t)
+        return self.policy.plan_switch_s if switched else 0.0
+
+    def _steer_to_pool(self, replica: Replica, t: float) -> bool:
+        """Switch a pooled replica's prefill and decode plans to its
+        pool's profiles; ``True`` if either moved."""
+        spec = self.pool_specs[self.pool_of[replica.name]]
+        switched = False
+        if replica.prefill_profile != spec.prefill_profile and \
+                replica.switch_prefill_profile(spec.prefill_profile, t):
+            switched = True
+        if replica.profile != spec.decode_profile and \
+                replica.switch_profile(spec.decode_profile, t):
+            switched = True
+        return switched
 
     # -- serving ------------------------------------------------------------
 
@@ -876,20 +1011,22 @@ class ClusterControlPlane:
                                 len(r.prompt) for r in run.group)
                             if first_token_s is None:
                                 first_token_s = t
-                            # Phase boundary: the disaggregated plane's
-                            # KV handoff happens here (may raise a
-                            # MeshFault -> the failover path below).
-                            prev_run = run
-                            prev = run.replica.name
-                            run, t = self._after_prefill(run, t, gid)
-                            if run.replica.name != prev:
-                                self._running.discard(prev)
-                                self._running.add(run.replica.name)
-                            if run is not prev_run:
-                                # Handed off: the target holds its own
-                                # copy (and adopted the shared pages);
-                                # the prefill-side pins drop.
-                                self._release_leases(prev_run, t, gid)
+                            pool = self.pool_of.get(run.replica.name)
+                            if pool == "prefill" and \
+                                    not self.pools_collapsed:
+                                # Phase boundary: the KV handoff to the
+                                # decode pool (may raise a MeshFault ->
+                                # the failover path below).
+                                prev_run = run
+                                run, t = self._handoff(run, t, gid)
+                                if run is not prev_run:
+                                    # Handed off: the target holds its
+                                    # own copy (and adopted the shared
+                                    # pages); the prefill-side pins drop.
+                                    self._running.discard(
+                                        prev_run.replica.name)
+                                    self._running.add(run.replica.name)
+                                    self._release_leases(prev_run, t, gid)
                         slow_steps = 0
                         while not run.done:
                             drained = self._maybe_drain(run, t)
@@ -999,19 +1136,255 @@ class ClusterControlPlane:
             self._running.discard(run.replica.name)
             self._release_leases(run, t, gid)
 
-    # -- fault / drain / hedge handling ------------------------------------
+    # -- the KV handoff (pooled planes) -------------------------------------
 
-    def _after_prefill(self, run: GroupRun, t: float,
-                       gid: int) -> tuple[GroupRun, float]:
-        """Hook between a group's prefill and its decode loop.
-
-        The colocated base plane decodes where it prefilled, so this is
-        the identity.  The disaggregated plane overrides it to hand the
-        finished KV caches to a decode-pool replica (and may raise a
-        :class:`~repro.mesh.faults.MeshFault`, which the caller's
-        failover handler turns into a re-prefill).
-        """
+    def _colocate(self, run: GroupRun, t: float, gid: int,
+                  reason: str) -> tuple[GroupRun, float]:
+        """Give up on handing off: decode in place on the prefill
+        replica (a degrade path, not a fault)."""
+        self.handoffs_colocated += 1
+        self.tracer.mark(f"handoff-colocated:{run.replica.name}",
+                         group=gid, reason=reason)
         return run, t
+
+    def _uncached_bytes(self, run: GroupRun,
+                        target: Replica) -> tuple[int, int]:
+        """Split the handoff payload into (uncached, already-cached) bytes.
+
+        The Mooncake-style pricing: prefix pages the *target's* store
+        already holds need not cross the link — only the uncached
+        remainder is transferred.  Matched tokens are measured by a pure
+        ``peek`` per request against the target store.
+        """
+        total = run.kv_cache_bytes()
+        if target.kvstore is None:
+            return total, 0
+        per_token = sum(
+            2 * cache.global_shape[2] * cache.global_shape[3]
+            * np.dtype(cache.dtype).itemsize
+            for cache in run.caches)
+        matched = sum(target.kvstore.peek(request.prompt)
+                      for request in run.group)
+        saved = min(matched * per_token, total)
+        return total - saved, saved
+
+    def _adopt_pages(self, run: GroupRun, source: Replica,
+                     target: Replica, t: float, gid: int) -> None:
+        """Register the source's prefix pages on the target store.
+
+        Adoption is by reference (sealed pages are immutable), so later
+        prompts sharing the prefix hit on the decode side too and the
+        next handoff of the same prefix prices at zero.  No journal
+        record: adoption only seeds a cache — losing it costs recompute,
+        never correctness — unlike leases, which pin memory.
+        """
+        if source.kvstore is None or target.kvstore is None:
+            return
+        adopted = 0
+        for request in run.group:
+            pages = source.kvstore.lookup_pages(request.prompt)
+            if pages:
+                adopted += target.kvstore.adopt(request.prompt, pages)
+        if adopted:
+            self.kv_pages_adopted += adopted
+            self.tracer.mark(
+                f"page-adopt:{source.name}->{target.name}",
+                group=gid, pages=adopted)
+
+    def _handoff_target(self, t: float, run: GroupRun) -> Replica | None:
+        """The decode-pool replica to hand ``run`` to, if any is
+        reachable (never another prefill replica)."""
+        try:
+            return self._pick_replica(t, run.group[0].request_id,
+                                      "default", phase="decode",
+                                      fallback=False)
+        except NoHealthyReplica:
+            return None
+
+    def _handoff(self, run: GroupRun, t: float,
+                 gid: int) -> tuple[GroupRun, float]:
+        """Hand the group's finished KV caches to a decode replica —
+        transactionally.
+
+        The Section 4.4 prefill-server -> decode-server transfer as a
+        prepare/commit transaction.  **Prepare** stages the merged
+        caches host-side (:meth:`GroupRun.migrate_to` — Section 4.4's
+        host-mediated path), so the staged pages stay valid however the
+        source mesh changes afterwards.  **Commit** drives the transfer:
+        the source's fault clock advances one ``"handoff"`` phase step,
+        and any fault there — source chips lost, the transfer ack lost,
+        the decode pool partitioned — is *retried* with seeded jittered
+        exponential backoff (``jittered_backoff_s``, keyed by the group
+        id) after a source heartbeat replans around whatever died.  The
+        retransmit path dedups: if the pages already landed (ack lost
+        after delivery), the duplicate is dropped on the decode side and
+        the commit proceeds — the journal's prepare/retry/commit records
+        are what the auditor replays to certify exactly-once delivery.
+        Only an exhausted retry budget raises :class:`HandoffAborted`
+        into the failover path (re-prefill in the prefill pool).
+
+        Committed decode starts at ``max(prefill_end + transfer,
+        target_busy)`` — the A.1-priced transfer overlaps whatever the
+        decode replica is already running.  No decode target (or a plan
+        that cannot host the batch) degrades to decoding in place,
+        unless the pool is merely partitioned — then the transaction
+        waits it out instead of wasting the prefill.
+        """
+        source = run.replica
+        policy = self.policy
+        n_bytes = run.kv_cache_bytes()
+        self._journal("handoff_prepare", t_s=t, group=gid,
+                      source=source.name, bytes=n_bytes)
+        self.events.record(KV_HANDOFF_PREPARED, group=gid,
+                           source=source.name, bytes=n_bytes, t_s=t)
+        budget = max(policy.handoff_retries, 0)
+        attempts = budget + 1
+        target: Replica | None = None
+        new_run: GroupRun | None = None
+        for attempt in range(1, attempts + 1):
+            self._update_partitions(t)
+            failure = None
+            if target is not None and target.name in self.quarantined:
+                target = None     # partition opened mid-backoff:
+                new_run = None    # re-pick (and re-stage) after it heals
+            if target is None:
+                target = self._handoff_target(t, run)
+                if target is None:
+                    if self.quarantined:
+                        # The decode pool is partitioned, not gone: the
+                        # staged pages are fine, wait out the window.
+                        failure = "decode-pool-partitioned"
+                    else:
+                        return self._colocate(run, t, gid,
+                                              "no decode target")
+            if failure is None and new_run is None:
+                try:
+                    new_run = run.migrate_to(target)
+                except ValueError:
+                    # The target's plan cannot host this batch (weight-
+                    # gathered batch-group divisibility): not a fault,
+                    # just decode here.
+                    return self._colocate(run, t, gid,
+                                          "migration refused")
+            if failure is None:
+                # Commit: the source drives the transfer — advance its
+                # fault clock one "handoff" phase step so chaos can
+                # fault exactly here.
+                source.advance("handoff")
+                state = source.fault_state
+                if state is not None and state.dead_chips:
+                    failure = "source-chips-lost"
+                elif state is not None and \
+                        state.take_transfer_fault("handoff") is not None:
+                    # The pages landed but the ack was lost: the decode
+                    # side holds them; the retransmit must dedup.
+                    self._handoff_delivered.add(gid)
+                    failure = "ack-lost"
+            if failure is None:
+                if gid in self._handoff_delivered:
+                    self.handoff_dups_dropped += 1
+                    self._journal("handoff_dup", t_s=t, group=gid)
+                    self.events.record(KV_HANDOFF_DEDUPED, group=gid,
+                                       target=target.name, t_s=t)
+                    self.tracer.mark(f"handoff-dedup:{target.name}",
+                                     group=gid)
+                # Prefix pages the target's store already holds stay
+                # put — only the uncached remainder is priced on the
+                # A.1 link (storage traded for transfer, the Mooncake
+                # recipe applied to the handoff).
+                uncached, saved = self._uncached_bytes(run, target)
+                transfer_s = handoff_transfer_s(uncached)
+                # The source is occupied until the transfer completes
+                # (a drain or scale-in of it waits at least that long);
+                # the target keeps decoding its current work — overlap
+                # comes from starting at whichever of transfer-done /
+                # target-free is later.
+                source.busy_until_s = t + transfer_s
+                decode_start = max(t + transfer_s, target.busy_until_s)
+                self.kv_handoffs += 1
+                self.kv_handoff_bytes += uncached
+                self.kv_handoff_bytes_saved += saved
+                self._journal("handoff_commit", t_s=t, group=gid,
+                              source=source.name, target=target.name,
+                              attempt=attempt)
+                self.events.record(
+                    KV_HANDOFF, group=gid, source=source.name,
+                    target=target.name, bytes=uncached,
+                    bytes_saved=saved,
+                    transfer_s=transfer_s, t_s=t,
+                    decode_start_s=decode_start, attempts=attempt,
+                    overlapped_s=max(
+                        target.busy_until_s - (t + transfer_s), 0.0))
+                self.tracer.mark(
+                    f"kv-handoff:{source.name}->{target.name}",
+                    group=gid, bytes=uncached, transfer_s=transfer_s)
+                # Post-commit: seed the decode side's store so the next
+                # shared-prefix handoff prices (and routes) even better.
+                self._adopt_pages(run, source, target, t, gid)
+                return new_run, decode_start
+            if attempt == attempts:
+                self.handoff_aborts += 1
+                self._journal("handoff_abort", t_s=t, group=gid,
+                              reason=failure, budget=budget)
+                self.events.record(KV_HANDOFF_ABORTED, group=gid,
+                                   source=source.name, reason=failure,
+                                   retries=budget, t_s=t)
+                source.busy_until_s = t
+                raise HandoffAborted(
+                    f"KV handoff for group {gid} gave up after "
+                    f"{budget} retries ({failure}); re-prefilling")
+            self.handoff_retries += 1
+            # Seeded jitter: the backoff's default jitter (0.5) and seed
+            # (0), keyed by the group so concurrent retries spread out.
+            backoff = jittered_backoff_s(
+                attempt, base_s=policy.handoff_backoff_base_s, key=gid)
+            self._journal("handoff_retry", t_s=t, group=gid,
+                          attempt=attempt, reason=failure,
+                          backoff_s=backoff)
+            self.events.record(KV_HANDOFF_RETRIED, group=gid,
+                               source=source.name, attempt=attempt,
+                               reason=failure, backoff_s=backoff, t_s=t)
+            self.tracer.mark(f"handoff-retry:{source.name}", group=gid,
+                             attempt=attempt, reason=failure)
+            t += backoff
+            self._set_now(t)
+            source.busy_until_s = t
+            # Replan around whatever died before the retransmit; the
+            # staged pages (prepare) stay valid across the replan.
+            source.heartbeat(t)
+        raise AssertionError("unreachable: handoff loop neither "
+                             "committed nor aborted")
+
+    # -- collapse-to-colocated ----------------------------------------------
+
+    def collapse_pools(self, now_s: float) -> bool:
+        """Merge the pools: any replica serves any phase (brownout rung).
+
+        Routing reverts to colocated least-busy dispatch and the handoff
+        is suspended; replicas keep their current plans until the
+        colocated profile rules re-steer them at dispatch.  Reversible
+        via :meth:`restore_pools`; a no-op on a colocated plane.
+        """
+        if self.pools_collapsed or not self.pool_of:
+            return False
+        self.pools_collapsed = True
+        self._journal("pools", t_s=now_s, collapsed=True)
+        self.events.record(POOLS_COLLAPSED, t_s=now_s)
+        self.tracer.mark("pools-collapsed")
+        return True
+
+    def restore_pools(self, now_s: float) -> bool:
+        """Reverse :meth:`collapse_pools`: pool routing and handoffs
+        resume; pool profiles re-apply at each replica's next dispatch."""
+        if not self.pools_collapsed:
+            return False
+        self.pools_collapsed = False
+        self._journal("pools", t_s=now_s, collapsed=False)
+        self.events.record(POOLS_RESTORED, t_s=now_s)
+        self.tracer.mark("pools-restored")
+        return True
+
+    # -- fault / drain / hedge handling ------------------------------------
 
     def _note_leases(self, run: GroupRun, t: float, gid: int) -> None:
         """Journal the page leases ``run``'s prefill just pinned.

@@ -104,8 +104,8 @@ class Replica:
         self.busy_until_s = 0.0
         # Decode-plan profile the autoscaler steers (see switch_profile):
         # "balanced" is the selector's own pick.  The prefill profile is
-        # steered separately by the disaggregated prefill pool (see
-        # switch_prefill_profile / repro.cluster.disagg).
+        # steered separately by a pooled control plane's prefill pool
+        # (see switch_prefill_profile / ClusterControlPlane(pools=...)).
         self.profile = "balanced"
         self.prefill_profile = "balanced"
         self.prompt_len_hint = prompt_len_hint
@@ -300,8 +300,9 @@ class Replica:
     def switch_prefill_profile(self, profile: str, now_s: float) -> bool:
         """Move the *prefill* model to one end of the Pareto frontier.
 
-        The prefill counterpart of :meth:`switch_profile`, steered by the
-        disaggregated prefill pool (:mod:`repro.cluster.disagg`):
+        The prefill counterpart of :meth:`switch_profile`, steered by a
+        pooled control plane's prefill pool (``ClusterControlPlane(
+        pools=...)``, specs in :mod:`repro.cluster.disagg`):
         ``"balanced"`` is the selector's own pick and
         ``"weight-stationary"`` prefers the 2D weight-stationary layout
         of Section 3.2.2.  Only the prefill model is rebuilt — the decode

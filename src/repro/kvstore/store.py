@@ -25,8 +25,8 @@ recompute path on every backend and across mesh shapes — asserted by
 the differential tests.  ``invalidate`` mirrors the step compiler:
 restarts and replans drop the index (an epoch bump); leases taken
 before the bump release as no-ops (``stale_releases``).  ``adopt``
-registers another store's pages by reference (the disaggregated
-handoff's Mooncake-style shared store).
+registers another store's pages by reference (the pooled control
+plane's KV handoff to a decode replica: a Mooncake-style shared store).
 """
 
 from __future__ import annotations

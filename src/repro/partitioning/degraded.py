@@ -188,9 +188,10 @@ def select_prefill_profile_plan(config: ModelConfig, torus: Torus3D,
                                 weight_gathered: bool) -> LayoutPlan:
     """The best valid *prefill* plan on one side of the Pareto frontier.
 
-    The disaggregated prefill pool (see :mod:`repro.cluster.disagg`)
-    wants the paper's prefill-side frontier end: token-rich prefill
-    favors the 2D weight-stationary FFN (Section 3.2.2, communication
+    A pooled control plane's prefill pool (``ClusterControlPlane(
+    pools=...)``, specs in :mod:`repro.cluster.disagg`) wants the
+    paper's prefill-side frontier end: token-rich prefill favors the 2D
+    weight-stationary FFN (Section 3.2.2, communication
     ``O(sqrt(n))`` per token) with head-sharded attention (prefill's KV
     writes stay head-sharded, Section 3.3).  Prefill runs one request at
     a time here, so only plans whose batch group divides 1 qualify —

@@ -52,6 +52,8 @@ class FakePlane:
         self.target_profile = "weight-stationary"
         self.prefill_tokens = 0
         self.decode_tokens = 0
+        self.pool_of = {}                # colocated: no pools
+        self.pools_collapsed = False
 
     def active_replicas(self):
         return list(self._active)
@@ -59,7 +61,7 @@ class FakePlane:
     def reap_retiring(self, now_s):
         self.retiring.clear()
 
-    def add_replica(self, shape, now_s, spinup_s=0.0):
+    def add_replica(self, shape, now_s, spinup_s=0.0, pool=None):
         replica = FakeReplica(f"scale{self._counter}")
         self._counter += 1
         self._active.append(replica)

@@ -2,8 +2,9 @@
 
 Covers the cross-pool handoff contract (typed events, A.1-priced
 transfer, overlap scheduling), the degrade paths (no decode target,
-migration refused, draining target, mid-handoff chip kill), the
-collapse-to-colocated brownout rung, pool-aware scaling, and the
+migration refused, draining target, mid-handoff chip kill, a handoff
+never landing on another prefill replica), the collapse-to-colocated
+brownout rung, pool-aware scaling by the one autoscaler, and the
 invariants everything in ``repro.cluster`` promises: bit-identical
 completions, zero drops, capture programs surviving handoffs, and
 seed determinism.
@@ -12,6 +13,12 @@ seed determinism.
 import numpy as np
 import pytest
 
+from repro.cluster.autoscaler import (
+    BROWNOUT_LADDER,
+    DISAGG_BROWNOUT_LADDER,
+    Autoscaler,
+    AutoscalerPolicy,
+)
 from repro.cluster.chaos import (
     CHAOS_CONFIG,
     NEW_TOKENS,
@@ -28,11 +35,8 @@ from repro.cluster.control_plane import (
     FleetConfigError,
 )
 from repro.cluster.disagg import (
-    DISAGG_BROWNOUT_LADDER,
-    DisaggAutoscaler,
-    DisaggAutoscalerPolicy,
-    DisaggControlPlane,
-    DisaggPolicy,
+    LINK_ALPHA_S,
+    LINK_BANDWIDTH,
     PoolPartition,
     PoolSpec,
     default_pools,
@@ -61,8 +65,8 @@ def make_submissions(n, *, prompt_len=PROMPT_LEN, spacing_s=0.01,
 
 def make_plane(*, prefill=1, decode=1, policy=None, **kwargs):
     pools = default_pools([SHAPE] * prefill, [SHAPE] * decode)
-    return DisaggControlPlane(WEIGHTS, pools, decode_batch=4,
-                              policy=policy, **kwargs)
+    return ClusterControlPlane(WEIGHTS, pools=pools, decode_batch=4,
+                               policy=policy, **kwargs)
 
 
 def completed(outcomes):
@@ -72,19 +76,14 @@ def completed(outcomes):
 
 class TestHandoffTransfer:
     def test_a1_link_formula(self):
-        policy = DisaggPolicy(link_bandwidth=1e9, link_alpha_s=1e-6)
-        assert handoff_transfer_s(1e9, policy) == \
-            pytest.approx(1.0 + 1e-6)
+        assert handoff_transfer_s(1e9) == \
+            pytest.approx(1e9 / LINK_BANDWIDTH + LINK_ALPHA_S)
 
     def test_alpha_floor_for_tiny_transfers(self):
-        policy = DisaggPolicy()
-        assert handoff_transfer_s(0, policy) == \
-            pytest.approx(policy.link_alpha_s)
+        assert handoff_transfer_s(0) == pytest.approx(LINK_ALPHA_S)
 
     def test_monotone_in_bytes(self):
-        policy = DisaggPolicy()
-        assert handoff_transfer_s(2048, policy) > \
-            handoff_transfer_s(1024, policy)
+        assert handoff_transfer_s(2048) > handoff_transfer_s(1024)
 
 
 class TestPoolSpec:
@@ -108,12 +107,8 @@ class TestPoolSpec:
 
     def test_plane_requires_both_pools(self):
         with pytest.raises(ValueError, match="exactly one"):
-            DisaggControlPlane(WEIGHTS, [PoolSpec("prefill", (SHAPE,))])
-
-    def test_plain_cluster_policy_promoted(self):
-        plane = make_plane(policy=ClusterPolicy(max_batch_wait_s=0.07))
-        assert isinstance(plane.policy, DisaggPolicy)
-        assert plane.policy.max_batch_wait_s == 0.07
+            ClusterControlPlane(WEIGHTS,
+                                pools=[PoolSpec("prefill", (SHAPE,))])
 
     def test_pool_profiles_applied_at_construction(self):
         plane = make_plane()
@@ -140,7 +135,7 @@ class TestHandoff:
         for event in plane.events.of_kind("kv_handoff"):
             assert event["bytes"] > 0
             assert event["transfer_s"] == pytest.approx(
-                handoff_transfer_s(event["bytes"], plane.policy))
+                handoff_transfer_s(event["bytes"]))
             # Decode never starts before the transfer lands; anything
             # later is overlap with the target's committed work.
             assert event["decode_start_s"] >= \
@@ -204,21 +199,45 @@ class TestDegradePaths:
         assert len(completed(outcomes)) == 8
         assert plane.kv_handoffs == 0
 
-    def test_strict_pools_still_complete_without_decode_pool(self):
-        plane = make_plane(policy=DisaggPolicy(strict_pools=True))
-        decode, = plane.active_replicas(pool="decode")
-        decode.set_health(ReplicaHealth.DEAD, 0.0, "test")
-        outcomes = plane.serve(make_submissions(8))
+    @pytest.mark.parametrize("lost", ["dead", "partitioned"])
+    def test_handoff_never_lands_on_a_prefill_replica(self, lost):
+        # Two prefill replicas and a lost decode pool: the handoff must
+        # not pick the other prefill replica.  A dead decode pool means
+        # every group decodes in place; a partitioned one means the
+        # transaction waits out the window and commits on it.
+        kwargs = {}
+        if lost == "partitioned":
+            kwargs = dict(
+                partitions=(PoolPartition("decode", 0.0, 0.25),),
+                policy=ClusterPolicy(handoff_retries=4,
+                                     handoff_backoff_base_s=0.05))
+        plane = make_plane(prefill=2, **kwargs)
+        if lost == "dead":
+            decode, = plane.active_replicas(pool="decode")
+            decode.set_health(ReplicaHealth.DEAD, 0.0, "test")
+        subs = make_submissions(8)
+        outcomes = plane.serve(subs)
         assert len(completed(outcomes)) == 8
-        assert plane.kv_handoffs == 0
-        assert plane.handoffs_colocated >= 1
+        for event in plane.events.of_kind("kv_handoff"):
+            assert plane.pool_of[event["target"]] == "decode"
+        if lost == "dead":
+            assert plane.kv_handoffs == 0
+            assert plane.handoffs_colocated == 2
+        else:
+            assert plane.kv_handoffs == 2
+            assert plane.handoff_retries >= 1
+            assert plane.handoff_aborts == 0
+        reference = reference_completions(subs, WEIGHTS, 4)
+        for out in completed(outcomes):
+            assert np.array_equal(out.completion.tokens,
+                                  reference[out.request_id].tokens)
 
     def test_handoff_to_draining_decode_replica(self):
         # The only decode replica is being drained; in-flight handoffs
         # land on it anyway and every stream completes bit-identically.
         pools = default_pools([SHAPE], [SHAPE])
-        plane = DisaggControlPlane(WEIGHTS, pools, decode_batch=4,
-                                   drains={"r1": 0.05})
+        plane = ClusterControlPlane(WEIGHTS, pools=pools, decode_batch=4,
+                                    drains={"r1": 0.05})
         assert plane.pool_of["r1"] == "decode"
         subs = make_submissions(8)
         outcomes = plane.serve(subs)
@@ -249,8 +268,8 @@ class TestMidHandoffKill:
         # retry commits -- no failover, no abort.  (The pre-transactional
         # one-shot path aborted here; see the zero-budget test below.)
         scenario = SCENARIOS["prefill-kill-mid-handoff"]
-        plane = DisaggControlPlane(
-            WEIGHTS, scenario.pools, decode_batch=4,
+        plane = ClusterControlPlane(
+            WEIGHTS, pools=scenario.pools, decode_batch=4,
             fault_plans=dict(scenario.fault_plans))
         subs = make_submissions(12, spacing_s=0.05)
         outcomes = plane.serve(subs)
@@ -266,9 +285,9 @@ class TestMidHandoffKill:
         # With no retry budget the same fault aborts the handoff, and
         # the group takes the legacy failover re-prefill path instead.
         scenario = SCENARIOS["prefill-kill-mid-handoff"]
-        plane = DisaggControlPlane(
-            WEIGHTS, scenario.pools, decode_batch=4,
-            policy=DisaggPolicy(handoff_retries=0),
+        plane = ClusterControlPlane(
+            WEIGHTS, pools=scenario.pools, decode_batch=4,
+            policy=ClusterPolicy(handoff_retries=0),
             fault_plans=dict(scenario.fault_plans))
         subs = make_submissions(12, spacing_s=0.05)
         outcomes = plane.serve(subs)
@@ -338,34 +357,6 @@ class TestFleetValidation:
     def test_fleet_config_error_is_a_value_error(self):
         assert issubclass(FleetConfigError, ValueError)
 
-    def test_pool_names_must_match_shapes(self):
-        with pytest.raises(FleetConfigError):
-            PoolSpec("prefill", (SHAPE,), names=("a", "b"))
-
-    def test_duplicate_names_within_a_pool_rejected(self):
-        with pytest.raises(FleetConfigError):
-            PoolSpec("prefill", (SHAPE, SHAPE), names=("a", "a"))
-
-    def test_overlapping_pool_membership_rejected(self):
-        pools = (PoolSpec("prefill", (SHAPE,), names=("a",)),
-                 PoolSpec("decode", (SHAPE,), names=("a",)))
-        with pytest.raises(FleetConfigError):
-            DisaggControlPlane(WEIGHTS, pools)
-
-    def test_partially_named_fleet_rejected(self):
-        pools = (PoolSpec("prefill", (SHAPE,), names=("a",)),
-                 PoolSpec("decode", (SHAPE,)))
-        with pytest.raises(FleetConfigError):
-            DisaggControlPlane(WEIGHTS, pools)
-
-    def test_named_pools_apply_to_the_fleet(self):
-        pools = (PoolSpec("prefill", (SHAPE,), names=("pf0",)),
-                 PoolSpec("decode", (SHAPE,), names=("dc0",)))
-        plane = DisaggControlPlane(WEIGHTS, pools, decode_batch=4)
-        assert plane.pool_of == {"pf0": "prefill", "dc0": "decode"}
-        outcomes = plane.serve(make_submissions(8))
-        assert len(completed(outcomes)) == 8
-
 
 class TestCollapseRestore:
     def test_collapse_suspends_handoffs_and_restore_resumes(self):
@@ -401,16 +392,33 @@ class TestCollapseRestore:
                                   reference[out.request_id].tokens)
 
 
-class TestDisaggAutoscaler:
+class TestPooledAutoscaler:
     def test_ladder_has_collapse_rung_before_shed(self):
-        ladder = DisaggAutoscaler().ladder
-        assert ladder == DISAGG_BROWNOUT_LADDER
+        # One Autoscaler class walks 5 rungs on a pooled plane and the
+        # base 4 on a colocated one, then releases them all.
+        ladder = DISAGG_BROWNOUT_LADDER
         assert ladder.index("collapse-pools") == len(ladder) - 2
         assert ladder[-1] == "shed-lowest"
+        assert (len(ladder), len(BROWNOUT_LADDER)) == (5, 4)
+        colocated = ClusterControlPlane(WEIGHTS, [SHAPE, SHAPE],
+                                        decode_batch=4)
+        for plane, rungs in ((make_plane(), ladder),
+                             (colocated, BROWNOUT_LADDER)):
+            scaler = Autoscaler(AutoscalerPolicy(max_replicas=2,
+                                                 recover_after=1))
+            assert scaler.ladder_for(plane) == rungs
+            for tick in range(len(rungs) + 2):
+                scaler._brownout_tick(plane, 0.1 * tick, 100.0)
+            assert scaler.brownout_steps == list(rungs)
+            assert plane.pools_collapsed == (rungs is ladder)
+            for tick in range(len(rungs)):
+                scaler._brownout_tick(plane, 1.0 + 0.1 * tick, 0.0)
+            assert scaler.brownout_level == 0
+            scaler.assert_reverted(plane)
 
     def test_scale_out_follows_the_token_mix(self):
         plane = make_plane()
-        scaler = DisaggAutoscaler(DisaggAutoscalerPolicy(max_replicas=6))
+        scaler = Autoscaler(AutoscalerPolicy(max_replicas=6))
         plane.prefill_tokens = 900
         plane.decode_tokens = 100
         scaler._scale_out(plane, 1.0, 2.0, False, 2)
@@ -424,24 +432,30 @@ class TestDisaggAutoscaler:
 
     def test_scale_out_without_evidence_grows_smaller_pool(self):
         pools = default_pools([SHAPE, SHAPE], [SHAPE])
-        plane = DisaggControlPlane(WEIGHTS, pools, decode_batch=4)
-        scaler = DisaggAutoscaler(DisaggAutoscalerPolicy(max_replicas=6))
+        plane = ClusterControlPlane(WEIGHTS, pools=pools, decode_batch=4)
+        scaler = Autoscaler(AutoscalerPolicy(max_replicas=6))
         scaler._scale_out(plane, 0.0, 1.0, False, 3)
         assert len(plane.active_replicas(pool="decode")) == 2
 
     def test_scale_in_respects_pool_floors(self):
         plane = make_plane()
-        scaler = DisaggAutoscaler()
+        scaler = Autoscaler()
         assert not scaler._scale_in(plane, 0.0, 0.1, 2)
         assert not plane.retiring
 
     def test_scale_in_retires_from_larger_pool(self):
         pools = default_pools([SHAPE], [SHAPE])
-        plane = DisaggControlPlane(WEIGHTS, pools, decode_batch=4)
+        plane = ClusterControlPlane(WEIGHTS, pools=pools, decode_batch=4)
         added = plane.add_replica(SHAPE, 0.0, pool="decode")
-        scaler = DisaggAutoscaler()
+        scaler = Autoscaler()
         assert scaler._scale_in(plane, 1.0, 0.1, 3)
         assert added.name in plane.retiring
+
+    def test_scale_in_prefers_the_larger_eligible_pool(self):
+        pools = default_pools([SHAPE] * 3, [SHAPE] * 2)
+        plane = ClusterControlPlane(WEIGHTS, pools=pools, decode_batch=4)
+        assert Autoscaler()._scale_in(plane, 1.0, 0.1, 5)
+        assert plane.retiring == {"r2"}  # newest of the prefill pool
 
     def test_flash_crowd_collapse_engages_and_reverts(self):
         report = run_scenario("flash-crowd-disagg", seed=0)

@@ -381,15 +381,6 @@ class TestLiveJournal:
 
 
 class TestFleetValidation:
-    def test_duplicate_replica_names_rejected(self):
-        with pytest.raises(FleetConfigError, match="duplicate"):
-            ClusterControlPlane(WEIGHTS, [SHAPE, SHAPE],
-                                names=["a", "a"])
-
-    def test_name_shape_arity_mismatch_rejected(self):
-        with pytest.raises(FleetConfigError):
-            ClusterControlPlane(WEIGHTS, [SHAPE], names=["a", "b"])
-
     def test_restart_for_unknown_replica_rejected(self):
         with pytest.raises(FleetConfigError, match="unknown"):
             ClusterControlPlane(WEIGHTS, [SHAPE],
