@@ -94,6 +94,7 @@ from repro.events import (
     REQUEST_FAILED,
     EventLog,
 )
+from repro.mesh.capture import ProgramStore
 from repro.mesh.faults import FaultPlan, MeshFault, ReplicaCrashed
 from repro.observability.spans import Tracer
 from repro.serving.backoff import jittered_backoff_s
@@ -332,6 +333,9 @@ class ClusterControlPlane:
         self.backend = backend
         self.trace_mesh = trace_mesh
         self.prompt_len_hint = prompt_len_hint
+        # One program store for the whole fleet: every replica built here
+        # or by add_replica replays what any same-shape sibling captured.
+        self.program_store = ProgramStore()
         self.replicas = [
             Replica(f"r{i}", weights, shape, backend=backend,
                     decode_batch=decode_batch,
@@ -339,7 +343,8 @@ class ClusterControlPlane:
                     event_log=self.events, tracer=self.tracer,
                     trace_mesh=trace_mesh,
                     prompt_len_hint=prompt_len_hint,
-                    kvstore_pages=self.policy.kvstore_pages)
+                    kvstore_pages=self.policy.kvstore_pages,
+                    program_store=self.program_store)
             for i, shape in enumerate(shapes)]
         self.breakers = {
             r.name: CircuitBreaker(
@@ -400,8 +405,9 @@ class ClusterControlPlane:
         self.kv_pages_released = 0
         # Parallel replica stepping: with ``step_threads >= 1`` a hedged
         # race steps the two replicas' replay programs concurrently, one
-        # pool worker per replica per tick (see :meth:`_barrier_step`).
-        # 0 keeps the legacy serial path everywhere.
+        # pool worker per replica per tick (see :meth:`_barrier_step`);
+        # two replicas replaying one shared program take turns on its
+        # lock.  0 keeps the legacy serial path everywhere.
         self.step_threads = step_threads
         self._pool: ThreadPoolExecutor | None = None
         # Disaggregated pools: replica name -> pool name.  Empty means
@@ -735,7 +741,8 @@ class ClusterControlPlane:
                           costs=self.costs, event_log=self.events,
                           tracer=self.tracer, trace_mesh=self.trace_mesh,
                           prompt_len_hint=self.prompt_len_hint,
-                          kvstore_pages=self.policy.kvstore_pages)
+                          kvstore_pages=self.policy.kvstore_pages,
+                          program_store=self.program_store)
         replica.busy_until_s = now_s + spinup_s
         self.replicas.append(replica)
         self.breakers[name] = CircuitBreaker(

@@ -46,7 +46,7 @@ from repro.events import (
 )
 from repro.hardware.topology import Torus3D
 from repro.mesh import VirtualMesh
-from repro.mesh.capture import StepCompiler
+from repro.mesh.capture import ProgramStore, StepCompiler
 from repro.mesh.faults import ChipFailure, FaultPlan, MeshFault
 from repro.model.sampling import greedy
 from repro.partitioning.degraded import (
@@ -90,7 +90,8 @@ class Replica:
                  costs: CostModel | None = None,
                  event_log: EventLog | None = None, tracer=None,
                  trace_mesh: bool = False, prompt_len_hint: int = 64,
-                 kvstore_pages: int = 256):
+                 kvstore_pages: int = 256,
+                 program_store: ProgramStore | None = None):
         self.name = name
         self.weights = weights
         self.decode_batch = decode_batch
@@ -118,14 +119,14 @@ class Replica:
                                                         self.events)
         if tracer is not None and trace_mesh:
             self.mesh.tracer = tracer
-        # Per-replica capture-and-replay compiler for decode steps.  It
-        # outlives health transitions (HEALTHY <-> DEGRADED): the captured
-        # program keeps replaying while the mesh object and fault clock
-        # stay quiet, falls back to eager while a fault is live, and is
-        # invalidated (re-captured on the new deployment) by
-        # :meth:`replan_around` — so failover and degraded replanning
-        # exercise the full invalidate -> eager -> re-capture cycle.
-        self.step_compiler = StepCompiler()
+        # Capture-and-replay compiler for prefill chunks and decode
+        # steps.  Its counters are this replica's; its programs live in
+        # ``program_store``, which a control plane shares across its
+        # fleet (a private store when None).  Keys are structural, so
+        # nothing here ever flushes the store: a replan or profile switch
+        # changes the mesh shape, dead-chip set or plan and looks up a
+        # different key, and going back finds the old program warm.
+        self.step_compiler = StepCompiler(store=program_store)
         # Per-replica paged prefix cache (repro.kvstore).  Page size is
         # the prefill chunk so cached-prefix suffixes see the cold path's
         # exact chunk boundaries (the bit-identity contract); disabled
@@ -238,11 +239,9 @@ class Replica:
         self.mesh = deploy.mesh
         self.prefill_model = deploy.prefill_model
         self.decode_model = deploy.decode_model
-        self.step_compiler.invalidate()
         # Cached pages were extracted on the old deployment; the lease
-        # epoch bump makes in-flight releases no-ops, exactly like the
-        # compiler dropping captured programs.  The pooled device buffers
-        # are shaped for the old mesh, so the arena empties too.
+        # epoch bump makes in-flight releases no-ops.  The pooled device
+        # buffers are shaped for the old mesh, so the arena empties too.
         if self.kvstore is not None:
             self.kvstore.invalidate("replan")
         self.kv_arena.clear()
@@ -255,12 +254,13 @@ class Replica:
         :class:`~repro.cluster.control_plane.RestartSpec`).
 
         ``"cold"`` is a fresh process: layouts are re-selected and the
-        weights re-sharded for the current (possibly degraded) mesh,
-        profiles reset to ``"balanced"``, and every captured program is
-        dropped.  ``"warm"`` is a journal-guided rejoin: the sharded
-        state survived in host memory, so only the capture caches are
-        invalidated (the next decode step re-captures).  The control
-        plane charges the corresponding downtime either way.
+        weights re-sharded for the current (possibly degraded) mesh and
+        profiles reset to ``"balanced"``.  ``"warm"`` is a
+        journal-guided rejoin: the sharded state survived in host
+        memory.  Either way the program store is untouched — it belongs
+        to the control plane, and its programs stay valid for the same
+        weights, mesh shape and plan — so the next step replays.  The
+        control plane charges the corresponding downtime either way.
         """
         if mode not in ("cold", "warm"):
             raise ValueError(
@@ -272,7 +272,6 @@ class Replica:
             self.profile = "balanced"
             self.prefill_profile = "balanced"
             self._wire_kv()
-        self.step_compiler.invalidate()
         # Process death loses the host-resident page store either way:
         # a cold restart rebuilt the models, and even a warm rejoin
         # cannot prove page contents survived — the auditor's
@@ -288,9 +287,10 @@ class Replica:
         pick), ``"weight-stationary"`` (minimum-latency decode under
         heavy prefill load) or ``"weight-gathered"`` (the throughput-
         Pareto plan for decode-dominated load, Section 3.2).  Only the
-        decode model is rebuilt — prefill keeps its plan — and the step
-        compiler is invalidated so the next decode step re-captures on
-        the new layout.  Returns ``True`` when the plan actually changed
+        decode model is rebuilt — prefill keeps its plan — and decode
+        programs for the new plan capture under their own keys, so
+        nothing is invalidated and switching back replays the old plan's
+        programs.  Returns ``True`` when the plan actually changed
         (the control plane charges the switch cost only then); a profile
         with no valid plan on the current (possibly degraded) slice is
         refused without changing anything.
@@ -307,9 +307,9 @@ class Replica:
         ``"weight-stationary"`` prefers the 2D weight-stationary layout
         of Section 3.2.2.  Only the prefill model is rebuilt — the decode
         model and its KV layout stay put, and prefill-chunk programs for
-        the new plan capture under their own signatures, so nothing is
-        invalidated.  Returns ``True`` when the plan actually changed; a
-        profile with no valid plan on the current slice is refused.
+        the new plan capture under their own keys.  Returns ``True`` when
+        the plan actually changed; a profile with no valid plan on the
+        current slice is refused.
         """
         return self._switch_plan(Phase.PREFILL, profile, now_s)
 
@@ -352,7 +352,6 @@ class Replica:
             model = ShardedTransformer(self.weights, self.mesh, plan)
         if decode:
             self.decode_model = model
-            self.step_compiler.invalidate()
         else:
             self.prefill_model = model
         # Pages store KV in global form, so the prefix cache survives a
@@ -482,8 +481,9 @@ class GroupRun:
         returned zero-argument callable does the actual compute — a pure
         program replay when a warm program is valid, otherwise the full
         eager/capture path — and touches only this replica's model and
-        caches, so thunks of *distinct* replicas may run concurrently
-        (the control plane's hedged race does).  Call
+        caches plus store programs whose runs their own locks serialize,
+        so thunks of *distinct* replicas may run concurrently (the
+        control plane's hedged race does).  Call
         :meth:`finish_decode_step` with the thunk's logits to commit.
         """
         replica = self.replica

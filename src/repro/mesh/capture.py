@@ -74,12 +74,15 @@ serving hot path end-to-end:
   capacity when ``batch_bucket`` rounds it there) instead of thrashing
   re-capture.  Hits, misses, evictions and per-reason invalidations are
   counted and surfaced through the observability metrics tables.
-* **Shared capture state** — the programs of one deployment share the
-  fused projection weights the optimizer concatenates (held by the
-  :class:`StepCompiler`, dropped by :meth:`StepCompiler.invalidate`),
-  and every program in the process shares the read-only collective
-  index tables (:func:`repro.mesh.stacked.prebind_collective_indexed`),
-  so capture pays for each once.
+* **Shared capture state** — programs live in a :class:`ProgramStore`
+  that any number of compilers may share (a cluster control plane hands
+  one store to every replica it builds, so a scale-out replica replays
+  what the fleet already captured).  The store also holds the fused
+  projection weights the optimizer concatenates (dropped by
+  :meth:`StepCompiler.invalidate`), and every program in the process
+  shares the read-only collective index tables
+  (:func:`repro.mesh.stacked.prebind_collective_indexed`), so capture
+  pays for each once.
 
 Interplay with the rest of the stack:
 
@@ -95,17 +98,30 @@ Interplay with the rest of the stack:
   a ``head`` flag and the collective counts (inside the usual
   ``decode``/``prefill`` phase envelope), so Tracer-based tooling keeps
   working without paying per-op span costs.
-* **Invalidation** — a program is only replayed while its signature
-  matches: same mesh *object*, same backend, same plan, same token batch
-  shape, same cache layouts, same dead-chip set.  Degraded replanning
-  and cluster failover swap the mesh and models, which invalidates
-  automatically; :class:`StepCompiler` then re-captures on the new
-  deployment.  :meth:`CapturedProgram.mismatch` names the reason, which
-  the compiler tallies per reason.
+* **Validity is structural** — a program replays on any mesh of the
+  same backend and shape, with the same plan, the same ``weights``
+  object (checked with ``is``), the same token batch shape, the same
+  cache layouts with every cache on that mesh, and the same dead-chip
+  set.  Degraded replanning changes the shape or the dead-chip set and
+  a profile switch changes the plan, so they miss and capture under a
+  new key, while switching back finds the old program warm.
+  :meth:`CapturedProgram.mismatch` names the reason a stored program
+  cannot serve a caller, which the compiler tallies per reason.
+* **Replaying mesh** — :meth:`CapturedProgram.replay` takes the mesh
+  it runs for: the fault clock it advances and the tracer it reports
+  to are that mesh's.  Closures keep the capturing mesh only for shape
+  and axis reads, which any same-shape mesh answers identically.
+* **Concurrency** — a program's arena and the optimizer's scratch
+  buffers are shared by everyone replaying it, so a per-program lock
+  serializes its runs.  Every buffer is written before it is read
+  within a replay and outputs are never arena-backed, so serialized
+  runs stay bit-identical.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -152,15 +168,17 @@ class _Instr:
 class ProgramSignature:
     """What must stay unchanged for a program to remain valid.
 
-    The mesh itself is compared by *object identity* (stored on the
-    program, not here): replanning and failover build a new
-    ``VirtualMesh``, so identity is the cheapest exact invalidation
-    test.  ``dead_chips`` additionally pins the healthy-chip set at
-    capture time, so a mesh that degrades *in place* (same object, a
-    chip kill now active) cannot replay a stale program.  Cache entries
-    record layout only — ``max_len`` and the fill level are free to
-    vary, because the cache instructions re-derive offsets from the
-    live caches every replay.
+    Every field is structural, so the program is valid on *any* mesh of
+    this backend and shape: closures read the capturing mesh only for
+    its shape and axes.  Two checks live on the program instead: the
+    ``weights`` object, compared by identity (an ``id`` in a key could
+    be reused after the object is collected), and every cache living on
+    the replaying mesh.  ``dead_chips`` pins the healthy-chip set at
+    capture time, so a mesh that degrades *in place* (a chip kill now
+    active) cannot replay a stale program.  Cache entries record layout
+    only — ``max_len`` and the fill level are free to vary, because the
+    cache instructions re-derive offsets from the live caches every
+    replay.
     """
 
     backend: str
@@ -273,7 +291,9 @@ class CapturedProgram:
 
     The list is a *body* (the first ``n_body`` instructions: everything
     the KV appends need) followed by a *head* (what only feeds the
-    output); see :func:`_split_body`.
+    output); see :func:`_split_body`.  ``mesh`` is the capturing mesh;
+    ``weights`` (held weakly) is the model weights object the program
+    was traced from, or ``None`` for a model-free tape.
     """
 
     def __init__(self, mesh, instrs: list[_Instr], template: list,
@@ -282,9 +302,12 @@ class CapturedProgram:
                  tokens_2d: bool = False, span_name: str = "captured_step",
                  collectives_captured: int = 0,
                  collectives_folded: int = 0,
-                 optimized: bool = False):
+                 optimized: bool = False, weights=None):
         self.mesh = mesh
         self.signature = signature
+        self._weights = weakref.ref(weights) if weights is not None \
+            else None
+        self._lock = threading.Lock()
         self.replays = 0
         self.n_body = n_body
         self._instrs = instrs
@@ -330,17 +353,19 @@ class CapturedProgram:
 
     # -- validity ----------------------------------------------------------
 
-    def matches_mesh(self, mesh) -> bool:
-        return mesh is self.mesh and mesh.backend == self.signature.backend
-
     def mismatch(self, model, tokens: np.ndarray,
                  caches: Sequence) -> str | None:
-        """Why replaying would be invalid for these inputs (None: valid)."""
+        """Why replaying on ``model.mesh`` would be invalid for these
+        inputs (None: valid)."""
         sig = self.signature
-        if model.mesh is not self.mesh:
-            return "mesh"
-        if model.mesh.backend != sig.backend:
+        mesh = model.mesh
+        if mesh.backend != sig.backend:
             return "backend"
+        if mesh.shape != sig.mesh_shape:
+            return "mesh"
+        if self._weights is not None and \
+                self._weights() is not getattr(model, "weights", None):
+            return "weights"
         if sig.plan is not None and model.plan != sig.plan:
             return "plan"
         if sig.tokens_shape is not None and (
@@ -350,9 +375,9 @@ class CapturedProgram:
         if len(caches) != len(sig.cache_sig):
             return "caches"
         for cache, entry in zip(caches, sig.cache_sig):
-            if cache.mesh is not self.mesh or _cache_sig(cache) != entry:
+            if cache.mesh is not mesh or _cache_sig(cache) != entry:
                 return "caches"
-        if _dead_chips(self.mesh) != sig.dead_chips:
+        if _dead_chips(mesh) != sig.dead_chips:
             return "degraded"
         return None
 
@@ -363,22 +388,26 @@ class CapturedProgram:
     # -- execution ---------------------------------------------------------
 
     def replay(self, tokens: np.ndarray | None = None,
-               caches: Sequence = (), logits: bool = True):
+               caches: Sequence = (), logits: bool = True, *, mesh=None):
         """Execute the captured program against fresh step-varying inputs.
 
-        With ``logits=False`` only the body runs — the caches advance
-        exactly as in a full replay — and the result is ``None``.
-        Callers are responsible for validity (:meth:`matches`) and for
-        only replaying while the mesh's fault state is quiescent —
-        :class:`StepCompiler` enforces both.
+        ``mesh`` is the mesh the step runs for (default: the capturing
+        one): its tracer gets the replay span and its fault clock the
+        captured collectives.  With ``logits=False`` only the body runs —
+        the caches advance exactly as in a full replay — and the result
+        is ``None``.  Callers are responsible for validity
+        (:meth:`matches`) and for only replaying while the mesh's fault
+        state is quiescent — :class:`StepCompiler` enforces both.
+        Concurrent replays of one program run one at a time.
         """
+        mesh = self.mesh if mesh is None else mesh
         values = list(self._template)
         ctx_tokens = tokens
         if tokens is not None and self._tokens_2d:
             ctx_tokens = tokens[:, None]
         values[0] = ReplayContext(ctx_tokens, caches)
         segments = (0, 1) if logits else (0,)
-        tracer = getattr(self.mesh, "tracer", None)
+        tracer = getattr(mesh, "tracer", None)
         if tracer is None:
             self._run(values, segments)
         else:
@@ -392,28 +421,30 @@ class CapturedProgram:
                         collectives=self.collectives_live,
                         collectives_folded=self.collectives_folded):
                     self._run(values, segments)
-        state = getattr(self.mesh, "fault_state", None)
+        state = getattr(mesh, "fault_state", None)
         if state is not None:
             # Keep the collective bookkeeping faithful: eager execution
             # would have bumped the counter once per captured collective,
             # head or not.
             state.op_counter += self.collectives_captured
-        self.replays += 1
         return values[self._out_vid] if logits else None
 
     def _run(self, values: list, segments: tuple[int, ...]) -> None:
-        for i in segments:
-            if self._compiled is not None:
-                self._compiled[i](values)
-                continue
-            for fn, inputs, out, buffer in self._segments[i]:
-                args = [values[v] for v in inputs]
-                if buffer is not None:
-                    result = fn(*args, out=buffer)
-                else:
-                    result = fn(*args)
-                if out is not None:
-                    values[out] = result
+        # The arena and scratch buffers are shared by every replayer.
+        with self._lock:
+            self.replays += 1
+            for i in segments:
+                if self._compiled is not None:
+                    self._compiled[i](values)
+                    continue
+                for fn, inputs, out, buffer in self._segments[i]:
+                    args = [values[v] for v in inputs]
+                    if buffer is not None:
+                        result = fn(*args, out=buffer)
+                    else:
+                        result = fn(*args)
+                    if out is not None:
+                        values[out] = result
 
     def __repr__(self) -> str:
         return (f"CapturedProgram({self.signature.kind}, "
@@ -527,7 +558,7 @@ class StepRecorder:
     def finalize(self, output, *,
                  signature: ProgramSignature | None = None,
                  tokens_2d: bool = False,
-                 span_name: str = "captured_step"
+                 span_name: str = "captured_step", weights=None
                  ) -> CapturedProgram | None:
         """Fold constants, split body from head, build the arena, and
         emit the program.
@@ -540,7 +571,9 @@ class StepRecorder:
         rewrites the live instructions before the split.  The split runs
         before view freezing: frozen views leave the template, so after
         freezing no instruction would produce the K/V the appends read,
-        and their producers would wrongly land in the head.
+        and their producers would wrongly land in the head.  ``weights``
+        is the traced model's weights object, which the program checks
+        by identity before every replay.
         """
         if self.broken is not None:
             return None
@@ -602,7 +635,7 @@ class StepRecorder:
             tokens_2d=tokens_2d, span_name=span_name,
             collectives_captured=self.collectives,
             collectives_folded=folded_collectives,
-            optimized=optimized)
+            optimized=optimized, weights=weights)
 
 
 @contextmanager
@@ -650,7 +683,7 @@ def capture_decode_step(model, tokens: np.ndarray, caches: Sequence,
         logits = model.decode_step(tokens, caches)
     program = recorder.finalize(
         logits, signature=_signature(model, tokens, caches),
-        tokens_2d=True)
+        tokens_2d=True, weights=model.weights)
     return logits, program
 
 
@@ -670,8 +703,33 @@ def capture_prefill_chunk(model, tokens: np.ndarray, caches: Sequence,
     program = recorder.finalize(
         logits, signature=_signature(model, tokens, caches,
                                      kind="prefill"),
-        span_name="captured_prefill_chunk")
+        span_name="captured_prefill_chunk", weights=model.weights)
     return logits, program
+
+
+class ProgramStore:
+    """Captured programs shared by every :class:`StepCompiler` given it.
+
+    An LRU map from structural key (see :meth:`StepCompiler._key`) to
+    program, the keys whose capture failed, and the fused-weight map the
+    tape optimizer reuses concatenations from.  Each compiler adds its
+    ``max_programs`` to the bound, so a store serving N compilers keeps
+    N times one compiler's programs.  Give one store to every replica of
+    a fleet and a replica replays any program a sibling of the same
+    shape, plan and weights already captured; a compiler built without
+    a store gets a private one.  A store lives as long as its owner
+    (never a module global, which would let unrelated runs replay each
+    other's captures).  An eviction also empties ``weight_share``: the
+    programs keep their own concatenations, and later captures rebuild
+    theirs, so the map never outgrows the programs it serves.
+    """
+
+    def __init__(self):
+        self.max_programs = 0
+        self.programs: OrderedDict[tuple, CapturedProgram] = OrderedDict()
+        self.failed: set[tuple] = set()
+        self.weight_share: dict = {}
+        self.lock = threading.Lock()
 
 
 class StepCompiler:
@@ -682,18 +740,21 @@ class StepCompiler:
         compiler = StepCompiler()
         logits = compiler.decode_step(model, tokens, caches)
 
-    The first ``warmup_steps`` calls run eagerly (layout caches warm
-    up); the next quiescent step is captured; every later call replays
-    while the program's signature still matches and no fault is live.
-    A mismatch (replanned mesh, new plan, different batch, migrated
-    cache layout, changed dead-chip set) invalidates and triggers
-    re-capture on the new deployment; a step with an active or pending
-    fault falls back to eager execution so the fault machinery fires
-    exactly as usual.
+    A step whose program is already in the store replays at once.
+    Otherwise the first ``warmup_steps`` calls run eagerly (layout
+    caches warm up) and the next quiescent step is captured; every later
+    call replays while the program's signature still matches and no
+    fault is live.  A changed shape, plan, batch, cache layout or
+    dead-chip set looks up a different key (a miss, then a capture);
+    a stored program that cannot serve its key's caller (another
+    weights object, a cache on another mesh) is dropped and counted as
+    an invalidation.  A step with an active or pending fault falls back
+    to eager execution so the fault machinery fires exactly as usual.
 
-    v2 keeps a bounded LRU cache of programs instead of a single slot,
-    keyed per (kind, deployment, token shape, cache layout) bucket — see
-    :class:`ProgramSignature` — plus:
+    Programs live in a bounded LRU :class:`ProgramStore`, keyed per
+    (kind, backend, mesh shape, plan, weights, token shape, cache
+    layout, dead chips) bucket — see :class:`ProgramSignature` — which
+    many compilers may share; counters stay per compiler.  Plus:
 
     * ``batch_bucket`` — a token batch smaller than the cache capacity
       is padded up to it (and the result sliced back) when the bucketed
@@ -706,17 +767,19 @@ class StepCompiler:
     * :meth:`decode_thunk` — a pure zero-argument replay callable for
       the cluster's parallel replica stepping (all cache/counter
       bookkeeping happens on the calling thread).
-    * ``weight_share`` — the fused projection weights the tape optimizer
-      concatenates, shared by every program this compiler captures and
-      dropped with them by :meth:`invalidate`.
+    * ``weight_share`` — the store's fused projection weights the tape
+      optimizer concatenates, shared by every program captured into it
+      and dropped with them by :meth:`invalidate`.
     """
 
     def __init__(self, warmup_steps: int = 1, *, batch_bucket: int = 1,
-                 max_programs: int = 8):
+                 max_programs: int = 8, store: ProgramStore | None = None):
         self.warmup_steps = warmup_steps
         self.batch_bucket = max(1, batch_bucket)
         self.max_programs = max(1, max_programs)
-        self.weight_share: dict = {}
+        self.store = store if store is not None else ProgramStore()
+        self.store.max_programs += self.max_programs
+        self.weight_share = self.store.weight_share
         self.eager_steps = 0
         self.captures = 0
         self.replays = 0
@@ -725,14 +788,14 @@ class StepCompiler:
         self.misses = 0
         self.evictions = 0
         self.invalidation_reasons: dict[str, int] = {}
-        self._programs: OrderedDict[tuple, CapturedProgram] = OrderedDict()
-        self._failed: set[tuple] = set()
+        self._programs = self.store.programs
+        self._failed = self.store.failed
 
     # -- cache bookkeeping -------------------------------------------------
 
     @property
     def program(self) -> CapturedProgram | None:
-        """The most recently used program (None when the cache is empty)."""
+        """The store's most recently used program (None when empty)."""
         if not self._programs:
             return None
         return self._programs[next(reversed(self._programs))]
@@ -762,44 +825,54 @@ class StepCompiler:
         }
 
     def invalidate(self) -> None:
-        """Drop every cached program and the fused weights they shared
-        (replan/failover/profile-switch hand-off)."""
-        self.invalidations += len(self._programs)
-        self._programs.clear()
-        self._failed.clear()
-        self.weight_share.clear()
+        """Drop every program in the store and the fused weights they
+        shared — for *every* compiler sharing the store."""
+        with self.store.lock:
+            self.invalidations += len(self._programs)
+            self._programs.clear()
+            self._failed.clear()
+            self.weight_share.clear()
 
     def _key(self, model, tokens: np.ndarray, caches: Sequence,
              kind: str) -> tuple:
         mesh = model.mesh
         return (kind, mesh.backend, mesh.shape,
-                getattr(model, "plan", None), tokens.shape,
+                getattr(model, "plan", None),
+                id(getattr(model, "weights", None)), tokens.shape,
                 str(tokens.dtype),
                 tuple(_cache_sig(c) for c in caches), _dead_chips(mesh))
 
-    def _drop(self, key: tuple, reason: str) -> None:
-        del self._programs[key]
+    def _lookup(self, key: tuple, model, tokens: np.ndarray,
+                caches: Sequence) -> CapturedProgram | None:
+        with self.store.lock:
+            program = self._programs.get(key)
+            if program is None:
+                return None
+            reason = program.mismatch(model, tokens, caches)
+            if reason is None:
+                self._programs.move_to_end(key)
+                return program
+            del self._programs[key]
         self.invalidations += 1
         self.invalidation_reasons[reason] = \
             self.invalidation_reasons.get(reason, 0) + 1
+        return None
 
-    def _lookup(self, key: tuple, model, tokens: np.ndarray,
-                caches: Sequence) -> CapturedProgram | None:
-        program = self._programs.get(key)
-        if program is None:
-            return None
-        reason = program.mismatch(model, tokens, caches)
-        if reason is not None:
-            self._drop(key, reason)
-            return None
-        self._programs.move_to_end(key)
-        return program
-
-    def _insert(self, key: tuple, program: CapturedProgram) -> None:
-        while len(self._programs) >= self.max_programs:
-            self._programs.popitem(last=False)
-            self.evictions += 1
-        self._programs[key] = program
+    def _store(self, key: tuple, program: CapturedProgram | None) -> None:
+        """File a fresh capture under ``key`` (``None``: it failed)."""
+        with self.store.lock:
+            if program is None:
+                self._failed.add(key)
+                return
+            # Two compilers may capture one key at once; the second
+            # replaces the first and evicts nothing.
+            while key not in self._programs and \
+                    len(self._programs) >= self.store.max_programs:
+                self._programs.popitem(last=False)
+                self.weight_share.clear()
+                self.evictions += 1
+            self._programs[key] = program
+        self.captures += 1
 
     # -- decode ------------------------------------------------------------
 
@@ -832,18 +905,14 @@ class StepCompiler:
         if program is not None and quiet:
             self.hits += 1
             self.replays += 1
-            return program.replay(tokens, caches)
+            return program.replay(tokens, caches, mesh=model.mesh)
         if quiet:
             self.misses += 1
             if self.eager_steps >= self.warmup_steps \
                     and key not in self._failed:
                 logits, program = capture_decode_step(
                     model, tokens, caches, self.weight_share)
-                if program is None:
-                    self._failed.add(key)
-                else:
-                    self._insert(key, program)
-                    self.captures += 1
+                self._store(key, program)
                 return logits
         self.eager_steps += 1
         return model.decode_step(tokens, caches)
@@ -853,10 +922,11 @@ class StepCompiler:
 
         Returns a thunk only when a warm, valid program exists and the
         fault state is quiescent — i.e. exactly when :meth:`decode_step`
-        would replay.  All shared-state bookkeeping (cache lookup,
+        would replay.  All shared-state bookkeeping (store lookup,
         counters) happens here on the calling thread; the thunk touches
-        only this replica's program and caches, so the cluster control
-        plane may run thunks of *distinct* replicas concurrently.
+        only this replica's caches and a program whose runs its own lock
+        serializes, so the cluster control plane may run thunks of
+        *distinct* replicas concurrently, even when they share a program.
         """
         state = getattr(model.mesh, "fault_state", None)
         if state is not None and not state.quiescent():
@@ -867,7 +937,8 @@ class StepCompiler:
             return None
         self.hits += 1
         self.replays += 1
-        return lambda: program.replay(tokens, caches)
+        mesh = model.mesh
+        return lambda: program.replay(tokens, caches, mesh=mesh)
 
     # -- prefill -----------------------------------------------------------
 
@@ -877,8 +948,8 @@ class StepCompiler:
 
         Unlike decode there is no warmup gate: the first chunk of each
         (batch, length) bucket is captured, and every later chunk of the
-        same shape — within this prompt or any later prompt on the same
-        deployment — replays through the arena.  With ``logits=False``
+        same key — within this prompt, any later prompt, or on any
+        compiler sharing the store — replays through the arena.  With ``logits=False``
         the chunk only builds the caches: a replay runs the program's
         body alone, and the result is ``None`` on every path.
         """
@@ -889,17 +960,13 @@ class StepCompiler:
         if program is not None and quiet:
             self.hits += 1
             self.replays += 1
-            return program.replay(tokens, caches, logits)
+            return program.replay(tokens, caches, logits, mesh=model.mesh)
         if quiet:
             self.misses += 1
             if key not in self._failed:
                 out, program = capture_prefill_chunk(
                     model, tokens, caches, self.weight_share)
-                if program is None:
-                    self._failed.add(key)
-                else:
-                    self._insert(key, program)
-                    self.captures += 1
+                self._store(key, program)
                 return out if logits else None
         self.eager_steps += 1
         out = model.forward(tokens, caches)

@@ -23,10 +23,18 @@ The v2 contract on top of ``test_step_capture.py``'s single-step replay:
   counts hits/misses/evictions/explicit invalidations;
 * parallel replica stepping (``step_threads >= 1``) is an execution
   detail: a seeded chaos run produces the same report, event log and
-  span stream as the serial path.
+  span stream as the serial path;
+* one program store serves a fleet: a program captured on replica A
+  replays on a same-shape replica B bit-identically to B's eager run
+  (decode, full and body-only prefill chunks), charges B's fault clock
+  and tracer and not A's, never hits for a collected weights object
+  whose id was reused, spares a scaled-out replica every capture its
+  plane already holds, is never shared between planes, and serializes
+  concurrent replays of one program on many cache sets.
 """
 
 import dataclasses
+import gc
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -36,16 +44,18 @@ import pytest
 
 from repro.cli import decode_config
 from repro.cluster import ClusterControlPlane, run_scenario
-from repro.cluster.replica import Replica
+from repro.cluster.replica import GroupRun, Replica
 from repro.events import EventLog
 from repro.hardware.topology import Torus3D
 from repro.layouts import ShardedTransformer
 from repro.mesh import BACKENDS, VirtualMesh
 from repro.mesh.capture import (
+    ProgramStore,
     StepCompiler,
     capture_decode_step,
     capture_prefill_chunk,
 )
+from repro.mesh.faults import FaultPlan
 from repro.model import init_weights, tiny_test_config
 from repro.partitioning import (
     AttentionLayoutKind,
@@ -57,6 +67,7 @@ from repro.partitioning.degraded import (
     select_profile_plan,
 )
 from repro.partitioning.selector import Phase
+from repro.serving import Request, ResilientRequest
 from repro.serving.chunked import chunked_prefill
 
 CFG = tiny_test_config(n_layers=2, d_model=16, d_ff=32, n_heads=8,
@@ -496,15 +507,21 @@ class TestOptimizedDecode:
         assert compiler.program.optimized
         assert caches_equal(model.mesh, eager_caches, caches)
 
-    def test_recapture_after_switch_profile(self):
+    def test_switch_profile_captures_and_replays_old_plan(self):
+        """A profile switch captures the new plan under its own key and
+        keeps the old plan's program, so switching back replays it
+        without a capture."""
         replica = Replica("r0", WEIGHTS_WIDE, (4, 4, 4), backend="stacked",
                           decode_batch=4)
         compiler = replica.step_compiler
-        for profile in ("balanced", "weight-gathered"):
-            if profile != "balanced":
+        for n, profile in enumerate(("balanced", "weight-gathered",
+                                     "balanced")):
+            if n:
                 assert replica.switch_profile(profile, now_s=0.0)
-                assert compiler.n_programs == 0
-                assert not compiler.weight_share
+                assert compiler.n_programs == n
+                assert compiler.program.signature.plan != \
+                    replica.decode_model.plan
+            captures, hits = compiler.captures, compiler.hits
             model = replica.decode_model
             logits, eager_caches = model.prefill(PROMPT_WIDE, 8)
             _, caches = model.prefill(PROMPT_WIDE, 8)
@@ -516,7 +533,10 @@ class TestOptimizedDecode:
                 tok = np.argmax(eager, -1)
             assert compiler.program.signature.plan == model.plan
             assert caches_equal(model.mesh, eager_caches, caches)
-        assert compiler.captures == 2
+            if n == 2:  # back on the first plan: every step a hit
+                assert compiler.captures == captures
+                assert compiler.hits == hits + 3
+        assert compiler.captures == 2 and compiler.invalidations == 0
 
 
 class TestSharedCaptureState:
@@ -639,3 +659,194 @@ class TestParallelReplicaStepping:
     def test_negative_step_threads_rejected(self):
         with pytest.raises(ValueError, match="step_threads"):
             ClusterControlPlane(WEIGHTS, [(1, 1, 1)], step_threads=-1)
+
+
+class TestFleetProgramStore:
+    """One store, many replicas: capture once, replay on any same-shape
+    mesh with the same weights and plan."""
+
+    @staticmethod
+    def pair(backend, shape=(2, 2, 2), plan=WG_BATCH, weights=WEIGHTS):
+        """Two compilers sharing one store, and two same-shape models."""
+        store = ProgramStore()
+        return ([StepCompiler(store=store) for _ in range(2)],
+                [fresh_model(backend, shape, plan, weights)
+                 for _ in range(2)])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (4, 4, 4)],
+                             ids=["2x2x2", "4x4x4"])
+    def test_program_from_a_replays_bit_identically_on_b(self, backend,
+                                                          shape):
+        (comp_a, comp_b), (model_a, model_b) = self.pair(
+            backend, shape, WS2D_HEAD, WEIGHTS_WIDE)
+        eager = fresh_model(backend, shape, WS2D_HEAD, WEIGHTS_WIDE)
+        prompt = np.random.default_rng(12).integers(
+            0, CFG_WIDE.vocab_size, size=(4, 12))
+        max_len = 12 + 4
+        # A captures the length-4 chunk program, then its decode step.
+        logits_a, caches_a = chunked_prefill(model_a, prompt, 4, max_len,
+                                             compiler=comp_a)
+        tok = np.argmax(logits_a, -1)
+        for _ in range(2):  # warmup, then capture
+            tok = np.argmax(comp_a.decode_step(model_a, tok, caches_a), -1)
+        assert comp_a.captures == 2
+
+        tracer = model_b.mesh.install_tracer()
+        logits, caches = chunked_prefill(model_b, prompt, 4, max_len,
+                                         compiler=comp_b)
+        eager_logits, eager_caches = chunked_prefill(eager, prompt, 4,
+                                                     max_len)
+        # Two body-only chunks, then one full chunk, all replayed on B.
+        assert [s.attrs["head"] for s in tracer.spans
+                if s.kind == "replay"] == [False, False, True]
+        assert np.array_equal(logits, eager_logits)
+        for a, b in zip(global_kv(caches), global_kv(eager_caches)):
+            assert np.array_equal(a, b)
+        tok = np.argmax(eager_logits, -1)
+        for _ in range(3):
+            want = eager.decode_step(tok, eager_caches)
+            assert np.array_equal(comp_b.decode_step(model_b, tok, caches),
+                                  want)
+            tok = np.argmax(want, -1)
+        assert caches_equal(model_b.mesh, eager_caches, caches)
+        assert (comp_b.captures, comp_b.eager_steps) == (0, 0)
+        assert comp_b.hits == 6 and comp_b.misses == 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_replay_charges_the_replaying_mesh(self, backend):
+        """B's replay advances B's fault clock and traces on B's tracer;
+        A, which captured the program, sees nothing."""
+        (comp_a, comp_b), (model_a, model_b) = self.pair(backend)
+        comp_a.warmup_steps = comp_b.warmup_steps = 0
+        states = [m.mesh.install_faults(FaultPlan(()))
+                  for m in (model_a, model_b)]
+        tracers = [m.mesh.install_tracer() for m in (model_a, model_b)]
+        (logits_a, caches_a), (logits_b, caches_b) = (
+            m.prefill(PROMPT, PROMPT.shape[1] + 4)
+            for m in (model_a, model_b))
+        comp_a.decode_step(model_a, np.argmax(logits_a, -1), caches_a)
+        program = comp_a.program
+        before_a = (states[0].op_counter, len(tracers[0].spans))
+        tok = np.argmax(logits_b, -1)
+        for step in range(2):  # decode_step, then the threaded thunk
+            ops, spans = states[1].op_counter, len(tracers[1].spans)
+            if step == 0:
+                comp_b.decode_step(model_b, tok, caches_b)
+            else:
+                comp_b.decode_thunk(model_b, tok, caches_b)()
+            assert states[1].op_counter == ops + \
+                program.collectives_captured
+            assert [s.kind for s in tracers[1].spans[spans:]
+                    if s.kind == "replay"] == ["replay"]
+        assert comp_b.replays == 2 and comp_b.captures == 0
+        assert (states[0].op_counter, len(tracers[0].spans)) == before_a
+
+    def test_collected_weights_whose_id_is_reused_never_hit(self):
+        compiler = StepCompiler(warmup_steps=0)
+        weights = dataclasses.replace(WEIGHTS)
+        model = fresh_model(weights=weights)
+        logits, caches = model.prefill(PROMPT, PROMPT.shape[1] + 4)
+        compiler.decode_step(model, np.argmax(logits, -1), caches)
+        assert compiler.captures == 1
+        stale_id = id(weights)
+        del model, caches, weights
+        gc.collect()
+        # Allocate bare weights objects until the allocator hands back
+        # the collected object's address, then give it other values.
+        donor = init_weights(CFG, seed=1)
+        held = []
+        for _ in range(100_000):
+            reused = type(donor).__new__(type(donor))
+            if id(reused) == stale_id:
+                break
+            held.append(reused)
+        assert id(reused) == stale_id
+        vars(reused).update(vars(donor))
+        model = fresh_model(weights=reused)
+        eager = fresh_model(weights=donor)
+        logits, caches = model.prefill(PROMPT, PROMPT.shape[1] + 4)
+        _, eager_caches = eager.prefill(PROMPT, PROMPT.shape[1] + 4)
+        tok = np.argmax(logits, -1)
+        assert np.array_equal(compiler.decode_step(model, tok, caches),
+                              eager.decode_step(tok, eager_caches))
+        assert compiler.replays == 0 and compiler.captures == 2
+        assert compiler.invalidation_reasons == {"weights": 1}
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_scaled_out_replica_captures_nothing_the_plane_holds(self,
+                                                                  backend):
+        rng = np.random.default_rng(21)
+        requests = [ResilientRequest(Request(
+            i, rng.integers(0, CFG.vocab_size, size=8), 4))
+            for i in range(4)]
+        plane = ClusterControlPlane(WEIGHTS, [(2, 2, 2)], backend=backend,
+                                    prompt_len_hint=8)
+        runs = []
+        for replica in (plane.replicas[0],
+                        plane.add_replica((2, 2, 2), 0.0)):
+            assert replica.step_compiler.store is plane.program_store
+            run = GroupRun(replica, requests)
+            run.run_prefill()
+            while not run.done:
+                run.decode_step()
+            runs.append(run)
+        first, scaled = (run.replica.step_compiler for run in runs)
+        assert first.captures > 0
+        assert (scaled.captures, scaled.eager_steps, scaled.misses) == \
+            (0, 0, 0)
+        assert scaled.hits == first.hits + first.misses
+        for a, b in zip(*(run.completions() for run in runs)):
+            assert np.array_equal(a.tokens, b.tokens)
+
+    def test_two_planes_never_share_a_store(self):
+        planes = [ClusterControlPlane(WEIGHTS, [(2, 2, 2)],
+                                      prompt_len_hint=8) for _ in range(2)]
+        assert planes[0].program_store is not planes[1].program_store
+        request = ResilientRequest(Request(0, PROMPT[0], 3))
+        for plane in planes:
+            run = GroupRun(plane.replicas[0], [request])
+            run.run_prefill()
+            while not run.done:
+                run.decode_step()
+            assert plane.replicas[0].step_compiler.captures > 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_threaded_replays_of_one_program_match_serial(self, backend):
+        """One shared program replayed on N cache sets from N threads at
+        once gives every set exactly its serial logits and K/V."""
+        n_sets, steps = 4, 20
+        model = fresh_model(backend)
+        rng = np.random.default_rng(5)
+        prompts = [rng.integers(0, CFG.vocab_size, size=PROMPT.shape)
+                   for _ in range(n_sets)]
+        _, seed_caches = model.prefill(PROMPT, PROMPT.shape[1] + 1)
+        _, program = capture_decode_step(model, PROMPT[:, -1], seed_caches)
+        barrier = threading.Barrier(n_sets)
+
+        def cache_sets():
+            return [model.prefill(p, p.shape[1] + steps) for p in prompts]
+
+        def replay_all(logits, caches, wait=False):
+            tok = np.argmax(logits, -1)
+            if wait:
+                barrier.wait(timeout=60)  # start every thread together
+            out = []
+            for _ in range(steps):
+                out.append(program.replay(tok, caches))
+                tok = np.argmax(out[-1], -1)
+            return out, global_kv(caches)
+
+        serial = [replay_all(*sets) for sets in cache_sets()]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=n_sets) as pool:
+                futures = [pool.submit(replay_all, *sets, wait=True)
+                           for sets in cache_sets()]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        for (s_logits, s_kv), (t_logits, t_kv) in zip(serial, threaded):
+            for a, b in zip(s_logits + s_kv, t_logits + t_kv):
+                assert np.array_equal(a, b)

@@ -2,12 +2,15 @@
 
 The contract under test: a :class:`CapturedProgram` traced from one eager
 decode step replays later steps **bit-identically** on both mesh backends,
-invalidates on any mesh/plan/batch-shape change, falls back to eager
+on any mesh of the same shape with the same weights, invalidates on any
+shape/plan/weights/batch-shape change, falls back to eager
 execution whenever a scheduled fault is live, and emits one condensed
 ``kind="replay"`` span per step.  Alongside it, the satellite:
 ``stack_shards``/``unstack_shards`` round-trips (including the no-copy
 contiguous unstack).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -26,7 +29,12 @@ from repro.mesh.capture import (
     capture_decode_step,
     capturing,
 )
-from repro.mesh.faults import CollectiveFault, CollectiveTimeout, FaultPlan
+from repro.mesh.faults import (
+    ChipKill,
+    CollectiveFault,
+    CollectiveTimeout,
+    FaultPlan,
+)
 from repro.mesh.looped import all_gather_einsum
 from repro.mesh.stacked import stack_shards, unstack_shards
 from repro.model import init_weights, tiny_test_config
@@ -150,15 +158,32 @@ class TestInvalidation:
         switched = model.with_plan(WS2D_BATCH)  # same mesh, new layouts
         assert not program.matches(switched, tok, caches)
 
-    def test_new_mesh_invalidates(self):
-        """Replanning/failover build a new VirtualMesh: identity test."""
+    def test_structural_mesh_rule(self):
+        """Validity is structural: a fresh mesh of the same shape with
+        the same weights replays; another shape, another weights object,
+        a dead chip, or caches on another mesh do not."""
         model, caches, tok = build()
         _, program = model.capture_decode_step(tok, caches)
         other_model, other_caches, other_tok = build()
-        assert not program.matches(other_model, other_tok, other_caches)
-        # Caches living on a different mesh also invalidate, even when
-        # the owning model matches.
-        assert not program.matches(model, tok, other_caches)
+        assert other_model.mesh is not model.mesh
+        assert program.matches(other_model, other_tok, other_caches)
+        # Caches living on a different mesh invalidate, even when the
+        # owning model matches.
+        assert program.mismatch(model, tok, other_caches) == "caches"
+        assert program.mismatch(other_model, other_tok, caches) == "caches"
+        small, small_caches, small_tok = build(mesh_shape=(1, 2, 2))
+        assert program.mismatch(small, small_tok, small_caches) == "mesh"
+        # Weights compare by identity: equal values in another object
+        # (or different values) never match.
+        for weights in (dataclasses.replace(WEIGHTS),
+                        init_weights(CFG, seed=1)):
+            twin = ShardedTransformer(weights, other_model.mesh,
+                                      other_model.plan)
+            assert program.mismatch(twin, other_tok,
+                                    other_caches) == "weights"
+        other_model.mesh.install_faults(FaultPlan((ChipKill((0, 1, 0)),)))
+        assert program.mismatch(other_model, other_tok,
+                                other_caches) == "degraded"
 
     def test_cache_fill_level_is_free(self):
         """max_len and fill level are not part of the signature."""
@@ -184,20 +209,37 @@ class TestStepCompiler:
         assert compiler.captures == 1
         assert compiler.replays == 2
 
-    def test_redeploy_invalidates_and_recaptures(self):
+    def test_redeploy_replays_same_shape_recaptures_changed(self):
         model, caches, tok = build()
         compiler = StepCompiler(warmup_steps=1)
         for _ in range(3):
             tok = np.argmax(compiler.decode_step(model, tok, caches), -1)
         assert compiler.captures == 1 and compiler.replays == 1
-        # A replan hands the compiler a brand-new mesh + model + caches.
+        # A redeploy hands the compiler a brand-new mesh + model + caches
+        # of the same shape, plan and weights: the program replays there.
         model2, caches2, tok2 = build()
-        compiler.decode_step(model2, tok2, caches2)
-        assert compiler.invalidations == 1
-        assert compiler.captures == 2  # re-captured on the new deployment
-        tok2 = PROMPT[:, -1]
-        compiler.decode_step(model2, tok2, caches2)
-        assert compiler.replays == 2
+        eager_model, eager_caches, _ = build()
+        for _ in range(2):
+            eager = eager_model.decode_step(tok2, eager_caches)
+            assert np.array_equal(
+                compiler.decode_step(model2, tok2, caches2), eager)
+            tok2 = np.argmax(eager, -1)
+        assert compiler.captures == 1 and compiler.replays == 3
+        for a, b in zip(eager_caches, caches2):
+            for x, y in zip(a.as_sharded(), b.as_sharded()):
+                assert np.array_equal(x.to_global(), y.to_global())
+        # A changed shape, plan or weights object is another key: a miss
+        # and a fresh capture on the new deployment, never a replay.
+        changed = [build(mesh_shape=(1, 2, 2)), build(plan=WS2D_BATCH)]
+        other = ShardedTransformer(init_weights(CFG, seed=1),
+                                   VirtualMesh((2, 2, 2)), WG_BATCH)
+        logits, other_caches = other.prefill(PROMPT, PROMPT.shape[1] + 6)
+        changed.append((other, other_caches, np.argmax(logits, -1)))
+        for n, (model3, caches3, tok3) in enumerate(changed, start=2):
+            replays = compiler.replays
+            compiler.decode_step(model3, tok3, caches3)
+            assert compiler.captures == n and compiler.replays == replays
+        assert compiler.invalidations == 0
 
     def test_explicit_invalidate(self):
         model, caches, tok = build()
