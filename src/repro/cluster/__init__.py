@@ -90,7 +90,6 @@ from repro.cluster.journal import (
     JOURNAL_KINDS,
     ControlPlaneState,
     Journal,
-    JournalRecord,
     JournalReplayMismatch,
     JournalTruncated,
     replay_journal,
@@ -120,7 +119,7 @@ __all__ = [
     "ClusterPolicy", "ClusterRequestStatus", "ClusterSubmission",
     "ControlPlaneState", "DEFAULT_CLASSES", "DISAGG_BROWNOUT_LADDER",
     "FleetConfigError", "GroupRun", "HandoffAborted",
-    "JOURNAL_KINDS", "Journal", "JournalRecord", "JournalReplayMismatch",
+    "JOURNAL_KINDS", "Journal", "JournalReplayMismatch",
     "JournalTruncated", "NoHealthyReplica", "PoolPartition", "PoolSpec",
     "PriorityClass", "QueueFull", "RateLimited", "Replica",
     "ReplicaHealth", "ResilientTwoPhaseServer", "RestartSpec", "SCENARIOS",

@@ -16,9 +16,11 @@ clients can back off instead of timing out.  Three mechanisms compose:
   stops), a cooldown later it half-opens and admits one probe; a probe
   success closes it, a probe failure re-opens it.
 
-Every rejection and every breaker transition is recorded in the
-:class:`~repro.events.EventLog` and (when a tracer is attached) as a
-zero-duration observability mark, so shed load is as visible as served
+Every admission, rejection, limit change and breaker transition is
+recorded once, to the ``journal`` the component is given — on a cluster
+control plane its write-ahead :class:`~repro.cluster.journal.Journal`,
+from which the trace marks are derived; standalone, any
+:class:`~repro.events.EventLog` — so shed load is as visible as served
 load.
 """
 
@@ -121,38 +123,28 @@ class AdmissionController:
     """Token buckets + bounded priority queues over the virtual clock."""
 
     def __init__(self, classes=DEFAULT_CLASSES,
-                 event_log: EventLog | None = None, tracer=None):
+                 journal: EventLog | None = None):
         self.classes = {c.name: c for c in classes}
         if len(self.classes) != len(classes):
             raise ValueError("duplicate priority class names")
-        self.events = event_log if event_log is not None else EventLog()
-        self.tracer = tracer
+        self.journal = journal if journal is not None else EventLog()
         self._buckets = {c.name: TokenBucket(c.rate, c.burst)
                          for c in classes}
         self._queues: dict[str, deque] = {c.name: deque() for c in classes}
         self._accepting = {c.name: True for c in classes}
         self.admitted = 0
         self.rejected: dict[str, int] = {}
-        # Write-ahead journal hook: the control plane points this at its
-        # Journal so accept/shed flips replay after a crash (the
-        # rate/burst knobs only shape future admissions, which are
-        # journaled individually — the accept flag is the one piece of
-        # *state* here).
-        self.journal = None
 
     def _reject(self, error_cls, message: str, request_id: int,
-                class_name: str) -> AdmissionError:
+                class_name: str, now_s: float) -> AdmissionError:
         error = error_cls(message, request_id=request_id,
                           priority_class=class_name)
         self.rejected[error_cls.__name__] = \
             self.rejected.get(error_cls.__name__, 0) + 1
-        self.events.record(ADMISSION_REJECTED, request_id=request_id,
-                           priority_class=class_name,
-                           error=error_cls.__name__, detail=message)
-        if self.tracer is not None:
-            self.tracer.mark(f"reject:{error_cls.__name__}",
-                             request_id=request_id,
-                             priority_class=class_name)
+        self.journal.record(ADMISSION_REJECTED, t_s=now_s,
+                            request_id=request_id,
+                            priority_class=class_name,
+                            error=error_cls.__name__, detail=message)
         return error
 
     def submit(self, item, request_id: int, now_s: float,
@@ -172,24 +164,25 @@ class AdmissionController:
                 ClassShed,
                 f"class {class_name!r} is shed (brownout) at "
                 f"t={now_s:.4f}s",
-                request_id, class_name)
+                request_id, class_name, now_s)
         if not self._buckets[class_name].try_take(now_s):
             raise self._reject(
                 RateLimited,
                 f"class {class_name!r} over its {cls.rate:g}/s rate "
                 f"(burst {cls.burst}) at t={now_s:.4f}s",
-                request_id, class_name)
+                request_id, class_name, now_s)
         queue = self._queues[class_name]
         if len(queue) >= cls.queue_limit:
             raise self._reject(
                 QueueFull,
                 f"class {class_name!r} queue at its bound "
                 f"{cls.queue_limit} at t={now_s:.4f}s",
-                request_id, class_name)
+                request_id, class_name, now_s)
         queue.append(item)
         self.admitted += 1
-        self.events.record(REQUEST_ADMITTED, request_id=request_id,
-                           priority_class=class_name, t_s=now_s)
+        self.journal.record(REQUEST_ADMITTED, t_s=now_s,
+                            request_id=request_id,
+                            priority_class=class_name)
 
     def backlog(self) -> int:
         return sum(len(q) for q in self._queues.values())
@@ -262,8 +255,11 @@ class AdmissionController:
         drains without accepting new entries.  ``accept=False`` sheds
         the class entirely (new submissions raise :class:`ClassShed`)
         until a later ``accept=True`` — the brownout ladder's last rung.
-        Every change is a typed :data:`~repro.events.
-        ADMISSION_LIMITS_CHANGED` event.
+        Every call is one typed :data:`~repro.events.
+        ADMISSION_LIMITS_CHANGED` record carrying the class's resulting
+        ``accept`` flag — the one piece of replayable *state* here (the
+        rate/burst knobs only shape future admissions, which are
+        recorded individually).
         """
         cls = self.classes.get(class_name)
         if cls is None:
@@ -285,16 +281,10 @@ class AdmissionController:
                 bucket.burst = burst
                 bucket.level = min(bucket.level, float(burst))
         if accept is not None:
-            changed = self._accepting[class_name] != accept
             self._accepting[class_name] = accept
-            if changed and self.journal is not None:
-                self.journal.append("limits", now_s,
-                                    priority_class=class_name,
-                                    accept=accept)
-        self.events.record(
-            ADMISSION_LIMITS_CHANGED, priority_class=class_name,
-            t_s=now_s, accept=self._accepting[class_name],
-            reason=reason, **updates)
+        self.journal.record(
+            ADMISSION_LIMITS_CHANGED, t_s=now_s, priority_class=class_name,
+            accept=self._accepting[class_name], reason=reason, **updates)
 
 
 class BreakerState(str, Enum):
@@ -308,14 +298,13 @@ class CircuitBreaker:
 
     def __init__(self, name: str, *, failure_threshold: int = 3,
                  cooldown_s: float = 1.0,
-                 event_log: EventLog | None = None, tracer=None):
+                 journal: EventLog | None = None):
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         self.name = name
         self.failure_threshold = failure_threshold
         self.cooldown_s = cooldown_s
-        self.events = event_log if event_log is not None else EventLog()
-        self.tracer = tracer
+        self.journal = journal if journal is not None else EventLog()
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self._opened_at_s = 0.0
@@ -325,13 +314,9 @@ class CircuitBreaker:
         if state is self.state:
             return
         old, self.state = self.state, state
-        self.events.record(BREAKER_TRANSITION, breaker=self.name,
-                           old=old.value, new=state.value, t_s=now_s,
-                           reason=reason)
-        if self.tracer is not None:
-            self.tracer.mark(f"breaker:{self.name}:{state.value}",
-                             old=old.value, new=state.value,
-                             reason=reason)
+        self.journal.record(BREAKER_TRANSITION, t_s=now_s,
+                            breaker=self.name, old=old.value,
+                            new=state.value, reason=reason)
 
     def allow(self, now_s: float) -> bool:
         """May a request be dispatched through this breaker at ``now_s``?

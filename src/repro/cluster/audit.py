@@ -6,16 +6,16 @@ invariants the control plane promises:
 
 * **Conservation** — every admitted request reaches exactly one
   terminal state (completed *or* failed with a typed reason), no
-  request completes twice (checked against the raw ``group_complete``
-  records, not just the folded set), and no rejected request was also
-  admitted.
+  request completes twice (checked against the raw
+  ``request_completed`` records, not just the folded set), and no
+  rejected request was also admitted.
 * **Exactly-once KV handoff** — per dispatch group, at most one
-  ``handoff_commit``; every commit is preceded by a
-  ``handoff_prepare``; an ``handoff_abort`` is only legal after the
-  retry budget (``handoff_retry`` records) was spent.
+  ``kv_handoff`` commit; every commit is preceded by a
+  ``kv_handoff_prepared``; a ``kv_handoff_aborted`` is only legal after
+  the retry budget (``kv_handoff_retried`` records) was spent.
 * **Exactly-once page leases** — every journaled cached-prefix pin
-  (``page_lease``, one per replica/lease id) has exactly one matching
-  ``page_release`` with the same page count: no lease leaked by a
+  (``page_leased``, one per replica/lease id) has exactly one matching
+  ``page_released`` with the same page count: no lease leaked by a
   failover/drain/hedge path, no page double-freed.
 * **Bit-identity** — when the fault-free oracle's token streams are
   supplied, every completed request's journaled ``token_crc`` must
@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro import events as ev
 from repro.cluster.journal import (
     ControlPlaneState,
     Journal,
@@ -72,7 +73,7 @@ def audit_run(journal: Journal, *,
             violations=[f"journal truncated: {journal.truncated} "
                         f"records dropped; a partial journal cannot "
                         f"certify anything"],
-            counters={"records": len(journal.records),
+            counters={"records": len(journal),
                       "truncated": journal.truncated})
 
     try:
@@ -80,7 +81,7 @@ def audit_run(journal: Journal, *,
     except (JournalTruncated, ValueError) as exc:
         return AuditReport(certified=False,
                            violations=[f"replay failed: {exc}"],
-                           counters={"records": len(journal.records)})
+                           counters={"records": len(journal)})
 
     if final_state is not None and state != final_state:
         for line in diff_states(state, final_state):
@@ -104,17 +105,17 @@ def audit_run(journal: Journal, *,
         violations.append(f"request {rid} both rejected and admitted")
 
     seen_complete: dict[int, int] = {}
-    for record in journal.of_kind("group_complete"):
-        for rid, _, _, _ in record["entries"]:
-            seen_complete[rid] = seen_complete.get(rid, 0) + 1
+    for record in journal.of_kind(ev.REQUEST_COMPLETED):
+        rid = record["request_id"]
+        seen_complete[rid] = seen_complete.get(rid, 0) + 1
     for rid, count in sorted(seen_complete.items()):
         if count > 1:
             violations.append(f"request {rid} completed {count} times")
 
     # --- exactly-once KV handoff ------------------------------------------
-    prepared = {r["group"] for r in journal.of_kind("handoff_prepare")}
+    prepared = {r["group"] for r in journal.of_kind(ev.KV_HANDOFF_PREPARED)}
     commits: dict[int, int] = {}
-    for record in journal.of_kind("handoff_commit"):
+    for record in journal.of_kind(ev.KV_HANDOFF):
         gid = record["group"]
         commits[gid] = commits.get(gid, 0) + 1
         if gid not in prepared:
@@ -125,10 +126,10 @@ def audit_run(journal: Journal, *,
             violations.append(f"group {gid} committed a KV handoff "
                               f"{count} times (pages delivered twice)")
     retries: dict[int, int] = {}
-    for record in journal.of_kind("handoff_retry"):
+    for record in journal.of_kind(ev.KV_HANDOFF_RETRIED):
         gid = record["group"]
         retries[gid] = retries.get(gid, 0) + 1
-    for record in journal.of_kind("handoff_abort"):
+    for record in journal.of_kind(ev.KV_HANDOFF_ABORTED):
         gid = record["group"]
         budget = record.get("budget")
         if gid in commits:
@@ -141,14 +142,14 @@ def audit_run(journal: Journal, *,
 
     # --- exactly-once page leases ------------------------------------------
     leased: dict[tuple[str, int], int] = {}
-    for record in journal.of_kind("page_lease"):
+    for record in journal.of_kind(ev.PAGE_LEASED):
         key = (record["replica"], record["lease_id"])
         if key in leased:
             violations.append(f"page lease {key[1]} on {key[0]} "
                               f"journaled twice")
         leased[key] = record["pages"]
     released: dict[tuple[str, int], int] = {}
-    for record in journal.of_kind("page_release"):
+    for record in journal.of_kind(ev.PAGE_RELEASED):
         key = (record["replica"], record["lease_id"])
         if key in released:
             violations.append(f"page lease {key[1]} on {key[0]} "
@@ -186,7 +187,7 @@ def audit_run(journal: Journal, *,
                     f"{expect:#010x})")
 
     counters = {
-        "records": len(journal.records),
+        "records": len(journal),
         "admitted": len(admitted),
         "completed": len(completed),
         "failed": len(failed),

@@ -63,6 +63,7 @@ from repro.events import (
     AUTOSCALE_DECISION,
     BROWNOUT_RECOVERED,
     BROWNOUT_STEP,
+    REQUEST_COMPLETED,
 )
 
 Coord = tuple[int, int, int]
@@ -229,14 +230,17 @@ class Autoscaler:
     def _slo_breach(self, plane, t: float) -> bool:
         """p99 TTFT of recent completions against the policy's SLO."""
         policy = self.policy
-        events = plane.events.events
-        for event in events[self._event_cursor:]:
-            if event.kind == "request_completed" and \
+        journal = plane.journal
+        # The cursor is a sequence number, so a bounded journal that
+        # dropped records since the last tick only skips the dropped.
+        first = journal.events[0].seq if journal.events else 0
+        for event in journal.events[max(self._event_cursor - first, 0):]:
+            if event.kind == REQUEST_COMPLETED and \
                     event.get("ttft_s") is not None:
-                self._completions.append((event.get("t_s", t),
+                self._completions.append((event.t_s,
                                           event.get("priority_class", ""),
                                           event["ttft_s"]))
-        self._event_cursor = len(events)
+        self._event_cursor = journal.next_seq
         if policy.ttft_slo_s is None:
             return False
         cutoff = t - policy.slo_window_s
@@ -285,8 +289,8 @@ class Autoscaler:
         replica = plane.add_replica(self.policy.replica_shape, t,
                                     spinup_s=self.policy.spinup_s,
                                     pool=pool)
-        plane.events.record(
-            AUTOSCALE_DECISION, action="scale-out", t_s=t,
+        plane.journal.record(
+            AUTOSCALE_DECISION, t_s=t, action="scale-out",
             replica=replica.name, **({"pool": pool} if pool else {}),
             pressure=round(pressure, 3), slo_breach=slo_breach,
             fleet=n_active + 1)
@@ -325,8 +329,8 @@ class Autoscaler:
                 return False  # both pools at their floor: keep the fleet
         victim = victims[-1]  # LIFO: retire the newest first
         plane.begin_scale_in(victim.name, t)
-        plane.events.record(
-            AUTOSCALE_DECISION, action="scale-in", t_s=t,
+        plane.journal.record(
+            AUTOSCALE_DECISION, t_s=t, action="scale-in",
             replica=victim.name, **({"pool": pool} if pool else {}),
             pressure=round(pressure, 3), fleet=n_active - 1)
         return True
@@ -360,8 +364,8 @@ class Autoscaler:
         if target is not None and plane.target_profile != target:
             plane.target_profile = target
             self.plan_switches += 1
-            plane.events.record(
-                AUTOSCALE_DECISION, action="profile", t_s=t,
+            plane.journal.record(
+                AUTOSCALE_DECISION, t_s=t, action="profile",
                 profile=target, prefill_frac=round(frac, 3))
 
     # -- brownout ladder ----------------------------------------------------
@@ -429,11 +433,10 @@ class Autoscaler:
             plane.collapse_pools(t)
         state.level += 1
         state.engaged.append(rung)
-        plane.events.record(
-            BROWNOUT_STEP, step=rung, level=state.level, t_s=t,
+        plane.journal.record(
+            BROWNOUT_STEP, t_s=t, step=rung, level=state.level,
             pressure=round(pressure, 3),
             recovery=self._recovery_condition())
-        plane.tracer.mark(f"brownout:{rung}", level=state.level)
 
     def _release(self, plane, t: float, pressure: float) -> None:
         state = self._brownout
@@ -456,11 +459,9 @@ class Autoscaler:
             state.shed = ()
         elif rung == "collapse-pools":
             plane.restore_pools(t)
-        plane.events.record(
-            BROWNOUT_RECOVERED, step=rung, level=state.level, t_s=t,
+        plane.journal.record(
+            BROWNOUT_RECOVERED, t_s=t, step=rung, level=state.level,
             pressure=round(pressure, 3))
-        plane.tracer.mark(f"brownout-recovered:{rung}",
-                          level=state.level)
 
     # -- introspection ------------------------------------------------------
 

@@ -62,6 +62,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro import events as ev
 from repro.cluster.admission import PriorityClass
 from repro.cluster.autoscaler import Autoscaler, AutoscalerPolicy
 from repro.cluster.audit import audit_run
@@ -76,7 +77,6 @@ from repro.cluster.control_plane import (
 from repro.cluster.disagg import PoolPartition, PoolSpec, default_pools
 from repro.cluster.journal import JournalTruncated, replay_journal
 from repro.cluster.workload import TRACES, generate_trace
-from repro.events import EventLog
 from repro.mesh.faults import (
     ChipKill,
     CollectiveFault,
@@ -88,7 +88,7 @@ from repro.observability.metrics import (
     capture_stats_line,
     kvstore_stats_line,
 )
-from repro.observability.spans import Tracer
+from repro.observability.spans import record_marks
 from repro.serving.engine import Request, TwoPhaseServer
 from repro.serving.resilient import CostModel
 
@@ -426,10 +426,11 @@ class ChaosReport:
     n_spans: int = 0
     bit_identical: bool = True
     violations: list[str] = field(default_factory=list)
-    #: The run's span stream (virtual-clock timestamps), for export.
+    #: The run's span stream (virtual-clock timestamps), for export: the
+    #: tracer's group regions, then one mark per journal record.
     spans: list = field(default_factory=list, repr=False)
     #: The run's full journal as plain dicts (for the ``recovery`` CLI
-    #: artifact; small — tens of records per run).
+    #: artifact; small — tens to hundreds of records per run).
     journal_dump: list = field(default_factory=list, repr=False)
 
     @property
@@ -540,16 +541,14 @@ def _check(report: ChaosReport, scenario: ChaosScenario,
 
 
 def run_scenario(scenario: ChaosScenario | str, *, backend: str = "loop",
-                 seed: int = 0, event_log: EventLog | None = None,
-                 tracer: Tracer | None = None,
-                 weights_seed: int = 0,
+                 seed: int = 0, weights_seed: int = 0,
                  step_threads: int = 0) -> ChaosReport:
     """Execute one scenario deterministically and report what happened.
 
-    Pass ``event_log`` / ``tracer`` to keep the run's timeline and spans
-    for export (the ``repro-inference chaos`` CLI does, to feed the
-    ``trace`` exporter); by default fresh ones are created and summarized
-    into the report's ``n_events`` / ``n_spans`` counts.
+    The report keeps the run's whole timeline: ``journal_dump`` holds
+    every record the plane wrote, and ``spans`` the tracer's group
+    regions plus one mark per record (the ``repro-inference chaos
+    --trace`` and ``trace --mode cluster`` exporters read it).
 
     ``step_threads >= 1`` turns on the control plane's parallel replica
     stepping (hedged decodes race on a thread pool); the report is
@@ -563,7 +562,6 @@ def run_scenario(scenario: ChaosScenario | str, *, backend: str = "loop",
                              f"{sorted(SCENARIOS)}") from None
     weights = init_weights(CHAOS_CONFIG, seed=weights_seed)
     submissions = build_workload(scenario, seed)
-    events = event_log if event_log is not None else EventLog()
     autoscaler = (Autoscaler(scenario.autoscale)
                   if scenario.autoscale is not None else None)
     plane = ClusterControlPlane(
@@ -575,7 +573,7 @@ def run_scenario(scenario: ChaosScenario | str, *, backend: str = "loop",
         fault_plans=dict(scenario.fault_plans),
         drains=dict(scenario.drains),
         costs=scenario.costs,
-        policy=scenario.policy, event_log=events, tracer=tracer,
+        policy=scenario.policy,
         prompt_len_hint=PROMPT_LEN, step_threads=step_threads,
         autoscaler=autoscaler,
         restarts=dict(scenario.restarts),
@@ -605,15 +603,16 @@ def run_scenario(scenario: ChaosScenario | str, *, backend: str = "loop",
                            if report.admitted else 1.0)
     report.failovers = plane.failovers
     report.hedges = plane.hedges
+    journal = plane.journal
     report.breaker_states = [e["new"] for e
-                             in events.of_kind("breaker_transition")]
-    report.health_transitions = len(events.of_kind("replica_health"))
-    report.replicas_added = len(events.of_kind("replica_added"))
-    report.replicas_removed = len(events.of_kind("replica_removed"))
-    report.plan_switches = len(events.of_kind("plan_switched"))
+                             in journal.of_kind(ev.BREAKER_TRANSITION)]
+    report.health_transitions = len(journal.of_kind(ev.REPLICA_HEALTH))
+    report.replicas_added = len(journal.of_kind(ev.REPLICA_ADDED))
+    report.replicas_removed = len(journal.of_kind(ev.REPLICA_REMOVED))
+    report.plan_switches = len(journal.of_kind(ev.PLAN_SWITCHED))
     report.output_capped = sum(1 for o in outcomes if o.output_capped)
     report.fleet_chip_seconds = plane.fleet_chip_seconds(plane.now_s)
-    handoffs = events.of_kind("kv_handoff")
+    handoffs = journal.of_kind(ev.KV_HANDOFF)
     report.kv_handoffs = len(handoffs)
     report.kv_handoff_bytes = sum(e["bytes"] for e in handoffs)
     report.handoffs_colocated = plane.handoffs_colocated
@@ -622,22 +621,22 @@ def run_scenario(scenario: ChaosScenario | str, *, backend: str = "loop",
     report.handoff_dup_drops = plane.handoff_dups_dropped
     report.restarts = plane.restarts
     report.recoveries = plane.recoveries
-    report.quarantines = len(events.of_kind("pool_quarantined"))
-    report.journal_records = len(plane.journal)
-    report.journal_truncated = plane.journal.truncated
+    report.quarantines = len(journal.of_kind(ev.POOL_QUARANTINED))
+    report.journal_records = len(journal)
+    report.journal_truncated = journal.truncated
     try:
-        report.replay_matches = (replay_journal(plane.journal)
+        report.replay_matches = (replay_journal(journal)
                                  == plane.control_state())
     except JournalTruncated:
         report.replay_matches = False
     audit = audit_run(
-        plane.journal, final_state=plane.control_state(),
+        journal, final_state=plane.control_state(),
         reference={rid: c.tokens for rid, c in reference.items()})
     report.audit_certified = audit.certified
     report.audit_violations = list(audit.violations)
     report.journal_dump = [
         {"seq": r.seq, "t_s": r.t_s, "kind": r.kind, "data": dict(r.data)}
-        for r in plane.journal.records]
+        for r in journal]
     report.capture_stats = {
         r.name: r.step_compiler.stats()
         for r in list(plane.replicas) + plane.retired}
@@ -652,9 +651,9 @@ def run_scenario(scenario: ChaosScenario | str, *, backend: str = "loop",
             autoscaler.assert_reverted(plane)
         except AssertionError:
             report.brownout_reverted = False
-    report.n_events = len(events)
-    report.n_spans = len(plane.tracer.spans)
-    report.spans = list(plane.tracer.spans)
+    report.n_events = len(journal)
+    report.spans = plane.tracer.spans + record_marks(journal)
+    report.n_spans = len(report.spans)
 
     finished = completed + by_status.get(
         ClusterRequestStatus.DEADLINE_MISSED, [])

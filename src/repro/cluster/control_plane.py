@@ -34,9 +34,17 @@ scope:
 Time is *virtual* throughout: every model invocation charges its
 :class:`~repro.serving.resilient.CostModel` cost (scaled by replica
 degradation, plus injected straggler delay); replicas run in parallel in
-simulated time via per-replica ``busy_until_s``.  The attached
-:class:`~repro.observability.Tracer` runs on the same virtual clock, so
-a chaos run's spans and events are bit-for-bit reproducible.
+simulated time via per-replica ``busy_until_s``.
+
+Every transition is written once, to the write-ahead
+:class:`~repro.cluster.journal.Journal` on the virtual clock — the plane
+hands it to its replicas, breakers, admission controller and
+autoscaler, and ``events`` is a read-only alias of it.  The attached
+:class:`~repro.observability.Tracer` (same clock) records only
+durations: group regions and, with ``trace_mesh``, mesh spans; point
+marks are derived from the journal
+(:func:`~repro.observability.spans.record_marks`).  A chaos run's
+records and spans are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro import events as ev
 from repro.cluster.admission import (
     DEFAULT_CLASSES,
     AdmissionController,
@@ -72,28 +81,6 @@ from repro.cluster.journal import (
     token_crc,
 )
 from repro.cluster.replica import GroupRun, Replica, ReplicaHealth
-from repro.events import (
-    CONTROL_PLANE_RECOVERED,
-    FAILOVER,
-    FAULT_DETECTED,
-    HEDGE,
-    KV_HANDOFF,
-    KV_HANDOFF_ABORTED,
-    KV_HANDOFF_DEDUPED,
-    KV_HANDOFF_PREPARED,
-    KV_HANDOFF_RETRIED,
-    POOL_QUARANTINED,
-    POOL_REJOINED,
-    POOLS_COLLAPSED,
-    POOLS_RESTORED,
-    REPLICA_ADDED,
-    REPLICA_REJOINED,
-    REPLICA_REMOVED,
-    REPLICA_RESTARTED,
-    REQUEST_COMPLETED,
-    REQUEST_FAILED,
-    EventLog,
-)
 from repro.mesh.capture import ProgramStore
 from repro.mesh.faults import FaultPlan, MeshFault, ReplicaCrashed
 from repro.observability.spans import Tracer
@@ -246,22 +233,23 @@ class _JournaledCaps(dict):
         super().__init__()
         self._plane = plane
 
+    def _journal(self, key: str, cap: int | None) -> None:
+        self._plane.journal.record(ev.LEVER_CHANGED, lever="output_cap",
+                                   priority_class=key, cap=cap)
+
     def __setitem__(self, key: str, value: int) -> None:
         if self.get(key) != value:
-            self._plane._journal("lever", lever="output_cap",
-                                 priority_class=key, cap=value)
+            self._journal(key, value)
         super().__setitem__(key, value)
 
     def __delitem__(self, key: str) -> None:
         if key in self:
-            self._plane._journal("lever", lever="output_cap",
-                                 priority_class=key, cap=None)
+            self._journal(key, None)
         super().__delitem__(key)
 
     def pop(self, key: str, *default):
         if key in self:
-            self._plane._journal("lever", lever="output_cap",
-                                 priority_class=key, cap=None)
+            self._journal(key, None)
         return super().pop(key, *default)
 
     def replace_silently(self, mapping: Mapping[str, int]) -> None:
@@ -289,8 +277,6 @@ class ClusterControlPlane:
                  drains: Mapping[str, float] | None = None,
                  costs: CostModel | None = None,
                  policy: ClusterPolicy | None = None,
-                 event_log: EventLog | None = None,
-                 tracer: Tracer | None = None,
                  trace_mesh: bool = False,
                  prompt_len_hint: int = 64,
                  step_threads: int = 0,
@@ -316,18 +302,16 @@ class ClusterControlPlane:
             raise ValueError("step_threads must be >= 0")
         self.costs = costs or CostModel()
         self.policy = policy or ClusterPolicy()
-        self.events = event_log if event_log is not None else EventLog()
         self.now_s = 0.0
-        # The write-ahead journal records every control-plane transition
-        # on the virtual clock; ``serve()`` snapshots genesis state and
-        # the chaos harness asserts replay(genesis + journal) ==
-        # control_state() after every run.
-        self.journal = journal if journal is not None \
-            else Journal(event_log=self.events)
-        # The tracer runs on the control plane's virtual clock: chaos
-        # runs under a fixed seed produce bit-identical span streams.
-        self.tracer = tracer if tracer is not None else Tracer(
-            event_log=self.events, clock=lambda: self.now_s)
+        # The write-ahead journal is the one record of every transition,
+        # stamped on the virtual clock; ``serve()`` snapshots genesis
+        # state and the chaos harness asserts replay(genesis + journal)
+        # == control_state() after every run.
+        self.journal = journal if journal is not None else Journal()
+        self.journal.clock = lambda: self.now_s
+        # The tracer runs on the same clock and records durations only:
+        # chaos runs under a fixed seed produce bit-identical spans.
+        self.tracer = Tracer(clock=lambda: self.now_s)
         fault_plans = dict(fault_plans or {})
         self.weights = weights
         self.backend = backend
@@ -340,21 +324,15 @@ class ClusterControlPlane:
             Replica(f"r{i}", weights, shape, backend=backend,
                     decode_batch=decode_batch,
                     fault_plan=fault_plans.get(i), costs=self.costs,
-                    event_log=self.events, tracer=self.tracer,
-                    trace_mesh=trace_mesh,
+                    journal=self.journal, tracer=self._mesh_tracer,
                     prompt_len_hint=prompt_len_hint,
                     kvstore_pages=self.policy.kvstore_pages,
                     program_store=self.program_store)
             for i, shape in enumerate(shapes)]
-        self.breakers = {
-            r.name: CircuitBreaker(
-                r.name, failure_threshold=self.policy.breaker_failures,
-                cooldown_s=self.policy.breaker_cooldown_s,
-                event_log=self.events, tracer=self.tracer)
-            for r in self.replicas}
-        self.admission = AdmissionController(
-            tuple(classes), event_log=self.events, tracer=self.tracer)
-        self.admission.journal = self.journal
+        self.breakers = {r.name: self._breaker(r.name)
+                         for r in self.replicas}
+        self.admission = AdmissionController(tuple(classes),
+                                             journal=self.journal)
         self.decode_batch = decode_batch
         self._drains = dict(drains or {})
         self._group_counter = 0
@@ -436,6 +414,21 @@ class ClusterControlPlane:
             for replica in self.replicas:
                 self._steer_to_pool(replica, 0.0)
 
+    @property
+    def events(self) -> Journal:
+        """Read-only alias of :attr:`journal`, the plane's one stream."""
+        return self.journal
+
+    @property
+    def _mesh_tracer(self) -> Tracer | None:
+        return self.tracer if self.trace_mesh else None
+
+    def _breaker(self, name: str) -> CircuitBreaker:
+        return CircuitBreaker(
+            name, failure_threshold=self.policy.breaker_failures,
+            cooldown_s=self.policy.breaker_cooldown_s,
+            journal=self.journal)
+
     def _step_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
@@ -450,10 +443,6 @@ class ClusterControlPlane:
 
     # -- journal / crash recovery -------------------------------------------
 
-    def _journal(self, kind: str, t_s: float | None = None, **data):
-        self.journal.append(kind, self.now_s if t_s is None else t_s,
-                            **data)
-
     @property
     def hedging_enabled(self) -> bool:
         return self._hedging_enabled
@@ -461,7 +450,8 @@ class ClusterControlPlane:
     @hedging_enabled.setter
     def hedging_enabled(self, value: bool) -> None:
         if value != self._hedging_enabled:
-            self._journal("lever", lever="hedging", value=value)
+            self.journal.record(ev.LEVER_CHANGED, lever="hedging",
+                                value=value)
         self._hedging_enabled = value
 
     @property
@@ -471,7 +461,8 @@ class ClusterControlPlane:
     @target_profile.setter
     def target_profile(self, value: str | None) -> None:
         if value != self._target_profile:
-            self._journal("lever", lever="target_profile", value=value)
+            self.journal.record(ev.LEVER_CHANGED, lever="target_profile",
+                                value=value)
         self._target_profile = value
 
     def control_state(self) -> ControlPlaneState:
@@ -541,12 +532,9 @@ class ClusterControlPlane:
         self._target_profile = replayed.target_profile
         self.output_caps.replace_silently(dict(replayed.output_caps))
         self.recoveries += 1
-        self._journal("control_recovered", t_s=t)
-        self.events.record(CONTROL_PLANE_RECOVERED, t_s=t,
-                           journal_records=len(self.journal),
-                           pending_drains=len(self._drains))
-        self.tracer.mark("control-plane-recovered",
-                         records=len(self.journal))
+        self.journal.record(ev.CONTROL_PLANE_RECOVERED, t_s=t,
+                            journal_records=len(self.journal),
+                            pending_drains=len(self._drains))
 
     # -- replica selection --------------------------------------------------
 
@@ -573,25 +561,17 @@ class ClusterControlPlane:
                     if self.pool_of[r.name] == part.pool
                     and r.name not in self.quarantined)
                 self.quarantined.update(members)
-                self._journal("quarantine", t_s=now_s, pool=part.pool,
-                              replicas=members)
-                self.events.record(POOL_QUARANTINED, pool=part.pool,
-                                   replicas=members, t_s=now_s,
-                                   until_s=part.until_s)
-                self.tracer.mark(f"pool-quarantined:{part.pool}",
-                                 replicas=members)
+                self.journal.record(ev.POOL_QUARANTINED, t_s=now_s,
+                                    pool=part.pool, replicas=members,
+                                    until_s=part.until_s)
             elif not active and self._partition_active[i] and \
                     now_s >= part.until_s:
                 self._partition_active[i] = False
                 held = sorted(n for n in self.quarantined
                               if self.pool_of[n] == part.pool)
                 self.quarantined.difference_update(held)
-                self._journal("pool_rejoin", t_s=now_s, pool=part.pool,
-                              replicas=held)
-                self.events.record(POOL_REJOINED, pool=part.pool,
-                                   replicas=held, t_s=now_s)
-                self.tracer.mark(f"pool-rejoined:{part.pool}",
-                                 replicas=held)
+                self.journal.record(ev.POOL_REJOINED, t_s=now_s,
+                                    pool=part.pool, replicas=held)
 
     def _fire_idle_restarts(self, now_s: float) -> None:
         """Fire scheduled process deaths on replicas with no group.
@@ -609,10 +589,8 @@ class ClusterControlPlane:
                 del self._restarts[name]
                 continue
             spec = self._restarts.pop(name)
-            self._journal("replica_crash", t_s=now_s, replica=name,
-                          mode=spec.mode, group=None)
-            self.events.record(REPLICA_RESTARTED, replica=name,
-                               mode=spec.mode, t_s=now_s, group=None)
+            self.journal.record(ev.REPLICA_RESTARTED, t_s=now_s, replica=name,
+                                mode=spec.mode, group=None)
             self._restart_replica(replica, now_s, spec.mode)
 
     def _maybe_crash_running(self, run: GroupRun, t: float,
@@ -632,11 +610,8 @@ class ClusterControlPlane:
         ready = max(replica.busy_until_s, t) + downtime
         replica.busy_until_s = ready
         self.restarts += 1
-        self._journal("replica_rejoin", t_s=t, replica=replica.name,
-                      mode=mode, ready_s=ready)
-        self.events.record(REPLICA_REJOINED, replica=replica.name,
-                           mode=mode, t_s=t, ready_s=ready)
-        self.tracer.mark(f"restart:{replica.name}", mode=mode)
+        self.journal.record(ev.REPLICA_REJOINED, t_s=t, replica=replica.name,
+                            mode=mode, ready_s=ready)
 
     def _phase_candidates(self, phase: str,
                           fallback: bool = True) -> list[Replica]:
@@ -662,8 +637,7 @@ class ClusterControlPlane:
             # degrade to colocated routing rather than refuse service.
             if not self._pool_fallback_noted:
                 self._pool_fallback_noted = True
-                self.tracer.mark(f"pool-fallback:{phase}",
-                                 pool=phase, phase=phase)
+                self.journal.record(ev.POOL_FALLBACK, pool=phase)
             return live
         return members
 
@@ -738,24 +712,18 @@ class ClusterControlPlane:
         replica = Replica(name, self.weights, shape,
                           backend=self.backend,
                           decode_batch=self.decode_batch,
-                          costs=self.costs, event_log=self.events,
-                          tracer=self.tracer, trace_mesh=self.trace_mesh,
+                          costs=self.costs, journal=self.journal,
+                          tracer=self._mesh_tracer,
                           prompt_len_hint=self.prompt_len_hint,
                           kvstore_pages=self.policy.kvstore_pages,
                           program_store=self.program_store)
         replica.busy_until_s = now_s + spinup_s
         self.replicas.append(replica)
-        self.breakers[name] = CircuitBreaker(
-            name, failure_threshold=self.policy.breaker_failures,
-            cooldown_s=self.policy.breaker_cooldown_s,
-            event_log=self.events, tracer=self.tracer)
+        self.breakers[name] = self._breaker(name)
         self.replica_added_s[name] = now_s
-        self._journal("replica_add", t_s=now_s, replica=name,
-                      shape=tuple(shape), pool=pool)
-        self.events.record(REPLICA_ADDED, replica=name,
-                           shape=tuple(shape), t_s=now_s,
-                           spinup_s=spinup_s)
-        self.tracer.mark(f"scale-out:{name}", shape=tuple(shape))
+        self.journal.record(ev.REPLICA_ADDED, t_s=now_s, replica=name,
+                            shape=tuple(shape), pool=pool,
+                            spinup_s=spinup_s)
         if pool is not None:
             self.pool_of[name] = pool
             self._steer_to_pool(replica, now_s)
@@ -771,7 +739,7 @@ class ClusterControlPlane:
             raise ValueError(f"unknown replica {name!r}")
         self.retiring.add(name)
         self._drains[name] = now_s
-        self._journal("scale_in", t_s=now_s, replica=name)
+        self.journal.record(ev.SCALE_IN_BEGUN, t_s=now_s, replica=name)
 
     def reap_retiring(self, now_s: float) -> list[str]:
         """Complete any scale-ins whose replicas have gone idle."""
@@ -785,24 +753,22 @@ class ClusterControlPlane:
                 # Idle: no in-flight group will ever execute the drain,
                 # so transition directly.
                 del self._drains[name]
-                self._journal("drain", t_s=now_s, replica=name,
-                              mode="idle")
+                self.journal.record(ev.REPLICA_DRAINED, t_s=now_s,
+                                    replica=name, mode="idle")
                 replica.set_health(ReplicaHealth.DRAINING, now_s,
                                    "autoscale scale-in (idle)")
             if replica.health is not ReplicaHealth.DRAINING:
                 # The drain was aborted (no migration target); give up
                 # on this scale-in rather than wedge the replica.
                 self.retiring.discard(name)
-                self._journal("scale_in_abandoned", t_s=now_s,
-                              replica=name)
+                self.journal.record(ev.SCALE_IN_ABANDONED, t_s=now_s,
+                                    replica=name)
                 continue
             self.replicas.remove(replica)
             self.retired.append(replica)
             self.retiring.discard(name)
             self.replica_removed_s[name] = now_s
-            self._journal("replica_remove", t_s=now_s, replica=name)
-            self.events.record(REPLICA_REMOVED, replica=name, t_s=now_s)
-            self.tracer.mark(f"scale-in:{name}")
+            self.journal.record(ev.REPLICA_REMOVED, t_s=now_s, replica=name)
             removed.append(name)
         return removed
 
@@ -890,12 +856,9 @@ class ClusterControlPlane:
                 self.admission.submit(sub, rid, sub.arrival_s,
                                       class_name=sub.priority_class)
                 self._ledger_admitted.add(rid)
-                self._journal("admit", t_s=sub.arrival_s, request_id=rid)
             except AdmissionError as exc:
                 reason = type(exc).__name__
                 self._ledger_rejected[rid] = reason
-                self._journal("reject", t_s=sub.arrival_s,
-                              request_id=rid, reason=reason)
                 by_id[rid] = ClusterOutcome(
                     rid, ClusterRequestStatus.REJECTED,
                     sub.priority_class, arrival_s=sub.arrival_s,
@@ -980,8 +943,8 @@ class ClusterControlPlane:
         first_class = subs[0].priority_class
         gid = self._group_counter
         self._group_counter += 1
-        self._journal("group_start", group=gid,
-                      requests=[s.request.request_id for s in subs])
+        self.journal.record(ev.GROUP_STARTED, group=gid,
+                            requests=[s.request.request_id for s in subs])
 
         try:
             replica = self._pick_replica(self.now_s, first_rid, first_class,
@@ -1084,10 +1047,10 @@ class ClusterControlPlane:
                         t = self._on_group_fault(run.replica, exc, t)
                         attempt += 1
                         self.failovers += 1
-                        self._journal("failover", t_s=t, group=gid,
-                                      source=run.replica.name,
-                                      error=type(exc).__name__,
-                                      attempt=attempt)
+                        self.journal.record(ev.GROUP_FAULTED, t_s=t, group=gid,
+                                            source=run.replica.name,
+                                            error=type(exc).__name__,
+                                            attempt=attempt)
                         if attempt > self.policy.max_retries:
                             self._fail_group(subs, by_id, gid=gid,
                                              error=type(exc).__name__,
@@ -1107,13 +1070,9 @@ class ClusterControlPlane:
                                              error=type(nhr_exc).__name__,
                                              failovers=attempt, finish_s=t)
                             return
-                        self.events.record(
-                            FAILOVER, group=gid, mode="re-prefill",
+                        self.journal.record(
+                            ev.FAILOVER, t_s=t, group=gid, mode="re-prefill",
                             source=run.replica.name, target=target.name,
-                            t_s=t, error=type(exc).__name__)
-                        self.tracer.mark(
-                            f"failover:{run.replica.name}->{target.name}",
-                            group=gid, mode="re-prefill",
                             error=type(exc).__name__)
                         t = max(t + self.policy.failover_overhead_s,
                                 target.busy_until_s)
@@ -1150,8 +1109,8 @@ class ClusterControlPlane:
         """Give up on handing off: decode in place on the prefill
         replica (a degrade path, not a fault)."""
         self.handoffs_colocated += 1
-        self.tracer.mark(f"handoff-colocated:{run.replica.name}",
-                         group=gid, reason=reason)
+        self.journal.record(ev.KV_HANDOFF_COLOCATED, t_s=t, group=gid,
+                            replica=run.replica.name, reason=reason)
         return run, t
 
     def _uncached_bytes(self, run: GroupRun,
@@ -1194,9 +1153,9 @@ class ClusterControlPlane:
                 adopted += target.kvstore.adopt(request.prompt, pages)
         if adopted:
             self.kv_pages_adopted += adopted
-            self.tracer.mark(
-                f"page-adopt:{source.name}->{target.name}",
-                group=gid, pages=adopted)
+            self.journal.record(ev.KV_PAGES_ADOPTED, t_s=t, group=gid,
+                                source=source.name, target=target.name,
+                                pages=adopted)
 
     def _handoff_target(self, t: float, run: GroupRun) -> Replica | None:
         """The decode-pool replica to hand ``run`` to, if any is
@@ -1240,10 +1199,8 @@ class ClusterControlPlane:
         source = run.replica
         policy = self.policy
         n_bytes = run.kv_cache_bytes()
-        self._journal("handoff_prepare", t_s=t, group=gid,
-                      source=source.name, bytes=n_bytes)
-        self.events.record(KV_HANDOFF_PREPARED, group=gid,
-                           source=source.name, bytes=n_bytes, t_s=t)
+        self.journal.record(ev.KV_HANDOFF_PREPARED, t_s=t, group=gid,
+                            source=source.name, bytes=n_bytes)
         budget = max(policy.handoff_retries, 0)
         attempts = budget + 1
         target: Replica | None = None
@@ -1290,11 +1247,8 @@ class ClusterControlPlane:
             if failure is None:
                 if gid in self._handoff_delivered:
                     self.handoff_dups_dropped += 1
-                    self._journal("handoff_dup", t_s=t, group=gid)
-                    self.events.record(KV_HANDOFF_DEDUPED, group=gid,
-                                       target=target.name, t_s=t)
-                    self.tracer.mark(f"handoff-dedup:{target.name}",
-                                     group=gid)
+                    self.journal.record(ev.KV_HANDOFF_DEDUPED, t_s=t,
+                                        group=gid, target=target.name)
                 # Prefix pages the target's store already holds stay
                 # put — only the uncached remainder is priced on the
                 # A.1 link (storage traded for transfer, the Mooncake
@@ -1311,31 +1265,22 @@ class ClusterControlPlane:
                 self.kv_handoffs += 1
                 self.kv_handoff_bytes += uncached
                 self.kv_handoff_bytes_saved += saved
-                self._journal("handoff_commit", t_s=t, group=gid,
-                              source=source.name, target=target.name,
-                              attempt=attempt)
-                self.events.record(
-                    KV_HANDOFF, group=gid, source=source.name,
+                self.journal.record(
+                    ev.KV_HANDOFF, t_s=t, group=gid, source=source.name,
                     target=target.name, bytes=uncached,
-                    bytes_saved=saved,
-                    transfer_s=transfer_s, t_s=t,
-                    decode_start_s=decode_start, attempts=attempt,
+                    bytes_saved=saved, transfer_s=transfer_s,
+                    decode_start_s=decode_start, attempt=attempt,
                     overlapped_s=max(
                         target.busy_until_s - (t + transfer_s), 0.0))
-                self.tracer.mark(
-                    f"kv-handoff:{source.name}->{target.name}",
-                    group=gid, bytes=uncached, transfer_s=transfer_s)
                 # Post-commit: seed the decode side's store so the next
                 # shared-prefix handoff prices (and routes) even better.
                 self._adopt_pages(run, source, target, t, gid)
                 return new_run, decode_start
             if attempt == attempts:
                 self.handoff_aborts += 1
-                self._journal("handoff_abort", t_s=t, group=gid,
-                              reason=failure, budget=budget)
-                self.events.record(KV_HANDOFF_ABORTED, group=gid,
-                                   source=source.name, reason=failure,
-                                   retries=budget, t_s=t)
+                self.journal.record(ev.KV_HANDOFF_ABORTED, t_s=t, group=gid,
+                                    source=source.name, reason=failure,
+                                    budget=budget)
                 source.busy_until_s = t
                 raise HandoffAborted(
                     f"KV handoff for group {gid} gave up after "
@@ -1345,14 +1290,9 @@ class ClusterControlPlane:
             # (0), keyed by the group so concurrent retries spread out.
             backoff = jittered_backoff_s(
                 attempt, base_s=policy.handoff_backoff_base_s, key=gid)
-            self._journal("handoff_retry", t_s=t, group=gid,
-                          attempt=attempt, reason=failure,
-                          backoff_s=backoff)
-            self.events.record(KV_HANDOFF_RETRIED, group=gid,
-                               source=source.name, attempt=attempt,
-                               reason=failure, backoff_s=backoff, t_s=t)
-            self.tracer.mark(f"handoff-retry:{source.name}", group=gid,
-                             attempt=attempt, reason=failure)
+            self.journal.record(ev.KV_HANDOFF_RETRIED, t_s=t, group=gid,
+                                source=source.name, attempt=attempt,
+                                reason=failure, backoff_s=backoff)
             t += backoff
             self._set_now(t)
             source.busy_until_s = t
@@ -1375,9 +1315,7 @@ class ClusterControlPlane:
         if self.pools_collapsed or not self.pool_of:
             return False
         self.pools_collapsed = True
-        self._journal("pools", t_s=now_s, collapsed=True)
-        self.events.record(POOLS_COLLAPSED, t_s=now_s)
-        self.tracer.mark("pools-collapsed")
+        self.journal.record(ev.POOLS_COLLAPSED, t_s=now_s)
         return True
 
     def restore_pools(self, now_s: float) -> bool:
@@ -1386,9 +1324,7 @@ class ClusterControlPlane:
         if not self.pools_collapsed:
             return False
         self.pools_collapsed = False
-        self._journal("pools", t_s=now_s, collapsed=False)
-        self.events.record(POOLS_RESTORED, t_s=now_s)
-        self.tracer.mark("pools-restored")
+        self.journal.record(ev.POOLS_RESTORED, t_s=now_s)
         return True
 
     # -- fault / drain / hedge handling ------------------------------------
@@ -1408,10 +1344,10 @@ class ClusterControlPlane:
             lease.journaled = True
             self.kv_page_leases += 1
             self.kv_pages_leased += lease.n_pages
-            self._journal("page_lease", t_s=t, group=gid,
-                          replica=run.replica.name,
-                          lease_id=lease.lease_id,
-                          pages=lease.n_pages, tokens=lease.n_tokens)
+            self.journal.record(ev.PAGE_LEASED, t_s=t, group=gid,
+                                replica=run.replica.name,
+                                lease_id=lease.lease_id,
+                                pages=lease.n_pages, tokens=lease.n_tokens)
 
     def _release_leases(self, run: GroupRun, t: float, gid: int) -> None:
         """Unpin and journal every lease ``run`` still holds.
@@ -1428,26 +1364,24 @@ class ClusterControlPlane:
                 continue
             self.kv_page_releases += 1
             self.kv_pages_released += lease.n_pages
-            self._journal("page_release", t_s=t, group=gid,
-                          replica=run.replica.name,
-                          lease_id=lease.lease_id,
-                          pages=lease.n_pages)
+            self.journal.record(ev.PAGE_RELEASED, t_s=t, group=gid,
+                                replica=run.replica.name,
+                                lease_id=lease.lease_id,
+                                pages=lease.n_pages)
 
     def _on_group_fault(self, replica: Replica, exc: MeshFault,
                         t: float) -> float:
-        self.events.record(FAULT_DETECTED, replica=replica.name,
-                           error=type(exc).__name__, detail=str(exc),
-                           t_s=t)
+        self.journal.record(ev.FAULT_DETECTED, t_s=t, replica=replica.name,
+                            error=type(exc).__name__, detail=str(exc))
         self.breakers[replica.name].record_failure(
             t, reason=type(exc).__name__)
         replica.busy_until_s = t  # partial work still occupied the slice
         if isinstance(exc, ReplicaCrashed):
             # Whole process died: no replan can save it — restart and
             # rejoin after the policy downtime.
-            self._journal("replica_crash", t_s=t, replica=replica.name,
-                          mode=exc.mode, group=exc.group)
-            self.events.record(REPLICA_RESTARTED, replica=replica.name,
-                               mode=exc.mode, t_s=t, group=exc.group)
+            self.journal.record(ev.REPLICA_RESTARTED, t_s=t,
+                                replica=replica.name, mode=exc.mode,
+                                group=exc.group)
             self._restart_replica(replica, t, exc.mode)
         else:
             replica.heartbeat(t)  # replan around dead chips, or go DEAD
@@ -1478,7 +1412,8 @@ class ClusterControlPlane:
             # Nowhere to go: cancel the drain and keep serving here.
             source.set_health(ReplicaHealth.DEGRADED, t,
                               "drain aborted: no target replica")
-            self._journal("drain", t_s=t, replica=name, mode="aborted")
+            self.journal.record(ev.REPLICA_DRAINED, t_s=t, replica=name,
+                                mode="aborted")
             return None
         try:
             new_run = run.migrate_to(target)
@@ -1489,14 +1424,11 @@ class ClusterControlPlane:
             mode = "re-prefill"
             t = max(t + self.policy.failover_overhead_s,
                     target.busy_until_s)
-            self.events.record(FAULT_DETECTED, replica=source.name,
-                               error="CacheMigrationFailed",
-                               detail=str(exc), t_s=t)
-        self._journal("drain", t_s=t, replica=name, mode=mode)
-        self.events.record(FAILOVER, mode=mode, source=source.name,
-                           target=target.name, t_s=t, error="drain")
-        self.tracer.mark(f"drain:{source.name}->{target.name}",
-                         mode=mode)
+            self.journal.record(ev.FAULT_DETECTED, t_s=t, replica=source.name,
+                                error="CacheMigrationFailed",
+                                detail=str(exc))
+        self.journal.record(ev.REPLICA_DRAINED, t_s=t, replica=name,
+                            mode=mode, target=target.name)
         return new_run, t
 
     def _try_hedge(self, run: GroupRun, t: float, gid: int):
@@ -1516,12 +1448,8 @@ class ClusterControlPlane:
         if backup is run.replica:
             return True, None
         self.hedges += 1
-        self._journal("hedge", t_s=t, group=gid,
-                      source=run.replica.name, target=backup.name)
-        self.events.record(HEDGE, group=gid, source=run.replica.name,
-                           target=backup.name, t_s=t)
-        self.tracer.mark(f"hedge:{run.replica.name}->{backup.name}",
-                         group=gid)
+        self.journal.record(ev.HEDGE, t_s=t, group=gid,
+                            source=run.replica.name, target=backup.name)
         hedge_run = GroupRun(backup, run.wrapped)
         bt = max(t, backup.busy_until_s)
         self._running.add(backup.name)
@@ -1584,12 +1512,8 @@ class ClusterControlPlane:
         if backup is run.replica:
             return t, None
         self.hedges += 1
-        self._journal("hedge", t_s=t, group=gid,
-                      source=run.replica.name, target=backup.name)
-        self.events.record(HEDGE, group=gid, source=run.replica.name,
-                           target=backup.name, t_s=t)
-        self.tracer.mark(f"hedge:{run.replica.name}->{backup.name}",
-                         group=gid)
+        self.journal.record(ev.HEDGE, t_s=t, group=gid,
+                            source=run.replica.name, target=backup.name)
         hedge_run = GroupRun(backup, run.wrapped)
         bt = max(t, backup.busy_until_s)
         self._running.add(backup.name)
@@ -1657,13 +1581,11 @@ class ClusterControlPlane:
                         first_token_s: float | None = None,
                         capped: Sequence[bool] | None = None) -> None:
         capped = capped or [False] * len(subs)
-        entries = []
         for sub, completion, was_capped in zip(subs, completions, capped):
             rid = sub.request.request_id
             crc = token_crc(completion.tokens)
-            n_tokens = int(len(completion.tokens))
-            entries.append((rid, crc, n_tokens, was_capped))
-            self._ledger_completed[rid] = (crc, n_tokens, was_capped)
+            stream_len = int(len(completion.tokens))
+            self._ledger_completed[rid] = (crc, stream_len, was_capped)
             met = sub.deadline_s is None or finish_s <= sub.deadline_s
             status = (ClusterRequestStatus.COMPLETED if met
                       else ClusterRequestStatus.DEADLINE_MISSED)
@@ -1673,25 +1595,21 @@ class ClusterControlPlane:
                 finish_s=finish_s, hedged=hedged, failovers=failovers,
                 first_token_s=first_token_s, output_capped=was_capped)
             by_id[rid] = outcome
-            self.events.record(REQUEST_COMPLETED, request_id=rid,
-                               t_s=finish_s, replica=replica,
-                               met_deadline=met, hedged=hedged,
-                               failovers=failovers,
-                               priority_class=sub.priority_class,
-                               ttft_s=outcome.ttft_s,
-                               tpot_s=outcome.tpot_s,
-                               n_tokens=completion.n_generated,
-                               output_capped=was_capped)
-        self._journal("group_complete", t_s=finish_s, group=gid,
-                      replica=replica, entries=entries)
+            self.journal.record(ev.REQUEST_COMPLETED, t_s=finish_s,
+                                request_id=rid, group=gid, replica=replica,
+                                crc=crc, stream_len=stream_len,
+                                met_deadline=met, hedged=hedged,
+                                failovers=failovers,
+                                priority_class=sub.priority_class,
+                                ttft_s=outcome.ttft_s,
+                                tpot_s=outcome.tpot_s,
+                                n_tokens=completion.n_generated,
+                                output_capped=was_capped)
 
     def _fail_group(self, subs, by_id, *, gid: int, error: str,
                     failovers: int,
                     finish_s: float | None = None) -> None:
         finish = self.now_s if finish_s is None else finish_s
-        rids = [sub.request.request_id for sub in subs]
-        self._journal("group_fail", t_s=finish, group=gid,
-                      requests=rids, reason=error)
         for sub in subs:
             rid = sub.request.request_id
             self._ledger_failed[rid] = error
@@ -1699,5 +1617,5 @@ class ClusterControlPlane:
                 rid, ClusterRequestStatus.FAILED, sub.priority_class,
                 arrival_s=sub.arrival_s, finish_s=finish,
                 failovers=failovers, rejection=error)
-            self.events.record(REQUEST_FAILED, request_id=rid,
-                               retries=failovers, error=error)
+            self.journal.record(ev.REQUEST_FAILED, t_s=finish, request_id=rid,
+                                group=gid, retries=failovers, error=error)

@@ -2,9 +2,15 @@
 
 The control plane's state — which requests were admitted, which groups
 dispatched, which drains are pending, which brownout levers are pulled —
-lives only in memory; this module makes it *recoverable*.  Every typed
-transition is appended to a :class:`Journal` as a
-:class:`JournalRecord` on the virtual clock, and
+lives only in memory; this module makes it *recoverable*, and makes it
+the one record of what the fleet did.  A :class:`Journal` is an
+:class:`~repro.events.EventLog` with one record type
+(:class:`~repro.events.Event`, stamped on the plane's virtual clock):
+every transition — admissions, dispatch, failovers, handoffs, breaker
+flips, health changes, autoscaling — is appended to it exactly once.
+``plane.events`` is an alias of the journal, and trace marks are derived
+from it (:func:`repro.observability.spans.record_marks`).
+
 :func:`replay_journal` folds the records (from a
 :class:`ControlPlaneState` snapshot) back into the exact state the live
 run reached — bit-identically, asserted by the chaos harness on every
@@ -14,28 +20,30 @@ recovers by replay instead of losing the fleet
 reconstruction against its live state and rebuilds its dispatch
 bookkeeping from the replayed snapshot).
 
-Unlike the :class:`~repro.events.EventLog` ring buffer, whose drops are
-silently counted, a bounded journal is **loud**: the first dropped
-record emits a typed :data:`~repro.events.JOURNAL_TRUNCATED` event,
-:func:`replay_journal` raises :class:`JournalTruncated` when the
-retained suffix no longer covers the snapshot's watermark, and the
-auditor (:mod:`repro.cluster.audit`) refuses to certify a truncated
-journal outright.
+A bounded journal is **loud**: the first dropped record appends a typed
+:data:`~repro.events.JOURNAL_TRUNCATED` record, :func:`replay_journal`
+raises :class:`JournalTruncated` when the retained suffix no longer
+covers the snapshot's watermark, and the auditor
+(:mod:`repro.cluster.audit`) refuses to certify a truncated journal
+outright.
 
 Record kinds and their replay semantics are defined in one place
 (:data:`_FOLDERS`), so a new transition cannot be journaled without
-deciding how it replays.
+deciding how it replays — kinds that change no control-plane state
+(health flips, breaker transitions, autoscale decisions, ...) carry an
+explicit no-op rule.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.events import JOURNAL_TRUNCATED, EventLog
+from repro import events as ev
+from repro.events import Event, EventLog
 
 
 def token_crc(tokens) -> int:
@@ -54,22 +62,6 @@ class JournalTruncated(RuntimeError):
 
 class JournalReplayMismatch(RuntimeError):
     """Replaying the journal did not reconstruct the live state."""
-
-
-@dataclass(frozen=True)
-class JournalRecord:
-    """One typed control-plane transition on the virtual clock."""
-
-    seq: int
-    t_s: float
-    kind: str
-    data: dict[str, Any] = field(default_factory=dict)
-
-    def __getitem__(self, key: str) -> Any:
-        return self.data[key]
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.data.get(key, default)
 
 
 @dataclass(frozen=True)
@@ -121,58 +113,42 @@ class ControlPlaneState:
     quarantined: tuple[str, ...] = ()
 
 
-class Journal:
+class Journal(EventLog):
     """Append-only write-ahead journal with an optional bound.
 
-    ``max_records`` turns it into a ring: once full, appending drops the
+    ``max_records`` turns it into a ring: once full, recording drops the
     *oldest* record — but loudly (see module doc).  ``set_genesis``
     stores the snapshot replay starts from; the control plane takes it
     at the top of ``serve()`` so construction-time bookkeeping is
     captured once instead of journaled piecemeal.
     """
 
-    def __init__(self, max_records: int | None = None,
-                 event_log: EventLog | None = None):
+    def __init__(self, max_records: int | None = None):
         if max_records is not None and max_records < 1:
             raise ValueError(
                 f"max_records must be >= 1, got {max_records}")
+        super().__init__()
         self.max_records = max_records
-        self.events = event_log
         self.genesis: ControlPlaneState | None = None
-        self.records: list[JournalRecord] = []
         self.truncated = 0
-        self._seq = 0
-
-    @property
-    def next_seq(self) -> int:
-        return self._seq
 
     def set_genesis(self, state: ControlPlaneState) -> None:
         """Record the snapshot replay starts from (first call wins)."""
         if self.genesis is None:
             self.genesis = state
 
-    def append(self, kind: str, t_s: float, **data: Any) -> JournalRecord:
-        record = JournalRecord(seq=self._seq, t_s=t_s, kind=kind,
-                               data=data)
-        self._seq += 1
-        self.records.append(record)
+    def record(self, kind: str, t_s: float | None = None,
+               **data: Any) -> Event:
+        event = super().record(kind, t_s, **data)
         if self.max_records is not None and \
-                len(self.records) > self.max_records:
-            del self.records[0]
+                len(self.events) > self.max_records:
+            dropped = self.events.pop(0)
             self.truncated += 1
-            if self.truncated == 1 and self.events is not None:
-                self.events.record(JOURNAL_TRUNCATED, t_s=t_s,
-                                   max_records=self.max_records,
-                                   first_dropped_seq=record.seq
-                                   - self.max_records)
-        return record
-
-    def of_kind(self, kind: str) -> list[JournalRecord]:
-        return [r for r in self.records if r.kind == kind]
-
-    def __len__(self) -> int:
-        return len(self.records)
+            if self.truncated == 1:
+                self.record(ev.JOURNAL_TRUNCATED, t_s=event.t_s,
+                            max_records=self.max_records,
+                            first_dropped_seq=dropped.seq)
+        return event
 
 
 # ---------------------------------------------------------------------------
@@ -249,70 +225,65 @@ class _Working:
         )
 
 
-def _fold_admit(w: _Working, r: JournalRecord) -> None:
+def _fold_admit(w: _Working, r: Event) -> None:
     w.admitted.add(r["request_id"])
 
 
-def _fold_reject(w: _Working, r: JournalRecord) -> None:
-    w.rejected[r["request_id"]] = r["reason"]
+def _fold_reject(w: _Working, r: Event) -> None:
+    w.rejected[r["request_id"]] = r["error"]
 
 
-def _fold_group_start(w: _Working, r: JournalRecord) -> None:
+def _fold_group_start(w: _Working, r: Event) -> None:
     w.group_counter = max(w.group_counter, r["group"] + 1)
 
 
-def _fold_group_complete(w: _Working, r: JournalRecord) -> None:
-    for rid, crc, n, capped in r["entries"]:
-        w.completed[rid] = (crc, n, capped)
+def _fold_complete(w: _Working, r: Event) -> None:
+    w.completed[r["request_id"]] = (r["crc"], r["stream_len"],
+                                    r["output_capped"])
 
 
-def _fold_group_fail(w: _Working, r: JournalRecord) -> None:
-    for rid in r["requests"]:
-        w.failed[rid] = r["reason"]
+def _fold_fail(w: _Working, r: Event) -> None:
+    w.failed[r["request_id"]] = r["error"]
 
 
-def _fold_failover(w: _Working, r: JournalRecord) -> None:
+def _fold_group_fault(w: _Working, r: Event) -> None:
     w.failovers += 1
 
 
-def _fold_hedge(w: _Working, r: JournalRecord) -> None:
+def _fold_hedge(w: _Working, r: Event) -> None:
     w.hedges += 1
 
 
-def _fold_drain(w: _Working, r: JournalRecord) -> None:
+def _fold_drain(w: _Working, r: Event) -> None:
     w.pending_drains.pop(r["replica"], None)
 
 
-def _fold_scale_in(w: _Working, r: JournalRecord) -> None:
+def _fold_scale_in(w: _Working, r: Event) -> None:
     w.retiring.add(r["replica"])
     w.pending_drains[r["replica"]] = r.t_s
 
 
-def _fold_scale_in_abandoned(w: _Working, r: JournalRecord) -> None:
+def _fold_scale_in_abandoned(w: _Working, r: Event) -> None:
     w.retiring.discard(r["replica"])
 
 
-def _fold_replica_add(w: _Working, r: JournalRecord) -> None:
+def _fold_replica_add(w: _Working, r: Event) -> None:
     w.replicas.add(r["replica"])
     if r.get("pool") is not None:
         w.pools[r["replica"]] = r["pool"]
 
 
-def _fold_replica_remove(w: _Working, r: JournalRecord) -> None:
+def _fold_replica_remove(w: _Working, r: Event) -> None:
     w.replicas.discard(r["replica"])
     w.retiring.discard(r["replica"])
     w.removed.add(r["replica"])
 
 
-def _fold_replica_crash(w: _Working, r: JournalRecord) -> None:
-    pass  # the rejoin record carries the state change
-
-
-def _fold_replica_rejoin(w: _Working, r: JournalRecord) -> None:
+def _fold_replica_rejoin(w: _Working, r: Event) -> None:
     w.restarts += 1
 
 
-def _fold_lever(w: _Working, r: JournalRecord) -> None:
+def _fold_lever(w: _Working, r: Event) -> None:
     lever = r["lever"]
     if lever == "hedging":
         w.hedging_enabled = r["value"]
@@ -327,90 +298,111 @@ def _fold_lever(w: _Working, r: JournalRecord) -> None:
         raise ValueError(f"unknown lever {lever!r} in record {r}")
 
 
-def _fold_limits(w: _Working, r: JournalRecord) -> None:
+def _fold_limits(w: _Working, r: Event) -> None:
     if r["accept"]:
         w.shed_classes.discard(r["priority_class"])
     else:
         w.shed_classes.add(r["priority_class"])
 
 
-def _fold_pools(w: _Working, r: JournalRecord) -> None:
-    w.pools_collapsed = r["collapsed"]
+def _fold_pools_collapsed(w: _Working, r: Event) -> None:
+    w.pools_collapsed = True
 
 
-def _fold_quarantine(w: _Working, r: JournalRecord) -> None:
+def _fold_pools_restored(w: _Working, r: Event) -> None:
+    w.pools_collapsed = False
+
+
+def _fold_quarantine(w: _Working, r: Event) -> None:
     w.quarantined.update(r["replicas"])
 
 
-def _fold_pool_rejoin(w: _Working, r: JournalRecord) -> None:
+def _fold_pool_rejoin(w: _Working, r: Event) -> None:
     w.quarantined.difference_update(r["replicas"])
 
 
-def _fold_handoff_prepare(w: _Working, r: JournalRecord) -> None:
-    pass  # audited (commit requires prepare), no state change
-
-
-def _fold_handoff_retry(w: _Working, r: JournalRecord) -> None:
+def _fold_handoff_retry(w: _Working, r: Event) -> None:
     w.handoff_retries += 1
 
 
-def _fold_handoff_commit(w: _Working, r: JournalRecord) -> None:
+def _fold_handoff_commit(w: _Working, r: Event) -> None:
     w.kv_handoffs += 1
 
 
-def _fold_handoff_dup(w: _Working, r: JournalRecord) -> None:
+def _fold_handoff_dup(w: _Working, r: Event) -> None:
     w.handoff_dup_drops += 1
 
 
-def _fold_handoff_abort(w: _Working, r: JournalRecord) -> None:
+def _fold_handoff_abort(w: _Working, r: Event) -> None:
     w.handoff_aborts += 1
 
 
-def _fold_page_lease(w: _Working, r: JournalRecord) -> None:
+def _fold_page_lease(w: _Working, r: Event) -> None:
     w.kv_page_leases += 1
     w.kv_pages_leased += r["pages"]
 
 
-def _fold_page_release(w: _Working, r: JournalRecord) -> None:
+def _fold_page_release(w: _Working, r: Event) -> None:
     w.kv_page_releases += 1
     w.kv_pages_released += r["pages"]
 
 
-def _fold_control_recovered(w: _Working, r: JournalRecord) -> None:
+def _fold_control_recovered(w: _Working, r: Event) -> None:
     w.recoveries += 1
 
 
-#: kind -> fold function.  Every journaled kind must appear here; replay
-#: of an unknown kind is a hard error (a silent skip would let the
-#: bit-identical-reconstruction guarantee rot).
+def _no_state(w: _Working, r: Event) -> None:
+    """The record is timeline only: it changes no control-plane state
+    (the auditor may still read it, e.g. a handoff's prepare)."""
+
+
+#: kind -> fold function.  Every kind the control plane (or anything it
+#: hands its journal to) records must appear here; replay of an unknown
+#: kind is a hard error (a silent skip would let the bit-identical-
+#: reconstruction guarantee rot).
 _FOLDERS = {
-    "admit": _fold_admit,
-    "reject": _fold_reject,
-    "group_start": _fold_group_start,
-    "group_complete": _fold_group_complete,
-    "group_fail": _fold_group_fail,
-    "failover": _fold_failover,
-    "hedge": _fold_hedge,
-    "drain": _fold_drain,
-    "scale_in": _fold_scale_in,
-    "scale_in_abandoned": _fold_scale_in_abandoned,
-    "replica_add": _fold_replica_add,
-    "replica_remove": _fold_replica_remove,
-    "replica_crash": _fold_replica_crash,
-    "replica_rejoin": _fold_replica_rejoin,
-    "lever": _fold_lever,
-    "limits": _fold_limits,
-    "pools": _fold_pools,
-    "quarantine": _fold_quarantine,
-    "pool_rejoin": _fold_pool_rejoin,
-    "handoff_prepare": _fold_handoff_prepare,
-    "handoff_retry": _fold_handoff_retry,
-    "handoff_commit": _fold_handoff_commit,
-    "handoff_dup": _fold_handoff_dup,
-    "handoff_abort": _fold_handoff_abort,
-    "page_lease": _fold_page_lease,
-    "page_release": _fold_page_release,
-    "control_recovered": _fold_control_recovered,
+    ev.REQUEST_ADMITTED: _fold_admit,
+    ev.ADMISSION_REJECTED: _fold_reject,
+    ev.ADMISSION_LIMITS_CHANGED: _fold_limits,
+    ev.GROUP_STARTED: _fold_group_start,
+    ev.REQUEST_COMPLETED: _fold_complete,
+    ev.REQUEST_FAILED: _fold_fail,
+    ev.GROUP_FAULTED: _fold_group_fault,
+    ev.HEDGE: _fold_hedge,
+    ev.REPLICA_DRAINED: _fold_drain,
+    ev.SCALE_IN_BEGUN: _fold_scale_in,
+    ev.SCALE_IN_ABANDONED: _fold_scale_in_abandoned,
+    ev.REPLICA_ADDED: _fold_replica_add,
+    ev.REPLICA_REMOVED: _fold_replica_remove,
+    ev.REPLICA_REJOINED: _fold_replica_rejoin,
+    ev.LEVER_CHANGED: _fold_lever,
+    ev.POOLS_COLLAPSED: _fold_pools_collapsed,
+    ev.POOLS_RESTORED: _fold_pools_restored,
+    ev.POOL_QUARANTINED: _fold_quarantine,
+    ev.POOL_REJOINED: _fold_pool_rejoin,
+    ev.KV_HANDOFF_RETRIED: _fold_handoff_retry,
+    ev.KV_HANDOFF: _fold_handoff_commit,
+    ev.KV_HANDOFF_DEDUPED: _fold_handoff_dup,
+    ev.KV_HANDOFF_ABORTED: _fold_handoff_abort,
+    ev.PAGE_LEASED: _fold_page_lease,
+    ev.PAGE_RELEASED: _fold_page_release,
+    ev.CONTROL_PLANE_RECOVERED: _fold_control_recovered,
+    ev.KV_HANDOFF_PREPARED: _no_state,
+    ev.KV_HANDOFF_COLOCATED: _no_state,
+    ev.KV_PAGES_ADOPTED: _no_state,
+    ev.POOL_FALLBACK: _no_state,
+    ev.FAILOVER: _no_state,
+    ev.REPLICA_RESTARTED: _no_state,  # the rejoin carries the change
+    ev.REPLICA_HEALTH: _no_state,
+    ev.BREAKER_TRANSITION: _no_state,
+    ev.PLAN_SWITCHED: _no_state,
+    ev.FAULT_INJECTED: _no_state,
+    ev.FAULT_DETECTED: _no_state,
+    ev.REPLANNED: _no_state,
+    ev.AUTOSCALE_DECISION: _no_state,
+    ev.BROWNOUT_STEP: _no_state,
+    ev.BROWNOUT_RECOVERED: _no_state,
+    ev.JOURNAL_TRUNCATED: _no_state,
 }
 
 JOURNAL_KINDS = tuple(sorted(_FOLDERS))
@@ -431,9 +423,9 @@ def replay_journal(journal: Journal,
     start = snapshot if snapshot is not None else journal.genesis
     if start is None:
         start = ControlPlaneState()
-    todo = [r for r in journal.records if r.seq >= start.journal_seq]
+    todo = [r for r in journal if r.seq >= start.journal_seq]
     if journal.truncated and journal.next_seq > start.journal_seq:
-        oldest = journal.records[0].seq if journal.records \
+        oldest = journal.events[0].seq if journal.events \
             else journal.next_seq
         if oldest > start.journal_seq:
             raise JournalTruncated(

@@ -17,8 +17,10 @@ state injected by a chaos scenario.  Health is tracked explicitly:
 collectives raise), so a scheduled kill is noticed *proactively* at the
 next heartbeat even before a collective trips over it, triggering
 degraded replanning — or a transition to ``DEAD`` when no sub-slice
-fits.  Every transition is recorded in the shared
-:class:`~repro.events.EventLog` and as a tracer mark.
+fits.  Every transition is recorded once, to the ``journal`` the
+replica is given — on a cluster control plane the plane's write-ahead
+:class:`~repro.cluster.journal.Journal`, which the trace marks are
+derived from; standalone, any :class:`~repro.events.EventLog`.
 
 :class:`GroupRun` is one request group's in-flight execution, stepped by
 the control plane one decode step at a time — that step granularity is
@@ -88,17 +90,18 @@ class Replica:
                  backend: str | None = None, decode_batch: int = 4,
                  fault_plan: FaultPlan | None = None,
                  costs: CostModel | None = None,
-                 event_log: EventLog | None = None, tracer=None,
-                 trace_mesh: bool = False, prompt_len_hint: int = 64,
+                 journal: EventLog | None = None, tracer=None,
+                 prompt_len_hint: int = 64,
                  kvstore_pages: int = 256,
                  program_store: ProgramStore | None = None):
         self.name = name
         self.weights = weights
         self.decode_batch = decode_batch
         self.costs = costs or CostModel()
-        self.events = event_log if event_log is not None else EventLog()
+        self.journal = journal if journal is not None else EventLog()
+        # Mesh tracer: every collective/einsum this replica's meshes run
+        # is recorded on it (None: mesh instrumentation off).
         self.tracer = tracer
-        self.trace_mesh = trace_mesh
         self.mesh = VirtualMesh(shape, backend=backend)
         self.full_chips = self.mesh.num_chips
         self.health = ReplicaHealth.HEALTHY
@@ -116,8 +119,8 @@ class Replica:
         self.fault_state = None
         if fault_plan is not None:
             self.fault_state = self.mesh.install_faults(fault_plan,
-                                                        self.events)
-        if tracer is not None and trace_mesh:
+                                                        self.journal)
+        if tracer is not None:
             self.mesh.tracer = tracer
         # Capture-and-replay compiler for prefill chunks and decode
         # steps.  Its counters are this replica's; its programs live in
@@ -177,13 +180,8 @@ class Replica:
         if health is self.health:
             return
         old, self.health = self.health, health
-        self.events.record(REPLICA_HEALTH, replica=self.name,
-                           old=old.value, new=health.value, t_s=now_s,
-                           reason=reason)
-        if self.tracer is not None:
-            self.tracer.mark(f"health:{self.name}:{health.value}",
-                             replica=self.name, old=old.value,
-                             new=health.value, reason=reason)
+        self.journal.record(REPLICA_HEALTH, t_s=now_s, replica=self.name,
+                            old=old.value, new=health.value, reason=reason)
 
     def heartbeat(self, now_s: float) -> ReplicaHealth:
         """Health-check probe, driven by the mesh fault machinery.
@@ -230,11 +228,11 @@ class Replica:
         deploy = replan_after_failure(
             self.weights, self.mesh, chips,
             decode_batch=self.decode_batch,
-            prompt_len=self.prompt_len_hint, event_log=self.events)
+            prompt_len=self.prompt_len_hint, event_log=self.journal)
         if self.fault_state is not None:
             self.fault_state = self.fault_state.carry_to(
                 deploy.mesh, deploy.subslice.origin)
-        if self.tracer is not None and self.trace_mesh:
+        if self.tracer is not None:
             deploy.mesh.tracer = self.tracer
         self.mesh = deploy.mesh
         self.prefill_model = deploy.prefill_model
@@ -360,15 +358,11 @@ class Replica:
         self._wire_kv()
         setattr(self, attr, profile)
         described = f"{plan.ffn.value}/{plan.attention.value}"
-        self.events.record(
-            PLAN_SWITCHED, replica=self.name, profile=profile,
+        self.journal.record(
+            PLAN_SWITCHED, t_s=now_s, replica=self.name, profile=profile,
             **({} if decode else {"phase": "prefill"}),
             old_plan=f"{old_plan.ffn.value}/{old_plan.attention.value}",
-            new_plan=described, t_s=now_s)
-        if self.tracer is not None:
-            mark = "plan" if decode else "prefill-plan"
-            self.tracer.mark(f"{mark}:{self.name}:{profile}",
-                             plan=described)
+            new_plan=described)
         return True
 
     def kvstore_stats(self) -> dict:
@@ -603,10 +597,10 @@ class ResilientTwoPhaseServer:
         self.replica = Replica("resilient", weights, shape, backend=backend,
                                decode_batch=decode_batch,
                                fault_plan=fault_plan, costs=costs,
-                               event_log=event_log,
+                               journal=event_log,
                                prompt_len_hint=prompt_len_hint)
         self.costs = self.replica.costs
-        self.events = self.replica.events
+        self.events = self.replica.journal
         self.now_s = 0.0
 
     @property

@@ -2,8 +2,9 @@
 
 Three always-importable submodules (re-exported here):
 
-- :mod:`~repro.observability.spans` — the :class:`Tracer` span recorder
-  and the ``install_tracer`` hook the mesh instrumentation looks for;
+- :mod:`~repro.observability.spans` — the :class:`Tracer` span recorder,
+  the ``install_tracer`` hook the mesh instrumentation looks for, and
+  ``record_marks`` (event records -> zero-duration mark spans);
 - :mod:`~repro.observability.metrics` — per-phase / per-layer rollups;
 - :mod:`~repro.observability.chrome_trace` — shared Perfetto JSON
   builders (also used by :mod:`repro.simulator.trace`).
@@ -47,6 +48,7 @@ from repro.observability.spans import (
     Span,
     Tracer,
     install_tracer,
+    record_marks,
     remove_tracer,
     tracer_of,
 )
@@ -54,8 +56,9 @@ from repro.observability.spans import (
 __all__ = [
     "COLLECTIVE", "COMPUTE", "FUSED", "LAYER", "MARK", "PHASE", "REGION",
     "REQUEST", "RING_STEP", "Span", "Tracer", "install_tracer",
-    "remove_tracer", "tracer_of", "GroupMetrics", "phase_metrics",
-    "layer_metrics", "format_phase_metrics", "format_layer_metrics",
+    "record_marks", "remove_tracer", "tracer_of", "GroupMetrics",
+    "phase_metrics", "layer_metrics", "format_phase_metrics",
+    "format_layer_metrics",
     "format_capture_stats", "format_kvstore_stats", "kvstore_stats_line",
     "build_trace", "complete_event", "process_metadata",
     "thread_metadata", "spans_to_chrome_trace", "write_trace",

@@ -12,6 +12,14 @@ occupancy; exported (:mod:`repro.observability.chrome_trace`), they give
 a Perfetto timeline; replayed against the symbolic generator
 (:mod:`repro.observability.crosscheck`), they keep the estimator honest.
 
+Point events are not recorded here.  A control-plane transition (a
+health flip, a failover, a brownout rung) is written once, to the
+plane's journal (:class:`~repro.cluster.journal.Journal`, an
+:class:`~repro.events.EventLog`); :func:`record_marks` turns those
+records into zero-duration :data:`MARK` spans at each record's ``t_s``,
+so a cluster trace is the tracer's durations (group regions, mesh work)
+plus marks derived from the one timeline.
+
 Instrumentation is off by default and costs one ``getattr`` per op when
 off.  Attach a tracer with :meth:`VirtualMesh.install_tracer` (or
 :func:`install_tracer` here); the hooks in :mod:`repro.mesh.ops`,
@@ -36,7 +44,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.collectives.cost import (
     all_gather_time,
@@ -55,7 +63,7 @@ PHASE = "phase"             # prefill / decode region
 LAYER = "layer"             # one transformer block
 REQUEST = "request"         # one serving request
 REGION = "region"           # free-form grouping
-MARK = "mark"               # zero-duration point event (state transition)
+MARK = "mark"               # zero-duration point event (see record_marks)
 
 
 @dataclass(frozen=True)
@@ -181,16 +189,6 @@ class Tracer:
         attrs.update(extra)
         return self._record(name, COMPUTE, start, end - start, attrs=attrs)
 
-    def mark(self, name: str, kind: str = MARK, **attrs: Any) -> Span:
-        """Record a zero-duration point span (a state transition).
-
-        The cluster control plane uses these for replica health changes,
-        circuit-breaker transitions, failovers and hedges, so the same
-        trace that shows mesh work also shows *why* traffic moved.
-        """
-        now = self.now()
-        return self._record(name, kind, now, 0.0, attrs=dict(attrs))
-
     def modeled_collective_s(self, op: str, payload_bytes: float,
                              group_size: int) -> float:
         """Appendix A.1 seconds for one collective at this chip's ICI
@@ -298,6 +296,19 @@ class Tracer:
                 frontier.add(span.span_id)
                 keep.append(span)
         return keep
+
+
+def record_marks(events: Iterable) -> list[Span]:
+    """Zero-duration :data:`MARK` spans, one per event record.
+
+    Each mark is named by the record's kind, sits at the record's
+    ``t_s`` and carries its data as attributes, so the same trace that
+    shows mesh work also shows *why* traffic moved.  Span ids are the
+    records' sequence numbers (marks are not children of any region).
+    """
+    return [Span(span_id=e.seq, parent_id=None, name=e.kind, kind=MARK,
+                 start_s=e.t_s, duration_s=0.0, attrs=dict(e.data))
+            for e in events]
 
 
 def tracer_of(mesh) -> Tracer | None:

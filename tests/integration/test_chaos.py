@@ -24,8 +24,8 @@ from repro.cluster import (
     format_report,
     run_scenario,
 )
-from repro.events import EventLog
 from repro.mesh.virtual_mesh import BACKENDS
+from repro.observability import MARK
 
 #: CI sweeps this over a seed matrix; locally it defaults to 0.
 SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -96,13 +96,24 @@ class TestDeterminism:
         # (scenario, backend, seed): replay and compare everything.
         logs, spans = [], []
         for _ in range(2):
-            log = EventLog()
-            report = run("rolling-kill", "loop", seed=3, event_log=log)
-            logs.append([(e.kind, e.data) for e in log.events])
+            report = run("rolling-kill", "loop", seed=3)
+            logs.append([(r["kind"], r["t_s"], r["data"])
+                         for r in report.journal_dump])
             spans.append([(s.name, s.kind, s.start_s, s.end_s)
                           for s in report.spans])
         assert logs[0] == logs[1]
         assert spans[0] == spans[1]
+
+    def test_marks_are_derived_one_per_record(self):
+        report = run("flash-crowd-disagg", "loop", seed=0)
+        marks = [s for s in report.spans if s.kind == MARK]
+        assert [(m.span_id, m.name, m.start_s, m.duration_s, dict(m.attrs))
+                for m in marks] == \
+            [(r["seq"], r["kind"], r["t_s"], 0.0, r["data"])
+             for r in report.journal_dump]
+        assert all(r["t_s"] is not None for r in report.journal_dump)
+        # The tracer itself keeps durations only: group regions.
+        assert {s.kind for s in report.spans} == {MARK, "group"}
 
     def test_different_seed_different_workload(self):
         a = build_workload(SCENARIOS["rolling-kill"], seed=0)

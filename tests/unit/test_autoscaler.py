@@ -1,6 +1,6 @@
 """Unit tests for the autoscaler control loop and brownout ladder.
 
-The loop only touches a narrow plane surface (admission, events, fleet
+The loop only touches a narrow plane surface (admission, journal, fleet
 management, the hedging/caps/profile levers), so these tests drive it
 against a fake plane — tick-level behavior without serving anything.
 The end-to-end behavior on real traffic lives in
@@ -15,7 +15,7 @@ from repro.cluster.autoscaler import (
     Autoscaler,
     AutoscalerPolicy,
 )
-from repro.events import EventLog
+from repro.cluster.journal import Journal
 
 CLASSES = (PriorityClass("interactive", priority=0, rate=1e9,
                          burst=10**6, queue_limit=256),
@@ -28,21 +28,13 @@ class FakeReplica:
         self.name = name
 
 
-class FakeTracer:
-    def __init__(self):
-        self.marks = []
-
-    def mark(self, name, **kwargs):
-        self.marks.append(name)
-
-
 class FakePlane:
     """Just enough control-plane surface for the loop to steer."""
 
     def __init__(self, n_replicas=1, classes=CLASSES):
-        self.events = EventLog()
-        self.tracer = FakeTracer()
-        self.admission = AdmissionController(classes, self.events)
+        self.journal = Journal()
+        self.events = self.journal
+        self.admission = AdmissionController(classes, self.journal)
         self._active = [FakeReplica(f"seed{i}")
                         for i in range(n_replicas)]
         self._counter = 0
@@ -137,7 +129,7 @@ class TestScaling:
         ticks(scaler, plane, 1, start=2)
         assert len(plane.active_replicas()) == 2
         assert scaler.scale_outs == 1
-        decisions = plane.events.of_kind("autoscale_decision")
+        decisions = plane.journal.of_kind("autoscale_decision")
         assert decisions[-1]["action"] == "scale-out"
         assert decisions[-1]["pressure"] == 8.0
 
@@ -169,7 +161,7 @@ class TestScaling:
         ticks(scaler, plane, 40, start=21)
         # Newest first, never below min_replicas.
         assert [r.name for r in plane.active_replicas()] == ["seed0"]
-        ins = [e for e in plane.events.of_kind("autoscale_decision")
+        ins = [e for e in plane.journal.of_kind("autoscale_decision")
                if e["action"] == "scale-in"]
         assert [e["replica"] for e in ins] == ["scale1", "scale0"]
 
@@ -180,12 +172,12 @@ class TestScaling:
         scaler = Autoscaler(policy)
         plane = FakePlane()
         for i in range(4):
-            plane.events.record(
+            plane.journal.record(
                 "request_completed", request_id=i, t_s=0.01 * i,
                 priority_class="interactive", ttft_s=0.5)
         ticks(scaler, plane, 2)
         assert len(plane.active_replicas()) == 2
-        assert plane.events.of_kind(
+        assert plane.journal.of_kind(
             "autoscale_decision")[-1]["slo_breach"] is True
 
     def test_slo_ignores_other_classes_and_old_completions(self):
@@ -195,10 +187,10 @@ class TestScaling:
                                   brownout=False, switch_plans=False)
         scaler = Autoscaler(policy)
         plane = FakePlane()
-        plane.events.record("request_completed", request_id=0, t_s=0.01,
+        plane.journal.record("request_completed", request_id=0, t_s=0.01,
                             priority_class="batch", ttft_s=9.0)
         assert scaler._slo_breach(plane, 0.05) is False
-        plane.events.record("request_completed", request_id=1, t_s=0.06,
+        plane.journal.record("request_completed", request_id=1, t_s=0.06,
                             priority_class="interactive", ttft_s=9.0)
         assert scaler._slo_breach(plane, 0.1) is True
         # The breach ages out of the trailing window.
@@ -219,7 +211,7 @@ class TestPlanSteering:
             ticks(scaler, plane, 1, start=i + 1)
         assert plane.target_profile == "weight-gathered"
         assert scaler.plan_switches == 1
-        event = plane.events.of_kind("autoscale_decision")[-1]
+        event = plane.journal.of_kind("autoscale_decision")[-1]
         assert event["action"] == "profile"
         # And back, once the mix turns prefill-heavy.
         for i in range(2):
@@ -272,7 +264,7 @@ class TestBrownoutLadder:
         assert plane.target_profile == "weight-gathered"
         assert plane.admission._accepting["batch"] is False
         assert plane.admission._accepting["interactive"] is True
-        steps = plane.events.of_kind("brownout_step")
+        steps = plane.journal.of_kind("brownout_step")
         assert [e["step"] for e in steps] == list(BROWNOUT_LADDER)
         assert all("pressure <= 2" in e["recovery"] for e in steps)
         # Saturated: more hot ticks add no rungs.
@@ -301,7 +293,7 @@ class TestBrownoutLadder:
         assert scaler.brownout_level == 4
         ticks(scaler, plane, 4, start=6)
         assert scaler.brownout_level == 0
-        recovered = plane.events.of_kind("brownout_recovered")
+        recovered = plane.journal.of_kind("brownout_recovered")
         assert [e["step"] for e in recovered] == \
             list(reversed(BROWNOUT_LADDER))
         assert plane.hedging_enabled is True

@@ -45,7 +45,6 @@ import pytest
 from repro.cli import decode_config
 from repro.cluster import ClusterControlPlane, run_scenario
 from repro.cluster.replica import GroupRun, Replica
-from repro.events import EventLog
 from repro.hardware.topology import Torus3D
 from repro.layouts import ShardedTransformer
 from repro.mesh import BACKENDS, VirtualMesh
@@ -596,10 +595,10 @@ class TestParallelReplicaStepping:
     def assert_threaded_run_identical(scenario, backend):
         logs, spans, reports = {}, {}, {}
         for threads in (0, 2):
-            log = EventLog()
             report = run_scenario(scenario, backend=backend, seed=0,
-                                  event_log=log, step_threads=threads)
-            logs[threads] = [(e.kind, dict(e.data)) for e in log]
+                                  step_threads=threads)
+            logs[threads] = [(r["kind"], r["t_s"], r["data"])
+                             for r in report.journal_dump]
             spans[threads] = [(s.name, s.kind, s.start_s, s.end_s)
                               for s in report.spans]
             reports[threads] = dataclasses.replace(report, spans=[])

@@ -79,7 +79,7 @@ class TestAdmissionController:
     def test_rate_limit_raises_typed_error(self):
         log = EventLog()
         controller = AdmissionController(
-            (PriorityClass("default", rate=1.0, burst=1),), event_log=log)
+            (PriorityClass("default", rate=1.0, burst=1),), journal=log)
         controller.submit("a", 0, 0.0)
         with pytest.raises(RateLimited) as err:
             controller.submit("b", 1, 0.0)
@@ -101,10 +101,10 @@ class TestAdmissionController:
 
     def test_admission_recorded(self):
         log = EventLog()
-        controller = AdmissionController(event_log=log)
+        controller = AdmissionController(journal=log)
         controller.submit("a", 9, 0.5)
         (event,) = log.of_kind(REQUEST_ADMITTED)
-        assert event["request_id"] == 9 and event["t_s"] == 0.5
+        assert event["request_id"] == 9 and event.t_s == 0.5
 
     def test_strict_priority_dequeue_fifo_within_class(self):
         controller = AdmissionController((
@@ -145,7 +145,7 @@ class TestCircuitBreaker:
     def test_half_open_probe_success_closes(self):
         log = EventLog()
         breaker = CircuitBreaker("r0", failure_threshold=1,
-                                 cooldown_s=1.0, event_log=log)
+                                 cooldown_s=1.0, journal=log)
         breaker.record_failure(0.0)
         assert not breaker.allow(0.5)
         assert breaker.allow(1.0)           # cooldown elapsed -> probe
@@ -176,7 +176,7 @@ class TestReplica:
         plan = FaultPlan(faults=(ChipKill(chip=(0, 1, 0), at_step=2,
                                           phase="decode"),))
         replica = Replica("r0", WEIGHTS, (2, 2, 2), fault_plan=plan,
-                          event_log=log)
+                          journal=log)
         assert replica.heartbeat(0.0) is ReplicaHealth.HEALTHY
         for _ in range(2):
             replica.advance("decode")
@@ -319,3 +319,20 @@ class TestControlPlaneBasics:
                 reference[outcome.request_id].tokens)
         # Both replicas served work (least-busy dispatch spreads load).
         assert len({o.replica for o in outcomes}) == 2
+
+    def test_admitted_and_rejected_each_recorded_once(self):
+        # One token of burst: request 0 is admitted, request 1 (same
+        # instant) is rate-limited.  Each decision is one record in the
+        # plane's one stream, stamped at the arrival.
+        plane = ClusterControlPlane(
+            WEIGHTS, [(2, 2, 2)], prompt_len_hint=6,
+            classes=(PriorityClass("default", rate=1.0, burst=1),))
+        outcomes = plane.serve([ClusterSubmission(r, arrival_s=0.25)
+                                for r in make_requests(2)])
+        assert [o.status for o in outcomes] == [
+            ClusterRequestStatus.COMPLETED, ClusterRequestStatus.REJECTED]
+        assert plane.events is plane.journal
+        decisions = [(e.kind, e["request_id"], e.t_s) for e in plane.journal
+                     if e.kind in (REQUEST_ADMITTED, ADMISSION_REJECTED)]
+        assert decisions == [(REQUEST_ADMITTED, 0, 0.25),
+                             (ADMISSION_REJECTED, 1, 0.25)]

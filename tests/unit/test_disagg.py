@@ -139,7 +139,7 @@ class TestHandoff:
             # Decode never starts before the transfer lands; anything
             # later is overlap with the target's committed work.
             assert event["decode_start_s"] >= \
-                event["t_s"] + event["transfer_s"] - 1e-12
+                event.t_s + event["transfer_s"] - 1e-12
             assert event["overlapped_s"] >= 0.0
 
     def test_bit_identical_to_colocated_fleet(self):
@@ -278,7 +278,7 @@ class TestMidHandoffKill:
         assert plane.handoff_aborts == 0
         assert plane.failovers == 0
         assert plane.kv_handoffs >= 1
-        commits = plane.journal.of_kind("handoff_commit")
+        commits = plane.journal.of_kind("kv_handoff")
         assert any(c["attempt"] > 1 for c in commits)
 
     def test_zero_retry_budget_reproduces_the_one_shot_abort(self):
@@ -294,7 +294,7 @@ class TestMidHandoffKill:
         assert len(completed(outcomes)) == 12
         assert plane.handoff_aborts >= 1
         assert plane.failovers >= 1
-        abort, = plane.journal.of_kind("handoff_abort")
+        abort, = plane.journal.of_kind("kv_handoff_aborted")
         assert abort["budget"] == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -323,11 +323,11 @@ class TestHandoffDedup:
         assert len(completed(outcomes)) == 8
         assert plane.handoff_retries >= 1
         assert plane.handoff_dups_dropped >= 1
-        commits = plane.journal.of_kind("handoff_commit")
+        commits = plane.journal.of_kind("kv_handoff")
         committed = [c["group"] for c in commits]
         assert len(committed) == len(set(committed))
         dup_groups = {d["group"] for d
-                      in plane.journal.of_kind("handoff_dup")}
+                      in plane.journal.of_kind("kv_handoff_deduped")}
         assert dup_groups <= set(committed)
         reference = reference_completions(subs, WEIGHTS, 4)
         for out in completed(outcomes):

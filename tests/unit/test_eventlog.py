@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.cluster.journal import Journal
 from repro.events import (
     FAULT_DETECTED,
+    JOURNAL_TRUNCATED,
     REPLANNED,
     REQUEST_RETRIED,
     Event,
@@ -81,44 +83,79 @@ class TestQueries:
 
 
 class TestRingBuffer:
+    """A plain :class:`EventLog` is unbounded; the one bounded log is the
+    :class:`Journal` ring, which drops its oldest records loudly: the
+    first drop appends one ``journal_truncated`` notice (itself a record
+    that takes a seq and a slot) and ``truncated`` counts every drop."""
+
     def test_unbounded_by_default(self):
-        log = EventLog()
-        for i in range(100):
-            log.record("k", i=i)
-        assert len(log) == 100 and log.dropped == 0
+        for log in (EventLog(), Journal()):
+            for i in range(100):
+                log.record("k", i=i)
+            assert len(log) == 100
+            assert [e["i"] for e in log] == list(range(100))
+        assert log.truncated == 0
 
     def test_bound_drops_oldest(self):
-        log = EventLog(max_events=3)
+        log = Journal(max_records=3)
         for i in range(5):
             log.record("k", i=i)
         assert len(log) == 3
-        assert [e["i"] for e in log] == [2, 3, 4]
-        assert log.dropped == 2
+        assert [e["i"] for e in log.of_kind("k")] == [3, 4]
+        assert log.truncated == 3
 
     def test_seq_keeps_counting_past_drops(self):
-        log = EventLog(max_events=2)
+        log = Journal(max_records=2)
         for i in range(5):
             log.record("k", i=i)
-        # The surviving events carry their true lifetime emission index.
-        assert [e.seq for e in log] == [3, 4]
+        # The surviving events carry their true lifetime emission index
+        # (seq 3 went to the truncation notice, itself since dropped).
+        assert [(e.seq, e["i"]) for e in log] == [(4, 3), (5, 4)]
+        assert log.next_seq == 6
 
     def test_queries_see_only_retained_events(self):
-        log = EventLog(max_events=2)
+        log = Journal(max_records=2)
         log.record(FAULT_DETECTED)
         log.record(REPLANNED)
         log.record(REQUEST_RETRIED, request_id=1)
-        assert log.kinds() == [REPLANNED, REQUEST_RETRIED]
+        assert log.kinds() == [REQUEST_RETRIED, JOURNAL_TRUNCATED]
         assert log.of_kind(FAULT_DETECTED) == []
         with pytest.raises(AssertionError):
             log.assert_sequence(FAULT_DETECTED, REPLANNED)
 
     def test_bound_of_one(self):
-        log = EventLog(max_events=1)
+        log = Journal(max_records=1)
         log.record("a")
         log.record("b")
-        assert log.kinds() == ["b"] and log.dropped == 1
+        # The notice takes the only slot at the first drop.
+        assert log.kinds() == [JOURNAL_TRUNCATED] and log.truncated == 2
+        log.record("c")
+        assert log.kinds() == ["c"] and log.truncated == 3
 
     @pytest.mark.parametrize("bad", [0, -1, -100])
     def test_invalid_bound_rejected(self, bad):
-        with pytest.raises(ValueError, match="max_events must be >= 1"):
-            EventLog(max_events=bad)
+        with pytest.raises(ValueError, match="max_records must be >= 1"):
+            Journal(max_records=bad)
+
+
+class TestTimestamps:
+    def test_t_s_is_a_field_not_data(self):
+        log = EventLog()
+        event = log.record("k", t_s=0.25, value=1)
+        assert event.t_s == 0.25
+        assert event.data == {"value": 1}
+
+    def test_unstamped_without_a_clock(self, log):
+        assert all(e.t_s is None for e in log)
+
+    def test_clock_stamps_only_when_the_emitter_gives_none(self):
+        log = EventLog()
+        now = {"t": 1.5}
+        log.clock = lambda: now["t"]
+        first = log.record("a")
+        now["t"] = 2.0
+        second = log.record("b", t_s=0.5)
+        assert (first.t_s, second.t_s) == (1.5, 0.5)
+
+    def test_next_seq_counts_records(self, log):
+        assert log.next_seq == len(log) == 4

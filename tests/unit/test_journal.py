@@ -38,7 +38,7 @@ from repro.cluster.journal import (
     replay_journal,
     token_crc,
 )
-from repro.events import EventLog
+from repro import events as ev
 from repro.model import init_weights
 from repro.serving.engine import Request
 
@@ -72,17 +72,20 @@ class TestTokenCrc:
 class TestJournalBasics:
     def test_seqs_are_monotonic_from_zero(self):
         j = Journal()
-        recs = [j.append("admit", 0.0, request_id=i) for i in range(5)]
+        recs = [j.record(ev.REQUEST_ADMITTED, t_s=0.0, request_id=i)
+                for i in range(5)]
         assert [r.seq for r in recs] == [0, 1, 2, 3, 4]
         assert j.next_seq == 5
         assert len(j) == 5
 
     def test_of_kind_filters(self):
         j = Journal()
-        j.append("admit", 0.0, request_id=0)
-        j.append("reject", 0.0, request_id=1, reason="QueueFull")
-        j.append("admit", 0.1, request_id=2)
-        assert [r["request_id"] for r in j.of_kind("admit")] == [0, 2]
+        j.record(ev.REQUEST_ADMITTED, t_s=0.0, request_id=0)
+        j.record(ev.ADMISSION_REJECTED, t_s=0.0, request_id=1,
+                 error="QueueFull")
+        j.record(ev.REQUEST_ADMITTED, t_s=0.1, request_id=2)
+        assert [r["request_id"]
+                for r in j.of_kind(ev.REQUEST_ADMITTED)] == [0, 2]
 
     def test_genesis_first_call_wins(self):
         j = Journal()
@@ -99,14 +102,15 @@ class TestJournalBasics:
 class TestReplayFolds:
     def test_admit_reject_complete_fail(self):
         j = Journal()
-        j.append("admit", 0.0, request_id=0)
-        j.append("admit", 0.0, request_id=1)
-        j.append("reject", 0.0, request_id=2, reason="QueueFull")
-        j.append("group_start", 0.1, group=0, requests=[0, 1])
-        j.append("group_complete", 0.2, group=0, replica="r0",
-                 entries=[(0, 123, 12, False)])
-        j.append("group_fail", 0.2, group=0, requests=[1],
-                 reason="MeshFault")
+        j.record(ev.REQUEST_ADMITTED, t_s=0.0, request_id=0)
+        j.record(ev.REQUEST_ADMITTED, t_s=0.0, request_id=1)
+        j.record(ev.ADMISSION_REJECTED, t_s=0.0, request_id=2,
+                 error="QueueFull")
+        j.record(ev.GROUP_STARTED, t_s=0.1, group=0, requests=[0, 1])
+        j.record(ev.REQUEST_COMPLETED, t_s=0.2, group=0, replica="r0",
+                 request_id=0, crc=123, stream_len=12, output_capped=False)
+        j.record(ev.REQUEST_FAILED, t_s=0.2, group=0, request_id=1,
+                 error="MeshFault")
         state = replay_journal(j)
         assert state.admitted == (0, 1)
         assert state.rejected == ((2, "QueueFull"),)
@@ -117,23 +121,26 @@ class TestReplayFolds:
 
     def test_levers_and_quarantine(self):
         j = Journal()
-        j.append("lever", 0.0, lever="hedging", value=False)
-        j.append("lever", 0.0, lever="output_cap", priority_class="bulk",
-                 cap=3)
-        j.append("lever", 0.1, lever="output_cap", priority_class="bulk",
-                 cap=None)
-        j.append("lever", 0.1, lever="target_profile",
+        j.record(ev.LEVER_CHANGED, t_s=0.0, lever="hedging", value=False)
+        j.record(ev.LEVER_CHANGED, t_s=0.0, lever="output_cap",
+                 priority_class="bulk", cap=3)
+        j.record(ev.LEVER_CHANGED, t_s=0.1, lever="output_cap",
+                 priority_class="bulk", cap=None)
+        j.record(ev.LEVER_CHANGED, t_s=0.1, lever="target_profile",
                  value="latency")
-        j.append("quarantine", 0.2, pool="decode", replicas=["r1"])
-        j.append("limits", 0.2, priority_class="bulk", accept=False)
+        j.record(ev.POOL_QUARANTINED, t_s=0.2, pool="decode",
+                 replicas=["r1"])
+        j.record(ev.ADMISSION_LIMITS_CHANGED, t_s=0.2,
+                 priority_class="bulk", accept=False)
         state = replay_journal(j)
         assert state.hedging_enabled is False
         assert state.output_caps == ()
         assert state.target_profile == "latency"
         assert state.quarantined == ("r1",)
         assert state.shed_classes == ("bulk",)
-        j.append("pool_rejoin", 0.3, pool="decode", replicas=["r1"])
-        j.append("limits", 0.3, priority_class="bulk", accept=True)
+        j.record(ev.POOL_REJOINED, t_s=0.3, pool="decode", replicas=["r1"])
+        j.record(ev.ADMISSION_LIMITS_CHANGED, t_s=0.3,
+                 priority_class="bulk", accept=True)
         state = replay_journal(j)
         assert state.quarantined == ()
         assert state.shed_classes == ()
@@ -142,7 +149,7 @@ class TestReplayFolds:
         j = Journal()
         j.set_genesis(ControlPlaneState(
             journal_seq=0, replicas=("r0",), pools=(("r0", "prefill"),)))
-        j.append("replica_add", 0.5, replica="r1", shape=SHAPE,
+        j.record(ev.REPLICA_ADDED, t_s=0.5, replica="r1", shape=SHAPE,
                  pool="decode")
         state = replay_journal(j)
         assert state.replicas == ("r0", "r1")
@@ -150,30 +157,41 @@ class TestReplayFolds:
 
     def test_unknown_kind_is_a_hard_error(self):
         j = Journal()
-        j.append("warp_core_breach", 0.0)
+        j.record("warp_core_breach", t_s=0.0)
         with pytest.raises(ValueError, match="warp_core_breach"):
             replay_journal(j)
 
     def test_every_kind_has_a_fold_rule(self):
-        for kind in ("admit", "group_complete", "handoff_commit",
-                     "replica_rejoin", "control_recovered"):
-            assert kind in JOURNAL_KINDS
+        # Every kind defined in repro.events has a replay rule, except
+        # the two only the single-mesh server records.
+        single_mesh = {ev.REQUEST_RETRIED, ev.REQUEST_SHED}
+        kinds = {value for name, value in vars(ev).items()
+                 if name.isupper() and isinstance(value, str)}
+        assert kinds - single_mesh == set(JOURNAL_KINDS)
 
 
 class TestTruncation:
-    def _filled(self, n=10, cap=4, event_log=None):
-        j = Journal(max_records=cap, event_log=event_log)
+    def _filled(self, n=10, cap=4):
+        j = Journal(max_records=cap)
         for i in range(n):
-            j.append("admit", float(i), request_id=i)
+            j.record(ev.REQUEST_ADMITTED, t_s=float(i), request_id=i)
         return j
 
     def test_ring_drops_oldest_loudly(self):
-        ev = EventLog()
-        j = self._filled(event_log=ev)
-        assert j.truncated == 6
-        assert [r.seq for r in j.records] == [6, 7, 8, 9]
-        drops = ev.of_kind("journal_truncated")
-        assert len(drops) == 1  # typed once, not per drop
+        # 10 admits into a ring of 4: the first drop (at the 5th admit)
+        # appends one typed notice, seq 5, which is itself a record.
+        j = self._filled()
+        assert j.next_seq == 11
+        assert j.truncated == 7
+        assert [r.seq for r in j] == [7, 8, 9, 10]
+
+    def test_truncation_notice_is_typed_once(self):
+        j = self._filled(cap=8)
+        (notice,) = j.of_kind(ev.JOURNAL_TRUNCATED)  # once, not per drop
+        assert notice.seq == 9 and notice.t_s == 8.0
+        assert notice["max_records"] == 8
+        assert notice["first_dropped_seq"] == 0
+        assert j.truncated == 3
 
     def test_replay_without_covering_snapshot_raises(self):
         j = self._filled()
@@ -181,17 +199,21 @@ class TestTruncation:
             replay_journal(j)
 
     def test_replay_from_covering_snapshot_succeeds(self):
+        bounded = self._filled()
+        # The stream the ring saw, unbounded: admits 0-4, the notice,
+        # admits 5-9.
         full = Journal()
         for i in range(10):
-            full.append("admit", float(i), request_id=i)
+            full.record(ev.REQUEST_ADMITTED, t_s=float(i), request_id=i)
+            if i == 4:
+                full.record(ev.JOURNAL_TRUNCATED, t_s=4.0)
         want = replay_journal(full)
 
-        bounded = self._filled()
         snap_src = Journal()
-        for i in range(6):
-            snap_src.append("admit", float(i), request_id=i)
+        for r in full.events[:7]:
+            snap_src.record(r.kind, t_s=r.t_s, **r.data)
         snapshot = replay_journal(snap_src)
-        assert snapshot.journal_seq == 6
+        assert snapshot.journal_seq == 7
         assert replay_journal(bounded, snapshot=snapshot) == want
 
     def test_auditor_refuses_a_truncated_journal(self):
@@ -204,17 +226,17 @@ class TestTruncation:
 class TestAuditUnit:
     def test_clean_journal_certifies(self):
         j = Journal()
-        j.append("admit", 0.0, request_id=0)
-        j.append("group_start", 0.0, group=0, requests=[0])
-        j.append("group_complete", 0.1, group=0, replica="r0",
-                 entries=[(0, 99, 12, False)])
+        j.record(ev.REQUEST_ADMITTED, t_s=0.0, request_id=0)
+        j.record(ev.GROUP_STARTED, t_s=0.0, group=0, requests=[0])
+        j.record(ev.REQUEST_COMPLETED, t_s=0.1, group=0, replica="r0",
+                 request_id=0, crc=99, stream_len=12, output_capped=False)
         report = audit_run(j)
         assert report.certified, report.violations
         assert "CERTIFIED" in format_audit(report)
 
     def test_admitted_without_terminal_state(self):
         j = Journal()
-        j.append("admit", 0.0, request_id=0)
+        j.record(ev.REQUEST_ADMITTED, t_s=0.0, request_id=0)
         report = audit_run(j)
         assert any("never reached a terminal state" in v
                    for v in report.violations)
@@ -223,59 +245,64 @@ class TestAuditUnit:
         # The folded `completed` set dedupes by request id; the auditor
         # must scan the raw records to catch a request delivered twice.
         j = Journal()
-        j.append("admit", 0.0, request_id=0)
+        j.record(ev.REQUEST_ADMITTED, t_s=0.0, request_id=0)
         for _ in range(2):
-            j.append("group_complete", 0.1, group=0, replica="r0",
-                     entries=[(0, 99, 12, False)])
+            j.record(ev.REQUEST_COMPLETED, t_s=0.1, group=0, replica="r0",
+                     request_id=0, crc=99, stream_len=12,
+                     output_capped=False)
         report = audit_run(j)
         assert any("completed 2 times" in v for v in report.violations)
 
     def test_commit_without_prepare(self):
         j = Journal()
-        j.append("handoff_commit", 0.1, group=0, source="r0",
+        j.record(ev.KV_HANDOFF, t_s=0.1, group=0, source="r0",
                  target="r1", attempt=1)
         report = audit_run(j)
         assert any("without a prepare" in v for v in report.violations)
 
     def test_double_commit_is_a_double_delivery(self):
         j = Journal()
-        j.append("handoff_prepare", 0.0, group=0, source="r0", bytes=64)
+        j.record(ev.KV_HANDOFF_PREPARED, t_s=0.0, group=0, source="r0",
+                 bytes=64)
         for attempt in (1, 2):
-            j.append("handoff_commit", 0.1, group=0, source="r0",
+            j.record(ev.KV_HANDOFF, t_s=0.1, group=0, source="r0",
                      target="r1", attempt=attempt)
         report = audit_run(j)
         assert any("delivered twice" in v for v in report.violations)
 
     def test_abort_before_budget_exhausted(self):
         j = Journal()
-        j.append("handoff_prepare", 0.0, group=0, source="r0", bytes=64)
-        j.append("handoff_retry", 0.1, group=0, attempt=1,
+        j.record(ev.KV_HANDOFF_PREPARED, t_s=0.0, group=0, source="r0",
+                 bytes=64)
+        j.record(ev.KV_HANDOFF_RETRIED, t_s=0.1, group=0, attempt=1,
                  reason="ack-lost", backoff_s=0.01)
-        j.append("handoff_abort", 0.2, group=0, reason="ack-lost",
-                 budget=3)
+        j.record(ev.KV_HANDOFF_ABORTED, t_s=0.2, group=0,
+                 reason="ack-lost", budget=3)
         report = audit_run(j)
         assert any("only 1 of 3 budgeted retries" in v
                    for v in report.violations)
 
     def test_abort_after_budget_is_legal(self):
         j = Journal()
-        j.append("admit", 0.0, request_id=0)
-        j.append("handoff_prepare", 0.0, group=0, source="r0", bytes=64)
-        j.append("handoff_retry", 0.1, group=0, attempt=1,
+        j.record(ev.REQUEST_ADMITTED, t_s=0.0, request_id=0)
+        j.record(ev.KV_HANDOFF_PREPARED, t_s=0.0, group=0, source="r0",
+                 bytes=64)
+        j.record(ev.KV_HANDOFF_RETRIED, t_s=0.1, group=0, attempt=1,
                  reason="ack-lost", backoff_s=0.01)
-        j.append("handoff_abort", 0.2, group=0, reason="ack-lost",
-                 budget=1)
-        j.append("group_fail", 0.2, group=0, requests=[0],
-                 reason="HandoffAborted")
+        j.record(ev.KV_HANDOFF_ABORTED, t_s=0.2, group=0,
+                 reason="ack-lost", budget=1)
+        j.record(ev.REQUEST_FAILED, t_s=0.2, group=0, request_id=0,
+                 error="HandoffAborted")
         report = audit_run(j)
         assert report.certified, report.violations
 
     def test_token_crc_checked_against_oracle(self):
         tokens = np.arange(12, dtype=np.int64)
         j = Journal()
-        j.append("admit", 0.0, request_id=0)
-        j.append("group_complete", 0.1, group=0, replica="r0",
-                 entries=[(0, token_crc(tokens), 12, False)])
+        j.record(ev.REQUEST_ADMITTED, t_s=0.0, request_id=0)
+        j.record(ev.REQUEST_COMPLETED, t_s=0.1, group=0, replica="r0",
+                 request_id=0, crc=token_crc(tokens), stream_len=12,
+                 output_capped=False)
         good = audit_run(j, reference={0: tokens})
         assert good.certified, good.violations
         bad = audit_run(j, reference={0: tokens + 1})
@@ -285,17 +312,18 @@ class TestAuditUnit:
     def test_capped_stream_checked_against_prefix(self):
         tokens = np.arange(12, dtype=np.int64)
         j = Journal()
-        j.append("admit", 0.0, request_id=0)
-        j.append("group_complete", 0.1, group=0, replica="r0",
-                 entries=[(0, token_crc(tokens[:9]), 9, True)])
+        j.record(ev.REQUEST_ADMITTED, t_s=0.0, request_id=0)
+        j.record(ev.REQUEST_COMPLETED, t_s=0.1, group=0, replica="r0",
+                 request_id=0, crc=token_crc(tokens[:9]), stream_len=9,
+                 output_capped=True)
         report = audit_run(j, reference={0: tokens})
         assert report.certified, report.violations
 
     def test_replay_mismatch_against_final_state(self):
         j = Journal()
-        j.append("admit", 0.0, request_id=0)
-        j.append("group_complete", 0.1, group=0, replica="r0",
-                 entries=[(0, 99, 12, False)])
+        j.record(ev.REQUEST_ADMITTED, t_s=0.0, request_id=0)
+        j.record(ev.REQUEST_COMPLETED, t_s=0.1, group=0, replica="r0",
+                 request_id=0, crc=99, stream_len=12, output_capped=False)
         lying = ControlPlaneState(journal_seq=j.next_seq,
                                   admitted=(0, 1))
         report = audit_run(j, final_state=lying)
@@ -324,13 +352,17 @@ class TestLiveJournal:
         assert report.certified, report.violations
 
     def test_bounded_journal_is_loud_and_uncertifiable(self):
-        ev = EventLog()
+        unbounded = ClusterControlPlane(WEIGHTS, [SHAPE, SHAPE],
+                                        decode_batch=4)
+        unbounded.serve(make_submissions(12))
         plane = ClusterControlPlane(
-            WEIGHTS, [SHAPE, SHAPE], decode_batch=4, event_log=ev,
-            journal=Journal(max_records=6, event_log=ev))
+            WEIGHTS, [SHAPE, SHAPE], decode_batch=4,
+            journal=Journal(max_records=6))
         plane.serve(make_submissions(12))
         assert plane.journal.truncated > 0
-        assert len(ev.of_kind("journal_truncated")) == 1
+        # The same run wrote exactly one record more than unbounded: the
+        # typed truncation notice, once (not per drop).
+        assert plane.journal.next_seq == unbounded.journal.next_seq + 1
         with pytest.raises(JournalTruncated):
             replay_journal(plane.journal)
         report = audit_run(plane.journal)
@@ -358,12 +390,12 @@ class TestLiveJournal:
         # suffix, reconstructs the same final state as a full replay.
         plane = _drain_run()
         full = plane.journal
-        k = split % (len(full.records) + 1)
+        k = split % (len(full) + 1)
         prefix = Journal()
         if full.genesis is not None:
             prefix.set_genesis(full.genesis)
-        for r in full.records[:k]:
-            prefix.append(r.kind, r.t_s, **r.data)
+        for r in full.events[:k]:
+            prefix.record(r.kind, t_s=r.t_s, **r.data)
         snapshot = replay_journal(prefix)
         assert snapshot.journal_seq == k
         assert replay_journal(full, snapshot=snapshot) \

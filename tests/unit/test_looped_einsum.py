@@ -7,7 +7,7 @@ traffic the Appendix A.1 model assumes.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mesh import (
@@ -175,9 +175,19 @@ class TestEinsumReduceScatter:
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([2, 4, 8]))
+@example(67641, 8)  # a cancelling element: relative error 1.25e-9
 def test_property_fused_pipeline_matches_dense(seed, k):
     """AG-einsum -> nonlinearity -> einsum-RS == the dense computation
-    (the full fused Megatron block dataflow)."""
+    (the full fused Megatron block dataflow).
+
+    The looped pipeline sums each contraction in a different order than
+    the dense einsum, so it is held to the forward-error bound of a
+    reordered length-``f`` sum, elementwise:
+    ``|out - dense| <= c * f * eps * (|tanh(x W_in)| @ |W_out|)``.  A
+    relative tolerance is the wrong check: it fails wherever the dense
+    element cancels to near zero (the pinned example sits at 1.16
+    eps-units of that scale, but 1.25e-9 relative).
+    """
     mesh = VirtualMesh((1, k, 1))
     rng = np.random.default_rng(seed)
     b, l, e, f = 2, 2, 8 * k, 8 * k
@@ -193,5 +203,8 @@ def test_property_fused_pipeline_matches_dense(seed, k):
     hidden = hidden.map_shards(np.tanh)
     out, _ = einsum_reduce_scatter("blf,fe->ble", hidden, w_out_t, "y",
                                    "E")
-    dense = np.tanh(np.einsum("ble,ef->blf", x, w_in)) @ w_out
-    np.testing.assert_allclose(out.to_global(), dense, rtol=1e-9)
+    hidden_dense = np.tanh(np.einsum("ble,ef->blf", x, w_in))
+    dense = hidden_dense @ w_out
+    eps = np.finfo(np.float64).eps
+    bound = 2 * f * eps * (np.abs(hidden_dense) @ np.abs(w_out))
+    assert np.all(np.abs(out.to_global() - dense) <= bound)

@@ -287,13 +287,16 @@ class TestVirtualClockAndMarks:
         assert t.now() >= 0.0
 
     def test_virtual_clock_drives_timestamps(self):
-        from repro.observability import MARK
+        from repro.events import EventLog
+        from repro.observability import MARK, record_marks
 
         clock = {"now": 1.5}
-        t = Tracer(clock=lambda: clock["now"])
-        first = t.mark("breaker:open")
+        log = EventLog()
+        log.clock = lambda: clock["now"]
+        log.record("breaker_transition", new="open")
         clock["now"] = 2.5
-        second = t.mark("breaker:closed")
+        log.record("breaker_transition", new="closed")
+        first, second = record_marks(log)
         assert (first.start_s, second.start_s) == (1.5, 2.5)
         assert first.kind == MARK
         assert first.duration_s == 0.0
@@ -319,8 +322,13 @@ class TestVirtualClockAndMarks:
         assert event["duration_s"] == 0.125  # exact: no wall-clock leak
 
     def test_mark_carries_attrs(self):
-        t = Tracer()
-        span = t.mark("health:r0:degraded", replica="r0", old="healthy",
-                      new="degraded")
+        from repro.events import EventLog
+        from repro.observability import record_marks
+
+        log = EventLog()
+        log.record("replica_health", t_s=0.5, replica="r0", old="healthy",
+                   new="degraded")
+        (span,) = record_marks(log)
+        assert span.name == "replica_health"
         assert span.attrs["new"] == "degraded"
         assert span.duration_s == 0.0
