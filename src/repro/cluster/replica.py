@@ -352,9 +352,9 @@ class Replica:
             self.decode_model = model
         else:
             self.prefill_model = model
-        # Pages store KV in global form, so the prefix cache survives a
-        # layout switch — install resharding onto the new plan is the
-        # same host-mediated copy either way.
+        # Pages carry their layout key, so the prefix cache survives a
+        # layout switch: a page whose layout the new plan no longer
+        # shares installs through the host-mediated global conversion.
         self._wire_kv()
         setattr(self, attr, profile)
         described = f"{plan.ffn.value}/{plan.attention.value}"

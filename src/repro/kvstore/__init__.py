@@ -7,8 +7,9 @@ storage for less computation (the Mooncake recipe) on top of the
 Section 3.3 sharded KV cache:
 
 * :mod:`repro.kvstore.arena` — sealed, refcounted, copy-on-write KV
-  *pages* (host-side, layout-independent) and the device-buffer arena
-  that recycles ``ShardedKVCache`` allocations between requests;
+  *pages* (host-side, keyed by the mesh layout they are kept in) and
+  the device-buffer arena that recycles ``ShardedKVCache`` allocations
+  between requests;
 * :mod:`repro.kvstore.radix` — the token-id radix index mapping prompt
   prefixes to page chains, with LRU-by-last-use eviction that never
   frees a pinned page;

@@ -3,15 +3,18 @@
 Two kinds of memory live here.
 
 **Pages** are the unit of sharing: a fixed span of ``page_tokens``
-token ids plus the per-layer K/V those tokens produced, stored in
-*global* (unsharded) form.  KV contents are layout-independent — the
-same bytes regardless of mesh shape or backend (the repo's core
-bit-identity invariant) — so a page extracted on one replica installs
-into any cache spec on any mesh.  Pages are sealed read-only at
-creation (``setflags(write=False)``): sharing is copy-on-write by
-construction, because a request that diverges from a cached prefix
-never mutates the shared page — it computes fresh K/V into its own
-cache and seals *new* pages for the divergent span.
+token ids plus the per-layer K/V those tokens produced, stored in the
+source cache's *page layout* (see :mod:`repro.layouts.kv_cache`): on
+the stacked backend, its device layout with unsharded mesh axes
+collapsed to size 1 — one copy per shard position, the same bytes as
+the global form — and global arrays otherwise.  Each page carries that
+layout's key, so a cache with the same key installs it as a slice
+copy, and any other cache spec or mesh converts it through global
+arrays (:func:`~repro.layouts.kv_cache.reshard_kv`).  Pages are sealed
+read-only at creation (``setflags(write=False)``): sharing is
+copy-on-write by construction, because a request that diverges from a
+cached prefix never mutates the shared page — it computes fresh K/V
+into its own cache and seals *new* pages for the divergent span.
 
 **The buffer arena** recycles the dense device buffers behind
 :class:`~repro.layouts.kv_cache.ShardedKVCache`: instead of a fresh
@@ -30,19 +33,25 @@ import numpy as np
 class Page:
     """One sealed span of KV history: ``page_tokens`` tokens x layers.
 
-    ``k``/``v`` hold one global ``[1, page_tokens, n_kv_heads, d_head]``
-    array per layer, marked read-only.  ``refcount`` counts live leases
-    (decode slots pinning the page); ``last_use`` is the LRU clock.
+    ``k``/``v`` hold one array per layer, each owning its bytes (never
+    a view of a cache buffer) and marked read-only: global
+    ``[1, page_tokens, n_kv_heads, d_head]`` when ``layout`` is ``None``,
+    else the page layout ``layout`` names (device axes first, tokens on
+    axis 4).  ``refcount`` counts live leases (decode slots pinning the
+    page); ``last_use`` is the LRU clock.
     """
 
-    __slots__ = ("k", "last_use", "page_id", "refcount", "tokens", "v")
+    __slots__ = ("k", "last_use", "layout", "page_id", "refcount", "tokens",
+                 "v")
 
     def __init__(self, page_id: int, tokens: tuple[int, ...],
-                 k: tuple[np.ndarray, ...], v: tuple[np.ndarray, ...]):
+                 k: tuple[np.ndarray, ...], v: tuple[np.ndarray, ...],
+                 layout=None):
         if len(k) != len(v) or not k:
             raise ValueError("need matching per-layer k/v arrays")
+        m_axis = 1 if layout is None else 4
         for arr in (*k, *v):
-            if arr.shape[1] != len(tokens):
+            if arr.shape[m_axis] != len(tokens):
                 raise ValueError(
                     f"page arrays must span {len(tokens)} tokens, got "
                     f"{arr.shape}")
@@ -51,6 +60,7 @@ class Page:
         self.tokens = tokens
         self.k = k
         self.v = v
+        self.layout = layout
         self.refcount = 0
         self.last_use = 0.0
 

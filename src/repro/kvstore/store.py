@@ -11,22 +11,27 @@ consults it before computing anything:
    always recomputed — the prefill must still produce last-token
    logits.
 2. ``install(lease, caches)`` — write the pinned pages into freshly
-   allocated caches (global bytes -> ``load_prefix``, exactly the
-   Section 4.4 host-mediated transfer), setting ``cache.length`` so the
-   model's position arithmetic resumes at the cached offset.
+   allocated caches, setting ``cache.length`` so the model's position
+   arithmetic resumes at the cached offset.  Pages whose layout key
+   matches the cache's are concatenated and written as one slice per
+   layer; any other layout converts through global arrays (the
+   Section 4.4 host-mediated transfer, counted as ``pages_converted``).
 3. compute only the uncached suffix (the caller's loop);
 4. ``commit(prompt, caches)`` — seal every *new* whole page of the
    finished prefill into the index (shared prefixes dedup), then evict
    LRU unpinned pages if over capacity.
 5. ``release(lease)`` — unpin, once the decode slot retires.
 
-Pages hold global (unsharded) bytes, so a hit is bit-identical to the
-recompute path on every backend and across mesh shapes — asserted by
-the differential tests.  ``invalidate`` mirrors the step compiler:
-restarts and replans drop the index (an epoch bump); leases taken
-before the bump release as no-ops (``stale_releases``).  ``adopt``
-registers another store's pages by reference (the pooled control
-plane's KV handoff to a decode replica: a Mooncake-style shared store).
+Pages hold the KV in the committing cache's page layout (the stacked
+device layout with unsharded mesh axes collapsed: the bytes of the
+global form, without the trip through it), so a hit is bit-identical
+to the recompute path on every backend within a mesh shape, and
+last-ulp close across shapes — asserted by the differential tests.
+``invalidate`` mirrors the step compiler: restarts and replans drop
+the index (an epoch bump); leases taken before the bump release as
+no-ops (``stale_releases``).  ``adopt`` registers another store's pages
+by reference (the pooled control plane's KV handoff to a decode
+replica: a Mooncake-style shared store).
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import numpy as np
 
 from repro.kvstore.arena import Page
 from repro.kvstore.radix import RadixIndex
+from repro.layouts.kv_cache import reshard_kv
 
 #: Default page size in tokens.  Must stay a multiple of the chunked
 #: prefill chunk (``repro.serving.chunked.DEFAULT_PREFILL_CHUNK``) so a
@@ -97,15 +103,6 @@ class PrefillReuse:
         return self.computed_tokens / self.total_tokens
 
 
-def _layer_globals(cache) -> tuple[np.ndarray, np.ndarray]:
-    """One layer's filled K/V prefix in global form, any cache type."""
-    if hasattr(cache, "as_sharded"):
-        k_sh, v_sh = cache.as_sharded()
-        return k_sh.to_global(), v_sh.to_global()
-    return (np.asarray(cache.k[:, :cache.length]),
-            np.asarray(cache.v[:, :cache.length]))
-
-
 class KVStore:
     """Paged prefix cache for one replica.
 
@@ -150,6 +147,7 @@ class KVStore:
         self.tokens_total = 0
         self.tokens_computed = 0
         self.bytes_saved = 0
+        self.pages_converted = 0
 
     # -- read-only queries --------------------------------------------------
 
@@ -222,58 +220,71 @@ class KVStore:
     def install(self, lease: PageLease, caches) -> int:
         """Write the leased prefix into fresh caches; returns its length.
 
-        Caches may be sharded (``load_prefix``) or the reference model's
-        plain numpy buffers — pages are global bytes either way.
+        When every page's layout key matches the caches', the pages are
+        concatenated along M and written with one broadcasting slice per
+        layer.  Otherwise (the loop backend, the reference model's plain
+        buffers, another mesh shape or spec) they convert through global
+        arrays in :func:`~repro.layouts.kv_cache.reshard_kv`.
         """
         n = lease.n_tokens
         if n == 0:
             return 0
-        n_layers = len(lease.pages[0].k)
+        pages = lease.pages
+        n_layers = len(pages[0].k)
         if len(caches) != n_layers:
             raise ValueError(f"store pages span {n_layers} layers, model "
                              f"has {len(caches)}")
+        layout = getattr(caches[0], "page_layout", None)
+        if layout is not None and all(p.layout == layout for p in pages):
+            for layer, cache in enumerate(caches):
+                cache.write(
+                    np.concatenate([p.k[layer] for p in pages], axis=4),
+                    np.concatenate([p.v[layer] for p in pages], axis=4), n)
+            return n
+        self.pages_converted += len(pages)
         for layer, cache in enumerate(caches):
-            k_g = np.concatenate([p.k[layer] for p in lease.pages], axis=1)
-            v_g = np.concatenate([p.v[layer] for p in lease.pages], axis=1)
-            if hasattr(cache, "load_prefix"):
-                from repro.mesh import ShardedTensor
-
-                k_t = ShardedTensor.from_global(cache.mesh, k_g, cache.spec)
-                v_t = ShardedTensor.from_global(cache.mesh, v_g, cache.spec)
-                cache.load_prefix(k_t, v_t, n)
-            else:
-                cache.k[:, :n] = k_g
-                cache.v[:, :n] = v_g
-                cache.length = n
+            reshard_kv(cache, [(p.k[layer], p.v[layer], p.layout)
+                               for p in pages], axis=1)
         return n
 
     def commit(self, tokens, caches, *, clock: float | None = None) -> int:
         """Seal the finished prefill's new whole pages into the index.
 
         Pages the index already holds are shared, not duplicated; only
-        the novel suffix is extracted from the caches.  Returns the
-        number of pages added.  Over capacity, LRU unpinned pages are
-        evicted (pinned pages survive regardless).
+        the novel span is read from the caches, in their page layout,
+        with its replicas checked.  Returns the number of pages added.
+        Over capacity, LRU unpinned pages are evicted (pinned pages
+        survive regardless).
         """
         clock = self._stamp(clock)
-        full = len(tokens) // self.page_tokens
+        pt = self.page_tokens
+        full = len(tokens) // pt
         if full == 0:
             return 0
         existing = self.index.lookup(tokens, max_pages=full)
         if len(existing) == full:
             return 0
+        start, stop = len(existing) * pt, full * pt
+        layout = getattr(caches[0], "page_layout", None)
+        spans = [c.read(start, stop) if hasattr(c, "read")
+                 else (c.k[:, start:stop], c.v[:, start:stop])
+                 for c in caches]
+        # Index of one page's tokens: M is axis 1 globally, 4 in the
+        # stacked page layout (after the device axes and B).
+        lead = (slice(None),) * (1 if layout is None else 4)
         pages: list[Page] = list(existing)
-        globals_per_layer = [_layer_globals(c) for c in caches]
         for pidx in range(len(existing), full):
-            start = pidx * self.page_tokens
-            stop = start + self.page_tokens
-            span = tuple(int(t) for t in tokens[start:stop])
-            k_page = tuple(np.ascontiguousarray(k_g[:, start:stop])
-                           for k_g, _ in globals_per_layer)
-            v_page = tuple(np.ascontiguousarray(v_g[:, start:stop])
-                           for _, v_g in globals_per_layer)
+            s = pidx * pt - start
+            at = lead + (slice(s, s + pt),)
             self._page_counter += 1
-            pages.append(Page(self._page_counter, span, k_page, v_page))
+            pages.append(Page(
+                self._page_counter,
+                tuple(int(t) for t in tokens[pidx * pt:(pidx + 1) * pt]),
+                # Copies: a span read from a stacked cache is a view of
+                # its buffer, which the arena re-leases once it dies.
+                tuple(k[at].copy() for k, _ in spans),
+                tuple(v[at].copy() for _, v in spans),
+                layout))
         added = self.index.insert(tokens, pages, clock=clock)
         self.inserts += added
         self._enforce_capacity()
@@ -358,5 +369,6 @@ class KVStore:
             "tokens_total": self.tokens_total,
             "tokens_computed": self.tokens_computed,
             "bytes_saved": self.bytes_saved,
+            "pages_converted": self.pages_converted,
             "occupancy": self.occupancy(),
         }

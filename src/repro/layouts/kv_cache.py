@@ -25,6 +25,15 @@ allocated — the cache becomes a view over pooled pages, returned to the
 arena when the cache is garbage collected.  Leased buffers arrive
 zeroed, so pooling is invisible to numerics; either way appends stay
 single whole-mesh slice ops.
+
+KV leaves a cache in its **page layout**: on the stacked backend, the
+dense buffer with every mesh axis the spec leaves unsharded collapsed
+to size 1 — one copy per shard position, exactly the bytes of the
+global form — keyed by :attr:`ShardedKVCache.page_layout` (layout
+signature plus mesh shape).  Store pages and same-layout decode merges
+move KV as slices of that layout (:meth:`~ShardedKVCache.read`,
+:meth:`~ShardedKVCache.write`); only layouts that really differ go
+through global arrays, in :func:`reshard_kv`.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ import weakref
 import numpy as np
 
 from repro.mesh import ShardedTensor, VirtualMesh
+from repro.mesh.stacked import collapse_replicas, reassemble
 from repro.sharding.spec import ShardingError, ShardSpec, parse
 
 
@@ -71,6 +81,14 @@ class ShardedKVCache:
             self.k = mesh.map_devices(lambda c: np.zeros(local, dtype=dtype))
             self.v = mesh.map_devices(lambda c: np.zeros(local, dtype=dtype))
         self.length = 0
+        # Spec, batch, heads, dtype and backend are fixed from here on:
+        # the capture signature and the page layout key read these.
+        self.signature = (str(spec), batch, n_kv_heads, d_head,
+                          str(self.dtype), self.is_stacked)
+        #: Key of pages read from this cache; ``None`` means pages hold
+        #: global arrays (the loop backend, the oracle).
+        self.page_layout = ((self.signature, tuple(mesh.shape))
+                            if self.is_stacked else None)
 
     @property
     def is_stacked(self) -> bool:
@@ -163,6 +181,28 @@ class ShardedKVCache:
                 self.v[coord][:, :length] = v_t.shards[coord]
         self.length = length
 
+    def read(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Positions ``[start, stop)`` of K/V in :attr:`page_layout`.
+
+        Stacked: views of the buffers with unsharded mesh axes collapsed
+        to size 1 (copy them to keep them past the next write).  Loop:
+        fresh global arrays.  Either way the replicas of the span are
+        checked, as ``ShardedTensor.to_global`` checks them, and a
+        disagreement raises :class:`ShardingError`.
+        """
+        if not self.is_stacked:
+            return tuple(t.to_global() for t in self.as_sharded(start, stop))
+        return (collapse_replicas(self.spec, self.k[:, :, :, :, start:stop]),
+                collapse_replicas(self.spec, self.v[:, :, :, :, start:stop]))
+
+    def write(self, k: np.ndarray, v: np.ndarray, length: int,
+              rows: slice = slice(None)) -> None:
+        """Fill positions ``[0, length)`` of batch ``rows`` from
+        page-layout arrays (stacked only): one broadcasting slice each."""
+        self.k[:, :, :, rows, :length] = k
+        self.v[:, :, :, rows, :length] = v
+        self.length = length
+
     def views(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-device ``[B_loc, length, K_loc, D]`` views — an object array
         on the loop backend, a dense view on the stacked one."""
@@ -202,10 +242,69 @@ class ShardedKVCache:
                                 (recorder.CTX,), v_view, "kv_view_v")
         return k_view, v_view
 
-    def as_sharded(self) -> tuple[ShardedTensor, ShardedTensor]:
-        """The filled prefix as proper sharded tensors (for inspection)."""
-        shape = (self.global_shape[0], self.length, *self.global_shape[2:])
-        k_view, v_view = self.views()
+    def as_sharded(self, start: int = 0, stop: int | None = None
+                   ) -> tuple[ShardedTensor, ShardedTensor]:
+        """Positions ``[start, stop)`` (default: the filled prefix) as
+        sharded tensors over views of the buffers."""
+        stop = self.length if stop is None else stop
+        shape = (self.global_shape[0], stop - start, *self.global_shape[2:])
         spec = ShardSpec(("B", "M", "K", "D"), self.spec.axes)
+        if self.is_stacked:
+            k_view = self.k[:, :, :, :, start:stop]
+            v_view = self.v[:, :, :, :, start:stop]
+        else:
+            k_view = self.mesh.map_devices(lambda c: self.k[c][:, start:stop])
+            v_view = self.mesh.map_devices(lambda c: self.v[c][:, start:stop])
         return (ShardedTensor(self.mesh, spec, shape, k_view),
                 ShardedTensor(self.mesh, spec, shape, v_view))
+
+
+def layout_to_global(arr: np.ndarray, layout) -> np.ndarray:
+    """A page-layout array (see :attr:`ShardedKVCache.page_layout`) in
+    global ``[B, M, K, D]`` form; ``layout=None`` means it already is.
+    A pure reshuffle (:func:`repro.mesh.stacked.reassemble`), so exact.
+    """
+    if layout is None:
+        return arr
+    (spec_text, *_), _ = layout
+    return reassemble(parse(spec_text), arr)
+
+
+def reshard_kv(target, parts, *, axis: int = 0) -> None:
+    """Load KV into ``target`` through global arrays: the one conversion
+    between KV layouts that really differ.
+
+    ``parts`` are KV caches (their filled prefixes, replica-checked by
+    :meth:`ShardedKVCache.read`) or ``(k, v, page_layout)`` triples such
+    as store pages.  Each is brought to global ``[B, M, K, D]`` form, the
+    parts are concatenated along ``axis`` (0: a merge's batch rows; 1: a
+    prefix's pages), and the result fills ``target[:, :M]`` — a
+    :class:`ShardedKVCache` (``from_global`` then ``load_prefix``) or
+    the reference model's plain buffers.  Callers: the store's install
+    fallback, the cross-layout decode merge, and
+    :meth:`ShardedTransformer.reshard_cache` (cache migration).
+
+    Within one mesh shape the conversion is exact.  Across mesh shapes
+    (disaggregated page adoption, migration to a replanned mesh) the
+    bytes carry the *source* mesh's reduction order, so the result
+    matches a recompute on the target only to the last ulp
+    (``atol=1e-15``).  This function is the single home of that known
+    weak spot (see ``ROADMAP.md``).
+    """
+    ks, vs = [], []
+    for part in parts:
+        k, v, layout = part if isinstance(part, tuple) else (
+            *part.read(0, part.length), part.page_layout)
+        ks.append(layout_to_global(k, layout))
+        vs.append(layout_to_global(v, layout))
+    k = ks[0] if len(ks) == 1 else np.concatenate(ks, axis=axis)
+    v = vs[0] if len(vs) == 1 else np.concatenate(vs, axis=axis)
+    length = k.shape[1]
+    if not hasattr(target, "load_prefix"):
+        target.k[:, :length] = k
+        target.v[:, :length] = v
+        target.length = length
+        return
+    target.load_prefix(
+        ShardedTensor.from_global(target.mesh, k, target.spec),
+        ShardedTensor.from_global(target.mesh, v, target.spec), length)

@@ -191,13 +191,6 @@ class ProgramSignature:
     dead_chips: tuple = ()
 
 
-def _cache_sig(cache) -> tuple:
-    """Layout signature of one KV cache (max_len/fill level excluded)."""
-    batch, _, kv, d = cache.global_shape
-    return (str(cache.spec), batch, kv, d, str(cache.dtype),
-            bool(cache.is_stacked))
-
-
 def _dead_chips(mesh) -> tuple:
     """The mesh's currently-dead chips as a sorted, hashable tuple."""
     state = getattr(mesh, "fault_state", None)
@@ -375,7 +368,7 @@ class CapturedProgram:
         if len(caches) != len(sig.cache_sig):
             return "caches"
         for cache, entry in zip(caches, sig.cache_sig):
-            if cache.mesh is not mesh or _cache_sig(cache) != entry:
+            if cache.mesh is not mesh or cache.signature != entry:
                 return "caches"
         if _dead_chips(mesh) != sig.dead_chips:
             return "degraded"
@@ -664,7 +657,7 @@ def _signature(model, tokens: np.ndarray, caches: Sequence, *,
         backend=mesh.backend, mesh_shape=mesh.shape,
         plan=getattr(model, "plan", None),
         tokens_shape=tokens.shape, tokens_dtype=str(tokens.dtype),
-        cache_sig=tuple(_cache_sig(c) for c in caches),
+        cache_sig=tuple(c.signature for c in caches),
         kind=kind, dead_chips=_dead_chips(mesh))
 
 
@@ -840,7 +833,7 @@ class StepCompiler:
                 getattr(model, "plan", None),
                 id(getattr(model, "weights", None)), tokens.shape,
                 str(tokens.dtype),
-                tuple(_cache_sig(c) for c in caches), _dead_chips(mesh))
+                tuple(c.signature for c in caches), _dead_chips(mesh))
 
     def _lookup(self, key: tuple, model, tokens: np.ndarray,
                 caches: Sequence) -> CapturedProgram | None:

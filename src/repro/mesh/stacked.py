@@ -479,49 +479,56 @@ def from_global(mesh, array: np.ndarray, spec,
     return np.ascontiguousarray(arr)
 
 
-def to_global(mesh, spec, global_shape: Sequence[int], shards: np.ndarray,
-              check_replication: bool = True) -> np.ndarray:
-    """Reassemble the global array from a dense stacked representation.
+def collapse_replicas(spec, shards: np.ndarray,
+                      check: bool = True) -> np.ndarray:
+    """The first-seen replica of a stacked array, as a view.
 
-    Mirrors the loop backend exactly: replicas are checked for equality
-    against the first-seen (all-zero replica coordinate) copy, partial
-    sums accumulate sequentially in row-major device order, and sharded
-    dims are reassembled by inverting :func:`from_global`.
+    Every mesh axis the spec neither shards nor partially sums is cut to
+    its all-zero coordinate, kept as a size-1 axis.  With ``check``, the
+    other replicas must equal that copy (NaNs matching NaNs), else
+    :class:`~repro.sharding.spec.ShardingError`.
     """
     from repro.sharding.spec import ShardingError
 
     shard_axes = {a for group in spec.axes for a in group}
+    rep_idx = [i for i, a in enumerate(AXIS_NAMES)
+               if a not in shard_axes and a not in spec.partial_sum]
+    if not any(shards.shape[i] > 1 for i in rep_idx):
+        return shards
+    first = shards[tuple(slice(0, 1) if i in rep_idx else slice(None)
+                         for i in range(3))]
+    if check:
+        equal = shards == first
+        if not equal.all() and shards.dtype.kind in "fc":
+            equal |= np.isnan(shards) & np.isnan(first)
+        if not equal.all():
+            raise ShardingError(
+                f"replicas disagree for spec {spec} on mesh "
+                f"{shards.shape[:3]}")
+    return first
+
+
+def reassemble(spec, shards: np.ndarray) -> np.ndarray:
+    """The global array of a stacked array whose replicated mesh axes
+    may already be collapsed to size 1 (:func:`collapse_replicas`).
+
+    Keeps the first replica, sums partial axes sequentially in row-major
+    device order (the loop backend's addition order, so bit-identical),
+    and inverts :func:`from_global` on the sharded dims.  May return a
+    view of ``shards``.
+    """
+    shard_axes = {a for group in spec.axes for a in group}
     psum_axes = set(spec.partial_sum)
     rep_idx = [i for i, a in enumerate(AXIS_NAMES)
                if a not in shard_axes and a not in psum_axes]
-
-    if check_replication and any(mesh.shape[i] > 1 for i in rep_idx):
-        ref_index = tuple(0 if i in rep_idx else slice(None)
-                          for i in range(3))
-        reference = shards[ref_index]
-        for i in rep_idx:
-            reference = np.expand_dims(reference, i)
-        equal = shards == reference
-        if shards.dtype.kind in "fc":
-            equal = equal | (np.isnan(shards) & np.isnan(reference))
-        if not equal.all():
-            raise ShardingError(
-                f"replicas disagree for spec {spec} on mesh {mesh.shape}")
-
-    # Keep the first-seen replica, then sum partial axes sequentially in
-    # row-major device order: flattening the partial axes (ascending
-    # device-axis order) reproduces the loop backend's addition order, so
-    # the reassembly is bit-identical.
-    first = tuple(0 if i in rep_idx else slice(None) for i in range(3))
-    arr = shards[first]
+    arr = shards[tuple(0 if i in rep_idx else slice(None)
+                       for i in range(3))]
     remaining = [a for i, a in enumerate(AXIS_NAMES) if i not in rep_idx]
     psum_positions = [remaining.index(a) for a in AXIS_NAMES
                       if a in psum_axes]
     if psum_positions:
         arr = np.moveaxis(arr, psum_positions, range(len(psum_positions)))
-        k = 1
-        for p in psum_positions:
-            k *= mesh.axis_size(remaining[p])
+        k = int(np.prod(arr.shape[:len(psum_positions)]))
         arr = arr.reshape((k,) + arr.shape[len(psum_positions):])
         arr = _group_sum(arr, 0)
         remaining = [a for a in remaining if a not in psum_axes]
@@ -531,7 +538,24 @@ def to_global(mesh, spec, global_shape: Sequence[int], shards: np.ndarray,
     pos = {a: i for i, a in enumerate(remaining)}
     nshard = len(remaining)
     perm: list[int] = []
+    shape: list[int] = []
     for d, axes in enumerate(spec.axes):
         perm.extend(pos[a] for a in axes)
         perm.append(nshard + d)
-    return np.array(arr.transpose(perm).reshape(tuple(global_shape)))
+        shape.append(int(np.prod([arr.shape[pos[a]] for a in axes]))
+                     * arr.shape[nshard + d])
+    return arr.transpose(perm).reshape(shape)
+
+
+def to_global(mesh, spec, global_shape: Sequence[int], shards: np.ndarray,
+              check_replication: bool = True) -> np.ndarray:
+    """Reassemble the global array from a dense stacked representation.
+
+    Mirrors the loop backend exactly: replicas are checked for equality
+    against the first-seen (all-zero replica coordinate) copy, partial
+    sums accumulate sequentially in row-major device order, and sharded
+    dims are reassembled by inverting :func:`from_global`.
+    """
+    arr = reassemble(spec, collapse_replicas(spec, shards,
+                                             check_replication))
+    return np.array(arr.reshape(tuple(global_shape)))

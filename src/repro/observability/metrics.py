@@ -261,7 +261,8 @@ def format_kvstore_stats(stats: dict) -> str:
                 "lookups", "hits", "misses", "pages_hit", "pages_missed",
                 "inserts", "adoptions", "evictions", "invalidations",
                 "leases", "releases", "stale_releases",
-                "tokens_total", "tokens_computed", "bytes_saved"):
+                "tokens_total", "tokens_computed", "bytes_saved",
+                "pages_converted"):
         lines.append(f"{key:>18s} {stats.get(key, 0):>10d}")
     lines.append(f"{'hit rate':>18s} {stats.get('hit_rate', 0.0):>10.1%}")
     lines.append(f"{'occupancy':>18s} {stats.get('occupancy', 0.0):>10.1%}")

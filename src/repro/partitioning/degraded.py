@@ -13,8 +13,8 @@ or more dead chips, we
    layout genuinely changes with the chip count — e.g. 2D weight-
    stationary only beats 1D past ``sqrt(n) > F/E``, Section 3.2.2); and
 3. **rebuild the sharded models** on the new mesh from the same host
-   weights, and optionally migrate live KV caches via the
-   ``as_sharded``/``load_prefix`` machinery — the same host-mediated
+   weights, and optionally migrate live KV caches through
+   :func:`~repro.layouts.kv_cache.reshard_kv` — the same host-mediated
    transfer as the Section 4.4 prefill->decode hand-off.
 
 Everything here is deterministic, so a replanned service produces
@@ -323,9 +323,9 @@ def migrate_caches(caches: Sequence[ShardedKVCache],
                    ) -> list[ShardedKVCache]:
     """Move live KV caches from one deployment's mesh/plan to another's.
 
-    Host-mediated (one KV-sized copy), reusing the ``as_sharded`` ->
-    ``from_global`` -> ``load_prefix`` machinery of
-    :meth:`ShardedTransformer.reshard_cache`.  Only valid while the
+    Host-mediated (one KV-sized copy) through
+    :meth:`ShardedTransformer.reshard_cache`, i.e.
+    :func:`~repro.layouts.kv_cache.reshard_kv`.  Only valid while the
     source mesh's data is still readable (straggler eviction, planned
     drain) — after a chip *death* the in-flight caches are lost and
     requests must re-prefill instead.

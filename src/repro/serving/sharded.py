@@ -4,7 +4,8 @@ The reference ``TwoPhaseServer`` demonstrates the scheduling; this module
 runs the same recipe on ``ShardedTransformer`` backends: a batch-1
 prefill model (head-sharded attention — a single sequence cannot be split
 over batch) feeds a batch-N decode model (batch-sharded multiquery), with
-host-mediated cache merging in between.  Weights are shared between the
+a cache merge in between (in place when both share one KV layout,
+host-mediated otherwise).  Weights are shared between the
 two models via :meth:`ShardedTransformer.with_plan` whenever their
 storage layouts match, exactly as deployed in the paper.
 
@@ -23,22 +24,28 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.layouts.kv_cache import ShardedKVCache
+from repro.layouts.kv_cache import ShardedKVCache, reshard_kv
 from repro.layouts.model import ShardedTransformer
 from repro.model.sampling import greedy
 from repro.serving.engine import Completion, Request, group_completions
 from repro.serving.scheduler import group_requests
+from repro.sharding.spec import parse
 
 
 def merge_sharded_caches(per_request: Sequence[Sequence[ShardedKVCache]],
                          decode_model: ShardedTransformer
                          ) -> list[ShardedKVCache]:
-    """Concatenate per-request caches and reshard for the decode model.
+    """Concatenate per-request caches into the decode model's layout.
 
-    The merge is host-mediated (one KV-sized copy per request), matching
-    the prefill-server -> decode-server hand-off the paper describes.
     All caches must have equal length (the scheduler groups by prompt
-    length).
+    length).  When every request cache already lives on the decode
+    model's (stacked) mesh with the decode spec, and that spec does not
+    shard B, the KV never leaves the mesh layout: a single request's
+    caches *are* the decode caches, and a batch is one slice write per
+    row into arena-backed caches.  Any other combination is the
+    host-mediated hand-off of Section 4.4, through global arrays in
+    :func:`~repro.layouts.kv_cache.reshard_kv`.  Either way the replicas
+    of every filled prefix read are checked.
     """
     if not per_request:
         raise ValueError("cannot merge an empty list of request caches")
@@ -49,32 +56,37 @@ def merge_sharded_caches(per_request: Sequence[Sequence[ShardedKVCache]],
     length = lengths.pop()
     batch = sum(caches[0].global_shape[0] for caches in per_request)
     cfg = decode_model.config
-    merged = []
-    n_layers = len(per_request[0])
+    mesh = decode_model.mesh
+    spec = parse(decode_model.cache_spec())
+    same_layout = not spec.axes_for("B") and all(
+        c.is_stacked and c.mesh is mesh and c.spec == spec
+        for caches in per_request for c in caches)
+    if same_layout and len(per_request) == 1:
+        for cache in per_request[0]:
+            cache.read(0, length)  # the replica check, nothing copied
+        return list(per_request[0])
     # The cache records its element dtype; probing a shard would depend
     # on the backend's storage layout (object array vs dense stack).
     dtype = per_request[0][0].dtype
-    for layer in range(n_layers):
-        k_parts, v_parts = [], []
-        for caches in per_request:
-            k_sh, v_sh = caches[layer].as_sharded()
-            k_parts.append(k_sh.to_global())
-            v_parts.append(v_sh.to_global())
-        k_global = np.concatenate(k_parts, axis=0)
-        v_global = np.concatenate(v_parts, axis=0)
-        cache = ShardedKVCache(decode_model.mesh,
-                               decode_model.cache_spec(), batch,
-                               caches[layer].max_len, cfg.n_kv_heads,
-                               cfg.d_head, dtype=dtype,
+    merged = []
+    for layer in range(len(per_request[0])):
+        cache = ShardedKVCache(mesh, spec, batch,
+                               per_request[-1][layer].max_len,
+                               cfg.n_kv_heads, cfg.d_head, dtype=dtype,
                                arena=getattr(decode_model, "kv_arena",
                                              None))
-        from repro.mesh import ShardedTensor
-
-        k_t = ShardedTensor.from_global(decode_model.mesh, k_global,
-                                        cache.spec)
-        v_t = ShardedTensor.from_global(decode_model.mesh, v_global,
-                                        cache.spec)
-        cache.load_prefix(k_t, v_t, length)
+        if same_layout:
+            read: dict[int, tuple] = {}  # padding repeats a request
+            row = 0
+            for caches in per_request:
+                src = caches[layer]
+                if id(src) not in read:
+                    read[id(src)] = src.read(0, length)
+                b = src.global_shape[0]
+                cache.write(*read[id(src)], length, rows=slice(row, row + b))
+                row += b
+        else:
+            reshard_kv(cache, [caches[layer] for caches in per_request])
         merged.append(cache)
     return merged
 

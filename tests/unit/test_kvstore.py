@@ -9,7 +9,9 @@ Three layers of guarantees:
 * **Differential prefix caching** — a prefill served from cached pages
   is *bit-identical* (logits, KV contents, and the decode steps that
   follow) to the cold recompute path, on the reference model and on
-  both mesh backends.
+  both mesh backends; pages kept in the mesh's page layout install to
+  the same bits as the conversion through global arrays, and a replica
+  that disagrees in the span a commit reads still raises.
 * **Memory accounting** — ``ShardedKVCache.per_chip_bytes`` agrees with
   the actual per-device buffer bytes on 1D/2D/3D meshes (degenerate
   torus axes) under replicated, batch-sharded and head-sharded specs,
@@ -23,17 +25,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import (
+    ClusterControlPlane,
+    ClusterPolicy,
+    ClusterSubmission,
+)
 from repro.kvstore import KVBufferArena, KVStore, Page, RadixIndex
 from repro.layouts import ShardedTransformer
-from repro.layouts.kv_cache import ShardedKVCache
-from repro.mesh import VirtualMesh
+from repro.layouts.kv_cache import (
+    ShardedKVCache,
+    layout_to_global,
+    reshard_kv,
+)
+from repro.mesh import ShardedTensor, VirtualMesh
 from repro.model import ReferenceTransformer, init_weights, tiny_test_config
 from repro.partitioning import (
     AttentionLayoutKind,
     FfnLayoutKind,
     LayoutPlan,
 )
+from repro.serving import Request
 from repro.serving.chunked import chunked_prefill
+from repro.sharding.spec import ShardingError
 
 CFG = tiny_test_config(n_layers=2, d_model=16, d_ff=32, n_heads=8,
                        d_head=8, vocab_size=32)
@@ -307,6 +320,33 @@ class TestDifferentialSharded:
         if reuse.lease is not None:
             reuse.lease.release()
 
+    def test_hit_after_arena_reuse_bit_identical_to_recompute(self,
+                                                             backend):
+        """Pages committed from arena-backed caches stay valid after the
+        caches die and their buffers serve another prompt."""
+        mesh = VirtualMesh((2, 2, 2), backend=backend)
+        model = ShardedTransformer(WEIGHTS, mesh, self.PLAN)
+        model.kv_arena = KVBufferArena()
+        rng = np.random.default_rng(9)
+        prompt = rng.integers(0, CFG.vocab_size, size=(1, 8))
+        other = rng.integers(0, CFG.vocab_size, size=(1, 8))
+        store = KVStore(page_tokens=PAGE, capacity_pages=32)
+        _, caches = chunked_prefill(model, prompt, PAGE, 12, kvstore=store)
+        del caches
+        gc.collect()
+        chunked_prefill(model, other, PAGE, 12)
+        assert model.kv_arena.stats()["arena_reuses"] > 0
+        warm, warm_caches = chunked_prefill(model, prompt, PAGE, 12,
+                                            kvstore=store)
+        reuse = store.take_last_reuse()
+        assert reuse.matched_tokens == 6
+        cold, cold_caches = chunked_prefill(
+            ShardedTransformer(WEIGHTS, mesh, self.PLAN), prompt, PAGE, 12)
+        assert np.array_equal(warm, cold)
+        for warm_c, cold_c in zip(warm_caches, cold_caches):
+            assert_same_buffers(warm_c, cold_c)
+        reuse.lease.release()
+
     def test_pages_install_across_meshes(self, backend):
         """A page extracted on one mesh shape installs on another.
 
@@ -331,7 +371,193 @@ class TestDifferentialSharded:
         cold, _ = chunked_prefill(dst, prompt, PAGE, 12)
         np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-15)
         assert np.array_equal(warm.argmax(-1), cold.argmax(-1))
+        assert store.stats()["pages_converted"] == reuse.lease.n_pages
         reuse.lease.release()
+
+    def test_same_shape_install_bit_identical_to_recompute(self, backend):
+        """Pages committed on one mesh install on another mesh of the
+        same shape as slice copies (stacked), bit-identical to
+        recomputing there."""
+        rng = np.random.default_rng(5)
+        prompt = rng.integers(0, CFG.vocab_size, size=(1, 8))
+        store = KVStore(page_tokens=PAGE, capacity_pages=32)
+        src = ShardedTransformer(WEIGHTS, VirtualMesh((2, 2, 2),
+                                                      backend=backend),
+                                 self.PLAN)
+        chunked_prefill(src, prompt, PAGE, 12, kvstore=store)
+        dst = ShardedTransformer(WEIGHTS, VirtualMesh((2, 2, 2),
+                                                      backend=backend),
+                                 self.PLAN)
+        warm, warm_caches = chunked_prefill(dst, prompt, PAGE, 12,
+                                            kvstore=store)
+        reuse = store.take_last_reuse()
+        assert reuse.matched_tokens == 6
+        cold, cold_caches = chunked_prefill(dst, prompt, PAGE, 12)
+        assert np.array_equal(warm, cold)
+        for warm_c, cold_c in zip(warm_caches, cold_caches):
+            assert_same_buffers(warm_c, cold_c)
+        converted = store.stats()["pages_converted"]
+        assert converted == (0 if backend == "stacked" else 3)
+        reuse.lease.release()
+
+    def test_adoption_across_mesh_shapes_converts(self, backend):
+        """The disaggregated handoff: a decode-side store adopts pages
+        sealed on a 2x2x2 prefill mesh and installs them on 2x1x1."""
+        rng = np.random.default_rng(6)
+        prompt = rng.integers(0, CFG.vocab_size, size=(1, 8))
+        prefill_store = KVStore(page_tokens=PAGE, capacity_pages=32)
+        decode_store = KVStore(page_tokens=PAGE, capacity_pages=32)
+        src = ShardedTransformer(WEIGHTS, VirtualMesh((2, 2, 2),
+                                                      backend=backend),
+                                 self.PLAN)
+        chunked_prefill(src, prompt, PAGE, 12, kvstore=prefill_store)
+        pages = prefill_store.lookup_pages(prompt[0])
+        assert decode_store.adopt(prompt[0], pages) == len(pages)
+        dst = ShardedTransformer(WEIGHTS, VirtualMesh((2, 1, 1),
+                                                      backend=backend),
+                                 self.PLAN)
+        chunked_prefill(dst, prompt, PAGE, 12, kvstore=decode_store)
+        reuse = decode_store.take_last_reuse()
+        assert decode_store.stats()["pages_converted"] \
+            == reuse.lease.n_pages > 0
+        reuse.lease.release()
+
+
+def test_same_shape_fleet_converts_no_pages():
+    """A stacked fleet of one mesh shape keeps every page in the mesh
+    layout: store hits install without a global round-trip."""
+    plane = ClusterControlPlane(
+        WEIGHTS, [(2, 2, 2), (2, 2, 2)], backend="stacked",
+        decode_batch=2, policy=ClusterPolicy(kvstore_pages=64))
+    rng = np.random.default_rng(7)
+    head = rng.integers(0, CFG.vocab_size, size=4)
+    plane.serve([ClusterSubmission(Request(i, np.concatenate(
+        [head, rng.integers(0, CFG.vocab_size, size=2)]), 3),
+        arrival_s=0.1 * i) for i in range(8)])
+    stats = [r.kvstore.stats() for r in plane.replicas]
+    assert sum(s["pages_hit"] for s in stats) > 0
+    assert sum(s["pages_converted"] for s in stats) == 0
+
+
+def filled_cache(mesh, spec, length=6, max_len=8, seed=0, arena=None,
+                 batch=4):
+    """A cache whose first ``length`` positions hold random KV."""
+    cache = ShardedKVCache(mesh, spec, batch=batch, max_len=max_len,
+                           n_kv_heads=4, d_head=2, arena=arena)
+    rng = np.random.default_rng(seed)
+    k, v = (rng.standard_normal((batch, length, 4, 2)) for _ in range(2))
+    cache.load_prefix(ShardedTensor.from_global(mesh, k, cache.spec),
+                      ShardedTensor.from_global(mesh, v, cache.spec),
+                      length)
+    return cache
+
+
+def cache_globals(cache):
+    k, v = cache.as_sharded()
+    return k.to_global(), v.to_global()
+
+
+def assert_same_buffers(a, b):
+    """Bit-identical device buffers, replicas and unfilled tail included."""
+    assert a.length == b.length
+    for x, y in ((a.k, b.k), (a.v, b.v)):
+        if x.dtype == object:
+            for coord in a.mesh.devices():
+                assert np.array_equal(x[coord], y[coord])
+        else:
+            assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("backend", ["loop", "stacked"])
+@pytest.mark.parametrize("shape", [(2, 2, 2), (4, 1, 1)])
+@pytest.mark.parametrize("spec", ["BMKD", "B_xMKD", "BMK_xD"])
+class TestPageLayout:
+    """Pages in the mesh's page layout vs the global-array conversion."""
+
+    def test_install_fast_path_matches_conversion(self, backend, shape,
+                                                  spec):
+        mesh = VirtualMesh(shape, backend=backend)
+        src = filled_cache(mesh, spec)
+        tokens = list(range(6))
+        store = KVStore(page_tokens=PAGE, capacity_pages=8)
+        assert store.commit(tokens, [src]) == 3
+        lease = store.match(tokens + [9])
+        assert lease.n_tokens == 6
+        fast = ShardedKVCache(mesh, spec, 4, 8, 4, 2)
+        store.install(lease, [fast])
+        converted = ShardedKVCache(mesh, spec, 4, 8, 4, 2)
+        reshard_kv(converted, [(p.k[0], p.v[0], p.layout)
+                               for p in lease.pages], axis=1)
+        assert_same_buffers(fast, converted)
+        for got, want in zip(cache_globals(fast), cache_globals(src)):
+            assert np.array_equal(got, want)
+        # The stacked backend keeps KV in the mesh layout; the loop
+        # backend (the oracle) always converts.
+        expect = 3 if backend == "loop" else 0
+        assert store.stats()["pages_converted"] == expect
+        # A page holds exactly the bytes of its global form.
+        assert lease.pages[0].nbytes == 2 * 4 * PAGE * 4 * 2 * 8
+
+    def test_pages_survive_arena_reuse(self, backend, shape, spec):
+        """Pages own their bytes: a committing cache's buffers, returned
+        to the arena and leased (zeroed, refilled) by the next cache,
+        leave the sealed pages untouched."""
+        mesh = VirtualMesh(shape, backend=backend)
+        arena = KVBufferArena()
+        # Batch 1 where the spec allows it: each page's span is then
+        # contiguous in the buffer, so a slice of it would be a view.
+        batch = 4 if spec.startswith("B_") else 1
+        src = filled_cache(mesh, spec, arena=arena, batch=batch)
+        store = KVStore(page_tokens=PAGE, capacity_pages=8)
+        tokens = list(range(6))
+        assert store.commit(tokens, [src]) == 3
+        want = cache_globals(src)
+        del src
+        gc.collect()
+        reused = filled_cache(mesh, spec, seed=1, arena=arena, batch=batch)
+        assert arena.stats()["arena_reuses"] == 1
+        lease = store.match(tokens + [9])
+        for page in lease.pages:
+            for arr in (*page.k, *page.v):
+                assert arr.base is None and not arr.flags.writeable
+        fresh = ShardedKVCache(mesh, spec, batch, 8, 4, 2)
+        store.install(lease, [fresh])
+        for got, old in zip(cache_globals(fresh), want):
+            assert np.array_equal(got, old)
+        assert not np.array_equal(cache_globals(reused)[0], want[0])
+
+    def test_commit_checks_replicas_of_the_span(self, backend, shape,
+                                                spec):
+        mesh = VirtualMesh(shape, backend=backend)
+        cache = filled_cache(mesh, spec)
+        if backend == "stacked":
+            cache.k[-1, -1, -1, 0, 3, 0, 0] += 1.0
+        else:
+            cache.k[tuple(n - 1 for n in shape)][0, 3, 0, 0] += 1.0
+        store = KVStore(page_tokens=PAGE, capacity_pages=8)
+        if cache.spec.replication_factor(mesh.topology) == 1:
+            # Every device holds a distinct shard: nothing to disagree.
+            store.commit(list(range(6)), [cache])
+            return
+        with pytest.raises(ShardingError, match="replicas disagree"):
+            store.commit(list(range(6)), [cache])
+
+
+@pytest.mark.parametrize("spec", ["B_xzyMKD", "B_yxMK_zD", "BMK_zyD"])
+def test_layout_to_global_inverts_sharding(spec):
+    """Page layout -> global is exact for any axis order in the spec."""
+    mesh = VirtualMesh((2, 2, 2), backend="stacked")
+    cache = ShardedKVCache(mesh, spec, batch=8, max_len=4, n_kv_heads=4,
+                           d_head=2)
+    k = np.random.default_rng(8).standard_normal((8, 3, 4, 2))
+    cache.load_prefix(ShardedTensor.from_global(mesh, k, cache.spec),
+                      ShardedTensor.from_global(mesh, -k, cache.spec), 3)
+    k_page, v_page = cache.read(1, 3)
+    assert k_page.nbytes == k[:, 1:3].nbytes
+    assert np.array_equal(layout_to_global(k_page, cache.page_layout),
+                          k[:, 1:3])
+    assert np.array_equal(layout_to_global(v_page, cache.page_layout),
+                          -k[:, 1:3])
 
 
 @pytest.mark.parametrize("backend", ["loop", "stacked"])
