@@ -599,7 +599,7 @@ def _capture_workload(topology, backend, batch, steps, seed=0):
     model = ShardedTransformer(init_weights(config, seed=seed), mesh, plan)
     prompt = np.random.default_rng(seed + 1).integers(
         0, config.vocab_size, size=(batch, 4))
-    compiler = StepCompiler(batch_bucket=batch)
+    compiler = StepCompiler()
     _, caches = model.prefill(prompt, 4 + steps)
     token = prompt[:, -1]
     for _ in range(steps):

@@ -541,18 +541,13 @@ def _check(report: ChaosReport, scenario: ChaosScenario,
 
 
 def run_scenario(scenario: ChaosScenario | str, *, backend: str = "loop",
-                 seed: int = 0, weights_seed: int = 0,
-                 step_threads: int = 0) -> ChaosReport:
+                 seed: int = 0, weights_seed: int = 0) -> ChaosReport:
     """Execute one scenario deterministically and report what happened.
 
     The report keeps the run's whole timeline: ``journal_dump`` holds
     every record the plane wrote, and ``spans`` the tracer's group
     regions plus one mark per record (the ``repro-inference chaos
     --trace`` and ``trace --mode cluster`` exporters read it).
-
-    ``step_threads >= 1`` turns on the control plane's parallel replica
-    stepping (hedged decodes race on a thread pool); the report is
-    identical either way — the chaos tests assert it.
     """
     if isinstance(scenario, str):
         try:
@@ -574,7 +569,7 @@ def run_scenario(scenario: ChaosScenario | str, *, backend: str = "loop",
         drains=dict(scenario.drains),
         costs=scenario.costs,
         policy=scenario.policy,
-        prompt_len_hint=PROMPT_LEN, step_threads=step_threads,
+        prompt_len_hint=PROMPT_LEN,
         autoscaler=autoscaler,
         restarts=dict(scenario.restarts),
         crash_at_s=scenario.crash_at_s)

@@ -49,7 +49,6 @@ records and spans are bit-for-bit reproducible.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
@@ -110,12 +109,10 @@ class ClusterPolicy:
     #: full-groups-only behavior (mixed-length traces need the age
     #: trigger or odd-length prompts would wait for the final flush).
     max_batch_wait_s: float | None = None
-    #: Prefix-affinity dispatch: route a new group to the prefill
-    #: replica whose paged KV store holds the longest cached prefix of
-    #: its head prompt (ties and zero matches fall back to least-busy).
-    prefix_affinity: bool = True
     #: Per-replica prefix-cache capacity in pages; 0 disables the
-    #: stores entirely (prefills always recompute).
+    #: stores entirely (prefills always recompute, and dispatch, which
+    #: prefers the replica holding the longest cached prefix, falls
+    #: through to least-busy).
     kvstore_pages: int = 256
     #: Pooled fleets: how many times a failed KV handoff transfer is
     #: retried (seeded jittered exponential backoff from
@@ -279,7 +276,6 @@ class ClusterControlPlane:
                  policy: ClusterPolicy | None = None,
                  trace_mesh: bool = False,
                  prompt_len_hint: int = 64,
-                 step_threads: int = 0,
                  autoscaler=None,
                  journal: Journal | None = None,
                  restarts: Mapping[str, RestartSpec] | None = None,
@@ -298,8 +294,6 @@ class ClusterControlPlane:
             raise FleetConfigError("pool partitions need pools")
         if not shapes:
             raise ValueError("a cluster needs at least one replica")
-        if step_threads < 0:
-            raise ValueError("step_threads must be >= 0")
         self.costs = costs or CostModel()
         self.policy = policy or ClusterPolicy()
         self.now_s = 0.0
@@ -381,13 +375,6 @@ class ClusterControlPlane:
         self.kv_page_releases = 0
         self.kv_pages_leased = 0
         self.kv_pages_released = 0
-        # Parallel replica stepping: with ``step_threads >= 1`` a hedged
-        # race steps the two replicas' replay programs concurrently, one
-        # pool worker per replica per tick (see :meth:`_barrier_step`);
-        # two replicas replaying one shared program take turns on its
-        # lock.  0 keeps the legacy serial path everywhere.
-        self.step_threads = step_threads
-        self._pool: ThreadPoolExecutor | None = None
         # Disaggregated pools: replica name -> pool name.  Empty means
         # colocated — every replica runs both phases, no KV handoff.
         self.pool_specs = {spec.name: spec for spec in pools}
@@ -428,13 +415,6 @@ class ClusterControlPlane:
             name, failure_threshold=self.policy.breaker_failures,
             cooldown_s=self.policy.breaker_cooldown_s,
             journal=self.journal)
-
-    def _step_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.step_threads,
-                thread_name_prefix="replica-step")
-        return self._pool
 
     # -- time ---------------------------------------------------------------
 
@@ -668,8 +648,7 @@ class ClusterControlPlane:
         # placement freedom for recompute savings.  ``peek`` is a pure
         # read (no pin, no LRU touch) so routing never perturbs cache
         # state; zero matches everywhere fall through to least-busy.
-        if prompt is not None and self.policy.prefix_affinity and \
-                len(candidates) > 1:
+        if prompt is not None and len(candidates) > 1:
             matched = {r.name: (r.kvstore.peek(prompt)
                                 if r.kvstore is not None else 0)
                        for r in candidates}
@@ -1024,11 +1003,7 @@ class ClusterControlPlane:
                             if not hedged and self.hedging_enabled and \
                                     slow_steps >= self.policy.hedge_after_steps:
                                 hedged = True
-                                if self.step_threads >= 1 and \
-                                        run.replica.name not in self._drains:
-                                    t, result = self._race_hedge(run, t, gid)
-                                else:
-                                    _, result = self._try_hedge(run, t, gid)
+                                result = self._try_hedge(run, t, gid)
                                 if result is not None:
                                     hedge_finish, hedge_completions, \
                                         hedge_replica = result
@@ -1036,14 +1011,6 @@ class ClusterControlPlane:
                             continue  # re-prefill the group on the target
                         break
                     except MeshFault as exc:
-                        # A fault raised out of a parallel hedge race carries
-                        # the primary's advanced clock (and the hedge's
-                        # completed result, when it finished first).
-                        t = getattr(exc, "race_t", t)
-                        race_result = getattr(exc, "race_hedge_result", None)
-                        if race_result is not None:
-                            hedge_finish, hedge_completions, hedge_replica = \
-                                race_result
                         t = self._on_group_fault(run.replica, exc, t)
                         attempt += 1
                         self.failovers += 1
@@ -1434,19 +1401,20 @@ class ClusterControlPlane:
     def _try_hedge(self, run: GroupRun, t: float, gid: int):
         """Dispatch a duplicate of the lagging group to a second replica.
 
-        Returns ``(True, (finish, completions, replica) | None)``; the
-        caller races the original to completion and takes the earlier
-        finish.  A hedge that faults is abandoned (the original is still
-        running); the breaker records the failure either way.
+        Returns ``(finish, completions, replica)``, or ``None`` when no
+        hedge ran to completion; the caller races the original to
+        completion and takes the earlier finish.  A hedge that faults is
+        abandoned (the original is still running); the breaker records
+        the failure either way.
         """
         rid = run.group[0].request_id
         try:
             backup = self._pick_replica(t, rid, "default",
                                         exclude=run.replica, phase="decode")
         except NoHealthyReplica:
-            return True, None  # nobody to hedge to; don't retry the check
+            return None  # nobody to hedge to; don't retry the check
         if backup is run.replica:
-            return True, None
+            return None
         self.hedges += 1
         self.journal.record(ev.HEDGE, t_s=t, group=gid,
                             source=run.replica.name, target=backup.name)
@@ -1460,107 +1428,13 @@ class ClusterControlPlane:
                 bt += hedge_run.decode_step()
         except MeshFault as exc:
             self._on_group_fault(backup, exc, bt)
-            return True, None
+            return None
         finally:
             self._running.discard(backup.name)
             self._release_leases(hedge_run, bt, gid)
         backup.busy_until_s = bt
         self.breakers[backup.name].record_success(bt)
-        return True, (bt, hedge_run.completions(), backup.name)
-
-    def _barrier_step(self, runs: Sequence[GroupRun]) -> list:
-        """One lockstep decode tick over independent replicas' runs.
-
-        All bookkeeping — fault-clock advance, program-cache lookup,
-        sampling, virtual-time charge — happens on this thread in list
-        order; only the pure compute thunks go to the pool, one worker
-        per replica, joined before anything later commits.  Each run's
-        entry in the result is its simulated step cost, or the
-        :class:`MeshFault` its compute raised.
-        """
-        thunks = [run.begin_decode_step() for run in runs]
-        futures = [self._step_pool().submit(thunk) for thunk in thunks]
-        results = []
-        for run, future in zip(runs, futures):
-            try:
-                results.append(run.finish_decode_step(future.result()))
-            except MeshFault as exc:
-                results.append(exc)
-        return results
-
-    def _race_hedge(self, run: GroupRun, t: float,
-                    gid: int) -> tuple[float, tuple | None]:
-        """Hedged decode with parallel replica stepping.
-
-        The ``step_threads >= 1`` counterpart of :meth:`_try_hedge`:
-        after the hedge's prefill, the primary's and the hedge's replay
-        programs step *concurrently*, one lockstep tick at a time, until
-        the hedge completes or dies; a primary remainder continues in
-        the caller's loop.  Every clock is per-replica and every commit
-        happens on the control-plane thread in a fixed order, so tokens,
-        virtual times and the chaos report match the serial path
-        bit-for-bit.  Returns ``(advanced_primary_clock, result)``; a
-        primary fault is re-raised with that clock (and any completed
-        hedge result) attached for the caller's failover handler.
-        """
-        rid = run.group[0].request_id
-        try:
-            backup = self._pick_replica(t, rid, "default",
-                                        exclude=run.replica, phase="decode")
-        except NoHealthyReplica:
-            return t, None  # nobody to hedge to; don't retry the check
-        if backup is run.replica:
-            return t, None
-        self.hedges += 1
-        self.journal.record(ev.HEDGE, t_s=t, group=gid,
-                            source=run.replica.name, target=backup.name)
-        hedge_run = GroupRun(backup, run.wrapped)
-        bt = max(t, backup.busy_until_s)
-        self._running.add(backup.name)
-        try:
-            try:
-                bt += hedge_run.run_prefill()
-                self._note_leases(hedge_run, bt, gid)
-            except MeshFault as exc:
-                self._on_group_fault(backup, exc, bt)
-                return t, None
-            primary_exc: MeshFault | None = None
-            hedge_alive = True
-            while hedge_alive and not hedge_run.done:
-                if primary_exc is not None or run.done:
-                    # Primary out of the race: drain the hedge serially,
-                    # exactly as the serial path would have run it.
-                    try:
-                        bt += hedge_run.decode_step()
-                    except MeshFault as exc:
-                        self._on_group_fault(backup, exc, bt)
-                        hedge_alive = False
-                    continue
-                primary_dt, hedge_dt = self._barrier_step([run, hedge_run])
-                if isinstance(primary_dt, MeshFault):
-                    primary_exc = primary_dt
-                else:
-                    t += primary_dt
-                    self._set_now(t)
-                if isinstance(hedge_dt, MeshFault):
-                    self._on_group_fault(backup, hedge_dt, bt)
-                    hedge_alive = False
-                else:
-                    bt += hedge_dt
-            result = None
-            if hedge_alive:
-                backup.busy_until_s = bt
-                self.breakers[backup.name].record_success(bt)
-                result = (bt, hedge_run.completions(), backup.name)
-            if primary_exc is not None:
-                primary_exc.race_t = t
-                if result is not None:
-                    primary_exc.race_hedge_result = result
-                raise primary_exc
-            return t, result
-        finally:
-            self._running.discard(backup.name)
-            self._release_leases(hedge_run, bt, gid)
+        return bt, hedge_run.completions(), backup.name
 
     @staticmethod
     def _assert_identical(a: Sequence[Completion],

@@ -401,7 +401,6 @@ class GroupRun:
         self.caches = None
         self.current = None
         self.generated: list[np.ndarray] = []
-        self._delay_before = 0.0
         # Page leases pinning cached prefixes this run installed; held
         # until the group retires (or is abandoned) so eviction can never
         # free a page under a live decode slot.
@@ -463,41 +462,25 @@ class GroupRun:
         return elapsed
 
     def decode_step(self) -> float:
-        """One batched decode step; returns its simulated cost."""
-        thunk = self.begin_decode_step()
-        return self.finish_decode_step(thunk())
+        """One batched decode step; returns its simulated cost.
 
-    def begin_decode_step(self):
-        """Clock + bookkeeping half of a decode step; returns its thunk.
-
-        Runs on the control-plane thread: advances the fault clock and
-        resolves the step through the compiler's program cache.  The
-        returned zero-argument callable does the actual compute — a pure
-        program replay when a warm program is valid, otherwise the full
-        eager/capture path — and touches only this replica's model and
-        caches plus store programs whose runs their own locks serialize,
-        so thunks of *distinct* replicas may run concurrently (the
-        control plane's hedged race does).  Call
-        :meth:`finish_decode_step` with the thunk's logits to commit.
+        A warm, valid program replays through the compiler's thunk;
+        otherwise the compiler runs the step eagerly (or captures it).
         """
         replica = self.replica
-        self._delay_before = replica.delay_s()
+        before = replica.delay_s()
         replica.advance("decode")
         compiler = replica.step_compiler
         thunk = compiler.decode_thunk(replica.decode_model, self.current,
                                       self.caches)
         if thunk is not None:
-            return thunk
-        model, tokens, caches = (replica.decode_model, self.current,
-                                 self.caches)
-        return lambda: compiler.decode_step(model, tokens, caches)
-
-    def finish_decode_step(self, logits: np.ndarray) -> float:
-        """Commit one decode step's logits; returns its simulated cost."""
-        replica = self.replica
+            logits = thunk()
+        else:
+            logits = compiler.decode_step(replica.decode_model,
+                                          self.current, self.caches)
         elapsed = replica.costs.decode_cost_s(replica.profile) \
             * replica.scale \
-            + (replica.delay_s() - self._delay_before)
+            + (replica.delay_s() - before)
         self.current = greedy(logits)
         self.generated.append(self.current[:, None])
         self.steps_done += 1
@@ -609,9 +592,10 @@ class ResilientTwoPhaseServer:
 
     def _estimate_s(self, wreq: ResilientRequest) -> float:
         """Service-time estimate for admission control, at current capacity."""
-        c = self.costs
-        return (c.prefill_s + wreq.request.max_new_tokens * c.decode_step_s) \
-            * self.replica.scale
+        c, replica = self.costs, self.replica
+        return (c.prefill_cost_s(replica.prefill_profile)
+                + wreq.request.max_new_tokens
+                * c.decode_cost_s(replica.profile)) * replica.scale
 
     def serve(self, requests: Sequence[Request | ResilientRequest]
               ) -> list[RequestOutcome]:
@@ -690,7 +674,8 @@ class ResilientTwoPhaseServer:
         if not stragglers:
             return
         projected = self.now_s + remaining * (
-            self.costs.decode_step_s * replica.scale + step_delay)
+            self.costs.decode_cost_s(replica.profile) * replica.scale
+            + step_delay)
         if projected <= min_deadline:
             return
         self.events.record(

@@ -68,12 +68,11 @@ serving hot path end-to-end:
   the only ones used.
 * **Shape-bucketed program cache** — :class:`StepCompiler` keeps an LRU
   ``OrderedDict`` of programs keyed by (kind, backend, mesh shape, plan,
-  token shape/dtype, cache layouts, dead-chip set), so a
-  continuous-batching workload whose batch shrinks as sequences finish
-  hits warm programs (the compiler pads the token batch up to the cache
-  capacity when ``batch_bucket`` rounds it there) instead of thrashing
-  re-capture.  Hits, misses, evictions and per-reason invalidations are
-  counted and surfaced through the observability metrics tables.
+  token shape/dtype, cache layouts, dead-chip set), so every shape a
+  workload alternates between keeps its own warm program instead of
+  thrashing re-capture.  Hits, misses, evictions and per-reason
+  invalidations are counted and surfaced through the observability
+  metrics tables.
 * **Shared capture state** — programs live in a :class:`ProgramStore`
   that any number of compilers may share (a cluster control plane hands
   one store to every replica it builds, so a scale-out replica replays
@@ -197,13 +196,6 @@ def _dead_chips(mesh) -> tuple:
     if state is None:
         return ()
     return tuple(sorted(state.dead_chips))
-
-
-def bucket_batch(n: int, bucket: int) -> int:
-    """Round a batch size up to the next multiple of ``bucket``."""
-    if bucket <= 1:
-        return n
-    return ((n + bucket - 1) // bucket) * bucket
 
 
 @lru_cache(maxsize=64)
@@ -749,26 +741,19 @@ class StepCompiler:
     layout, dead chips) bucket — see :class:`ProgramSignature` — which
     many compilers may share; counters stay per compiler.  Plus:
 
-    * ``batch_bucket`` — a token batch smaller than the cache capacity
-      is padded up to it (and the result sliced back) when the bucketed
-      size rounds there, so a shrinking continuous-batching batch keeps
-      hitting one warm program.  Padding duplicates the last row; batch
-      rows are independent through every kernel, so the live rows'
-      logits are bit-identical (tests assert it).
     * :meth:`prefill_chunk` — per-chunk-length prefill programs for
       :func:`repro.serving.chunked.chunked_prefill`.
-    * :meth:`decode_thunk` — a pure zero-argument replay callable for
-      the cluster's parallel replica stepping (all cache/counter
-      bookkeeping happens on the calling thread).
+    * :meth:`decode_thunk` — a pure zero-argument replay callable (all
+      cache/counter bookkeeping happens on the calling thread), which
+      :meth:`repro.cluster.replica.GroupRun.decode_step` runs when warm.
     * ``weight_share`` — the store's fused projection weights the tape
       optimizer concatenates, shared by every program captured into it
       and dropped with them by :meth:`invalidate`.
     """
 
-    def __init__(self, warmup_steps: int = 1, *, batch_bucket: int = 1,
-                 max_programs: int = 8, store: ProgramStore | None = None):
+    def __init__(self, warmup_steps: int = 1, *, max_programs: int = 8,
+                 store: ProgramStore | None = None):
         self.warmup_steps = warmup_steps
-        self.batch_bucket = max(1, batch_bucket)
         self.max_programs = max(1, max_programs)
         self.store = store if store is not None else ProgramStore()
         self.store.max_programs += self.max_programs
@@ -871,26 +856,7 @@ class StepCompiler:
 
     def decode_step(self, model, tokens: np.ndarray,
                     caches: Sequence) -> np.ndarray:
-        """One decode step: replay a warm program when valid, else eager.
-
-        With ``batch_bucket > 1`` a token batch below the cache capacity
-        whose bucketed size rounds to that capacity is padded up (last
-        row repeated) and the padded logits sliced back down, so the
-        caller sees exactly its rows while the program cache sees one
-        stable shape.
-        """
-        n = tokens.shape[0]
-        if self.batch_bucket > 1 and caches:
-            cap = caches[0].global_shape[0]
-            if n < cap and bucket_batch(n, self.batch_bucket) >= cap:
-                pad = np.broadcast_to(tokens[-1:],
-                                      (cap - n,) + tokens.shape[1:])
-                padded = np.concatenate([tokens, pad], axis=0)
-                return self._decode(model, padded, caches)[:n]
-        return self._decode(model, tokens, caches)
-
-    def _decode(self, model, tokens: np.ndarray,
-                caches: Sequence) -> np.ndarray:
+        """One decode step: replay a warm program when valid, else eager."""
         state = getattr(model.mesh, "fault_state", None)
         quiet = state is None or state.quiescent()
         key = self._key(model, tokens, caches, "decode")
@@ -918,8 +884,8 @@ class StepCompiler:
         would replay.  All shared-state bookkeeping (store lookup,
         counters) happens here on the calling thread; the thunk touches
         only this replica's caches and a program whose runs its own lock
-        serializes, so the cluster control plane may run thunks of
-        *distinct* replicas concurrently, even when they share a program.
+        serializes, so a caller may run thunks of *distinct* replicas
+        concurrently, even when they share a program.
         """
         state = getattr(model.mesh, "fault_state", None)
         if state is not None and not state.quiescent():

@@ -313,9 +313,9 @@ class ResilientContinuousServer:
             return
         remaining = max(self._remaining_hint - local_step, 0)
         sim_now = self.now_s + self._extra_s \
-            + (local_step + 1) * self.costs.decode_step_s * self.scale
+            + (local_step + 1) * self.costs.decode_cost_s() * self.scale
         projected = sim_now + remaining * (
-            self.costs.decode_step_s * self.scale + step_delay)
+            self.costs.decode_cost_s() * self.scale + step_delay)
         if projected <= self._min_deadline:
             return
         self.events.record(
@@ -354,7 +354,7 @@ class ResilientContinuousServer:
             # Surcharge beyond the base per-step cost the caller already
             # accounts: straggler delay plus the degraded-capacity factor.
             self._extra_s += step_delay \
-                + (self.scale - 1.0) * self.costs.decode_step_s
+                + (self.scale - 1.0) * self.costs.decode_cost_s()
             if step_delay > 0.0:
                 self._evict_stragglers(local_step, step_delay)
 
@@ -366,8 +366,8 @@ class ResilientContinuousServer:
         # the estimate is the request's own service time.
         pending = ledger.admit(
             ledger.wrapped, self.now_s,
-            lambda w: costs.prefill_s
-            + w.request.max_new_tokens * costs.decode_step_s)
+            lambda w: costs.prefill_cost_s()
+            + w.request.max_new_tokens * costs.decode_cost_s())
         attempt = 0
         while pending:
             deadlines = [w.deadline_s for w in pending
@@ -406,6 +406,6 @@ class ResilientContinuousServer:
     def _charge_run(self, engine: ContinuousBatchingEngine) -> None:
         """Charge one engine run's prefills, decode steps and surcharges."""
         self._steps_done += engine.steps
-        self.now_s += engine.admissions * self.costs.prefill_s + \
-            engine.steps * self.costs.decode_step_s + self._extra_s
+        self.now_s += engine.admissions * self.costs.prefill_cost_s() + \
+            engine.steps * self.costs.decode_cost_s() + self._extra_s
         self._extra_s = 0.0

@@ -17,13 +17,10 @@ The v2 contract on top of ``test_step_capture.py``'s single-step replay:
   across programs and read-only, fused projection weights across one
   compiler's programs, dropped on invalidation and never handed to a
   rebuilt model;
-* the bucketed program cache pads a shrinking batch onto one warm
-  program (live rows bit-identical, every step after the capture a
-  hit), bounds itself by LRU eviction, and
-  counts hits/misses/evictions/explicit invalidations;
-* parallel replica stepping (``step_threads >= 1``) is an execution
-  detail: a seeded chaos run produces the same report, event log and
-  span stream as the serial path;
+* the bucketed program cache bounds itself by LRU eviction and counts
+  hits/misses/evictions/explicit invalidations;
+* programs of distinct deployments replayed on concurrent threads each
+  give exactly their serial logits;
 * one program store serves a fleet: a program captured on replica A
   replays on a same-shape replica B bit-identically to B's eager run
   (decode, full and body-only prefill chunks), charges B's fault clock
@@ -43,7 +40,7 @@ import numpy as np
 import pytest
 
 from repro.cli import decode_config
-from repro.cluster import ClusterControlPlane, run_scenario
+from repro.cluster import ClusterControlPlane
 from repro.cluster.replica import GroupRun, Replica
 from repro.hardware.topology import Torus3D
 from repro.layouts import ShardedTransformer
@@ -424,7 +421,7 @@ class TestBodyOnlyPrefill:
 
 
 class TestBucketedProgramCache:
-    """Shape-bucketed signatures: hits, misses, eviction, padding."""
+    """Shape-bucketed signatures: hits, misses, eviction."""
 
     def test_lru_eviction_bounds_the_cache(self):
         model = fresh_model()
@@ -443,34 +440,6 @@ class TestBucketedProgramCache:
         assert compiler.misses == 4
         assert compiler.evictions == 2
         assert compiler.n_programs == 2
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_padding_bit_identical(self, backend):
-        """A shrinking batch pads up to the cache capacity and slices
-        back, and one warm program serves every step of it."""
-        # Rows retire in pairs, as under continuous batching: 8 live rows
-        # for three steps, then 6, 4 and 2.
-        schedule = [8] * 3 + [6] * 3 + [4] * 3 + [2] * 3
-        eager_model, eager_caches, eager_tok = build(backend,
-                                                     len(schedule))
-        model, caches, tok = build(backend, len(schedule))
-        compiler = StepCompiler(warmup_steps=0, batch_bucket=8)
-        # The compiler pads by repeating the last live row; the eager
-        # twin decodes the full batch with the same repetition, so the
-        # live rows see identical inputs and KV history.
-        full = eager_tok.copy()
-        for live in schedule:
-            full[live:] = full[live - 1]
-            eager = eager_model.decode_step(full, eager_caches)
-            got = compiler.decode_step(model, full[:live], caches)
-            assert got.shape[0] == live
-            assert np.array_equal(got, eager[:live])
-            full = np.argmax(eager, -1)
-        # One capture, then every step hits however far the batch has
-        # shrunk: 11 of 12 steps (92 %) replay the warm program.
-        assert compiler.captures == 1
-        assert (compiler.misses, compiler.hits) == (1, len(schedule) - 1)
-        assert caches_equal(model.mesh, eager_caches, caches)
 
     def test_explicit_invalidate_counts(self):
         model, caches, tok = build()
@@ -587,35 +556,6 @@ class TestSharedCaptureState:
         assert compiler.captures == 2 and compiler.replays == 2
         assert not fused_weight_ids(compiler.program) & stale
 
-
-class TestParallelReplicaStepping:
-    """Threaded stepping is an execution detail, not a behavior."""
-
-    @staticmethod
-    def assert_threaded_run_identical(scenario, backend):
-        logs, spans, reports = {}, {}, {}
-        for threads in (0, 2):
-            report = run_scenario(scenario, backend=backend, seed=0,
-                                  step_threads=threads)
-            logs[threads] = [(r["kind"], r["t_s"], r["data"])
-                             for r in report.journal_dump]
-            spans[threads] = [(s.name, s.kind, s.start_s, s.end_s)
-                              for s in report.spans]
-            reports[threads] = dataclasses.replace(report, spans=[])
-        assert logs[0] == logs[2]
-        assert spans[0] == spans[2]
-        assert reports[0] == reports[2]
-
-    @pytest.mark.parametrize("scenario",
-                             ["rolling-kill", "correlated-stragglers"])
-    def test_threaded_run_identical_to_serial(self, scenario):
-        self.assert_threaded_run_identical(scenario, "loop")
-
-    def test_threaded_hedge_race_identical_on_stacked_backend(self):
-        """The same race where every captured program is optimized."""
-        self.assert_threaded_run_identical("correlated-stragglers",
-                                           "stacked")
-
     def test_concurrent_replays_sharing_index_tables_match_serial(self):
         """Programs of distinct deployments share read-only index tables
         but own their buffers: replaying them on more threads than cores
@@ -654,10 +594,6 @@ class TestParallelReplicaStepping:
         for serial, threaded in zip(results[False], results[True]):
             for a, b in zip(serial, threaded):
                 assert np.array_equal(a, b)
-
-    def test_negative_step_threads_rejected(self):
-        with pytest.raises(ValueError, match="step_threads"):
-            ClusterControlPlane(WEIGHTS, [(1, 1, 1)], step_threads=-1)
 
 
 class TestFleetProgramStore:

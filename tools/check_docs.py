@@ -83,7 +83,7 @@ REQUIRED_HEADINGS: dict[str, tuple[str, ...]] = {
         "### Invalidation rules",
         "## Capture v2: the program cache",
         "### Prefill programs",
-        "### Parallel replica stepping",
+        "### Hedges step serially",
     ),
     "docs/autoscaling.md": (
         "## The trace generator: load as pure data",
