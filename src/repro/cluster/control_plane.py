@@ -84,7 +84,7 @@ from repro.mesh.capture import ProgramStore
 from repro.mesh.faults import FaultPlan, MeshFault, ReplicaCrashed
 from repro.observability.spans import Tracer
 from repro.serving.backoff import jittered_backoff_s
-from repro.serving.engine import Completion, Request
+from repro.serving.engine import Completion, Request, require_unique_ids
 from repro.serving.resilient import CostModel, ResilientRequest
 
 Coord = tuple[int, int, int]
@@ -815,12 +815,7 @@ class ClusterControlPlane:
         ordered = sorted(enumerate(submissions),
                          key=lambda pair: (pair[1].arrival_s, pair[0]))
         by_id: dict[int, ClusterOutcome] = {}
-        seen: set[int] = set()
-        for _, sub in ordered:
-            if sub.request.request_id in seen:
-                raise ValueError(
-                    f"duplicate request id {sub.request.request_id}")
-            seen.add(sub.request.request_id)
+        require_unique_ids([sub.request for _, sub in ordered])
 
         for _, sub in ordered:
             self._set_now(sub.arrival_s)

@@ -23,11 +23,10 @@ from repro.serving.resilient import (
     CostModel,
     RequestOutcome,
     RequestStatus,
-    ResilientContinuousServer,
     ResilientRequest,
 )
 from repro.serving.scheduler import group_requests
-from repro.serving.sharded import ShardedTwoPhaseServer, merge_sharded_caches
+from repro.serving.sharded import merge_sharded_caches
 
 __all__ = [
     "CacheMigrationFailed",
@@ -36,12 +35,10 @@ __all__ = [
     "CostModel",
     "RequestOutcome",
     "RequestStatus",
-    "ResilientContinuousServer",
     "ResilientRequest",
     "SlotState",
     "slot_decode_step",
     "Request",
-    "ShardedTwoPhaseServer",
     "TwoPhaseServer",
     "chunked_prefill",
     "chunked_prefill_cost",

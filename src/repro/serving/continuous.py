@@ -27,7 +27,7 @@ from repro.model.reference import ReferenceTransformer
 from repro.model.rope import apply_rope
 from repro.model.sampling import greedy
 from repro.serving.chunked import DEFAULT_PREFILL_CHUNK, chunked_prefill
-from repro.serving.engine import Completion, Request
+from repro.serving.engine import Completion, Request, require_unique_ids
 
 
 class SlotState:
@@ -145,25 +145,17 @@ class ContinuousBatchingEngine:
     """Slot-based decoder with batch-1 prefill admission."""
 
     def __init__(self, model: ReferenceTransformer, max_slots: int,
-                 max_len: int, step_hook=None, kvstore=None):
+                 max_len: int):
         if max_slots < 1:
             raise ValueError("max_slots must be >= 1")
         self.model = model
         self.max_slots = max_slots
         self.max_len = max_len
-        # Optional prefix cache (repro.kvstore.KVStore): admission
-        # prefills reuse cached prompt prefixes.  The slot copies the
-        # installed prefix into its own buffers, so leases are released
-        # as soon as the slot is loaded.
-        self.kvstore = kvstore
         self.steps = 0
         self.admissions = 0
-        # Called with the global step index before each decode step; the
-        # resilient serving layer uses it to observe progress and to
-        # inject scheduled failures (a raise aborts the batch).
-        self.step_hook = step_hook
 
     def serve(self, requests: list[Request]) -> list[Completion]:
+        require_unique_ids(requests)
         queue = deque(requests)
         slots: list[_RunningSequence | None] = [None] * self.max_slots
         state = SlotState(self.model, self.max_slots, self.max_len)
@@ -179,13 +171,8 @@ class ContinuousBatchingEngine:
                 # see chunked_prefill).
                 logits, caches = chunked_prefill(
                     self.model, request.prompt[None, :],
-                    DEFAULT_PREFILL_CHUNK, self.max_len,
-                    kvstore=self.kvstore)
+                    DEFAULT_PREFILL_CHUNK, self.max_len)
                 state.load_prefill(slot_idx, caches)
-                if self.kvstore is not None:
-                    reuse = self.kvstore.take_last_reuse()
-                    if reuse is not None and reuse.lease is not None:
-                        reuse.lease.release()
                 first = int(greedy(logits)[0])
                 running = _RunningSequence(request, pending_token=first)
                 running.generated.append(first)
@@ -201,8 +188,6 @@ class ContinuousBatchingEngine:
             if not any_active():
                 admit()
                 continue
-            if self.step_hook is not None:
-                self.step_hook(self.steps)
             active = np.array([s is not None for s in slots])
             tokens = np.array([s.pending_token if s else 0
                                for s in slots])

@@ -69,6 +69,16 @@ def group_completions(group: Sequence[Request],
             for i, r in enumerate(group)]
 
 
+def require_unique_ids(requests: Sequence[Request]) -> None:
+    """Raise ``ValueError`` if two requests share an id (completions are
+    keyed by id, so a repeat would return another request's tokens)."""
+    seen: set[int] = set()
+    for request in requests:
+        if request.request_id in seen:
+            raise ValueError(f"duplicate request id {request.request_id}")
+        seen.add(request.request_id)
+
+
 def merge_caches(per_request: Sequence[Sequence[KVCache]]
                  ) -> list[KVCache]:
     """Concatenate per-request (batch-1) KV caches into one batched cache.
@@ -127,6 +137,7 @@ class TwoPhaseServer:
         """Serve all requests; returns completions in request order."""
         from repro.serving.scheduler import group_requests
 
+        require_unique_ids(requests)
         completions: dict[int, Completion] = {}
         for group in group_requests(requests, self.decode_batch):
             for completion in self._serve_group(group):

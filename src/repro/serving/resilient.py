@@ -2,11 +2,12 @@
 
 The serving recipes assume the mesh stays healthy for the whole run.
 This module holds the lifecycle value types, the :class:`CostModel`
-that prices simulated time, the :class:`RequestLedger` every resilient
-server records its decisions through, and
-:class:`ResilientContinuousServer`.  The single-mesh two-phase server
-runs on the cluster's replica and lives in :mod:`repro.cluster.replica`.
-Both follow the same policy:
+that prices simulated time, and the :class:`RequestLedger` a resilient
+server records its decisions through.  The server itself,
+:class:`~repro.cluster.replica.ResilientTwoPhaseServer`, runs on the
+cluster's replica and lives in :mod:`repro.cluster.replica`; the
+cluster control plane reuses the value types and the cost model.  The
+policy:
 
 * **Detection** — the collectives raise typed
   :class:`~repro.mesh.faults.MeshFault` errors instead of returning
@@ -39,24 +40,17 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
 from repro.events import (
     FAULT_DETECTED,
-    FAULT_INJECTED,
-    REPLANNED,
     REQUEST_COMPLETED,
     REQUEST_FAILED,
     REQUEST_RETRIED,
     REQUEST_SHED,
     EventLog,
 )
-from repro.mesh import VirtualMesh
-from repro.mesh.faults import ChipFailure, FaultPlan, MeshFault
-from repro.partitioning.degraded import largest_healthy_subslice
+from repro.mesh.faults import MeshFault
 from repro.serving.backoff import exponential_backoff_s
-from repro.serving.continuous import ContinuousBatchingEngine
-from repro.serving.engine import Completion, Request
+from repro.serving.engine import Completion, Request, require_unique_ids
 
 
 class RequestStatus(str, Enum):
@@ -129,12 +123,12 @@ class CostModel:
         """
         return exponential_backoff_s(attempt, base_s=self.backoff_base_s)
 
-    def prefill_cost_s(self, profile: str = "balanced") -> float:
+    def prefill_cost_s(self, profile: str) -> float:
         """Per-request prefill charge under the given prefill profile."""
         return self.prefill_s * dict(self.prefill_profile_factors).get(
             profile, 1.0)
 
-    def decode_cost_s(self, profile: str = "balanced") -> float:
+    def decode_cost_s(self, profile: str) -> float:
         """Per-step decode charge under the given decode profile."""
         return self.decode_step_s * dict(self.decode_profile_factors).get(
             profile, 1.0)
@@ -147,20 +141,18 @@ class CacheMigrationFailed(MeshFault):
 class RequestLedger:
     """Per-request lifecycle bookkeeping for one ``serve`` call.
 
-    Both resilient servers — :class:`ResilientContinuousServer` and the
-    single-mesh :class:`~repro.cluster.replica.ResilientTwoPhaseServer` —
-    record every shed, retry, failure and completion here, so outcomes
+    The single-mesh :class:`~repro.cluster.replica.ResilientTwoPhaseServer`
+    records every shed, retry, failure and completion here, so outcomes
     and their :class:`~repro.events.EventLog` records are written once.
-    The servers keep the clock and decide *when* each call happens.
+    The server keeps the clock and decides *when* each call happens.
     """
 
     def __init__(self, requests: Sequence[Request | ResilientRequest],
                  events: EventLog):
         self.wrapped = [r if isinstance(r, ResilientRequest)
                         else ResilientRequest(r) for r in requests]
+        require_unique_ids([w.request for w in self.wrapped])
         self.retries = {w.request.request_id: 0 for w in self.wrapped}
-        if len(self.retries) != len(self.wrapped):
-            raise ValueError("duplicate request ids")
         self.events = events
         self.outcomes: dict[int, RequestOutcome] = {}
 
@@ -234,178 +226,3 @@ class RequestLedger:
     def results(self) -> list[RequestOutcome]:
         """One outcome per request, in submission order."""
         return [self.outcomes[w.request.request_id] for w in self.wrapped]
-
-
-class ResilientContinuousServer:
-    """Deadline/retry/shedding wrapper around the continuous engine.
-
-    The reference-model engine has no mesh of its own, so scheduled
-    failures can arrive two ways:
-
-    * ``fail_at_steps`` lists global decode-step indices at which a chip
-      failure fires through the engine's ``step_hook`` (each one-shot);
-    * ``mesh`` + ``fault_plan`` attach a :class:`VirtualMesh` as the
-      *health substrate*: every decode step runs one tiny heartbeat
-      collective on it (through whichever execution backend the mesh
-      uses), so kills and timeouts raise real :class:`MeshFault`\\ s and
-      stragglers accumulate real simulated delay.  When that delay
-      projects a deadline miss, the straggler chips are *evicted* — the
-      mesh is replanned onto its largest healthy sub-slice (capacity
-      drops to ``scale``; the delay stops).
-
-    Recovery restarts the engine and re-serves every request the crashed
-    run had not returned — idempotent because decoding is greedy, so
-    completed tokens are bit-identical to a fault-free run.
-    """
-
-    def __init__(self, model, max_slots: int, max_len: int, *,
-                 fail_at_steps: Sequence[int] = (),
-                 mesh: VirtualMesh | None = None,
-                 fault_plan: FaultPlan | None = None,
-                 costs: CostModel | None = None,
-                 event_log: EventLog | None = None):
-        if fault_plan is not None and mesh is None:
-            raise ValueError("fault_plan requires a mesh to install it on")
-        self.model = model
-        self.max_slots = max_slots
-        self.max_len = max_len
-        self.costs = costs or CostModel()
-        self.events = event_log if event_log is not None else EventLog()
-        self._fail_at = sorted(set(int(s) for s in fail_at_steps))
-        self._steps_done = 0
-        self.now_s = 0.0
-        self.mesh = mesh
-        self.full_chips = mesh.num_chips if mesh is not None else 1
-        self.fault_state = None
-        if mesh is not None and fault_plan is not None:
-            self.fault_state = mesh.install_faults(fault_plan, self.events)
-        self._extra_s = 0.0            # delay/replan charges within a run
-        self._min_deadline: float | None = None
-        self._remaining_hint = 0       # conservative steps left in the run
-
-    @property
-    def scale(self) -> float:
-        """Slowdown factor of the (possibly degraded) health mesh."""
-        if self.mesh is None:
-            return 1.0
-        return self.full_chips / self.mesh.num_chips
-
-    def _heartbeat(self) -> float:
-        """One probe collective on the health mesh; returns its straggler
-        delay.  Raises the same typed faults real model collectives do."""
-        from repro.mesh.ops import all_gather
-        from repro.mesh.sharded_tensor import ShardedTensor
-
-        state = self.fault_state
-        before = state.sim_delay_s
-        state.advance("decode")
-        probe = ShardedTensor.from_global(
-            self.mesh, np.zeros(self.mesh.num_chips), "V_xyz")
-        all_gather(probe, ("x", "y", "z"), "V")
-        return state.sim_delay_s - before
-
-    def _evict_stragglers(self, local_step: int, step_delay: float) -> None:
-        """Replan the health mesh around stragglers that endanger the
-        earliest deadline in the current run (mirrors the two-phase
-        server's eviction, at whole-mesh granularity)."""
-        stragglers = sorted(self.fault_state.straggler_chips())
-        if not stragglers or self._min_deadline is None:
-            return
-        remaining = max(self._remaining_hint - local_step, 0)
-        sim_now = self.now_s + self._extra_s \
-            + (local_step + 1) * self.costs.decode_cost_s() * self.scale
-        projected = sim_now + remaining * (
-            self.costs.decode_cost_s() * self.scale + step_delay)
-        if projected <= self._min_deadline:
-            return
-        self.events.record(
-            FAULT_DETECTED, error="StragglerFault",
-            detail=f"straggler chips {stragglers} project finish "
-                   f"{projected:.4f}s past deadline "
-                   f"{self._min_deadline:.4f}s", t_s=sim_now)
-        self._shrink_mesh(stragglers)
-
-    def _shrink_mesh(self, bad_chips) -> None:
-        """Rebuild the health mesh on its largest sub-slice avoiding
-        ``bad_chips``, carrying the fault clock (the engine's reference
-        model needs no resharding — only capacity and delay change)."""
-        old_shape = self.mesh.shape
-        sub = largest_healthy_subslice(old_shape, bad_chips)
-        self.mesh = VirtualMesh(sub.shape, backend=self.mesh.backend)
-        self.fault_state = self.fault_state.carry_to(self.mesh, sub.origin)
-        self._extra_s += self.costs.replan_s
-        self.events.record(REPLANNED, dead_chips=[tuple(c) for c
-                                                  in bad_chips],
-                           old_shape=old_shape, new_shape=sub.shape,
-                           origin=sub.origin, prefill_plan="(unchanged)",
-                           decode_plan="(unchanged)")
-
-    def _step_hook(self, local_step: int) -> None:
-        global_step = self._steps_done + local_step
-        if self._fail_at and global_step >= self._fail_at[0]:
-            at_step = self._fail_at.pop(0)
-            self.events.record(
-                FAULT_INJECTED, op="slot_decode_step", step=global_step,
-                fault={"type": "ChipKill", "chip": (0, 0, 0),
-                       "at_step": at_step})
-            raise ChipFailure((0, 0, 0), "slot_decode_step", global_step)
-        if self.fault_state is not None:
-            step_delay = self._heartbeat()
-            # Surcharge beyond the base per-step cost the caller already
-            # accounts: straggler delay plus the degraded-capacity factor.
-            self._extra_s += step_delay \
-                + (self.scale - 1.0) * self.costs.decode_cost_s()
-            if step_delay > 0.0:
-                self._evict_stragglers(local_step, step_delay)
-
-    def serve(self, requests: Sequence[Request | ResilientRequest]
-              ) -> list[RequestOutcome]:
-        ledger = RequestLedger(requests, self.events)
-        costs = self.costs
-        # Admission control up front; the engine has a fixed capacity, so
-        # the estimate is the request's own service time.
-        pending = ledger.admit(
-            ledger.wrapped, self.now_s,
-            lambda w: costs.prefill_cost_s()
-            + w.request.max_new_tokens * costs.decode_cost_s())
-        attempt = 0
-        while pending:
-            deadlines = [w.deadline_s for w in pending
-                         if w.deadline_s is not None]
-            self._min_deadline = min(deadlines) if deadlines else None
-            self._remaining_hint = max(w.request.max_new_tokens
-                                       for w in pending)
-            self._extra_s = 0.0
-            engine = ContinuousBatchingEngine(
-                self.model, self.max_slots, self.max_len,
-                step_hook=self._step_hook)
-            try:
-                completions = engine.serve([w.request for w in pending])
-            except MeshFault as exc:
-                self._charge_run(engine)
-                ledger.detected(exc, self.now_s)
-                if self.fault_state is not None:
-                    # Permanent mesh faults (chip kills) must be replanned
-                    # around, or the next heartbeat re-raises forever.
-                    dead = sorted(self.fault_state.dead_chips)
-                    if dead:
-                        self._shrink_mesh(dead)
-                        self.now_s += self._extra_s
-                        self._extra_s = 0.0
-                attempt += 1
-                pending = ledger.fail_exhausted(pending, exc, self.now_s)
-                backoff = costs.backoff_s(attempt)
-                self.now_s += backoff
-                ledger.retried(pending, backoff, self.now_s)
-                continue
-            self._charge_run(engine)
-            ledger.complete(pending, completions, self.now_s)
-            pending = []
-        return ledger.results()
-
-    def _charge_run(self, engine: ContinuousBatchingEngine) -> None:
-        """Charge one engine run's prefills, decode steps and surcharges."""
-        self._steps_done += engine.steps
-        self.now_s += engine.admissions * self.costs.prefill_cost_s() + \
-            engine.steps * self.costs.decode_cost_s() + self._extra_s
-        self._extra_s = 0.0

@@ -1,34 +1,22 @@
-"""Two-phase serving on the partitioned model (Section 4.4, end to end).
+"""The KV hand-off of two-phase serving on the partitioned model (§4.4).
 
-The reference ``TwoPhaseServer`` demonstrates the scheduling; this module
-runs the same recipe on ``ShardedTransformer`` backends: a batch-1
+The reference ``TwoPhaseServer`` demonstrates the scheduling; on
+``ShardedTransformer`` backends the cluster's
+:class:`~repro.cluster.replica.GroupRun` runs the same recipe: a batch-1
 prefill model (head-sharded attention — a single sequence cannot be split
-over batch) feeds a batch-N decode model (batch-sharded multiquery), with
-a cache merge in between (in place when both share one KV layout,
-host-mediated otherwise).  Weights are shared between the
+over batch) feeds a batch-N decode model (batch-sharded multiquery).
+This module holds the cache merge in between (in place when both share
+one KV layout, host-mediated otherwise).  Weights are shared between the
 two models via :meth:`ShardedTransformer.with_plan` whenever their
 storage layouts match, exactly as deployed in the paper.
-
-When a tracer is installed on the shared mesh
-(:meth:`VirtualMesh.install_tracer`), the server wraps each prefill in a
-per-request span tree and each decode batch in a region tagged with the
-participating request ids; a tracer built with an
-:class:`~repro.events.EventLog` then joins the span timeline to the
-serving/fault event timeline via ``request_span`` events.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Sequence
-
-import numpy as np
 
 from repro.layouts.kv_cache import ShardedKVCache, reshard_kv
 from repro.layouts.model import ShardedTransformer
-from repro.model.sampling import greedy
-from repro.serving.engine import Completion, Request, group_completions
-from repro.serving.scheduler import group_requests
 from repro.sharding.spec import parse
 
 
@@ -89,53 +77,3 @@ def merge_sharded_caches(per_request: Sequence[Sequence[ShardedKVCache]],
             reshard_kv(cache, [caches[layer] for caches in per_request])
         merged.append(cache)
     return merged
-
-
-class ShardedTwoPhaseServer:
-    """Batch-1 prefill -> batch-N decode on partitioned models."""
-
-    def __init__(self, prefill_model: ShardedTransformer,
-                 decode_model: ShardedTransformer,
-                 decode_batch: int = 64):
-        if prefill_model.weights is not decode_model.weights:
-            raise ValueError(
-                "prefill and decode models must share weights")
-        self.prefill_model = prefill_model
-        self.decode_model = decode_model
-        self.decode_batch = decode_batch
-
-    def _tracer(self):
-        return getattr(self.prefill_model.mesh, "tracer", None)
-
-    def _serve_group(self, group: list[Request]) -> list[Completion]:
-        tracer = self._tracer()
-        n_steps = max(r.max_new_tokens for r in group)
-        max_len = len(group[0].prompt) + n_steps
-        caches_per_request, first_logits = [], []
-        for request in group:
-            with (tracer.request(request.request_id) if tracer is not None
-                  else nullcontext()):
-                logits, caches = self.prefill_model.prefill(
-                    request.prompt[None, :], max_len)
-            caches_per_request.append(caches)
-            first_logits.append(logits)
-        caches = merge_sharded_caches(caches_per_request,
-                                      self.decode_model)
-        current = greedy(np.concatenate(first_logits, axis=0))
-        generated = [current[:, None]]
-        decode_region = (tracer.region(
-            "decode_batch", request_ids=[r.request_id for r in group])
-            if tracer is not None else nullcontext())
-        with decode_region:
-            for _ in range(n_steps - 1):
-                current = greedy(
-                    self.decode_model.decode_step(current, caches))
-                generated.append(current[:, None])
-        return group_completions(group, generated)
-
-    def serve(self, requests: Sequence[Request]) -> list[Completion]:
-        completions: dict[int, Completion] = {}
-        for group in group_requests(requests, self.decode_batch):
-            for completion in self._serve_group(group):
-                completions[completion.request_id] = completion
-        return [completions[r.request_id] for r in requests]

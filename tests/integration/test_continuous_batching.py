@@ -152,3 +152,13 @@ class TestEngine:
     def test_validation(self):
         with pytest.raises(ValueError):
             ContinuousBatchingEngine(MODEL, max_slots=0, max_len=8)
+
+    def test_duplicate_request_ids_rejected(self):
+        # Completions are keyed by id: a repeat would hand one request
+        # the other's tokens, so it is refused before any admission.
+        engine = ContinuousBatchingEngine(MODEL, max_slots=2, max_len=8)
+        requests = [Request(0, np.array([1, 2, 3, 4]), 3),
+                    Request(0, np.array([5, 6, 7, 8]), 3)]
+        with pytest.raises(ValueError, match="duplicate request id 0"):
+            engine.serve(requests)
+        assert engine.admissions == 0

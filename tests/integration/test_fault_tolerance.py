@@ -25,7 +25,6 @@ from repro.mesh import (
     CollectiveFault,
     FaultPlan,
     StragglerFault,
-    VirtualMesh,
 )
 from repro.mesh.virtual_mesh import BACKENDS
 from repro.model import (
@@ -37,7 +36,6 @@ from repro.serving import (
     CostModel,
     Request,
     RequestStatus,
-    ResilientContinuousServer,
     ResilientRequest,
     TwoPhaseServer,
 )
@@ -109,15 +107,15 @@ class TestFaultMatrix:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestStragglerEviction:
+    STRAGGLER = FaultPlan(faults=(
+        StragglerFault(chip=(0, 0, 1), slowdown=50.0,
+                       delay_s_per_op=1e-3, at_step=1, phase="decode"),))
+
     def test_straggler_evicted_with_cache_migration(self, backend):
         log = EventLog()
-        fault_plan = FaultPlan(faults=(
-            StragglerFault(chip=(0, 0, 1), slowdown=50.0,
-                           delay_s_per_op=1e-3, at_step=1,
-                           phase="decode"),))
         server = ResilientTwoPhaseServer(
             WEIGHTS, (2, 2, 2), backend=backend,
-            decode_batch=4, fault_plan=fault_plan, event_log=log)
+            decode_batch=4, fault_plan=self.STRAGGLER, event_log=log)
         outcomes = server.serve(
             [ResilientRequest(r, deadline_s=1.2) for r in REQUESTS])
 
@@ -133,6 +131,23 @@ class TestStragglerEviction:
         assert len(migrations) == len(REQUESTS)
         log.assert_sequence(FAULT_INJECTED, FAULT_DETECTED, REPLANNED,
                             REQUEST_RETRIED, REQUEST_COMPLETED)
+
+    def test_no_deadline_means_no_eviction(self, backend):
+        # Stragglers are pure latency: without a deadline at risk the
+        # server rides them out on the full mesh and just finishes later.
+        log = EventLog()
+        server = ResilientTwoPhaseServer(
+            WEIGHTS, (2, 2, 2), backend=backend,
+            decode_batch=4, fault_plan=self.STRAGGLER, event_log=log)
+        outcomes = server.serve(REQUESTS)
+
+        assert all(o.status is RequestStatus.COMPLETED for o in outcomes)
+        for outcome, reference in zip(outcomes, REFERENCE):
+            np.testing.assert_array_equal(outcome.completion.tokens,
+                                          reference.tokens)
+        assert log.of_kind(FAULT_INJECTED)
+        assert server.mesh.num_chips == 8
+        assert not log.of_kind(REPLANNED)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -188,121 +203,3 @@ class TestLifecyclePolicies:
         for outcome, want in zip(outcomes, reference):
             np.testing.assert_array_equal(outcome.completion.tokens,
                                           want.tokens)
-
-
-class TestResilientContinuous:
-    def test_mid_stream_failure_is_invisible_in_tokens(self):
-        log = EventLog()
-        model = ReferenceTransformer(WEIGHTS)
-        reference = ResilientContinuousServer(
-            model, max_slots=3, max_len=16).serve(REQUESTS)
-        assert all(o.retries == 0 for o in reference)
-
-        server = ResilientContinuousServer(
-            model, max_slots=3, max_len=16, fail_at_steps=(4,),
-            event_log=log)
-        outcomes = server.serve(REQUESTS)
-        assert all(o.status is RequestStatus.COMPLETED for o in outcomes)
-        assert all(o.retries == 1 for o in outcomes)
-        for outcome, want in zip(outcomes, reference):
-            np.testing.assert_array_equal(outcome.completion.tokens,
-                                          want.completion.tokens)
-        log.assert_sequence(FAULT_INJECTED, FAULT_DETECTED,
-                            REQUEST_RETRIED, REQUEST_COMPLETED)
-
-    def test_repeated_failures_exhaust_retries(self):
-        model = ReferenceTransformer(WEIGHTS)
-        server = ResilientContinuousServer(
-            model, max_slots=3, max_len=16,
-            fail_at_steps=tuple(range(12)))
-        outcomes = server.serve(
-            [ResilientRequest(r, max_retries=2) for r in REQUESTS])
-        assert all(o.status is RequestStatus.FAILED for o in outcomes)
-
-    def test_deadline_shedding(self):
-        model = ReferenceTransformer(WEIGHTS)
-        server = ResilientContinuousServer(model, max_slots=3, max_len=16)
-        outcomes = server.serve(
-            [ResilientRequest(r, deadline_s=1e-9) for r in REQUESTS])
-        assert all(o.status is RequestStatus.SHED for o in outcomes)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestContinuousMeshSubstrate:
-    """Continuous engine with a :class:`VirtualMesh` health substrate.
-
-    Faults arrive through real heartbeat collectives on the configured
-    execution backend, so kills raise typed :class:`MeshFault`\\ s and
-    stragglers accumulate genuine simulated delay (satellite: straggler
-    eviction covered on *both* backends).
-    """
-
-    STRAGGLER = FaultPlan(faults=(
-        StragglerFault(chip=(0, 0, 1), slowdown=30.0,
-                       delay_s_per_op=5e-3, at_step=1, phase="decode"),))
-
-    def _reference(self):
-        model = ReferenceTransformer(WEIGHTS)
-        return ResilientContinuousServer(
-            model, max_slots=3, max_len=16).serve(REQUESTS)
-
-    def test_straggler_eviction_saves_the_deadline(self, backend):
-        reference = self._reference()
-        log = EventLog()
-        server = ResilientContinuousServer(
-            ReferenceTransformer(WEIGHTS), max_slots=3, max_len=16,
-            mesh=VirtualMesh((2, 2, 2), backend=backend),
-            fault_plan=self.STRAGGLER, event_log=log)
-        outcomes = server.serve(
-            [ResilientRequest(r, deadline_s=0.7) for r in REQUESTS])
-
-        # Eviction replanned the health mesh off the slow chip in time.
-        assert all(o.status is RequestStatus.COMPLETED for o in outcomes)
-        assert server.mesh.num_chips < 8
-        assert log.of_kind(REPLANNED)
-        (detected,) = log.of_kind(FAULT_DETECTED)
-        assert detected["error"] == "StragglerFault"
-        for outcome, want in zip(outcomes, reference):
-            np.testing.assert_array_equal(outcome.completion.tokens,
-                                          want.completion.tokens)
-
-    def test_no_deadline_means_no_eviction(self, backend):
-        # Stragglers are pure latency: without a deadline at risk the
-        # server rides them out on the full mesh and just finishes later.
-        log = EventLog()
-        server = ResilientContinuousServer(
-            ReferenceTransformer(WEIGHTS), max_slots=3, max_len=16,
-            mesh=VirtualMesh((2, 2, 2), backend=backend),
-            fault_plan=self.STRAGGLER, event_log=log)
-        outcomes = server.serve(REQUESTS)
-        assert all(o.status is RequestStatus.COMPLETED for o in outcomes)
-        assert server.mesh.num_chips == 8
-        assert not log.of_kind(REPLANNED)
-        # Accumulated straggler delay dwarfs the evicting run's finish.
-        assert outcomes[0].finish_s > 1.0
-
-    def test_chip_kill_raises_through_heartbeat_and_replans(self, backend):
-        reference = self._reference()
-        log = EventLog()
-        fault_plan = FaultPlan(faults=(
-            ChipKill(chip=(0, 1, 0), at_step=3, phase="decode"),))
-        server = ResilientContinuousServer(
-            ReferenceTransformer(WEIGHTS), max_slots=3, max_len=16,
-            mesh=VirtualMesh((2, 2, 2), backend=backend),
-            fault_plan=fault_plan, event_log=log)
-        outcomes = server.serve(REQUESTS)
-
-        assert all(o.status is RequestStatus.COMPLETED for o in outcomes)
-        assert all(o.retries == 1 for o in outcomes)
-        assert server.mesh.num_chips < 8
-        for outcome, want in zip(outcomes, reference):
-            np.testing.assert_array_equal(outcome.completion.tokens,
-                                          want.completion.tokens)
-        log.assert_sequence(FAULT_INJECTED, FAULT_DETECTED, REPLANNED,
-                            REQUEST_RETRIED, REQUEST_COMPLETED)
-
-    def test_fault_plan_requires_mesh(self, backend):
-        with pytest.raises(ValueError, match="requires a mesh"):
-            ResilientContinuousServer(
-                ReferenceTransformer(WEIGHTS), max_slots=3, max_len=16,
-                fault_plan=self.STRAGGLER)

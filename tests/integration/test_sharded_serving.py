@@ -1,14 +1,17 @@
-"""End-to-end two-phase serving on the partitioned model.
+"""Two-phase serving on the partitioned model.
 
-The capstone integration: batch-1 prefill on one plan, host-mediated
-cache merge, batch-N decode on another plan with shared weight storage —
-the full Section 4.4 deployment — must generate exactly what the
-unsharded reference generates.
+Weight-gathered batch prefill feeding a WS-2D decoder through a cache
+reshard must generate exactly what the unsharded reference generates,
+and the Section 4.4 cache merge rejects what it cannot merge.  The full
+serving path (batch-1 prefill, host-mediated cache merge, batch-N decode
+on shared weight storage) runs on the cluster replica and must generate
+exactly what the unsharded reference server generates.
 """
 
 import numpy as np
 import pytest
 
+from repro.cluster import ResilientTwoPhaseServer
 from repro.layouts import ShardedTransformer
 from repro.mesh import VirtualMesh
 from repro.model import (
@@ -21,8 +24,8 @@ from repro.partitioning import (
     FfnLayoutKind,
     LayoutPlan,
 )
-from repro.serving import Request, TwoPhaseServer
-from repro.serving.sharded import ShardedTwoPhaseServer, merge_sharded_caches
+from repro.serving import Request, RequestStatus, TwoPhaseServer
+from repro.serving.sharded import merge_sharded_caches
 
 CFG = tiny_test_config(n_layers=2, d_model=16, d_ff=32, n_heads=8,
                        d_head=8, vocab_size=32)
@@ -31,15 +34,11 @@ PREFILL_PLAN = LayoutPlan(FfnLayoutKind.WS_2D, AttentionLayoutKind.HEAD)
 DECODE_PLAN = LayoutPlan(FfnLayoutKind.WS_2D, AttentionLayoutKind.BATCH)
 
 
-def make_servers(decode_batch=8):
+def make_models():
+    """A batch-1 prefill model and a decode model sharing its weights."""
     prefill_model = ShardedTransformer(WEIGHTS, VirtualMesh((2, 2, 2)),
                                        PREFILL_PLAN)
-    decode_model = prefill_model.with_plan(DECODE_PLAN)
-    sharded = ShardedTwoPhaseServer(prefill_model, decode_model,
-                                    decode_batch=decode_batch)
-    reference = TwoPhaseServer(ReferenceTransformer(WEIGHTS),
-                               decode_batch=decode_batch)
-    return sharded, reference
+    return prefill_model, prefill_model.with_plan(DECODE_PLAN)
 
 
 def make_requests(n, length=4, n_new=3):
@@ -48,22 +47,29 @@ def make_requests(n, length=4, n_new=3):
                     n_new) for i in range(n)]
 
 
+def serve_both(requests, decode_batch=8):
+    """Serve on the replica-backed server and on the reference server."""
+    sharded = ResilientTwoPhaseServer(WEIGHTS, (2, 2, 2),
+                                      decode_batch=decode_batch)
+    reference = TwoPhaseServer(ReferenceTransformer(WEIGHTS),
+                               decode_batch=decode_batch)
+    outcomes = sharded.serve(requests)
+    assert all(o.status is RequestStatus.COMPLETED for o in outcomes)
+    return sharded, [o.completion for o in outcomes], reference.serve(requests)
+
+
 class TestShardedTwoPhase:
     def test_matches_reference_server(self):
-        sharded, reference = make_servers()
-        requests = make_requests(8)
-        got = sharded.serve(requests)
-        want = reference.serve(requests)
+        sharded, got, want = serve_both(make_requests(8))
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.tokens, w.tokens)
-
-    def test_shared_weights_enforced(self):
-        a = ShardedTransformer(WEIGHTS, VirtualMesh((2, 2, 2)),
-                               PREFILL_PLAN)
-        other = ShardedTransformer(init_weights(CFG, seed=1),
-                                   VirtualMesh((2, 2, 2)), DECODE_PLAN)
-        with pytest.raises(ValueError, match="share weights"):
-            ShardedTwoPhaseServer(a, other)
+        # The Section 4.4 deployment: batch-1 head-sharded prefill feeding
+        # a batch-sharded multiquery decoder on one weight storage.
+        prefill = sharded.replica.prefill_model
+        decode = sharded.replica.decode_model
+        assert prefill.plan.attention is AttentionLayoutKind.HEAD
+        assert decode.plan.attention is AttentionLayoutKind.BATCH
+        assert prefill.weights is decode.weights
 
     def test_wg_prefill_model(self):
         """Weight-gathered prefill + WS-2D decode, as in Table 2."""
@@ -94,12 +100,10 @@ class TestShardedTwoPhase:
         # The decode batch must divide over the batch-sharding group (the
         # paper's minimum-torus-axis constraint), so serve groups of 8
         # with varying per-request generation budgets.
-        sharded, reference = make_servers(decode_batch=8)
         base = make_requests(8)
         requests = [Request(r.request_id, r.prompt, 2 + i % 4)
                     for i, r in enumerate(base)]
-        got = sharded.serve(requests)
-        want = reference.serve(requests)
+        _, got, want = serve_both(requests, decode_batch=8)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.tokens, w.tokens)
             assert g.n_generated == w.n_generated
@@ -107,22 +111,22 @@ class TestShardedTwoPhase:
 
 class TestMergeShardedCaches:
     def test_empty_request_list_rejected(self):
-        sharded, _ = make_servers()
+        _, decode_model = make_models()
         with pytest.raises(ValueError, match="empty"):
-            merge_sharded_caches([], sharded.decode_model)
+            merge_sharded_caches([], decode_model)
 
     def test_mismatched_lengths_rejected(self):
-        sharded, _ = make_servers()
-        _, c1 = sharded.prefill_model.prefill(np.array([[1, 2, 3]]), 8)
-        _, c2 = sharded.prefill_model.prefill(np.array([[1, 2]]), 8)
+        prefill_model, decode_model = make_models()
+        _, c1 = prefill_model.prefill(np.array([[1, 2, 3]]), 8)
+        _, c2 = prefill_model.prefill(np.array([[1, 2]]), 8)
         with pytest.raises(ValueError, match="group requests by length"):
-            merge_sharded_caches([c1, c2], sharded.decode_model)
+            merge_sharded_caches([c1, c2], decode_model)
 
     def test_dtype_comes_from_cache_attribute(self):
         # The merge must not probe shard storage for the dtype (the
         # layout differs between backends); the cache records it.
-        sharded, _ = make_servers()
-        _, caches = sharded.prefill_model.prefill(np.array([[1, 2, 3]]), 8)
-        merged = merge_sharded_caches([caches] * 8, sharded.decode_model)
+        prefill_model, decode_model = make_models()
+        _, caches = prefill_model.prefill(np.array([[1, 2, 3]]), 8)
+        merged = merge_sharded_caches([caches] * 8, decode_model)
         assert merged[0].dtype == caches[0].dtype
         assert merged[0].global_shape[0] == 8

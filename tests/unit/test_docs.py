@@ -97,6 +97,25 @@ class TestWikiLinks:
         assert "no-such-doc" in errors[0]
 
 
+class TestDottedNames:
+    def test_repository_names_resolve(self):
+        assert checker.check_names() == []
+
+    def test_bogus_name_detected(self, tmp_path, monkeypatch):
+        doc = tmp_path / "README.md"
+        doc.write_text("`repro.serving.TwoPhaseServer` and "
+                       "`repro.serving.chunked.chunked_prefill(...)` "
+                       "resolve; `repro.serving.NoSuchServer(x)` and "
+                       "`repro.no_such_module` do not")
+        monkeypatch.setattr(checker, "ROOT", tmp_path)
+        monkeypatch.setattr(checker, "DOC_FILES", ("README.md",))
+        monkeypatch.setattr(checker, "DOC_GLOBS", ())
+        errors = checker.check_names()
+        assert len(errors) == 2
+        assert "`repro.serving.NoSuchServer`" in errors[0]
+        assert "`repro.no_such_module`" in errors[1]
+
+
 class TestModuleDocstrings:
     def test_repository_modules_all_documented(self):
         assert checker.check_docstrings() == []

@@ -234,53 +234,6 @@ class TestMetrics:
         assert empty.compute_fraction == 0.0
 
 
-class TestServingSpans:
-    def test_two_phase_server_emits_request_trees(self):
-        from repro.events import EventLog
-        from repro.layouts import ShardedTransformer
-        from repro.model import init_weights, tiny_test_config
-        from repro.partitioning import (
-            AttentionLayoutKind,
-            FfnLayoutKind,
-            LayoutPlan,
-        )
-        from repro.serving.engine import Request
-        from repro.serving.sharded import ShardedTwoPhaseServer
-
-        config = tiny_test_config(n_layers=2, d_model=16, d_ff=32,
-                                  n_heads=8, d_head=8, vocab_size=32)
-        mesh = VirtualMesh((2, 1, 1))
-        log = EventLog()
-        tracer = install_tracer(mesh, event_log=log)
-        model = ShardedTransformer(
-            init_weights(config), mesh,
-            LayoutPlan(FfnLayoutKind.WS_1D, AttentionLayoutKind.HEAD))
-        server = ShardedTwoPhaseServer(model, model, decode_batch=2)
-        rng = np.random.default_rng(0)
-        requests = [
-            Request(request_id=i,
-                    prompt=rng.integers(0, 32, size=4),
-                    max_new_tokens=2)
-            for i in range(2)
-        ]
-        completions = server.serve(requests)
-        assert [c.request_id for c in completions] == [0, 1]
-
-        for i in range(2):
-            tree = tracer.request_tree(i)
-            assert tree, f"no span tree for request {i}"
-            phases = {s.phase for s in tree if s.kind == COLLECTIVE}
-            assert phases == {"prefill"}
-        assert {e["request_id"] for e in log.of_kind("request_span")} \
-            == {0, 1}
-        [decode_region] = [s for s in tracer.spans
-                           if s.name == "decode_batch"]
-        assert decode_region.attrs["request_ids"] == [0, 1]
-        decode_leaves = [s for s in tracer.collectives()
-                        if s.phase == "decode"]
-        assert decode_leaves
-
-
 class TestVirtualClockAndMarks:
     def test_default_clock_is_wall_time(self):
         t = Tracer()

@@ -245,6 +245,16 @@ class TestTwoPhaseServer:
         with pytest.raises(ValueError):
             TwoPhaseServer(model(), decode_batch=0)
 
+    def test_duplicate_request_ids_rejected(self):
+        # Completions are keyed by id: a repeat would hand one request
+        # the other's tokens, so it is refused before any prefill runs.
+        server = TwoPhaseServer(model(), decode_batch=4)
+        requests = [Request(0, np.array([1, 2, 3, 4]), 3),
+                    Request(0, np.array([5, 6, 7, 8]), 3)]
+        with pytest.raises(ValueError, match="duplicate request id 0"):
+            server.serve(requests)
+        assert server.prefill_count == 0
+
 
 class TestSampledGeneration:
     def test_reproducible_sampling(self):

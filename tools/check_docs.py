@@ -9,7 +9,10 @@ Run from the repo root (CI's docs job does both)::
 Link-check: every markdown link in ``docs/*.md``, ``README.md`` and
 ``EXPERIMENTS.md`` whose target is a relative path must resolve to a file
 in the repository (anchors and external URLs are skipped), and every
-``[[wiki-style]]`` reference must resolve to a doc file.  Required
+``[[wiki-style]]`` reference must resolve to a doc file.  Dotted
+names: every backticked span in those files that opens with a
+``repro.`` dotted name must name something that exists — the longest
+importable module prefix, then ``getattr`` for the rest.  Required
 headings: sections other parts of the repo point at (CI jobs, module
 docstrings) must keep existing — see ``REQUIRED_HEADINGS``.  Module
 docstrings: every public module under ``src/repro/`` must open with a
@@ -44,6 +47,10 @@ _EXTERNAL = ("http://", "https://", "mailto:")
 #: ``[[target]]`` — wiki-style references must resolve to a doc file
 #: (``docs/<target>.md``, ``<target>.md`` or the literal path).
 _WIKI_LINK = re.compile(r"\[\[([^\]\n]+)\]\]")
+
+#: A backticked span opening with a ``repro.`` dotted name; the name ends
+#: where the span stops being one (``(``, a space, the closing backtick).
+_DOTTED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)[^`\n]*`")
 
 #: Doc sections that code elsewhere relies on (CI job descriptions,
 #: module docstrings, README cross-references).  Heading matching is by
@@ -155,6 +162,38 @@ def check_wiki_links() -> list[str]:
     return errors
 
 
+def resolves(name: str) -> bool:
+    """Whether dotted ``name`` imports, or resolves by ``getattr`` from
+    its longest importable module prefix."""
+    parts = name.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_names() -> list[str]:
+    """All backticked ``repro.`` names that do not resolve, as
+    ``file: name`` strings."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    errors = []
+    for doc in doc_files():
+        for match in _DOTTED_NAME.finditer(doc.read_text()):
+            name = match.group(1)
+            if not resolves(name):
+                errors.append(f"{doc.relative_to(ROOT)}: unresolved "
+                              f"name `{name}`")
+    return errors
+
+
 def public_modules() -> list[pathlib.Path]:
     """Every public module file under ``src/repro/`` (``_private`` skipped,
     package ``__init__.py`` files included)."""
@@ -217,6 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     if do_links:
         errors += check_links()
         errors += check_wiki_links()
+        errors += check_names()
         errors += check_headings()
         errors += check_docstrings()
         print(f"link-check: {len(doc_files())} files scanned, "
