@@ -1,32 +1,19 @@
-"""Serving-layer extension benches: packing and continuous batching.
+"""Serving-layer extension bench: continuous batching.
 
-Two efficiency mechanisms adjacent to the paper's batching story (Section
-4.4 and the EffectiveTransformer reference in Section 6), measured on
-executable workloads:
-
-1. **Sequence packing** — useful-token fraction of packed vs padded
-   batches over a realistic mixed-length prompt distribution.
-2. **Continuous batching** — decode steps spent serving a bursty request
-   mix with slot reuse, vs static (drain-the-batch) batching and batch-1,
-   with the outputs verified token-identical to solo generation.
+An efficiency mechanism adjacent to the paper's batching story (Section
+4.4), measured on an executable workload: decode steps spent serving a
+bursty request mix with slot reuse, vs static (drain-the-batch) batching
+and batch-1, with the outputs verified token-identical to solo
+generation.
 """
 
 import numpy as np
-import pytest
 
 from repro.model import ReferenceTransformer, init_weights, tiny_test_config
 from repro.serving import ContinuousBatchingEngine, Request
-from repro.serving.packing import packing_efficiency, padded_efficiency
 
 CONFIG = tiny_test_config()
 MODEL = ReferenceTransformer(init_weights(CONFIG, seed=0))
-
-
-def mixed_lengths(n=64, seed=0):
-    rng = np.random.default_rng(seed)
-    # Mixed short prompts + a long tail, like chat traffic.
-    return [int(x) for x in
-            np.clip(rng.lognormal(mean=4.0, sigma=0.8, size=n), 8, 512)]
 
 
 def requests(budgets):
@@ -44,11 +31,6 @@ def static_steps(reqs, batch):
 
 
 def generate_table() -> str:
-    lengths = mixed_lengths()
-    capacity = max(lengths)
-    packed = packing_efficiency(lengths, capacity)
-    padded = padded_efficiency(lengths)
-
     budgets = [2, 9, 3, 8, 2, 7, 3, 2, 6, 2, 2, 5, 4, 9, 2, 3]
     reqs = requests(budgets)
     engine = ContinuousBatchingEngine(MODEL, max_slots=4, max_len=16)
@@ -58,11 +40,7 @@ def generate_table() -> str:
 
     return "\n".join([
         "Serving extensions",
-        f"1) sequence packing over {len(lengths)} mixed-length prompts "
-        f"(capacity {capacity}):",
-        f"   padded-batch efficiency {padded:6.1%}   packed "
-        f"{packed:6.1%}   ({packed / padded:.2f}x fewer wasted tokens)",
-        f"2) continuous batching, {len(budgets)} requests, 4 slots:",
+        f"continuous batching, {len(budgets)} requests, 4 slots:",
         f"   decode steps: batch-1 {batch1}, static {static}, "
         f"continuous {engine.steps} "
         f"({static / engine.steps:.2f}x vs static)",
@@ -72,10 +50,6 @@ def generate_table() -> str:
 def test_serving_extensions(benchmark, save_result):
     table = benchmark.pedantic(generate_table, rounds=1, iterations=1)
     save_result("serving_extensions", table)
-
-    lengths = mixed_lengths()
-    assert packing_efficiency(lengths, max(lengths)) > \
-        padded_efficiency(lengths)
 
     budgets = [2, 9, 3, 8, 2, 7, 3, 2, 6, 2, 2, 5, 4, 9, 2, 3]
     reqs = requests(budgets)

@@ -3,8 +3,8 @@
 FasterTransformer's K-way tensor parallelism is our 1D weight-stationary
 layout on a degenerate ``1 x 1 x K`` torus (all-reduce of the full
 activations between every fused matmul pair), so the same estimator models
-it; the pipeline-parallel PP3/TP8 configuration adds the standard pipeline
-bubble factor ``(stages - 1 + m) / m`` over ``m`` microbatches.
+it.  The pipeline-parallel PP3/TP8 configuration is modelled by
+:mod:`repro.perf.pipeline`.
 
 This exists to sanity-check the *shape* of the published FT columns
 (MFU rising with batch, TP32 communication-bound below TP16's MFU at
@@ -49,30 +49,15 @@ def tensor_parallel_estimator(config: ModelConfig, tp_degree: int,
 
 def run_workload(config: ModelConfig, tp_degree: int, batch: int,
                  input_len: int, output_len: int, *,
-                 pipeline_stages: int = 1,
                  chip: ChipSpec = A100_80GB,
                  efficiency: EfficiencyModel | None = None
                  ) -> GpuBenchResult:
-    """End-to-end (prefill + generate) time for one FT-style benchmark.
-
-    With ``pipeline_stages > 1`` the model is additionally split into a
-    pipeline; each stage holds ``1/stages`` of the layers and the batch
-    flows through in ``m = batch`` microbatches of 1 (FT's scheme), giving
-    the bubble factor ``(stages - 1 + m) / m`` on prefill and stage-serial
-    decode steps.
-    """
+    """End-to-end (prefill + generate) time for one FT-style benchmark."""
     est = tensor_parallel_estimator(config, tp_degree, chip, efficiency)
     prefill = est.prefill_cost(TP_PLAN, batch, input_len)
     generate = est.generate_cost(TP_PLAN, batch, input_len, output_len)
     total = prefill.time_s + generate.total_s
-    if pipeline_stages > 1:
-        microbatches = max(batch, 1)
-        bubble = (pipeline_stages - 1 + microbatches) / microbatches
-        total = (prefill.time_s * bubble
-                 + generate.total_s)  # decode: stages work in series but
-        # the per-step work is already divided across all chips.
-    n_chips = tp_degree * pipeline_stages
     tokens = batch * (input_len + output_len)
     mfu = (2.0 * config.n_params * tokens
-           / (total * n_chips * chip.peak_flops))
+           / (total * tp_degree * chip.peak_flops))
     return GpuBenchResult(batch=batch, time_s=total, mfu=mfu)

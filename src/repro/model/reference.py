@@ -140,17 +140,13 @@ class KVCache:
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-              q_offset: int, mask: np.ndarray | None = None) -> np.ndarray:
+              q_offset: int) -> np.ndarray:
     """Causal scaled-dot-product attention with grouped KV heads.
 
     Args:
         q: ``[B, L, H, D]`` queries.
         k, v: ``[B, M, K, D]`` full key/value history (K divides H).
         q_offset: Global position of the first query (for the causal mask).
-        mask: Optional override of the attention mask, ``[L, M]`` or
-            ``[B, 1, L, M]`` broadcastable, True where attention is
-            allowed.  Used for packed sequences (segment masking); when
-            omitted, the plain causal mask applies.
 
     Returns:
         ``[B, L, H, D]`` attention outputs.
@@ -166,8 +162,7 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                             (b, m, kv, h // kv, d)).reshape(b, m, h, d)
     scale = 1.0 / np.sqrt(q.shape[-1])
     scores = np.einsum("blhd,bmhd->bhlm", q, k) * scale
-    if mask is None:
-        mask = causal_mask(q.shape[1], k.shape[1], q_offset)
+    mask = causal_mask(q.shape[1], k.shape[1], q_offset)
     probs = masked_softmax(scores, mask)
     return np.einsum("bhlm,bmhd->blhd", probs, v)
 
@@ -182,8 +177,7 @@ class ReferenceTransformer:
     # -- layer pieces -------------------------------------------------------
 
     def _attn(self, y: np.ndarray, layer: LayerWeights, cache: KVCache,
-              positions: np.ndarray,
-              mask: np.ndarray | None = None) -> np.ndarray:
+              positions: np.ndarray) -> np.ndarray:
         q = np.einsum("ble,ehd->blhd", y, layer.wq)
         k = np.einsum("ble,ekd->blkd", y, layer.wk)
         v = np.einsum("ble,ekd->blkd", y, layer.wv)
@@ -193,7 +187,7 @@ class ReferenceTransformer:
         q_offset = cache.length
         cache.append(k, v)
         k_all, v_all = cache.view()
-        out = attention(q, k_all, v_all, q_offset, mask=mask)
+        out = attention(q, k_all, v_all, q_offset)
         return np.einsum("blhd,hde->ble", out, layer.wo)
 
     def _ffn(self, y: np.ndarray, layer: LayerWeights) -> np.ndarray:
@@ -203,16 +197,15 @@ class ReferenceTransformer:
         return hidden @ layer.w_out
 
     def _block(self, x: np.ndarray, layer: LayerWeights, cache: KVCache,
-               positions: np.ndarray,
-               mask: np.ndarray | None = None) -> np.ndarray:
+               positions: np.ndarray) -> np.ndarray:
         if self.config.parallel_block:
             # One shared norm; attention and FFN applied in parallel and
             # summed (Section 3.4).
             y = rmsnorm(x, layer.ln_scale)
-            return x + self._attn(y, layer, cache, positions, mask) + \
+            return x + self._attn(y, layer, cache, positions) + \
                 self._ffn(y, layer)
         x = x + self._attn(rmsnorm(x, layer.ln_scale), layer, cache,
-                           positions, mask)
+                           positions)
         return x + self._ffn(rmsnorm(x, layer.ln2_scale), layer)
 
     # -- public API -----------------------------------------------------------
@@ -237,44 +230,6 @@ class ReferenceTransformer:
         x = w.embedding[tokens]
         for layer, cache in zip(w.layers, caches):
             x = self._block(x, layer, cache, positions)
-        x = rmsnorm(x, w.final_ln_scale)
-        return np.einsum("ble,ve->blv", x, w.embedding)
-
-    def forward_packed(self, tokens: np.ndarray,
-                       segment_ids: np.ndarray) -> np.ndarray:
-        """One forward pass over *packed* sequences (EffectiveTransformer).
-
-        Multiple prompts are concatenated along the length axis;
-        ``segment_ids`` ``[B, T]`` (non-decreasing per row) mark prompt
-        boundaries.  Positions restart at each segment and attention is
-        masked to (causal AND same-segment), so the logits for every
-        packed prompt equal those of running it alone — tested in
-        ``tests/unit/test_packing.py``.
-
-        Returns logits ``[B, T, V]``.  Packed passes are for scoring /
-        prefill-style workloads; they do not populate a reusable KV cache.
-        """
-        if segment_ids.shape != tokens.shape:
-            raise ValueError("segment_ids must match tokens shape")
-        if (np.diff(segment_ids, axis=1) < 0).any():
-            raise ValueError("segments must be contiguous (non-decreasing)")
-        b, t = tokens.shape
-        idx = np.arange(t)
-        is_start = np.ones_like(segment_ids, dtype=bool)
-        is_start[:, 1:] = segment_ids[:, 1:] != segment_ids[:, :-1]
-        start_index = np.maximum.accumulate(
-            np.where(is_start, idx, 0), axis=1)
-        positions = idx[None, :] - start_index
-
-        same_segment = segment_ids[:, :, None] == segment_ids[:, None, :]
-        causal = idx[None, :, None] >= idx[None, None, :]
-        mask = (same_segment & causal)[:, None, :, :]  # [B, 1, T, T]
-
-        w = self.weights
-        caches = self.new_cache(b, t)
-        x = w.embedding[tokens]
-        for layer, cache in zip(w.layers, caches):
-            x = self._block(x, layer, cache, positions, mask)
         x = rmsnorm(x, w.final_ln_scale)
         return np.einsum("ble,ve->blv", x, w.embedding)
 

@@ -1,4 +1,4 @@
-"""Serving layer: engines, scheduling, packing, the two-phase recipe."""
+"""Serving layer: engines, scheduling, the two-phase recipe."""
 
 from repro.serving.chunked import chunked_prefill, chunked_prefill_cost
 from repro.serving.continuous import (
@@ -11,12 +11,6 @@ from repro.serving.engine import (
     Request,
     TwoPhaseServer,
     merge_caches,
-)
-from repro.serving.packing import (
-    pack_prompts,
-    packing_efficiency,
-    padded_efficiency,
-    score_packed,
 )
 from repro.serving.resilient import (
     CacheMigrationFailed,
@@ -45,8 +39,4 @@ __all__ = [
     "group_requests",
     "merge_caches",
     "merge_sharded_caches",
-    "pack_prompts",
-    "packing_efficiency",
-    "padded_efficiency",
-    "score_packed",
 ]

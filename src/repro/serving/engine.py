@@ -35,7 +35,9 @@ class Request:
             raise ValueError(
                 f"prompt must hold integer token ids, got dtype "
                 f"{self.prompt.dtype}")
-        if self.prompt.size and int(self.prompt.min()) < 0:
+        if self.prompt.size == 0:
+            raise ValueError("prompt must hold at least one token")
+        if int(self.prompt.min()) < 0:
             raise ValueError(
                 f"prompt token ids must be non-negative, got "
                 f"{int(self.prompt.min())}")

@@ -102,12 +102,3 @@ class TestA100Model:
         for batch, ms in published.items():
             ours = run_workload(MEGATRON_530B, 16, batch, 60, 20)
             assert ours.time_s * 1e3 == pytest.approx(ms, rel=1.0)
-
-    def test_pipeline_adds_bubble_at_small_batch(self):
-        plain = run_workload(MEGATRON_530B, 8, 1, 20, 8,
-                             pipeline_stages=1)
-        piped = run_workload(MEGATRON_530B, 8, 1, 20, 8,
-                             pipeline_stages=3)
-        # Same per-chip work, but the pipeline holds 3x the chips and a
-        # bubble: MFU must drop.
-        assert piped.mfu < plain.mfu

@@ -26,7 +26,7 @@ checker = _load_checker()
 class TestDocFiles:
     def test_readme_and_experiments_are_scanned(self):
         names = {f.name for f in checker.doc_files()}
-        assert {"README.md", "EXPERIMENTS.md"} <= names
+        assert {"README.md", "EXPERIMENTS.md", "DESIGN.md"} <= names
 
     def test_docs_directory_globbed(self):
         files = checker.doc_files()
@@ -114,6 +114,37 @@ class TestDottedNames:
         assert len(errors) == 2
         assert "`repro.serving.NoSuchServer`" in errors[0]
         assert "`repro.no_such_module`" in errors[1]
+
+
+class TestFilePaths:
+    def test_repository_paths_resolve(self):
+        assert checker.check_paths() == []
+
+    def test_bogus_path_detected(self, tmp_path, monkeypatch):
+        (tmp_path / "benchmarks" / "results").mkdir(parents=True)
+        (tmp_path / "benchmarks" / "bench_real.py").write_text("")
+        (tmp_path / "benchmarks" / "results" / "a_x.txt").write_text("")
+        (tmp_path / "benchmarks" / "results" / "a_y.txt").write_text("")
+        (tmp_path / "tests" / "unit").mkdir(parents=True)
+        (tmp_path / "tests" / "unit" / "test_real.py").write_text(
+            "class TestReal:\n    def test_ok(self):\n        pass\n")
+        doc = tmp_path / "README.md"
+        doc.write_text(
+            "`pytest benchmarks/bench_real.py -q`, `results/a_{x,y}.txt`, "
+            "`test_real.py::TestReal::test_ok[loop]` and `BENCH_*.json` "
+            "resolve; `bench_gone.py`, `results/a_{x,z}.txt`, "
+            "`tests/unit/test_real.py::test_gone` and `BENCH_gone.json` "
+            "do not")
+        monkeypatch.setattr(checker, "ROOT", tmp_path)
+        monkeypatch.setattr(checker, "DOC_FILES", ("README.md",))
+        monkeypatch.setattr(checker, "DOC_GLOBS", ())
+        errors = checker.check_paths()
+        assert len(errors) == 4
+        for missing, error in zip(
+                ("`bench_gone.py`", "`results/a_{x,z}.txt`",
+                 "`tests/unit/test_real.py::test_gone`",
+                 "`BENCH_gone.json`"), errors):
+            assert missing in error
 
 
 class TestModuleDocstrings:

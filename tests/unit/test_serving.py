@@ -52,8 +52,11 @@ class TestRequests:
         with pytest.raises(ValueError, match="non-negative"):
             Request(0, np.array([3, -1, 2]), 4)
 
-    def test_empty_prompt_allowed_if_integer(self):
-        Request(0, np.zeros(0, dtype=np.int64), 1)
+    def test_rejects_empty_prompt(self):
+        # An empty prompt has no token to prefill; it must be refused
+        # before any engine admits it.
+        with pytest.raises(ValueError, match="at least one token"):
+            Request(0, np.zeros(0, dtype=np.int64), 1)
 
 
 class TestScheduler:

@@ -6,20 +6,24 @@ Run from the repo root (CI's docs job does both)::
     python tools/check_docs.py --links    # link-check only
     python tools/check_docs.py --doctests # doctests only
 
-Link-check: every markdown link in ``docs/*.md``, ``README.md`` and
-``EXPERIMENTS.md`` whose target is a relative path must resolve to a file
-in the repository (anchors and external URLs are skipped), and every
-``[[wiki-style]]`` reference must resolve to a doc file.  Dotted
-names: every backticked span in those files that opens with a
-``repro.`` dotted name must name something that exists — the longest
-importable module prefix, then ``getattr`` for the rest.  Required
-headings: sections other parts of the repo point at (CI jobs, module
-docstrings) must keep existing — see ``REQUIRED_HEADINGS``.  Module
-docstrings: every public module under ``src/repro/`` must open with a
-non-empty docstring (the architecture tour in docs/architecture.md
-leans on them).  Doctests: ``doctest.testmod`` runs on every module
-under ``src/`` whose source contains a ``>>>`` prompt, so examples in
-docstrings cannot rot.
+Link-check: every markdown link in ``docs/*.md``, ``README.md``,
+``EXPERIMENTS.md`` and ``DESIGN.md`` whose target is a relative path must
+resolve to a file in the repository (anchors and external URLs are
+skipped), and every ``[[wiki-style]]`` reference must resolve to a doc
+file.  Dotted names: every backticked span in those files that opens
+with a ``repro.`` dotted name must name something that exists — the
+longest importable module prefix, then ``getattr`` for the rest.  File
+paths: every ``bench_*.py``, ``test_*.py`` (with or without ``::node``
+parts), ``results/*.txt`` or ``BENCH_*.json`` named in a backticked span
+must exist under the repo root, ``benchmarks/`` or ``tests/`` (see
+``PATH_ROOTS``), and each ``::node`` must be a ``def`` or ``class`` in
+it.  Required headings: sections other parts of the repo point at (CI
+jobs, module docstrings) must keep existing — see
+``REQUIRED_HEADINGS``.  Module docstrings: every public module under
+``src/repro/`` must open with a non-empty docstring (the architecture
+tour in docs/architecture.md leans on them).  Doctests:
+``doctest.testmod`` runs on every module under ``src/`` whose source
+contains a ``>>>`` prompt, so examples in docstrings cannot rot.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Files whose internal references must resolve (the CI docs contract).
-DOC_FILES = ("README.md", "EXPERIMENTS.md")
+DOC_FILES = ("README.md", "EXPERIMENTS.md", "DESIGN.md")
 DOC_GLOBS = ("docs/*.md",)
 
 #: ``[text](target)`` — excluding images' leading ``!`` is unnecessary,
@@ -51,6 +55,20 @@ _WIKI_LINK = re.compile(r"\[\[([^\]\n]+)\]\]")
 #: A backticked span opening with a ``repro.`` dotted name; the name ends
 #: where the span stops being one (``(``, a space, the closing backtick).
 _DOTTED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)[^`\n]*`")
+
+#: A backticked span, and a repository file path inside one: a bench or
+#: test script (tests may carry ``::node`` parts), a results table (one
+#: ``{a,b}`` brace group allowed) or a ``BENCH_*.json`` artifact.
+#: Globs (``*``) are not paths and are skipped.
+_SPAN = re.compile(r"`([^`\n]+)`")
+_FILE_PATH = re.compile(
+    r"(?<![\w/.*-])((?:[\w.-]+/)*(?:bench_\w+\.py"
+    r"|test_\w+\.py(?:::[\w\[\]-]+)*|results/[\w{},.-]+\.txt"
+    r"|BENCH_\w+\.json))(?![\w*])")
+_BRACES = re.compile(r"\{([^{}]*)\}")
+
+#: Where a relative file path in the docs may be rooted.
+PATH_ROOTS = (".", "benchmarks", "tests", "tests/unit", "tests/integration")
 
 #: Doc sections that code elsewhere relies on (CI job descriptions,
 #: module docstrings, README cross-references).  Heading matching is by
@@ -194,6 +212,40 @@ def check_names() -> list[str]:
     return errors
 
 
+def path_resolves(span_path: str) -> bool:
+    """Whether ``span_path`` names an existing file under one of
+    :data:`PATH_ROOTS`, and each of its ``::node`` parts (parameter ids
+    stripped) is a ``def`` or ``class`` in that file."""
+    path, *nodes = span_path.split("::")
+    braces = _BRACES.search(path)
+    if braces:
+        return all(path_resolves(path[:braces.start()] + alt
+                                 + path[braces.end():])
+                   for alt in braces.group(1).split(","))
+    for root in PATH_ROOTS:
+        candidate = ROOT / root / path
+        if candidate.is_file():
+            source = candidate.read_text()
+            return all(re.search(rf"^\s*(?:def|class) "
+                                 rf"{re.escape(node.split('[')[0])}\b",
+                                 source, re.MULTILINE)
+                       for node in nodes)
+    return False
+
+
+def check_paths() -> list[str]:
+    """All backticked file paths that do not resolve, as ``file: path``
+    strings."""
+    errors = []
+    for doc in doc_files():
+        for span in _SPAN.finditer(doc.read_text()):
+            for path in _FILE_PATH.findall(span.group(1)):
+                if not path_resolves(path):
+                    errors.append(f"{doc.relative_to(ROOT)}: unresolved "
+                                  f"path `{path}`")
+    return errors
+
+
 def public_modules() -> list[pathlib.Path]:
     """Every public module file under ``src/repro/`` (``_private`` skipped,
     package ``__init__.py`` files included)."""
@@ -257,6 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         errors += check_links()
         errors += check_wiki_links()
         errors += check_names()
+        errors += check_paths()
         errors += check_headings()
         errors += check_docstrings()
         print(f"link-check: {len(doc_files())} files scanned, "
