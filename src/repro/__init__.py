@@ -12,10 +12,9 @@ The package layers (see DESIGN.md for the full inventory):
   Section 3 layout on the virtual mesh, numerically verified.
 * :mod:`repro.partitioning` — the analytical framework: layout plans,
   closed-form costs, the layout selector.
-* :mod:`repro.perf` — latency/MFU/cost estimation and Pareto sweeps.
+* :mod:`repro.perf` — latency/MFU/cost estimation (the one chip-level
+  time model, comm/compute overlap included) and Pareto sweeps.
 * :mod:`repro.quant` — int8 weight quantization.
-* :mod:`repro.simulator` — per-chip discrete-event simulation with
-  comm/compute overlap.
 * :mod:`repro.serving` — the two-phase (prefill -> decode) serving recipe.
 * :mod:`repro.baselines` — published FasterTransformer comparisons.
 

@@ -6,8 +6,6 @@ Subcommands mirror the library's main entry points:
 * ``plan`` — the analytical layout selection for a workload (Section 4.1).
 * ``sweep`` — the Pareto frontier over batch and chips (Figure 1).
 * ``max-context`` — Table 1's memory-limited context lengths.
-* ``simulate`` — discrete-event simulation of one forward pass, with
-  optional chrome-trace export.
 * ``serve`` — request-level queueing simulation under Poisson traffic.
 * ``fault-sim`` — the same simulation under an MTBF-driven chip-failure
   process: goodput, p99 latency and availability (docs/fault_tolerance.md).
@@ -15,10 +13,10 @@ Subcommands mirror the library's main entry points:
 * ``chaos`` — seeded chaos scenarios against the multi-replica cluster
   control plane: availability, goodput and p99 per scenario, typed
   shed-load counts, bit-identity vs. the reference (docs/cluster.md).
-* ``trace`` — Perfetto/Chrome trace of one decode step: the analytical
-  simulator's schedule for model presets, the *executed* span stream
-  of a tiny model on the virtual mesh (docs/observability.md), or a
-  chaos run's cluster span stream (``--mode cluster``).
+* ``trace`` — Perfetto/Chrome trace: the *executed* span stream of a
+  tiny model's decode workload on the virtual mesh
+  (docs/observability.md), or a chaos run's cluster span stream
+  (``--mode cluster``).
 * ``metrics`` — per-phase/per-layer communication and roofline metrics of
   an executed virtual-mesh workload; ``--crosscheck`` prints the
   estimator vs. executed-trace event-match table.
@@ -30,8 +28,7 @@ Examples::
         --phase decode --context 2048 --int8
     repro-inference sweep --model palm-62b --phase decode
     repro-inference max-context --model palm-540b --batch 128
-    repro-inference simulate --model palm-540b --chips 64 --batch 512 \\
-        --trace /tmp/step.json
+    repro-inference trace --topology 2x2x2 --out step.json
 """
 
 from __future__ import annotations
@@ -150,36 +147,6 @@ def cmd_max_context(args) -> int:
             print(f"  {label:20s} {value:>10,d} tokens")
         except ValueError as exc:
             print(f"  {label:20s} n/a ({exc})")
-    return 0
-
-
-def cmd_simulate(args) -> int:
-    from repro.partitioning import FfnLayoutKind, LayoutPlan
-    from repro.simulator import (
-        BuildSpec,
-        build_forward_program,
-        simulate,
-        write_chrome_trace,
-    )
-
-    config, _ = _resolve_model(args.model)
-    torus = default_slice_shape(args.chips)
-    plan = LayoutPlan(FfnLayoutKind.WS_2D, AttentionLayoutKind.BATCH
-                      if args.batch >= 4 else AttentionLayoutKind.HEAD)
-    spec = BuildSpec(config, plan, torus, get_chip(args.chip),
-                     batch=args.batch, l_new=1,
-                     context_before=args.context,
-                     weight_dtype_bytes=1 if args.int8 else 2,
-                     overlap=not args.no_overlap)
-    result = simulate(build_forward_program(spec))
-    print(f"simulated decode step: {result.makespan * 1e3:.2f} ms "
-          f"(overlap {'off' if args.no_overlap else 'on'})")
-    for resource in ("mxu", "hbm", "ici"):
-        utilization = result.utilization(resource)
-        print(f"  {resource} utilization {utilization:.1%}")
-    if args.trace:
-        write_chrome_trace(result, args.trace)
-        print(f"  chrome trace written to {args.trace}")
     return 0
 
 
@@ -517,12 +484,10 @@ def cmd_disagg(args) -> int:
 def cmd_trace(args) -> int:
     import json
 
-    mode = args.mode
-    if mode == "auto":
-        mode = "executed" if args.preset == "tiny" else "simulated"
-    if mode == "cluster":
+    from repro.observability import spans_to_chrome_trace
+
+    if args.mode == "cluster":
         from repro.cluster import run_scenario
-        from repro.observability import spans_to_chrome_trace
 
         report = run_scenario(args.scenario, backend=args.backend,
                               seed=args.seed)
@@ -530,34 +495,7 @@ def cmd_trace(args) -> int:
             report.spans, process_name=f"cluster-{args.scenario}")
         source = (f"cluster chaos scenario {args.scenario!r} "
                   f"({report.n_spans} spans, {report.n_events} events)")
-    elif mode == "simulated":
-        if args.preset == "tiny":
-            raise SystemExit("the tiny preset has no analytical model; "
-                             "use --mode executed")
-        from repro.hardware.topology import Torus3D
-        from repro.partitioning import FfnLayoutKind, LayoutPlan
-        from repro.simulator import (
-            BuildSpec,
-            build_forward_program,
-            simulate,
-            to_chrome_trace,
-        )
-
-        config, _ = _resolve_model(args.preset)
-        torus = Torus3D(*args.topology)
-        plan = LayoutPlan(FfnLayoutKind.WS_2D, AttentionLayoutKind.BATCH
-                          if args.batch >= 4 else AttentionLayoutKind.HEAD)
-        spec = BuildSpec(config, plan, torus, get_chip(args.chip),
-                         batch=args.batch, l_new=1,
-                         context_before=args.context,
-                         weight_dtype_bytes=1 if args.int8 else 2)
-        result = simulate(build_forward_program(spec))
-        trace = to_chrome_trace(result, process_name=f"{config.name}-chip0")
-        source = (f"simulated decode step of {config.name} on "
-                  f"{'x'.join(map(str, args.topology))}")
     else:
-        from repro.observability import spans_to_chrome_trace
-
         tracer = _executed_workload(args.topology, args.backend,
                                     args.batch_exec, args.steps)
         trace = spans_to_chrome_trace(
@@ -732,16 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=128)
     p.set_defaults(func=cmd_max_context)
 
-    p = sub.add_parser("simulate", help="discrete-event simulation")
-    _add_common(p)
-    p.add_argument("--chips", type=int, default=64)
-    p.add_argument("--batch", type=int, default=512)
-    p.add_argument("--context", type=int, default=2048)
-    p.add_argument("--no-overlap", action="store_true",
-                   help="disable Looped-CollectiveEinsum overlap")
-    p.add_argument("--trace", help="write a chrome trace JSON here")
-    p.set_defaults(func=cmd_simulate)
-
     p = sub.add_parser("serve", help="request-level queueing simulation")
     _add_common(p)
     p.add_argument("--chips", type=int, default=64)
@@ -789,27 +717,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_disaggregate)
 
     p = sub.add_parser("trace",
-                       help="Perfetto/Chrome trace of one decode step")
-    p.add_argument("--preset", default="palm-540b",
-                   choices=sorted(MODEL_PRESETS) + ["tiny"],
-                   help="model preset, or 'tiny' (executable proxy)")
+                       help="Perfetto/Chrome trace of an executed workload")
     p.add_argument("--topology", type=_mesh_shape, default=(4, 4, 4),
                    metavar="AxBxC", help="torus shape, e.g. 4x4x4")
-    p.add_argument("--mode",
-                   choices=["auto", "simulated", "executed", "cluster"],
-                   default="auto",
-                   help="auto: simulated for model presets, executed "
-                        "for tiny; cluster: span stream of a chaos "
+    p.add_argument("--mode", choices=["executed", "cluster"],
+                   default="executed",
+                   help="executed: span stream of the tiny decode "
+                        "workload; cluster: span stream of a chaos "
                         "scenario run")
     p.add_argument("--scenario", default="rolling-kill",
                    help="chaos scenario for --mode cluster")
     p.add_argument("--seed", type=int, default=0,
                    help="chaos seed for --mode cluster")
-    p.add_argument("--chip", default="tpu-v4")
-    p.add_argument("--int8", action="store_true")
-    p.add_argument("--batch", type=int, default=512,
-                   help="batch for the simulated schedule")
-    p.add_argument("--context", type=int, default=2048)
     p.add_argument("--backend", choices=["loop", "stacked"],
                    default="stacked",
                    help="mesh backend for executed traces")

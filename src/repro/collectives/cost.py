@@ -19,8 +19,9 @@ same payload.  The paper uses all-to-all only on tiny Q/K/V tensors
 on it being <= the all-gather cost.
 
 The ``*_time`` functions are pure in hashable scalars and get called once
-per collective per layer inside the simulator's sweep loops, usually with a
-handful of distinct argument tuples — so they are memoized with
+per traced collective (the span tracer's modeled durations) and once per
+KV handoff (the cluster's transfer pricing), usually with a handful of
+distinct argument tuples — so they are memoized with
 ``functools.lru_cache``.
 """
 

@@ -26,9 +26,9 @@ numerical equality with the unfused compositions plus the expected step
 counts.  The peak-memory point is real: the fused forms allocate ``1/K``
 of the unfused intermediate ("some of the weight-gathered layouts would
 exhaust memory without these optimizations").  The *latency* effect —
-communication hidden behind the matmuls — is modeled by the simulator's
-``overlap`` flag; a functional numpy mesh has no true concurrency to
-measure.
+communication hidden behind the matmuls — is priced by the estimator's
+``EfficiencyModel.overlap_fraction``; a functional numpy mesh has no true
+concurrency to measure.
 
 With a tracer installed on the mesh (:mod:`repro.observability`), each
 fused call is recorded as a ``fused`` envelope span and every ring hop as

@@ -6,13 +6,14 @@ Three always-importable submodules (re-exported here):
   the ``install_tracer`` hook the mesh instrumentation looks for, and
   ``record_marks`` (event records -> zero-duration mark spans);
 - :mod:`~repro.observability.metrics` — per-phase / per-layer rollups;
-- :mod:`~repro.observability.chrome_trace` — shared Perfetto JSON
-  builders (also used by :mod:`repro.simulator.trace`).
+- :mod:`~repro.observability.chrome_trace` — Perfetto JSON builders and
+  the span export.
 
 :mod:`~repro.observability.crosscheck` (estimator vs. executed-trace
 validation) is deliberately **not** imported here: it pulls in
 :mod:`repro.layouts` and :mod:`repro.perf`, and this package must stay
-importable from :mod:`repro.simulator.trace` without cycles.  Import it
+importable from the layers it instruments (:mod:`repro.mesh`,
+:mod:`repro.cluster`) without cycles.  Import it
 explicitly: ``from repro.observability import crosscheck``.
 """
 

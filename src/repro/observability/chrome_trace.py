@@ -1,10 +1,9 @@
-"""Chrome/Perfetto trace-event JSON, shared by every trace producer.
+"""Chrome/Perfetto trace-event JSON for span streams.
 
-One builder serves both timelines the repo can produce: the *analytical*
-schedule of :mod:`repro.simulator` (per-resource lanes of one simulated
-chip) and the *executed* span stream of :mod:`repro.observability.spans`
-(what the virtual mesh actually ran).  Write the JSON to a file and open
-it in `Perfetto <https://ui.perfetto.dev>`_ or ``chrome://tracing``.
+The span streams of :mod:`repro.observability.spans` — what the virtual
+mesh actually ran, or a cluster run's regions and journal marks — export
+through these builders.  Write the JSON to a file and open it in
+`Perfetto <https://ui.perfetto.dev>`_ or ``chrome://tracing``.
 
 Only the stable subset of the trace-event format is emitted: ``M``
 metadata events naming processes/threads and ``X`` complete events with

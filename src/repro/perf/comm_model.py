@@ -44,9 +44,9 @@ def forward_comm_events(config: ModelConfig, plan: LayoutPlan,
                         _part: str = "all") -> list[AnalyticCollective]:
     """All collectives of one forward pass over ``batch`` x ``l_new`` tokens.
 
-    ``_part`` selects a slice of the pass: ``"layer"`` returns one
-    transformer block's events, ``"final"`` the trailing norm + logits
-    gather, ``"all"`` the whole pass (n_layers blocks + final).
+    ``_part="layer"`` returns one transformer block's events; the default
+    ``"all"`` returns the whole pass (n_layers blocks + the final norm and
+    logits gather).
     """
     geo = _GEOMETRY[plan.ffn]
     g = torus.group_size
@@ -206,8 +206,6 @@ def forward_comm_events(config: ModelConfig, plan: LayoutPlan,
 
     if _part == "layer":
         one_layer()
-    elif _part == "final":
-        final()
     else:
         for _ in range(cfg.n_layers):
             one_layer()
@@ -257,13 +255,11 @@ def comm_volume_bytes(events: list[AnalyticCollective], *,
 
 def layer_comm_events(config: ModelConfig, plan: LayoutPlan, torus: Torus3D,
                       batch: int, l_new: int) -> list[AnalyticCollective]:
-    """The collectives of one transformer block (simulator building block)."""
+    """The collectives of one transformer block.
+
+    The per-layer slice of :func:`forward_comm_events`, which the Appendix A
+    per-layer volume formulas are checked against.
+    """
     return forward_comm_events(config, plan, torus, batch, l_new,
                                _part="layer")
 
-
-def final_comm_events(config: ModelConfig, plan: LayoutPlan, torus: Torus3D,
-                      batch: int, l_new: int) -> list[AnalyticCollective]:
-    """The trailing norm all-reduce + logits all-gather."""
-    return forward_comm_events(config, plan, torus, batch, l_new,
-                               _part="final")

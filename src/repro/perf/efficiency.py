@@ -13,8 +13,10 @@ the calibration is explicit and auditable (DESIGN.md Section 4):
 * ``hbm_efficiency`` / ``network_efficiency`` — achievable bandwidth
   fractions.
 * ``overlap_fraction`` — fraction of communication hidden behind compute
-  by the Looped CollectiveEinsum technique (Section 3.5 reports ~1.4x
-  from overlap + scheduling; 0.55 hidden reproduces that ratio).
+  by the Looped CollectiveEinsum technique.  Section 3.5 reports ~1.4x
+  from overlap plus scheduling; 0.55 hidden gives 1.10x over none hidden
+  at the batch-512 WS-2D decode point on 4x4x4
+  (``benchmarks/bench_ablations.py``, row 2).
 * ``per_layer_overhead`` / ``per_step_overhead`` — fixed costs
   (layernorms, sampling, dispatch) that dominate nothing but keep
   low-batch decode honest.

@@ -1,16 +1,11 @@
-"""Chrome-trace export: the simulator client and the shared builders.
-
-Covers the previously-untested :func:`repro.simulator.trace.to_chrome_trace`
-(valid JSON, metadata events, zero-duration filtering) plus the span
-export in :mod:`repro.observability.chrome_trace`.
+"""Chrome-trace export: the shared builders and the span export in
+:mod:`repro.observability.chrome_trace`.
 """
 
 import json
 
 import pytest
 
-from repro.hardware import TPU_V4, Torus3D
-from repro.model import get_model
 from repro.observability import (
     Tracer,
     build_trace,
@@ -20,61 +15,6 @@ from repro.observability import (
     thread_metadata,
     write_span_trace,
 )
-from repro.partitioning import (
-    AttentionLayoutKind,
-    FfnLayoutKind,
-    LayoutPlan,
-)
-from repro.simulator import (
-    BuildSpec,
-    build_forward_program,
-    simulate,
-    to_chrome_trace,
-    write_chrome_trace,
-)
-from repro.simulator.program import RESOURCES
-
-
-@pytest.fixture(scope="module")
-def result():
-    config = get_model("palm-8b")
-    plan = LayoutPlan(FfnLayoutKind.WS_2D, AttentionLayoutKind.BATCH)
-    spec = BuildSpec(config, plan, Torus3D(2, 2, 2), TPU_V4, batch=32,
-                     l_new=1, context_before=128)
-    return simulate(build_forward_program(spec))
-
-
-class TestSimulatorTrace:
-    def test_valid_json_roundtrip(self, result, tmp_path):
-        path = tmp_path / "trace.json"
-        write_chrome_trace(result, str(path))
-        trace = json.loads(path.read_text())
-        assert set(trace) == {"traceEvents", "displayTimeUnit"}
-        assert trace["displayTimeUnit"] == "ms"
-        assert trace["traceEvents"]
-
-    def test_metadata_events_name_process_and_lanes(self, result):
-        trace = to_chrome_trace(result, process_name="chip7")
-        meta = [e for e in trace["traceEvents"] if e["ph"] == "M"]
-        [process] = [e for e in meta if e["name"] == "process_name"]
-        assert process["args"]["name"] == "chip7"
-        lanes = {e["args"]["name"] for e in meta
-                 if e["name"] == "thread_name"}
-        assert lanes == set(RESOURCES)
-
-    def test_zero_duration_records_filtered(self, result):
-        assert any(r.duration == 0 for r in result.records), (
-            "fixture should contain zero-duration records")
-        trace = to_chrome_trace(result)
-        xs = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-        assert xs
-        assert all(e["dur"] > 0 for e in xs)
-        assert len(xs) == sum(1 for r in result.records if r.duration > 0)
-
-    def test_complete_events_land_in_resource_lanes(self, result):
-        trace = to_chrome_trace(result)
-        tids = {e["tid"] for e in trace["traceEvents"] if e["ph"] == "X"}
-        assert tids <= set(range(len(RESOURCES)))
 
 
 class TestSharedBuilders:

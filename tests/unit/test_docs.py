@@ -147,6 +147,37 @@ class TestFilePaths:
             assert missing in error
 
 
+class TestCliExamples:
+    def test_repository_examples_parse(self):
+        assert checker.check_commands() == []
+
+    def test_cli_docstring_examples_scanned(self):
+        from repro import cli
+        commands = checker.command_lines(cli.__doc__)
+        assert any(c.startswith("estimate ") for c in commands)
+
+    def test_bogus_command_detected(self, tmp_path, monkeypatch):
+        doc = tmp_path / "README.md"
+        doc.write_text(
+            "$ repro-inference metrics --topology 2x2x2\n"
+            "    repro-inference chaos --backend both  # comment\n"
+            "$ repro-inference estimate --model palm-62b \\\n"
+            "      --phase decode\n"
+            "prose mentioning `repro-inference frobnicate` is skipped\n"
+            "$ repro-inference frobnicate\n"
+            "$ repro-inference trace --preset tiny\n"
+            "$ repro-inference estimate \\\n"
+            "      --no-such-flag\n")
+        monkeypatch.setattr(checker, "ROOT", tmp_path)
+        monkeypatch.setattr(checker, "DOC_FILES", ("README.md",))
+        monkeypatch.setattr(checker, "DOC_GLOBS", ())
+        errors = checker.check_commands()
+        assert len(errors) == 3
+        assert "frobnicate" in errors[0] and "invalid choice" in errors[0]
+        assert "--preset tiny" in errors[1]
+        assert "--no-such-flag" in errors[2]
+
+
 class TestModuleDocstrings:
     def test_repository_modules_all_documented(self):
         assert checker.check_docstrings() == []

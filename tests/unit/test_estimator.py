@@ -124,6 +124,31 @@ class TestPhaseCosts:
         with pytest.raises(ValueError):
             est.generate_cost(WS2D_BATCH, 64, 2048, 0)
 
+    def test_overlap_hides_communication(self):
+        # Section 3.5: Looped CollectiveEinsum hides communication behind
+        # the matmuls; with nothing hidden the decode step is slower.
+        on = estimator().decode_step_cost(WS2D_BATCH, 512, 2048)
+        off = estimator(efficiency=EfficiencyModel(
+            overlap_fraction=0.0)).decode_step_cost(WS2D_BATCH, 512, 2048)
+        assert off.comm_exposed_s == off.comm_s
+        assert on.comm_exposed_s < on.comm_s
+        assert off.time_s > on.time_s
+
+    def test_overlap_gain_grows_with_comm_share(self):
+        """1D weight-stationary communication is constant in chip count
+        while compute shrinks (Section 3.2.1), so overlap buys more at
+        higher chip counts."""
+        plan_1d = LayoutPlan(FfnLayoutKind.WS_1D, AttentionLayoutKind.HEAD)
+        no_overlap = EfficiencyModel(overlap_fraction=0.0)
+
+        def gain(torus):
+            on = estimator(torus=torus).decode_step_cost(plan_1d, 512, 2048)
+            off = estimator(torus=torus, efficiency=no_overlap
+                            ).decode_step_cost(plan_1d, 512, 2048)
+            return off.time_s / on.time_s
+
+        assert gain(Torus3D(4, 8, 8)) > gain(Torus3D(2, 2, 2))
+
     def test_longer_context_costs_more(self):
         est = estimator()
         short = est.decode_step_cost(WS2D_BATCH, 256, 512)

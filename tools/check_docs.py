@@ -17,7 +17,11 @@ paths: every ``bench_*.py``, ``test_*.py`` (with or without ``::node``
 parts), ``results/*.txt`` or ``BENCH_*.json`` named in a backticked span
 must exist under the repo root, ``benchmarks/`` or ``tests/`` (see
 ``PATH_ROOTS``), and each ``::node`` must be a ``def`` or ``class`` in
-it.  Required headings: sections other parts of the repo point at (CI
+it.  CLI examples: every ``repro-inference ...`` command line in those
+files (a line that opens with it, after an optional ``$`` prompt; a
+trailing ``\\`` continues it) and in the ``repro.cli`` module docstring
+must parse with ``repro.cli.build_parser()`` — parsed only, never run.
+Required headings: sections other parts of the repo point at (CI
 jobs, module docstrings) must keep existing — see
 ``REQUIRED_HEADINGS``.  Module docstrings: every public module under
 ``src/repro/`` must open with a non-empty docstring (the architecture
@@ -30,10 +34,13 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import doctest
 import importlib
+import io
 import pathlib
 import re
+import shlex
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -66,6 +73,10 @@ _FILE_PATH = re.compile(
     r"|test_\w+\.py(?:::[\w\[\]-]+)*|results/[\w{},.-]+\.txt"
     r"|BENCH_\w+\.json))(?![\w*])")
 _BRACES = re.compile(r"\{([^{}]*)\}")
+
+#: A documented CLI command line: ``repro-inference`` opening the line,
+#: after an optional ``$`` shell prompt.
+_COMMAND = re.compile(r"^\s*(?:\$\s+)?repro-inference\s+(.*)$")
 
 #: Where a relative file path in the docs may be rooted.
 PATH_ROOTS = (".", "benchmarks", "tests", "tests/unit", "tests/integration")
@@ -246,6 +257,57 @@ def check_paths() -> list[str]:
     return errors
 
 
+def command_lines(text: str) -> list[str]:
+    """The ``repro-inference`` command lines in ``text``, continuation
+    lines joined, each without its program name."""
+    commands = []
+    lines = iter(text.splitlines())
+    for line in lines:
+        match = _COMMAND.match(line)
+        if not match:
+            continue
+        command = match.group(1)
+        while command.endswith("\\"):
+            command = command[:-1] + " " + next(lines, "").strip()
+        commands.append(command)
+    return commands
+
+
+def command_error(parser: argparse.ArgumentParser,
+                  command: str) -> str | None:
+    """Why ``repro-inference <command>`` does not parse, or None."""
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            parser.parse_args(shlex.split(command, comments=True))
+    except SystemExit as exc:
+        if exc.code:
+            return stderr.getvalue().strip().splitlines()[-1]
+    return None
+
+
+def check_commands() -> list[str]:
+    """All documented CLI examples that no longer parse, as
+    ``file: command (reason)`` strings."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    from repro import cli
+
+    sources = [(doc.relative_to(ROOT), doc.read_text())
+               for doc in doc_files()]
+    sources.append(("src/repro/cli.py docstring", cli.__doc__))
+    parser = cli.build_parser()
+    errors = []
+    for where, text in sources:
+        for command in command_lines(text):
+            reason = command_error(parser, command)
+            if reason:
+                errors.append(f"{where}: `repro-inference {command}` "
+                              f"does not parse ({reason})")
+    return errors
+
+
 def public_modules() -> list[pathlib.Path]:
     """Every public module file under ``src/repro/`` (``_private`` skipped,
     package ``__init__.py`` files included)."""
@@ -310,6 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         errors += check_wiki_links()
         errors += check_names()
         errors += check_paths()
+        errors += check_commands()
         errors += check_headings()
         errors += check_docstrings()
         print(f"link-check: {len(doc_files())} files scanned, "
