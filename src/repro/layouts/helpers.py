@@ -17,11 +17,11 @@ from repro.model.rope import apply_rope
 from repro.sharding.spec import ShardSpec
 
 
-def _record(mesh, fn, inputs, output, label, meta=None) -> None:
+def _record(mesh, fn, inputs, output, label, meta=None, specs=None) -> None:
     """Capture-recorder hook (duck-typed; see :mod:`repro.mesh.capture`)."""
     recorder = getattr(mesh, "capture", None)
     if recorder is not None:
-        recorder.record(fn, inputs, output, label, meta=meta)
+        recorder.record(fn, inputs, output, label, meta=meta, specs=specs)
 
 
 def zip_shards(out_spec: ShardSpec, out_shape: Sequence[int],
@@ -40,16 +40,18 @@ def zip_shards(out_spec: ShardSpec, out_shape: Sequence[int],
     """
     mesh = tensors[0].mesh
     inputs = tuple(t.shards for t in tensors)
+    specs = tuple(t.spec for t in tensors) + (out_spec,)
     if elementwise and all(t.is_stacked for t in tensors):
         shards = fn(*inputs)
-        _record(mesh, fn, inputs, shards, "zip_shards")
+        _record(mesh, fn, inputs, shards, "zip_shards",
+                meta=("elementwise",), specs=specs)
         return ShardedTensor(mesh, out_spec, tuple(out_shape), shards)
     shards = mesh.map_devices(
         lambda c: fn(*(t.shards[c] for t in tensors)))
     _record(mesh,
             lambda *arrs: mesh.map_devices(
                 lambda c: fn(*(a[c] for a in arrs))),
-            inputs, shards, "zip_shards")
+            inputs, shards, "zip_shards", specs=specs)
     return ShardedTensor(mesh, out_spec, tuple(out_shape), shards)
 
 
@@ -85,7 +87,8 @@ def sharded_rmsnorm(x: ShardedTensor, scale: ShardedTensor,
         shards = stacked_norm(x.shards, sumsq.shards, scale.shards)
         _record(x.mesh, stacked_norm,
                 (x.shards, sumsq.shards, scale.shards), shards, "rmsnorm",
-                meta=("rmsnorm", e_size, eps))
+                meta=("rmsnorm", e_size, eps),
+                specs=(x.spec, sumsq.spec, scale.spec, x.spec))
         return ShardedTensor(x.mesh, x.spec, x.global_shape, shards)
 
     def normalize(x_shard, ss_shard, scale_shard):
@@ -127,7 +130,7 @@ def sharded_rope(x: ShardedTensor, positions: np.ndarray,
             lambda c: apply_rope(s[c], p, theta))
         meta = None
     recorder.record(replay, (positions, x.shards), out.shards, "rope",
-                    meta=meta)
+                    meta=meta, specs=(None, x.spec, x.spec))
     return out
 
 
@@ -162,15 +165,24 @@ def local_attention(mesh: VirtualMesh, out_spec: ShardSpec,
         def replay_stacked(qs, ks, vs):
             # The decode position is step-varying: rederive it from the
             # KV view length (M - L), exactly what the model passes in.
+            # A captured program may hold replicated operands with mesh
+            # axes collapsed to size 1 (repro.mesh.replay_opt); the
+            # query's device grid is then the output's, and K/V are
+            # broadcast to it.
+            grid = qs.shape[:3]
+            if ks.shape[:3] != grid:
+                ks = np.broadcast_to(ks, grid + ks.shape[3:])
+                vs = np.broadcast_to(vs, grid + vs.shape[3:])
             folded = _attention_fast(
                 qs.reshape((-1,) + qs.shape[4:]),
                 ks.reshape((-1,) + ks.shape[4:]),
                 vs.reshape((-1,) + vs.shape[4:]),
                 ks.shape[4] - qs.shape[4])
-            return folded.reshape(mesh.shape + (b_loc,) + folded.shape[1:])
+            return folded.reshape(grid + (b_loc,) + folded.shape[1:])
 
         _record(mesh, replay_stacked, (q.shards, k_shards, v_shards),
-                shards, "attention", meta=("attention", b_loc))
+                shards, "attention", meta=("attention", b_loc),
+                specs=(q.spec, None, None, out_spec))
         return ShardedTensor(mesh, out_spec, tuple(out_shape), shards)
 
     shards = mesh.map_devices(
@@ -179,7 +191,8 @@ def local_attention(mesh: VirtualMesh, out_spec: ShardSpec,
             lambda qs, ks, vs: mesh.map_devices(
                 lambda c: attention(qs[c], ks[c], vs[c],
                                     ks[c].shape[1] - qs[c].shape[1])),
-            (q.shards, k_shards, v_shards), shards, "attention")
+            (q.shards, k_shards, v_shards), shards, "attention",
+            specs=(q.spec, None, None, out_spec))
     return ShardedTensor(mesh, out_spec, tuple(out_shape), shards)
 
 

@@ -236,10 +236,13 @@ class ShardedKVCache:
         if recorder is not None and recorder.recording:
             idx = recorder.cache_index(self)
             if idx is not None:
+                specs = (None, self.spec)
                 recorder.record(lambda ctx: replay_k(ctx, idx),
-                                (recorder.CTX,), k_view, "kv_view_k")
+                                (recorder.CTX,), k_view, "kv_view_k",
+                                meta=("kv_view", idx, "k"), specs=specs)
                 recorder.record(lambda ctx: replay_v(ctx, idx),
-                                (recorder.CTX,), v_view, "kv_view_v")
+                                (recorder.CTX,), v_view, "kv_view_v",
+                                meta=("kv_view", idx, "v"), specs=specs)
         return k_view, v_view
 
     def as_sharded(self, start: int = 0, stop: int | None = None

@@ -38,9 +38,10 @@ the tape into a :class:`CapturedProgram`:
 * **Tape optimization** — on the stacked backend every program (decode
   step and prefill chunk alike) additionally runs the tape optimizer in
   :mod:`repro.mesh.replay_opt` — projection-einsum fusion, RoPE table
-  CSE, flat multiquery attention, in-place elementwise runners, indexed
-  collectives — and replays through a source-generated straight-line
-  runner.  Every pass is bit-exact by construction and asserted
+  CSE, replica collapse (each replicated value computed once, read
+  from the sharding specs the hooks pass), flat multiquery attention,
+  in-place elementwise runners, indexed collectives — and replays
+  through a source-generated straight-line runner.  Every pass is bit-exact by construction and asserted
   differentially.  Loop-backend programs replay the plain tape.
 * **Body and head** — the live instructions are split (before the
   optimizer's views are frozen, which would hide the K/V producers) into
@@ -128,6 +129,8 @@ from functools import lru_cache
 from typing import Any, Callable, Sequence
 
 import numpy as np
+
+from repro.mesh.stacked import replicated_axes
 
 
 class CaptureError(RuntimeError):
@@ -469,6 +472,12 @@ class StepRecorder:
         self._values: list[Any] = [None]       # vid 0 reserved for CTX
         self._vid_of: dict[int, int] = {}
         self._const: set[int] = set()
+        #: Replicated device axes of each mesh value, from the sharding
+        #: specs the hooks pass (``None``: not a mesh array).
+        self.reps: dict[int, tuple[int, ...] | None] = {0: None}
+        #: What the stacked optimizer collapsed: value id -> (the
+        #: captured array, the device axes replay keeps one copy of).
+        self.collapsed: dict[int, tuple[np.ndarray, frozenset]] = {}
 
     @property
     def recording(self) -> bool:
@@ -517,7 +526,8 @@ class StepRecorder:
 
     def record(self, fn: Callable, inputs: Sequence, output,
                label: str = "", *, collective: bool = False,
-               arena: bool = False, meta: tuple | None = None) -> None:
+               arena: bool = False, meta: tuple | None = None,
+               specs: Sequence | None = None) -> None:
         """Append one instruction.
 
         ``fn`` must recompute ``output`` bit-identically from the input
@@ -528,11 +538,18 @@ class StepRecorder:
         the step-varying replay context.  ``meta`` optionally carries
         the op's resolved parameters for the tape optimizer
         (:mod:`repro.mesh.replay_opt`); it never affects plain replay.
+        ``specs`` lists the :class:`~repro.sharding.spec.ShardSpec` of
+        each input and then of the output (``None``: no information);
+        the optimizer reads each mesh value's replicated axes from them.
         """
         if not self.recording:
             return
         ins = tuple(0 if x is self.CTX else self._vid(x) for x in inputs)
         out = self._define(output) if output is not None else None
+        if specs is not None:
+            for vid, spec in zip(ins + (out,), specs):
+                if spec is not None and vid and vid not in self.reps:
+                    self.reps[vid] = replicated_axes(spec)
         if collective:
             self.collectives += 1
         self._instrs.append(_Instr(fn, ins, out, label, collective, arena,

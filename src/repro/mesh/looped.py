@@ -91,7 +91,7 @@ def _capture_envelope(x: ShardedTensor, w: ShardedTensor,
         return result.shards
 
     recorder.record(replay, (x.shards, w.shards), out.shards, label,
-                    collective=True)
+                    collective=True, specs=(x_spec, w_spec, out.spec))
 
 
 def _contraction_letter(subscripts: str) -> str:

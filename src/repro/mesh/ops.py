@@ -113,7 +113,8 @@ def _fault_post(mesh: VirtualMesh, op: str, axes: tuple[str, ...],
 
 def _capture(mesh: VirtualMesh, fn, inputs: tuple, output,
              label: str, *, collective: bool = True,
-             arena: bool = False, meta: tuple | None = None) -> None:
+             arena: bool = False, meta: tuple | None = None,
+             specs: tuple | None = None) -> None:
     """Capture-recorder hook (duck-typed like ``tracer``/``fault_state``).
 
     With a :class:`repro.mesh.capture.StepRecorder` installed as
@@ -121,12 +122,13 @@ def _capture(mesh: VirtualMesh, fn, inputs: tuple, output,
     resolved kernel and its parameters — as one replay instruction
     mapping the input shard arrays to the output shard array.  One
     ``getattr`` when capture is off.  ``meta`` optionally carries the
-    resolved op parameters for the tape optimizer.
+    resolved op parameters for the tape optimizer, and ``specs`` the
+    input and output sharding specs.
     """
     recorder = getattr(mesh, "capture", None)
     if recorder is not None:
         recorder.record(fn, inputs, output, label, collective=collective,
-                        arena=arena, meta=meta)
+                        arena=arena, meta=meta, specs=specs)
 
 
 def _require_suffix(dim_axes: tuple[str, ...], axes: Sequence[str],
@@ -235,7 +237,8 @@ def all_gather(t: ShardedTensor, axes: Sequence[str], dim: str
                         out.per_chip_bytes), out)
     _capture(mesh, lambda s: kernel(mesh, s, axes, dim_idx),
              (t.shards,), out.shards, "all_gather",
-             meta=("all_gather", axes, dim_idx) if t.is_stacked else None)
+             meta=("all_gather", axes, dim_idx) if t.is_stacked else None,
+             specs=(spec, new_spec))
     return out
 
 
@@ -270,7 +273,7 @@ def reduce_scatter(t: ShardedTensor, axes: Sequence[str], dim: str
              CommRecord("reduce_scatter", axes, k, payload), out)
     _capture(mesh, replay, (t.shards,), out.shards, "reduce_scatter",
              meta=("reduce_scatter", axes, dim_idx) if t.is_stacked
-             else None)
+             else None, specs=(spec, new_spec))
     return out
 
 
@@ -300,7 +303,8 @@ def all_reduce(t: ShardedTensor, axes: Sequence[str]) -> ShardedTensor:
                         2 * payload), out)
     _capture(mesh, lambda s: kernel(mesh, s, axes), (t.shards,),
              out.shards, "all_reduce",
-             meta=("all_reduce", axes) if t.is_stacked else None)
+             meta=("all_reduce", axes) if t.is_stacked else None,
+             specs=(spec, new_spec))
     return out
 
 
@@ -338,7 +342,8 @@ def all_to_all(t: ShardedTensor, axes: Sequence[str], src_dim: str,
     out = ShardedTensor(mesh, new_spec, t.global_shape, shards)
     _observe(mesh, tracer, start,
              CommRecord("all_to_all", axes, k, payload), out)
-    _capture(mesh, replay, (t.shards,), out.shards, "all_to_all")
+    _capture(mesh, replay, (t.shards,), out.shards, "all_to_all",
+             specs=(spec, new_spec))
     return out
 
 
@@ -369,7 +374,8 @@ def split(t: ShardedTensor, axes: Sequence[str], dim: str) -> ShardedTensor:
         replay = lambda s: _loop_split(mesh, s, axes, dim_idx, k)  # noqa: E731
     out = ShardedTensor(mesh, new_spec, t.global_shape, shards)
     _observe(mesh, tracer, start, CommRecord("split", axes, k, 0), out)
-    _capture(mesh, replay, (t.shards,), out.shards, "split")
+    _capture(mesh, replay, (t.shards,), out.shards, "split",
+             specs=(spec, new_spec))
     return out
 
 
@@ -506,7 +512,8 @@ def sharded_einsum(subscripts: str, a: ShardedTensor, b: ShardedTensor
     _capture(mesh, replay, (a.shards, b.shards), out.shards,
              f"einsum:{subscripts}", collective=False, arena=arena,
              meta=("einsum",) + _parse_subscripts(subscripts)
-             if a.is_stacked and b.is_stacked else None)
+             if a.is_stacked and b.is_stacked else None,
+             specs=(a.spec, b.spec, out_spec))
     return out
 
 

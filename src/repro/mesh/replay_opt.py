@@ -19,10 +19,20 @@ fatter calls while provably preserving every output bit:
   them per step (:func:`repro.model.rope.rope_tables`) and the rotations
   switch to :func:`repro.model.rope.apply_rope_cached`, which runs the
   identical multiply/add sequence on the identical tables.
+* **Replica collapse** — a value replicated along a mesh axis (an axis
+  missing from its sharding spec, Section 3.1) is held and computed
+  once along it: the recorder reads each value's replicated axes from
+  the specs at the capture hooks, and einsums, attention, norm, rope,
+  elementwise kernels and indexed collectives run on a size-1 slice of
+  those axes, with constants stored collapsed.  The logits head runs on
+  one device position instead of every one, head-sharded multiquery
+  attention once per head shard, and ``to_global``/``from_global``
+  replay through prebound index tables.  A consumer that needs the full
+  grid gets a stride-0 broadcast view; see :func:`_collapse_replicas`.
 * **Flat multiquery attention** — the stacked decode attention
   broadcast-materializes the shared KV head across the query-head
-  groups; for the captured single-query multiquery case the same sums
-  are computed directly from the unexpanded ``[B, M, D]`` K/V via a
+  groups; for the captured multiquery case the same sums are computed
+  directly from the unexpanded ``[B, M, D]`` K/V via a
   3-operand-subscript einsum, skipping the broadcast copy and the
   (provably all-True) mask branch.
 * **Indexed collectives** — a recorded collective's data movement is
@@ -56,7 +66,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mesh import stacked as stacked_kernels
-from repro.model.functional import softmax
+from repro.model.functional import causal_mask
 from repro.model.rope import apply_rope_cached, rope_tables
 
 try:  # same C kernel np.einsum dispatches to; skips its Python wrapper
@@ -76,6 +86,7 @@ def optimize_tape(recorder, instrs, const, out_vids):
                                                 out_vids)
     instrs = _cse_rope_tables(recorder, instrs, const)
     instrs = _merge_rope_slabs(recorder, instrs, view_map)
+    instrs = _collapse_replicas(recorder, instrs, const, out_vids)
     instrs = _flatten_attention(recorder, instrs)
     instrs = _prebind_einsums(recorder, instrs)
     instrs = _inplace_rope(recorder, instrs, out_vids)
@@ -153,9 +164,9 @@ def _fresh_letter(used: str) -> str | None:
     return None
 
 
-def _viewer(start: int, stop: int, shape: tuple):
+def _viewer(start: int, stop: int, tail: tuple):
     def view(f):
-        return f[..., start:stop].reshape(shape)
+        return f[..., start:stop].reshape(f.shape[:-1] + tail)
     view.const_view = True
     return view
 
@@ -256,7 +267,8 @@ def _fuse_projection_einsums(recorder, instrs, const, out_vids):
         for j, i in enumerate(group):
             width = flat_outs[j].shape[-1]
             out_vid = instrs[i].out
-            view = _Instr(_viewer(start, start + width, outs[j].shape),
+            tail = outs[j].shape[fused_captured.ndim - 1:]
+            view = _Instr(_viewer(start, start + width, tail),
                           (fused_vid,), out_vid, "einsum_view",
                           False, False)
             replacements[i] = [fused, view] if j == 0 else [view]
@@ -418,6 +430,246 @@ def _merge_rope_slabs(recorder, instrs, view_map):
 
 
 # ---------------------------------------------------------------------------
+# Replica collapse
+# ---------------------------------------------------------------------------
+
+_COLLECTIVES = ("all_gather", "reduce_scatter", "all_reduce")
+
+# Sets of device axes are 3-bit masks here (bit i: axis i of x, y, z).
+#: Basic index per mask keeping copy 0 (as a size-1 axis) of each axis.
+_GRID_INDEX = tuple(tuple(slice(0, 1) if mask >> i & 1 else slice(None)
+                          for i in range(3)) for mask in range(8))
+#: The mask of every sorted axis tuple (``StepRecorder.reps`` entries).
+_MASKS = {tuple(i for i in range(3) if mask >> i & 1): mask
+          for mask in range(8)}
+
+
+def _collapser(mask: int):
+    index = _GRID_INDEX[mask]
+
+    def view(x):
+        return x[index]
+    view.const_view = True
+    return view
+
+
+def _widener(grid):
+    def view(x):
+        return np.broadcast_to(x, grid + x.shape[3:])
+    view.const_view = True
+    return view
+
+
+def _materializer(grid):
+    return lambda x: np.array(np.broadcast_to(x, grid + x.shape[3:]))
+
+
+def _kv_view(idx: int, which: str, mask: int):
+    gx, gy, gz = _GRID_INDEX[mask]
+
+    def view(ctx):
+        cache = ctx.caches[idx]
+        return getattr(cache, which)[gx, gy, gz, :, :cache.length]
+    return view
+
+
+def _kind(ins) -> str:
+    """How an instruction's kernel treats the device grid (see
+    :func:`_collapse_replicas`)."""
+    meta = ins.meta
+    tag = meta[0] if meta else None
+    if tag in ("einsum", "rmsnorm", "rope", "elementwise") \
+            or ins.label == "rope_cached" \
+            or ins.label.startswith("einsum_fused"):
+        return "pointwise"
+    if getattr(ins.fn, "const_view", False):
+        return "view"
+    if tag in _COLLECTIVES:
+        return "collective"
+    if tag in ("attention", "kv_view", "to_global", "from_global"):
+        return tag
+    if ins.label == "kv_append":
+        return "sink"
+    return "opaque"
+
+
+def _collapse_replicas(recorder, instrs, const, out_vids):
+    """Run each per-device kernel once per distinct value.
+
+    A mesh axis missing from a value's sharding spec (Section 3.1) is
+    one the value is replicated on: every device along it holds the
+    same copy, so the stacked backend's whole-mesh kernels compute it
+    once per device for nothing.  The recorder knows each value's
+    replicated axes from the specs the hooks pass (:attr:`StepRecorder.
+    reps`); values this optimizer created take the intersection of their
+    inputs'.  Where the tape allows, the program holds a replicated
+    value *collapsed* — size 1 on those axes — and its consumers run on
+    the collapsed grid:
+
+    * pointwise kernels (einsums with the device grid as a broadcast
+      batch, norm, rope, elementwise) and views run on size-1 slices of
+      every axis all their mesh operands share with the output; a
+      constant operand is stored collapsed, a live one is sliced by a
+      view (frozen when its source is a fixed buffer);
+    * attention runs on the collapsed grid its operands share, K/V
+      broadcast to the query's;
+    * KV views slice one copy of the cache's replicated axes; KV appends
+      write a collapsed value into every replica by broadcasting;
+    * indexed collectives (and ``from_global``) produce one copy of a
+      replicated result, reading any collapsed operand through their
+      index tables — the same rank-ordered sums on fewer positions;
+    * ``to_global`` reads the one copy, through a prebound index table.
+
+    Anything else, and a collective too large for an index table, gets
+    full operands through a stride-0 ``np.broadcast_to`` view; the
+    instruction producing a program output gets fresh full copies, so
+    the output is full and freshly allocated as before.  Kernels write
+    only into buffers of their own (possibly collapsed) shape — arena
+    buffers and runner scratch — never through a slice or broadcast
+    view.  Bit-exact: each remaining position runs the same kernel on
+    the same operand values (a replica's copy) in the same order.  The
+    analysis reads specs only, never array contents; what it collapsed
+    is left in :attr:`StepRecorder.collapsed` for tests to check against
+    the captured arrays.
+    """
+    from repro.mesh.capture import _Instr
+
+    mesh = recorder.mesh
+    values = recorder._values
+    grid = tuple(mesh.shape)
+    # Replicated axes per mesh value, leaving out axes of size 1 (None:
+    # not a mesh array; missing: nothing known, so nothing replicated),
+    # and collapsed axes per value.
+    wide = sum(1 << i for i, n in enumerate(grid) if n > 1)
+    masks = {vid: None if axes is None else wide & _MASKS[axes]
+             for vid, axes in recorder.reps.items()}
+    forms: dict[int, int] = {}
+    derived: dict[tuple, int] = {}
+    collapsed = recorder.collapsed
+    out: list = []
+    rep = masks.get
+
+    def note(vid, mask):
+        full, seen = collapsed.get(vid, (values[vid], frozenset()))
+        collapsed[vid] = (full, seen | {i for i in range(3) if mask >> i & 1})
+
+    def collapse_output(vid, mask):
+        if mask:
+            note(vid, mask)
+            values[vid] = values[vid][_GRID_INDEX[mask]]
+            forms[vid] = mask
+
+    def derive(vid, fn, label, new_form, key):
+        """A view (or copy) of ``vid`` — a new constant when ``vid`` is
+        one, else a new instruction — memoized per ``key``."""
+        if key not in derived:
+            new = _add_value(recorder, fn(values[vid]),
+                             const if vid in const else None)
+            masks[new] = rep(vid, 0)
+            forms[new] = new_form
+            if vid not in const:
+                out.append(_Instr(fn, (vid,), new, label, False, False))
+            derived[key] = new
+        return derived[key]
+
+    def narrow(vid, mask):
+        """``vid`` cut to copy 0 on ``mask`` (beyond its form)."""
+        form = forms.get(vid, 0)
+        mask &= ~form
+        if not mask:
+            return vid
+        note(vid, mask)
+        return derive(vid, _collapser(mask), "collapse", form | mask,
+                      (vid, "narrow", mask))
+
+    def widen(vid, keep=0, fresh=False):
+        """``vid`` broadcast back over its collapsed axes not in
+        ``keep`` (a read-only stride-0 view, or a fresh copy)."""
+        form = forms.get(vid, 0)
+        if not form & ~keep:
+            return vid
+        target = tuple(1 if (form & keep) >> i & 1 else n
+                       for i, n in enumerate(grid))
+        fn = _materializer(target) if fresh else _widener(target)
+        return derive(vid, fn, "widen", form & keep, (vid, fresh, target))
+
+    for ins in instrs:
+        kind = _kind(ins)
+        inputs = ins.inputs
+        mesh_in = [v for v in inputs if rep(v, 0) is not None]
+        if ins.out is not None and ins.out not in masks:
+            if not mesh_in or kind == "to_global":
+                masks[ins.out] = None
+            elif kind in ("pointwise", "view"):
+                mask = 7
+                for v in mesh_in:
+                    mask &= rep(v, 0)
+                masks[ins.out] = mask
+        if ins.out in out_vids and kind != "to_global":
+            kind = "output"
+
+        fn = ins.fn
+        if kind == "pointwise" and mesh_in:
+            mask = rep(ins.out, 0)
+            for v in mesh_in:
+                mask &= rep(v, 0)
+            if mask:
+                inputs = tuple(narrow(v, mask) if v in mesh_in else v
+                               for v in inputs)
+                mesh_in = [v for v in inputs if rep(v, 0) is not None]
+            # The kernel broadcasts: its output is collapsed wherever
+            # every mesh operand is.
+            mask = 7
+            for v in mesh_in:
+                mask &= forms.get(v, 0)
+            collapse_output(ins.out, mask)
+        elif kind == "view":
+            collapse_output(ins.out, forms.get(inputs[0], 0))
+        elif kind == "attention":
+            q, k, v = inputs
+            mask = rep(ins.out, 0) & rep(q, 0) & rep(k, 0) & rep(v, 0)
+            inputs = (narrow(widen(q, keep=mask), mask),
+                      narrow(k, mask), narrow(v, mask))
+            collapse_output(ins.out, mask)
+        elif kind == "kv_view":
+            _, idx, which = ins.meta
+            mask = rep(ins.out, 0)
+            if mask:
+                fn = _kv_view(idx, which, mask)
+                collapse_output(ins.out, mask)
+        elif kind == "collective":
+            if stacked_kernels.collective_indexable(
+                    mesh, ins.meta[0], values[inputs[0]].shape[3:]):
+                collapse_output(ins.out, rep(ins.out, 0))
+            else:
+                inputs = (widen(inputs[0]),)
+        elif kind == "to_global":
+            _, spec, gshape = ins.meta
+            fn = stacked_kernels.prebind_to_global(
+                spec, gshape, values[inputs[0]].shape) or fn
+        elif kind == "from_global":
+            _, spec, local = ins.meta
+            mask = rep(ins.out, 0)
+            prebound = stacked_kernels.prebind_from_global(
+                mesh, spec, values[inputs[0]].shape, local,
+                values[ins.out].dtype,
+                tuple(1 if mask >> i & 1 else n for i, n in enumerate(grid)))
+            if prebound is not None:
+                fn = prebound
+                collapse_output(ins.out, mask)
+        elif kind in ("opaque", "output"):
+            inputs = tuple(widen(v, fresh=kind == "output")
+                           if v in mesh_in else v for v in inputs)
+
+        if fn is ins.fn and inputs == ins.inputs:
+            out.append(ins)
+        else:
+            out.append(_Instr(fn, inputs, ins.out, ins.label,
+                              ins.collective, ins.arena, ins.meta))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Flat multiquery decode attention
 # ---------------------------------------------------------------------------
 
@@ -487,8 +739,6 @@ def _flat_mq_prefill_attention(out_shape, dtype):
     per_m = {}
 
     def run(qs, ks, vs):
-        from repro.model.functional import causal_mask
-
         # Same subscripts-instead-of-broadcast contraction as the decode
         # variant; the masking writes ``finfo.min`` into the same
         # positions ``np.where(mask, scores, neg)`` would, and the
@@ -529,8 +779,7 @@ def _flatten_attention(recorder, instrs):
                 and ins.out is not None and len(ins.inputs) == 3):
             qs = values[ins.inputs[0]]
             ks = values[ins.inputs[1]]
-            if (qs.ndim == 7 and ks.ndim == 7 and ks.shape[5] == 1
-                    and qs.shape[5] > 1):
+            if qs.ndim == 7 and ks.ndim == 7 and ks.shape[5] == 1:
                 captured = values[ins.out]
                 if qs.shape[4] == 1:
                     fn = _flat_mq_attention(captured.shape, captured.dtype)
@@ -757,7 +1006,8 @@ def _prebind_collectives(recorder, instrs, out_vids):
             if ins.out not in out_vids:
                 fn = stacked_kernels.prebind_collective_indexed(
                     recorder.mesh, meta[0], meta[1], dim_idx,
-                    operand.shape, operand.dtype, scratch=scratch)
+                    operand.shape, operand.dtype, scratch=scratch,
+                    out_lead=values[ins.out].shape[:3])
             if fn is None:
                 fn = stacked_kernels.prebind_collective(
                     recorder.mesh, meta[0], meta[1], dim_idx)

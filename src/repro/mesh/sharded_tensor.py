@@ -29,11 +29,13 @@ from repro.mesh.virtual_mesh import VirtualMesh
 from repro.sharding.spec import ShardingError, ShardSpec, parse
 
 
-def _record(mesh, fn, inputs, output, label, *, arena: bool = False) -> None:
+def _record(mesh, fn, inputs, output, label, *, arena: bool = False,
+            meta: tuple | None = None, specs: tuple | None = None) -> None:
     """Capture-recorder hook (duck-typed; see :mod:`repro.mesh.capture`)."""
     recorder = getattr(mesh, "capture", None)
     if recorder is not None:
-        recorder.record(fn, inputs, output, label, arena=arena)
+        recorder.record(fn, inputs, output, label, arena=arena, meta=meta,
+                        specs=specs)
 
 
 def _loop_to_global(mesh: VirtualMesh, spec: ShardSpec,
@@ -119,7 +121,8 @@ class ShardedTensor:
             _record(mesh,
                     lambda g: stacked_kernels.from_global(mesh, g, spec,
                                                           local),
-                    (array,), shards, f"from_global:{spec}")
+                    (array,), shards, f"from_global:{spec}",
+                    meta=("from_global", spec, local), specs=(None, spec))
             return cls(mesh, spec, array.shape, shards)
 
         def make_shards(global_array):
@@ -133,7 +136,8 @@ class ShardedTensor:
             return mesh.map_devices(make)
 
         shards = make_shards(array)
-        _record(mesh, make_shards, (array,), shards, f"from_global:{spec}")
+        _record(mesh, make_shards, (array,), shards, f"from_global:{spec}",
+                specs=(None, spec))
         return cls(mesh, spec, array.shape, shards)
 
     @classmethod
@@ -164,7 +168,9 @@ class ShardedTensor:
         # Replay skips the replication check: the captured step already
         # verified it, and replay reproduces the same bits by contract.
         _record(mesh, lambda s: kernel(mesh, spec, gshape, s, False),
-                (self.shards,), out, f"to_global:{spec}")
+                (self.shards,), out, f"to_global:{spec}",
+                meta=("to_global", spec, gshape) if self.is_stacked
+                else None, specs=(spec,))
         return out
 
     # -- elementwise / structural helpers ----------------------------------
@@ -201,8 +207,11 @@ class ShardedTensor:
             shards = mesh.map_devices(lambda c: fn(self.shards[c]))
             replay = lambda s: mesh.map_devices(  # noqa: E731
                 lambda c: fn(s[c]))
-        _record(mesh, replay, (self.shards,), shards, "map_shards")
-        return ShardedTensor(mesh, spec or self.spec,
+        out_spec = spec or self.spec
+        _record(mesh, replay, (self.shards,), shards, "map_shards",
+                meta=("elementwise",) if self.is_stacked and elementwise
+                else None, specs=(self.spec, out_spec))
+        return ShardedTensor(mesh, out_spec,
                              global_shape or self.global_shape, shards)
 
     def astype(self, dtype) -> "ShardedTensor":
@@ -218,13 +227,16 @@ class ShardedTensor:
         if self.is_stacked and other.is_stacked:
             shards = self.shards + other.shards
             _record(mesh, lambda x, y, out=None: np.add(x, y, out=out),
-                    (self.shards, other.shards), shards, "add", arena=True)
+                    (self.shards, other.shards), shards, "add", arena=True,
+                    meta=("elementwise",),
+                    specs=(self.spec, self.spec, self.spec))
         else:
             shards = mesh.map_devices(
                 lambda c: self.shards[c] + other.shards[c])
             _record(mesh,
                     lambda x, y: mesh.map_devices(lambda c: x[c] + y[c]),
-                    (self.shards, other.shards), shards, "add")
+                    (self.shards, other.shards), shards, "add",
+                    specs=(self.spec, self.spec, self.spec))
         return ShardedTensor(mesh, self.spec, self.global_shape, shards)
 
     @property

@@ -38,6 +38,7 @@ same event stream whichever backend executes it.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Sequence
 
@@ -255,19 +256,19 @@ def prebind_collective(mesh, kind: str, axes: Sequence[str],
 _INDEXED_COLLECTIVE_LIMIT = 1 << 18
 
 
-@lru_cache(maxsize=128)
-def _collective_index_table(mesh_shape: tuple[int, int, int],
-                            part: tuple[int, ...], kind: str,
-                            dim_idx: int | None, in_shape: tuple[int, ...]):
-    """``(table, out_shape)`` of one indexed collective, read-only.
+def collective_indexable(mesh, kind: str, local_shape) -> bool:
+    """True when :func:`prebind_collective_indexed` can trace ``kind`` on
+    an operand with per-device shape ``local_shape``."""
+    return (kind in ("all_gather", "all_reduce", "reduce_scatter")
+            and math.prod(mesh.shape) * math.prod(local_shape)
+            <= _INDEXED_COLLECTIVE_LIMIT)
 
-    Memoized process-wide: every program that replays the same
-    collective on the same mesh and operand shape (each layer of a
-    model, each program of a deployment, each replica of a fleet) shares
-    one table instead of re-tracing and storing its own.  The table is
-    frozen (``writeable=False``) because every caller holds the same
-    array.
-    """
+
+@lru_cache(maxsize=128)
+def _full_collective_table(mesh_shape: tuple[int, int, int],
+                           part: tuple[int, ...], kind: str,
+                           dim_idx: int | None, in_shape: tuple[int, ...]):
+    """``(table, out_shape)`` of one indexed collective on full operands."""
     meta = _axes_meta(mesh_shape, part)
     nrest = len(meta[0])
     k = meta[5]
@@ -308,9 +309,76 @@ def _collective_index_table(mesh_shape: tuple[int, int, int],
     return comb, ridx.shape
 
 
+def _remap_collapsed(flat: np.ndarray, full_shape: tuple[int, ...],
+                     shape: tuple[int, ...]) -> np.ndarray:
+    """Flat indices into a ``full_shape`` array, re-aimed at the same
+    elements of its ``shape`` form, whose size-1 mesh axes are collapsed
+    replicas: every index on a collapsed axis reads copy 0."""
+    coords = np.unravel_index(flat, full_shape)
+    coords = tuple(c if n == full else np.zeros_like(c)
+                   for c, n, full in zip(coords, shape, full_shape))
+    return np.ravel_multi_index(coords, shape)
+
+
+def _grid_slice(lead) -> tuple:
+    return tuple(slice(0, n) for n in lead)
+
+
+@lru_cache(maxsize=128)
+def _collective_index_table(mesh_shape: tuple[int, int, int],
+                            part: tuple[int, ...], kind: str,
+                            dim_idx: int | None, in_shape: tuple[int, ...],
+                            out_lead: tuple[int, int, int]):
+    """``(table, out_shape)`` of one indexed collective, read-only.
+
+    ``in_shape`` is the operand as a program holds it: a mesh axis of
+    size 1 where the mesh is wider is a collapsed replica (see
+    :mod:`repro.mesh.replay_opt`), read at copy 0.  ``out_lead`` is the
+    device grid of the result: a size-1 axis keeps only the copy at
+    index 0 of a replicated result.  Both are index arithmetic on the
+    full-operand table; a reduction keeps every rank, in order.
+
+    Memoized process-wide: every program that replays the same
+    collective on the same mesh and operand shape (each layer of a
+    model, each program of a deployment, each replica of a fleet) shares
+    one table instead of re-tracing and storing its own.  The table is
+    frozen (``writeable=False``) because every caller holds the same
+    array.
+    """
+    full_in = mesh_shape + in_shape[3:]
+    table, full_out = _full_collective_table(mesh_shape, part, kind,
+                                             dim_idx, full_in)
+    if in_shape == full_in and out_lead == mesh_shape:
+        return table, full_out
+    if kind == "all_gather":
+        table = table[_grid_slice(out_lead)]
+    else:
+        k = table.shape[0]
+        table = table.reshape((k,) + full_out)
+        table = table[(slice(None),) + _grid_slice(out_lead)].reshape(k, -1)
+    table = np.ascontiguousarray(_remap_collapsed(table, full_in, in_shape))
+    table.setflags(write=False)
+    return table, out_lead + full_out[3:]
+
+
+def _ordered_row_sum(rows: np.ndarray, out: np.ndarray) -> None:
+    """``out[:] = rows[0] + rows[1] + ...``, left to right per column.
+
+    An outer-axis ``add.reduce`` keeps that order only while a column
+    axis remains: with a single column numpy drops it and the reduction
+    becomes an innermost, pairwise one.  That case accumulates instead,
+    which is sequential by definition.
+    """
+    if rows.shape[1] > 1:
+        np.add.reduce(rows, axis=0, out=out)
+    else:
+        out[0] = np.add.accumulate(rows[:, 0])[-1]
+
+
 def prebind_collective_indexed(mesh, kind: str, axes: Sequence[str],
                                dim_idx: int | None, in_shape,
-                               dtype=np.float64, *, scratch: dict):
+                               dtype=np.float64, *, scratch: dict,
+                               out_lead: tuple[int, int, int]):
     """A collective closure with its data movement traced to one gather.
 
     The movement portions of a collective (grouping, scattering,
@@ -325,20 +393,26 @@ def prebind_collective_indexed(mesh, kind: str, axes: Sequence[str],
     tables to pay off (the caller falls back to
     :func:`prebind_collective`).
 
+    ``in_shape`` may hold collapsed replicas (size-1 mesh axes) and
+    ``out_lead``, the result's device grid, may ask for a collapsed
+    result; see :func:`_collective_index_table`.
+
     The index tables are shared process-wide
     (:func:`_collective_index_table`); each closure owns its output
     buffer.  Reductions gather into a scratch buffer that is dead once
     the closure returns, so closures of one program — which replays
     serially — share one per (shape, dtype) through ``scratch``.
     """
-    if int(np.prod(in_shape)) > _INDEXED_COLLECTIVE_LIMIT \
-            or kind not in ("all_gather", "all_reduce", "reduce_scatter"):
+    in_shape, out_lead = tuple(in_shape), tuple(out_lead)
+    if not collective_indexable(mesh, kind, in_shape[3:]):
         return None
     part = tuple(mesh.axis_indices(axes))
-    if _axes_meta(mesh.shape, part)[5] < 2 and kind != "all_gather":
+    full = in_shape[:3] == out_lead == mesh.shape
+    if full and _axes_meta(mesh.shape, part)[5] < 2 \
+            and kind != "all_gather":
         return None  # nothing to reduce; the generic prebind handles it
     table, out_shape = _collective_index_table(
-        mesh.shape, part, kind, dim_idx, tuple(in_shape))
+        mesh.shape, part, kind, dim_idx, in_shape, out_lead)
     dtype = np.dtype(dtype)
     obuf = np.empty(out_shape, dtype)
 
@@ -355,9 +429,10 @@ def prebind_collective_indexed(mesh, kind: str, axes: Sequence[str],
 
         def run(a):
             a.reshape(-1).take(table, out=gbuf)
-            np.add.reduce(gbuf, axis=0, out=oflat)
+            _ordered_row_sum(gbuf, oflat)
             return obuf
     run.index_table = table
+    run.out_buffer = obuf
     return run
 
 
@@ -460,13 +535,18 @@ def from_global(mesh, array: np.ndarray, spec,
     the factors into device-axis position, and broadcasts over any mesh
     axes the spec does not use (replication).
     """
+    return _from_global_dense(mesh.shape, array, spec, tuple(local))
+
+
+def _from_global_dense(mesh_shape: tuple[int, int, int], array: np.ndarray,
+                       spec, local: tuple[int, ...]) -> np.ndarray:
     shape: list[int] = []
     axis_pos: dict[str, int] = {}
     dim_pos: list[int] = []
     for axes, loc in zip(spec.axes, local):
         for axis in axes:
             axis_pos[axis] = len(shape)
-            shape.append(mesh.axis_size(axis))
+            shape.append(mesh_shape[AXIS_NAMES.index(axis)])
         dim_pos.append(len(shape))
         shape.append(loc)
     arr = array.reshape(shape)
@@ -475,8 +555,17 @@ def from_global(mesh, array: np.ndarray, spec,
     for i, axis in enumerate(AXIS_NAMES):
         if axis not in axis_pos:
             arr = np.expand_dims(arr, i)
-    arr = np.broadcast_to(arr, mesh.shape + tuple(local))
+    arr = np.broadcast_to(arr, mesh_shape + local)
     return np.ascontiguousarray(arr)
+
+
+@lru_cache(maxsize=None)
+def replicated_axes(spec) -> tuple[int, ...]:
+    """Device axes (0, 1, 2 for x, y, z) that ``spec`` neither shards
+    nor partially sums: a mesh axis missing from the spec (Section 3.1),
+    along which every device holds the same copy."""
+    used = set(spec.mesh_axes_used)
+    return tuple(i for i, a in enumerate(AXIS_NAMES) if a not in used)
 
 
 def collapse_replicas(spec, shards: np.ndarray,
@@ -490,9 +579,7 @@ def collapse_replicas(spec, shards: np.ndarray,
     """
     from repro.sharding.spec import ShardingError
 
-    shard_axes = {a for group in spec.axes for a in group}
-    rep_idx = [i for i, a in enumerate(AXIS_NAMES)
-               if a not in shard_axes and a not in spec.partial_sum]
+    rep_idx = replicated_axes(spec)
     if not any(shards.shape[i] > 1 for i in rep_idx):
         return shards
     first = shards[tuple(slice(0, 1) if i in rep_idx else slice(None)
@@ -517,10 +604,14 @@ def reassemble(spec, shards: np.ndarray) -> np.ndarray:
     and inverts :func:`from_global` on the sharded dims.  May return a
     view of ``shards``.
     """
-    shard_axes = {a for group in spec.axes for a in group}
+    return _reassemble(spec, shards, lambda parts: _group_sum(parts, 0))
+
+
+def _reassemble(spec, shards: np.ndarray, reduce) -> np.ndarray:
+    """:func:`reassemble` with the partial-sum reduction ``reduce``
+    (applied to the ``[k, ...]`` stack of partial sums) pluggable."""
     psum_axes = set(spec.partial_sum)
-    rep_idx = [i for i, a in enumerate(AXIS_NAMES)
-               if a not in shard_axes and a not in psum_axes]
+    rep_idx = replicated_axes(spec)
     arr = shards[tuple(0 if i in rep_idx else slice(None)
                        for i in range(3))]
     remaining = [a for i, a in enumerate(AXIS_NAMES) if i not in rep_idx]
@@ -530,7 +621,7 @@ def reassemble(spec, shards: np.ndarray) -> np.ndarray:
         arr = np.moveaxis(arr, psum_positions, range(len(psum_positions)))
         k = int(np.prod(arr.shape[:len(psum_positions)]))
         arr = arr.reshape((k,) + arr.shape[len(psum_positions):])
-        arr = _group_sum(arr, 0)
+        arr = reduce(arr)
         remaining = [a for a in remaining if a not in psum_axes]
 
     # remaining now lists the sharding axes in device-axis order; move each
@@ -545,6 +636,85 @@ def reassemble(spec, shards: np.ndarray) -> np.ndarray:
         shape.append(int(np.prod([arr.shape[pos[a]] for a in axes]))
                      * arr.shape[nshard + d])
     return arr.transpose(perm).reshape(shape)
+
+
+@lru_cache(maxsize=128)
+def _to_global_table(spec, global_shape: tuple[int, ...],
+                     in_shape: tuple[int, ...]) -> np.ndarray:
+    """Flat operand indices of :func:`reassemble`: ``global_shape``
+    without partial sums, else one row per partial-sum rank."""
+    probe = np.arange(int(np.prod(in_shape))).reshape(in_shape)
+    if not spec.partial_sum:
+        table = np.ascontiguousarray(
+            _reassemble(spec, probe, None).reshape(global_shape))
+    else:
+        k = int(np.prod([in_shape[AXIS_NAMES.index(a)]
+                         for a in spec.partial_sum]))
+        table = np.stack([
+            np.ascontiguousarray(
+                _reassemble(spec, probe, lambda parts, r=r: parts[r])
+            ).reshape(-1) for r in range(k)])
+    table.setflags(write=False)
+    return table
+
+
+def prebind_to_global(spec, global_shape: Sequence[int], in_shape):
+    """:func:`to_global` without the replica check, traced to one gather.
+
+    ``in_shape`` is the operand as a captured program holds it, whose
+    replicated mesh axes may be collapsed to size 1.  Replay is one
+    ``np.take`` of a table resolved here, plus, for partial sums, the
+    rank-ordered row sum that :func:`reassemble` performs, so the bits
+    match.  Every call returns a fresh array (it may be the program
+    output).  ``None`` when the operand is too large for a table.
+    """
+    in_shape, gshape = tuple(in_shape), tuple(global_shape)
+    if math.prod(in_shape) > _INDEXED_COLLECTIVE_LIMIT:
+        return None
+    table = _to_global_table(spec, gshape, in_shape)
+    if not spec.partial_sum:
+        return lambda a: a.reshape(-1).take(table)
+
+    def run(a):
+        out = np.empty(gshape, a.dtype)
+        _ordered_row_sum(a.reshape(-1).take(table), out.reshape(-1))
+        return out
+    return run
+
+
+@lru_cache(maxsize=128)
+def _from_global_table(mesh_shape: tuple[int, int, int], spec,
+                       global_shape: tuple[int, ...],
+                       local: tuple[int, ...],
+                       out_lead: tuple[int, int, int]) -> np.ndarray:
+    probe = np.arange(int(np.prod(global_shape))).reshape(global_shape)
+    table = np.ascontiguousarray(
+        _from_global_dense(mesh_shape, probe, spec, local)[
+            _grid_slice(out_lead)])
+    table.setflags(write=False)
+    return table
+
+
+def prebind_from_global(mesh, spec, global_shape: Sequence[int],
+                        local: Sequence[int], dtype,
+                        out_lead: tuple[int, int, int]):
+    """:func:`from_global` traced to one gather into a reused buffer.
+
+    ``out_lead`` is the result's device grid: size 1 on a mesh axis the
+    spec leaves replicated keeps one copy.  ``None`` when too large for
+    a table.
+    """
+    if math.prod(mesh.shape) * math.prod(local) > _INDEXED_COLLECTIVE_LIMIT:
+        return None
+    table = _from_global_table(mesh.shape, spec, tuple(global_shape),
+                               tuple(local), tuple(out_lead))
+    obuf = np.empty(table.shape, dtype)
+
+    def run(g):
+        g.reshape(-1).take(table, out=obuf)
+        return obuf
+    run.out_buffer = obuf
+    return run
 
 
 def to_global(mesh, spec, global_shape: Sequence[int], shards: np.ndarray,
