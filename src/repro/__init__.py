@@ -14,7 +14,6 @@ The package layers (see DESIGN.md for the full inventory):
   closed-form costs, the layout selector.
 * :mod:`repro.perf` — latency/MFU/cost estimation (the one chip-level
   time model, comm/compute overlap included) and Pareto sweeps.
-* :mod:`repro.quant` — int8 weight quantization.
 * :mod:`repro.serving` — the two-phase (prefill -> decode) serving recipe.
 * :mod:`repro.baselines` — published FasterTransformer comparisons.
 

@@ -12,11 +12,12 @@ Subcommands mirror the library's main entry points:
 * ``disaggregate`` — size the §4.4 prefill-server → decode-server pipeline.
 * ``chaos`` — seeded chaos scenarios against the multi-replica cluster
   control plane: availability, goodput and p99 per scenario, typed
-  shed-load counts, bit-identity vs. the reference (docs/cluster.md).
+  shed-load counts, bit-identity vs. the reference, journal replay and
+  audit (docs/cluster.md); ``--trace`` exports the cluster span stream
+  and ``--json`` the journal + audit artifact.
 * ``trace`` — Perfetto/Chrome trace: the *executed* span stream of a
   tiny model's decode workload on the virtual mesh
-  (docs/observability.md), or a chaos run's cluster span stream
-  (``--mode cluster``).
+  (docs/observability.md).
 * ``metrics`` — per-phase/per-layer communication and roofline metrics of
   an executed virtual-mesh workload; ``--crosscheck`` prints the
   estimator vs. executed-trace event-match table.
@@ -323,80 +324,46 @@ def cmd_chaos(args) -> int:
                          f"{sorted(SCENARIOS)} or 'all'")
     backends = ("loop", "stacked") if args.backend == "both" \
         else (args.backend,)
-    all_ok = True
-    last_report = None
+    reports = []
     for backend in backends:
         for name in names:
             report = run_scenario(name, backend=backend, seed=args.seed)
-            last_report = report
+            reports.append(report)
             print(format_report(report))
             print()
-            all_ok = all_ok and report.ok
-    if args.trace and last_report is not None:
-        trace = spans_to_chrome_trace(last_report.spans,
+    all_ok = all(r.ok for r in reports)
+    if args.trace and reports:
+        trace = spans_to_chrome_trace(reports[-1].spans,
                                       process_name="cluster")
         with open(args.trace, "w") as f:
             json.dump(trace, f)
         print(f"cluster span trace ({len(trace['traceEvents'])} events) "
               f"written to {args.trace}")
-    return 0 if all_ok else 1
-
-
-#: The crash-recovery chaos scenarios the ``recovery`` CI job gates on.
-RECOVERY_SCENARIOS = ("control-plane-crash-mid-drain", "pool-partition",
-                      "restart-storm", "prefill-kill-mid-handoff")
-
-
-def cmd_recovery(args) -> int:
-    import json
-
-    from repro.cluster import SCENARIOS, format_report, run_scenario
-
-    names = list(RECOVERY_SCENARIOS) if args.scenario == "all" \
-        else [args.scenario]
-    unknown = [n for n in names if n not in SCENARIOS]
-    if unknown:
-        raise SystemExit(f"unknown recovery scenario {unknown[0]!r}; "
-                         f"have {list(RECOVERY_SCENARIOS)} or 'all'")
-    backends = ("loop", "stacked") if args.backend == "both" \
-        else (args.backend,)
-    seeds = [int(s) for s in args.seeds.split(",")]
-    all_ok = True
-    runs = []
-    for backend in backends:
-        for seed in seeds:
-            for name in names:
-                report = run_scenario(name, backend=backend, seed=seed)
-                print(format_report(report))
-                print()
-                all_ok = all_ok and report.ok
-                runs.append({
-                    "scenario": name, "backend": backend, "seed": seed,
-                    "ok": report.ok, "violations": report.violations,
-                    "replay_matches": report.replay_matches,
-                    "audit_certified": report.audit_certified,
-                    "audit_violations": report.audit_violations,
-                    "journal_records": report.journal_records,
-                    "journal_truncated": report.journal_truncated,
-                    "restarts": report.restarts,
-                    "recoveries": report.recoveries,
-                    "quarantines": report.quarantines,
-                    "kv_handoffs": report.kv_handoffs,
-                    "handoff_retries": report.handoff_retries,
-                    "handoff_aborts": report.handoff_aborts,
-                    "handoff_dup_drops": report.handoff_dup_drops,
-                    "journal": report.journal_dump,
-                })
-    print(f"recovery: {len(runs)} runs, "
-          f"{sum(1 for r in runs if r['ok'])} ok")
     if args.json:
-        doc = {"ok": all_ok, "runs": runs}
+        runs = [{
+            "scenario": r.scenario, "backend": r.backend, "seed": r.seed,
+            "ok": r.ok, "violations": r.violations,
+            "replay_matches": r.replay_matches,
+            "audit_certified": r.audit_certified,
+            "audit_violations": r.audit_violations,
+            "journal_records": r.journal_records,
+            "journal_truncated": r.journal_truncated,
+            "restarts": r.restarts,
+            "recoveries": r.recoveries,
+            "quarantines": r.quarantines,
+            "kv_handoffs": r.kv_handoffs,
+            "handoff_retries": r.handoff_retries,
+            "handoff_aborts": r.handoff_aborts,
+            "handoff_dup_drops": r.handoff_dup_drops,
+            "journal": r.journal_dump,
+        } for r in reports]
         with open(args.json, "w") as f:
-            json.dump(doc, f, indent=2,
+            json.dump({"ok": all_ok, "runs": runs}, f, indent=2,
                       default=lambda o: o.item()
                       if hasattr(o, "item") else str(o))
             f.write("\n")
-        print(f"recovery journal + audit artifact written to {args.json}")
+        print(f"journal + audit artifact ({len(runs)} runs) written to "
+              f"{args.json}")
     return 0 if all_ok else 1
 
 
@@ -486,29 +453,17 @@ def cmd_trace(args) -> int:
 
     from repro.observability import spans_to_chrome_trace
 
-    if args.mode == "cluster":
-        from repro.cluster import run_scenario
-
-        report = run_scenario(args.scenario, backend=args.backend,
-                              seed=args.seed)
-        trace = spans_to_chrome_trace(
-            report.spans, process_name=f"cluster-{args.scenario}")
-        source = (f"cluster chaos scenario {args.scenario!r} "
-                  f"({report.n_spans} spans, {report.n_events} events)")
-    else:
-        tracer = _executed_workload(args.topology, args.backend,
-                                    args.batch_exec, args.steps)
-        trace = spans_to_chrome_trace(
-            tracer.spans,
-            process_name=f"virtual-mesh-"
-                         f"{'x'.join(map(str, args.topology))}")
-        source = (f"executed {len(tracer.spans)}-span workload on the "
-                  f"{args.backend} backend")
+    tracer = _executed_workload(args.topology, args.backend,
+                                args.batch_exec, args.steps)
+    trace = spans_to_chrome_trace(
+        tracer.spans,
+        process_name=f"virtual-mesh-{'x'.join(map(str, args.topology))}")
     if args.out:
         with open(args.out, "w") as f:
             json.dump(trace, f)
-        print(f"{source}: {len(trace['traceEvents'])} trace events "
-              f"written to {args.out}")
+        print(f"executed {len(tracer.spans)}-span workload on the "
+              f"{args.backend} backend: {len(trace['traceEvents'])} trace "
+              f"events written to {args.out}")
     else:
         json.dump(trace, sys.stdout)
         print()
@@ -632,6 +587,8 @@ def cmd_calibrate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.cluster import SCENARIOS
+
     parser = argparse.ArgumentParser(
         prog="repro-inference",
         description=__doc__.split("\n\n")[0])
@@ -720,18 +677,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Perfetto/Chrome trace of an executed workload")
     p.add_argument("--topology", type=_mesh_shape, default=(4, 4, 4),
                    metavar="AxBxC", help="torus shape, e.g. 4x4x4")
-    p.add_argument("--mode", choices=["executed", "cluster"],
-                   default="executed",
-                   help="executed: span stream of the tiny decode "
-                        "workload; cluster: span stream of a chaos "
-                        "scenario run")
-    p.add_argument("--scenario", default="rolling-kill",
-                   help="chaos scenario for --mode cluster")
-    p.add_argument("--seed", type=int, default=0,
-                   help="chaos seed for --mode cluster")
     p.add_argument("--backend", choices=["loop", "stacked"],
-                   default="stacked",
-                   help="mesh backend for executed traces")
+                   default="stacked", help="mesh execution backend")
     p.add_argument("--batch-exec", type=int, default=64,
                    help="batch for the executed workload")
     p.add_argument("--steps", type=int, default=2,
@@ -744,9 +691,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seeded cluster chaos scenarios "
                             "(docs/cluster.md)")
     p.add_argument("--scenario", default="all",
-                   help="scenario name, or 'all' (rolling-kill, "
-                        "planned-drain, correlated-stragglers, "
-                        "overload-burst, breaker-flap)")
+                   help=f"scenario name, or 'all' "
+                        f"({', '.join(sorted(SCENARIOS))})")
     p.add_argument("--backend", choices=["loop", "stacked", "both"],
                    default="loop", help="mesh execution backend")
     p.add_argument("--seed", type=int, default=0,
@@ -754,23 +700,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "scenario, backend and seed)")
     p.add_argument("--trace", help="write the last run's cluster span "
                                    "trace JSON here")
+    p.add_argument("--json", help="write every run's journal + audit "
+                                  "artifact JSON here")
     p.set_defaults(func=cmd_chaos)
-
-    p = sub.add_parser("recovery",
-                       help="crash-recovery chaos: journal replay, "
-                            "transactional KV handoff, restart storms "
-                            "(docs/fault_tolerance.md)")
-    p.add_argument("--scenario", default="all",
-                   help="one of the recovery scenarios, or 'all' "
-                        "(control-plane-crash-mid-drain, pool-partition, "
-                        "restart-storm, prefill-kill-mid-handoff)")
-    p.add_argument("--backend", choices=["loop", "stacked", "both"],
-                   default="both", help="mesh execution backend")
-    p.add_argument("--seeds", default="0,1,7",
-                   help="comma-separated workload seeds")
-    p.add_argument("--json", help="write the journal + audit artifact "
-                                  "JSON here")
-    p.set_defaults(func=cmd_recovery)
 
     p = sub.add_parser("autoscale",
                        help="trace-driven autoscale benchmark "

@@ -89,7 +89,7 @@ from repro.observability.metrics import (
     kvstore_stats_line,
 )
 from repro.observability.spans import record_marks
-from repro.serving.engine import Request, TwoPhaseServer
+from repro.serving.engine import Request
 from repro.serving.resilient import CostModel
 
 Coord = tuple[int, int, int]
@@ -429,7 +429,7 @@ class ChaosReport:
     #: The run's span stream (virtual-clock timestamps), for export: the
     #: tracer's group regions, then one mark per journal record.
     spans: list = field(default_factory=list, repr=False)
-    #: The run's full journal as plain dicts (for the ``recovery`` CLI
+    #: The run's full journal as plain dicts (for the ``chaos --json``
     #: artifact; small — tens to hundreds of records per run).
     journal_dump: list = field(default_factory=list, repr=False)
 
@@ -459,12 +459,14 @@ def build_workload(scenario: ChaosScenario,
 
 
 def reference_completions(submissions: Sequence[ClusterSubmission],
-                          weights, decode_batch: int):
-    """Fault-free reference tokens, keyed by request id."""
-    requests = [s.request for s in submissions]
-    server = TwoPhaseServer(ReferenceTransformer(weights),
-                            decode_batch=decode_batch)
-    return {c.request_id: c for c in server.serve(requests)}
+                          weights) -> dict[int, np.ndarray]:
+    """Fault-free greedy tokens (prompt + output) by request id, each
+    request generated alone on the reference model."""
+    ref = ReferenceTransformer(weights)
+    return {s.request.request_id:
+            ref.generate(s.request.prompt[None, :],
+                         s.request.max_new_tokens)[0]
+            for s in submissions}
 
 
 def _check(report: ChaosReport, scenario: ChaosScenario,
@@ -547,7 +549,7 @@ def run_scenario(scenario: ChaosScenario | str, *, backend: str = "loop",
     The report keeps the run's whole timeline: ``journal_dump`` holds
     every record the plane wrote, and ``spans`` the tracer's group
     regions plus one mark per record (the ``repro-inference chaos
-    --trace`` and ``trace --mode cluster`` exporters read it).
+    --trace`` exporter reads it).
     """
     if isinstance(scenario, str):
         try:
@@ -574,8 +576,7 @@ def run_scenario(scenario: ChaosScenario | str, *, backend: str = "loop",
         restarts=dict(scenario.restarts),
         crash_at_s=scenario.crash_at_s)
     outcomes = plane.serve(submissions)
-    reference = reference_completions(submissions, weights,
-                                      scenario.decode_batch)
+    reference = reference_completions(submissions, weights)
 
     report = ChaosReport(scenario.name, backend or "default", seed)
     report.submitted = len(submissions)
@@ -626,7 +627,7 @@ def run_scenario(scenario: ChaosScenario | str, *, backend: str = "loop",
         report.replay_matches = False
     audit = audit_run(
         journal, final_state=plane.control_state(),
-        reference={rid: c.tokens for rid, c in reference.items()})
+        reference=reference)
     report.audit_certified = audit.certified
     report.audit_violations = list(audit.violations)
     report.journal_dump = [
@@ -669,9 +670,9 @@ def run_scenario(scenario: ChaosScenario | str, *, backend: str = "loop",
         if outcome.output_capped:
             # A brownout-capped stream is a greedy prefix of the
             # uncapped reference (greedy decode is horizon-invariant).
-            identical = np.array_equal(tokens, ref.tokens[:len(tokens)])
+            identical = np.array_equal(tokens, ref[:len(tokens)])
         else:
-            identical = np.array_equal(tokens, ref.tokens)
+            identical = np.array_equal(tokens, ref)
         if not identical:
             report.bit_identical = False
     _check(report, scenario, outcomes)

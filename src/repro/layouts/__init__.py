@@ -8,22 +8,10 @@ from repro.layouts.helpers import (
 )
 from repro.layouts.kv_cache import ShardedKVCache
 from repro.layouts.model import ShardedTransformer
-from repro.layouts.vocab import (
-    distributed_greedy,
-    distributed_sample,
-    distributed_top_k,
-    sharded_embedding_lookup,
-    sharded_logits,
-)
 
 __all__ = [
     "ShardedKVCache",
     "ShardedTransformer",
-    "distributed_greedy",
-    "distributed_sample",
-    "distributed_top_k",
-    "sharded_embedding_lookup",
-    "sharded_logits",
     "local_attention",
     "sharded_rmsnorm",
     "sharded_rope",

@@ -15,7 +15,6 @@ from repro.model.presets import (
     get_model,
     tiny_test_config,
 )
-from repro.model.io import load_weights, save_weights
 from repro.model.reference import (
     KVCache,
     LayerWeights,
@@ -48,9 +47,7 @@ __all__ = [
     "get_model",
     "greedy",
     "init_weights",
-    "load_weights",
     "make_sampler",
-    "save_weights",
     "sample",
     "tiny_test_config",
 ]

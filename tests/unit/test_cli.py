@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.cluster import SCENARIOS
 
 
 def run(capsys, *argv):
@@ -104,8 +105,7 @@ class TestTrace:
         assert any(e["cat"] == "collective" for e in xs)
 
     def test_trace_to_stdout(self, capsys):
-        out = run(capsys, "trace", "--mode", "executed", "--topology",
-                  "2x2x2", "--steps", "1")
+        out = run(capsys, "trace", "--topology", "2x2x2", "--steps", "1")
         assert json.loads(out)["traceEvents"]
 
     def test_bad_topology_rejected(self):
@@ -174,9 +174,9 @@ class TestChaos:
 
     def test_all_scenarios_both_backends(self, capsys):
         out = run(capsys, "chaos", "--backend", "both")
-        for name in ("rolling-kill", "planned-drain", "overload-burst",
-                     "correlated-stragglers", "breaker-flap"):
-            assert f"scenario {name}" in out
+        for name in SCENARIOS:
+            for backend in ("loop", "stacked"):
+                assert f"scenario {name} [backend={backend} " in out
         assert "backend=loop" in out and "backend=stacked" in out
         assert "VIOLATED" not in out
 
@@ -189,11 +189,25 @@ class TestChaos:
         names = {e["name"] for e in trace["traceEvents"]}
         assert any(n.startswith("group") for n in names)
 
-    def test_cluster_trace_mode(self, capsys):
-        out = run(capsys, "trace", "--mode", "cluster", "--scenario",
-                  "breaker-flap", "--topology", "2x2x2")
-        trace = json.loads(out)
-        assert trace["traceEvents"]
+    def test_json_artifact(self, capsys, tmp_path):
+        path = tmp_path / "runs.json"
+        out = run(capsys, "chaos", "--scenario", "restart-storm",
+                  "--backend", "both", "--json", str(path))
+        assert "written to" in out
+        doc = json.loads(path.read_text())
+        assert doc["ok"] is True
+        assert [(r["scenario"], r["backend"], r["seed"])
+                for r in doc["runs"]] == [("restart-storm", "loop", 0),
+                                          ("restart-storm", "stacked", 0)]
+        for r in doc["runs"]:
+            assert r["ok"] and r["replay_matches"] and r["audit_certified"]
+            assert r["restarts"] > 0
+            assert r["journal"] and len(r["journal"]) == \
+                r["journal_records"]
+            assert {"violations", "audit_violations", "journal_truncated",
+                    "recoveries", "quarantines", "kv_handoffs",
+                    "handoff_retries", "handoff_aborts",
+                    "handoff_dup_drops"} <= set(r)
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):

@@ -186,10 +186,10 @@ class TestDegradePaths:
         outcomes = plane.serve(subs)
         assert len(completed(outcomes)) == 1
         assert plane.handoffs_colocated >= 1
-        reference = reference_completions(subs, WEIGHTS, 4)
+        reference = reference_completions(subs, WEIGHTS)
         out = outcomes[0]
         assert np.array_equal(out.completion.tokens,
-                              reference[out.request_id].tokens)
+                              reference[out.request_id])
 
     def test_dead_decode_pool_falls_back_colocated(self):
         plane = make_plane()
@@ -227,10 +227,10 @@ class TestDegradePaths:
             assert plane.kv_handoffs == 2
             assert plane.handoff_retries >= 1
             assert plane.handoff_aborts == 0
-        reference = reference_completions(subs, WEIGHTS, 4)
+        reference = reference_completions(subs, WEIGHTS)
         for out in completed(outcomes):
             assert np.array_equal(out.completion.tokens,
-                                  reference[out.request_id].tokens)
+                                  reference[out.request_id])
 
     def test_handoff_to_draining_decode_replica(self):
         # The only decode replica is being drained; in-flight handoffs
@@ -242,10 +242,10 @@ class TestDegradePaths:
         subs = make_submissions(8)
         outcomes = plane.serve(subs)
         assert len(completed(outcomes)) == 8
-        reference = reference_completions(subs, WEIGHTS, 4)
+        reference = reference_completions(subs, WEIGHTS)
         for out in completed(outcomes):
             assert np.array_equal(out.completion.tokens,
-                                  reference[out.request_id].tokens)
+                                  reference[out.request_id])
 
     def test_long_prompt_spans_prefill_chunks(self):
         # Prompts longer than the default prefill chunk (4 tokens)
@@ -255,10 +255,10 @@ class TestDegradePaths:
         outcomes = plane.serve(subs)
         assert len(completed(outcomes)) == 4
         assert plane.kv_handoffs >= 1
-        reference = reference_completions(subs, WEIGHTS, 4)
+        reference = reference_completions(subs, WEIGHTS)
         for out in completed(outcomes):
             assert np.array_equal(out.completion.tokens,
-                                  reference[out.request_id].tokens)
+                                  reference[out.request_id])
 
 
 class TestMidHandoffKill:
@@ -329,10 +329,10 @@ class TestHandoffDedup:
         dup_groups = {d["group"] for d
                       in plane.journal.of_kind("kv_handoff_deduped")}
         assert dup_groups <= set(committed)
-        reference = reference_completions(subs, WEIGHTS, 4)
+        reference = reference_completions(subs, WEIGHTS)
         for out in completed(outcomes):
             assert np.array_equal(out.completion.tokens,
-                                  reference[out.request_id].tokens)
+                                  reference[out.request_id])
 
 
 class TestPoolPartitionSpec:
@@ -386,10 +386,10 @@ class TestCollapseRestore:
         plane.collapse_pools(0.02)  # mid-arrival-window
         outcomes = plane.serve(subs)
         assert len(completed(outcomes)) == 8
-        reference = reference_completions(subs, WEIGHTS, 4)
+        reference = reference_completions(subs, WEIGHTS)
         for out in completed(outcomes):
             assert np.array_equal(out.completion.tokens,
-                                  reference[out.request_id].tokens)
+                                  reference[out.request_id])
 
 
 class TestPooledAutoscaler:

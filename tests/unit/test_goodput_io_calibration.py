@@ -1,21 +1,9 @@
-"""Tests for cost conversions, weight checkpoints, and the calibration."""
+"""Tests for cost conversions and the calibration."""
 
-import numpy as np
 import pytest
 
 from repro.hardware import TPU_V4
-from repro.model import (
-    PALM_540B,
-    ReferenceTransformer,
-    init_weights,
-    tiny_test_config,
-)
-from repro.model.io import (
-    config_from_dict,
-    config_to_dict,
-    load_weights,
-    save_weights,
-)
+from repro.model import PALM_540B
 from repro.perf.calibrate import (
     TABLE2_ANCHORS,
     EfficiencyModel,
@@ -60,44 +48,6 @@ class TestGoodput:
             PricedPoint(0.0, 1.0)
         with pytest.raises(ValueError):
             fleet_tokens_per_second(0, 1.0)
-
-
-class TestWeightsIO:
-    def test_roundtrip_preserves_forward_pass(self, tmp_path):
-        cfg = tiny_test_config()
-        weights = init_weights(cfg, seed=4)
-        path = tmp_path / "ckpt.npz"
-        save_weights(weights, path)
-        loaded = load_weights(path)
-        assert loaded.config == cfg
-        tokens = np.array([[1, 2, 3]])
-        original = ReferenceTransformer(weights)
-        restored = ReferenceTransformer(loaded)
-        np.testing.assert_array_equal(
-            original.forward(tokens, original.new_cache(1, 3)),
-            restored.forward(tokens, restored.new_cache(1, 3)))
-
-    def test_serial_block_roundtrip(self, tmp_path):
-        cfg = tiny_test_config(parallel_block=False)
-        weights = init_weights(cfg, seed=5)
-        path = tmp_path / "serial.npz"
-        save_weights(weights, path)
-        loaded = load_weights(path)
-        np.testing.assert_array_equal(loaded.layers[0].ln2_scale,
-                                      weights.layers[0].ln2_scale)
-
-    def test_config_dict_roundtrip(self):
-        cfg = tiny_test_config()
-        assert config_from_dict(config_to_dict(cfg)) == cfg
-
-    def test_corrupt_checkpoint_rejected(self, tmp_path):
-        cfg = tiny_test_config()
-        weights = init_weights(cfg)
-        path = tmp_path / "bad.npz"
-        weights.embedding = weights.embedding[:-1]  # wrong vocab rows
-        save_weights(weights, path)
-        with pytest.raises(ValueError, match="embedding shape"):
-            load_weights(path)
 
 
 class TestCalibration:

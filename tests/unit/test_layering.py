@@ -15,34 +15,21 @@ from pathlib import Path
 
 import pytest
 
+from tests.unit.test_module_reach import imports
+
 SRC = Path(__file__).resolve().parents[2] / "src"
 SERVING = SRC / "repro" / "serving"
-
-
-def imported_modules(path: Path) -> list[tuple[int, str]]:
-    """Every absolute module name ``path`` imports, with its line."""
-    package = "repro.serving"
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Import):
-            found.extend((node.lineno, a.name) for a in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                parent = package.rsplit(".", node.level - 1)[0]
-                base = f"{parent}.{base}" if base else parent
-            found.append((node.lineno, base))
-            found.extend((node.lineno, f"{base}.{a.name}")
-                         for a in node.names)
-    return found
 
 
 def test_serving_never_imports_cluster():
     modules = sorted(SERVING.rglob("*.py"))
     assert modules
+    found = [(path, node.lineno, f"{module}.{name}" if name else module)
+             for path in modules
+             for node, module, name in imports(ast.parse(path.read_text()),
+                                               "repro.serving")]
     offenders = [f"{path.relative_to(SRC)}:{line}: {name}"
-                 for path in modules
-                 for line, name in imported_modules(path)
+                 for path, line, name in found
                  if name == "repro.cluster"
                  or name.startswith("repro.cluster.")]
     assert not offenders, offenders
