@@ -1,10 +1,5 @@
-"""Baselines: published FasterTransformer data + analytical A100 model."""
+"""Baselines: the published FasterTransformer tables (Section 5)."""
 
-from repro.baselines.a100 import (
-    GpuBenchResult,
-    run_workload,
-    tensor_parallel_estimator,
-)
 from repro.baselines.fastertransformer import (
     FT_BASELINES,
     FT_PP3_TP8,
@@ -23,13 +18,10 @@ __all__ = [
     "FT_PP3_TP8",
     "FT_TP16",
     "FT_TP32",
-    "GpuBenchResult",
     "PAPER_MTNLG_TOTAL",
     "PAPER_PALM_TOTAL",
     "PublishedResult",
     "WORKLOADS",
     "Workload",
     "pareto_frontier_cells",
-    "run_workload",
-    "tensor_parallel_estimator",
 ]

@@ -1,4 +1,4 @@
-"""Collective communication: analytic costs + executable ring algorithms."""
+"""Collective communication: analytic costs (Appendix A.1)."""
 
 from repro.collectives.cost import (
     CollectiveCost,
@@ -7,23 +7,11 @@ from repro.collectives.cost import (
     all_to_all_time,
     reduce_scatter_time,
 )
-from repro.collectives.ring import (
-    RingStats,
-    collective_permute,
-    ring_all_gather,
-    ring_all_reduce,
-    ring_reduce_scatter,
-)
 
 __all__ = [
     "CollectiveCost",
-    "RingStats",
     "all_gather_time",
     "all_reduce_time",
     "all_to_all_time",
-    "collective_permute",
     "reduce_scatter_time",
-    "ring_all_gather",
-    "ring_all_reduce",
-    "ring_reduce_scatter",
 ]

@@ -20,7 +20,6 @@ from repro.mesh.faults import (
     clear_faults,
     install_fault_plan,
 )
-from repro.mesh.looped import all_gather_einsum, einsum_reduce_scatter
 from repro.mesh.ops import (
     CommRecord,
     einsum_output_layout,
@@ -61,9 +60,7 @@ __all__ = [
     "clear_faults",
     "default_backend",
     "install_fault_plan",
-    "all_gather_einsum",
     "einsum_output_layout",
-    "einsum_reduce_scatter",
     "ShardedTensor",
     "VirtualMesh",
     "all_gather",

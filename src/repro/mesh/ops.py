@@ -400,11 +400,10 @@ def einsum_output_layout(subscripts: str, a: ShardedTensor,
                          ) -> tuple[ShardSpec, tuple[int, ...]]:
     """Shape/sharding inference of :func:`sharded_einsum`, without compute.
 
-    Returns the output ``(spec, global_shape)``; used by the looped
-    (fused) einsum variants, which build their outputs incrementally.
-    The inference itself is a pure function of the subscripts, operand
-    specs and global shapes, so it is memoized — an einsum deep inside a
-    decode loop repeats the same handful of layouts every step.
+    Returns the output ``(spec, global_shape)``.  The inference is a pure
+    function of the subscripts, operand specs and global shapes, so it is
+    memoized — an einsum deep inside a decode loop repeats the same
+    handful of layouts every step.
     """
     if a.mesh is not b.mesh:
         raise ShardingError("operands live on different meshes")

@@ -175,6 +175,8 @@ def _fused_einsum(mesh, lhs: str, rhs: str, out_sub: str):
     subs = f"...{lhs},...{rhs}->...{out_sub}"
 
     def run(x, w, out=None):
+        if out is None:
+            return _einsum(subs, x, w)
         return _einsum(subs, x, w, out=out)
     return run
 

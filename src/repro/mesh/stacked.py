@@ -32,8 +32,8 @@ axes into ``axes`` order and flattening.
 
 Observability: these kernels carry no instrumentation of their own — the
 span hooks live at the backend-independent entry points in
-:mod:`repro.mesh.ops` and :mod:`repro.mesh.looped`, so a tracer sees the
-same event stream whichever backend executes it.
+:mod:`repro.mesh.ops`, so a tracer sees the same event stream whichever
+backend executes it.
 """
 
 from __future__ import annotations
@@ -474,13 +474,6 @@ def split(mesh, shards: np.ndarray, axes: Sequence[str],
     return _ungroup(out, meta, new_local)
 
 
-def collective_permute(mesh, shards: np.ndarray, axis: str,
-                       shift: int) -> np.ndarray:
-    """Ring-shift buffers along a torus axis: one ``np.roll``."""
-    axis_idx = AXIS_NAMES.index(axis)
-    return np.roll(shards, shift, axis=axis_idx)
-
-
 # ---------------------------------------------------------------------------
 # Batched einsum
 # ---------------------------------------------------------------------------
@@ -506,21 +499,6 @@ def batched_einsum(mesh, lhs: str, rhs: str, out_subs: str,
 @lru_cache(maxsize=None)
 def _ellipsis_subscripts(lhs: str, rhs: str, out: str) -> str:
     return f"...{lhs},...{rhs}->...{out}"
-
-
-def take_local_slices(mesh, shards: np.ndarray, dim_idx: int,
-                      start_grid: np.ndarray, length: int) -> np.ndarray:
-    """Per-device slices ``[start:start+length]`` of one local dim.
-
-    ``start_grid`` is an integer array over the device grid giving each
-    device's slice offset — the vectorized form of the per-device
-    ``np.take`` in the looped CollectiveEinsum.
-    """
-    local_ndim = shards.ndim - 3
-    offsets = np.arange(length).reshape(
-        tuple(length if i == dim_idx else 1 for i in range(local_ndim)))
-    index = start_grid.reshape(mesh.shape + (1,) * local_ndim) + offsets
-    return np.take_along_axis(shards, index, axis=3 + dim_idx)
 
 
 # ---------------------------------------------------------------------------

@@ -60,12 +60,10 @@ class VirtualMesh:
                 f"unknown mesh backend {backend!r}; choose one of "
                 f"{BACKENDS}")
         self.backend = backend
-        # Group coordinate lists and rank grids are pure functions of
-        # (shape, axes); they are re-used by every collective call, so
-        # derive each once.
+        # Group coordinate lists are pure functions of (shape, axes);
+        # they are re-used by every collective call, so derive each once.
         self._groups_cache: dict[tuple[str, ...],
                                  list[list[tuple[int, int, int]]]] = {}
-        self._rank_grid_cache: dict[tuple[str, ...], np.ndarray] = {}
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -144,25 +142,6 @@ class VirtualMesh:
             rank = rank * self.axis_size(axis) + coord
         return rank
 
-    def rank_grid(self, axes: Sequence[str]) -> np.ndarray:
-        """Integer array over the device grid of each device's group rank.
-
-        ``rank_grid(axes)[coord] == rank_in_group(coord, axes)``; used by
-        the stacked backend to vectorize rank-dependent slicing.  Cached
-        per axes tuple (ring einsums request the same grid every step).
-        """
-        axes = tuple(axes)
-        cached = self._rank_grid_cache.get(axes)
-        if cached is None:
-            coords = np.indices(self.shape)
-            rank = np.zeros(self.shape, dtype=np.intp)
-            for axis in axes:
-                idx = AXIS_NAMES.index(axis)
-                rank = rank * self.shape[idx] + coords[idx]
-            cached = rank
-            self._rank_grid_cache[axes] = cached
-        return cached
-
     def install_faults(self, plan, event_log=None):
         """Attach a :class:`~repro.mesh.faults.FaultPlan` to this mesh.
 
@@ -179,11 +158,10 @@ class VirtualMesh:
         """Attach a :class:`~repro.observability.Tracer` to this mesh.
 
         From then on every collective and sharded einsum in
-        :mod:`repro.mesh.ops` (and every ring step of the looped einsums)
-        is recorded as a structured span with wall-clock timing and the
-        Appendix A.1 modeled cost at ``chip``'s constants (default TPU
-        v4).  Works identically on both backends; remove with
-        :func:`repro.observability.remove_tracer`.
+        :mod:`repro.mesh.ops` is recorded as a structured span with
+        wall-clock timing and the Appendix A.1 modeled cost at ``chip``'s
+        constants (default TPU v4).  Works identically on both backends;
+        remove with :func:`repro.observability.remove_tracer`.
         """
         from repro.observability.spans import install_tracer
 

@@ -39,13 +39,11 @@ from repro.observability.metrics import (
 from repro.observability.spans import (
     COLLECTIVE,
     COMPUTE,
-    FUSED,
     LAYER,
     MARK,
     PHASE,
     REGION,
     REQUEST,
-    RING_STEP,
     Span,
     Tracer,
     install_tracer,
@@ -55,8 +53,8 @@ from repro.observability.spans import (
 )
 
 __all__ = [
-    "COLLECTIVE", "COMPUTE", "FUSED", "LAYER", "MARK", "PHASE", "REGION",
-    "REQUEST", "RING_STEP", "Span", "Tracer", "install_tracer",
+    "COLLECTIVE", "COMPUTE", "LAYER", "MARK", "PHASE", "REGION",
+    "REQUEST", "Span", "Tracer", "install_tracer",
     "record_marks", "remove_tracer", "tracer_of", "GroupMetrics",
     "phase_metrics", "layer_metrics", "format_phase_metrics",
     "format_layer_metrics",

@@ -31,9 +31,7 @@ SPAN_LANES = (
     ("request", "requests"),
     ("phase", "phases"),
     ("layer", "layers"),
-    ("fused", "fused einsums"),
     ("collective", "collectives"),
-    ("ring_step", "ring steps"),
     ("compute", "einsums"),
     ("region", "regions"),
 )

@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.hardware.chip import TPU_V4, ChipSpec
-from repro.observability.spans import COLLECTIVE, COMPUTE, PHASE, RING_STEP
+from repro.observability.spans import COLLECTIVE, COMPUTE, PHASE
 
 #: Span kinds that carry cost; envelope/region spans only provide wall
 #: time and grouping context.
-_LEAF_KINDS = (COLLECTIVE, RING_STEP, COMPUTE)
+_LEAF_KINDS = (COLLECTIVE, COMPUTE)
 
 
 @dataclass
@@ -60,7 +60,7 @@ class GroupMetrics:
         return (self.flops / (chip.peak_flops * total)) if total else 0.0
 
     def _absorb(self, span) -> None:
-        if span.kind in (COLLECTIVE, RING_STEP):
+        if span.kind == COLLECTIVE:
             self.collective_counts[span.name] = \
                 self.collective_counts.get(span.name, 0) + 1
             self.comm_bytes += span.attrs.get("payload_bytes", 0)

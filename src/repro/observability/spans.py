@@ -1,15 +1,15 @@
 """Structured spans for everything the virtual mesh executes.
 
 The analytical model (Section 2, Appendix A.1) is only trustworthy while
-the executed program stays observable: every collective, sharded einsum
-and Looped-CollectiveEinsum ring step that runs on a
-:class:`~repro.mesh.virtual_mesh.VirtualMesh` can be recorded as a
-:class:`Span` — op, mesh axes, payload bytes, element count, wall-clock
-duration, and the *modeled* time the Appendix A.1 cost model assigns to
-the same event.  Aggregated (:mod:`repro.observability.metrics`), the
-spans give per-phase/per-layer communication volume and roofline
-occupancy; exported (:mod:`repro.observability.chrome_trace`), they give
-a Perfetto timeline; replayed against the symbolic generator
+the executed program stays observable: every collective and sharded
+einsum that runs on a :class:`~repro.mesh.virtual_mesh.VirtualMesh` can
+be recorded as a :class:`Span` — op, mesh axes, payload bytes, element
+count, wall-clock duration, and the *modeled* time the Appendix A.1 cost
+model assigns to the same event.  Aggregated
+(:mod:`repro.observability.metrics`), the spans give per-phase/per-layer
+communication volume and roofline occupancy; exported
+(:mod:`repro.observability.chrome_trace`), they give a Perfetto
+timeline; replayed against the symbolic generator
 (:mod:`repro.observability.crosscheck`), they keep the estimator honest.
 
 Point events are not recorded here.  A control-plane transition (a
@@ -23,10 +23,10 @@ plus marks derived from the one timeline.
 Instrumentation is off by default and costs one ``getattr`` per op when
 off.  Attach a tracer with :meth:`VirtualMesh.install_tracer` (or
 :func:`install_tracer` here); the hooks in :mod:`repro.mesh.ops`,
-:mod:`repro.mesh.looped`, :mod:`repro.layouts.model` and
-:mod:`repro.serving.sharded` then fill it in, on **both** mesh execution
-backends — the hooks sit at the backend-independent entry points, so
-``loop`` and ``stacked`` runs produce directly comparable span streams.
+:mod:`repro.layouts.model` and :mod:`repro.serving.sharded` then fill it
+in, on **both** mesh execution backends — the hooks sit at the
+backend-independent entry points, so ``loop`` and ``stacked`` runs
+produce directly comparable span streams.
 
 Basic use (no mesh needed — the tracer is a plain recorder)::
 
@@ -57,8 +57,6 @@ from repro.hardware.chip import TPU_V4, ChipSpec
 #: Span kinds emitted by the built-in instrumentation.
 COLLECTIVE = "collective"   # one mesh collective (all_gather, ...)
 COMPUTE = "compute"         # one sharded einsum
-RING_STEP = "ring_step"     # one collective-permute hop of a looped einsum
-FUSED = "fused"             # envelope of a Looped-CollectiveEinsum
 PHASE = "phase"             # prefill / decode region
 LAYER = "layer"             # one transformer block
 REQUEST = "request"         # one serving request
@@ -157,14 +155,13 @@ class Tracer:
 
     def collective(self, op: str, axes: Sequence[str], group_size: int,
                    payload_bytes: int, *, elements: int = 0,
-                   start_s: float | None = None,
-                   kind: str = COLLECTIVE, **extra: Any) -> Span:
+                   start_s: float | None = None, **extra: Any) -> Span:
         """Record one collective with its Appendix A.1 modeled time.
 
         ``payload_bytes`` follows the :class:`repro.mesh.ops.CommRecord`
         convention (per-chip output for all-gather, input for
         reduce-scatter, 2x buffer for all-reduce, buffer for all-to-all,
-        zero for split; one in-flight buffer for a ring step).
+        zero for split).
         """
         end = self.now()
         start = end if start_s is None else start_s
@@ -175,7 +172,8 @@ class Tracer:
                                                    group_size),
         }
         attrs.update(extra)
-        return self._record(op, kind, start, end - start, attrs=attrs)
+        return self._record(op, COLLECTIVE, start, end - start,
+                            attrs=attrs)
 
     def compute(self, name: str, *, flops: float = 0.0, elements: int = 0,
                 start_s: float | None = None, **extra: Any) -> Span:

@@ -8,12 +8,6 @@ from repro.perf.comm_model import (
 )
 from repro.perf.calibrate import calibrate, objective as calibration_objective
 from repro.perf.efficiency import IDEAL, EfficiencyModel
-from repro.perf.goodput import (
-    PricedPoint,
-    fleet_tokens_per_second,
-    mfu_from_cost,
-    usd_per_million_tokens,
-)
 from repro.perf.estimator import GenerateCost, InferenceEstimator, PhaseCost
 from repro.perf.memory import (
     DEFAULT_USABLE_FRACTION,
@@ -25,11 +19,6 @@ from repro.perf.memory import (
     table1_max_context,
     weight_bytes_per_chip,
 )
-from repro.perf.pipeline import (
-    PipelineCost,
-    pipeline_decode_step_cost,
-    pipeline_prefill_cost,
-)
 from repro.perf.pareto import (
     OperatingPoint,
     pareto_frontier,
@@ -39,17 +28,10 @@ from repro.perf.pareto import (
 
 __all__ = [
     "AnalyticCollective",
-    "PipelineCost",
-    "PricedPoint",
     "calibrate",
     "calibration_objective",
     "fits_with_transients",
-    "fleet_tokens_per_second",
-    "mfu_from_cost",
     "peak_activation_bytes",
-    "pipeline_decode_step_cost",
-    "pipeline_prefill_cost",
-    "usd_per_million_tokens",
     "DEFAULT_USABLE_FRACTION",
     "EfficiencyModel",
     "GenerateCost",

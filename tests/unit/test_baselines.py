@@ -1,6 +1,4 @@
-"""Tests for the FasterTransformer baseline data and the A100 model."""
-
-import pytest
+"""Tests for the published FasterTransformer baseline tables."""
 
 from repro.baselines import (
     FT_BASELINES,
@@ -10,9 +8,7 @@ from repro.baselines import (
     PAPER_PALM_TOTAL,
     WORKLOADS,
     pareto_frontier_cells,
-    run_workload,
 )
-from repro.model import MEGATRON_530B
 
 
 class TestPublishedTables:
@@ -80,25 +76,3 @@ class TestParetoCells:
         best_mfu = max(cells, key=lambda c: c.mfu_pct)
         assert fastest in frontier
         assert best_mfu in frontier
-
-
-class TestA100Model:
-    def test_mfu_rises_with_batch(self):
-        mfus = [run_workload(MEGATRON_530B, 16, b, 60, 20).mfu
-                for b in (1, 16, 256)]
-        assert mfus == sorted(mfus)
-
-    def test_tp32_mfu_below_tp16_at_equal_batch(self):
-        # The communication-bound scaling FT observed (Section 5).
-        r16 = run_workload(MEGATRON_530B, 16, 64, 60, 20)
-        r32 = run_workload(MEGATRON_530B, 32, 64, 60, 20)
-        assert r32.mfu < r16.mfu
-        assert r32.time_s < r16.time_s  # but it is still faster
-
-    def test_magnitudes_within_2x_of_published(self):
-        """The analytical A100 model lands within ~2x of the published FT
-        wall-clock across the mid-batch range."""
-        published = {8: 1631, 32: 2361, 128: 5406}  # TP16 60/20 column
-        for batch, ms in published.items():
-            ours = run_workload(MEGATRON_530B, 16, batch, 60, 20)
-            assert ours.time_s * 1e3 == pytest.approx(ms, rel=1.0)

@@ -9,7 +9,7 @@ from the same global tensors — hypothesis choosing shapes, dtypes, and
 data — and assert exact equality shard by shard.
 
 Also covers the memoization added alongside the backend: the analytic
-collective-cost lru_caches, and the per-mesh group/rank-grid caches.
+collective-cost lru_caches, and the per-mesh group cache.
 """
 
 import numpy as np
@@ -25,11 +25,9 @@ from repro.mesh import (
     ShardedTensor,
     VirtualMesh,
     all_gather,
-    all_gather_einsum,
     all_reduce,
     all_to_all,
     default_backend,
-    einsum_reduce_scatter,
     reduce_scatter,
     sharded_einsum,
     split,
@@ -182,7 +180,7 @@ def test_all_reduce_identical(x_spec, w_spec, axes, dim, dims, dtype, seed):
 
 
 # ---------------------------------------------------------------------------
-# Einsum fast path + fused looped collectives
+# Einsum fast path
 # ---------------------------------------------------------------------------
 
 EINSUM_CASES = [
@@ -209,26 +207,6 @@ def test_sharded_einsum_identical(subscripts, x_spec, w_spec, dims, dtype,
         wt = ShardedTensor.from_global(mesh, w, w_spec)
         outs.append(sharded_einsum(subscripts, xt, wt))
     assert_bit_identical(*outs)
-
-
-@fast
-@given(dims=shape_st, seed=seed_st)
-def test_looped_fused_einsums_identical(dims, seed):
-    """The Section 3.5 fused forms match across backends too."""
-    b, l, e = dims
-    x = random_array((8 * b, 2 * l, 8 * e), np.float64, seed)
-    w = random_array((8 * e, 8), np.float64, seed + 1)
-    ag_outs, rs_outs = [], []
-    for backend in ("loop", "stacked"):
-        mesh = VirtualMesh(MESH_SHAPE, backend=backend)
-        xt = ShardedTensor.from_global(mesh, x, "BLE_z")
-        wt = ShardedTensor.from_global(mesh, w, "EF")
-        ag_outs.append(all_gather_einsum("ble,ef->blf", xt, wt, "z")[0])
-        wt2 = ShardedTensor.from_global(mesh, w, "E_zF")
-        rs_outs.append(
-            einsum_reduce_scatter("ble,ef->blf", xt, wt2, "z", "F")[0])
-    assert_bit_identical(*ag_outs)
-    assert_bit_identical(*rs_outs)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +292,6 @@ def test_mesh_groups_cached_per_axes_tuple():
     cached = mesh._groups_cache[("x", "z")]
     assert list(mesh.groups(("x", "z"))) == first
     assert mesh._groups_cache[("x", "z")] is cached
-    grid = mesh.rank_grid(("x", "z"))
-    assert mesh.rank_grid(("x", "z")) is grid
 
 
 # ---------------------------------------------------------------------------

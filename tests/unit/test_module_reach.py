@@ -25,18 +25,6 @@ ROOT_GLOBS = ("bench/*.py", "benchmarks/*.py", "examples/*.py",
 ALLOWED = {
     "repro.analysis.closed_forms":
         "checked form of EXPERIMENTS.md's Appendix A.2 optima",
-    "repro.baselines.a100":
-        "A100 tensor-parallel model behind test_baselines.py; next triage",
-    "repro.collectives.ring":
-        "ring construction under repro.mesh.looped; goes with it",
-    "repro.mesh.looped":
-        "executable §3.5 CollectiveEinsum, not on the served path; "
-        "next triage",
-    "repro.perf.goodput":
-        "dollar conversions of §4.4's cost metric; next triage",
-    "repro.perf.pipeline":
-        "Appendix D pipeline model under repro.baselines.a100; goes "
-        "with it",
 }
 
 

@@ -8,14 +8,11 @@ from repro.collectives.cost import all_gather_time, all_reduce_time
 from repro.hardware.chip import TPU_V4
 from repro.layouts import ShardedTransformer
 from repro.mesh import ShardedTensor, VirtualMesh, all_gather, all_reduce
-from repro.mesh.looped import all_gather_einsum
 from repro.model import init_weights
 from repro.observability import (
     COLLECTIVE,
     COMPUTE,
-    FUSED,
     PHASE,
-    RING_STEP,
     Tracer,
     install_tracer,
     phase_metrics,
@@ -132,23 +129,6 @@ class TestMeshHooks:
         assert span.name == "ab,bc->ac"
         # Local letters: a=4, b=4 (sharded over x), c=2 -> 2*4*4*2.
         assert span.attrs["flops"] == 64.0
-
-    @pytest.mark.parametrize("backend", ["loop", "stacked"])
-    def test_looped_einsum_ring_steps(self, backend):
-        mesh = VirtualMesh((2, 1, 1), backend=backend)
-        tracer = mesh.install_tracer()
-        x = ShardedTensor.from_global(
-            mesh, np.arange(32, dtype=np.float64).reshape(1, 4, 8),
-            "BLE_x")
-        w = ShardedTensor.from_global(
-            mesh, np.ones((8, 2), dtype=np.float64), "EF")
-        all_gather_einsum("ble,ef->blf", x, w, "x")
-        [envelope] = tracer.of_kind(FUSED)
-        assert envelope.name == "all_gather_einsum:ble,ef->blf"
-        hops = tracer.of_kind(RING_STEP)
-        assert len(hops) == 1  # k - 1 hops on a ring of 2
-        assert all(h.parent_id == envelope.span_id for h in hops)
-        assert hops[0].attrs["payload_bytes"] == x.per_chip_bytes
 
     def test_no_tracer_records_nothing_and_remove(self):
         mesh = VirtualMesh((2, 1, 1))

@@ -24,6 +24,7 @@ from repro.mesh import (
     ShardedTensor,
     VirtualMesh,
     all_gather,
+    sharded_einsum,
 )
 from repro.mesh.capture import (
     CaptureError,
@@ -37,7 +38,6 @@ from repro.mesh.faults import (
     CollectiveTimeout,
     FaultPlan,
 )
-from repro.mesh.looped import all_gather_einsum
 from repro.mesh.stacked import stack_shards, unstack_shards
 from repro.model import init_weights, tiny_test_config
 from repro.partitioning import (
@@ -298,10 +298,16 @@ def shards_equal(mesh, a, b):
 
 
 class TestTapeApi:
-    """The generic ``capturing()`` tape under the looped envelopes."""
+    """The generic ``capturing()`` tape on a gather-then-einsum program."""
+
+    @staticmethod
+    def _gather_einsum(x, w):
+        return sharded_einsum("ble,ef->blf", all_gather(x, ("y",), "E"), w)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_looped_envelope_captures_and_replays(self, backend):
+    def test_gather_einsum_captures_and_replays(self, backend):
+        """A program whose output is a stacked einsum replays: the
+        output has no arena buffer, so its einsum runs without ``out``."""
         mesh = VirtualMesh((1, 4, 1), backend=backend)
         rng = np.random.default_rng(3)
         w = ShardedTensor.from_global(mesh, rng.normal(size=(16, 24)),
@@ -310,25 +316,26 @@ class TestTapeApi:
                                       "BLE_y")
         with capturing(mesh) as recorder:
             # Mark the activation as step-varying: it enters through the
-            # replay context, so the envelope below cannot fold away.
+            # replay context, so the gather below cannot fold away.
             recorder.record(lambda ctx: ctx.tokens, (recorder.CTX,),
                             x.shards, "input")
-            fused, _ = all_gather_einsum("ble,ef->blf", x, w, "y")
-            assert recorder.collectives == 1  # one whole-loop envelope
-            program = recorder.finalize(fused.shards)
+            out = self._gather_einsum(x, w)
+            assert recorder.collectives == 1
+            program = recorder.finalize(out.shards)
         assert program is not None
         assert program.collectives_live == 1
 
         x2 = ShardedTensor.from_global(mesh, rng.normal(size=(4, 2, 16)),
                                        "BLE_y")
-        expected, _ = all_gather_einsum("ble,ef->blf", x2, w, "y")
+        expected = self._gather_einsum(x2, w)
         replayed = program.replay(tokens=x2.shards)
         assert shards_equal(mesh, replayed, expected.shards)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_all_constant_program_folds_to_nothing(self, backend):
-        """With no live inputs the envelope folds; there is nothing to
-        replay and ``finalize`` says so by returning ``None``."""
+    def test_all_constant_gather_einsum_folds_to_nothing(self, backend):
+        """With no live inputs the gather and einsum fold; there is
+        nothing to replay and ``finalize`` says so by returning
+        ``None``."""
         mesh = VirtualMesh((1, 4, 1), backend=backend)
         rng = np.random.default_rng(3)
         x = ShardedTensor.from_global(mesh, rng.normal(size=(4, 2, 16)),
@@ -336,9 +343,9 @@ class TestTapeApi:
         w = ShardedTensor.from_global(mesh, rng.normal(size=(16, 24)),
                                       "EF")
         with capturing(mesh) as recorder:
-            fused, _ = all_gather_einsum("ble,ef->blf", x, w, "y")
+            out = self._gather_einsum(x, w)
             assert recorder.collectives == 1
-            program = recorder.finalize(fused.shards)
+            program = recorder.finalize(out.shards)
         assert program is None
 
     def test_collective_output_survives_the_next_replay(self):
