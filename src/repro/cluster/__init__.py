@@ -62,13 +62,11 @@ from repro.cluster.bench import (
 )
 from repro.cluster.chaos import (
     SCENARIOS,
-    SMOKE_SCENARIOS,
     ChaosReport,
     ChaosScenario,
     build_workload,
     format_report,
     run_scenario,
-    run_suite,
 )
 from repro.cluster.control_plane import (
     ClusterControlPlane,
@@ -99,7 +97,6 @@ from repro.cluster.replica import (
     GroupRun,
     Replica,
     ReplicaHealth,
-    ResilientTwoPhaseServer,
 )
 from repro.cluster.workload import (
     TRACES,
@@ -122,11 +119,10 @@ __all__ = [
     "JOURNAL_KINDS", "Journal", "JournalReplayMismatch",
     "JournalTruncated", "NoHealthyReplica", "PoolPartition", "PoolSpec",
     "PriorityClass", "QueueFull", "RateLimited", "Replica",
-    "ReplicaHealth", "ResilientTwoPhaseServer", "RestartSpec", "SCENARIOS",
-    "SMOKE_SCENARIOS",
+    "ReplicaHealth", "RestartSpec", "SCENARIOS",
     "TRACES", "TokenBucket", "TraceSpec", "audit_run", "autoscale_bench",
     "build_workload", "default_pools", "disagg_bench", "format_audit",
     "format_report", "generate_trace", "handoff_transfer_s", "peak_rate",
     "rate_at", "replay_journal", "run_autoscale", "run_disagg",
-    "run_scenario", "run_suite", "token_crc",
+    "run_scenario", "token_crc",
 ]

@@ -365,11 +365,6 @@ SCENARIOS: dict[str, ChaosScenario] = {s.name: s for s in (
     ),
 )}
 
-#: The fast subset CI runs on every push (all of them are cheap; the
-#: name exists so heavier scenarios can be added without slowing CI).
-SMOKE_SCENARIOS = tuple(SCENARIOS)
-
-
 @dataclass
 class ChaosReport:
     """What one seeded chaos run did, distilled for assertions and CLI."""
@@ -677,13 +672,6 @@ def run_scenario(scenario: ChaosScenario | str, *, backend: str = "loop",
             report.bit_identical = False
     _check(report, scenario, outcomes)
     return report
-
-
-def run_suite(names: Sequence[str] | None = None, *,
-              backend: str = "loop", seed: int = 0) -> list[ChaosReport]:
-    """Run the named scenarios (default: all) under one seed."""
-    return [run_scenario(name, backend=backend, seed=seed)
-            for name in (names or sorted(SCENARIOS))]
 
 
 def format_report(report: ChaosReport) -> str:

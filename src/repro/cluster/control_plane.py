@@ -2,8 +2,9 @@
 
 The paper's Section 4 studies one slice; production PaLM-class serving
 runs many slices behind a router.  :class:`ClusterControlPlane` is that
-router, grown from the single-mesh resilient lifecycle (PR 2) to fleet
-scope:
+router, and the one fault-tolerant serving loop at every fleet size: a
+one-replica plane is the single-mesh server (a faulted group retries in
+place, on the replica replanned around any dead chip):
 
 * **Admission** (:mod:`repro.cluster.admission`) — token buckets,
   bounded priority queues, typed rejections.  Offered load the fleet
@@ -85,7 +86,7 @@ from repro.mesh.faults import FaultPlan, MeshFault, ReplicaCrashed
 from repro.observability.spans import Tracer
 from repro.serving.backoff import jittered_backoff_s
 from repro.serving.engine import Completion, Request, require_unique_ids
-from repro.serving.resilient import CostModel, ResilientRequest
+from repro.serving.resilient import CostModel
 
 Coord = tuple[int, int, int]
 
@@ -180,12 +181,6 @@ class ClusterOutcome:
         if steps <= 0:
             return 0.0
         return (self.finish_s - self.first_token_s) / steps
-
-
-@dataclass
-class _PendingGroup:
-    wrapped: list[ResilientRequest]
-    submissions: list[ClusterSubmission]
 
 
 @dataclass(frozen=True)
@@ -897,21 +892,20 @@ class ClusterControlPlane:
         return bool(heads) and \
             self.now_s - min(h.arrival_s for h in heads) >= wait
 
-    def _wrap(self, sub: ClusterSubmission
-              ) -> tuple[ResilientRequest, bool]:
-        """Wrap a submission, applying any brownout output cap."""
+    def _wrap(self, sub: ClusterSubmission) -> tuple[Request, bool]:
+        """A submission's request, with any brownout output cap applied."""
         request = sub.request
         cap = self.output_caps.get(sub.priority_class)
         capped = cap is not None and request.max_new_tokens > cap
         if capped:
             request = Request(request.request_id, request.prompt, cap)
-        return ResilientRequest(request, deadline_s=sub.deadline_s), capped
+        return request, capped
 
     def _run_group(self, subs: list[ClusterSubmission],
                    by_id: dict[int, ClusterOutcome]) -> None:
         """Run one group to completion with failover/drain/hedge cover."""
         pairs = [self._wrap(s) for s in subs]
-        wrapped = [w for w, _ in pairs]
+        group = [r for r, _ in pairs]
         capped = [c for _, c in pairs]
         first_rid = subs[0].request.request_id
         first_class = subs[0].priority_class
@@ -935,7 +929,7 @@ class ClusterControlPlane:
         hedge_completions: list[Completion] | None = None
         hedge_replica: str | None = None
         first_token_s: float | None = None
-        run = GroupRun(replica, wrapped)
+        run = GroupRun(replica, group)
         t = max(self.now_s, replica.busy_until_s)
         t += self._apply_profile(replica, t)
         self._running.add(replica.name)
@@ -1039,7 +1033,7 @@ class ClusterControlPlane:
                         t = max(t + self.policy.failover_overhead_s,
                                 target.busy_until_s)
                         self._running.discard(run.replica.name)
-                        run = GroupRun(target, wrapped)
+                        run = GroupRun(target, group)
                         self._running.add(target.name)
 
                 # Group decoded to completion on run.replica at time t.
@@ -1382,7 +1376,7 @@ class ClusterControlPlane:
             mode = "cache-migration"
             t = max(t + self.policy.drain_migrate_s, target.busy_until_s)
         except ValueError as exc:
-            new_run = GroupRun(target, run.wrapped)
+            new_run = GroupRun(target, run.group)
             mode = "re-prefill"
             t = max(t + self.policy.failover_overhead_s,
                     target.busy_until_s)
@@ -1413,7 +1407,7 @@ class ClusterControlPlane:
         self.hedges += 1
         self.journal.record(ev.HEDGE, t_s=t, group=gid,
                             source=run.replica.name, target=backup.name)
-        hedge_run = GroupRun(backup, run.wrapped)
+        hedge_run = GroupRun(backup, run.group)
         bt = max(t, backup.busy_until_s)
         self._running.add(backup.name)
         try:

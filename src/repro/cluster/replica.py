@@ -26,10 +26,8 @@ derived from; standalone, any :class:`~repro.events.EventLog`.
 the control plane one decode step at a time — that step granularity is
 what makes mid-decode failover, live KV-cache re-dispatch
 (:meth:`GroupRun.migrate_to`) and hedging observable and testable.
-
-:class:`ResilientTwoPhaseServer` is the single-mesh server: one replica,
-each attempt of a request group run as a :class:`GroupRun`, wrapped in
-admission shedding, bounded retry and straggler eviction.
+A plane with one replica is the single-mesh server: a faulted group
+retries in place on the same (possibly replanned) replica.
 """
 
 from __future__ import annotations
@@ -39,17 +37,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.events import (
-    FAULT_DETECTED,
-    PLAN_SWITCHED,
-    REPLICA_HEALTH,
-    REQUEST_RETRIED,
-    EventLog,
-)
+from repro.events import PLAN_SWITCHED, REPLICA_HEALTH, EventLog
 from repro.hardware.topology import Torus3D
 from repro.mesh import VirtualMesh
 from repro.mesh.capture import ProgramStore, StepCompiler
-from repro.mesh.faults import ChipFailure, FaultPlan, MeshFault
+from repro.mesh.faults import FaultPlan
 from repro.model.sampling import greedy
 from repro.partitioning.degraded import (
     build_deployment,
@@ -63,14 +55,7 @@ from repro.partitioning.degraded import (
 from repro.partitioning.selector import Phase
 from repro.serving.chunked import DEFAULT_PREFILL_CHUNK, chunked_prefill
 from repro.serving.engine import Completion, Request, group_completions
-from repro.serving.resilient import (
-    CacheMigrationFailed,
-    CostModel,
-    RequestLedger,
-    RequestOutcome,
-    ResilientRequest,
-)
-from repro.serving.scheduler import group_requests
+from repro.serving.resilient import CostModel
 from repro.serving.sharded import merge_sharded_caches
 
 Coord = tuple[int, int, int]
@@ -389,13 +374,11 @@ class GroupRun:
     turns into failover, not a dropped request.
     """
 
-    def __init__(self, replica: Replica,
-                 wrapped: Sequence[ResilientRequest]):
-        if not wrapped:
+    def __init__(self, replica: Replica, group: Sequence[Request]):
+        if not group:
             raise ValueError("cannot run an empty request group")
         self.replica = replica
-        self.wrapped = list(wrapped)
-        self.group = [w.request for w in self.wrapped]
+        self.group = list(group)
         self.n_steps = max(r.max_new_tokens for r in self.group)
         self.steps_done = 0
         self.caches = None
@@ -410,10 +393,6 @@ class GroupRun:
     def done(self) -> bool:
         return self.caches is not None and \
             self.steps_done >= self.n_steps - 1
-
-    @property
-    def remaining_steps(self) -> int:
-        return max(self.n_steps - 1 - self.steps_done, 0)
 
     def run_prefill(self) -> float:
         """Prefill every request and merge the decode batch."""
@@ -536,7 +515,7 @@ class GroupRun:
             raise ValueError(
                 f"migrated batch {batch} does not divide target plan's "
                 f"batch group {batch_group}")
-        run = GroupRun(target, self.wrapped)
+        run = GroupRun(target, self.group)
         run.caches = migrated
         run.current = self.current
         run.generated = list(self.generated)
@@ -545,155 +524,3 @@ class GroupRun:
         # replica's store, and the migrated caches carry their own full
         # copy of the prefix.  The control plane releases them.
         return run
-
-
-class ResilientTwoPhaseServer:
-    """Two-phase serving on one mesh with detect -> replan -> retry -> shed.
-
-    Owns one :class:`Replica` (plans chosen by the degraded-mesh
-    selector, ``fault_plan`` installed on its mesh) and runs each attempt
-    of a request group as a :class:`GroupRun`: chunked batch-1 prefill
-    through the replica's program cache and prefix store, then batched
-    greedy decode.  The fault clock ticks once per model invocation, so
-    scheduled faults land at reproducible points in the lifecycle:
-
-    * a :class:`~repro.mesh.faults.ChipFailure` replans the replica onto
-      its largest healthy sub-slice, then the group retries (re-prefill)
-      after exponential backoff; timeouts and corruption retry in place;
-    * stragglers that project a deadline miss are evicted mid-decode —
-      the replica replans without them and the live KV caches migrate;
-    * once degraded, requests whose deadline the reduced capacity
-      cannot meet are shed at admission.
-
-    Time is simulated on :attr:`now_s`, charged by the replica's
-    :class:`~repro.serving.resilient.CostModel`.
-    """
-
-    def __init__(self, weights, shape: Coord, *,
-                 backend: str | None = None, decode_batch: int = 8,
-                 fault_plan: FaultPlan | None = None,
-                 costs: CostModel | None = None,
-                 event_log: EventLog | None = None,
-                 prompt_len_hint: int = 64):
-        if decode_batch < 1:
-            raise ValueError("decode_batch must be >= 1")
-        self.replica = Replica("resilient", weights, shape, backend=backend,
-                               decode_batch=decode_batch,
-                               fault_plan=fault_plan, costs=costs,
-                               journal=event_log,
-                               prompt_len_hint=prompt_len_hint)
-        self.costs = self.replica.costs
-        self.events = self.replica.journal
-        self.now_s = 0.0
-
-    @property
-    def mesh(self) -> VirtualMesh:
-        return self.replica.mesh
-
-    def _estimate_s(self, wreq: ResilientRequest) -> float:
-        """Service-time estimate for admission control, at current capacity."""
-        c, replica = self.costs, self.replica
-        return (c.prefill_cost_s(replica.prefill_profile)
-                + wreq.request.max_new_tokens
-                * c.decode_cost_s(replica.profile)) * replica.scale
-
-    def serve(self, requests: Sequence[Request | ResilientRequest]
-              ) -> list[RequestOutcome]:
-        """Serve all requests; returns one outcome per request, in order."""
-        ledger = RequestLedger(requests, self.events)
-        by_id = {w.request.request_id: w for w in ledger.wrapped}
-        for group in group_requests([w.request for w in ledger.wrapped],
-                                    self.replica.decode_batch):
-            self._serve_group(ledger,
-                              [by_id[r.request_id] for r in group])
-        return ledger.results()
-
-    def _serve_group(self, ledger: RequestLedger,
-                     live: list[ResilientRequest]) -> None:
-        attempt = 0
-        while True:
-            # Shed anything the current (possibly degraded) capacity
-            # cannot finish by its deadline.
-            live = ledger.admit(live, self.now_s, self._estimate_s)
-            if not live:
-                return
-            run = GroupRun(self.replica, live)
-            try:
-                self._run(run)
-            except MeshFault as exc:
-                ledger.detected(exc, self.now_s)
-                attempt += 1
-                live = ledger.fail_exhausted(live, exc, self.now_s)
-                # A chip death is permanent: replan around it.  Timeouts
-                # and corruption are one-shot transients (and a failed
-                # cache migration already replanned), so the deployment
-                # is reused as-is.
-                if isinstance(exc, ChipFailure):
-                    self._replan([exc.chip])
-                backoff = self.costs.backoff_s(attempt)
-                self.now_s += backoff
-                ledger.retried(live, backoff, self.now_s)
-                continue
-            finally:
-                run.release_leases()
-            ledger.complete(live, run.completions(), self.now_s)
-            return
-
-    def _run(self, run: GroupRun) -> None:
-        deadlines = [w.deadline_s for w in run.wrapped
-                     if w.deadline_s is not None]
-        min_deadline = min(deadlines) if deadlines else None
-        self.now_s += run.run_prefill()
-        while not run.done:
-            before = self.replica.delay_s()
-            self.now_s += run.decode_step()
-            self._maybe_evict_stragglers(
-                run, min_deadline, self.replica.delay_s() - before)
-
-    def _replan(self, chips) -> None:
-        self.replica.replan_around(chips)
-        self.now_s += self.costs.replan_s
-
-    def _maybe_evict_stragglers(self, run: GroupRun,
-                                min_deadline: float | None,
-                                step_delay: float) -> None:
-        """Evict straggler chips when they put the group's deadline at risk.
-
-        Stragglers never raise — they only show up as latency — so the
-        server projects the group's finish time and, if a deadline would
-        be blown, replans without the slow chips and *migrates* the live
-        KV caches (the old mesh's data is intact, unlike a chip death, so
-        no recompute is needed).
-        """
-        replica = self.replica
-        remaining = run.remaining_steps
-        if replica.fault_state is None or min_deadline is None \
-                or remaining <= 0 or step_delay <= 0.0:
-            return
-        stragglers = sorted(replica.fault_state.straggler_chips())
-        if not stragglers:
-            return
-        projected = self.now_s + remaining * (
-            self.costs.decode_cost_s(replica.profile) * replica.scale
-            + step_delay)
-        if projected <= min_deadline:
-            return
-        self.events.record(
-            FAULT_DETECTED, error="StragglerFault",
-            detail=f"straggler chips {stragglers} project finish "
-                   f"{projected:.4f}s past deadline {min_deadline:.4f}s",
-            t_s=self.now_s)
-        old = replica.decode_model
-        self._replan(stragglers)
-        try:
-            run.caches = migrate_caches(run.caches, old,
-                                        replica.decode_model)
-        except ValueError as exc:
-            raise CacheMigrationFailed(
-                f"could not migrate caches to mesh {replica.mesh.shape}: "
-                f"{exc}") from exc
-        for wreq in run.wrapped:
-            self.events.record(
-                REQUEST_RETRIED, request_id=wreq.request.request_id,
-                attempt=0, backoff_s=0.0, mode="cache-migration",
-                t_s=self.now_s)

@@ -18,8 +18,8 @@ circuit breakers, the admission controller and the autoscaler, so each
 transition is written once; ``plane.events`` is a read-only alias, and
 the observability layer derives its zero-duration trace marks from the
 same records (:func:`repro.observability.spans.record_marks`).  Without
-a plane (the single-mesh servers, the fault and replanning layers on
-their own) components keep a plain :class:`EventLog`.
+a plane (the fault and replanning layers on their own) components keep
+a plain :class:`EventLog`.
 
     >>> log = EventLog()
     >>> _ = log.record("fault_detected", chip=(0, 1, 0))
@@ -38,17 +38,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 #: Canonical event kinds.  The log accepts any string kind; these
-#: constants keep emitters, replay rules and tests in sync.  Every kind a
-#: cluster control plane writes has exactly one name here and one replay
-#: rule in :data:`repro.cluster.journal._FOLDERS` (a no-op for kinds that
-#: change no control-plane state).
+#: constants keep emitters, replay rules and tests in sync.  Every kind
+#: has exactly one name here and one replay rule in
+#: :data:`repro.cluster.journal._FOLDERS` (a no-op for kinds that change
+#: no control-plane state).
 
-#: Fault-tolerance stack (mesh faults, replanning, single-mesh serving).
+#: Fault-tolerance stack (mesh faults, replanning, request terminals).
 FAULT_INJECTED = "fault_injected"
 FAULT_DETECTED = "fault_detected"
 REPLANNED = "replanned"
-REQUEST_RETRIED = "request_retried"
-REQUEST_SHED = "request_shed"
 REQUEST_COMPLETED = "request_completed"
 REQUEST_FAILED = "request_failed"
 

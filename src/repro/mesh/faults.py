@@ -4,8 +4,8 @@ The paper's recipes assume every chip in the slice stays healthy for the
 whole run; at production scale chips die, links stall and single
 collectives corrupt or time out.  This module makes those failures
 *injectable and schedulable* on the virtual mesh so the layers above
-(replanning in :mod:`repro.partitioning.degraded`, the resilient request
-lifecycle in :mod:`repro.serving.resilient`) can be tested
+(replanning in :mod:`repro.partitioning.degraded`, failover on the
+cluster control plane in :mod:`repro.cluster.control_plane`) can be tested
 deterministically on both execution backends.
 
 A :class:`FaultPlan` is a seeded schedule of faults:

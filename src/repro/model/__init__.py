@@ -11,7 +11,6 @@ from repro.model.presets import (
     PALM_540B_8LAYER_MULTIHEAD,
     PALM_540B_MULTIHEAD,
     PALM_540B_PADDED,
-    PALM_FAMILY,
     get_model,
     tiny_test_config,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "PALM_540B_PADDED",
     "PALM_62B",
     "PALM_8B",
-    "PALM_FAMILY",
     "ReferenceTransformer",
     "TransformerWeights",
     "attention",

@@ -84,8 +84,6 @@ MEGATRON_530B = ModelConfig(
     parallel_block=False,
 )
 
-PALM_FAMILY = (PALM_8B, PALM_62B, PALM_540B)
-
 MODEL_PRESETS = {m.name: m for m in (
     PALM_8B, PALM_62B, PALM_540B, PALM_540B_PADDED, PALM_540B_MULTIHEAD,
     PALM_540B_8LAYER, PALM_540B_8LAYER_MULTIHEAD, MEGATRON_530B)}

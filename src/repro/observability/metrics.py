@@ -208,23 +208,6 @@ def slo_summary(events) -> dict[str, ClassSlo]:
     return classes
 
 
-def format_slo_summary(classes: dict[str, ClassSlo]) -> str:
-    """ASCII per-class SLO table (the autoscale bench report)."""
-    lines = ["Per-class SLO summary",
-             f"{'class':>14s} {'done':>6s} {'goodput':>8s} {'tokens':>8s} "
-             f"{'ttft p50':>10s} {'ttft p99':>10s} {'tpot p50':>10s} "
-             f"{'tpot p99':>10s}"]
-    for name in sorted(classes):
-        d = classes[name].as_dict()
-        lines.append(
-            f"{name:>14s} {d['completed']:>6d} {d['goodput']:>8d} "
-            f"{d['tokens']:>8d} {d['ttft_p50_s'] * 1e3:>8.2f}ms "
-            f"{d['ttft_p99_s'] * 1e3:>8.2f}ms "
-            f"{d['tpot_p50_s'] * 1e3:>8.2f}ms "
-            f"{d['tpot_p99_s'] * 1e3:>8.2f}ms")
-    return "\n".join(lines)
-
-
 def capture_stats_line(stats: dict) -> str:
     """One-line capture-cache summary for per-replica chaos reports."""
     return (f"programs={stats.get('programs', 0)} "

@@ -1,9 +1,6 @@
 """The paper's analytical partitioning framework (Section 3)."""
 
 from repro.partitioning.plan import (
-    DECODE_PLAN_540B,
-    PREFILL_PLAN_LARGE_BATCH,
-    PREFILL_PLAN_SMALL_BATCH,
     AttentionLayoutKind,
     FfnLayoutKind,
     LayoutPlan,
@@ -21,12 +18,9 @@ from repro.partitioning.degraded import (
 
 __all__ = [
     "AttentionLayoutKind",
-    "DECODE_PLAN_540B",
     "DegradedDeployment",
     "FfnLayoutKind",
     "LayoutPlan",
-    "PREFILL_PLAN_LARGE_BATCH",
-    "PREFILL_PLAN_SMALL_BATCH",
     "SubSlice",
     "healthy_subslices",
     "largest_healthy_subslice",

@@ -326,8 +326,7 @@ def migrate_caches(caches: Sequence[ShardedKVCache],
     Host-mediated (one KV-sized copy) through
     :meth:`ShardedTransformer.reshard_cache`, i.e.
     :func:`~repro.layouts.kv_cache.reshard_kv`.  Only valid while the
-    source mesh's data is still readable (straggler eviction, planned
-    drain) — after a chip *death* the in-flight caches are lost and
+    source mesh's data is still readable (a planned drain) — after a chip *death* the in-flight caches are lost and
     requests must re-prefill instead.
     """
     return source_model.reshard_cache(list(caches), target_model)

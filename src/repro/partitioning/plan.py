@@ -122,15 +122,3 @@ class LayoutPlan:
     def describe(self) -> str:
         return f"ffn={self.ffn.value}, attention={self.attention.value}"
 
-
-#: The paper's decode-phase workhorse (Section 4.1: "During the generate
-#: phase, we select the 2D weight-stationary layout").
-DECODE_PLAN_540B = LayoutPlan(FfnLayoutKind.WS_2D, AttentionLayoutKind.BATCH)
-
-#: The high-throughput prefill layout (Table 2: WG XYZ + batch attention).
-PREFILL_PLAN_LARGE_BATCH = LayoutPlan(FfnLayoutKind.WG_XYZ,
-                                      AttentionLayoutKind.BATCH)
-
-#: The low-latency prefill layout (Table 2: WS 2D + head attention).
-PREFILL_PLAN_SMALL_BATCH = LayoutPlan(FfnLayoutKind.WS_2D,
-                                      AttentionLayoutKind.HEAD)

@@ -12,24 +12,14 @@ from repro.serving.engine import (
     TwoPhaseServer,
     merge_caches,
 )
-from repro.serving.resilient import (
-    CacheMigrationFailed,
-    CostModel,
-    RequestOutcome,
-    RequestStatus,
-    ResilientRequest,
-)
+from repro.serving.resilient import CostModel
 from repro.serving.scheduler import group_requests
 from repro.serving.sharded import merge_sharded_caches
 
 __all__ = [
-    "CacheMigrationFailed",
     "Completion",
     "ContinuousBatchingEngine",
     "CostModel",
-    "RequestOutcome",
-    "RequestStatus",
-    "ResilientRequest",
     "SlotState",
     "slot_decode_step",
     "Request",

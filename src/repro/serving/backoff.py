@@ -1,15 +1,13 @@
 """Seeded backoff schedules shared by every retry loop in the stack.
 
-Retries appear in three places — the single-mesh resilient lifecycle
-(:mod:`repro.serving.resilient`), the cluster failover path, and the
-disaggregated KV-handoff transaction (:mod:`repro.cluster.disagg`) —
-and all of them run on *virtual* clocks, so their backoff schedules
-must be pure functions of their inputs.  Two forms:
+The retry loop that backs off is the disaggregated KV-handoff
+transaction on the cluster control plane
+(:mod:`repro.cluster.control_plane`).
+It runs on a *virtual* clock, so its backoff schedule must be a pure
+function of its inputs.  Two forms:
 
 * :func:`exponential_backoff_s` — the classic deterministic schedule
   ``base_s * factor ** (attempt - 1)``, capped at ``max_s``.
-  :meth:`repro.serving.resilient.CostModel.backoff_s` delegates here,
-  so legacy retry timings are bit-identical to what they always were.
 * :func:`jittered_backoff_s` — the same schedule with *seeded* jitter:
   the delay is drawn uniformly from ``[(1 - jitter) * exp, exp]`` using
   ``numpy``'s ``default_rng`` seeded by ``(seed, key, attempt)``.  Two

@@ -3,8 +3,7 @@
 Groups requests by prompt length (merged KV caches must align; production
 systems left-pad instead — see ``merge_caches``) and caps each group at
 the decode batch size, preserving arrival order within a length class.
-The reference ``TwoPhaseServer`` and the cluster's single-mesh
-``ResilientTwoPhaseServer`` both batch with it.
+The reference ``TwoPhaseServer`` batches with it.
 """
 
 from __future__ import annotations

@@ -4,14 +4,19 @@ Weight-gathered batch prefill feeding a WS-2D decoder through a cache
 reshard must generate exactly what the unsharded reference generates,
 and the Section 4.4 cache merge rejects what it cannot merge.  The full
 serving path (batch-1 prefill, host-mediated cache merge, batch-N decode
-on shared weight storage) runs on the cluster replica and must generate
-exactly what the unsharded reference server generates.
+on shared weight storage) runs on a one-replica cluster control plane
+and must generate exactly what the unsharded reference server
+generates.
 """
 
 import numpy as np
 import pytest
 
-from repro.cluster import ResilientTwoPhaseServer
+from repro.cluster import (
+    ClusterControlPlane,
+    ClusterRequestStatus,
+    ClusterSubmission,
+)
 from repro.layouts import ShardedTransformer
 from repro.mesh import VirtualMesh
 from repro.model import (
@@ -24,7 +29,7 @@ from repro.partitioning import (
     FfnLayoutKind,
     LayoutPlan,
 )
-from repro.serving import Request, RequestStatus, TwoPhaseServer
+from repro.serving import Request, TwoPhaseServer
 from repro.serving.sharded import merge_sharded_caches
 
 CFG = tiny_test_config(n_layers=2, d_model=16, d_ff=32, n_heads=8,
@@ -48,25 +53,26 @@ def make_requests(n, length=4, n_new=3):
 
 
 def serve_both(requests, decode_batch=8):
-    """Serve on the replica-backed server and on the reference server."""
-    sharded = ResilientTwoPhaseServer(WEIGHTS, (2, 2, 2),
-                                      decode_batch=decode_batch)
+    """Serve on a one-replica plane and on the reference server."""
+    plane = ClusterControlPlane(WEIGHTS, [(2, 2, 2)],
+                                decode_batch=decode_batch)
     reference = TwoPhaseServer(ReferenceTransformer(WEIGHTS),
                                decode_batch=decode_batch)
-    outcomes = sharded.serve(requests)
-    assert all(o.status is RequestStatus.COMPLETED for o in outcomes)
-    return sharded, [o.completion for o in outcomes], reference.serve(requests)
+    outcomes = plane.serve([ClusterSubmission(r) for r in requests])
+    assert all(o.status is ClusterRequestStatus.COMPLETED for o in outcomes)
+    return (plane.replicas[0], [o.completion for o in outcomes],
+            reference.serve(requests))
 
 
 class TestShardedTwoPhase:
     def test_matches_reference_server(self):
-        sharded, got, want = serve_both(make_requests(8))
+        replica, got, want = serve_both(make_requests(8))
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.tokens, w.tokens)
         # The Section 4.4 deployment: batch-1 head-sharded prefill feeding
         # a batch-sharded multiquery decoder on one weight storage.
-        prefill = sharded.replica.prefill_model
-        decode = sharded.replica.decode_model
+        prefill = replica.prefill_model
+        decode = replica.decode_model
         assert prefill.plan.attention is AttentionLayoutKind.HEAD
         assert decode.plan.attention is AttentionLayoutKind.BATCH
         assert prefill.weights is decode.weights

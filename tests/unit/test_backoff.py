@@ -1,10 +1,8 @@
 """The shared seeded backoff schedules (``repro.serving.backoff``).
 
-Every retry loop in the stack — the resilient single-mesh lifecycle,
-cluster failover, and the transactional KV handoff — runs on a virtual
-clock, so its backoff must be a pure function of its inputs.  These
-tests pin the exponential envelope, the jitter window, the seeding
-contract, and the legacy ``CostModel.backoff_s`` delegation.
+The transactional KV handoff's retry loop runs on a virtual clock, so
+its backoff must be a pure function of its inputs.  These tests pin the
+exponential envelope, the jitter window and the seeding contract.
 """
 
 import math
@@ -12,7 +10,6 @@ import math
 import pytest
 
 from repro.serving.backoff import exponential_backoff_s, jittered_backoff_s
-from repro.serving.resilient import CostModel
 
 
 class TestExponential:
@@ -34,12 +31,6 @@ class TestExponential:
     def test_negative_base_rejected(self):
         with pytest.raises(ValueError, match="base_s"):
             exponential_backoff_s(1, base_s=-0.1)
-
-    def test_cost_model_delegates_bit_identically(self):
-        costs = CostModel(backoff_base_s=0.07)
-        for attempt in range(1, 6):
-            assert costs.backoff_s(attempt) == exponential_backoff_s(
-                attempt, base_s=0.07)
 
 
 class TestJittered:

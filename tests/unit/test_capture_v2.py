@@ -65,7 +65,7 @@ from repro.partitioning.degraded import (
     select_profile_plan,
 )
 from repro.partitioning.selector import Phase
-from repro.serving import Request, ResilientRequest
+from repro.serving import Request
 from repro.serving.chunked import chunked_prefill
 from tests.unit.replica_check import collapsed_replicas_are_real  # noqa: F401
 
@@ -715,9 +715,8 @@ class TestFleetProgramStore:
     def test_scaled_out_replica_captures_nothing_the_plane_holds(self,
                                                                   backend):
         rng = np.random.default_rng(21)
-        requests = [ResilientRequest(Request(
-            i, rng.integers(0, CFG.vocab_size, size=8), 4))
-            for i in range(4)]
+        requests = [Request(i, rng.integers(0, CFG.vocab_size, size=8), 4)
+                    for i in range(4)]
         plane = ClusterControlPlane(WEIGHTS, [(2, 2, 2)], backend=backend,
                                     prompt_len_hint=8)
         runs = []
@@ -741,7 +740,7 @@ class TestFleetProgramStore:
         planes = [ClusterControlPlane(WEIGHTS, [(2, 2, 2)],
                                       prompt_len_hint=8) for _ in range(2)]
         assert planes[0].program_store is not planes[1].program_store
-        request = ResilientRequest(Request(0, PROMPT[0], 3))
+        request = Request(0, PROMPT[0], 3)
         for plane in planes:
             run = GroupRun(plane.replicas[0], [request])
             run.run_prefill()

@@ -35,7 +35,7 @@ from repro.events import (
 )
 from repro.mesh.faults import ChipKill, FaultPlan, StragglerFault
 from repro.model import ReferenceTransformer, init_weights, tiny_test_config
-from repro.serving import Request, ResilientRequest, TwoPhaseServer
+from repro.serving import Request, TwoPhaseServer
 
 CFG = tiny_test_config(n_layers=2, d_model=16, d_ff=32, n_heads=8,
                        d_head=8, vocab_size=32)
@@ -236,7 +236,7 @@ class TestGroupRun:
     def test_stepped_decode_matches_reference(self):
         requests = make_requests()
         replica = Replica("r0", WEIGHTS, (2, 2, 2), prompt_len_hint=6)
-        run = GroupRun(replica, [ResilientRequest(r) for r in requests])
+        run = GroupRun(replica, requests)
         elapsed = run.run_prefill()
         assert elapsed > 0
         while not run.done:
@@ -251,7 +251,7 @@ class TestGroupRun:
         requests = make_requests()
         source = Replica("r0", WEIGHTS, (2, 2, 2), prompt_len_hint=6)
         target = Replica("r1", WEIGHTS, (2, 2, 2), prompt_len_hint=6)
-        run = GroupRun(source, [ResilientRequest(r) for r in requests])
+        run = GroupRun(source, requests)
         run.run_prefill()
         run.decode_step()
         moved = run.migrate_to(target)
@@ -269,7 +269,7 @@ class TestGroupRun:
         requests = make_requests()
         source = Replica("r0", WEIGHTS, (2, 2, 2))
         target = Replica("r1", WEIGHTS, (2, 2, 2))
-        run = GroupRun(source, [ResilientRequest(r) for r in requests])
+        run = GroupRun(source, requests)
         with pytest.raises(ValueError, match="nothing to migrate"):
             run.migrate_to(target)
 

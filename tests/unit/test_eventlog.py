@@ -4,10 +4,10 @@ import pytest
 
 from repro.cluster.journal import Journal
 from repro.events import (
+    FAILOVER,
     FAULT_DETECTED,
     JOURNAL_TRUNCATED,
     REPLANNED,
-    REQUEST_RETRIED,
     Event,
     EventLog,
 )
@@ -18,8 +18,8 @@ def log():
     log = EventLog()
     log.record(FAULT_DETECTED, chip=(0, 1, 0), op="all_gather")
     log.record(REPLANNED, plan="2x1x2")
-    log.record(REQUEST_RETRIED, request_id=3)
-    log.record(REQUEST_RETRIED, request_id=5)
+    log.record(FAILOVER, group=3)
+    log.record(FAILOVER, group=5)
     return log
 
 
@@ -38,14 +38,13 @@ class TestEvent:
 
 class TestQueries:
     def test_of_kind(self, log):
-        retried = log.of_kind(REQUEST_RETRIED)
-        assert [e["request_id"] for e in retried] == [3, 5]
+        failovers = log.of_kind(FAILOVER)
+        assert [e["group"] for e in failovers] == [3, 5]
         assert log.of_kind("nonexistent") == []
 
     def test_query_by_kind_and_predicate(self, log):
-        out = log.query(REQUEST_RETRIED,
-                        where=lambda e: e["request_id"] > 4)
-        assert [e["request_id"] for e in out] == [5]
+        out = log.query(FAILOVER, where=lambda e: e["group"] > 4)
+        assert [e["group"] for e in out] == [5]
 
     def test_query_predicate_only(self, log):
         out = log.query(where=lambda e: "chip" in e.data)
@@ -58,22 +57,21 @@ class TestQueries:
         assert len(log) == 4  # the returned list is a copy
 
     def test_kinds_timeline(self, log):
-        assert log.kinds() == [FAULT_DETECTED, REPLANNED,
-                               REQUEST_RETRIED, REQUEST_RETRIED]
+        assert log.kinds() == [FAULT_DETECTED, REPLANNED, FAILOVER,
+                               FAILOVER]
 
     def test_assert_sequence_in_order(self, log):
-        log.assert_sequence(FAULT_DETECTED, REPLANNED, REQUEST_RETRIED)
-        log.assert_sequence(FAULT_DETECTED, REQUEST_RETRIED)
+        log.assert_sequence(FAULT_DETECTED, REPLANNED, FAILOVER)
+        log.assert_sequence(FAULT_DETECTED, FAILOVER)
 
     def test_assert_sequence_rejects_wrong_order(self, log):
         with pytest.raises(AssertionError, match="not found in order"):
             log.assert_sequence(REPLANNED, FAULT_DETECTED)
 
     def test_assert_sequence_counts_repeats(self, log):
-        log.assert_sequence(REQUEST_RETRIED, REQUEST_RETRIED)
+        log.assert_sequence(FAILOVER, FAILOVER)
         with pytest.raises(AssertionError):
-            log.assert_sequence(REQUEST_RETRIED, REQUEST_RETRIED,
-                                REQUEST_RETRIED)
+            log.assert_sequence(FAILOVER, FAILOVER, FAILOVER)
 
     def test_len_and_record_returns_event(self):
         log = EventLog()
@@ -117,8 +115,8 @@ class TestRingBuffer:
         log = Journal(max_records=2)
         log.record(FAULT_DETECTED)
         log.record(REPLANNED)
-        log.record(REQUEST_RETRIED, request_id=1)
-        assert log.kinds() == [REQUEST_RETRIED, JOURNAL_TRUNCATED]
+        log.record(FAILOVER, group=1)
+        assert log.kinds() == [FAILOVER, JOURNAL_TRUNCATED]
         assert log.of_kind(FAULT_DETECTED) == []
         with pytest.raises(AssertionError):
             log.assert_sequence(FAULT_DETECTED, REPLANNED)

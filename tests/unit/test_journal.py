@@ -162,12 +162,10 @@ class TestReplayFolds:
             replay_journal(j)
 
     def test_every_kind_has_a_fold_rule(self):
-        # Every kind defined in repro.events has a replay rule, except
-        # the two only the single-mesh server records.
-        single_mesh = {ev.REQUEST_RETRIED, ev.REQUEST_SHED}
+        # Every kind defined in repro.events has a replay rule.
         kinds = {value for name, value in vars(ev).items()
                  if name.isupper() and isinstance(value, str)}
-        assert kinds - single_mesh == set(JOURNAL_KINDS)
+        assert kinds == set(JOURNAL_KINDS)
 
 
 class TestTruncation:

@@ -10,16 +10,27 @@ inside its functions).
 
 A module no root reaches is test-only code.  Delete it, or name it in
 :data:`ALLOWED` with the reason it stays.
+
+The same holds one level down: a top-level name defined in ``src/repro``
+must be used somewhere.  Its own definition, ``__init__`` re-export
+lines and ``__all__`` do not count; any other line of any ``.py`` file
+in the repo does, and so does a doctest line in the README or
+``docs/``.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
 ROOT_GLOBS = ("bench/*.py", "benchmarks/*.py", "examples/*.py",
               "tools/*.py")
+CODE_GLOBS = ("src/**/*.py", "tests/**/*.py", "bench/**/*.py",
+              "benchmarks/**/*.py", "examples/**/*.py", "tools/**/*.py")
+DOC_GLOBS = ("README.md", "docs/*.md")
+WORD = re.compile(r"[A-Za-z_]\w*")
 
 #: Unreached modules that stay for now, each with its reason.
 ALLOWED = {
@@ -111,6 +122,66 @@ def unreached(src: Path, roots: list[Path], entry: list[str]) -> list[str]:
                   if name not in seen and not pkg.is_package(name))
 
 
+def definitions(tree: ast.Module):
+    """``(name, node)`` for every top-level definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def lines_of(node: ast.AST) -> set[int]:
+    return set(range(node.lineno, node.end_lineno + 1))
+
+
+def unused_names(repo: Path) -> list[str]:
+    """``module.py:name`` for each top-level name in ``src`` nothing uses.
+
+    A name defined in two modules counts one use for both.
+    """
+    defined: dict[str, list[Path]] = {}
+    # Per file: lines that never count as a use, and per name the lines
+    # of its own definition there.
+    ignored: dict[Path, set[int]] = {}
+    own: dict[tuple[Path, str], set[int]] = {}
+    for path in sorted((repo / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        init = path.name == "__init__.py"
+        for name, node in definitions(tree):
+            if name == "__all__" and init:
+                ignored.setdefault(path, set()).update(lines_of(node))
+            if name.startswith("__"):
+                continue
+            defined.setdefault(name, []).append(path)
+            own.setdefault((path, name), set()).update(lines_of(node))
+        if init:
+            for node in tree.body:
+                if isinstance(node, ast.ImportFrom):
+                    ignored.setdefault(path, set()).update(lines_of(node))
+    used: set[str] = set()
+    for path in sorted(p for g in CODE_GLOBS for p in repo.glob(g)):
+        skip = ignored.get(path, set())
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if number in skip:
+                continue
+            used.update(word for word in WORD.findall(line)
+                        if word in defined
+                        and number not in own.get((path, word), ()))
+    for path in sorted(p for g in DOC_GLOBS for p in repo.glob(g)):
+        for line in path.read_text().splitlines():
+            if line.lstrip().startswith((">>>", "...")):
+                used.update(WORD.findall(line))
+    return sorted(f"{path.relative_to(repo / 'src')}:{name}"
+                  for name, paths in defined.items() if name not in used
+                  for path in paths)
+
+
 def test_every_module_is_reached_or_allowed():
     roots = sorted(p for g in ROOT_GLOBS for p in REPO.glob(g))
     assert roots
@@ -143,3 +214,40 @@ def test_orphan_and_reexport_only_modules_are_reported(tmp_path):
     root.write_text("from demo import main\n")
     assert unreached(tmp_path / "src", [root], []) == [
         "demo.helper", "demo.orphan", "demo.sub.exported"]
+
+
+def test_every_top_level_name_is_used():
+    assert unused_names(REPO) == []
+
+
+def test_unused_and_reexport_only_names_are_reported(tmp_path):
+    pkg = tmp_path / "src" / "demo"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text(
+        "from demo.core import (\n"
+        "    exported,\n"
+        "    run,\n"
+        ")\n"
+        "__all__ = [\"exported\", \"run\"]\n")
+    (pkg / "core.py").write_text(
+        "LIMIT = 3\n"
+        "ORPHAN = (\n"
+        "    LIMIT,\n"
+        ")\n"
+        "def run():\n"
+        "    return LIMIT\n"
+        "def exported():\n"
+        "    pass\n"
+        "def documented():\n"
+        "    pass\n"
+        "class _Private:\n"
+        "    pass\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_core.py").write_text(
+        "from demo import run\n")
+    (tmp_path / "README.md").write_text(
+        "Call `exported` by hand, or:\n\n"
+        "    >>> from demo.core import documented\n")
+    assert unused_names(tmp_path) == [
+        "demo/core.py:ORPHAN", "demo/core.py:_Private",
+        "demo/core.py:exported"]
