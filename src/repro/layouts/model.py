@@ -59,6 +59,7 @@ from repro.mesh import (
     sharded_einsum,
     split,
 )
+from repro.mesh.ops import concat_weights, fused_projection
 from repro.model.config import AttentionKind, FfnKind
 from repro.model.functional import swish
 from repro.model.reference import LayerWeights, TransformerWeights
@@ -104,8 +105,31 @@ _WEIGHT_GATHERS = {
 }
 
 
+#: Subscripts of each input projection: the normed activation times
+#: the weight, contracting E.
+_PROJECTIONS = {
+    "wq": "ble,ehd->blhd",
+    "wk": "ble,ekd->blkd",
+    "wv": "ble,ekd->blkd",
+    "w_in": "ble,ef->blf",
+    "w_gate": "ble,ef->blf",
+}
+
+
 def _axes_suffix(axes: str) -> str:
     return f"_{axes}" if axes else ""
+
+
+def _projection_groups(config) -> tuple[tuple[str, ...], ...]:
+    """The input projections each block issues as one contraction.
+
+    A parallel block (Section 3.4) feeds attention and the FFN from one
+    normed activation, so Q, K, V and the FFN input(s) are one matmul;
+    a serial block issues Q|K|V and then the FFN input(s).
+    """
+    attn = ("wq", "wk", "wv")
+    ffn = ("w_in", "w_gate") if config.ffn is FfnKind.SWIGLU else ("w_in",)
+    return (attn + ffn,) if config.parallel_block else (attn, ffn)
 
 
 class ShardedTransformer:
@@ -219,6 +243,7 @@ class ShardedTransformer:
                 self.mesh, t.to_global(), other._specs["ln"])
 
         other.embedding = self.embedding
+        other._fused = self._fused
         other.final_ln = reshard_scale(self.final_ln)
         other.layers = []
         for layer in self.layers:
@@ -259,6 +284,9 @@ class ShardedTransformer:
         self.embedding = self._shard(self.weights.embedding, "VE")
         self.final_ln = self._shard(self.weights.final_ln_scale, specs["ln"])
         self.layers: list[dict[str, ShardedTensor]] = []
+        #: Per layer, per projection group, the weights concatenated on
+        #: their flattened output dims (:func:`concat_weights`).
+        self._fused: list[list[np.ndarray]] = []
         for layer in self.weights.layers:
             sharded = {
                 "ln": self._shard(layer.ln_scale, specs["ln"]),
@@ -274,7 +302,15 @@ class ShardedTransformer:
                                                 specs["w_gate"])
             if not cfg.parallel_block:
                 sharded["ln2"] = self._shard(layer.ln2_scale, specs["ln"])
+            # One copy of each group's weights: the concatenation the
+            # fused projection reads, with the weights as views of it.
+            fused = []
+            for group in _projection_groups(cfg):
+                cat, views = concat_weights([sharded[n] for n in group])
+                sharded.update(zip(group, views))
+                fused.append(cat)
             self.layers.append(sharded)
+            self._fused.append(fused)
 
     def _gathered(self, w: ShardedTensor, kind: str) -> ShardedTensor:
         """All-gather a stored weight for weight-gathered layouts.
@@ -313,18 +349,38 @@ class ShardedTransformer:
             return reduce_scatter(partial, self._rs_axes, "E")
         return partial
 
-    def _ffn_partial(self, yg: ShardedTensor,
+    def _project(self, y: ShardedTensor, i: int, group_idx: int
+                 ) -> list[ShardedTensor]:
+        """Layer ``i``'s projection group ``group_idx`` of ``y`` as one
+        contraction (:func:`_projection_groups`), one tensor per weight.
+
+        Weight-stationary layouts read the concatenation built once per
+        deployment.  Weight-gathered layouts gather each weight just
+        before use, as always, and concatenate the gathered shards.
+        """
+        layer = self.layers[i]
+        group = _projection_groups(self.config)[group_idx]
+        if self.plan.ffn.is_weight_gathered:
+            kv_kind = "EFH" if self._kv_sharded else "E"
+            weights = [self._gathered(layer[n], kv_kind if n in ("wk", "wv")
+                                      else "EFH") for n in group]
+            cat, _ = concat_weights(weights)
+        else:
+            weights = [layer[n] for n in group]
+            cat = self._fused[i][group_idx]
+        return fused_projection(
+            y, [(_PROJECTIONS[n], w) for n, w in zip(group, weights)], cat)
+
+    def _ffn_partial(self, ffn_in: list[ShardedTensor],
                      layer: dict[str, ShardedTensor]) -> ShardedTensor:
-        w_in = self._gathered(layer["w_in"], "EFH")
+        """The FFN from its input projection (and the SwiGLU gate's) to
+        its partial output."""
+        h, *gates = ffn_in
         w_out = self._gathered(layer["w_out"], "EFH")
-        h = sharded_einsum("ble,ef->blf", yg, w_in)
         if self._f_rs:
             h = reduce_scatter(h, self._f_rs, "F")
         h = h.map_shards(swish, elementwise=True)
-        if self.config.ffn is FfnKind.SWIGLU:
-            gate = sharded_einsum("ble,ef->blf",
-                                  yg, self._gathered(layer["w_gate"],
-                                                     "EFH"))
+        for gate in gates:
             if self._f_rs:
                 gate = reduce_scatter(gate, self._f_rs, "F")
             h = zip_shards(h.spec, h.global_shape,
@@ -334,19 +390,12 @@ class ShardedTransformer:
             h = all_gather(h, self._f_rs, "F")
         return sharded_einsum("blf,fe->ble", h, w_out)
 
-    def _attn_partial(self, yg: ShardedTensor,
-                      layer: dict[str, ShardedTensor],
+    def _attn_partial(self, q: ShardedTensor, k: ShardedTensor,
+                      v: ShardedTensor, layer: dict[str, ShardedTensor],
                       cache: ShardedKVCache,
                       positions: np.ndarray) -> ShardedTensor:
+        """Attention from its Q/K/V projections to its partial output."""
         plan, cfg = self.plan, self.config
-        q = sharded_einsum("ble,ehd->blhd", yg,
-                           self._gathered(layer["wq"], "EFH"))
-        kv_kind = "EFH" if self._kv_sharded else "E"
-        k = sharded_einsum("ble,ekd->blkd", yg,
-                           self._gathered(layer["wk"], kv_kind))
-        v = sharded_einsum("ble,ekd->blkd", yg,
-                           self._gathered(layer["wv"], kv_kind))
-
         # RoPE is linear, so it may be applied to partial sums.
         theta = cfg.rope_theta
         q = sharded_rope(q, positions, theta)
@@ -392,19 +441,22 @@ class ShardedTransformer:
         return sharded_einsum("blhd,hde->ble", out,
                               self._gathered(layer["wo"], "EFH"))
 
-    def _block(self, x: ShardedTensor, layer: dict[str, ShardedTensor],
-               cache: ShardedKVCache, positions: np.ndarray
-               ) -> ShardedTensor:
-        if self.config.parallel_block:
-            y = self._gather_activations(sharded_rmsnorm(x, layer["ln"]))
-            # Sum partials before the single reduce-scatter (Section 3.4).
-            combined = (self._attn_partial(y, layer, cache, positions)
-                        + self._ffn_partial(y, layer))
-            return x + self._finish(combined)
+    def _block(self, x: ShardedTensor, i: int, cache: ShardedKVCache,
+               positions: np.ndarray) -> ShardedTensor:
+        layer = self.layers[i]
         y = self._gather_activations(sharded_rmsnorm(x, layer["ln"]))
-        x = x + self._finish(self._attn_partial(y, layer, cache, positions))
+        if self.config.parallel_block:
+            q, k, v, *ffn_in = self._project(y, i, 0)
+            # Sum partials before the single reduce-scatter (Section 3.4).
+            combined = (self._attn_partial(q, k, v, layer, cache, positions)
+                        + self._ffn_partial(ffn_in, layer))
+            return x + self._finish(combined)
+        q, k, v = self._project(y, i, 0)
+        x = x + self._finish(self._attn_partial(q, k, v, layer, cache,
+                                                positions))
         y2 = self._gather_activations(sharded_rmsnorm(x, layer["ln2"]))
-        return x + self._finish(self._ffn_partial(y2, layer))
+        return x + self._finish(self._ffn_partial(self._project(y2, i, 1),
+                                                  layer))
 
     # -- caches ------------------------------------------------------------------
 
@@ -460,12 +512,12 @@ class ShardedTransformer:
                 lambda ctx, w=self.weights.embedding: w[ctx.tokens],
                 (recorder.CTX,), emb, "embed")
         x = ShardedTensor.from_global(self.mesh, emb, self._residual_spec)
-        for i, (layer, cache) in enumerate(zip(self.layers, caches)):
+        for i, cache in enumerate(caches):
             if tracer is None:
-                x = self._block(x, layer, cache, positions)
+                x = self._block(x, i, cache, positions)
             else:
                 with tracer.layer(i):
-                    x = self._block(x, layer, cache, positions)
+                    x = self._block(x, i, cache, positions)
         x = sharded_rmsnorm(x, self.final_ln)
         e_axes = x.spec.axes_for("E")
         if e_axes:

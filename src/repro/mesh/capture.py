@@ -37,7 +37,7 @@ the tape into a :class:`CapturedProgram`:
   program survives cache hand-off as long as the cache *layout* matches.
 * **Tape optimization** — on the stacked backend every program (decode
   step and prefill chunk alike) additionally runs the tape optimizer in
-  :mod:`repro.mesh.replay_opt` — projection-einsum fusion, RoPE table
+  :mod:`repro.mesh.replay_opt` — prebound matmul runners, RoPE table
   CSE, replica collapse (each replicated value computed once, read
   from the sharding specs the hooks pass), flat multiquery attention,
   in-place elementwise runners, indexed collectives — and replays
@@ -77,10 +77,11 @@ serving hot path end-to-end:
 * **Shared capture state** — programs live in a :class:`ProgramStore`
   that any number of compilers may share (a cluster control plane hands
   one store to every replica it builds, so a scale-out replica replays
-  what the fleet already captured).  The store also holds the fused
-  projection weights the optimizer concatenates (dropped by
-  :meth:`StepCompiler.invalidate`), and every program in the process
-  shares the read-only collective index tables
+  what the fleet already captured).  Weights are the model's own
+  arrays — its fused input-projection weights included, concatenated
+  once per deployment by :class:`~repro.layouts.ShardedTransformer` —
+  so every program of a deployment reads the same constants, and every
+  program in the process shares the read-only collective index tables
   (:func:`repro.mesh.stacked.prebind_collective_indexed`), so capture
   pays for each once.
 
@@ -187,7 +188,7 @@ class ProgramSignature:
     mesh_shape: tuple[int, int, int]
     plan: Any = None
     tokens_shape: tuple[int, ...] | None = None
-    tokens_dtype: str | None = None
+    tokens_dtype: np.dtype | None = None
     cache_sig: tuple = ()
     kind: str = "decode"
     dead_chips: tuple = ()
@@ -358,7 +359,7 @@ class CapturedProgram:
             return "plan"
         if sig.tokens_shape is not None and (
                 tokens.shape != sig.tokens_shape
-                or str(tokens.dtype) != sig.tokens_dtype):
+                or tokens.dtype != sig.tokens_dtype):
             return "tokens"
         if len(caches) != len(sig.cache_sig):
             return "caches"
@@ -453,18 +454,14 @@ class StepRecorder:
     input never seen before is a *constant* (a step-invariant like a
     weight shard).  Recording is failure-tolerant by design: anything
     unsupported calls :meth:`mark_broken` and the eager step simply
-    completes without producing a program.  ``weight_share`` is the
-    deployment's fused-weight map the tape optimizer reuses
-    concatenations from (see :class:`StepCompiler`).
+    completes without producing a program.
     """
 
     CTX = object()  # sentinel input: the per-replay ReplayContext
 
-    def __init__(self, mesh, caches: Sequence = (),
-                 weight_share: dict | None = None):
+    def __init__(self, mesh, caches: Sequence = ()):
         self.mesh = mesh
         self.caches = list(caches)
-        self.weight_share = weight_share
         self.broken: str | None = None
         self.collectives = 0
         self._suppressed = 0
@@ -641,7 +638,7 @@ class StepRecorder:
 
 
 @contextmanager
-def capturing(mesh, caches: Sequence = (), weight_share: dict | None = None):
+def capturing(mesh, caches: Sequence = ()):
     """Install a :class:`StepRecorder` on ``mesh`` for the ``with`` body.
 
     The generic tape API: run any mesh program inside the block, then
@@ -651,7 +648,7 @@ def capturing(mesh, caches: Sequence = (), weight_share: dict | None = None):
     """
     if getattr(mesh, "capture", None) is not None:
         raise CaptureError("a capture is already active on this mesh")
-    recorder = StepRecorder(mesh, caches, weight_share)
+    recorder = StepRecorder(mesh, caches)
     mesh.capture = recorder
     try:
         yield recorder
@@ -665,23 +662,21 @@ def _signature(model, tokens: np.ndarray, caches: Sequence, *,
     return ProgramSignature(
         backend=mesh.backend, mesh_shape=mesh.shape,
         plan=getattr(model, "plan", None),
-        tokens_shape=tokens.shape, tokens_dtype=str(tokens.dtype),
+        tokens_shape=tokens.shape, tokens_dtype=tokens.dtype,
         cache_sig=tuple(c.signature for c in caches),
         kind=kind, dead_chips=_dead_chips(mesh))
 
 
-def capture_decode_step(model, tokens: np.ndarray, caches: Sequence,
-                        weight_share: dict | None = None
+def capture_decode_step(model, tokens: np.ndarray, caches: Sequence
                         ) -> tuple[np.ndarray, CapturedProgram | None]:
     """Run one eager decode step while recording it.
 
     Returns ``(logits, program)`` — the logits are the eager step's
     (the step really ran: caches advanced exactly as usual), and the
     program replays subsequent steps bit-identically, or is ``None``
-    when the step could not be captured.  ``weight_share`` is the
-    deployment's fused-weight map (:class:`StepCompiler` passes its own).
+    when the step could not be captured.
     """
-    with capturing(model.mesh, caches, weight_share) as recorder:
+    with capturing(model.mesh, caches) as recorder:
         logits = model.decode_step(tokens, caches)
     program = recorder.finalize(
         logits, signature=_signature(model, tokens, caches),
@@ -689,8 +684,7 @@ def capture_decode_step(model, tokens: np.ndarray, caches: Sequence,
     return logits, program
 
 
-def capture_prefill_chunk(model, tokens: np.ndarray, caches: Sequence,
-                          weight_share: dict | None = None
+def capture_prefill_chunk(model, tokens: np.ndarray, caches: Sequence
                           ) -> tuple[np.ndarray, CapturedProgram | None]:
     """Run one eager prefill chunk (``model.forward``) while recording it.
 
@@ -700,7 +694,7 @@ def capture_prefill_chunk(model, tokens: np.ndarray, caches: Sequence,
     from the live caches.  Returns ``(logits, program)`` with the eager
     chunk's full ``[B, chunk, V]`` logits.
     """
-    with capturing(model.mesh, caches, weight_share) as recorder:
+    with capturing(model.mesh, caches) as recorder:
         logits = model.forward(tokens, caches)
     program = recorder.finalize(
         logits, signature=_signature(model, tokens, caches,
@@ -713,24 +707,20 @@ class ProgramStore:
     """Captured programs shared by every :class:`StepCompiler` given it.
 
     An LRU map from structural key (see :meth:`StepCompiler._key`) to
-    program, the keys whose capture failed, and the fused-weight map the
-    tape optimizer reuses concatenations from.  Each compiler adds its
+    program and the keys whose capture failed.  Each compiler adds its
     ``max_programs`` to the bound, so a store serving N compilers keeps
     N times one compiler's programs.  Give one store to every replica of
     a fleet and a replica replays any program a sibling of the same
     shape, plan and weights already captured; a compiler built without
     a store gets a private one.  A store lives as long as its owner
     (never a module global, which would let unrelated runs replay each
-    other's captures).  An eviction also empties ``weight_share``: the
-    programs keep their own concatenations, and later captures rebuild
-    theirs, so the map never outgrows the programs it serves.
+    other's captures).
     """
 
     def __init__(self):
         self.max_programs = 0
         self.programs: OrderedDict[tuple, CapturedProgram] = OrderedDict()
         self.failed: set[tuple] = set()
-        self.weight_share: dict = {}
         self.lock = threading.Lock()
 
 
@@ -763,9 +753,6 @@ class StepCompiler:
     * :meth:`decode_thunk` — a pure zero-argument replay callable (all
       cache/counter bookkeeping happens on the calling thread), which
       :meth:`repro.cluster.replica.GroupRun.decode_step` runs when warm.
-    * ``weight_share`` — the store's fused projection weights the tape
-      optimizer concatenates, shared by every program captured into it
-      and dropped with them by :meth:`invalidate`.
     """
 
     def __init__(self, warmup_steps: int = 1, *, max_programs: int = 8,
@@ -774,7 +761,6 @@ class StepCompiler:
         self.max_programs = max(1, max_programs)
         self.store = store if store is not None else ProgramStore()
         self.store.max_programs += self.max_programs
-        self.weight_share = self.store.weight_share
         self.eager_steps = 0
         self.captures = 0
         self.replays = 0
@@ -820,13 +806,12 @@ class StepCompiler:
         }
 
     def invalidate(self) -> None:
-        """Drop every program in the store and the fused weights they
-        shared — for *every* compiler sharing the store."""
+        """Drop every program in the store — for *every* compiler
+        sharing the store."""
         with self.store.lock:
             self.invalidations += len(self._programs)
             self._programs.clear()
             self._failed.clear()
-            self.weight_share.clear()
 
     def _key(self, model, tokens: np.ndarray, caches: Sequence,
              kind: str) -> tuple:
@@ -834,7 +819,7 @@ class StepCompiler:
         return (kind, mesh.backend, mesh.shape,
                 getattr(model, "plan", None),
                 id(getattr(model, "weights", None)), tokens.shape,
-                str(tokens.dtype),
+                tokens.dtype,
                 tuple(c.signature for c in caches), _dead_chips(mesh))
 
     def _lookup(self, key: tuple, model, tokens: np.ndarray,
@@ -864,7 +849,6 @@ class StepCompiler:
             while key not in self._programs and \
                     len(self._programs) >= self.store.max_programs:
                 self._programs.popitem(last=False)
-                self.weight_share.clear()
                 self.evictions += 1
             self._programs[key] = program
         self.captures += 1
@@ -886,8 +870,7 @@ class StepCompiler:
             self.misses += 1
             if self.eager_steps >= self.warmup_steps \
                     and key not in self._failed:
-                logits, program = capture_decode_step(
-                    model, tokens, caches, self.weight_share)
+                logits, program = capture_decode_step(model, tokens, caches)
                 self._store(key, program)
                 return logits
         self.eager_steps += 1
@@ -940,8 +923,7 @@ class StepCompiler:
         if quiet:
             self.misses += 1
             if key not in self._failed:
-                out, program = capture_prefill_chunk(
-                    model, tokens, caches, self.weight_share)
+                out, program = capture_prefill_chunk(model, tokens, caches)
                 self._store(key, program)
                 return out if logits else None
         self.eager_steps += 1

@@ -29,6 +29,7 @@ operand's shard representation.  The two are bit-identical by contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -491,28 +492,123 @@ def sharded_einsum(subscripts: str, a: ShardedTensor, b: ShardedTensor
     out_spec, out_shape = einsum_output_layout(subscripts, a, b)
     mesh = a.mesh
     tracer, start = _trace_start(mesh)
-    if a.is_stacked and b.is_stacked:
-        lhs, rhs, out_letters = _parse_subscripts(subscripts)
-        shards = stacked_kernels.batched_einsum(mesh, lhs, rhs, out_letters,
-                                                a.shards, b.shards)
-        replay = lambda x, y, out=None: stacked_kernels.batched_einsum(  # noqa: E731
-            mesh, lhs, rhs, out_letters, x, y, out=out)
-        arena = True
-    else:
-        shards = mesh.map_devices(
-            lambda c: np.einsum(subscripts, a.shards[c], b.shards[c]))
-        replay = lambda x, y: mesh.map_devices(  # noqa: E731
-            lambda c: np.einsum(subscripts, x[c], y[c]))
-        arena = False
+    letters = _parse_subscripts(subscripts)
+    shards, replay, stacked = _contract(mesh, letters, a.shards, b.shards)
     out = ShardedTensor(mesh, out_spec, out_shape, shards)
     if tracer is not None:
         tracer.compute(subscripts, flops=_einsum_local_flops(subscripts, a, b),
                        elements=int(out.shards[0, 0, 0].size), start_s=start)
     _capture(mesh, replay, (a.shards, b.shards), out.shards,
-             f"einsum:{subscripts}", collective=False, arena=arena,
-             meta=("einsum",) + _parse_subscripts(subscripts)
-             if a.is_stacked and b.is_stacked else None,
+             f"einsum:{subscripts}", collective=False, arena=stacked,
+             meta=("einsum",) + letters if stacked else None,
              specs=(a.spec, b.spec, out_spec))
+    return out
+
+
+def _contract(mesh: VirtualMesh, letters: tuple[str, str, str],
+              a: np.ndarray, b: np.ndarray):
+    """``(shards, replay closure, stacked)`` of one local contraction:
+    :func:`repro.mesh.stacked.contract` once over the device grid, or
+    once per device on the loop backend."""
+    contract = stacked_kernels.contract
+    if a.dtype != object and b.dtype != object:
+        def replay(x, y, out=None):
+            return contract(*letters, x, y, out=out)
+        return contract(*letters, a, b), replay, True
+
+    def replay(x, y):
+        return mesh.map_devices(lambda c: contract(*letters, x[c], y[c]))
+    return replay(a, b), replay, False
+
+
+def concat_weights(weights: Sequence[ShardedTensor]
+                   ) -> tuple[np.ndarray, list[ShardedTensor]]:
+    """Per device, the weights' local shards concatenated on their dims
+    after the first (the contracted one, which must agree), flattened
+    into one trailing axis — and each weight re-based as a view of that
+    concatenation, so a weight and its concatenation are one copy.
+
+    Stacked shards give one dense array, loop shards an object array:
+    the ``w_cat`` operand of :func:`fused_projection`.
+    """
+    def flat(shard, lead):
+        return shard.reshape(shard.shape[:lead] + (-1,))
+    mesh = weights[0].mesh
+    stacked = all(w.is_stacked for w in weights)
+    if stacked:  # the device axes and E lead
+        cat = np.concatenate([flat(w.shards, 4) for w in weights], axis=-1)
+    else:
+        cat = mesh.map_devices(lambda c: np.concatenate(
+            [flat(w.shards[c], 1) for w in weights], axis=-1))
+    views = _column_views(mesh, cat, [w.local_shape[1:] for w in weights],
+                          stacked)
+    return cat, [ShardedTensor(mesh, w.spec, w.global_shape, shards)
+                 for w, (_, _, _, shards) in zip(weights, views)]
+
+
+def fused_projection(x: ShardedTensor,
+                     parts: Sequence[tuple[str, ShardedTensor]],
+                     w_cat: np.ndarray) -> list[ShardedTensor]:
+    """``[sharded_einsum(s, x, w) for s, w in parts]`` as one contraction.
+
+    Every part contracts the trailing dim of ``x`` against the leading
+    dim of its weight, and ``w_cat`` holds the weights' shards as
+    :func:`concat_weights` lays them out.  One
+    :func:`repro.mesh.stacked.contract` computes every part's columns;
+    each part comes back as a view of that buffer under the spec
+    :func:`sharded_einsum` would give it.  This is the Section 3.4
+    parallel-block fusion: the attention and FFN input projections of
+    one block run as one larger matmul.
+    """
+    mesh = x.mesh
+    tracer, start = _trace_start(mesh)
+    lhs = "".join(x.spec.dims).lower()
+    # ``ble,ez->blz``: z runs over every part's flattened columns.
+    letters = (lhs, lhs[-1] + "z", lhs[:-1] + "z")
+    layouts = [einsum_output_layout(subs, x, w) for subs, w in parts]
+    fused, replay, stacked = _contract(mesh, letters, x.shards, w_cat)
+    _capture(mesh, replay, (x.shards, w_cat), fused, "projection",
+             collective=False, arena=stacked,
+             meta=("einsum",) + letters if stacked else None,
+             specs=(x.spec, None, None))
+    tails = [spec.local_shape(shape, mesh.topology)[len(lhs) - 1:]
+             for spec, shape in layouts]
+    outs = []
+    for (spec, shape), (first, stop, replay_view, shards) in zip(
+            layouts, _column_views(mesh, fused, tails, stacked)):
+        _capture(mesh, replay_view, (fused,), shards, "projection_view",
+                 collective=False,
+                 meta=("columns", first, stop) if stacked else None,
+                 specs=(None, spec))
+        outs.append(ShardedTensor(mesh, spec, shape, shards))
+    if tracer is not None:
+        tracer.compute("projection",
+                       flops=sum(_einsum_local_flops(subs, x, w)
+                                 for subs, w in parts),
+                       elements=int(np.size(fused[0, 0, 0])), start_s=start)
+    return outs
+
+
+def _column_views(mesh: VirtualMesh, cat: np.ndarray, tails, stacked: bool):
+    """Consecutive column blocks of ``cat``'s trailing axis, one per
+    entry of ``tails``, each unflattened to that tail: a list of
+    ``(start, stop, view closure, shards)``.  The closure maps the whole
+    ``cat`` to the block (per device on the loop backend); on the stacked
+    backend it is a pure view, marked ``const_view`` for the tape
+    optimizer."""
+    out, stop = [], 0
+    for tail in tails:
+        start, stop = stop, stop + math.prod(tail)
+
+        def view(f, start=start, stop=stop, tail=tuple(tail)):
+            return f[..., start:stop].reshape(f.shape[:-1] + tail)
+        if stacked:
+            view.const_view = True
+            fn = view
+        else:
+            def fn(f, view=view):
+                return mesh.map_devices(lambda c: view(f[c]))
+        out.append((start, stop, fn, fn(cat)))
     return out
 
 

@@ -1,24 +1,28 @@
 """Bit-exact tape optimization for captured replay programs.
 
-Replay cost at decode shapes is dominated by *per-numpy-call overhead*,
-not FLOPs — the arrays are tiny, so every eliminated kernel invocation
-is worth more than any amount of per-element cleverness.  The passes
-here rewrite a captured tape (:mod:`repro.mesh.capture`) to issue fewer,
-fatter calls while provably preserving every output bit:
+Replay cost is per-numpy-call overhead plus arithmetic.  At decode
+shapes the arrays are tiny and the overhead dominates, so every
+eliminated kernel invocation counts.  Prefill chunks are not free of
+FLOPs: on the serving benchmark's Model A (4x4x4 mesh, WS-2D), one
+block's fused input projection of a 4-token chunk is 115k MACs, which
+took 107 us through ``np.einsum``'s loop and 23 us as one batched BLAS
+``np.matmul`` (x86-64, 2 vCPUs, OpenBLAS 0.3.31 on one thread).  Every
+weight contraction therefore runs as a matmul, eager and replayed alike
+(:func:`repro.mesh.stacked.contract`), and the passes here rewrite a
+captured tape (:mod:`repro.mesh.capture`) to issue fewer, fatter calls
+while provably preserving every output bit:
 
-* **Projection-einsum fusion** — consecutive stacked einsums that
-  multiply the *same* activation by different step-invariant weights
-  (Q/K/V projections; the SwiGLU in/gate pair) are replaced by one
-  batched einsum against the concatenated weight plus cheap view-slices
-  of the fused output.  Bit-exact because einsum's contraction loop per
-  output element is unchanged — the concat axis is a free (output) axis,
-  so each block of the fused result is computed from exactly the same
-  inputs in exactly the same order.
+* **Prebound contractions** — each weight contraction replays as one
+  ``np.matmul`` into a view of the runner's own buffer, with the
+  weight's matrix view and the operand shapes resolved at capture
+  (:func:`_fused_einsum`); other contractions call the C einsum kernel
+  with bound subscripts.
 * **RoPE table CSE** — every query/key rotation at the same positions
   recomputes identical cos/sin tables; one inserted instruction builds
   them per step (:func:`repro.model.rope.rope_tables`) and the rotations
   switch to :func:`repro.model.rope.apply_rope_cached`, which runs the
-  identical multiply/add sequence on the identical tables.
+  identical multiply/add sequence on the identical tables.  Q and K,
+  adjacent columns of the model's fused projection, rotate as one slab.
 * **Replica collapse** — a value replicated along a mesh axis (an axis
   missing from its sharding spec, Section 3.1) is held and computed
   once along it: the recorder reads each value's replicated axes from
@@ -42,11 +46,16 @@ fatter calls while provably preserving every output bit:
   shapes too large for a table get :func:`repro.mesh.stacked.
   prebind_collective`, with its metadata resolved once).
 
-Capture cost is paid once per shared value, not once per program: the
-index tables are memoized process-wide as read-only arrays, the
-reduction scratch is one buffer per (shape, dtype) within a program,
-and the fused projection weights are shared by every program of one
-deployment through the recorder's ``weight_share``.
+The input projections are fused by the model, not here: a BLAS product
+split by columns does not give the bits of the full product, so a
+fusion only replay made would break replay's identity with eager
+execution.  :class:`~repro.layouts.ShardedTransformer` issues each
+block's projection against weights concatenated once per deployment
+(:func:`repro.mesh.ops.fused_projection`), so every program of the
+deployment reads the same constant.  Capture cost is paid once per
+shared value, not once per program: the index tables are memoized
+process-wide as read-only arrays, and the reduction scratch is one
+buffer per (shape, dtype) within a program.
 
 All passes are *conservative pattern matchers*: anything unrecognized
 (loop-backend instructions, sharded-weight layouts) is left untouched.
@@ -56,7 +65,7 @@ path replays and every prefill chunk — then splits the result into a
 KV body and a logits head, and only then calls
 :func:`freeze_stable_views`.  The order matters: a frozen view leaves
 the instruction list, so a split after freezing would find no producer
-for the K/V the appends read through views of the fused projection
+for the K/V the appends read through column views of the projection
 buffer.  The differential suites assert bit-identical logits and KV
 caches for optimized programs on every plan and batch size they cover.
 """
@@ -82,13 +91,11 @@ def optimize_tape(recorder, instrs, const, out_vids):
     constants) and grows its value table for newly created constants and
     intermediates; ``const`` is extended in place for new constants.
     """
-    instrs, view_map = _fuse_projection_einsums(recorder, instrs, const,
-                                                out_vids)
     instrs = _cse_rope_tables(recorder, instrs, const)
-    instrs = _merge_rope_slabs(recorder, instrs, view_map)
+    instrs = _merge_rope_slabs(recorder, instrs)
     instrs = _collapse_replicas(recorder, instrs, const, out_vids)
     instrs = _flatten_attention(recorder, instrs)
-    instrs = _prebind_einsums(recorder, instrs)
+    instrs = _prebind_einsums(recorder, instrs, const, out_vids)
     instrs = _inplace_rope(recorder, instrs, out_vids)
     instrs = _inplace_elementwise(recorder, instrs, out_vids)
     instrs = _prebind_collectives(recorder, instrs, out_vids)
@@ -102,188 +109,6 @@ def _add_value(recorder, value, const=None):
     if const is not None:
         const.add(vid)
     return vid
-
-
-# ---------------------------------------------------------------------------
-# Projection-einsum fusion
-# ---------------------------------------------------------------------------
-
-def _distinct(letters: str) -> bool:
-    return len(set(letters)) == len(letters)
-
-
-def _canonical(lhs: str, rhs: str, out: str):
-    """Split a projection einsum into ``(F, C, G)`` or return ``None``.
-
-    The canonical form is ``lhs = F + C``, ``rhs = C + G``, ``out = F +
-    G`` — a plain matrix product of the activation's trailing ``C`` dims
-    against the weight, with free weight dims ``G``.  Any einsum in this
-    form is bit-equal to the flattened ``F·C, C·g -> F·g`` product with
-    ``g = prod(G)``: per output element the contraction runs over the
-    same values in the same order, so c_einsum produces identical bits
-    (the differential suites assert this on every covered shape).
-    """
-    if not (_distinct(lhs) and _distinct(rhs) and _distinct(out)):
-        return None
-    shared = [letter for letter in lhs if letter in rhs]
-    c = "".join(shared)
-    if not c or not lhs.endswith(c) or not rhs.startswith(c):
-        return None
-    if any(letter in out for letter in c):
-        return None
-    f = lhs[:len(lhs) - len(c)]
-    g = rhs[len(c):]
-    if not g or any(letter in lhs for letter in g):
-        return None
-    if out != f + g:
-        return None
-    return f, c, g
-
-
-def _einsum_candidate(ins, const, out_vids):
-    """(x_vid, w_vid, lhs, C, G) when ``ins`` is fusable, else None."""
-    if ins.meta is None or ins.meta[0] != "einsum" or not ins.arena:
-        return None
-    if ins.out is None or ins.out in out_vids or len(ins.inputs) != 2:
-        return None
-    x_vid, w_vid = ins.inputs
-    if x_vid in const or w_vid not in const:
-        return None  # activation-times-constant-weight shapes only
-    _, lhs, rhs, out = ins.meta
-    canon = _canonical(lhs, rhs, out)
-    if canon is None:
-        return None
-    f, c, g = canon
-    return x_vid, w_vid, lhs, c, g
-
-
-def _fresh_letter(used: str) -> str | None:
-    for letter in "abcdefghijklmnopqrstuvwxyz":
-        if letter not in used:
-            return letter
-    return None
-
-
-def _viewer(start: int, stop: int, tail: tuple):
-    def view(f):
-        return f[..., start:stop].reshape(f.shape[:-1] + tail)
-    view.const_view = True
-    return view
-
-
-def _fused_einsum(mesh, lhs: str, rhs: str, out_sub: str):
-    subs = f"...{lhs},...{rhs}->...{out_sub}"
-
-    def run(x, w, out=None):
-        if out is None:
-            return _einsum(subs, x, w)
-        return _einsum(subs, x, w, out=out)
-    return run
-
-
-def _flat_trailing(arr: np.ndarray, n_free: int) -> np.ndarray:
-    return arr.reshape(arr.shape[:arr.ndim - n_free] + (-1,))
-
-
-def _concat_weights(recorder, w_vids, n_free):
-    """The flattened weights concatenated on their free axis, read-only.
-
-    Weights that entered the tape from outside (the model's own shards,
-    not values folded inside this capture) outlive the program, so their
-    concatenation is shared through ``recorder.weight_share`` — the
-    deployment's :class:`~repro.mesh.capture.StepCompiler` map from the
-    weights' ids to ``(weights, concatenation)``.  The entry holds the
-    weights themselves, so an id cannot be reused while it is present
-    and a hit is always the concatenation of these very arrays; a
-    rebuilt model's fresh shards miss.
-    """
-    values = recorder._values
-    weights = tuple(values[v] for v in w_vids)
-    share = recorder.weight_share
-    if share is None or not all(v in recorder._const for v in w_vids):
-        share = {}
-    key = tuple(map(id, weights))
-    if key not in share:
-        w_cat = np.concatenate([_flat_trailing(w, n)
-                                for w, n in zip(weights, n_free)], axis=-1)
-        w_cat.setflags(write=False)
-        share[key] = (weights, w_cat)
-    return share[key][1]
-
-
-def _fuse_projection_einsums(recorder, instrs, const, out_vids):
-    """Collapse every same-activation projection group to one einsum.
-
-    All einsums that multiply the *same* live activation by different
-    constant weights with the same contraction suffix — Q, K and V; the
-    SwiGLU in and gate — become a single flattened einsum against the
-    concatenated (flattened) weights plus one view per original output.
-    Returns the rewritten list and a ``{vid: (fused_vid, start, stop,
-    shape)}`` map describing which outputs are now flat slices of a
-    fused buffer (consumed by the rope-slab pass).
-    """
-    from repro.mesh.capture import _Instr
-
-    values = recorder._values
-    groups: list[list[int]] = []
-    meta_of: dict[int, tuple] = {}
-    open_groups: dict[tuple, list[int]] = {}
-    for i, ins in enumerate(instrs):
-        cand = _einsum_candidate(ins, const, out_vids)
-        if cand is None:
-            continue
-        meta_of[i] = cand
-        key = (cand[0], cand[2], cand[3])  # activation, lhs, C
-        group = open_groups.get(key)
-        if group is not None and values[meta_of[group[0]][1]].dtype \
-                == values[cand[1]].dtype:
-            group.append(i)
-        else:
-            group = [i]
-            groups.append(group)
-            open_groups[key] = group
-
-    replacements: dict[int, list] = {}
-    view_map: dict[int, tuple] = {}
-    for group in groups:
-        if len(group) < 2:
-            continue
-        x_vid, _, lhs, c, _ = meta_of[group[0]]
-        z = _fresh_letter(lhs + c + "".join(m[4] for m in
-                                            (meta_of[i] for i in group)))
-        if z is None:
-            continue
-        f = lhs[:len(lhs) - len(c)]
-        w_cat = _concat_weights(recorder, [meta_of[i][1] for i in group],
-                                [len(meta_of[i][4]) for i in group])
-        outs = [values[instrs[i].out] for i in group]
-        flat_outs = [_flat_trailing(o, len(meta_of[i][4]))
-                     for o, i in zip(outs, group)]
-        fused_captured = np.concatenate(flat_outs, axis=-1)
-        w_vid = _add_value(recorder, w_cat, const)
-        fused_vid = _add_value(recorder, fused_captured)
-        fused = _Instr(_fused_einsum(recorder.mesh, lhs, c + z, f + z),
-                       (x_vid, w_vid), fused_vid,
-                       f"einsum_fused:x{len(group)}", False, True)
-        start = 0
-        for j, i in enumerate(group):
-            width = flat_outs[j].shape[-1]
-            out_vid = instrs[i].out
-            tail = outs[j].shape[fused_captured.ndim - 1:]
-            view = _Instr(_viewer(start, start + width, tail),
-                          (fused_vid,), out_vid, "einsum_view",
-                          False, False)
-            replacements[i] = [fused, view] if j == 0 else [view]
-            view_map[out_vid] = (fused_vid, start, start + width,
-                                 outs[j].shape)
-            start += width
-
-    if not replacements:
-        return instrs, view_map
-    rewritten = []
-    for i, ins in enumerate(instrs):
-        rewritten.extend(replacements.get(i, [ins]))
-    return rewritten, view_map
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +181,24 @@ def _row_viewer(start: int, stop: int):
     return view
 
 
-def _merge_rope_slabs(recorder, instrs, view_map):
-    """Rotate adjacent fused-buffer slices (Q then K) in one call.
+def _merge_rope_slabs(recorder, instrs):
+    """Rotate adjacent projection columns (Q then K) in one call.
 
-    After projection fusion, Q and K are flat slices of the same fused
-    buffer and both get rotated against the same table.  Rotation is
-    elementwise over ``d``-sized pairs, so rotating the combined
-    ``[..., rows, d]`` slab is bit-equal to rotating each slice — one
-    :func:`apply_rope_cached` call replaces two, and the originals
-    become row-views of the slab's output.
+    The model's fused input projection
+    (:func:`repro.mesh.ops.fused_projection`) hands out Q and K as
+    column views of one buffer, and both get rotated against the same
+    table.  Rotation is elementwise over ``d``-sized pairs, so rotating
+    the combined ``[..., rows, d]`` slab is bit-equal to rotating each
+    slice — one :func:`apply_rope_cached` call replaces two, and the
+    originals become row-views of the slab's output.
     """
     from repro.mesh.capture import _Instr
 
     values = recorder._values
+    # Column views: value id -> (projection buffer, start, stop, shape).
+    view_map = {ins.out: (ins.inputs[0], ins.meta[1], ins.meta[2],
+                          values[ins.out].shape)
+                for ins in instrs if ins.meta and ins.meta[0] == "columns"}
     groups: dict[tuple, list[int]] = {}
     for i, ins in enumerate(instrs):
         if ins.label != "rope_cached" or len(ins.inputs) != 2:
@@ -481,8 +311,7 @@ def _kind(ins) -> str:
     meta = ins.meta
     tag = meta[0] if meta else None
     if tag in ("einsum", "rmsnorm", "rope", "elementwise") \
-            or ins.label == "rope_cached" \
-            or ins.label.startswith("einsum_fused"):
+            or ins.label == "rope_cached":
         return "pointwise"
     if getattr(ins.fn, "const_view", False):
         return "view"
@@ -799,25 +628,76 @@ def _flatten_attention(recorder, instrs):
 # Prebound einsums and in-place rope
 # ---------------------------------------------------------------------------
 
-def _prebind_einsums(recorder, instrs):
-    """Swap remaining stacked einsums to direct prebuilt-subscript calls.
+def _fused_einsum(lhs: str, rhs: str, out_sub: str, x: np.ndarray,
+                  w: np.ndarray, out: np.ndarray):
+    """The replay runner of a matmul-form contraction of a live operand
+    by a constant weight: one ``np.matmul`` per call.
 
-    The recorded closures rebuild the ellipsis subscript string and go
-    through ``np.einsum``'s Python wrapper on every call; this binds the
-    string once and calls the same C kernel directly — identical
-    subscripts, identical operands, identical bits.
+    ``x``/``w``/``out`` are the captured operands and result.  The
+    weight's matrix view (transposed for a transposed form), the shape
+    ``x`` is reshaped to and a matrix view of the runner's own output
+    buffer are all bound here — the operands and kernel of
+    :func:`repro.mesh.stacked.contract`, so the same bits — and the
+    runner takes ``x`` alone.  ``run.weight`` is the weight it reads.
+    """
+    a2, b2, o2, _ = stacked_kernels.matmul_shapes(lhs, rhs, out_sub,
+                                                  x.shape, w.shape)
+    wm = w.reshape(b2)
+    if stacked_kernels.matmul_form(lhs, rhs, out_sub)[1]:
+        wm = wm.swapaxes(-1, -2)
+    buf = np.empty(out.shape, out.dtype)
+    om = buf.reshape(o2)
+
+    def run(x):
+        np.matmul(x.reshape(a2), wm, out=om)
+        return buf
+    run.out_buffer = buf
+    run.weight = w
+    return run
+
+
+def _einsum_runner(lhs: str, rhs: str, out_sub: str):
+    """Any other stacked contraction: the C einsum kernel with its
+    subscripts bound once (skipping ``np.einsum``'s Python wrapper)."""
+    subs = f"...{lhs},...{rhs}->...{out_sub}"
+
+    def run(x, w, out=None):
+        if out is None:
+            return _einsum(subs, x, w)
+        return _einsum(subs, x, w, out=out)
+    return run
+
+
+def _prebind_einsums(recorder, instrs, const, out_vids):
+    """Swap recorded stacked contractions to prebound runners.
+
+    A matmul-form contraction of a live operand by a constant weight
+    (every weight contraction of the model) gets :func:`_fused_einsum`;
+    other contractions get :func:`_einsum_runner`.  A program output, or
+    a matmul of two live operands, keeps its recorded closure, which
+    calls the same :func:`repro.mesh.stacked.contract`.
     """
     from repro.mesh.capture import _Instr
 
+    values = recorder._values
     rewritten = []
     for ins in instrs:
         meta = ins.meta
         if (meta is not None and meta[0] == "einsum"
                 and len(ins.inputs) == 2 and ins.out is not None):
-            fn = _fused_einsum(recorder.mesh, meta[1], meta[2], meta[3])
-            rewritten.append(_Instr(fn, ins.inputs, ins.out, ins.label,
-                                    ins.collective, ins.arena, meta))
-            continue
+            x_vid, w_vid = ins.inputs
+            if stacked_kernels.matmul_form(*meta[1:]) is None:
+                rewritten.append(_Instr(_einsum_runner(*meta[1:]),
+                                        ins.inputs, ins.out, ins.label,
+                                        ins.collective, ins.arena, meta))
+                continue
+            if w_vid in const and x_vid not in const \
+                    and ins.out not in out_vids:
+                fn = _fused_einsum(*meta[1:], values[x_vid], values[w_vid],
+                                   values[ins.out])
+                rewritten.append(_Instr(fn, (x_vid,), ins.out, ins.label,
+                                        False, False))
+                continue
         rewritten.append(ins)
     return rewritten
 
@@ -1033,7 +913,7 @@ def freeze_stable_views(instrs, template, out_vids):
     split (the split needs the view instructions): an instruction
     whose kernel writes through ``out=`` into a preallocated buffer
     produces the *same array object* on every replay, so any pure view
-    of it (``const_view``-marked slices from the fusion and rope passes)
+    of it (``const_view``-marked projection columns and rope slices)
     is itself the same object every time.  The view is computed once
     here, stored in the value template, and its instruction dropped —
     consumers read the live bytes through the frozen window exactly as

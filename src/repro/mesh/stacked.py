@@ -7,8 +7,9 @@ coordinate still yields that device's shard (as a view), so every
 loop-backend code path remains valid on stacked tensors; the kernels here
 additionally turn each collective into a single reshape/transpose/reduce
 over the device axes instead of a Python loop over communication groups,
-and sharded einsums into one batched ``np.einsum`` over a flattened device
-axis.
+and each sharded contraction into one call over the whole device grid
+(:func:`contract`: a batched BLAS ``np.matmul`` for weight contractions,
+``np.einsum`` otherwise).
 
 Bit-exactness contract
 ----------------------
@@ -21,9 +22,28 @@ asserts exact equality).  Two details make that hold:
   axis-size product of additions, each itself a whole-mesh vectorized
   add), rather than ``np.sum``, whose pairwise summation could reassociate
   floating-point adds.
-* Batched ``np.einsum`` with a leading batch subscript produces the same
-  bits as per-slice einsum, because the contraction loop per output
-  element is unchanged; the test suite locks this property in.
+* Both backends contract through the one kernel, :func:`contract`: the
+  loop backend calls it per device, the stacked backend once with the
+  device grid as leading batch axes, and capture-replay runners make its
+  ``np.matmul`` call with the same operand shapes.  A batched
+  ``np.matmul`` runs one BLAS product per batch entry, so its bits equal
+  the per-device product's, replicas held as stride-0 or collapsed
+  size-1 batch axes included (``tests/unit/test_contraction_kernel.py``).
+  What the bits *do* depend on is the product each device runs:
+  - A product split by columns can differ in the low bits from the
+    full product's columns, so a fused projection must be fused
+    everywhere — the model issues it (:mod:`repro.layouts.model`), not
+    the replay optimizer.
+  - A row's bits depend on the row count M: M = 1 takes a
+    matrix-vector kernel.  Batch size and chunk length are part of
+    every program's signature, so eager and replay always agree, but
+    the same token's logits at two batch sizes need not.
+  - A transposed operand (the logits head reads the ``[V, E]``
+    embedding as ``[E, V]``) takes another kernel than a contiguous
+    copy of it would, so every path reads it through the same view.
+  - The remaining ``np.einsum`` contractions keep their older
+    guarantee: a leading batch subscript leaves the per-slice
+    contraction loop unchanged.
 
 Axis-ordering convention matches :mod:`repro.mesh.ops`: a communication
 group over ``axes`` is ordered row-major with the *last* listed axis
@@ -475,30 +495,83 @@ def split(mesh, shards: np.ndarray, axes: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
-# Batched einsum
+# Contractions
 # ---------------------------------------------------------------------------
 
-def batched_einsum(mesh, lhs: str, rhs: str, out_subs: str,
-                   a_shards: np.ndarray, b_shards: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """One ``np.einsum`` over all devices (device grid as batch axes).
-
-    The three device axes ride along as an ellipsis, which broadcasts —
-    so replicated operands held as zero-stride views cost no copies.  The
-    contraction loop per output element is identical to the per-device
-    einsum, keeping the result bit-identical to the loop backend; the
-    optional ``out`` buffer (the capture-replay arena) does not change
-    the contraction order, so writing into it preserves the bits.
-    """
-    subscripts = _ellipsis_subscripts(lhs, rhs, out_subs)
-    if out is None:
-        return np.einsum(subscripts, a_shards, b_shards)
-    return np.einsum(subscripts, a_shards, b_shards, out=out)
-
-
 @lru_cache(maxsize=None)
-def _ellipsis_subscripts(lhs: str, rhs: str, out: str) -> str:
-    return f"...{lhs},...{rhs}->...{out}"
+def matmul_form(lhs: str, rhs: str, out: str) -> tuple[int, bool] | None:
+    """``(k, transposed)`` when ``lhs,rhs->out`` is a matrix product on
+    trailing axes, else ``None``.
+
+    The form is ``lhs = F + C``, ``out = F + G`` and ``rhs = C + G`` —
+    or ``G + C``, ``transposed`` — with ``k = len(C)`` and no letter
+    repeated: every weight contraction of the sharded model
+    (``ble,ef->blf``, ``ble,ehd->blhd``, ``blhd,hde->ble``,
+    ``ble,ve->blv``, ...).  Anything else (a row-wise dot such as
+    ``ble,ble->bl``) is not.
+    """
+    for k in range(1, len(lhs) + 1):
+        f, c = lhs[:-k], lhs[-k:]
+        g = out[len(f):]
+        if (g and out.startswith(f) and rhs in (c + g, g + c)
+                and len(set(f + c + g)) == len(f + c + g)):
+            return k, rhs == g + c
+    return None
+
+
+@lru_cache(maxsize=1024)
+def matmul_shapes(lhs: str, rhs: str, out: str, a_shape: tuple[int, ...],
+                  b_shape: tuple[int, ...]):
+    """The ``np.matmul`` operand shapes of :func:`contract` on operands
+    of shapes ``a_shape``/``b_shape``: ``(a2, b2, o2, out_shape)``, where
+    ``b2`` is pre-transpose for a transposed form.  Leading axes beyond
+    the subscripts (the device grid) are broadcast batch dims."""
+    k, transposed = matmul_form(lhs, rhs, out)
+    n_a, n_b, n_g = len(lhs), len(rhs), len(out) - len(lhs) + k
+    a_lead = tuple(a_shape[:len(a_shape) - n_a])
+    b_lead = tuple(b_shape[:len(b_shape) - n_b])
+    f_shape = tuple(a_shape[len(a_shape) - n_a:len(a_shape) - k])
+    c = math.prod(a_shape[len(a_shape) - k:])
+    if transposed:
+        g_shape = tuple(b_shape[len(b_shape) - n_b:len(b_shape) - k])
+    else:
+        g_shape = tuple(b_shape[len(b_shape) - n_g:])
+    m, n = math.prod(f_shape), math.prod(g_shape)
+    lead = np.broadcast_shapes(a_lead, b_lead)
+    return (a_lead + (m, c),
+            b_lead + ((n, c) if transposed else (c, n)),
+            lead + (m, n), lead + f_shape + g_shape)
+
+
+def contract(lhs: str, rhs: str, out_subs: str, a: np.ndarray,
+             b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``lhs,rhs->out_subs`` on one device or on the whole device grid.
+
+    Axes of ``a`` and ``b`` before the subscripted ones are batch axes
+    that broadcast — the three device axes of stacked shards, none for
+    one device's shard — so replicated operands held as zero-stride
+    views cost no copies.  A :func:`matmul_form` contraction is one BLAS
+    ``np.matmul`` of ``[..., M, C]`` by ``[..., C, N]`` (the transposed
+    form reads ``b`` through a transposed view); any other is one
+    ``np.einsum``.  ``out`` (a capture-replay buffer, C-contiguous)
+    receives the result without changing the kernel.  See the module's
+    bit-exactness contract.
+    """
+    form = matmul_form(lhs, rhs, out_subs)
+    if form is None:
+        subscripts = f"...{lhs},...{rhs}->...{out_subs}"
+        if out is None:
+            return np.einsum(subscripts, a, b)
+        return np.einsum(subscripts, a, b, out=out)
+    a2, b2, o2, out_shape = matmul_shapes(lhs, rhs, out_subs, a.shape,
+                                          b.shape)
+    bm = b.reshape(b2)
+    if form[1]:
+        bm = bm.swapaxes(-1, -2)
+    if out is None:
+        return np.matmul(a.reshape(a2), bm).reshape(out_shape)
+    np.matmul(a.reshape(a2), bm, out=out.reshape(o2))
+    return out
 
 
 # ---------------------------------------------------------------------------

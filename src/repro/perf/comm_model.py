@@ -135,9 +135,16 @@ def forward_comm_events(config: ModelConfig, plan: LayoutPlan,
         if e_gather:
             add("all_gather", e_gather, bl * E / post_e)
 
-    def attn_events():
-        for w in ("wq", "wk", "wv"):
+    attn_in = ("wq", "wk", "wv")
+    ffn_in = ("w_in", "w_gate") if cfg.ffn is FfnKind.SWIGLU else ("w_in",)
+
+    def projection_events(names):
+        # The block's input projections run as one contraction, so their
+        # weights are gathered together, ahead of attention and the FFN.
+        for w in names:
             gathered(*w_specs[w])
+
+    def attn_events():
         q_local = bl * (H / hid_sh) * D
         kv_local = bl * (K / kv_sh) * D
         if batch_attn and not wg:
@@ -165,14 +172,10 @@ def forward_comm_events(config: ModelConfig, plan: LayoutPlan,
         gathered(*w_specs["wo"])
 
     def ffn_events():
-        gathered(*w_specs["w_in"])
         gathered(*w_specs["w_out"])
         hidden_local = bl * F / hid_sh
         if f_rs:
-            add("reduce_scatter", f_rs, hidden_local)
-        if cfg.ffn is FfnKind.SWIGLU:
-            gathered(*w_specs["w_gate"])
-            if f_rs:
+            for _ in ffn_in:
                 add("reduce_scatter", f_rs, hidden_local)
         if f_rs:
             add("all_gather", f_rs, hidden_local)
@@ -185,16 +188,19 @@ def forward_comm_events(config: ModelConfig, plan: LayoutPlan,
         if cfg.parallel_block:
             norm_events()
             gather_activations()
+            projection_events(attn_in + ffn_in)
             attn_events()
             ffn_events()
             finish_events()
         else:
             norm_events()
             gather_activations()
+            projection_events(attn_in)
             attn_events()
             finish_events()
             norm_events()
             gather_activations()
+            projection_events(ffn_in)
             ffn_events()
             finish_events()
 

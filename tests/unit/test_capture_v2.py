@@ -14,9 +14,9 @@ The v2 contract on top of ``test_step_capture.py``'s single-step replay:
   decode plan the selector returns on 2x2x2 and 4x4x4, at batch sizes
   1-4, and again after a replica's profile switch re-captures;
 * capture state is shared safely: collective index tables by identity
-  across programs and read-only, fused projection weights across one
-  compiler's programs, dropped on invalidation and never handed to a
-  rebuilt model;
+  across programs and read-only; every program of a deployment reads
+  the model's one concatenation of its fused input-projection weights,
+  and a rebuilt model's programs never read the old model's;
 * the bucketed program cache bounds itself by LRU eviction and counts
   hits/misses/evictions/explicit invalidations;
 * programs of distinct deployments replayed on concurrent threads each
@@ -120,9 +120,10 @@ def selector_decode_cases():
 
 
 def fused_weight_ids(program):
-    """Ids of the concatenated weights a program's fused einsums read."""
-    return {id(program._template[ins.inputs[1]])
-            for ins in program._instrs if ins.label.startswith("einsum_fused")}
+    """Ids of the concatenated weights a program's fused input
+    projections read (bound into their prebound matmul runners)."""
+    return {id(ins.fn.weight)
+            for ins in program._instrs if ins.label == "projection"}
 
 
 def build(backend="stacked", steps=6):
@@ -371,10 +372,11 @@ class TestBodyOnlyPrefill:
     def test_kv_producers_behind_frozen_views_stay_in_the_body(self):
         """Split before freezing views, or K/V go stale.
 
-        On the stacked backend K and V reach the appends through views
-        of the fused projection buffer that finalize freezes into the
-        template; a split that ran after freezing would see no producer
-        for them and put the fused projection in the head.  Body-only
+        On the stacked backend K and V reach the appends through column
+        views of the model's fused input projection, whose buffer
+        finalize freezes into the template; a split that ran after
+        freezing would see no producer for them and put the projection
+        in the head.  Body-only
         replays of *different* chunks must then still write fresh K/V
         (and every replica of the replicated cache must agree)."""
         model = fresh_model("stacked", plan=WS2D_HEAD)
@@ -389,7 +391,7 @@ class TestBodyOnlyPrefill:
             compiler.prefill_chunk(model, chunk, caches, logits=i == 1)
         program = compiler.program
         fused = [i for i, ins in enumerate(program._instrs)
-                 if ins.label.startswith("einsum_fused")]
+                 if ins.label == "projection"]
         assert fused and fused[0] < program.n_body
         for a, b in zip(global_kv(caches), global_kv(eager_caches)):
             assert np.array_equal(a, b)
@@ -511,7 +513,8 @@ class TestOptimizedDecode:
 
 
 class TestSharedCaptureState:
-    """Index tables and fused weights are shared, and safely so."""
+    """Index tables and fused projection weights are shared, and safely
+    so."""
 
     def test_index_tables_shared_by_identity_and_read_only(self):
         tables = []
@@ -533,11 +536,12 @@ class TestSharedCaptureState:
         compiler.prefill_chunk(model, PROMPT, caches)
         compiler.decode_step(model, PROMPT[:, -1], caches)
         prefill, decode = compiler._programs.values()
-        assert fused_weight_ids(prefill)
-        assert fused_weight_ids(prefill) == fused_weight_ids(decode)
-        assert len(compiler.weight_share) == CFG.n_layers
-        compiler.invalidate()
-        assert compiler.weight_share == {}
+        # One projection per (parallel) block, each reading the model's
+        # concatenation itself: no program holds a copy of its own.
+        model_ids = {id(cat) for layer in model._fused for cat in layer}
+        assert len(model_ids) == CFG.n_layers
+        assert fused_weight_ids(prefill) == model_ids
+        assert fused_weight_ids(decode) == model_ids
 
     def test_rebuilt_model_never_gets_a_stale_concatenation(self):
         compiler = StepCompiler(warmup_steps=0)
@@ -546,7 +550,7 @@ class TestSharedCaptureState:
         compiler.decode_step(old, PROMPT[:, -1], old_caches)
         stale = fused_weight_ids(compiler.program)
         # Rebuilt on a new mesh with different weights and no explicit
-        # invalidate: the old concatenations are still in the share.
+        # invalidate: the old model and its concatenations are alive.
         new = fresh_model(plan=WS2D_HEAD, weights=init_weights(CFG, seed=1))
         logits, eager_caches = new.prefill(PROMPT, 8)
         _, caches = new.prefill(PROMPT, 8)

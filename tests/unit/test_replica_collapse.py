@@ -7,6 +7,9 @@ once along it, and stays bit-identical to eager execution:
   Model A (4x4x4, WS-2D/head) decoding at batch 1 runs attention on 16
   of 64 positions and the vocab einsum on 1; Model B (2x2x2,
   WS-1D/head) runs attention on all 8 and the vocab einsum on 1;
+* each block of either deployment issues one input projection
+  (Q|K|V|in|gate, the model's Section 3.4 fusion) and one rope call,
+  on the Q|K slab of its output;
 * loop-backend programs are untouched: no optimizer, every instruction
   on the whole mesh;
 * decode steps and prefill chunks of both deployments, at batch 1 and
@@ -78,11 +81,27 @@ def attention(captures):
                                                         "attention_flat")
 
 
+def rope_rows(captures):
+    """Heads each rope call of the last capture rotates together."""
+    recorder, program = captures[-1]
+    return [recorder._values[ins.out].shape[-2] for ins in program._instrs
+            if ins.label in ("rope", "rope_cached", "rope_inplace")]
+
+
+def one_projection_and_rope_per_block(captures):
+    """One fused projection per block, and one rope call per block on
+    its Q|K slab: one local query head (16 heads over 16 chips on A, 8
+    over 8 on B) plus the shared multiquery K head."""
+    assert len(positions(captures, "projection")) == 2
+    assert rope_rows(captures) == [1 + 1] * 2
+
+
 class TestWhatCollapses:
     def test_model_a_decode(self, collapsed_replicas_are_real):
         decode_program("A")
         assert attention(collapsed_replicas_are_real) == [16, 16]
         assert positions(collapsed_replicas_are_real, VOCAB) == [1]
+        one_projection_and_rope_per_block(collapsed_replicas_are_real)
 
     def test_model_b_decode(self, collapsed_replicas_are_real):
         decode_program("B")
@@ -92,6 +111,7 @@ class TestWhatCollapses:
         # The head gather and every norm statistic: one copy each.
         assert set(positions(captures, "all_gather")) == {1}
         assert set(positions(captures, "all_reduce")) == {1}
+        one_projection_and_rope_per_block(captures)
 
     @pytest.mark.parametrize("name", DEPLOYMENTS)
     def test_loop_programs_unchanged(self, name,
