@@ -9,10 +9,12 @@ invariants the control plane promises:
   request completes twice (checked against the raw
   ``request_completed`` records, not just the folded set), and no
   rejected request was also admitted.
-* **Exactly-once KV handoff** — per dispatch group, at most one
+* **Exactly-once KV handoff** — per attempt of a dispatch group (a
+  ``group_faulted`` record starts the next attempt), at most one
   ``kv_handoff`` commit; every commit is preceded by a
   ``kv_handoff_prepared``; a ``kv_handoff_aborted`` is only legal after
-  the retry budget (``kv_handoff_retried`` records) was spent.
+  the attempt's retry budget (``kv_handoff_retried`` records) was spent,
+  and never in an attempt that also committed.
 * **Exactly-once page leases** — every journaled cached-prefix pin
   (``page_leased``, one per replica/lease id) has exactly one matching
   ``page_released`` with the same page count: no lease leaked by a
@@ -113,32 +115,42 @@ def audit_run(journal: Journal, *,
             violations.append(f"request {rid} completed {count} times")
 
     # --- exactly-once KV handoff ------------------------------------------
-    prepared = {r["group"] for r in journal.of_kind(ev.KV_HANDOFF_PREPARED)}
-    commits: dict[int, int] = {}
-    for record in journal.of_kind(ev.KV_HANDOFF):
-        gid = record["group"]
-        commits[gid] = commits.get(gid, 0) + 1
-        if gid not in prepared:
-            violations.append(f"group {gid} committed a KV handoff "
-                              f"without a prepare record")
-    for gid, count in sorted(commits.items()):
-        if count > 1:
-            violations.append(f"group {gid} committed a KV handoff "
-                              f"{count} times (pages delivered twice)")
-    retries: dict[int, int] = {}
-    for record in journal.of_kind(ev.KV_HANDOFF_RETRIED):
-        gid = record["group"]
-        retries[gid] = retries.get(gid, 0) + 1
-    for record in journal.of_kind(ev.KV_HANDOFF_ABORTED):
-        gid = record["group"]
-        budget = record.get("budget")
-        if gid in commits:
+    # Counted per group *attempt*: a failover (``group_faulted``) drops
+    # the attempt's caches and re-prefills from the prompts, so the next
+    # attempt prepares and commits a handoff of its own.
+    handoff_kinds = (ev.KV_HANDOFF_PREPARED, ev.KV_HANDOFF_RETRIED,
+                     ev.KV_HANDOFF, ev.KV_HANDOFF_ABORTED)
+    attempt: dict[int, dict[str, int]] = {}
+    committed: set[int] = set()
+    for record in journal:
+        gid = record.data.get("group")
+        if record.kind == ev.GROUP_FAULTED:
+            attempt.pop(gid, None)
+            continue
+        if record.kind not in handoff_kinds:
+            continue
+        seen = attempt.setdefault(gid, {})
+        seen[record.kind] = seen.get(record.kind, 0) + 1
+        if record.kind == ev.KV_HANDOFF:
+            committed.add(gid)
+            if not seen.get(ev.KV_HANDOFF_PREPARED):
+                violations.append(f"group {gid} committed a KV handoff "
+                                  f"without a prepare record")
+            if seen[ev.KV_HANDOFF] == 2:
+                violations.append(f"group {gid} committed a KV handoff "
+                                  f"twice in one attempt (pages "
+                                  f"delivered twice)")
+        elif record.kind == ev.KV_HANDOFF_ABORTED:
+            retries = seen.get(ev.KV_HANDOFF_RETRIED, 0)
+            budget = record.get("budget")
+            if budget is not None and retries < budget:
+                violations.append(
+                    f"group {gid} aborted its KV handoff after only "
+                    f"{retries} of {budget} budgeted retries")
+        if record.kind in (ev.KV_HANDOFF, ev.KV_HANDOFF_ABORTED) and \
+                seen.get(ev.KV_HANDOFF) and seen.get(ev.KV_HANDOFF_ABORTED):
             violations.append(f"group {gid} both committed and aborted "
                               f"its KV handoff")
-        if budget is not None and retries.get(gid, 0) < budget:
-            violations.append(
-                f"group {gid} aborted its KV handoff after only "
-                f"{retries.get(gid, 0)} of {budget} budgeted retries")
 
     # --- exactly-once page leases ------------------------------------------
     leased: dict[tuple[str, int], int] = {}
@@ -192,7 +204,7 @@ def audit_run(journal: Journal, *,
         "completed": len(completed),
         "failed": len(failed),
         "rejected": len(rejected),
-        "handoff_commits": len(commits),
+        "handoff_commits": len(committed),
         "handoff_retries": state.handoff_retries,
         "handoff_aborts": state.handoff_aborts,
         "handoff_dup_drops": state.handoff_dup_drops,

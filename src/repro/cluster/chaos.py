@@ -22,7 +22,8 @@ Built-in scenarios (:data:`SCENARIOS`):
 * ``planned-drain`` — a replica is drained mid-decode; its live KV
   caches migrate to a sibling (re-prefill only as fallback).
 * ``correlated-stragglers`` — two replicas stagger through a straggler
-  window; hedged decode races a clean replica and the first finish wins.
+  window; hedged decode re-runs the group on a clean replica, the
+  earlier finish is taken, and both streams must match.
 * ``overload-burst`` — a burst over capacity; the token buckets and
   bounded queues shed load with *typed* rejections, and the priority
   classes show who kept their goodput.
@@ -182,7 +183,8 @@ SCENARIOS: dict[str, ChaosScenario] = {s.name: s for s in (
     ChaosScenario(
         name="correlated-stragglers",
         description="straggler window on 2 of 3 replicas; hedged decode "
-                    "races a clean replica and the first finish wins",
+                    "re-runs the group on a clean replica; the earlier "
+                    "finish is taken and both streams must match",
         fault_plans=(
             (0, FaultPlan(faults=(
                 StragglerFault(chip=(0, 0, 1), slowdown=4.0,

@@ -22,9 +22,9 @@ place, on the replica replanned around any dead chip):
   4.4 host-mediated transfer) and falls back to re-prefill only when
   the target's plan cannot host the batch.
 * **Hedged decode** — when consecutive decode steps run slower than the
-  straggler threshold, the group is re-dispatched to a second replica
-  and the first completion wins; both streams are asserted bit-identical
-  before the winner is taken.
+  straggler threshold, the group is re-run on a second replica and the
+  earlier finish is taken; both streams are asserted bit-identical
+  before a hedge's tokens are.
 * **Pools** — with ``pools=`` (:mod:`repro.cluster.disagg`) the fleet
   splits into a prefill pool and a decode pool: new groups prefill in
   the prefill pool, then the finished KV caches move to a decode
@@ -34,23 +34,25 @@ place, on the replica replanned around any dead chip):
 
 Time is *virtual* throughout: every model invocation charges its
 :class:`~repro.serving.resilient.CostModel` cost (scaled by replica
-degradation, plus injected straggler delay); replicas run in parallel in
-simulated time via per-replica ``busy_until_s``.
+degradation, plus injected straggler delay).  Each dispatched group is
+a :class:`GroupTask`; the plane advances one group (and its hedge) to
+completion before it dispatches the next, so replicas never serve at
+the same modeled time — ``busy_until_s`` only sets when each may start.
 
 Every transition is written once, to the write-ahead
 :class:`~repro.cluster.journal.Journal` on the virtual clock — the plane
 hands it to its replicas, breakers, admission controller and
 autoscaler, and ``events`` is a read-only alias of it.  The attached
 :class:`~repro.observability.Tracer` (same clock) records only
-durations: group regions and, with ``trace_mesh``, mesh spans; point
-marks are derived from the journal
+durations, one region per group; point marks are derived from the
+journal
 (:func:`~repro.observability.spans.record_marks`).  A chaos run's
 records and spans are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -212,6 +214,35 @@ class RestartSpec:
             raise ValueError(f"restart at_s must be >= 0, got {self.at_s}")
 
 
+@dataclass(eq=False)
+class GroupTask:
+    """One dispatched group's lifecycle, advanced one transition at a time.
+
+    :meth:`ClusterControlPlane._advance` performs one transition per
+    call — a prefill (with the pooled KV handoff), a drain, one decode
+    step, a failover or the finish — until ``done``.  ``t`` is when the
+    next transition starts; ``run`` is the current attempt, replaced by
+    a handoff, drain or failover.  A hedge is a second task on a backup
+    replica (``is_hedge``: no failover, drain or handoff) whose tokens
+    the original takes if the hedge finished first.
+    """
+
+    gid: int
+    subs: list[ClusterSubmission]
+    outcomes: dict[int, ClusterOutcome]
+    run: GroupRun
+    t: float
+    capped: list[bool]
+    is_hedge: bool = False
+    attempt: int = 0                     # failovers so far
+    first_token_s: float | None = None   # end of the first prefill
+    slow_steps: int = 0                  # consecutive slow decode steps
+    hedged: bool = False                 # the hedge check fired
+    hedge: GroupTask | None = None       # the backup, once dispatched
+    handoff_delivered: bool = False      # this attempt's ack was lost
+    done: bool = False
+
+
 class _JournaledCaps(dict):
     """Brownout output caps that journal every change as a lever record.
 
@@ -269,7 +300,6 @@ class ClusterControlPlane:
                  drains: Mapping[str, float] | None = None,
                  costs: CostModel | None = None,
                  policy: ClusterPolicy | None = None,
-                 trace_mesh: bool = False,
                  prompt_len_hint: int = 64,
                  autoscaler=None,
                  journal: Journal | None = None,
@@ -304,7 +334,6 @@ class ClusterControlPlane:
         fault_plans = dict(fault_plans or {})
         self.weights = weights
         self.backend = backend
-        self.trace_mesh = trace_mesh
         self.prompt_len_hint = prompt_len_hint
         # One program store for the whole fleet: every replica built here
         # or by add_replica replays what any same-shape sibling captured.
@@ -313,8 +342,7 @@ class ClusterControlPlane:
             Replica(f"r{i}", weights, shape, backend=backend,
                     decode_batch=decode_batch,
                     fault_plan=fault_plans.get(i), costs=self.costs,
-                    journal=self.journal, tracer=self._mesh_tracer,
-                    prompt_len_hint=prompt_len_hint,
+                    journal=self.journal, prompt_len_hint=prompt_len_hint,
                     kvstore_pages=self.policy.kvstore_pages,
                     program_store=self.program_store)
             for i, shape in enumerate(shapes)]
@@ -359,7 +387,7 @@ class ClusterControlPlane:
         self.replica_added_s = {r.name: 0.0 for r in self.replicas}
         self.replica_removed_s: dict[str, float] = {}
         self._replica_seq = len(self.replicas)
-        self._running: set[str] = set()        # replicas mid-group
+        self._tasks: list[GroupTask] = []      # live groups and hedges
         self.prefill_tokens = 0
         self.decode_tokens = 0
         # Shared-page accounting: every pinned prefix (a PageLease) is
@@ -383,15 +411,10 @@ class ClusterControlPlane:
         self._pool_fallback_noted = False
         self.kv_handoffs = 0
         self.kv_handoff_bytes = 0
-        self.kv_handoff_bytes_saved = 0  # prefix pages the target held
-        self.kv_pages_adopted = 0     # source pages registered on targets
         self.handoffs_colocated = 0   # no decode target: decoded in place
         self.handoff_retries = 0
         self.handoff_aborts = 0
         self.handoff_dups_dropped = 0
-        #: Groups whose KV pages reached the decode side even though the
-        #: transfer ack was lost — the retransmit dedups against this.
-        self._handoff_delivered: set[int] = set()
         if pools:
             for replica in self.replicas:
                 self._steer_to_pool(replica, 0.0)
@@ -400,10 +423,6 @@ class ClusterControlPlane:
     def events(self) -> Journal:
         """Read-only alias of :attr:`journal`, the plane's one stream."""
         return self.journal
-
-    @property
-    def _mesh_tracer(self) -> Tracer | None:
-        return self.tracer if self.trace_mesh else None
 
     def _breaker(self, name: str) -> CircuitBreaker:
         return CircuitBreaker(
@@ -551,12 +570,13 @@ class ClusterControlPlane:
     def _fire_idle_restarts(self, now_s: float) -> None:
         """Fire scheduled process deaths on replicas with no group.
 
-        A restart due on a replica that is mid-group fires inside the
-        group loop instead (:meth:`_maybe_crash_running`) so the group
-        takes the failover path; an idle replica just bounces.
+        A restart due on a replica that is mid-group fires at that
+        group's next prefill or decode step instead
+        (:meth:`_maybe_crash_running`), so the group takes the failover
+        path; an idle replica just bounces.
         """
         due = [name for name, spec in self._restarts.items()
-               if spec.at_s <= now_s and name not in self._running]
+               if spec.at_s <= now_s and not self._mid_group(name)]
         for name in due:
             replica = next((r for r in self.replicas
                             if r.name == name), None)
@@ -568,14 +588,18 @@ class ClusterControlPlane:
                                 mode=spec.mode, group=None)
             self._restart_replica(replica, now_s, spec.mode)
 
-    def _maybe_crash_running(self, run: GroupRun, t: float,
-                             gid: int) -> None:
-        """Raise :class:`ReplicaCrashed` if ``run``'s replica is due to
-        die at ``t`` — caught by the group loop's failover handler."""
-        spec = self._restarts.get(run.replica.name)
-        if spec is not None and t >= spec.at_s:
-            del self._restarts[run.replica.name]
-            raise ReplicaCrashed(run.replica.name, spec.mode, gid)
+    def _mid_group(self, name: str) -> bool:
+        """Is a live group (or hedge) running on replica ``name``?"""
+        return any(task.run.replica.name == name for task in self._tasks)
+
+    def _maybe_crash_running(self, task: GroupTask) -> None:
+        """Raise :class:`ReplicaCrashed` if ``task``'s replica is due to
+        die at ``task.t`` — caught by :meth:`_advance`'s failover."""
+        name = task.run.replica.name
+        spec = self._restarts.get(name)
+        if spec is not None and task.t >= spec.at_s:
+            del self._restarts[name]
+            raise ReplicaCrashed(name, spec.mode, task.gid)
 
     def _restart_replica(self, replica: Replica, t: float,
                          mode: str) -> None:
@@ -687,7 +711,6 @@ class ClusterControlPlane:
                           backend=self.backend,
                           decode_batch=self.decode_batch,
                           costs=self.costs, journal=self.journal,
-                          tracer=self._mesh_tracer,
                           prompt_len_hint=self.prompt_len_hint,
                           kvstore_pages=self.policy.kvstore_pages,
                           program_store=self.program_store)
@@ -721,7 +744,7 @@ class ClusterControlPlane:
         for replica in [r for r in self.replicas
                         if r.name in self.retiring]:
             name = replica.name
-            if name in self._running or replica.busy_until_s > now_s:
+            if self._mid_group(name) or replica.busy_until_s > now_s:
                 continue
             if name in self._drains:
                 # Idle: no in-flight group will ever execute the drain,
@@ -903,171 +926,173 @@ class ClusterControlPlane:
 
     def _run_group(self, subs: list[ClusterSubmission],
                    by_id: dict[int, ClusterOutcome]) -> None:
-        """Run one group to completion with failover/drain/hedge cover."""
+        """Dispatch one group and advance it to completion; a hedge, once
+        started, runs to completion before the original steps again."""
+        task = self._start_group(subs, by_id)
+        if task is None:
+            return
+        with self.tracer.region(f"group{task.gid}", kind="group",
+                                group=task.gid, replica=task.run.replica.name,
+                                requests=[s.request.request_id
+                                          for s in subs]):
+            while not task.done:
+                hedge = task.hedge
+                self._advance(hedge if hedge is not None and not hedge.done
+                              else task)
+
+    def _start_group(self, subs: list[ClusterSubmission],
+                     by_id: dict[int, ClusterOutcome]) -> GroupTask | None:
+        """Journal a new group and place it on a prefill replica (``None``:
+        no replica could take it, and the group failed)."""
         pairs = [self._wrap(s) for s in subs]
-        group = [r for r, _ in pairs]
-        capped = [c for _, c in pairs]
-        first_rid = subs[0].request.request_id
-        first_class = subs[0].priority_class
-        gid = self._group_counter
+        gid, head = self._group_counter, subs[0]
         self._group_counter += 1
         self.journal.record(ev.GROUP_STARTED, group=gid,
                             requests=[s.request.request_id for s in subs])
-
         try:
-            replica = self._pick_replica(self.now_s, first_rid, first_class,
-                                         phase="prefill",
-                                         prompt=subs[0].request.prompt)
+            replica = self._pick_replica(
+                self.now_s, head.request.request_id, head.priority_class,
+                phase="prefill", prompt=head.request.prompt)
         except NoHealthyReplica as exc:
             self._fail_group(subs, by_id, gid=gid,
                              error=type(exc).__name__, failovers=0)
-            return
-
-        attempt = 0
-        hedged = False
-        hedge_finish: float | None = None
-        hedge_completions: list[Completion] | None = None
-        hedge_replica: str | None = None
-        first_token_s: float | None = None
-        run = GroupRun(replica, group)
+            return None
         t = max(self.now_s, replica.busy_until_s)
         t += self._apply_profile(replica, t)
-        self._running.add(replica.name)
-        try:
-            with self.tracer.region(f"group{gid}", kind="group",
-                                    group=gid, replica=replica.name,
-                                    requests=[s.request.request_id
-                                              for s in subs]):
-                while True:
-                    try:
-                        self._maybe_crash_running(run, t, gid)
-                        if run.caches is None:
-                            t += run.run_prefill()
-                            self._set_now(t)
-                            self._note_leases(run, t, gid)
-                            self.prefill_tokens += sum(
-                                len(r.prompt) for r in run.group)
-                            if first_token_s is None:
-                                first_token_s = t
-                            pool = self.pool_of.get(run.replica.name)
-                            if pool == "prefill" and \
-                                    not self.pools_collapsed:
-                                # Phase boundary: the KV handoff to the
-                                # decode pool (may raise a MeshFault ->
-                                # the failover path below).
-                                prev_run = run
-                                run, t = self._handoff(run, t, gid)
-                                if run is not prev_run:
-                                    # Handed off: the target holds its
-                                    # own copy (and adopted the shared
-                                    # pages); the prefill-side pins drop.
-                                    self._running.discard(
-                                        prev_run.replica.name)
-                                    self._running.add(run.replica.name)
-                                    self._release_leases(prev_run, t, gid)
-                        slow_steps = 0
-                        while not run.done:
-                            drained = self._maybe_drain(run, t)
-                            if drained is not None:
-                                self._running.discard(run.replica.name)
-                                # The migrated caches carry their own
-                                # prefix copy; the source's pins drop.
-                                self._release_leases(run, t, gid)
-                                run, t = drained
-                                self._running.add(run.replica.name)
-                                if run.caches is None:
-                                    break  # drain fell back to re-prefill
-                                continue
-                            self._maybe_crash_running(run, t, gid)
-                            dt = run.decode_step()
-                            t += dt
-                            self._set_now(t)
-                            self.decode_tokens += len(run.group)
-                            self._autoscale(t)
-                            expected = self.costs.decode_cost_s(
-                                run.replica.profile) * run.replica.scale
-                            slow_steps = slow_steps + 1 \
-                                if dt > self.policy.hedge_slowdown * expected \
-                                else 0
-                            if not hedged and self.hedging_enabled and \
-                                    slow_steps >= self.policy.hedge_after_steps:
-                                hedged = True
-                                result = self._try_hedge(run, t, gid)
-                                if result is not None:
-                                    hedge_finish, hedge_completions, \
-                                        hedge_replica = result
-                        if not run.done:
-                            continue  # re-prefill the group on the target
-                        break
-                    except MeshFault as exc:
-                        t = self._on_group_fault(run.replica, exc, t)
-                        attempt += 1
-                        self.failovers += 1
-                        self.journal.record(ev.GROUP_FAULTED, t_s=t, group=gid,
-                                            source=run.replica.name,
-                                            error=type(exc).__name__,
-                                            attempt=attempt)
-                        if attempt > self.policy.max_retries:
-                            self._fail_group(subs, by_id, gid=gid,
-                                             error=type(exc).__name__,
-                                             failovers=attempt, finish_s=t)
-                            return
-                        # The abandoned attempt's pins drop before the
-                        # group re-prefills elsewhere (the source store
-                        # may already be invalidated — stale no-ops).
-                        self._release_leases(run, t, gid)
-                        try:
-                            target = self._pick_replica(
-                                t, first_rid, first_class,
-                                exclude=run.replica, phase="prefill",
-                                prompt=subs[0].request.prompt)
-                        except NoHealthyReplica as nhr_exc:
-                            self._fail_group(subs, by_id, gid=gid,
-                                             error=type(nhr_exc).__name__,
-                                             failovers=attempt, finish_s=t)
-                            return
-                        self.journal.record(
-                            ev.FAILOVER, t_s=t, group=gid, mode="re-prefill",
-                            source=run.replica.name, target=target.name,
-                            error=type(exc).__name__)
-                        t = max(t + self.policy.failover_overhead_s,
-                                target.busy_until_s)
-                        self._running.discard(run.replica.name)
-                        run = GroupRun(target, group)
-                        self._running.add(target.name)
+        run = GroupRun(replica, [r for r, _ in pairs])
+        task = GroupTask(gid, subs, by_id, run, t, [c for _, c in pairs])
+        self._tasks.append(task)
+        return task
 
-                # Group decoded to completion on run.replica at time t.
-                run.replica.busy_until_s = t
-                self.breakers[run.replica.name].record_success(t)
-                completions = run.completions()
-                winner_replica = run.replica.name
-                finish = t
-                if hedge_finish is not None and hedge_finish < finish:
-                    # The hedge won the race; streams must agree bit-for-bit.
-                    self._assert_identical(completions, hedge_completions)
-                    completions = hedge_completions
-                    finish = hedge_finish
-                    winner_replica = hedge_replica
-                self._set_now(finish)
-                self._complete_group(subs, completions, by_id, finish,
-                                     winner_replica, gid=gid,
-                                     hedged=hedged, failovers=attempt,
-                                     first_token_s=first_token_s,
-                                     capped=capped)
-        finally:
-            self._running.discard(run.replica.name)
+    def _advance(self, task: GroupTask) -> None:
+        """Perform one transition of ``task`` (see :class:`GroupTask`)."""
+        try:
+            if task.run.caches is None:
+                self._prefill(task)
+            elif task.run.done:
+                self._finish(task)
+            elif task.is_hedge or not self._maybe_drain(task):
+                self._decode_step(task)
+        except MeshFault as exc:
+            self._on_task_fault(task, exc)
+
+    def _prefill(self, task: GroupTask) -> None:
+        run = task.run
+        if not task.is_hedge:
+            self._maybe_crash_running(task)
+        task.t += run.run_prefill()
+        self._note_leases(run, task.t, task.gid)
+        if task.is_hedge:
+            return
+        self._set_now(task.t)
+        self.prefill_tokens += sum(len(r.prompt) for r in run.group)
+        if task.first_token_s is None:
+            task.first_token_s = task.t
+        if self.pool_of.get(run.replica.name) == "prefill" and \
+                not self.pools_collapsed:
+            # Phase boundary: the KV handoff to the decode pool (may
+            # raise a MeshFault -> failover).
+            self._handoff(task)
+        task.slow_steps = 0
+
+    def _decode_step(self, task: GroupTask) -> None:
+        run = task.run
+        if task.is_hedge:
+            task.t += run.decode_step()
+            return
+        self._maybe_crash_running(task)
+        dt = run.decode_step()
+        task.t += dt
+        self._set_now(task.t)
+        self.decode_tokens += len(run.group)
+        self._autoscale(task.t)
+        expected = self.costs.decode_cost_s(run.replica.profile) \
+            * run.replica.scale
+        task.slow_steps = task.slow_steps + 1 \
+            if dt > self.policy.hedge_slowdown * expected else 0
+        if not task.hedged and self.hedging_enabled and \
+                task.slow_steps >= self.policy.hedge_after_steps:
+            task.hedged = True
+            task.hedge = self._start_hedge(task)
+
+    def _finish(self, task: GroupTask) -> None:
+        """The group (or hedge) decoded its last token on ``run.replica``
+        at ``t``; the original completes with the earlier finish."""
+        run, t = task.run, task.t
+        if task.is_hedge:
+            self._retire(task)
+        run.replica.busy_until_s = t
+        self.breakers[run.replica.name].record_success(t)
+        if task.is_hedge:
+            return
+        completions, finish, winner = run.completions(), t, run.replica.name
+        hedge = task.hedge
+        if hedge is not None and hedge.run.done and hedge.t < finish:
+            # The hedge won the race; streams must agree bit-for-bit.
+            theirs = hedge.run.completions()
+            self._assert_identical(completions, theirs)
+            completions, finish, winner = theirs, hedge.t, \
+                hedge.run.replica.name
+        self._set_now(finish)
+        self._complete_group(task, completions, finish, winner)
+        self._retire(task)
+
+    def _on_task_fault(self, task: GroupTask, exc: MeshFault) -> None:
+        """Fail ``task`` over to another replica (re-prefill), or fail
+        the group once the retry budget is spent or no replica is left.
+        A faulted hedge is abandoned: the original is still running."""
+        run, t, gid, head = task.run, task.t, task.gid, task.subs[0]
+        self._on_group_fault(run.replica, exc, t)
+        if task.is_hedge:
+            self._retire(task)
+            return
+        task.attempt += 1
+        task.handoff_delivered = False
+        self.failovers += 1
+        error = type(exc).__name__
+        self.journal.record(ev.GROUP_FAULTED, t_s=t, group=gid,
+                            source=run.replica.name, error=error,
+                            attempt=task.attempt)
+        if task.attempt <= self.policy.max_retries:
+            # The abandoned attempt's pins drop before the group
+            # re-prefills elsewhere (the source store may already be
+            # invalidated — stale no-ops).
             self._release_leases(run, t, gid)
+            try:
+                target = self._pick_replica(
+                    t, head.request.request_id, head.priority_class,
+                    exclude=run.replica, phase="prefill",
+                    prompt=head.request.prompt)
+            except NoHealthyReplica as nhr_exc:
+                error = type(nhr_exc).__name__
+            else:
+                self.journal.record(
+                    ev.FAILOVER, t_s=t, group=gid, mode="re-prefill",
+                    source=run.replica.name, target=target.name,
+                    error=error)
+                task.t = max(t + self.policy.failover_overhead_s,
+                             target.busy_until_s)
+                task.run = GroupRun(target, run.group)
+                return
+        self._fail_group(task.subs, task.outcomes, gid=gid, error=error,
+                         failovers=task.attempt, finish_s=t)
+        self._retire(task)
+
+    def _retire(self, task: GroupTask) -> None:
+        """``task`` is over: drop its page pins and its live entry."""
+        self._release_leases(task.run, task.t, task.gid)
+        self._tasks.remove(task)
+        task.done = True
 
     # -- the KV handoff (pooled planes) -------------------------------------
 
-    def _colocate(self, run: GroupRun, t: float, gid: int,
-                  reason: str) -> tuple[GroupRun, float]:
+    def _colocate(self, task: GroupTask, t: float, reason: str) -> None:
         """Give up on handing off: decode in place on the prefill
-        replica (a degrade path, not a fault)."""
+        replica from ``t`` (a degrade path, not a fault)."""
         self.handoffs_colocated += 1
-        self.journal.record(ev.KV_HANDOFF_COLOCATED, t_s=t, group=gid,
-                            replica=run.replica.name, reason=reason)
-        return run, t
+        self.journal.record(ev.KV_HANDOFF_COLOCATED, t_s=t, group=task.gid,
+                            replica=task.run.replica.name, reason=reason)
+        task.t = t
 
     def _uncached_bytes(self, run: GroupRun,
                         target: Replica) -> tuple[int, int]:
@@ -1096,9 +1121,10 @@ class ClusterControlPlane:
 
         Adoption is by reference (sealed pages are immutable), so later
         prompts sharing the prefix hit on the decode side too and the
-        next handoff of the same prefix prices at zero.  No journal
-        record: adoption only seeds a cache — losing it costs recompute,
-        never correctness — unlike leases, which pin memory.
+        next handoff of the same prefix prices at zero.  The journal
+        record changes no replayed state: adoption only seeds a cache —
+        losing it costs recompute, never correctness — unlike leases,
+        which pin memory.
         """
         if source.kvstore is None or target.kvstore is None:
             return
@@ -1108,7 +1134,6 @@ class ClusterControlPlane:
             if pages:
                 adopted += target.kvstore.adopt(request.prompt, pages)
         if adopted:
-            self.kv_pages_adopted += adopted
             self.journal.record(ev.KV_PAGES_ADOPTED, t_s=t, group=gid,
                                 source=source.name, target=target.name,
                                 pages=adopted)
@@ -1123,8 +1148,7 @@ class ClusterControlPlane:
         except NoHealthyReplica:
             return None
 
-    def _handoff(self, run: GroupRun, t: float,
-                 gid: int) -> tuple[GroupRun, float]:
+    def _handoff(self, task: GroupTask) -> None:
         """Hand the group's finished KV caches to a decode replica —
         transactionally.
 
@@ -1145,13 +1169,14 @@ class ClusterControlPlane:
         Only an exhausted retry budget raises :class:`HandoffAborted`
         into the failover path (re-prefill in the prefill pool).
 
-        Committed decode starts at ``max(prefill_end + transfer,
-        target_busy)`` — the A.1-priced transfer overlaps whatever the
-        decode replica is already running.  No decode target (or a plan
-        that cannot host the batch) degrades to decoding in place,
-        unless the pool is merely partitioned — then the transaction
-        waits it out instead of wasting the prefill.
+        A commit moves ``task`` to the target, where decode starts at
+        ``max(prefill_end + transfer, target_busy)``; the source's pins
+        drop.  Groups run one at a time, so the target is idle by then
+        (``overlapped_s`` is 0.0).  No decode target (or a plan that
+        cannot host the batch) degrades to decoding in place, unless the
+        pool is merely partitioned — then the transaction waits it out.
         """
+        run, t, gid = task.run, task.t, task.gid
         source = run.replica
         policy = self.policy
         n_bytes = run.kv_cache_bytes()
@@ -1175,8 +1200,7 @@ class ClusterControlPlane:
                         # staged pages are fine, wait out the window.
                         failure = "decode-pool-partitioned"
                     else:
-                        return self._colocate(run, t, gid,
-                                              "no decode target")
+                        return self._colocate(task, t, "no decode target")
             if failure is None and new_run is None:
                 try:
                     new_run = run.migrate_to(target)
@@ -1184,8 +1208,7 @@ class ClusterControlPlane:
                     # The target's plan cannot host this batch (weight-
                     # gathered batch-group divisibility): not a fault,
                     # just decode here.
-                    return self._colocate(run, t, gid,
-                                          "migration refused")
+                    return self._colocate(task, t, "migration refused")
             if failure is None:
                 # Commit: the source drives the transfer — advance its
                 # fault clock one "handoff" phase step so chaos can
@@ -1198,10 +1221,10 @@ class ClusterControlPlane:
                         state.take_transfer_fault("handoff") is not None:
                     # The pages landed but the ack was lost: the decode
                     # side holds them; the retransmit must dedup.
-                    self._handoff_delivered.add(gid)
+                    task.handoff_delivered = True
                     failure = "ack-lost"
             if failure is None:
-                if gid in self._handoff_delivered:
+                if task.handoff_delivered:
                     self.handoff_dups_dropped += 1
                     self.journal.record(ev.KV_HANDOFF_DEDUPED, t_s=t,
                                         group=gid, target=target.name)
@@ -1213,14 +1236,12 @@ class ClusterControlPlane:
                 transfer_s = handoff_transfer_s(uncached)
                 # The source is occupied until the transfer completes
                 # (a drain or scale-in of it waits at least that long);
-                # the target keeps decoding its current work — overlap
-                # comes from starting at whichever of transfer-done /
+                # decode starts at whichever of transfer-done /
                 # target-free is later.
                 source.busy_until_s = t + transfer_s
                 decode_start = max(t + transfer_s, target.busy_until_s)
                 self.kv_handoffs += 1
                 self.kv_handoff_bytes += uncached
-                self.kv_handoff_bytes_saved += saved
                 self.journal.record(
                     ev.KV_HANDOFF, t_s=t, group=gid, source=source.name,
                     target=target.name, bytes=uncached,
@@ -1231,7 +1252,9 @@ class ClusterControlPlane:
                 # Post-commit: seed the decode side's store so the next
                 # shared-prefix handoff prices (and routes) even better.
                 self._adopt_pages(run, source, target, t, gid)
-                return new_run, decode_start
+                task.run, task.t = new_run, decode_start
+                self._release_leases(run, decode_start, gid)
+                return
             if attempt == attempts:
                 self.handoff_aborts += 1
                 self.journal.record(ev.KV_HANDOFF_ABORTED, t_s=t, group=gid,
@@ -1288,8 +1311,8 @@ class ClusterControlPlane:
     def _note_leases(self, run: GroupRun, t: float, gid: int) -> None:
         """Journal the page leases ``run``'s prefill just pinned.
 
-        Called after every ``run_prefill`` site (main loop, hedges) so
-        the write-ahead journal sees each lease exactly once; the
+        Called after every prefill (groups and hedges alike) so the
+        write-ahead journal sees each lease exactly once; the
         auditor later checks each journaled lease has exactly one
         matching release record — the exactly-once ledger extended to
         shared pages.
@@ -1326,7 +1349,7 @@ class ClusterControlPlane:
                                 pages=lease.n_pages)
 
     def _on_group_fault(self, replica: Replica, exc: MeshFault,
-                        t: float) -> float:
+                        t: float) -> None:
         self.journal.record(ev.FAULT_DETECTED, t_s=t, replica=replica.name,
                             error=type(exc).__name__, detail=str(exc))
         self.breakers[replica.name].record_failure(
@@ -1341,20 +1364,20 @@ class ClusterControlPlane:
             self._restart_replica(replica, t, exc.mode)
         else:
             replica.heartbeat(t)  # replan around dead chips, or go DEAD
-        return t
 
-    def _maybe_drain(self, run: GroupRun,
-                     t: float) -> tuple[GroupRun, float] | None:
-        """Execute a scheduled drain of the replica running ``run``.
+    def _maybe_drain(self, task: GroupTask) -> bool:
+        """Execute a scheduled drain of the replica running ``task``;
+        ``True`` if the task moved (and dropped the source's pins).
 
         Marks the source ``DRAINING`` (out of rotation), migrates the
         live KV caches to a target replica, and falls back to re-prefill
         when the target's plan cannot host the migrated batch.
         """
+        run, t = task.run, task.t
         name = run.replica.name
         drain_at = self._drains.get(name)
         if drain_at is None or t < drain_at:
-            return None
+            return False
         del self._drains[name]
         source = run.replica
         source.set_health(ReplicaHealth.DRAINING, t,
@@ -1370,7 +1393,7 @@ class ClusterControlPlane:
                               "drain aborted: no target replica")
             self.journal.record(ev.REPLICA_DRAINED, t_s=t, replica=name,
                                 mode="aborted")
-            return None
+            return False
         try:
             new_run = run.migrate_to(target)
             mode = "cache-migration"
@@ -1385,45 +1408,36 @@ class ClusterControlPlane:
                                 detail=str(exc))
         self.journal.record(ev.REPLICA_DRAINED, t_s=t, replica=name,
                             mode=mode, target=target.name)
-        return new_run, t
+        self._release_leases(run, task.t, task.gid)
+        task.run, task.t = new_run, t
+        return True
 
-    def _try_hedge(self, run: GroupRun, t: float, gid: int):
+    def _start_hedge(self, task: GroupTask) -> GroupTask | None:
         """Dispatch a duplicate of the lagging group to a second replica.
 
-        Returns ``(finish, completions, replica)``, or ``None`` when no
-        hedge ran to completion; the caller races the original to
-        completion and takes the earlier finish.  A hedge that faults is
-        abandoned (the original is still running); the breaker records
-        the failure either way.
+        Returns the hedge task, or ``None`` when there is no backup
+        replica.  The original takes the hedge's tokens if the hedge
+        finishes first (:meth:`_finish`); a hedge that faults is
+        abandoned, and the breaker records the failure either way.
         """
-        rid = run.group[0].request_id
+        run, t = task.run, task.t
         try:
-            backup = self._pick_replica(t, rid, "default",
-                                        exclude=run.replica, phase="decode")
+            backup = self._pick_replica(t, run.group[0].request_id,
+                                        "default", exclude=run.replica,
+                                        phase="decode")
         except NoHealthyReplica:
             return None  # nobody to hedge to; don't retry the check
         if backup is run.replica:
             return None
         self.hedges += 1
-        self.journal.record(ev.HEDGE, t_s=t, group=gid,
+        self.journal.record(ev.HEDGE, t_s=t, group=task.gid,
                             source=run.replica.name, target=backup.name)
-        hedge_run = GroupRun(backup, run.group)
-        bt = max(t, backup.busy_until_s)
-        self._running.add(backup.name)
-        try:
-            bt += hedge_run.run_prefill()
-            self._note_leases(hedge_run, bt, gid)
-            while not hedge_run.done:
-                bt += hedge_run.decode_step()
-        except MeshFault as exc:
-            self._on_group_fault(backup, exc, bt)
-            return None
-        finally:
-            self._running.discard(backup.name)
-            self._release_leases(hedge_run, bt, gid)
-        backup.busy_until_s = bt
-        self.breakers[backup.name].record_success(bt)
-        return bt, hedge_run.completions(), backup.name
+        hedge = GroupTask(task.gid, task.subs, task.outcomes,
+                          GroupRun(backup, run.group),
+                          max(t, backup.busy_until_s), task.capped,
+                          is_hedge=True)
+        self._tasks.append(hedge)
+        return hedge
 
     @staticmethod
     def _assert_identical(a: Sequence[Completion],
@@ -1438,13 +1452,12 @@ class ClusterControlPlane:
 
     # -- outcome bookkeeping ------------------------------------------------
 
-    def _complete_group(self, subs, completions, by_id, finish_s: float,
-                        replica: str, *, gid: int, hedged: bool,
-                        failovers: int,
-                        first_token_s: float | None = None,
-                        capped: Sequence[bool] | None = None) -> None:
-        capped = capped or [False] * len(subs)
-        for sub, completion, was_capped in zip(subs, completions, capped):
+    def _complete_group(self, task: GroupTask,
+                        completions: Sequence[Completion], finish_s: float,
+                        replica: str) -> None:
+        hedged, failovers = task.hedged, task.attempt
+        for sub, completion, was_capped in zip(task.subs, completions,
+                                               task.capped):
             rid = sub.request.request_id
             crc = token_crc(completion.tokens)
             stream_len = int(len(completion.tokens))
@@ -1456,10 +1469,11 @@ class ClusterControlPlane:
                 rid, status, sub.priority_class, completion=completion,
                 replica=replica, arrival_s=sub.arrival_s,
                 finish_s=finish_s, hedged=hedged, failovers=failovers,
-                first_token_s=first_token_s, output_capped=was_capped)
-            by_id[rid] = outcome
+                first_token_s=task.first_token_s, output_capped=was_capped)
+            task.outcomes[rid] = outcome
             self.journal.record(ev.REQUEST_COMPLETED, t_s=finish_s,
-                                request_id=rid, group=gid, replica=replica,
+                                request_id=rid, group=task.gid,
+                                replica=replica,
                                 crc=crc, stream_len=stream_len,
                                 met_deadline=met, hedged=hedged,
                                 failovers=failovers,

@@ -75,7 +75,7 @@ class Replica:
                  backend: str | None = None, decode_batch: int = 4,
                  fault_plan: FaultPlan | None = None,
                  costs: CostModel | None = None,
-                 journal: EventLog | None = None, tracer=None,
+                 journal: EventLog | None = None,
                  prompt_len_hint: int = 64,
                  kvstore_pages: int = 256,
                  program_store: ProgramStore | None = None):
@@ -84,9 +84,6 @@ class Replica:
         self.decode_batch = decode_batch
         self.costs = costs or CostModel()
         self.journal = journal if journal is not None else EventLog()
-        # Mesh tracer: every collective/einsum this replica's meshes run
-        # is recorded on it (None: mesh instrumentation off).
-        self.tracer = tracer
         self.mesh = VirtualMesh(shape, backend=backend)
         self.full_chips = self.mesh.num_chips
         self.health = ReplicaHealth.HEALTHY
@@ -105,8 +102,6 @@ class Replica:
         if fault_plan is not None:
             self.fault_state = self.mesh.install_faults(fault_plan,
                                                         self.journal)
-        if tracer is not None:
-            self.mesh.tracer = tracer
         # Capture-and-replay compiler for prefill chunks and decode
         # steps.  Its counters are this replica's; its programs live in
         # ``program_store``, which a control plane shares across its
@@ -217,8 +212,6 @@ class Replica:
         if self.fault_state is not None:
             self.fault_state = self.fault_state.carry_to(
                 deploy.mesh, deploy.subslice.origin)
-        if self.tracer is not None:
-            deploy.mesh.tracer = self.tracer
         self.mesh = deploy.mesh
         self.prefill_model = deploy.prefill_model
         self.decode_model = deploy.decode_model

@@ -13,6 +13,8 @@ seed determinism.
 import numpy as np
 import pytest
 
+from repro import events as ev
+from repro.cluster.audit import audit_run
 from repro.cluster.autoscaler import (
     BROWNOUT_LADDER,
     DISAGG_BROWNOUT_LADDER,
@@ -43,7 +45,8 @@ from repro.cluster.disagg import (
     handoff_transfer_s,
 )
 from repro.cluster.replica import ReplicaHealth
-from repro.mesh.faults import CollectiveFault, FaultPlan
+from repro.cluster.journal import Journal
+from repro.mesh.faults import ChipKill, CollectiveFault, FaultPlan
 from repro.model import init_weights
 from repro.serving.engine import Request
 
@@ -333,6 +336,76 @@ class TestHandoffDedup:
         for out in completed(outcomes):
             assert np.array_equal(out.completion.tokens,
                                   reference[out.request_id])
+
+
+class TestHandoffAudit:
+    """Exactly-once handoff is certified per group attempt: a failover
+    re-prefills the group, and the new attempt hands off again."""
+
+    @staticmethod
+    def refailover_plane():
+        # A decode replica loses a chip mid-decode: group 0 fails over,
+        # re-prefills and hands its new caches off a second time.
+        kill = ChipKill(chip=(0, 1, 0), at_step=1, phase="decode")
+        plane = make_plane(prefill=1, decode=2,
+                           fault_plans={1: FaultPlan(faults=(kill,))})
+        subs = make_submissions(8)
+        outcomes = plane.serve(subs)
+        return plane, subs, outcomes
+
+    def test_handoff_after_failover_is_certified(self):
+        plane, subs, outcomes = self.refailover_plane()
+        reference = reference_completions(subs, WEIGHTS)
+        assert len(completed(outcomes)) == 8
+        for out in outcomes:
+            assert np.array_equal(out.completion.tokens,
+                                  reference[out.request_id])
+        group0 = [r.kind for r in plane.journal if r.get("group") == 0
+                  and r.kind in (ev.KV_HANDOFF, ev.GROUP_FAULTED)]
+        assert group0 == [ev.KV_HANDOFF, ev.GROUP_FAULTED, ev.KV_HANDOFF]
+        report = audit_run(plane.journal, final_state=plane.control_state(),
+                           reference=reference)
+        assert report.certified, report.violations
+
+    def test_two_commits_in_one_attempt_fail_the_audit(self):
+        # The same journal without group 0's failover record: both
+        # commits now fall in one attempt, a double delivery.
+        plane, _, _ = self.refailover_plane()
+        journal = Journal()
+        journal.set_genesis(plane.journal.genesis)
+        for r in plane.journal:
+            if not (r.kind == ev.GROUP_FAULTED and r["group"] == 0):
+                journal.record(r.kind, t_s=r.t_s, **r.data)
+        report = audit_run(journal)
+        assert not report.certified
+        assert report.violations == [
+            "group 0 committed a KV handoff twice in one attempt "
+            "(pages delivered twice)"]
+
+    def test_lost_ack_does_not_dedup_the_next_attempt(self):
+        # Attempt 1 delivers its pages but loses the ack, and with no
+        # retry budget aborts into a failover.  Attempt 2 re-prefills on
+        # the other prefill replica and hands off new pages: that commit
+        # is not a duplicate, and an abort in one attempt with a commit
+        # in the next is certified.
+        plan = FaultPlan(faults=(CollectiveFault(
+            kind="timeout", at_step=1, phase="handoff"),))
+        plane = make_plane(prefill=2,
+                           policy=ClusterPolicy(handoff_retries=0),
+                           fault_plans={0: plan})
+        subs = make_submissions(4)
+        outcomes = plane.serve(subs)
+        assert len(completed(outcomes)) == 4
+        kinds = [r.kind for r in plane.journal if r.kind in (
+            ev.KV_HANDOFF_ABORTED, ev.GROUP_FAULTED, ev.KV_HANDOFF_DEDUPED,
+            ev.KV_HANDOFF)]
+        assert kinds == [ev.KV_HANDOFF_ABORTED, ev.GROUP_FAULTED,
+                         ev.KV_HANDOFF]
+        assert plane.handoff_dups_dropped == 0
+        reference = reference_completions(subs, WEIGHTS)
+        report = audit_run(plane.journal, final_state=plane.control_state(),
+                           reference=reference)
+        assert report.certified, report.violations
 
 
 class TestPoolPartitionSpec:
