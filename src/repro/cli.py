@@ -476,7 +476,7 @@ def _capture_workload(topology, backend, batch, steps, seed=0):
     Same model and layout as :func:`_executed_workload`, but decode goes
     through the capture-and-replay driver so the program-cache counters
     (hits, misses, evictions, per-reason invalidations) reflect a real
-    serving loop: warmup, one capture, then replays.
+    serving loop: one capture on the first step, then replays.
     """
     import numpy as np
 

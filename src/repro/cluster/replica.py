@@ -436,20 +436,14 @@ class GroupRun:
     def decode_step(self) -> float:
         """One batched decode step; returns its simulated cost.
 
-        A warm, valid program replays through the compiler's thunk;
-        otherwise the compiler runs the step eagerly (or captures it).
+        The replica's compiler replays a warm, valid program, captures on
+        a quiet miss, and runs the step eagerly while a fault is live.
         """
         replica = self.replica
         before = replica.delay_s()
         replica.advance("decode")
-        compiler = replica.step_compiler
-        thunk = compiler.decode_thunk(replica.decode_model, self.current,
-                                      self.caches)
-        if thunk is not None:
-            logits = thunk()
-        else:
-            logits = compiler.decode_step(replica.decode_model,
-                                          self.current, self.caches)
+        logits = replica.step_compiler.decode_step(
+            replica.decode_model, self.current, self.caches)
         elapsed = replica.costs.decode_cost_s(replica.profile) \
             * replica.scale \
             + (replica.delay_s() - before)

@@ -13,7 +13,7 @@ from repro.mesh import (
     sharded_einsum,
 )
 from repro.model.functional import causal_mask, masked_softmax, softmax
-from repro.model.rope import apply_rope
+from repro.model.rope import apply_rope_cached
 from repro.sharding.spec import ShardSpec
 
 
@@ -98,40 +98,45 @@ def sharded_rmsnorm(x: ShardedTensor, scale: ShardedTensor,
     return zip_shards(x.spec, x.global_shape, normalize, x, sumsq, scale)
 
 
-def sharded_rope(x: ShardedTensor, positions: np.ndarray,
-                 theta: float) -> ShardedTensor:
+def sharded_rope(x: ShardedTensor, tables: tuple) -> ShardedTensor:
     """Apply RoPE to a ``[B, L, heads, D]`` sharded tensor.
 
-    RoPE is elementwise per (position, head, dim-pair), so it is local for
-    any sharding that keeps L and D unsharded (all layouts here do).
+    ``tables`` is the forward's ``(cos, sin)`` pair
+    (:func:`repro.model.rope.rope_tables`), built once per forward and
+    shared by every rotation.  RoPE is elementwise per (position, head,
+    dim-pair), so it is local for any sharding that keeps L and D
+    unsharded (all layouts here do).
     """
     for dim in ("L", "D"):
         if x.spec.axes_for(dim):
             raise ValueError(f"RoPE requires unsharded {dim}, got {x.spec}")
-    # apply_rope broadcasts over arbitrary leading axes, so on the stacked
-    # backend one call covers the whole mesh.
+    # apply_rope_cached broadcasts over arbitrary leading axes, so on the
+    # stacked backend one call covers the whole mesh.
     recorder = getattr(x.mesh, "capture", None)
     if recorder is None or not recorder.recording:
-        return x.map_shards(lambda s: apply_rope(s, positions, theta),
+        return x.map_shards(lambda s: apply_rope_cached(s, tables),
                             elementwise=True)
     # Under capture, the generic map_shards hook would bake this step's
-    # positions into the program as a constant.  Suppress it and record
-    # one instruction with the positions array as a tracked input (the
-    # model's position instruction recomputes it per replay).
+    # tables into the program as a constant.  Suppress it and record one
+    # instruction with the tables as a tracked input (the model's table
+    # instruction recomputes them per replay).
     mesh = x.mesh
     with recorder.suppress():
-        out = x.map_shards(lambda s: apply_rope(s, positions, theta),
+        out = x.map_shards(lambda s: apply_rope_cached(s, tables),
                            elementwise=True)
     if x.is_stacked:
-        replay = lambda p, s: apply_rope(s, p, theta)  # noqa: E731
-        meta = ("rope", theta)
+        replay, label = _rope_stacked, "rope_cached"
     else:
-        replay = lambda p, s: mesh.map_devices(  # noqa: E731
-            lambda c: apply_rope(s[c], p, theta))
-        meta = None
-    recorder.record(replay, (positions, x.shards), out.shards, "rope",
-                    meta=meta, specs=(None, x.spec, x.spec))
+        replay = lambda tab, s: mesh.map_devices(  # noqa: E731
+            lambda c: apply_rope_cached(s[c], tab))
+        label = "rope"
+    recorder.record(replay, (tables, x.shards), out.shards, label,
+                    specs=(None, x.spec, x.spec))
     return out
+
+
+def _rope_stacked(tables, shards):
+    return apply_rope_cached(shards, tables)
 
 
 def local_attention(mesh: VirtualMesh, out_spec: ShardSpec,

@@ -63,6 +63,7 @@ from repro.mesh.ops import concat_weights, fused_projection
 from repro.model.config import AttentionKind, FfnKind
 from repro.model.functional import swish
 from repro.model.reference import LayerWeights, TransformerWeights
+from repro.model.rope import rope_tables
 from repro.partitioning.plan import (
     AttentionLayoutKind,
     FfnLayoutKind,
@@ -70,30 +71,26 @@ from repro.partitioning.plan import (
 )
 from repro.sharding.spec import parse
 
-# Per-layout sharding geometry.  F and H store their axes with y innermost
-# (order ``(z, y)``) so that weight-gathered layouts can gather the y axis
-# alone (gathers remove innermost axes; see repro.mesh.ops).
+# Per-layout sharding geometry.  F and H store their axes over
+# ``FfnLayoutKind.head_axes``, y innermost (order ``(z, y)``), so that
+# weight-gathered layouts can gather the y axis alone (gathers remove
+# innermost axes; see repro.mesh.ops).
 _GEOMETRY = {
     FfnLayoutKind.WS_1D: dict(
         residual="BLE_xyz", e_gather=("x", "y", "z"), rs_axes=("x", "y", "z"),
-        e_axes="xyz", stored_hidden=("x", "y", "z"),
-        local_hidden=("x", "y", "z"), weight_e="", f_rs=None),
+        e_axes="xyz", weight_e="", f_rs=None),
     FfnLayoutKind.WS_2D: dict(
         residual="BLE_xyz", e_gather=("y", "z"), rs_axes=("y", "z"),
-        e_axes="xyz", stored_hidden=("z", "y"), local_hidden=("z", "y"),
-        weight_e="x", f_rs=("x",)),
+        e_axes="xyz", weight_e="x", f_rs=("x",)),
     FfnLayoutKind.WG_X: dict(
         residual="B_xLE_yz", e_gather=("y", "z"), rs_axes=("y", "z"),
-        e_axes="yz", stored_hidden=("z", "y"), local_hidden=("z", "y"),
-        weight_e="x", f_rs=None),
+        e_axes="yz", weight_e="x", f_rs=None),
     FfnLayoutKind.WG_XY: dict(
         residual="B_xyLE_z", e_gather=("z",), rs_axes=("z",),
-        e_axes="z", stored_hidden=("z", "y"), local_hidden=("z",),
-        weight_e="x", f_rs=None),
+        e_axes="z", weight_e="x", f_rs=None),
     FfnLayoutKind.WG_XYZ: dict(
         residual="B_xyzLE", e_gather=(), rs_axes=(),
-        e_axes="", stored_hidden=("z", "y"), local_hidden=(),
-        weight_e="x", f_rs=None),
+        e_axes="", weight_e="x", f_rs=None),
 }
 
 # Which (axes, dim) all-gathers convert stored weights into the layout's
@@ -143,48 +140,15 @@ class ShardedTransformer:
 
     def __init__(self, weights: TransformerWeights, mesh: VirtualMesh,
                  plan: LayoutPlan):
-        plan.validate(weights.config, mesh.topology)
         self.weights = weights
         self.config = weights.config
         self.mesh = mesh
-        self.plan = plan
-        geo = _GEOMETRY[plan.ffn]
-        self._residual_spec = parse(geo["residual"])
-        self._e_gather: tuple[str, ...] = geo["e_gather"]
-        self._rs_axes: tuple[str, ...] = geo["rs_axes"]
-        self._stored_hidden: tuple[str, ...] = geo["stored_hidden"]
-        self._local_hidden: tuple[str, ...] = geo["local_hidden"]
-        self._f_rs = geo["f_rs"]
-        self._batch_axes = plan.ffn.batch_axes
-
-        e_axes, we = geo["e_axes"], geo["weight_e"]
+        geo = self._set_plan(plan)
         h = _axes_suffix("".join(self._stored_hidden))
-        we = _axes_suffix(we)
-        # KV heads shard over the hidden axes when they divide evenly
-        # (multihead always; GQA when wide enough); a single shared head
-        # (multiquery) is replicated (Figure 4b).
-        hid_group = mesh.group_size(self._stored_hidden)
-        self._kv_sharded = (self.config.n_kv_heads > 1
-                            and self.config.n_kv_heads % hid_group == 0)
+        we = _axes_suffix(geo["weight_e"])
         kv = h if self._kv_sharded else ""
-        # Replicated shared-KV attention is only well defined when every
-        # chip holds either all query heads (batch-sharded WS attention,
-        # WG-XYZ) or a single shared head (multiquery): with query heads
-        # sharded, local grouped attention would mis-align the head
-        # mapping.  Reject the unsupported GQA corner explicitly.
-        local_heads_sharded = (
-            (plan.attention is AttentionLayoutKind.HEAD
-             and not plan.ffn.is_weight_gathered and hid_group > 1)
-            or (plan.ffn.is_weight_gathered
-                and mesh.group_size(self._local_hidden) > 1))
-        if (self.config.n_kv_heads > 1 and not self._kv_sharded
-                and local_heads_sharded):
-            raise ValueError(
-                f"{self.config.n_kv_heads} KV heads cannot shard over the "
-                f"{hid_group}-chip head group; use batch-sharded "
-                f"attention, fewer head-sharding chips, or pad kv_heads")
         self._specs = {
-            "ln": f"E{_axes_suffix(e_axes)}",
+            "ln": f"E{_axes_suffix(geo['e_axes'])}",
             "w_in": f"E{we}F{h}",
             "w_gate": f"E{we}F{h}",
             "w_out": f"F{h}E{we}",
@@ -194,6 +158,28 @@ class ShardedTransformer:
             "wo": f"H{h}DE{we}",
         }
         self._shard_all_weights()
+
+    def _set_plan(self, plan: LayoutPlan) -> dict:
+        """Validate ``plan`` for this model and mesh and adopt its geometry.
+
+        Raises ``ValueError`` for a plan the executor cannot run: one
+        :meth:`LayoutPlan.validate` rejects, or the grouped-query corner
+        :meth:`LayoutPlan.shards_kv_heads` refuses.  Returns the layout's
+        geometry entry.
+        """
+        topology = self.mesh.topology
+        plan.validate(self.config, topology)
+        self._kv_sharded = plan.shards_kv_heads(self.config, topology)
+        self.plan = plan
+        geo = _GEOMETRY[plan.ffn]
+        self._residual_spec = parse(geo["residual"])
+        self._e_gather: tuple[str, ...] = geo["e_gather"]
+        self._rs_axes: tuple[str, ...] = geo["rs_axes"]
+        self._stored_hidden = plan.ffn.head_axes
+        self._local_hidden = plan.ffn.local_head_axes
+        self._f_rs = geo["f_rs"]
+        self._batch_axes = plan.ffn.batch_axes
+        return geo
 
     # -- plan switching -------------------------------------------------------
 
@@ -209,30 +195,19 @@ class ShardedTransformer:
         when the residual layout differs.
 
         Raises ``ValueError`` if the plans' weight storage is
-        incompatible (e.g. WS-1D vs. the 2D family).
+        incompatible (e.g. WS-1D vs. the 2D family), or if the model
+        cannot run ``plan`` at all (the constructor's checks).
         """
         other = ShardedTransformer.__new__(ShardedTransformer)
-        plan.validate(self.config, self.mesh.topology)
         other.weights = self.weights
         other.config = self.config
         other.mesh = self.mesh
-        other.plan = plan
-        geo = _GEOMETRY[plan.ffn]
-        other._residual_spec = parse(geo["residual"])
-        other._e_gather = geo["e_gather"]
-        other._rs_axes = geo["rs_axes"]
-        other._stored_hidden = geo["stored_hidden"]
-        other._local_hidden = geo["local_hidden"]
-        other._f_rs = geo["f_rs"]
-        other._batch_axes = plan.ffn.batch_axes
-
+        geo = other._set_plan(plan)
         if other._stored_hidden != self._stored_hidden or \
-                _GEOMETRY[plan.ffn]["weight_e"] != \
-                _GEOMETRY[self.plan.ffn]["weight_e"]:
+                geo["weight_e"] != _GEOMETRY[self.plan.ffn]["weight_e"]:
             raise ValueError(
                 f"plans {self.plan.ffn.value} and {plan.ffn.value} do not "
                 f"share weight storage; rebuild the model instead")
-        other._kv_sharded = self._kv_sharded
         other._specs = dict(self._specs)
         other._specs["ln"] = f"E{_axes_suffix(geo['e_axes'])}"
 
@@ -392,14 +367,12 @@ class ShardedTransformer:
 
     def _attn_partial(self, q: ShardedTensor, k: ShardedTensor,
                       v: ShardedTensor, layer: dict[str, ShardedTensor],
-                      cache: ShardedKVCache,
-                      positions: np.ndarray) -> ShardedTensor:
+                      cache: ShardedKVCache, rope: tuple) -> ShardedTensor:
         """Attention from its Q/K/V projections to its partial output."""
-        plan, cfg = self.plan, self.config
+        plan = self.plan
         # RoPE is linear, so it may be applied to partial sums.
-        theta = cfg.rope_theta
-        q = sharded_rope(q, positions, theta)
-        k = sharded_rope(k, positions, theta)
+        q = sharded_rope(q, rope)
+        k = sharded_rope(k, rope)
 
         batch_attention = plan.attention is AttentionLayoutKind.BATCH
         weight_e_sharded = bool(q.spec.partial_sum)
@@ -442,18 +415,18 @@ class ShardedTransformer:
                               self._gathered(layer["wo"], "EFH"))
 
     def _block(self, x: ShardedTensor, i: int, cache: ShardedKVCache,
-               positions: np.ndarray) -> ShardedTensor:
+               rope: tuple) -> ShardedTensor:
         layer = self.layers[i]
         y = self._gather_activations(sharded_rmsnorm(x, layer["ln"]))
         if self.config.parallel_block:
             q, k, v, *ffn_in = self._project(y, i, 0)
             # Sum partials before the single reduce-scatter (Section 3.4).
-            combined = (self._attn_partial(q, k, v, layer, cache, positions)
+            combined = (self._attn_partial(q, k, v, layer, cache, rope)
                         + self._ffn_partial(ffn_in, layer))
             return x + self._finish(combined)
         q, k, v = self._project(y, i, 0)
         x = x + self._finish(self._attn_partial(q, k, v, layer, cache,
-                                                positions))
+                                                rope))
         y2 = self._gather_activations(sharded_rmsnorm(x, layer["ln2"]))
         return x + self._finish(self._ffn_partial(self._project(y2, i, 1),
                                                   layer))
@@ -496,28 +469,34 @@ class ShardedTransformer:
         """Forward over ``tokens`` ``[B, L]``; returns global logits."""
         tracer = getattr(self.mesh, "tracer", None)
         recorder = getattr(self.mesh, "capture", None)
-        offset = caches[0].length
-        positions = np.arange(tokens.shape[1]) + offset
+        seq_len, cfg = tokens.shape[1], self.config
+
+        def tables(fill):
+            # One (cos, sin) pair per forward, shared by every layer's
+            # query and key rotations.
+            return rope_tables(np.arange(seq_len) + fill, cfg.d_head,
+                               cfg.rope_theta)
+
+        rope = tables(caches[0].length)
         # Embedding lookup is modeled host-side (a gather, not a matmul —
         # its cost is negligible next to the 2N matmul FLOPs, Section 2).
         emb = self.weights.embedding[tokens]
         if recorder is not None and recorder.recording:
-            # Step-varying program entry points: the decode position and
-            # the token embeddings are rederived from the replay context.
-            seq_len = tokens.shape[1]
-            recorder.record(
-                lambda ctx: np.arange(seq_len) + ctx.caches[0].length,
-                (recorder.CTX,), positions, "positions")
+            # Step-varying program entry points: the rotation tables (of
+            # the cache fill) and the token embeddings are rederived from
+            # the replay context.
+            recorder.record(lambda ctx: tables(ctx.caches[0].length),
+                            (recorder.CTX,), rope, "rope_tables")
             recorder.record(
                 lambda ctx, w=self.weights.embedding: w[ctx.tokens],
                 (recorder.CTX,), emb, "embed")
         x = ShardedTensor.from_global(self.mesh, emb, self._residual_spec)
         for i, cache in enumerate(caches):
             if tracer is None:
-                x = self._block(x, i, cache, positions)
+                x = self._block(x, i, cache, rope)
             else:
                 with tracer.layer(i):
-                    x = self._block(x, i, cache, positions)
+                    x = self._block(x, i, cache, rope)
         x = sharded_rmsnorm(x, self.final_ln)
         e_axes = x.spec.axes_for("E")
         if e_axes:
@@ -534,25 +513,9 @@ class ShardedTransformer:
 
     def decode_step(self, tokens: np.ndarray,
                     caches: list[ShardedKVCache]) -> np.ndarray:
+        """One decode step: the forward chunk of one token per row."""
         with self._tracer_phase("decode"):
-            recorder = getattr(self.mesh, "capture", None)
-            full = self.forward(tokens[:, None], caches)
-            out = full[:, -1]
-            if recorder is not None and recorder.recording:
-                recorder.record(lambda f: f[:, -1], (full,), out,
-                                "last_token")
-            return out
-
-    def capture_decode_step(self, tokens: np.ndarray,
-                            caches: list[ShardedKVCache]):
-        """One eager decode step, recorded into a replayable program.
-
-        Returns ``(logits, program)``; see
-        :func:`repro.mesh.capture.capture_decode_step`.
-        """
-        from repro.mesh.capture import capture_decode_step
-
-        return capture_decode_step(self, tokens, caches)
+            return self.forward(tokens[:, None], caches)[:, -1]
 
     def generate(self, prompt: np.ndarray, n_steps: int,
                  sampler=None, rng: np.random.Generator | None = None

@@ -1,14 +1,18 @@
 """Capture-and-replay programs: a trace-once compiler for the serving path.
 
-The decode phase is latency-critical and runs the *same* partitioned op
-sequence every step (Sections 2, 3.5): the layouts, communication groups
-and einsum shapes are all fixed for the lifetime of a (mesh, plan, batch)
-deployment, yet the eager path re-derives every one of them per step —
-``ShardSpec`` resolution, layout inference, group construction, weight
-re-gathers.  At decode batch sizes that Python-side bookkeeping dominates
-the (tiny) numpy compute.
+Every serving step is one ``model.forward`` chunk: a prefill chunk of
+``L`` tokens per row, or a decode step, which is the chunk with one
+token per row (Section 2 prices decode as a forward pass over one new
+token against the KV cache).  For a fixed (mesh, plan, batch, chunk
+length) the chunk runs the *same* partitioned op sequence every time
+(Sections 2, 3.5): the layouts, communication groups and einsum shapes
+are all fixed for the lifetime of the deployment, yet the eager path
+re-derives every one of them per step — ``ShardSpec`` resolution,
+layout inference, group construction, weight re-gathers.  At decode
+batch sizes that Python-side bookkeeping dominates the (tiny) numpy
+compute.
 
-This module removes it by *tracing one eager step*.  While a
+This module removes it by *tracing one eager chunk*.  While a
 :class:`StepRecorder` is installed on a mesh (duck-typed ``mesh.capture``,
 like ``tracer``/``fault_state``/``comm_log``), every collective and
 sharded einsum in :mod:`repro.mesh.ops`, every shard-level helper in
@@ -32,17 +36,21 @@ the tape into a :class:`CapturedProgram`:
   and the program's final output stays freshly allocated so callers may
   hold logits across steps.
 * **Stable input slots** — the step-varying inputs (token ids, KV-cache
-  pages, the decode position) enter through a :class:`ReplayContext`
-  bound per replay; cache instructions index ``ctx.caches``, so a
-  program survives cache hand-off as long as the cache *layout* matches.
-* **Tape optimization** — on the stacked backend every program (decode
-  step and prefill chunk alike) additionally runs the tape optimizer in
-  :mod:`repro.mesh.replay_opt` — prebound matmul runners, RoPE table
-  CSE, replica collapse (each replicated value computed once, read
-  from the sharding specs the hooks pass), flat multiquery attention,
-  in-place elementwise runners, indexed collectives — and replays
-  through a source-generated straight-line runner.  Every pass is bit-exact by construction and asserted
-  differentially.  Loop-backend programs replay the plain tape.
+  pages, and the RoPE tables the model derives from the cache fill)
+  enter through a :class:`ReplayContext` bound per replay; cache
+  instructions index ``ctx.caches``, so a program survives cache
+  hand-off as long as the cache *layout* matches, and replays at any
+  cache offset.
+* **Tape optimization** — on the stacked backend every program
+  additionally runs the tape optimizer in :mod:`repro.mesh.replay_opt`
+  — prebound matmul runners, replica collapse (each replicated value
+  computed once, read from the sharding specs the hooks pass), flat
+  multiquery attention, in-place elementwise runners, indexed
+  collectives.  Every pass is bit-exact by construction and asserted
+  differentially.
+* **Straight-line runner** — every program, on either backend, replays
+  through source-generated Python that calls the recorded closures in
+  tape order with values held in locals.
 * **Body and head** — the live instructions are split (before the
   optimizer's views are frozen, which would hide the K/V producers) into
   a *body*, everything the KV appends need, and a *head* that only
@@ -53,25 +61,26 @@ the tape into a :class:`CapturedProgram`:
 ``program.replay(tokens, caches)`` then executes the flat closure list —
 no layout selection, no ``ShardSpec`` work, no group construction, no
 ``ShardedTensor`` validation — and is required to be **bit-identical** to
-the eager step (the differential suites in
-``tests/unit/test_step_capture.py`` and ``tests/unit/test_capture_v2.py``
-assert exact equality on both mesh backends, across multiple steps, mesh
-shapes, plans and batch sizes).
+the eager chunk (the differential suites in
+``tests/unit/test_step_capture.py``, ``tests/unit/test_capture_v2.py``
+and ``tests/unit/test_program_family.py`` assert exact equality on both
+mesh backends, across multiple steps, mesh shapes, plans and batch
+sizes).
 
-Capture v2 extends the single decode program to a cache covering the
-serving hot path end-to-end:
+The serving hot path is covered end to end:
 
-* **Prefill programs** — :func:`capture_prefill_chunk` traces one
-  ``model.forward`` chunk; :meth:`StepCompiler.prefill_chunk` keys the
-  resulting program per chunk length, so chunked prefill replays every
-  chunk after the first of each length bucket through the arena — the
-  body alone for every chunk but the prompt's last, whose logits are
-  the only ones used.
+* **One program family** — :func:`capture_chunk` traces one
+  ``model.forward`` chunk; :class:`StepCompiler` keys the program by its
+  token shape, so chunked prefill replays every chunk after the first of
+  each length bucket through the arena (the body alone for every chunk
+  but the prompt's last, whose logits are the only ones used), and a
+  decode step replays the ``[B, 1]`` program — the same program a
+  one-token prefill chunk at batch ``B`` replays.
 * **Shape-bucketed program cache** — :class:`StepCompiler` keeps an LRU
-  ``OrderedDict`` of programs keyed by (kind, backend, mesh shape, plan,
-  token shape/dtype, cache layouts, dead-chip set), so every shape a
-  workload alternates between keeps its own warm program instead of
-  thrashing re-capture.  Hits, misses, evictions and per-reason
+  ``OrderedDict`` of programs keyed by (backend, mesh shape, plan,
+  weights, token shape/dtype, cache layouts, dead-chip set), so every
+  shape a workload alternates between keeps its own warm program instead
+  of thrashing re-capture.  Hits, misses, evictions and per-reason
   invalidations are counted and surfaced through the observability
   metrics tables.
 * **Shared capture state** — programs live in a :class:`ProgramStore`
@@ -94,11 +103,12 @@ Interplay with the rest of the stack:
   corruption and straggler delay fire exactly as they would eagerly.
   A replay adds every captured collective to the fault clock, head run
   or not, because the eager step would have run them all.
-* **Observability** — a replayed step emits one condensed
+* **Observability** — a replayed chunk emits one condensed
   ``kind="replay"`` span carrying the number of instructions executed,
-  a ``head`` flag and the collective counts (inside the usual
-  ``decode``/``prefill`` phase envelope), so Tracer-based tooling keeps
-  working without paying per-op span costs.
+  a ``head`` flag and the collective counts (inside a ``decode`` or
+  ``prefill`` phase envelope, by the program's :attr:`CapturedProgram.
+  kind`), so Tracer-based tooling keeps working without paying per-op
+  span costs.
 * **Validity is structural** — a program replays on any mesh of the
   same backend and shape, with the same plan, the same ``weights``
   object (checked with ``is``), the same token batch shape, the same
@@ -124,7 +134,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Sequence
@@ -190,8 +200,14 @@ class ProgramSignature:
     tokens_shape: tuple[int, ...] | None = None
     tokens_dtype: np.dtype | None = None
     cache_sig: tuple = ()
-    kind: str = "decode"
     dead_chips: tuple = ()
+
+
+def _kind(tokens_shape: tuple[int, ...] | None) -> str:
+    """A chunk of one token per row is a decode step (a model-free tape,
+    with no token shape, counts as one too)."""
+    return "prefill" if tokens_shape is not None and tokens_shape[-1] > 1 \
+        else "decode"
 
 
 def _dead_chips(mesh) -> tuple:
@@ -212,16 +228,15 @@ def _compile_source(source: str):
 def _compile_ops(ops, writeback):
     """Source-generate a straight-line runner for an instruction list.
 
-    The interpreted executor pays a loop iteration, a list comprehension
-    and two list index operations per instruction; at a few hundred
+    An interpreted loop would pay an iteration, a list comprehension and
+    two list index operations per instruction; at a few hundred
     tiny-kernel instructions per step that dispatch is a measurable
-    slice of replay time.  The generated function calls the exact same
-    closures in the exact same order with values held in locals, reads
-    step-varying slots from ``values`` once, and writes back only the
-    ``writeback`` values (the program output, or what a later segment
-    reads) — so the executed kernel stream (and every bit of the result)
-    is unchanged.  Closures and buffers are bound through the function's
-    globals, so the source names only positions.
+    slice of replay time.  The generated function calls the closures in
+    tape order with values held in locals, reads step-varying slots from
+    ``values`` once, and writes back only the ``writeback`` values (the
+    program output, or what a later segment reads).  Closures and
+    buffers are bound through the function's globals, so the source
+    names only positions.
     """
     env: dict[str, Any] = {}
     lines = ["def _replay(values):", " pass"]  # a segment may be empty
@@ -288,7 +303,6 @@ class CapturedProgram:
     def __init__(self, mesh, instrs: list[_Instr], template: list,
                  out_vid: int, signature: ProgramSignature, *,
                  n_body: int = 0,
-                 tokens_2d: bool = False, span_name: str = "captured_step",
                  collectives_captured: int = 0,
                  collectives_folded: int = 0,
                  optimized: bool = False, weights=None):
@@ -301,32 +315,22 @@ class CapturedProgram:
         self.n_body = n_body
         self._instrs = instrs
         self._out_vid = out_vid
-        self._tokens_2d = tokens_2d
-        self._span_name = span_name
         self.collectives_captured = collectives_captured
         self.collectives_folded = collectives_folded
         self.optimized = optimized
-        # Fast-path execution tuples: one attribute walk at build time
-        # instead of per instruction per replay.
-        ops = tuple((ins.fn, ins.inputs, ins.out, ins.buffer)
-                    for ins in instrs)
-        self._segments = (ops[:n_body], ops[n_body:])
         self._template = template
-        # Optimized programs additionally compile each segment to
-        # straight-line Python (locals instead of a values list, no
-        # dispatch loop) — same closures called in the same order.  The
-        # body writes back what the head reads (and the output, should
-        # the body produce it).
-        self._compiled = None
-        if optimized:
-            body, head = self._segments
-            head_reads = {v for _, inputs, _, _ in head for v in inputs}
-            head_reads.add(out_vid)
-            self._compiled = (
-                _compile_ops(body, sorted(out for _, _, out, _ in body
-                                          if out in head_reads)),
-                _compile_ops(head, [out_vid] if any(
-                    out == out_vid for _, _, out, _ in head) else []))
+        # Each segment compiles to straight-line Python.  The body writes
+        # back what the head reads (and the output, should the body
+        # produce it).
+        ops = [(ins.fn, ins.inputs, ins.out, ins.buffer) for ins in instrs]
+        body, head = ops[:n_body], ops[n_body:]
+        head_reads = {v for _, inputs, _, _ in head for v in inputs}
+        head_reads.add(out_vid)
+        self._compiled = (
+            _compile_ops(body, sorted(out for _, _, out, _ in body
+                                      if out in head_reads)),
+            _compile_ops(head, [out_vid] if any(
+                out == out_vid for _, _, out, _ in head) else []))
 
     @property
     def n_instructions(self) -> int:
@@ -338,7 +342,8 @@ class CapturedProgram:
 
     @property
     def kind(self) -> str:
-        return self.signature.kind
+        """``"decode"`` for one token per row, else ``"prefill"``."""
+        return _kind(self.signature.tokens_shape)
 
     # -- validity ----------------------------------------------------------
 
@@ -370,10 +375,6 @@ class CapturedProgram:
             return "degraded"
         return None
 
-    def matches(self, model, tokens: np.ndarray, caches: Sequence) -> bool:
-        """True when replaying would be valid for these step inputs."""
-        return self.mismatch(model, tokens, caches) is None
-
     # -- execution ---------------------------------------------------------
 
     def replay(self, tokens: np.ndarray | None = None,
@@ -385,27 +386,23 @@ class CapturedProgram:
         captured collectives.  With ``logits=False`` only the body runs —
         the caches advance exactly as in a full replay — and the result
         is ``None``.  Callers are responsible for validity
-        (:meth:`matches`) and for only replaying while the mesh's fault
+        (:meth:`mismatch`) and for only replaying while the mesh's fault
         state is quiescent — :class:`StepCompiler` enforces both.
         Concurrent replays of one program run one at a time.
         """
         mesh = self.mesh if mesh is None else mesh
         values = list(self._template)
-        ctx_tokens = tokens
-        if tokens is not None and self._tokens_2d:
-            ctx_tokens = tokens[:, None]
-        values[0] = ReplayContext(ctx_tokens, caches)
-        segments = (0, 1) if logits else (0,)
+        values[0] = ReplayContext(tokens, caches)
+        segments = self._compiled if logits else self._compiled[:1]
         tracer = getattr(mesh, "tracer", None)
         if tracer is None:
             self._run(values, segments)
         else:
-            with tracer.phase("decode" if self.kind != "prefill"
-                              else "prefill"):
+            with tracer.phase(self.kind):
                 with tracer.region(
-                        self._span_name, kind="replay",
-                        instructions=sum(len(self._segments[i])
-                                         for i in segments),
+                        "captured_program", kind="replay",
+                        instructions=self.n_instructions if logits
+                        else self.n_body,
                         head=logits,
                         collectives=self.collectives_live,
                         collectives_folded=self.collectives_folded):
@@ -418,25 +415,15 @@ class CapturedProgram:
             state.op_counter += self.collectives_captured
         return values[self._out_vid] if logits else None
 
-    def _run(self, values: list, segments: tuple[int, ...]) -> None:
+    def _run(self, values: list, segments: tuple) -> None:
         # The arena and scratch buffers are shared by every replayer.
         with self._lock:
             self.replays += 1
-            for i in segments:
-                if self._compiled is not None:
-                    self._compiled[i](values)
-                    continue
-                for fn, inputs, out, buffer in self._segments[i]:
-                    args = [values[v] for v in inputs]
-                    if buffer is not None:
-                        result = fn(*args, out=buffer)
-                    else:
-                        result = fn(*args)
-                    if out is not None:
-                        values[out] = result
+            for run in segments:
+                run(values)
 
     def __repr__(self) -> str:
-        return (f"CapturedProgram({self.signature.kind}, "
+        return (f"CapturedProgram({self.kind}, "
                 f"{self.n_instructions} instrs, "
                 f"{self.collectives_live}/{self.collectives_captured} "
                 f"collectives live, mesh={self.signature.mesh_shape}, "
@@ -555,9 +542,7 @@ class StepRecorder:
     # -- program construction ----------------------------------------------
 
     def finalize(self, output, *,
-                 signature: ProgramSignature | None = None,
-                 tokens_2d: bool = False,
-                 span_name: str = "captured_step", weights=None
+                 signature: ProgramSignature | None = None, weights=None
                  ) -> CapturedProgram | None:
         """Fold constants, split body from head, build the arena, and
         emit the program.
@@ -631,7 +616,6 @@ class StepRecorder:
         return CapturedProgram(
             self.mesh, kept, template, out_vid, signature,
             n_body=sum(id(ins) in body_ids for ins in kept),
-            tokens_2d=tokens_2d, span_name=span_name,
             collectives_captured=self.collectives,
             collectives_folded=folded_collectives,
             optimized=optimized, weights=weights)
@@ -643,8 +627,8 @@ def capturing(mesh, caches: Sequence = ()):
 
     The generic tape API: run any mesh program inside the block, then
     ``recorder.finalize(result_array)`` yields a replayable program (or
-    ``None``).  :func:`capture_decode_step` builds on this for the
-    model-level decode step.
+    ``None``).  :func:`capture_chunk` builds on this for the model-level
+    forward chunk.
     """
     if getattr(mesh, "capture", None) is not None:
         raise CaptureError("a capture is already active on this mesh")
@@ -656,51 +640,29 @@ def capturing(mesh, caches: Sequence = ()):
         del mesh.capture
 
 
-def _signature(model, tokens: np.ndarray, caches: Sequence, *,
-               kind: str = "decode") -> ProgramSignature:
+def capture_chunk(model, tokens: np.ndarray, caches: Sequence
+                  ) -> tuple[np.ndarray, CapturedProgram | None]:
+    """Run one eager forward chunk (``model.forward``) while recording it.
+
+    ``tokens`` is ``[B, L]``; a decode step is the chunk with ``L == 1``.
+    The chunk really runs (the caches advance exactly as usual), and the
+    program replays any later chunk of the *same shape* at any cache
+    offset — the RoPE tables and KV-append instructions re-derive their
+    offsets from the live caches.  Returns ``(logits, program)`` with the
+    eager chunk's full ``[B, L, V]`` logits; ``program`` is ``None`` when
+    the chunk could not be captured.
+    """
     mesh = model.mesh
-    return ProgramSignature(
+    signature = ProgramSignature(
         backend=mesh.backend, mesh_shape=mesh.shape,
         plan=getattr(model, "plan", None),
         tokens_shape=tokens.shape, tokens_dtype=tokens.dtype,
         cache_sig=tuple(c.signature for c in caches),
-        kind=kind, dead_chips=_dead_chips(mesh))
-
-
-def capture_decode_step(model, tokens: np.ndarray, caches: Sequence
-                        ) -> tuple[np.ndarray, CapturedProgram | None]:
-    """Run one eager decode step while recording it.
-
-    Returns ``(logits, program)`` — the logits are the eager step's
-    (the step really ran: caches advanced exactly as usual), and the
-    program replays subsequent steps bit-identically, or is ``None``
-    when the step could not be captured.
-    """
-    with capturing(model.mesh, caches) as recorder:
-        logits = model.decode_step(tokens, caches)
-    program = recorder.finalize(
-        logits, signature=_signature(model, tokens, caches),
-        tokens_2d=True, weights=model.weights)
-    return logits, program
-
-
-def capture_prefill_chunk(model, tokens: np.ndarray, caches: Sequence
-                          ) -> tuple[np.ndarray, CapturedProgram | None]:
-    """Run one eager prefill chunk (``model.forward``) while recording it.
-
-    ``tokens`` is a 2-D ``[B, chunk]`` slice; the resulting program
-    replays any later chunk of the *same shape* at any cache offset —
-    the positions and KV-append instructions re-derive their offsets
-    from the live caches.  Returns ``(logits, program)`` with the eager
-    chunk's full ``[B, chunk, V]`` logits.
-    """
-    with capturing(model.mesh, caches) as recorder:
+        dead_chips=_dead_chips(mesh))
+    with capturing(mesh, caches) as recorder:
         logits = model.forward(tokens, caches)
-    program = recorder.finalize(
-        logits, signature=_signature(model, tokens, caches,
-                                     kind="prefill"),
-        span_name="captured_prefill_chunk", weights=model.weights)
-    return logits, program
+    return logits, recorder.finalize(logits, signature=signature,
+                                     weights=model.weights)
 
 
 class ProgramStore:
@@ -725,39 +687,35 @@ class ProgramStore:
 
 
 class StepCompiler:
-    """Capture-after-warmup, replay-while-valid serving-step driver.
+    """Capture-on-miss, replay-while-valid serving-step driver.
 
-    Drop-in replacement for calling ``model.decode_step`` directly::
+    Drop-in replacement for calling the model directly::
 
         compiler = StepCompiler()
         logits = compiler.decode_step(model, tokens, caches)
 
-    A step whose program is already in the store replays at once.
-    Otherwise the first ``warmup_steps`` calls run eagerly (layout
-    caches warm up) and the next quiescent step is captured; every later
+    Every call is one forward chunk: :meth:`prefill_chunk` runs a
+    ``[B, L]`` chunk and :meth:`decode_step` the ``[B, 1]`` chunk, so a
+    decode step and a one-token prefill chunk of the same deployment
+    share one program.  A chunk whose program is in the store replays at
+    once; the first quiet miss of each key is captured, and every later
     call replays while the program's signature still matches and no
     fault is live.  A changed shape, plan, batch, cache layout or
-    dead-chip set looks up a different key (a miss, then a capture);
-    a stored program that cannot serve its key's caller (another
-    weights object, a cache on another mesh) is dropped and counted as
-    an invalidation.  A step with an active or pending fault falls back
-    to eager execution so the fault machinery fires exactly as usual.
+    dead-chip set looks up a different key (a miss, then a capture); a
+    stored program that cannot serve its key's caller (another weights
+    object, a cache on another mesh) is dropped and counted as an
+    invalidation.  A step with an active or pending fault runs eagerly
+    so the fault machinery fires exactly as usual.
 
     Programs live in a bounded LRU :class:`ProgramStore`, keyed per
-    (kind, backend, mesh shape, plan, weights, token shape, cache
-    layout, dead chips) bucket — see :class:`ProgramSignature` — which
-    many compilers may share; counters stay per compiler.  Plus:
-
-    * :meth:`prefill_chunk` — per-chunk-length prefill programs for
-      :func:`repro.serving.chunked.chunked_prefill`.
-    * :meth:`decode_thunk` — a pure zero-argument replay callable (all
-      cache/counter bookkeeping happens on the calling thread), which
-      :meth:`repro.cluster.replica.GroupRun.decode_step` runs when warm.
+    (backend, mesh shape, plan, weights, token shape, cache layout, dead
+    chips) bucket — see :class:`ProgramSignature` — which many compilers
+    may share; counters stay per compiler.  :meth:`decode_thunk` hands
+    out a warm decode step as a zero-argument replay callable.
     """
 
-    def __init__(self, warmup_steps: int = 1, *, max_programs: int = 8,
+    def __init__(self, *, max_programs: int = 8,
                  store: ProgramStore | None = None):
-        self.warmup_steps = warmup_steps
         self.max_programs = max(1, max_programs)
         self.store = store if store is not None else ProgramStore()
         self.store.max_programs += self.max_programs
@@ -805,19 +763,9 @@ class StepCompiler:
             "invalidation_reasons": dict(self.invalidation_reasons),
         }
 
-    def invalidate(self) -> None:
-        """Drop every program in the store — for *every* compiler
-        sharing the store."""
-        with self.store.lock:
-            self.invalidations += len(self._programs)
-            self._programs.clear()
-            self._failed.clear()
-
-    def _key(self, model, tokens: np.ndarray, caches: Sequence,
-             kind: str) -> tuple:
+    def _key(self, model, tokens: np.ndarray, caches: Sequence) -> tuple:
         mesh = model.mesh
-        return (kind, mesh.backend, mesh.shape,
-                getattr(model, "plan", None),
+        return (mesh.backend, mesh.shape, getattr(model, "plan", None),
                 id(getattr(model, "weights", None)), tokens.shape,
                 tokens.dtype,
                 tuple(c.signature for c in caches), _dead_chips(mesh))
@@ -853,79 +801,76 @@ class StepCompiler:
             self._programs[key] = program
         self.captures += 1
 
-    # -- decode ------------------------------------------------------------
+    # -- one forward chunk -------------------------------------------------
+
+    def _find(self, model, tokens: np.ndarray, caches: Sequence
+              ) -> tuple[tuple | None, CapturedProgram | None]:
+        """``(key, program)`` of one ``[B, L]`` chunk.
+
+        ``program`` is the stored program to replay now (counted as a
+        hit), or ``None``; ``key`` is ``None`` while a fault is live, when
+        the chunk must run eagerly.
+        """
+        state = getattr(model.mesh, "fault_state", None)
+        key = self._key(model, tokens, caches)
+        program = self._lookup(key, model, tokens, caches)
+        if state is not None and not state.quiescent():
+            return None, None
+        if program is not None:
+            self.hits += 1
+            self.replays += 1
+        return key, program
+
+    def _step(self, model, tokens: np.ndarray, caches: Sequence,
+              logits: bool = True) -> np.ndarray | None:
+        """Replay, capture or eagerly run one ``[B, L]`` chunk; returns its
+        ``[B, L, V]`` logits, or ``None`` with ``logits=False``."""
+        key, program = self._find(model, tokens, caches)
+        if program is not None:
+            return program.replay(tokens, caches, logits, mesh=model.mesh)
+        tracer = getattr(model.mesh, "tracer", None)
+        with tracer.phase(_kind(tokens.shape)) if tracer is not None \
+                else nullcontext():
+            if key is not None:
+                self.misses += 1
+                if key not in self._failed:
+                    out, program = capture_chunk(model, tokens, caches)
+                    self._store(key, program)
+                    return out if logits else None
+            self.eager_steps += 1
+            out = model.forward(tokens, caches)
+        return out if logits else None
 
     def decode_step(self, model, tokens: np.ndarray,
                     caches: Sequence) -> np.ndarray:
-        """One decode step: replay a warm program when valid, else eager."""
-        state = getattr(model.mesh, "fault_state", None)
-        quiet = state is None or state.quiescent()
-        key = self._key(model, tokens, caches, "decode")
-        program = self._lookup(key, model, tokens, caches)
-        if program is not None and quiet:
-            self.hits += 1
-            self.replays += 1
-            return program.replay(tokens, caches, mesh=model.mesh)
-        if quiet:
-            self.misses += 1
-            if self.eager_steps >= self.warmup_steps \
-                    and key not in self._failed:
-                logits, program = capture_decode_step(model, tokens, caches)
-                self._store(key, program)
-                return logits
-        self.eager_steps += 1
-        return model.decode_step(tokens, caches)
-
-    def decode_thunk(self, model, tokens: np.ndarray, caches: Sequence):
-        """A pure zero-argument replay callable, or None.
-
-        Returns a thunk only when a warm, valid program exists and the
-        fault state is quiescent — i.e. exactly when :meth:`decode_step`
-        would replay.  All shared-state bookkeeping (store lookup,
-        counters) happens here on the calling thread; the thunk touches
-        only this replica's caches and a program whose runs its own lock
-        serializes, so a caller may run thunks of *distinct* replicas
-        concurrently, even when they share a program.
-        """
-        state = getattr(model.mesh, "fault_state", None)
-        if state is not None and not state.quiescent():
-            return None
-        key = self._key(model, tokens, caches, "decode")
-        program = self._lookup(key, model, tokens, caches)
-        if program is None:
-            return None
-        self.hits += 1
-        self.replays += 1
-        mesh = model.mesh
-        return lambda: program.replay(tokens, caches, mesh=mesh)
-
-    # -- prefill -----------------------------------------------------------
+        """One decode step (``tokens`` ``[B]``): the ``[B, 1]`` chunk."""
+        return self._step(model, tokens[:, None], caches)[:, -1]
 
     def prefill_chunk(self, model, tokens: np.ndarray, caches: Sequence,
                       logits: bool = True) -> np.ndarray | None:
         """One prefill chunk (``[B, chunk]``), replayed per length bucket.
 
-        Unlike decode there is no warmup gate: the first chunk of each
-        (batch, length) bucket is captured, and every later chunk of the
-        same key — within this prompt, any later prompt, or on any
-        compiler sharing the store — replays through the arena.  With ``logits=False``
-        the chunk only builds the caches: a replay runs the program's
-        body alone, and the result is ``None`` on every path.
+        The first chunk of each (batch, length) bucket is captured, and
+        every later chunk of the same key — within this prompt, any later
+        prompt, or on any compiler sharing the store — replays through
+        the arena.  With ``logits=False`` the chunk only builds the
+        caches: a replay runs the program's body alone, and the result
+        is ``None`` on every path.
         """
-        state = getattr(model.mesh, "fault_state", None)
-        quiet = state is None or state.quiescent()
-        key = self._key(model, tokens, caches, "prefill")
-        program = self._lookup(key, model, tokens, caches)
-        if program is not None and quiet:
-            self.hits += 1
-            self.replays += 1
-            return program.replay(tokens, caches, logits, mesh=model.mesh)
-        if quiet:
-            self.misses += 1
-            if key not in self._failed:
-                out, program = capture_prefill_chunk(model, tokens, caches)
-                self._store(key, program)
-                return out if logits else None
-        self.eager_steps += 1
-        out = model.forward(tokens, caches)
-        return out if logits else None
+        return self._step(model, tokens, caches, logits)
+
+    def decode_thunk(self, model, tokens: np.ndarray, caches: Sequence):
+        """A zero-argument replay of one decode step, or None.
+
+        Returns a thunk only when a warm, valid program exists and the
+        fault state is quiescent — i.e. exactly when :meth:`decode_step`
+        would replay.  The store lookup and the counters run here, on
+        the calling thread; the thunk only replays, and a program's own
+        lock serializes concurrent runs of it.
+        """
+        tokens = tokens[:, None]
+        _, program = self._find(model, tokens, caches)
+        if program is None:
+            return None
+        mesh = model.mesh
+        return lambda: program.replay(tokens, caches, mesh=mesh)[:, -1]

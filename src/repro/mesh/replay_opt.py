@@ -17,12 +17,10 @@ while provably preserving every output bit:
   weight's matrix view and the operand shapes resolved at capture
   (:func:`_fused_einsum`); other contractions call the C einsum kernel
   with bound subscripts.
-* **RoPE table CSE** — every query/key rotation at the same positions
-  recomputes identical cos/sin tables; one inserted instruction builds
-  them per step (:func:`repro.model.rope.rope_tables`) and the rotations
-  switch to :func:`repro.model.rope.apply_rope_cached`, which runs the
-  identical multiply/add sequence on the identical tables.  Q and K,
-  adjacent columns of the model's fused projection, rotate as one slab.
+* **RoPE slabs** — the model builds one pair of cos/sin tables per
+  forward (:func:`repro.model.rope.rope_tables`) and every rotation reads
+  it; Q and K, adjacent columns of the model's fused projection, rotate
+  against it as one slab.
 * **Replica collapse** — a value replicated along a mesh axis (an axis
   missing from its sharding spec, Section 3.1) is held and computed
   once along it: the recorder reads each value's replicated axes from
@@ -76,7 +74,6 @@ import numpy as np
 
 from repro.mesh import stacked as stacked_kernels
 from repro.model.functional import causal_mask
-from repro.model.rope import apply_rope_cached, rope_tables
 
 try:  # same C kernel np.einsum dispatches to; skips its Python wrapper
     from numpy._core._multiarray_umath import c_einsum as _einsum
@@ -91,7 +88,6 @@ def optimize_tape(recorder, instrs, const, out_vids):
     constants) and grows its value table for newly created constants and
     intermediates; ``const`` is extended in place for new constants.
     """
-    instrs = _cse_rope_tables(recorder, instrs, const)
     instrs = _merge_rope_slabs(recorder, instrs)
     instrs = _collapse_replicas(recorder, instrs, const, out_vids)
     instrs = _flatten_attention(recorder, instrs)
@@ -109,58 +105,6 @@ def _add_value(recorder, value, const=None):
     if const is not None:
         const.add(vid)
     return vid
-
-
-# ---------------------------------------------------------------------------
-# RoPE table CSE
-# ---------------------------------------------------------------------------
-
-def _rope_table_instr(d_head: int, theta: float):
-    return lambda p: rope_tables(p, d_head, theta)
-
-
-def _rope_cached(tab, s):
-    return apply_rope_cached(s, tab)
-
-
-def _cse_rope_tables(recorder, instrs, const):
-    from repro.mesh.capture import _Instr
-
-    values = recorder._values
-    groups: dict[tuple, list[int]] = {}
-    for i, ins in enumerate(instrs):
-        if ins.meta is None or ins.meta[0] != "rope":
-            continue
-        if ins.out is None or len(ins.inputs) != 2:
-            continue
-        d_head = values[ins.out].shape[-1]
-        groups.setdefault((ins.inputs[0], ins.meta[1], d_head),
-                          []).append(i)
-
-    inserts: dict[int, object] = {}
-    rewrites: dict[int, object] = {}
-    for (pos_vid, theta, d_head), members in groups.items():
-        if len(members) < 2:
-            continue
-        captured = rope_tables(values[pos_vid], d_head, theta)
-        tab_vid = _add_value(recorder, captured,
-                             const if pos_vid in const else None)
-        inserts[members[0]] = _Instr(_rope_table_instr(d_head, theta),
-                                     (pos_vid,), tab_vid, "rope_tables",
-                                     False, False)
-        for i in members:
-            ins = instrs[i]
-            rewrites[i] = _Instr(_rope_cached, (tab_vid, ins.inputs[1]),
-                                 ins.out, "rope_cached", False, False)
-
-    if not rewrites:
-        return instrs
-    rewritten = []
-    for i, ins in enumerate(instrs):
-        if i in inserts:
-            rewritten.append(inserts[i])
-        rewritten.append(rewrites.get(i, ins))
-    return rewritten
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +133,8 @@ def _merge_rope_slabs(recorder, instrs):
     column views of one buffer, and both get rotated against the same
     table.  Rotation is elementwise over ``d``-sized pairs, so rotating
     the combined ``[..., rows, d]`` slab is bit-equal to rotating each
-    slice — one :func:`apply_rope_cached` call replaces two, and the
-    originals become row-views of the slab's output.
+    slice — one rotation call replaces two, and the originals become
+    row-views of the slab's output.
     """
     from repro.mesh.capture import _Instr
 
@@ -240,8 +184,8 @@ def _merge_rope_slabs(recorder, instrs):
             slab = _Instr(_slab_viewer(start, stop, rows, d),
                           (fused_vid,), slab_vid, "rope_slab",
                           False, False)
-            rope = _Instr(_rope_cached, (tab_vid, slab_vid), roped_vid,
-                          "rope_cached", False, False)
+            rope = _Instr(instrs[run[0]].fn, (tab_vid, slab_vid),
+                          roped_vid, "rope_cached", False, False)
             row = 0
             for j, i in enumerate(run):
                 h = view_map[instrs[i].inputs[1]][3][-2]
@@ -310,7 +254,7 @@ def _kind(ins) -> str:
     :func:`_collapse_replicas`)."""
     meta = ins.meta
     tag = meta[0] if meta else None
-    if tag in ("einsum", "rmsnorm", "rope", "elementwise") \
+    if tag in ("einsum", "rmsnorm", "elementwise") \
             or ins.label == "rope_cached":
         return "pointwise"
     if getattr(ins.fn, "const_view", False):

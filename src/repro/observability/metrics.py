@@ -261,9 +261,8 @@ def format_capture_stats(stats: dict) -> str:
     """ASCII table for a :meth:`StepCompiler.stats` snapshot.
 
     Shows the program-cache population and hit/miss/eviction counters,
-    plus the per-reason invalidation breakdown (``plan``, ``caches``,
-    ``degraded``, ... — the :meth:`CapturedProgram.mismatch` reasons and
-    ``explicit`` for :meth:`StepCompiler.invalidate` calls).
+    plus the per-reason invalidation breakdown (``weights``, ``caches``,
+    ... — the :meth:`CapturedProgram.mismatch` reasons).
     """
     lines = ["Step-compiler program cache",
              f"{'counter':>18s} {'value':>10s}"]

@@ -155,6 +155,7 @@ def _frontier_side(config: ModelConfig, torus: Torus3D, batch: int,
             plan = LayoutPlan(ffn, attn)
             try:
                 plan.validate(config, mesh)
+                plan.shards_kv_heads(config, mesh)
             except ValueError:
                 continue
             if batch % max(plan_batch_group(plan, torus), 1) == 0:
@@ -218,17 +219,27 @@ def select_degraded_plan(config: ModelConfig, torus: Torus3D, phase: Phase,
     """Re-run the analytical selector for a (possibly shrunken) torus.
 
     Unlike :func:`~repro.partitioning.selector.select_plan` this always
-    returns a plan that *validates* for the model on this torus and whose
-    batch sharding divides ``batch`` — on a degraded mesh, serving a
-    suboptimal-but-valid layout beats crashing on the optimal one.
+    returns a plan that *validates* for the model on this torus, that the
+    executor runs (:meth:`~repro.partitioning.plan.LayoutPlan.
+    shards_kv_heads`), and whose batch sharding divides ``batch`` — on a
+    degraded mesh, serving a suboptimal-but-valid layout beats crashing
+    on the optimal one.
     """
     ctx = SelectionContext(config, torus, phase, batch, tokens_per_seq)
-    plans = [p for p in candidate_plans(ctx)
-             if batch % max(plan_batch_group(p, torus), 1) == 0]
+    plans, refused = [], ""
+    for plan in candidate_plans(ctx):
+        if batch % max(plan_batch_group(plan, torus), 1):
+            continue
+        try:
+            plan.shards_kv_heads(config, torus)
+        except ValueError as err:
+            refused = refused or f": {err}"
+            continue
+        plans.append(plan)
     if not plans:
         raise ValueError(
             f"no valid {phase.value} layout for {config.name} on torus "
-            f"{torus} at batch {batch}")
+            f"{torus} at batch {batch}{refused}")
     return min(plans, key=lambda p: (
         ffn_volume(p.ffn, torus, ctx.tokens, config.d_model, config.d_ff),
         p.attention is not AttentionLayoutKind.BATCH))

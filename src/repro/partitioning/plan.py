@@ -62,6 +62,23 @@ class FfnLayoutKind(str, Enum):
         return self.gather_axes
 
     @property
+    def head_axes(self) -> tuple[str, ...]:
+        """Axes the stored weights shard heads and d_ff over.
+
+        The weight-gathered layouts store weights exactly as WS_2D does
+        (Section 3.2.3).  y is innermost (order ``(z, y)``) so that a
+        weight-gathered layout can gather the y axis alone.
+        """
+        if self is FfnLayoutKind.WS_1D:
+            return ("x", "y", "z")
+        return ("z", "y")
+
+    @property
+    def local_head_axes(self) -> tuple[str, ...]:
+        """Axes heads and d_ff stay sharded over after the gathers."""
+        return tuple(a for a in self.head_axes if a not in self.gather_axes)
+
+    @property
     def residual_e_axes(self) -> tuple[str, ...]:
         """Axes the residual stream's E dim is sharded over."""
         return {
@@ -110,14 +127,38 @@ class LayoutPlan:
             if batch_parts < 1:
                 raise ValueError("degenerate mesh")
         else:
-            head_axes = {"ws-1d": ("x", "y", "z"),
-                         "ws-2d": ("y", "z")}[self.ffn.value]
-            parts = mesh.group_size(head_axes)
+            parts = mesh.group_size(self.ffn.head_axes)
             if config.n_heads % parts:
                 raise ValueError(
                     f"{config.n_heads} heads not divisible by {parts} "
                     f"partitions for {self.ffn.value}; pad the head count "
                     f"(Section 4 pads PaLM 48 -> 64 heads)")
+
+    def shards_kv_heads(self, config: ModelConfig, mesh: Mesh) -> bool:
+        """Whether the executor shards the KV heads over the head group.
+
+        KV heads shard when they divide the group (multihead always;
+        grouped-query when wide enough); a single shared head
+        (multiquery) is replicated (Figure 4b).  Replicated shared-KV
+        attention is only well defined when every chip holds either all
+        query heads (batch-sharded weight-stationary attention, WG-XYZ)
+        or a single shared head, so the grouped-query corner with query
+        heads sharded raises ``ValueError``: local grouped attention
+        would mis-align the head mapping.
+        """
+        kv_heads = config.n_kv_heads
+        group = mesh.group_size(self.ffn.head_axes)
+        sharded = kv_heads > 1 and kv_heads % group == 0
+        local_heads_sharded = (
+            mesh.group_size(self.ffn.local_head_axes) > 1
+            and (self.ffn.is_weight_gathered
+                 or self.attention is AttentionLayoutKind.HEAD))
+        if kv_heads > 1 and not sharded and local_heads_sharded:
+            raise ValueError(
+                f"{kv_heads} KV heads cannot shard over the {group}-chip "
+                f"head group of {self.describe()}; use batch-sharded "
+                f"attention, fewer head-sharding chips, or pad kv_heads")
+        return sharded
 
     def describe(self) -> str:
         return f"ffn={self.ffn.value}, attention={self.attention.value}"

@@ -53,7 +53,7 @@ def forward_comm_events(config: ModelConfig, plan: LayoutPlan,
     e_axes = parse(geo["residual"]).axes_for("E")
     e_gather: tuple = geo["e_gather"]
     rs_axes: tuple = geo["rs_axes"]
-    stored_h: tuple = geo["stored_hidden"]
+    stored_h: tuple = plan.ffn.head_axes
     we_axes: tuple = ("x",) if geo["weight_e"] else ()
     f_rs = geo["f_rs"]
 

@@ -18,7 +18,7 @@ The v2 contract on top of ``test_step_capture.py``'s single-step replay:
   the model's one concatenation of its fused input-projection weights,
   and a rebuilt model's programs never read the old model's;
 * the bucketed program cache bounds itself by LRU eviction and counts
-  hits/misses/evictions/explicit invalidations;
+  hits/misses/evictions;
 * programs of distinct deployments replayed on concurrent threads each
   give exactly their serial logits;
 * one program store serves a fleet: a program captured on replica A
@@ -50,8 +50,7 @@ from repro.mesh import BACKENDS, VirtualMesh
 from repro.mesh.capture import (
     ProgramStore,
     StepCompiler,
-    capture_decode_step,
-    capture_prefill_chunk,
+    capture_chunk,
 )
 from repro.mesh.faults import FaultPlan
 from repro.model import init_weights, tiny_test_config
@@ -304,7 +303,7 @@ class TestBodyOnlyPrefill:
             rng.integers(0, config.vocab_size, size=(16, n))
             for n in (4, 8, 8))
         _, caches = model.prefill(prompt, 4 + 3 * 8)
-        _, program = capture_prefill_chunk(model, first, caches)
+        _, program = capture_chunk(model, first, caches)
         assert program is not None
         base = caches[0].length
 
@@ -446,16 +445,6 @@ class TestBucketedProgramCache:
         assert compiler.evictions == 2
         assert compiler.n_programs == 2
 
-    def test_explicit_invalidate_counts(self):
-        model, caches, tok = build()
-        compiler = StepCompiler(warmup_steps=0)
-        compiler.decode_step(model, tok, caches)
-        assert compiler.n_programs == 1
-        compiler.invalidate()
-        assert compiler.n_programs == 0
-        assert compiler.invalidations == 1
-        assert compiler.stats()["invalidations"] == 1
-
 
 class TestOptimizedDecode:
     """The stacked single-step decode program runs the tape optimizer
@@ -470,7 +459,7 @@ class TestOptimizedDecode:
         logits, eager_caches = model.prefill(prompt, prompt.shape[1] + 5)
         _, caches = model.prefill(prompt, prompt.shape[1] + 5)
         tok = np.argmax(logits, -1)
-        compiler = StepCompiler(warmup_steps=0)
+        compiler = StepCompiler()
         for _ in range(4):
             eager = model.decode_step(tok, eager_caches)
             assert np.array_equal(compiler.decode_step(model, tok, caches),
@@ -520,7 +509,7 @@ class TestSharedCaptureState:
         tables = []
         for _ in range(2):  # two deployments, two meshes, two programs
             model, caches, tok = build()
-            _, program = capture_decode_step(model, tok, caches)
+            _, program = capture_chunk(model, tok[:, None], caches)
             tables.append({id(t): t for t in (
                 getattr(ins.fn, "index_table", None)
                 for ins in program._instrs) if t is not None})
@@ -532,7 +521,7 @@ class TestSharedCaptureState:
     def test_fused_weights_shared_by_a_compilers_programs(self):
         model = fresh_model(plan=WS2D_HEAD)
         caches = model.new_cache(PROMPT.shape[0], 8)
-        compiler = StepCompiler(warmup_steps=0)
+        compiler = StepCompiler()
         compiler.prefill_chunk(model, PROMPT, caches)
         compiler.decode_step(model, PROMPT[:, -1], caches)
         prefill, decode = compiler._programs.values()
@@ -544,7 +533,7 @@ class TestSharedCaptureState:
         assert fused_weight_ids(decode) == model_ids
 
     def test_rebuilt_model_never_gets_a_stale_concatenation(self):
-        compiler = StepCompiler(warmup_steps=0)
+        compiler = StepCompiler()
         old = fresh_model(plan=WS2D_HEAD)
         _, old_caches = old.prefill(PROMPT, 8)
         compiler.decode_step(old, PROMPT[:, -1], old_caches)
@@ -576,14 +565,15 @@ class TestSharedCaptureState:
         def replay_all(program, tok, caches, wait=False):
             if wait:
                 barrier.wait(timeout=60)  # start every thread together
-            return [program.replay(tok, caches) for _ in range(steps)]
+            return [program.replay(tok[:, None], caches)
+                    for _ in range(steps)]
 
         results = {}
         for threaded in (False, True):
             runs = []
             for tok in tokens:
                 model, caches, _ = build(steps=steps + 1)
-                _, program = capture_decode_step(model, tok, caches)
+                _, program = capture_chunk(model, tok[:, None], caches)
                 runs.append((program, tok, caches))
             if not threaded:
                 results[threaded] = [replay_all(*run) for run in runs]
@@ -630,8 +620,7 @@ class TestFleetProgramStore:
         logits_a, caches_a = chunked_prefill(model_a, prompt, 4, max_len,
                                              compiler=comp_a)
         tok = np.argmax(logits_a, -1)
-        for _ in range(2):  # warmup, then capture
-            tok = np.argmax(comp_a.decode_step(model_a, tok, caches_a), -1)
+        tok = np.argmax(comp_a.decode_step(model_a, tok, caches_a), -1)
         assert comp_a.captures == 2
 
         tracer = model_b.mesh.install_tracer()
@@ -660,7 +649,6 @@ class TestFleetProgramStore:
         """B's replay advances B's fault clock and traces on B's tracer;
         A, which captured the program, sees nothing."""
         (comp_a, comp_b), (model_a, model_b) = self.pair(backend)
-        comp_a.warmup_steps = comp_b.warmup_steps = 0
         states = [m.mesh.install_faults(FaultPlan(()))
                   for m in (model_a, model_b)]
         tracers = [m.mesh.install_tracer() for m in (model_a, model_b)]
@@ -685,7 +673,7 @@ class TestFleetProgramStore:
         assert (states[0].op_counter, len(tracers[0].spans)) == before_a
 
     def test_collected_weights_whose_id_is_reused_never_hit(self):
-        compiler = StepCompiler(warmup_steps=0)
+        compiler = StepCompiler()
         weights = dataclasses.replace(WEIGHTS)
         model = fresh_model(weights=weights)
         logits, caches = model.prefill(PROMPT, PROMPT.shape[1] + 4)
@@ -762,14 +750,14 @@ class TestFleetProgramStore:
         prompts = [rng.integers(0, CFG.vocab_size, size=PROMPT.shape)
                    for _ in range(n_sets)]
         _, seed_caches = model.prefill(PROMPT, PROMPT.shape[1] + 1)
-        _, program = capture_decode_step(model, PROMPT[:, -1], seed_caches)
+        _, program = capture_chunk(model, PROMPT[:, -1:], seed_caches)
         barrier = threading.Barrier(n_sets)
 
         def cache_sets():
             return [model.prefill(p, p.shape[1] + steps) for p in prompts]
 
         def replay_all(logits, caches, wait=False):
-            tok = np.argmax(logits, -1)
+            tok = np.argmax(logits, -1)[:, None]
             if wait:
                 barrier.wait(timeout=60)  # start every thread together
             out = []

@@ -23,7 +23,7 @@ import pytest
 
 from repro.layouts import ShardedTransformer
 from repro.mesh import VirtualMesh
-from repro.mesh.capture import capture_decode_step
+from repro.mesh.capture import capture_chunk
 from repro.mesh.stacked import contract, matmul_form
 from repro.model import init_weights, tiny_test_config
 from repro.partitioning import AttentionLayoutKind, FfnLayoutKind, LayoutPlan
@@ -134,12 +134,12 @@ def test_logits_head_same_bits_eager_loop_and_replay(batch):
         logits, caches = model.prefill(prompt, 8)
         tok = np.argmax(logits, -1)
         _, replay_caches = model.prefill(prompt, 8)
-        _, program = capture_decode_step(model, tok, replay_caches)
+        _, program = capture_chunk(model, tok[:, None], replay_caches)
         eager = model.decode_step(tok, caches)
         runs[backend] = (logits, eager)
         # The captured step advanced the replay caches: step both on.
         tok = np.argmax(eager, -1)
-        assert bits_equal(program.replay(tok, replay_caches),
+        assert bits_equal(program.replay(tok[:, None], replay_caches)[:, -1],
                           model.decode_step(tok, caches))
     for a, b in zip(runs["loop"], runs["stacked"]):
         assert bits_equal(a, b)

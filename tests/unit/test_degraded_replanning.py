@@ -5,6 +5,7 @@ import pytest
 
 from repro.events import REPLANNED, EventLog
 from repro.hardware.topology import Torus3D
+from repro.layouts import ShardedTransformer
 from repro.mesh import VirtualMesh
 from repro.mesh.virtual_mesh import BACKENDS
 from repro.model import (
@@ -13,6 +14,9 @@ from repro.model import (
     tiny_test_config,
 )
 from repro.partitioning import (
+    AttentionLayoutKind,
+    FfnLayoutKind,
+    LayoutPlan,
     SubSlice,
     healthy_subslices,
     largest_healthy_subslice,
@@ -21,6 +25,7 @@ from repro.partitioning import (
     replan_after_failure,
     select_degraded_plan,
 )
+from repro.partitioning.degraded import build_deployment
 from repro.partitioning.selector import Phase
 
 CFG = tiny_test_config(n_layers=2, d_model=16, d_ff=32, n_heads=8,
@@ -75,6 +80,47 @@ class TestDegradedPlanSelection:
                                     tokens_per_seq=1)
         # batch 4 on 8 chips cannot use the 8-way batch-sharded layout.
         assert plan_batch_group(plan, torus) <= 4
+
+
+GQA_CFG = CFG.replace(kv_heads=2)  # 8 query heads share 2 KV heads
+
+
+class TestGroupedQueryDeployment:
+    """A grouped-query model's 2 KV heads cannot shard over a 4-chip head
+    group, and with query heads sharded the executor cannot replicate
+    them either.  Every plan a deployment serves must be one the model
+    constructor accepts: ``with_plan`` runs the constructor's checks,
+    and the degraded selector offers no other plan."""
+
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (2, 2, 1)])
+    @pytest.mark.parametrize("decode_batch", [1, 4])
+    def test_prefill_matches_reference_or_build_refuses(self, shape,
+                                                        decode_batch):
+        weights = init_weights(GQA_CFG, seed=0)
+        mesh = VirtualMesh(shape)
+        try:
+            prefill_model, decode_model = build_deployment(
+                weights, mesh, decode_batch=decode_batch, prompt_len=8)
+        except ValueError as err:
+            assert "KV heads cannot shard" in str(err)
+            return
+        prompt = np.random.default_rng(1).integers(0, 32, size=(1, 8))
+        logits, _ = prefill_model.prefill(prompt, 9)
+        want, _ = ReferenceTransformer(weights).prefill(prompt, 9)
+        np.testing.assert_allclose(logits, want, atol=1e-12)
+        for model in (prefill_model, decode_model):
+            model.plan.shards_kv_heads(GQA_CFG, mesh.topology)
+
+    def test_with_plan_runs_the_constructors_check(self):
+        mesh = VirtualMesh((1, 2, 2))
+        model = ShardedTransformer(init_weights(GQA_CFG, seed=0), mesh,
+                                   LayoutPlan(FfnLayoutKind.WS_1D,
+                                              AttentionLayoutKind.BATCH))
+        head = LayoutPlan(FfnLayoutKind.WS_1D, AttentionLayoutKind.HEAD)
+        with pytest.raises(ValueError, match="KV heads cannot shard"):
+            ShardedTransformer(model.weights, mesh, head)
+        with pytest.raises(ValueError, match="KV heads cannot shard"):
+            model.with_plan(head)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -11,7 +11,7 @@ from repro.layouts import (
 )
 from repro.mesh import ShardedTensor, VirtualMesh
 from repro.model.functional import rmsnorm
-from repro.model.rope import apply_rope
+from repro.model.rope import apply_rope, rope_tables
 from repro.sharding import parse
 
 RNG = np.random.default_rng(4)
@@ -57,7 +57,7 @@ class TestShardedRope:
         x = RNG.normal(size=(4, 3, 8, 4))
         xt = ShardedTensor.from_global(mesh, x, "BLH_yzD")
         positions = np.arange(3) + 5
-        out = sharded_rope(xt, positions, theta=10_000.0)
+        out = sharded_rope(xt, rope_tables(positions, 4, 10_000.0))
         np.testing.assert_allclose(out.to_global(),
                                    apply_rope(x, positions, 10_000.0))
 
@@ -66,7 +66,7 @@ class TestShardedRope:
         xt = ShardedTensor.from_global(mesh, RNG.normal(size=(2, 2, 2, 8)),
                                        "BLHD_y")
         with pytest.raises(ValueError, match="unsharded D"):
-            sharded_rope(xt, np.arange(2), 10_000.0)
+            sharded_rope(xt, rope_tables(np.arange(2), 8, 10_000.0))
 
 
 class TestZipShards:

@@ -9,7 +9,8 @@ once along it, and stays bit-identical to eager execution:
   WS-1D/head) runs attention on all 8 and the vocab einsum on 1;
 * each block of either deployment issues one input projection
   (Q|K|V|in|gate, the model's Section 3.4 fusion) and one rope call,
-  on the Q|K slab of its output;
+  on the Q|K slab of its output, against the one pair of rotation
+  tables the model builds per forward;
 * loop-backend programs are untouched: no optimizer, every instruction
   on the whole mesh;
 * decode steps and prefill chunks of both deployments, at batch 1 and
@@ -27,7 +28,7 @@ import pytest
 
 from repro.layouts import ShardedTransformer
 from repro.mesh import VirtualMesh, stacked
-from repro.mesh.capture import capture_decode_step, capture_prefill_chunk
+from repro.mesh.capture import capture_chunk
 from repro.model import init_weights, tiny_test_config
 from repro.partitioning import AttentionLayoutKind, FfnLayoutKind, LayoutPlan
 from repro.sharding.spec import parse
@@ -63,7 +64,8 @@ def decode_program(name, backend="stacked"):
     model = deploy(name, backend)
     prompt = np.random.default_rng(1).integers(0, 32, size=(1, 5))
     logits, caches = model.prefill(prompt, 12)
-    _, program = capture_decode_step(model, np.argmax(logits, -1), caches)
+    _, program = capture_chunk(model, np.argmax(logits, -1)[:, None],
+                               caches)
     return program
 
 
@@ -89,10 +91,13 @@ def rope_rows(captures):
 
 
 def one_projection_and_rope_per_block(captures):
-    """One fused projection per block, and one rope call per block on
-    its Q|K slab: one local query head (16 heads over 16 chips on A, 8
-    over 8 on B) plus the shared multiquery K head."""
+    """One rotation-table build per step, one fused projection per
+    block, and one rope call per block on its Q|K slab: one local query
+    head (16 heads over 16 chips on A, 8 over 8 on B) plus the shared
+    multiquery K head."""
     assert len(positions(captures, "projection")) == 2
+    assert [ins.label for ins in captures[-1][1]._instrs].count(
+        "rope_tables") == 1
     assert rope_rows(captures) == [1 + 1] * 2
 
 
@@ -141,12 +146,12 @@ class TestBitIdentity:
         _, caches = model.prefill(prompt, 12)
         tok = np.argmax(logits, -1)
         eager = model.decode_step(tok, eager_caches)
-        _, program = capture_decode_step(model, tok, caches)
+        _, program = capture_chunk(model, tok[:, None], caches)
         assert collapsed_replicas_are_real[-1][0].collapsed
         tok = np.argmax(eager, -1)
         for _ in range(4):
             eager = model.decode_step(tok, eager_caches)
-            got = program.replay(tok, caches)
+            got = program.replay(tok[:, None], caches)[:, -1]
             assert np.array_equal(got, eager)
             assert caches_equal(eager_caches, caches)
             tok = np.argmax(eager, -1)
@@ -160,7 +165,7 @@ class TestBitIdentity:
         eager_caches = model.new_cache(batch, 12)
         caches = model.new_cache(batch, 12)
         eager = model.forward(chunks[0], eager_caches)
-        got, program = capture_prefill_chunk(model, chunks[0], caches)
+        got, program = capture_chunk(model, chunks[0], caches)
         assert np.array_equal(got, eager)
         for chunk in chunks[1:]:
             eager = model.forward(chunk, eager_caches)

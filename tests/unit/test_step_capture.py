@@ -1,7 +1,8 @@
 """Capture-and-replay decode programs (``repro.mesh.capture``).
 
 The contract under test: a :class:`CapturedProgram` traced from one eager
-decode step replays later steps **bit-identically** on both mesh backends,
+decode step (the one-token forward chunk, :func:`capture_chunk`) replays
+later steps **bit-identically** on both mesh backends,
 on any mesh of the same shape with the same weights, invalidates on any
 shape/plan/weights/batch-shape change, falls back to eager
 execution whenever a scheduled fault is live, and emits one condensed
@@ -29,7 +30,7 @@ from repro.mesh import (
 from repro.mesh.capture import (
     CaptureError,
     StepCompiler,
-    capture_decode_step,
+    capture_chunk,
     capturing,
 )
 from repro.mesh.faults import (
@@ -71,6 +72,22 @@ def plan_id(plan):
     return f"{plan.ffn.value}/{plan.attention.value}"
 
 
+def capture_step(model, tok, caches):
+    """One eager decode step, captured as the ``[B, 1]`` forward chunk:
+    ``(logits [B, V], program)``."""
+    logits, program = capture_chunk(model, tok[:, None], caches)
+    return logits[:, -1], program
+
+
+def replay_step(program, tok, caches):
+    """Replay a decode program on ``[B]`` tokens; ``[B, V]`` logits."""
+    return program.replay(tok[:, None], caches)[:, -1]
+
+
+def valid(program, model, tok, caches):
+    return program.mismatch(model, tok[:, None], caches) is None
+
+
 class TestDifferentialReplay:
     """Replay must be bit-identical to eager, step after step."""
 
@@ -81,8 +98,8 @@ class TestDifferentialReplay:
         replay_model, replay_caches, replay_tok = build(backend, plan)
 
         eager = eager_model.decode_step(eager_tok, eager_caches)
-        captured, program = replay_model.capture_decode_step(
-            replay_tok, replay_caches)
+        captured, program = capture_step(replay_model, replay_tok,
+                                         replay_caches)
         assert program is not None
         # The capture step itself ran eagerly and matches its twin.
         assert np.array_equal(captured, eager)
@@ -90,8 +107,8 @@ class TestDifferentialReplay:
         tok = np.argmax(eager, -1)
         for _ in range(3):
             eager = eager_model.decode_step(tok, eager_caches)
-            assert program.matches(replay_model, tok, replay_caches)
-            replayed = program.replay(tok, replay_caches)
+            assert valid(program, replay_model, tok, replay_caches)
+            replayed = replay_step(program, tok, replay_caches)
             assert replayed.dtype == eager.dtype
             assert np.array_equal(eager, replayed)
             tok = np.argmax(eager, -1)
@@ -104,17 +121,17 @@ class TestDifferentialReplay:
         replay_model, replay_caches, _ = build(backend,
                                                mesh_shape=mesh_shape)
         eager_model.decode_step(tok, eager_caches)
-        _, program = replay_model.capture_decode_step(tok, replay_caches)
+        _, program = capture_step(replay_model, tok, replay_caches)
         assert program is not None
         tok = np.argmax(PROMPT[:, :1], -1)  # any valid token batch
         eager = eager_model.decode_step(tok, eager_caches)
-        replayed = program.replay(tok, replay_caches)
+        replayed = replay_step(program, tok, replay_caches)
         assert np.array_equal(eager, replayed)
 
     def test_weight_gathers_constant_folded(self):
         """WG_XY re-gathers weights each step; folding hoists them out."""
         model, caches, tok = build("stacked", WG_BATCH)
-        _, program = model.capture_decode_step(tok, caches)
+        _, program = capture_step(model, tok, caches)
         assert program.collectives_folded > 0
         assert program.collectives_live < program.collectives_captured
         assert program.n_instructions > 0
@@ -129,53 +146,54 @@ class TestDifferentialReplay:
         prompt = np.random.default_rng(1).integers(
             0, config.vocab_size, size=(16, 4))
         logits, caches = model.prefill(prompt, 6)
-        _, program = model.capture_decode_step(np.argmax(logits, -1),
-                                               caches)
+        _, program = capture_step(model, np.argmax(logits, -1), caches)
         assert program.collectives_folded > program.collectives_live > 0
 
     def test_replay_output_not_arena_backed(self):
         """Logits survive the next replay (output is freshly allocated)."""
         model, caches, tok = build()
-        _, program = model.capture_decode_step(tok, caches)
-        first = program.replay(tok, caches)
+        _, program = capture_step(model, tok, caches)
+        first = replay_step(program, tok, caches)
         snapshot = first.copy()
-        program.replay(tok, caches)
+        replay_step(program, tok, caches)
         assert np.array_equal(first, snapshot)
 
 
 class TestInvalidation:
     def test_matches_same_deployment(self):
         model, caches, tok = build()
-        _, program = model.capture_decode_step(tok, caches)
-        assert program.matches(model, tok, caches)
+        _, program = capture_step(model, tok, caches)
+        assert valid(program, model, tok, caches)
 
     def test_batch_shape_change_invalidates(self):
         model, caches, tok = build()
-        _, program = model.capture_decode_step(tok, caches)
-        assert not program.matches(model, tok[:4], caches)
-        assert not program.matches(model, tok.astype(np.int32), caches)
+        _, program = capture_step(model, tok, caches)
+        assert not valid(program, model, tok[:4], caches)
+        assert not valid(program, model, tok.astype(np.int32), caches)
 
     def test_plan_change_invalidates(self):
         model, caches, tok = build(plan=WG_BATCH)
-        _, program = model.capture_decode_step(tok, caches)
+        _, program = capture_step(model, tok, caches)
         switched = model.with_plan(WS2D_BATCH)  # same mesh, new layouts
-        assert not program.matches(switched, tok, caches)
+        assert not valid(program, switched, tok, caches)
 
     def test_structural_mesh_rule(self):
         """Validity is structural: a fresh mesh of the same shape with
         the same weights replays; another shape, another weights object,
         a dead chip, or caches on another mesh do not."""
         model, caches, tok = build()
-        _, program = model.capture_decode_step(tok, caches)
+        _, program = capture_step(model, tok, caches)
         other_model, other_caches, other_tok = build()
         assert other_model.mesh is not model.mesh
-        assert program.matches(other_model, other_tok, other_caches)
+        assert valid(program, other_model, other_tok, other_caches)
+        tok, other_tok = tok[:, None], other_tok[:, None]
         # Caches living on a different mesh invalidate, even when the
         # owning model matches.
         assert program.mismatch(model, tok, other_caches) == "caches"
         assert program.mismatch(other_model, other_tok, caches) == "caches"
         small, small_caches, small_tok = build(mesh_shape=(1, 2, 2))
-        assert program.mismatch(small, small_tok, small_caches) == "mesh"
+        assert program.mismatch(small, small_tok[:, None],
+                                small_caches) == "mesh"
         # Weights compare by identity: equal values in another object
         # (or different values) never match.
         for weights in (dataclasses.replace(WEIGHTS),
@@ -191,31 +209,18 @@ class TestInvalidation:
     def test_cache_fill_level_is_free(self):
         """max_len and fill level are not part of the signature."""
         model, caches, tok = build()
-        _, program = model.capture_decode_step(tok, caches)
+        _, program = capture_step(model, tok, caches)
         before = caches[0].length
-        program.replay(tok, caches)
+        replay_step(program, tok, caches)
         assert caches[0].length == before + 1
-        assert program.matches(model, tok, caches)
+        assert valid(program, model, tok, caches)
 
 
 class TestStepCompiler:
-    def test_warmup_capture_replay_lifecycle(self):
-        eager_model, eager_caches, tok = build()
-        model, caches, _ = build()
-        compiler = StepCompiler(warmup_steps=1)
-        for _ in range(4):
-            eager = eager_model.decode_step(tok, eager_caches)
-            compiled = compiler.decode_step(model, tok, caches)
-            assert np.array_equal(eager, compiled)
-            tok = np.argmax(eager, -1)
-        assert compiler.eager_steps == 1
-        assert compiler.captures == 1
-        assert compiler.replays == 2
-
     def test_redeploy_replays_same_shape_recaptures_changed(self):
         model, caches, tok = build()
-        compiler = StepCompiler(warmup_steps=1)
-        for _ in range(3):
+        compiler = StepCompiler()
+        for _ in range(2):
             tok = np.argmax(compiler.decode_step(model, tok, caches), -1)
         assert compiler.captures == 1 and compiler.replays == 1
         # A redeploy hands the compiler a brand-new mesh + model + caches
@@ -244,35 +249,27 @@ class TestStepCompiler:
             assert compiler.captures == n and compiler.replays == replays
         assert compiler.invalidations == 0
 
-    def test_explicit_invalidate(self):
-        model, caches, tok = build()
-        compiler = StepCompiler(warmup_steps=0)
-        compiler.decode_step(model, tok, caches)
-        assert compiler.program is not None
-        compiler.invalidate()
-        assert compiler.program is None
-        assert compiler.invalidations == 1
-
     def test_live_fault_forces_eager_then_replay_resumes(self):
         """A scheduled fault fires exactly as it would eagerly."""
         model, caches, tok = build()
         state = model.mesh.install_faults(FaultPlan((
             CollectiveFault(kind="timeout", at_step=3, phase="decode"),)))
-        compiler = StepCompiler(warmup_steps=1)
+        compiler = StepCompiler()
 
         state.advance("decode")
-        logits = compiler.decode_step(model, tok, caches)   # eager warmup
+        logits = compiler.decode_step(model, tok, caches)   # capture
+        assert compiler.captures == 1
         state.advance("decode")
         tok = np.argmax(logits, -1)
-        compiler.decode_step(model, tok, caches)            # capture
-        assert compiler.captures == 1
+        compiler.decode_step(model, tok, caches)            # replay
+        assert compiler.replays == 1
 
         state.advance("decode")
         assert not state.quiescent()
         fill_before = caches[0].length
         with pytest.raises(CollectiveTimeout):
             compiler.decode_step(model, tok, caches)
-        assert compiler.replays == 0  # the faulted step never replayed
+        assert compiler.replays == 1  # the faulted step never replayed
         # The timeout fired on the step's first collective, before any
         # cache write, so the program can resume on the same caches.
         assert caches[0].length == fill_before
@@ -280,14 +277,14 @@ class TestStepCompiler:
         state.advance("decode")
         assert state.quiescent()  # the one-shot fault is spent
         compiler.decode_step(model, tok, caches)
-        assert compiler.replays == 1
+        assert compiler.replays == 2
 
     def test_replay_advances_fault_op_counter(self):
         model, caches, tok = build()
         state = model.mesh.install_faults(FaultPlan(()))
-        _, program = capture_decode_step(model, tok, caches)
+        _, program = capture_step(model, tok, caches)
         before = state.op_counter
-        program.replay(tok, caches)
+        replay_step(program, tok, caches)
         assert state.op_counter == before + program.collectives_captured
 
 
@@ -377,9 +374,9 @@ class TestTapeApi:
 class TestReplaySpan:
     def test_replay_emits_one_condensed_span(self):
         model, caches, tok = build()
-        _, program = model.capture_decode_step(tok, caches)
+        _, program = capture_step(model, tok, caches)
         tracer = model.mesh.install_tracer()
-        program.replay(tok, caches)
+        replay_step(program, tok, caches)
         replay_spans = [s for s in tracer.spans if s.kind == "replay"]
         assert len(replay_spans) == 1
         span = replay_spans[0]
