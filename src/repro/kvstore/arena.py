@@ -5,24 +5,26 @@ Two kinds of memory live here.
 **Pages** are the unit of sharing: a fixed span of ``page_tokens``
 token ids plus the per-layer K/V those tokens produced, stored in the
 source cache's *page layout* (see :mod:`repro.layouts.kv_cache`): on
-the stacked backend, its device layout with unsharded mesh axes
-collapsed to size 1 — one copy per shard position, the same bytes as
-the global form — and global arrays otherwise.  Each page carries that
-layout's key, so a cache with the same key installs it as a slice
-copy, and any other cache spec or mesh converts it through global
-arrays (:func:`~repro.layouts.kv_cache.reshard_kv`).  Pages are sealed
-read-only at creation (``setflags(write=False)``): sharing is
+the stacked backend, a copied slice of the cache buffer, which holds one
+copy per shard position (unsharded mesh axes at size 1) — the same
+bytes as the global form — and global arrays otherwise.  Each page
+carries that layout's key, so a cache with the same key installs it as
+a slice copy, and any other cache spec or mesh converts it through
+global arrays (:func:`~repro.layouts.kv_cache.reshard_kv`).  Pages are
+sealed read-only at creation (``setflags(write=False)``): sharing is
 copy-on-write by construction, because a request that diverges from a
 cached prefix never mutates the shared page — it computes fresh K/V
 into its own cache and seals *new* pages for the divergent span.
 
-**The buffer arena** recycles the dense device buffers behind
+**The buffer arena** recycles the device buffers behind
 :class:`~repro.layouts.kv_cache.ShardedKVCache`: instead of a fresh
-``np.zeros`` per request, a cache leases a (k, v) buffer pair keyed by
-its exact device geometry and returns it when garbage collected (a
-``weakref.finalize`` hook), so steady-state serving reuses a small set
-of slabs instead of churning allocations.  Leased buffers are zeroed,
-keeping pooled caches bit-identical to freshly allocated ones.
+allocation per request, a cache leases a (k, v) buffer pair keyed by
+the buffers' actual geometry (backend, shape, dtype) and returns it
+when garbage collected (a ``weakref.finalize`` hook), so steady-state
+serving reuses a small set of slabs instead of churning allocations.
+The cache supplies the allocation; the arena only pools.  Leased
+buffers are zeroed, keeping pooled caches bit-identical to freshly
+allocated ones.
 """
 
 from __future__ import annotations
@@ -103,16 +105,10 @@ class KVBufferArena:
         self.allocs = 0
         self.reclaims = 0
 
-    @staticmethod
-    def _key(mesh, local: tuple[int, ...], dtype) -> tuple:
-        return (mesh.backend, tuple(mesh.shape), tuple(local),
-                np.dtype(dtype).str)
-
-    def lease(self, mesh, local: tuple[int, ...], dtype
-              ) -> tuple[tuple, np.ndarray, np.ndarray]:
-        """A zeroed (k, v) pair for ``mesh``'s geometry; returns
-        ``(key, k, v)`` — pass ``key`` back to :meth:`reclaim`."""
-        key = self._key(mesh, local, dtype)
+    def lease(self, key: tuple, alloc) -> tuple[np.ndarray, np.ndarray]:
+        """A zeroed (k, v) pair of the geometry ``key`` names: a pooled
+        pair, or two fresh ``alloc()`` buffers.  Pass ``key`` back to
+        :meth:`reclaim` with the pair."""
         free = self._free.get(key)
         if free:
             k, v = free.pop()
@@ -120,17 +116,10 @@ class KVBufferArena:
             _zero(v)
             self.reuses += 1
         else:
-            if mesh.backend == "stacked":
-                k = np.zeros(mesh.shape + tuple(local), dtype=dtype)
-                v = np.zeros(mesh.shape + tuple(local), dtype=dtype)
-            else:
-                k = mesh.map_devices(
-                    lambda c: np.zeros(local, dtype=dtype))
-                v = mesh.map_devices(
-                    lambda c: np.zeros(local, dtype=dtype))
+            k, v = alloc(), alloc()
             self.allocs += 1
         self.leases += 1
-        return key, k, v
+        return k, v
 
     def reclaim(self, key: tuple, k: np.ndarray, v: np.ndarray) -> None:
         """Return a leased pair to the free list."""

@@ -22,11 +22,12 @@ consults it before computing anything:
    LRU unpinned pages if over capacity.
 5. ``release(lease)`` — unpin, once the decode slot retires.
 
-Pages hold the KV in the committing cache's page layout (the stacked
-device layout with unsharded mesh axes collapsed: the bytes of the
-global form, without the trip through it), so a hit is bit-identical
-to the recompute path on every backend within a mesh shape, and
-last-ulp close across shapes — asserted by the differential tests.
+Pages hold the KV in the committing cache's page layout (on the
+stacked backend, the layout its buffer holds: unsharded mesh axes at
+size 1, the bytes of the global form without the trip through it), so
+a hit is bit-identical to the recompute path on every backend within a
+mesh shape, and last-ulp close across shapes — asserted by the
+differential tests.
 ``invalidate`` mirrors the step compiler: restarts and replans drop
 the index (an epoch bump); leases taken before the bump release as
 no-ops (``stale_releases``).  ``adopt`` registers another store's pages
@@ -221,8 +222,8 @@ class KVStore:
         """Write the leased prefix into fresh caches; returns its length.
 
         When every page's layout key matches the caches', the pages are
-        concatenated along M and written with one broadcasting slice per
-        layer.  Otherwise (the loop backend, the reference model's plain
+        concatenated along M and written with one slice copy per layer.
+        Otherwise (the loop backend, the reference model's plain
         buffers, another mesh shape or spec) they convert through global
         arrays in :func:`~repro.layouts.kv_cache.reshard_kv`.
         """
@@ -251,8 +252,10 @@ class KVStore:
         """Seal the finished prefill's new whole pages into the index.
 
         Pages the index already holds are shared, not duplicated; only
-        the novel span is read from the caches, in their page layout,
-        with its replicas checked.  Returns the number of pages added.
+        the novel span is read from the caches, in their page layout (a
+        slice of a stacked buffer; a loop cache's span has its replicas
+        checked on the way to global form).  Returns the number of pages
+        added.
         Over capacity, LRU unpinned pages are evicted (pinned pages
         survive regardless).
         """

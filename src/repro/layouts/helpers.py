@@ -12,16 +12,10 @@ from repro.mesh import (
     all_reduce,
     sharded_einsum,
 )
+from repro.mesh.sharded_tensor import record
 from repro.model.functional import causal_mask, masked_softmax, softmax
 from repro.model.rope import apply_rope_cached
 from repro.sharding.spec import ShardSpec
-
-
-def _record(mesh, fn, inputs, output, label, meta=None, specs=None) -> None:
-    """Capture-recorder hook (duck-typed; see :mod:`repro.mesh.capture`)."""
-    recorder = getattr(mesh, "capture", None)
-    if recorder is not None:
-        recorder.record(fn, inputs, output, label, meta=meta, specs=specs)
 
 
 def zip_shards(out_spec: ShardSpec, out_shape: Sequence[int],
@@ -43,15 +37,15 @@ def zip_shards(out_spec: ShardSpec, out_shape: Sequence[int],
     specs = tuple(t.spec for t in tensors) + (out_spec,)
     if elementwise and all(t.is_stacked for t in tensors):
         shards = fn(*inputs)
-        _record(mesh, fn, inputs, shards, "zip_shards",
-                meta=("elementwise",), specs=specs)
+        record(mesh, fn, inputs, shards, "zip_shards",
+               meta=("elementwise",), specs=specs)
         return ShardedTensor(mesh, out_spec, tuple(out_shape), shards)
     shards = mesh.map_devices(
         lambda c: fn(*(t.shards[c] for t in tensors)))
-    _record(mesh,
-            lambda *arrs: mesh.map_devices(
-                lambda c: fn(*(a[c] for a in arrs))),
-            inputs, shards, "zip_shards", specs=specs)
+    record(mesh,
+           lambda *arrs: mesh.map_devices(
+               lambda c: fn(*(a[c] for a in arrs))),
+           inputs, shards, "zip_shards", specs=specs)
     return ShardedTensor(mesh, out_spec, tuple(out_shape), shards)
 
 
@@ -85,10 +79,10 @@ def sharded_rmsnorm(x: ShardedTensor, scale: ShardedTensor,
             return xs * sc[:, :, :, None, None, :] / rms
 
         shards = stacked_norm(x.shards, sumsq.shards, scale.shards)
-        _record(x.mesh, stacked_norm,
-                (x.shards, sumsq.shards, scale.shards), shards, "rmsnorm",
-                meta=("rmsnorm", e_size, eps),
-                specs=(x.spec, sumsq.spec, scale.spec, x.spec))
+        record(x.mesh, stacked_norm,
+               (x.shards, sumsq.shards, scale.shards), shards, "rmsnorm",
+               meta=("rmsnorm", e_size, eps),
+               specs=(x.spec, sumsq.spec, scale.spec, x.spec))
         return ShardedTensor(x.mesh, x.spec, x.global_shape, shards)
 
     def normalize(x_shard, ss_shard, scale_shard):
@@ -185,19 +179,19 @@ def local_attention(mesh: VirtualMesh, out_spec: ShardSpec,
                 ks.shape[4] - qs.shape[4])
             return folded.reshape(grid + (b_loc,) + folded.shape[1:])
 
-        _record(mesh, replay_stacked, (q.shards, k_shards, v_shards),
-                shards, "attention", meta=("attention", b_loc),
-                specs=(q.spec, None, None, out_spec))
+        record(mesh, replay_stacked, (q.shards, k_shards, v_shards),
+               shards, "attention", meta=("attention", b_loc),
+               specs=(q.spec, None, None, out_spec))
         return ShardedTensor(mesh, out_spec, tuple(out_shape), shards)
 
     shards = mesh.map_devices(
         lambda c: attention(q.shards[c], k_shards[c], v_shards[c], q_offset))
-    _record(mesh,
-            lambda qs, ks, vs: mesh.map_devices(
-                lambda c: attention(qs[c], ks[c], vs[c],
-                                    ks[c].shape[1] - qs[c].shape[1])),
-            (q.shards, k_shards, v_shards), shards, "attention",
-            specs=(q.spec, None, None, out_spec))
+    record(mesh,
+           lambda qs, ks, vs: mesh.map_devices(
+               lambda c: attention(qs[c], ks[c], vs[c],
+                                   ks[c].shape[1] - qs[c].shape[1])),
+           (q.shards, k_shards, v_shards), shards, "attention",
+           specs=(q.spec, None, None, out_spec))
     return ShardedTensor(mesh, out_spec, tuple(out_shape), shards)
 
 

@@ -10,30 +10,34 @@ same logical ``[B, M, K, D]`` history can be
 * sharded over batch (optimized multiquery, Figure 4c) — per-chip reduced
   by the full chip count.
 
-``ShardedKVCache`` stores one preallocated (k, v) buffer pair per device
-under a sharding spec for the ``B`` and ``K`` dims (``M`` — the time dim —
-and ``D`` are never sharded).
+``ShardedKVCache`` stores a preallocated (k, v) buffer pair under a
+sharding spec for the ``B`` and ``K`` dims (``M`` — the time dim — and
+``D`` are never sharded).
 
-The buffers follow the mesh backend: an object array of per-device
-buffers on the ``loop`` backend, or one dense ``mesh.shape + local``
-array on the ``stacked`` backend, in which case appends and views are
-single whole-mesh slice operations.
+The buffers follow the mesh backend.  On the ``loop`` backend (the
+oracle) they are an object array of per-device buffers.  On the
+``stacked`` backend each is one dense array in the cache's **page
+layout**: the device grid with every mesh axis the spec leaves
+unsharded at size 1 (a missing axis is one the value is replicated on,
+Section 3.1), so the buffer holds one copy per shard position — exactly
+the bytes of the global form — and appends are single whole-mesh slice
+writes.  A replica check guards the way in: an eager append or
+:meth:`~ShardedKVCache.load_prefix` keeps copy 0 of the incoming K/V
+and raises :class:`ShardingError` if the other copies disagree.  Eager
+:meth:`~ShardedKVCache.views` and :meth:`~ShardedKVCache.as_sharded`
+broadcast the one copy back over the full device grid, read-only.
 
 With an ``arena`` (:class:`repro.kvstore.arena.KVBufferArena`) the
 buffers are *leased* from a per-replica pool instead of freshly
-allocated — the cache becomes a view over pooled pages, returned to the
-arena when the cache is garbage collected.  Leased buffers arrive
-zeroed, so pooling is invisible to numerics; either way appends stay
-single whole-mesh slice ops.
+allocated, and returned to the arena when the cache is garbage
+collected.  Leased buffers arrive zeroed, so pooling is invisible to
+numerics.
 
-KV leaves a cache in its **page layout**: on the stacked backend, the
-dense buffer with every mesh axis the spec leaves unsharded collapsed
-to size 1 — one copy per shard position, exactly the bytes of the
-global form — keyed by :attr:`ShardedKVCache.page_layout` (layout
-signature plus mesh shape).  Store pages and same-layout decode merges
-move KV as slices of that layout (:meth:`~ShardedKVCache.read`,
-:meth:`~ShardedKVCache.write`); only layouts that really differ go
-through global arrays, in :func:`reshard_kv`.
+Store pages and same-layout decode merges move KV as slices of the
+buffer (:meth:`~ShardedKVCache.read`, :meth:`~ShardedKVCache.write`),
+keyed by :attr:`ShardedKVCache.page_layout` (layout signature plus mesh
+shape); only layouts that really differ go through global arrays, in
+:func:`reshard_kv`.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import weakref
 import numpy as np
 
 from repro.mesh import ShardedTensor, VirtualMesh
-from repro.mesh.stacked import collapse_replicas, reassemble
+from repro.mesh.stacked import collapse_replicas, reassemble, replicated_axes
 from repro.sharding.spec import ShardingError, ShardSpec, parse
 
 
@@ -67,19 +71,30 @@ class ShardedKVCache:
         self.dtype = np.dtype(dtype)
         self.global_shape = (batch, max_len, n_kv_heads, d_head)
         local = spec.local_shape(self.global_shape, mesh.topology)
-        if arena is not None:
-            key, self.k, self.v = arena.lease(mesh, local, dtype)
+        dtype = self.dtype
+        if mesh.backend == "stacked":
+            # The page layout: one copy along each replicated mesh axis.
+            rep = replicated_axes(spec)
+            grid = tuple(1 if i in rep else n
+                         for i, n in enumerate(mesh.shape))
+
+            def zeros():
+                return np.zeros(grid + local, dtype=dtype)
+        else:
+            grid = tuple(mesh.shape)
+
+            def zeros():
+                return mesh.map_devices(lambda c: np.zeros(local, dtype=dtype))
+        if arena is None:
+            self.k, self.v = zeros(), zeros()
+        else:
+            key = (mesh.backend, grid + local, dtype.str)
+            self.k, self.v = arena.lease(key, zeros)
             # Return the buffers when this cache dies; finalize keeps
             # them alive until then, so views stay valid for our
             # lifetime and the arena re-zeroes on the next lease.
             self._reclaimer = weakref.finalize(
                 self, arena.reclaim, key, self.k, self.v)
-        elif mesh.backend == "stacked":
-            self.k = np.zeros(mesh.shape + local, dtype=dtype)
-            self.v = np.zeros(mesh.shape + local, dtype=dtype)
-        else:
-            self.k = mesh.map_devices(lambda c: np.zeros(local, dtype=dtype))
-            self.v = mesh.map_devices(lambda c: np.zeros(local, dtype=dtype))
         self.length = 0
         # Spec, batch, heads, dtype and backend are fixed from here on:
         # the capture signature and the page layout key read these.
@@ -101,9 +116,10 @@ class ShardedKVCache:
     def per_chip_bytes(self) -> int:
         """Per-chip KV memory — the quantity Table 1 budgets against.
 
-        Computed from the local shard shape, not by indexing the buffer
-        (whose leading axes are the mesh shape, so indexing would bake
-        in an assumed mesh rank).
+        Derived from the local shard shape, not from the buffer: Table 1
+        budgets physical chips, and every chip along a mesh axis the spec
+        leaves unsharded holds its own copy, while the stacked buffer
+        holds one copy per shard position.
         """
         local = self.spec.local_shape(self.global_shape,
                                       self.mesh.topology)
@@ -122,6 +138,23 @@ class ShardedKVCache:
         if t.spec.partial_sum:
             raise ShardingError("cannot append partial sums to the cache")
 
+    def _fill(self, k: ShardedTensor, v: ShardedTensor, start: int,
+              stop: int) -> None:
+        """Write positions ``[start, stop)`` from sharded K/V.  Stacked:
+        copy 0 of each replicated axis, the other copies checked equal
+        to it (a disagreement raises :class:`ShardingError`)."""
+        if self.is_stacked:
+            # One whole-mesh write: M is dense axis 4 (after the three
+            # device axes and B).
+            self.k[:, :, :, :, start:stop] = collapse_replicas(self.spec,
+                                                               k.shards)
+            self.v[:, :, :, :, start:stop] = collapse_replicas(self.spec,
+                                                               v.shards)
+        else:
+            for coord in self.mesh.devices():
+                self.k[coord][:, start:stop] = k.shards[coord]
+                self.v[coord][:, start:stop] = v.shards[coord]
+
     def append(self, k_new: ShardedTensor, v_new: ShardedTensor) -> int:
         """Append new tokens' K/V; returns the query offset (old length)."""
         self._check_compatible(k_new)
@@ -130,25 +163,19 @@ class ShardedKVCache:
         if self.length + n > self.max_len:
             raise ShardingError(
                 f"KV cache overflow: {self.length} + {n} > {self.max_len}")
-        start, stop = self.length, self.length + n
-        stacked = self.is_stacked and k_new.is_stacked and v_new.is_stacked
-        if stacked:
-            # One whole-mesh write: M is dense axis 4 (after the three
-            # device axes and B).
-            self.k[:, :, :, :, start:stop] = k_new.shards
-            self.v[:, :, :, :, start:stop] = v_new.shards
-        else:
-            for coord in self.mesh.devices():
-                self.k[coord][:, start:stop] = k_new.shards[coord]
-                self.v[coord][:, start:stop] = v_new.shards[coord]
         offset = self.length
-        self.length = stop
+        self._fill(k_new, v_new, offset, offset + n)
+        self.length = offset + n
 
         recorder = getattr(self.mesh, "capture", None)
         if recorder is not None and recorder.recording:
             idx = recorder.cache_index(self)
             if idx is not None:
-                def replay(ctx, ks, vs, idx=idx, n=n, stacked=stacked):
+                # Stacked: the tape optimizer hands this instruction
+                # copy 0 of each replicated axis (replay_opt), so replay
+                # writes the buffer's one copy without a check.
+                def replay(ctx, ks, vs, idx=idx, n=n,
+                           stacked=self.is_stacked):
                     cache = ctx.caches[idx]
                     if cache.length + n > cache.max_len:
                         raise ShardingError(
@@ -165,101 +192,91 @@ class ShardedKVCache:
                     cache.length = e
 
                 recorder.record(replay, (recorder.CTX, k_new.shards,
-                                         v_new.shards), None, "kv_append")
+                                         v_new.shards), None, "kv_append",
+                                specs=(None, k_new.spec, v_new.spec))
         return offset
 
     def load_prefix(self, k_t: ShardedTensor, v_t: ShardedTensor,
                     length: int) -> None:
         """Fill positions ``[0, length)`` from sharded ``[B, M, K, D]``
-        tensors whose M extent is ``length`` (cache hand-off/resharding)."""
-        if self.is_stacked and k_t.is_stacked and v_t.is_stacked:
-            self.k[:, :, :, :, :length] = k_t.shards
-            self.v[:, :, :, :, :length] = v_t.shards
-        else:
-            for coord in self.mesh.devices():
-                self.k[coord][:, :length] = k_t.shards[coord]
-                self.v[coord][:, :length] = v_t.shards[coord]
+        tensors whose M extent is ``length`` (cache hand-off/resharding),
+        replicas checked as :meth:`append` checks them."""
+        self._fill(k_t, v_t, 0, length)
         self.length = length
 
     def read(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Positions ``[start, stop)`` of K/V in :attr:`page_layout`.
 
-        Stacked: views of the buffers with unsharded mesh axes collapsed
-        to size 1 (copy them to keep them past the next write).  Loop:
-        fresh global arrays.  Either way the replicas of the span are
-        checked, as ``ShardedTensor.to_global`` checks them, and a
-        disagreement raises :class:`ShardingError`.
+        Stacked: views of the buffers, which hold that layout (copy them
+        to keep them past the next write).  Loop: fresh global arrays,
+        the replicas of the span checked as ``ShardedTensor.to_global``
+        checks them (a disagreement raises :class:`ShardingError`).
         """
-        if not self.is_stacked:
-            return tuple(t.to_global() for t in self.as_sharded(start, stop))
-        return (collapse_replicas(self.spec, self.k[:, :, :, :, start:stop]),
-                collapse_replicas(self.spec, self.v[:, :, :, :, start:stop]))
+        if self.is_stacked:
+            return (self._span(self.k, start, stop),
+                    self._span(self.v, start, stop))
+        return tuple(t.to_global() for t in self.as_sharded(start, stop))
 
     def write(self, k: np.ndarray, v: np.ndarray, length: int,
               rows: slice = slice(None)) -> None:
         """Fill positions ``[0, length)`` of batch ``rows`` from
-        page-layout arrays (stacked only): one broadcasting slice each."""
+        page-layout arrays (stacked only): one slice copy each."""
         self.k[:, :, :, rows, :length] = k
         self.v[:, :, :, rows, :length] = v
         self.length = length
 
+    def _span(self, buffer: np.ndarray, start: int, stop: int,
+              full: bool = False) -> np.ndarray:
+        """Positions ``[start, stop)`` of ``buffer`` (``self.k`` or
+        ``self.v``): per-device views on the loop backend; on the stacked
+        one, the buffer's slice — with ``full``, broadcast read-only over
+        the full device grid."""
+        if not self.is_stacked:
+            return self.mesh.map_devices(lambda c: buffer[c][:, start:stop])
+        span = buffer[:, :, :, :, start:stop]
+        if full:
+            return np.broadcast_to(span, self.mesh.shape + span.shape[3:])
+        return span
+
     def views(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-device ``[B_loc, length, K_loc, D]`` views — an object array
-        on the loop backend, a dense view on the stacked one."""
-        if self.is_stacked:
-            k_view = self.k[:, :, :, :, :self.length]
-            v_view = self.v[:, :, :, :, :self.length]
-
-            def replay_k(ctx, idx=None):
-                cache = ctx.caches[idx]
-                return cache.k[:, :, :, :, :cache.length]
-
-            def replay_v(ctx, idx=None):
-                cache = ctx.caches[idx]
-                return cache.v[:, :, :, :, :cache.length]
-        else:
-            length = self.length
-            k_view = self.mesh.map_devices(lambda c: self.k[c][:, :length])
-            v_view = self.mesh.map_devices(lambda c: self.v[c][:, :length])
-
-            def replay_k(ctx, idx=None):
-                cache = ctx.caches[idx]
-                return cache.mesh.map_devices(
-                    lambda c: cache.k[c][:, :cache.length])
-
-            def replay_v(ctx, idx=None):
-                cache = ctx.caches[idx]
-                return cache.mesh.map_devices(
-                    lambda c: cache.v[c][:, :cache.length])
-
+        on the loop backend, a dense read-only full-grid view on the
+        stacked one."""
+        k_view = self._span(self.k, 0, self.length, full=True)
+        v_view = self._span(self.v, 0, self.length, full=True)
         recorder = getattr(self.mesh, "capture", None)
         if recorder is not None and recorder.recording:
             idx = recorder.cache_index(self)
             if idx is not None:
-                specs = (None, self.spec)
-                recorder.record(lambda ctx: replay_k(ctx, idx),
-                                (recorder.CTX,), k_view, "kv_view_k",
-                                meta=("kv_view", idx, "k"), specs=specs)
-                recorder.record(lambda ctx: replay_v(ctx, idx),
-                                (recorder.CTX,), v_view, "kv_view_v",
-                                meta=("kv_view", idx, "v"), specs=specs)
+                stacked = self.is_stacked
+                for name, view in (("k", k_view), ("v", v_view)):
+                    # Stacked replay reads the buffer itself, which the
+                    # tape optimizer records as collapsed on the spec's
+                    # replicated axes (replay_opt).
+                    def replay(ctx, name=name):
+                        cache = ctx.caches[idx]
+                        if stacked:
+                            return getattr(cache, name)[:, :, :, :,
+                                                        :cache.length]
+                        return cache._span(getattr(cache, name), 0,
+                                           cache.length)
+
+                    recorder.record(replay, (recorder.CTX,), view,
+                                    f"kv_view_{name}", meta=("kv_view",),
+                                    specs=(None, self.spec))
         return k_view, v_view
 
     def as_sharded(self, start: int = 0, stop: int | None = None
                    ) -> tuple[ShardedTensor, ShardedTensor]:
         """Positions ``[start, stop)`` (default: the filled prefix) as
-        sharded tensors over views of the buffers."""
+        sharded tensors over views of the buffers (read-only full-grid
+        views on the stacked backend)."""
         stop = self.length if stop is None else stop
         shape = (self.global_shape[0], stop - start, *self.global_shape[2:])
         spec = ShardSpec(("B", "M", "K", "D"), self.spec.axes)
-        if self.is_stacked:
-            k_view = self.k[:, :, :, :, start:stop]
-            v_view = self.v[:, :, :, :, start:stop]
-        else:
-            k_view = self.mesh.map_devices(lambda c: self.k[c][:, start:stop])
-            v_view = self.mesh.map_devices(lambda c: self.v[c][:, start:stop])
-        return (ShardedTensor(self.mesh, spec, shape, k_view),
-                ShardedTensor(self.mesh, spec, shape, v_view))
+        return tuple(ShardedTensor(self.mesh, spec, shape,
+                                   self._span(buffer, start, stop, full=True))
+                     for buffer in (self.k, self.v))
 
 
 def layout_to_global(arr: np.ndarray, layout) -> np.ndarray:
@@ -277,7 +294,7 @@ def reshard_kv(target, parts, *, axis: int = 0) -> None:
     """Load KV into ``target`` through global arrays: the one conversion
     between KV layouts that really differ.
 
-    ``parts`` are KV caches (their filled prefixes, replica-checked by
+    ``parts`` are KV caches (their filled prefixes, read by
     :meth:`ShardedKVCache.read`) or ``(k, v, page_layout)`` triples such
     as store pages.  Each is brought to global ``[B, M, K, D]`` form, the
     parts are concatenated along ``axis`` (0: a merge's batch rows; 1: a

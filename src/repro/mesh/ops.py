@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.mesh import stacked as stacked_kernels
-from repro.mesh.sharded_tensor import ShardedTensor
+from repro.mesh.sharded_tensor import ShardedTensor, record
 from repro.mesh.virtual_mesh import VirtualMesh
 from repro.sharding.spec import ShardingError, ShardSpec
 
@@ -110,26 +110,6 @@ def _fault_post(mesh: VirtualMesh, op: str, axes: tuple[str, ...],
     if state is None:
         return shards
     return state.post_collective(op, axes, shards)
-
-
-def _capture(mesh: VirtualMesh, fn, inputs: tuple, output,
-             label: str, *, collective: bool = True,
-             arena: bool = False, meta: tuple | None = None,
-             specs: tuple | None = None) -> None:
-    """Capture-recorder hook (duck-typed like ``tracer``/``fault_state``).
-
-    With a :class:`repro.mesh.capture.StepRecorder` installed as
-    ``mesh.capture``, records ``fn`` — a closure over the already
-    resolved kernel and its parameters — as one replay instruction
-    mapping the input shard arrays to the output shard array.  One
-    ``getattr`` when capture is off.  ``meta`` optionally carries the
-    resolved op parameters for the tape optimizer, and ``specs`` the
-    input and output sharding specs.
-    """
-    recorder = getattr(mesh, "capture", None)
-    if recorder is not None:
-        recorder.record(fn, inputs, output, label, collective=collective,
-                        arena=arena, meta=meta, specs=specs)
 
 
 def _require_suffix(dim_axes: tuple[str, ...], axes: Sequence[str],
@@ -236,10 +216,10 @@ def all_gather(t: ShardedTensor, axes: Sequence[str], dim: str
     _observe(mesh, tracer, start,
              CommRecord("all_gather", axes, mesh.group_size(axes),
                         out.per_chip_bytes), out)
-    _capture(mesh, lambda s: kernel(mesh, s, axes, dim_idx),
-             (t.shards,), out.shards, "all_gather",
-             meta=("all_gather", axes, dim_idx) if t.is_stacked else None,
-             specs=(spec, new_spec))
+    record(mesh, lambda s: kernel(mesh, s, axes, dim_idx),
+           (t.shards,), out.shards, "all_gather", collective=True,
+           meta=("all_gather", axes, dim_idx) if t.is_stacked else None,
+           specs=(spec, new_spec))
     return out
 
 
@@ -272,9 +252,10 @@ def reduce_scatter(t: ShardedTensor, axes: Sequence[str], dim: str
     out = ShardedTensor(mesh, new_spec, t.global_shape, shards)
     _observe(mesh, tracer, start,
              CommRecord("reduce_scatter", axes, k, payload), out)
-    _capture(mesh, replay, (t.shards,), out.shards, "reduce_scatter",
-             meta=("reduce_scatter", axes, dim_idx) if t.is_stacked
-             else None, specs=(spec, new_spec))
+    record(mesh, replay, (t.shards,), out.shards, "reduce_scatter",
+           collective=True,
+           meta=("reduce_scatter", axes, dim_idx) if t.is_stacked
+           else None, specs=(spec, new_spec))
     return out
 
 
@@ -302,10 +283,10 @@ def all_reduce(t: ShardedTensor, axes: Sequence[str]) -> ShardedTensor:
     _observe(mesh, tracer, start,
              CommRecord("all_reduce", axes, mesh.group_size(axes),
                         2 * payload), out)
-    _capture(mesh, lambda s: kernel(mesh, s, axes), (t.shards,),
-             out.shards, "all_reduce",
-             meta=("all_reduce", axes) if t.is_stacked else None,
-             specs=(spec, new_spec))
+    record(mesh, lambda s: kernel(mesh, s, axes), (t.shards,),
+           out.shards, "all_reduce", collective=True,
+           meta=("all_reduce", axes) if t.is_stacked else None,
+           specs=(spec, new_spec))
     return out
 
 
@@ -343,8 +324,8 @@ def all_to_all(t: ShardedTensor, axes: Sequence[str], src_dim: str,
     out = ShardedTensor(mesh, new_spec, t.global_shape, shards)
     _observe(mesh, tracer, start,
              CommRecord("all_to_all", axes, k, payload), out)
-    _capture(mesh, replay, (t.shards,), out.shards, "all_to_all",
-             specs=(spec, new_spec))
+    record(mesh, replay, (t.shards,), out.shards, "all_to_all",
+           collective=True, specs=(spec, new_spec))
     return out
 
 
@@ -375,8 +356,8 @@ def split(t: ShardedTensor, axes: Sequence[str], dim: str) -> ShardedTensor:
         replay = lambda s: _loop_split(mesh, s, axes, dim_idx, k)  # noqa: E731
     out = ShardedTensor(mesh, new_spec, t.global_shape, shards)
     _observe(mesh, tracer, start, CommRecord("split", axes, k, 0), out)
-    _capture(mesh, replay, (t.shards,), out.shards, "split",
-             specs=(spec, new_spec))
+    record(mesh, replay, (t.shards,), out.shards, "split",
+           collective=True, specs=(spec, new_spec))
     return out
 
 
@@ -498,10 +479,10 @@ def sharded_einsum(subscripts: str, a: ShardedTensor, b: ShardedTensor
     if tracer is not None:
         tracer.compute(subscripts, flops=_einsum_local_flops(subscripts, a, b),
                        elements=int(out.shards[0, 0, 0].size), start_s=start)
-    _capture(mesh, replay, (a.shards, b.shards), out.shards,
-             f"einsum:{subscripts}", collective=False, arena=stacked,
-             meta=("einsum",) + letters if stacked else None,
-             specs=(a.spec, b.spec, out_spec))
+    record(mesh, replay, (a.shards, b.shards), out.shards,
+           f"einsum:{subscripts}", arena=stacked,
+           meta=("einsum",) + letters if stacked else None,
+           specs=(a.spec, b.spec, out_spec))
     return out
 
 
@@ -567,19 +548,17 @@ def fused_projection(x: ShardedTensor,
     letters = (lhs, lhs[-1] + "z", lhs[:-1] + "z")
     layouts = [einsum_output_layout(subs, x, w) for subs, w in parts]
     fused, replay, stacked = _contract(mesh, letters, x.shards, w_cat)
-    _capture(mesh, replay, (x.shards, w_cat), fused, "projection",
-             collective=False, arena=stacked,
-             meta=("einsum",) + letters if stacked else None,
-             specs=(x.spec, None, None))
+    record(mesh, replay, (x.shards, w_cat), fused, "projection",
+           arena=stacked, meta=("einsum",) + letters if stacked else None,
+           specs=(x.spec, None, None))
     tails = [spec.local_shape(shape, mesh.topology)[len(lhs) - 1:]
              for spec, shape in layouts]
     outs = []
     for (spec, shape), (first, stop, replay_view, shards) in zip(
             layouts, _column_views(mesh, fused, tails, stacked)):
-        _capture(mesh, replay_view, (fused,), shards, "projection_view",
-                 collective=False,
-                 meta=("columns", first, stop) if stacked else None,
-                 specs=(None, spec))
+        record(mesh, replay_view, (fused,), shards, "projection_view",
+               meta=("columns", first, stop) if stacked else None,
+               specs=(None, spec))
         outs.append(ShardedTensor(mesh, spec, shape, shards))
     if tracer is not None:
         tracer.compute("projection",

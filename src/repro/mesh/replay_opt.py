@@ -240,15 +240,6 @@ def _materializer(grid):
     return lambda x: np.array(np.broadcast_to(x, grid + x.shape[3:]))
 
 
-def _kv_view(idx: int, which: str, mask: int):
-    gx, gy, gz = _GRID_INDEX[mask]
-
-    def view(ctx):
-        cache = ctx.caches[idx]
-        return getattr(cache, which)[gx, gy, gz, :, :cache.length]
-    return view
-
-
 def _kind(ins) -> str:
     """How an instruction's kernel treats the device grid (see
     :func:`_collapse_replicas`)."""
@@ -264,7 +255,7 @@ def _kind(ins) -> str:
     if tag in ("attention", "kv_view", "to_global", "from_global"):
         return tag
     if ins.label == "kv_append":
-        return "sink"
+        return "kv_append"
     return "opaque"
 
 
@@ -288,8 +279,9 @@ def _collapse_replicas(recorder, instrs, const, out_vids):
       view (frozen when its source is a fixed buffer);
     * attention runs on the collapsed grid its operands share, K/V
       broadcast to the query's;
-    * KV views slice one copy of the cache's replicated axes; KV appends
-      write a collapsed value into every replica by broadcasting;
+    * a KV view is the cache buffer itself, which holds one copy of
+      the spec's replicated axes (:mod:`repro.layouts.kv_cache`); a KV
+      append gets its K/V cut to that one copy;
     * indexed collectives (and ``from_global``) produce one copy of a
       replicated result, reading any collapsed operand through their
       index tables — the same rank-ordered sums on fewer positions;
@@ -407,11 +399,10 @@ def _collapse_replicas(recorder, instrs, const, out_vids):
                       narrow(k, mask), narrow(v, mask))
             collapse_output(ins.out, mask)
         elif kind == "kv_view":
-            _, idx, which = ins.meta
-            mask = rep(ins.out, 0)
-            if mask:
-                fn = _kv_view(idx, which, mask)
-                collapse_output(ins.out, mask)
+            collapse_output(ins.out, rep(ins.out, 0))
+        elif kind == "kv_append":
+            inputs = tuple(narrow(v, rep(v, 0)) if v in mesh_in else v
+                           for v in inputs)
         elif kind == "collective":
             if stacked_kernels.collective_indexable(
                     mesh, ins.meta[0], values[inputs[0]].shape[3:]):

@@ -29,13 +29,23 @@ from repro.mesh.virtual_mesh import VirtualMesh
 from repro.sharding.spec import ShardingError, ShardSpec, parse
 
 
-def _record(mesh, fn, inputs, output, label, *, arena: bool = False,
-            meta: tuple | None = None, specs: tuple | None = None) -> None:
-    """Capture-recorder hook (duck-typed; see :mod:`repro.mesh.capture`)."""
+def record(mesh: VirtualMesh, fn, inputs: tuple, output, label: str, *,
+           collective: bool = False, arena: bool = False,
+           meta: tuple | None = None, specs: tuple | None = None) -> None:
+    """Capture-recorder hook (duck-typed like ``tracer``/``fault_state``).
+
+    With a :class:`repro.mesh.capture.StepRecorder` installed as
+    ``mesh.capture``, records ``fn`` — a closure over the already
+    resolved kernel and its parameters — as one replay instruction
+    mapping the input shard arrays to the output shard array.  One
+    ``getattr`` when capture is off.  ``meta`` optionally carries the
+    resolved op parameters for the tape optimizer, and ``specs`` the
+    input and output sharding specs.
+    """
     recorder = getattr(mesh, "capture", None)
     if recorder is not None:
-        recorder.record(fn, inputs, output, label, arena=arena, meta=meta,
-                        specs=specs)
+        recorder.record(fn, inputs, output, label, collective=collective,
+                        arena=arena, meta=meta, specs=specs)
 
 
 def _loop_to_global(mesh: VirtualMesh, spec: ShardSpec,
@@ -118,11 +128,11 @@ class ShardedTensor:
 
         if mesh.backend == "stacked":
             shards = stacked_kernels.from_global(mesh, array, spec, local)
-            _record(mesh,
-                    lambda g: stacked_kernels.from_global(mesh, g, spec,
-                                                          local),
-                    (array,), shards, f"from_global:{spec}",
-                    meta=("from_global", spec, local), specs=(None, spec))
+            record(mesh,
+                   lambda g: stacked_kernels.from_global(mesh, g, spec,
+                                                         local),
+                   (array,), shards, f"from_global:{spec}",
+                   meta=("from_global", spec, local), specs=(None, spec))
             return cls(mesh, spec, array.shape, shards)
 
         def make_shards(global_array):
@@ -136,8 +146,8 @@ class ShardedTensor:
             return mesh.map_devices(make)
 
         shards = make_shards(array)
-        _record(mesh, make_shards, (array,), shards, f"from_global:{spec}",
-                specs=(None, spec))
+        record(mesh, make_shards, (array,), shards, f"from_global:{spec}",
+               specs=(None, spec))
         return cls(mesh, spec, array.shape, shards)
 
     @classmethod
@@ -167,10 +177,10 @@ class ShardedTensor:
             kernel = _loop_to_global
         # Replay skips the replication check: the captured step already
         # verified it, and replay reproduces the same bits by contract.
-        _record(mesh, lambda s: kernel(mesh, spec, gshape, s, False),
-                (self.shards,), out, f"to_global:{spec}",
-                meta=("to_global", spec, gshape) if self.is_stacked
-                else None, specs=(spec,))
+        record(mesh, lambda s: kernel(mesh, spec, gshape, s, False),
+               (self.shards,), out, f"to_global:{spec}",
+               meta=("to_global", spec, gshape) if self.is_stacked
+               else None, specs=(spec,))
         return out
 
     # -- elementwise / structural helpers ----------------------------------
@@ -208,9 +218,9 @@ class ShardedTensor:
             replay = lambda s: mesh.map_devices(  # noqa: E731
                 lambda c: fn(s[c]))
         out_spec = spec or self.spec
-        _record(mesh, replay, (self.shards,), shards, "map_shards",
-                meta=("elementwise",) if self.is_stacked and elementwise
-                else None, specs=(self.spec, out_spec))
+        record(mesh, replay, (self.shards,), shards, "map_shards",
+               meta=("elementwise",) if self.is_stacked and elementwise
+               else None, specs=(self.spec, out_spec))
         return ShardedTensor(mesh, out_spec,
                              global_shape or self.global_shape, shards)
 
@@ -226,17 +236,17 @@ class ShardedTensor:
         mesh = self.mesh
         if self.is_stacked and other.is_stacked:
             shards = self.shards + other.shards
-            _record(mesh, lambda x, y, out=None: np.add(x, y, out=out),
-                    (self.shards, other.shards), shards, "add", arena=True,
-                    meta=("elementwise",),
-                    specs=(self.spec, self.spec, self.spec))
+            record(mesh, lambda x, y, out=None: np.add(x, y, out=out),
+                   (self.shards, other.shards), shards, "add", arena=True,
+                   meta=("elementwise",),
+                   specs=(self.spec, self.spec, self.spec))
         else:
             shards = mesh.map_devices(
                 lambda c: self.shards[c] + other.shards[c])
-            _record(mesh,
-                    lambda x, y: mesh.map_devices(lambda c: x[c] + y[c]),
-                    (self.shards, other.shards), shards, "add",
-                    specs=(self.spec, self.spec, self.spec))
+            record(mesh,
+                   lambda x, y: mesh.map_devices(lambda c: x[c] + y[c]),
+                   (self.shards, other.shards), shards, "add",
+                   specs=(self.spec, self.spec, self.spec))
         return ShardedTensor(mesh, self.spec, self.global_shape, shards)
 
     @property

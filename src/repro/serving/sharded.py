@@ -28,12 +28,13 @@ def merge_sharded_caches(per_request: Sequence[Sequence[ShardedKVCache]],
     All caches must have equal length (the scheduler groups by prompt
     length).  When every request cache already lives on the decode
     model's (stacked) mesh with the decode spec, and that spec does not
-    shard B, the KV never leaves the mesh layout: a single request's
-    caches *are* the decode caches, and a batch is one slice write per
-    row into arena-backed caches.  Any other combination is the
-    host-mediated hand-off of Section 4.4, through global arrays in
-    :func:`~repro.layouts.kv_cache.reshard_kv`.  Either way the replicas
-    of every filled prefix read are checked.
+    shard B, the KV never leaves the page layout the buffers hold: a
+    single request's caches *are* the decode caches, and a batch is one
+    slice copy per row into arena-backed caches.  Any other combination
+    is the host-mediated hand-off of Section 4.4, through global arrays
+    in :func:`~repro.layouts.kv_cache.reshard_kv`.  Stacked buffers hold
+    one copy of each replicated value (checked when the KV was written);
+    loop caches have their replicas checked as the merge reads them.
     """
     if not per_request:
         raise ValueError("cannot merge an empty list of request caches")
@@ -50,8 +51,6 @@ def merge_sharded_caches(per_request: Sequence[Sequence[ShardedKVCache]],
         c.is_stacked and c.mesh is mesh and c.spec == spec
         for caches in per_request for c in caches)
     if same_layout and len(per_request) == 1:
-        for cache in per_request[0]:
-            cache.read(0, length)  # the replica check, nothing copied
         return list(per_request[0])
     # The cache records its element dtype; probing a shard would depend
     # on the backend's storage layout (object array vs dense stack).
@@ -64,14 +63,12 @@ def merge_sharded_caches(per_request: Sequence[Sequence[ShardedKVCache]],
                                arena=getattr(decode_model, "kv_arena",
                                              None))
         if same_layout:
-            read: dict[int, tuple] = {}  # padding repeats a request
             row = 0
             for caches in per_request:
                 src = caches[layer]
-                if id(src) not in read:
-                    read[id(src)] = src.read(0, length)
                 b = src.global_shape[0]
-                cache.write(*read[id(src)], length, rows=slice(row, row + b))
+                cache.write(*src.read(0, length), length,
+                            rows=slice(row, row + b))
                 row += b
         else:
             reshard_kv(cache, [caches[layer] for caches in per_request])

@@ -2,8 +2,10 @@
 
 `tools/` is deliberately not a package, so the module is loaded by file
 path.  Two contracts: (1) the checker finds real problems — a synthetic
-broken link or failing doctest is reported; (2) the repository as
-committed is clean — no broken internal links, all doctests pass.
+broken link, failing doctest or hand-edited paper-table cell is
+reported; (2) the repository as committed is clean — no broken internal
+links, all doctests pass, EXPERIMENTS.md's paper tables match
+``benchmarks/results/``.
 """
 
 import importlib.util
@@ -114,6 +116,34 @@ class TestDottedNames:
         assert len(errors) == 2
         assert "`repro.serving.NoSuchServer`" in errors[0]
         assert "`repro.no_such_module`" in errors[1]
+
+
+class TestPaperTables:
+    def test_repository_tables_match_results(self):
+        assert checker.check_experiments() == []
+
+    def test_every_row_is_compared(self):
+        text = (ROOT / "EXPERIMENTS.md").read_text()
+        rows = [len(checker.markdown_table(text, heading)) - 1
+                for heading in checker.PAPER_TABLES]
+        assert rows == [6, 4, 4]
+
+    def test_printed_precision(self):
+        assert checker.same_when_printed("87.2", "87.16")
+        assert checker.same_when_printed("61", "61.0")
+        assert checker.same_when_printed("1,332", "1,332")
+        assert not checker.same_when_printed("87.1", "87.16")
+
+    def test_hand_edited_cell_detected(self, tmp_path, monkeypatch):
+        text = (ROOT / "EXPERIMENTS.md").read_text()
+        edited = text.replace("| 87.2 s / 73.9% |", "| 87.3 s / 73.9% |")
+        assert edited != text
+        (tmp_path / "EXPERIMENTS.md").write_text(edited)
+        (tmp_path / "benchmarks").symlink_to(ROOT / "benchmarks")
+        monkeypatch.setattr(checker, "ROOT", tmp_path)
+        errors = checker.check_experiments()
+        assert len(errors) == 1
+        assert "87.3 s" in errors[0] and "87.16" in errors[0]
 
 
 class TestFilePaths:

@@ -10,12 +10,17 @@ Three layers of guarantees:
   is *bit-identical* (logits, KV contents, and the decode steps that
   follow) to the cold recompute path, on the reference model and on
   both mesh backends; pages kept in the mesh's page layout install to
-  the same bits as the conversion through global arrays, and a replica
-  that disagrees in the span a commit reads still raises.
+  the same bits as the conversion through global arrays, and KV whose
+  replicas disagree never reaches a page: a loop cache's commit checks
+  the span it reads, a stacked cache's append or prefix load checks
+  what it is given.
+* **One layout** — a stacked cache buffer is its page layout: on the
+  serving benchmark's deployments every cache holds exactly the bytes
+  of its global K/V.
 * **Memory accounting** — ``ShardedKVCache.per_chip_bytes`` agrees with
-  the actual per-device buffer bytes on 1D/2D/3D meshes (degenerate
-  torus axes) under replicated, batch-sharded and head-sharded specs,
-  and the buffer arena recycles zeroed slabs without touching numerics.
+  every device's shard bytes on 1D/2D/3D meshes (degenerate torus axes)
+  under replicated, batch-sharded and head-sharded specs, and the
+  buffer arena recycles zeroed slabs without touching numerics.
 """
 
 import gc
@@ -44,6 +49,7 @@ from repro.partitioning import (
     FfnLayoutKind,
     LayoutPlan,
 )
+from repro.partitioning.degraded import build_deployment
 from repro.serving import Request
 from repro.serving.chunked import chunked_prefill
 from repro.sharding.spec import ShardingError
@@ -457,6 +463,22 @@ def cache_globals(cache):
     return k.to_global(), v.to_global()
 
 
+def reload_with_disagreeing_replica(cache, position):
+    """Write the cache's filled prefix back with the last device's copy
+    of K off by one at ``position``.  A loop cache stores the per-device
+    copies as given; a stacked cache checks them on the way in."""
+    k, v = cache.as_sharded()
+    if cache.is_stacked:
+        shards = np.array(k.shards)
+        shards[-1, -1, -1, 0, position, 0, 0] += 1.0
+    else:
+        shards = cache.mesh.map_devices(lambda c: k.shards[c].copy())
+        shards[tuple(n - 1 for n in cache.mesh.shape)][0, position, 0, 0] \
+            += 1.0
+    cache.load_prefix(ShardedTensor(cache.mesh, k.spec, k.global_shape,
+                                    shards), v, cache.length)
+
+
 def assert_same_buffers(a, b):
     """Bit-identical device buffers, replicas and unfilled tail included."""
     assert a.length == b.length
@@ -528,19 +550,22 @@ class TestPageLayout:
 
     def test_commit_checks_replicas_of_the_span(self, backend, shape,
                                                 spec):
+        """No page is sealed from KV whose replicas disagree.  A loop
+        cache holds every device's copy, so the commit checks the span
+        it reads; a stacked cache holds one copy, so the disagreement
+        raises where it enters the cache, before any commit."""
         mesh = VirtualMesh(shape, backend=backend)
         cache = filled_cache(mesh, spec)
-        if backend == "stacked":
-            cache.k[-1, -1, -1, 0, 3, 0, 0] += 1.0
-        else:
-            cache.k[tuple(n - 1 for n in shape)][0, 3, 0, 0] += 1.0
         store = KVStore(page_tokens=PAGE, capacity_pages=8)
         if cache.spec.replication_factor(mesh.topology) == 1:
             # Every device holds a distinct shard: nothing to disagree.
+            reload_with_disagreeing_replica(cache, 3)
             store.commit(list(range(6)), [cache])
             return
         with pytest.raises(ShardingError, match="replicas disagree"):
+            reload_with_disagreeing_replica(cache, 3)
             store.commit(list(range(6)), [cache])
+        assert store.stats()["inserts"] == 0
 
 
 @pytest.mark.parametrize("spec", ["B_xzyMKD", "B_yxMK_zD", "BMK_zyD"])
@@ -560,24 +585,61 @@ def test_layout_to_global_inverts_sharding(spec):
                           -k[:, 1:3])
 
 
+# The serving benchmark's models and meshes (bench/workloads.py).
+BENCH_DEPLOYMENTS = {
+    "A": (tiny_test_config(n_layers=2, d_model=64, d_ff=128, n_heads=16,
+                           d_head=4, vocab_size=32), (4, 4, 4)),
+    "B": (CFG, (2, 2, 2)),
+}
+
+
+class TestOneLayout:
+    """A stacked cache buffer is its page layout: one copy per shard
+    position, with the replica check where KV enters it."""
+
+    @pytest.mark.parametrize("name", BENCH_DEPLOYMENTS)
+    def test_bench_caches_hold_each_value_once(self, name):
+        cfg, shape = BENCH_DEPLOYMENTS[name]
+        mesh = VirtualMesh(shape, backend="stacked")
+        models = build_deployment(init_weights(cfg, seed=0), mesh,
+                                  decode_batch=4, prompt_len=64)
+        for model, batch in zip(models, (1, 4)):
+            for cache in model.new_cache(batch, 64):
+                global_bytes = 2 * cache.dtype.itemsize * np.prod(
+                    cache.global_shape)
+                assert cache.k.nbytes + cache.v.nbytes == global_bytes, \
+                    cache.spec
+
+    @pytest.mark.parametrize("spec", ["BMKD", "B_xMKD", "BMK_xD"])
+    def test_append_checks_replicas(self, spec):
+        mesh = VirtualMesh((2, 2, 2), backend="stacked")
+        cache = filled_cache(mesh, spec, length=2)
+        before = cache.k.copy()
+        k_new = ShardedTensor.from_global(
+            mesh, np.ones((4, 1, 4, 2)), spec.replace("M", "L"))
+        k_new.shards[-1, -1, -1, 0, 0, 0, 0] += 1.0
+        with pytest.raises(ShardingError, match="replicas disagree"):
+            cache.append(k_new, k_new)
+        assert cache.length == 2 and np.array_equal(cache.k, before)
+
+
 @pytest.mark.parametrize("backend", ["loop", "stacked"])
 @pytest.mark.parametrize("shape", [(4, 1, 1), (2, 2, 1), (2, 2, 2)])
 class TestPerChipBytes:
     SPECS = ("BMKD", "B_xMKD", "BMK_xD")
 
     def test_matches_actual_buffer_bytes(self, backend, shape):
+        """Every chip's shard: what Table 1 budgets, although the stacked
+        buffer holds one copy per shard position."""
         mesh = VirtualMesh(shape, backend=backend)
-        n_devices = int(np.prod(shape))
         for spec in self.SPECS:
             cache = ShardedKVCache(mesh, spec, batch=4, max_len=8,
                                    n_kv_heads=4, d_head=2)
-            if backend == "stacked":
-                actual = (cache.k.nbytes + cache.v.nbytes) // n_devices
-            else:
-                coord = next(iter(mesh.devices()))
-                actual = cache.k[coord].nbytes + cache.v[coord].nbytes
-            assert cache.per_chip_bytes() == actual, \
-                f"per_chip_bytes wrong for {spec} on {shape} {backend}"
+            k, v = cache.as_sharded(0, cache.max_len)
+            for coord in mesh.devices():
+                actual = k.shards[coord].nbytes + v.shards[coord].nbytes
+                assert cache.per_chip_bytes() == actual, \
+                    f"per_chip_bytes wrong for {spec} on {shape} {backend}"
 
     def test_sharded_dims_divide_bytes(self, backend, shape):
         mesh = VirtualMesh(shape, backend=backend)

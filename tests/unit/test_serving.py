@@ -22,6 +22,7 @@ from tests.unit.test_kvstore import (
     assert_same_buffers,
     cache_globals,
     filled_cache,
+    reload_with_disagreeing_replica,
 )
 
 CFG = tiny_test_config()
@@ -127,15 +128,6 @@ def decode_stub(mesh, spec):
                            config=SimpleNamespace(n_kv_heads=4, d_head=2))
 
 
-def corrupt_replica(cache):
-    """Flip one non-first replica inside the filled prefix."""
-    if cache.is_stacked:
-        cache.k[-1, -1, -1, 0, 1, 0, 0] += 1.0
-    else:
-        last = tuple(n - 1 for n in cache.mesh.shape)
-        cache.k[last][0, 1, 0, 0] += 1.0
-
-
 @pytest.mark.parametrize("backend", ["loop", "stacked"])
 @pytest.mark.parametrize("shape", [(2, 2, 2), (4, 1, 1)])
 @pytest.mark.parametrize("spec", ["BMKD", "B_xMKD", "BMK_xD"])
@@ -173,11 +165,14 @@ class TestMergeShardedLayouts:
         mesh = VirtualMesh(shape, backend=backend)
         decode_mesh = mesh if same_mesh else VirtualMesh(shape,
                                                          backend=backend)
+        """No merge hands on KV whose replicas disagree: a loop cache's
+        are checked as the merge reads them, a stacked cache's as they
+        enter it."""
         caches = [filled_cache(mesh, spec, seed=4)]
         if caches[0].spec.replication_factor(mesh.topology) == 1:
             return  # every device holds a distinct shard
-        corrupt_replica(caches[0])
         with pytest.raises(ShardingError, match="replicas disagree"):
+            reload_with_disagreeing_replica(caches[0], 1)
             merge_sharded_caches([caches] * n_requests,
                                  decode_stub(decode_mesh, spec))
 

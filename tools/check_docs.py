@@ -23,7 +23,11 @@ trailing ``\\`` continues it) and in the ``repro.cli`` module docstring
 must parse with ``repro.cli.build_parser()`` — parsed only, never run.
 Required headings: sections other parts of the repo point at (CI
 jobs, module docstrings) must keep existing — see
-``REQUIRED_HEADINGS``.  Module docstrings: every public module under
+``REQUIRED_HEADINGS``.  Paper tables: every "ours" cell of
+EXPERIMENTS.md's Table 1, 2 and 3 sections must equal its row of the
+regenerated ``benchmarks/results/`` table at the cell's printed
+precision (``87.16`` prints as ``87.2 s``) — see ``PAPER_TABLES``.
+Module docstrings: every public module under
 ``src/repro/`` must open with a non-empty docstring (the architecture
 tour in docs/architecture.md leans on them).  Doctests:
 ``doctest.testmod`` runs on every module under ``src/`` whose source
@@ -42,6 +46,7 @@ import pathlib
 import re
 import shlex
 import sys
+from decimal import ROUND_HALF_UP, Decimal
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -130,6 +135,82 @@ REQUIRED_HEADINGS: dict[str, tuple[str, ...]] = {
         "## The autoscale benchmark",
     ),
 }
+
+
+#: EXPERIMENTS.md sections whose "ours" column is copied from a results
+#: table the paper-claim benchmarks regenerate: heading prefix -> file.
+PAPER_TABLES = {
+    "## Table 1 ": "benchmarks/results/table1_max_context.txt",
+    "## Table 2 ": "benchmarks/results/table2_palm540b.txt",
+    "## Table 3 ": "benchmarks/results/table3_palm62b.txt",
+}
+
+_NUMBER = re.compile(r"\d[\d,]*(?:\.\d+)?")
+
+
+def markdown_table(text: str, heading: str) -> list[list[str]]:
+    """Header and body cells of the markdown table in the section that
+    opens with ``heading`` (empty when there is no such section)."""
+    rows, inside = [], False
+    for line in text.splitlines():
+        if line.startswith("## "):
+            inside = line.startswith(heading)
+        elif inside and line.startswith("|") \
+                and not set(line) <= set("|-: "):
+            rows.append([cell.strip() for cell in line.strip("| ").split("|")])
+    return rows
+
+
+def results_table(path: pathlib.Path) -> list[list[str]]:
+    """Header and body cells of a results table (after its title line;
+    columns are separated by two or more spaces)."""
+    lines = path.read_text().splitlines()[1:]
+    return [re.split(r"\s{2,}", line.strip()) for line in lines
+            if line.strip()]
+
+
+def same_when_printed(printed: str, value: str) -> bool:
+    """``value`` rounded to ``printed``'s decimals equals ``printed``."""
+    printed = Decimal(printed.replace(",", ""))
+    value = Decimal(value.replace(",", ""))
+    return value.quantize(printed, rounding=ROUND_HALF_UP) == printed
+
+
+def check_experiments() -> list[str]:
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    errors = []
+    for heading, results in PAPER_TABLES.items():
+        where = f"EXPERIMENTS.md {heading.strip('# ')}"
+        doc = markdown_table(text, heading)
+        if not doc:
+            errors.append(f"{where}: no table")
+            continue
+        (header, *rows), (res_header, *res_rows) = (
+            doc, results_table(ROOT / results))
+        if len(rows) != len(res_rows):
+            errors.append(f"{where}: {len(rows)} rows, {results} has "
+                          f"{len(res_rows)}")
+        ours = header.index("ours")
+        res_ours = [i for i, name in enumerate(res_header)
+                    if name.startswith("ours")]
+        # Columns both tables carry (Table 1's batch) must agree too.
+        shared = [(header.index(name), i)
+                  for i, name in enumerate(res_header[1:], 1)
+                  if name in header]
+        for row, res in zip(rows, res_rows):
+            if not row[0].startswith(res[0]) or any(
+                    row[d] != res[r] for d, r in shared):
+                errors.append(f"{where}: row {row[0]!r} is not {results}'s "
+                              f"{' '.join(res[:1 + len(shared)])!r}")
+                continue
+            cells = _NUMBER.findall(row[ours])
+            want = [res[i].rstrip("%") for i in res_ours]
+            if len(cells) != len(want) or not all(
+                    map(same_when_printed, cells, want)):
+                errors.append(f"{where}, {row[0]!r}: ours {row[ours]!r} "
+                              f"disagrees with {results} "
+                              f"({' / '.join(want)})")
+    return errors
 
 
 def check_headings() -> list[str]:
@@ -374,6 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         errors += check_paths()
         errors += check_commands()
         errors += check_headings()
+        errors += check_experiments()
         errors += check_docstrings()
         print(f"link-check: {len(doc_files())} files scanned, "
               f"{len(public_modules())} module docstrings checked")
