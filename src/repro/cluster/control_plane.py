@@ -92,21 +92,23 @@ from repro.serving.resilient import CostModel
 
 Coord = tuple[int, int, int]
 
+# Control-plane overheads and hedging thresholds, in virtual seconds.
+FAILOVER_OVERHEAD_S = 0.05  # detect + re-dispatch cost
+DRAIN_MIGRATE_S = 0.02      # host-mediated KV transfer cost
+HEDGE_SLOWDOWN = 3.0        # observed/expected step-time ratio
+HEDGE_AFTER_STEPS = 2       # consecutive slow steps to hedge
+PLAN_SWITCH_S = 0.01        # decode-plan reshard (host-side)
+COLD_RESTART_S = 0.25       # process death: re-shard + re-init
+WARM_REJOIN_S = 0.05        # journal-guided rejoin (cache inval)
+
 
 @dataclass(frozen=True)
 class ClusterPolicy:
-    """Control-plane knobs: retries, hedging, breakers, overheads."""
+    """Control-plane knobs: retries, breakers, batching, KV store."""
 
     max_retries: int = 3               # failovers per group before FAILED
-    failover_overhead_s: float = 0.05  # detect + re-dispatch cost
-    drain_migrate_s: float = 0.02      # host-mediated KV transfer cost
-    hedge_slowdown: float = 3.0        # observed/expected step-time ratio
-    hedge_after_steps: int = 2         # consecutive slow steps to hedge
     breaker_failures: int = 3
     breaker_cooldown_s: float = 1.0
-    plan_switch_s: float = 0.01        # decode-plan reshard (host-side)
-    cold_restart_s: float = 0.25       # process death: re-shard + re-init
-    warm_rejoin_s: float = 0.05        # journal-guided rejoin (cache inval)
     #: Age-based partial-group dispatch: a queued head older than this
     #: goes out even below ``decode_batch``.  ``None`` keeps the legacy
     #: full-groups-only behavior (mixed-length traces need the age
@@ -197,10 +199,10 @@ class RestartSpec:
 
     * ``mode="cold"`` — full restart: re-shard the weights, rebuild
       both phase models, empty capture caches
-      (``ClusterPolicy.cold_restart_s``).
+      (``COLD_RESTART_S``).
     * ``mode="warm"`` — journal-guided rejoin: the process state
       survives, only the capture caches are invalidated
-      (``ClusterPolicy.warm_rejoin_s``).
+      (``WARM_REJOIN_S``).
     """
 
     at_s: float
@@ -604,8 +606,7 @@ class ClusterControlPlane:
     def _restart_replica(self, replica: Replica, t: float,
                          mode: str) -> None:
         replica.restart(mode)
-        downtime = (self.policy.cold_restart_s if mode == "cold"
-                    else self.policy.warm_rejoin_s)
+        downtime = COLD_RESTART_S if mode == "cold" else WARM_REJOIN_S
         ready = max(replica.busy_until_s, t) + downtime
         replica.busy_until_s = ready
         self.restarts += 1
@@ -790,7 +791,7 @@ class ClusterControlPlane:
         come back); colocated or collapsed, to the target decode
         profile.  Plan switches happen only at group boundaries (never
         mid-decode, the KV layout must stay put) and charge
-        ``plan_switch_s``.
+        ``PLAN_SWITCH_S``.
         """
         if self.pool_of and not self.pools_collapsed:
             switched = self._steer_to_pool(replica, t)
@@ -798,7 +799,7 @@ class ClusterControlPlane:
             desired = self.target_profile or "balanced"
             switched = replica.profile != desired and \
                 replica.switch_profile(desired, t)
-        return self.policy.plan_switch_s if switched else 0.0
+        return PLAN_SWITCH_S if switched else 0.0
 
     def _steer_to_pool(self, replica: Replica, t: float) -> bool:
         """Switch a pooled replica's prefill and decode plans to its
@@ -1009,9 +1010,9 @@ class ClusterControlPlane:
         expected = self.costs.decode_cost_s(run.replica.profile) \
             * run.replica.scale
         task.slow_steps = task.slow_steps + 1 \
-            if dt > self.policy.hedge_slowdown * expected else 0
+            if dt > HEDGE_SLOWDOWN * expected else 0
         if not task.hedged and self.hedging_enabled and \
-                task.slow_steps >= self.policy.hedge_after_steps:
+                task.slow_steps >= HEDGE_AFTER_STEPS:
             task.hedged = True
             task.hedge = self._start_hedge(task)
 
@@ -1070,7 +1071,7 @@ class ClusterControlPlane:
                     ev.FAILOVER, t_s=t, group=gid, mode="re-prefill",
                     source=run.replica.name, target=target.name,
                     error=error)
-                task.t = max(t + self.policy.failover_overhead_s,
+                task.t = max(t + FAILOVER_OVERHEAD_S,
                              target.busy_until_s)
                 task.run = GroupRun(target, run.group)
                 return
@@ -1397,11 +1398,11 @@ class ClusterControlPlane:
         try:
             new_run = run.migrate_to(target)
             mode = "cache-migration"
-            t = max(t + self.policy.drain_migrate_s, target.busy_until_s)
+            t = max(t + DRAIN_MIGRATE_S, target.busy_until_s)
         except ValueError as exc:
             new_run = GroupRun(target, run.group)
             mode = "re-prefill"
-            t = max(t + self.policy.failover_overhead_s,
+            t = max(t + FAILOVER_OVERHEAD_S,
                     target.busy_until_s)
             self.journal.record(ev.FAULT_DETECTED, t_s=t, replica=source.name,
                                 error="CacheMigrationFailed",

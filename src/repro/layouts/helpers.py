@@ -13,7 +13,8 @@ from repro.mesh import (
     sharded_einsum,
 )
 from repro.mesh.sharded_tensor import record
-from repro.model.functional import causal_mask, masked_softmax, softmax
+from repro.mesh.stacked import is_stacked
+from repro.model.reference import attention
 from repro.model.rope import apply_rope_cached
 from repro.sharding.spec import ShardSpec
 
@@ -141,46 +142,29 @@ def local_attention(mesh: VirtualMesh, out_spec: ShardSpec,
     """Per-device causal attention over already co-located Q/K/V shards.
 
     ``k_shards``/``v_shards`` hold per-device ``[B, M, K, D]`` buffers (a
-    view of the sharded KV cache) — object arrays on the loop backend,
-    dense ``mesh.shape + local`` arrays on the stacked one.  The softmax
-    and the attention matmuls are strictly local; correctness of the layout
-    is therefore exactly the claim that Q and KV are sharded compatibly,
-    which the calling layout establishes and the equivalence tests verify.
+    view of the sharded KV cache) — object arrays on the loop backend; on
+    the stacked one, the cache buffer itself, whose device grid is size 1
+    on every axis the KV spec replicates.  Both backends call the one
+    kernel, :func:`repro.model.reference.attention`: per device on the
+    loop backend, once over the whole grid on the stacked one, where the
+    K/V grid broadcasts against the query's.  The softmax and the
+    attention matmuls are strictly local; correctness of the layout is
+    therefore exactly the claim that Q and KV are sharded compatibly,
+    which the calling layout establishes and the equivalence tests
+    verify.  The replay closures re-derive the step-varying offset from
+    the KV view length (``M - L``), exactly what the model passes in.
     """
-    from repro.model.reference import attention
+    if q.is_stacked and is_stacked(k_shards) and is_stacked(v_shards):
+        shards = attention(q.shards, k_shards, v_shards, q_offset)
+        # The replay closure keeps its buffers across replays.
+        scratch: dict = {}
 
-    if (q.is_stacked and k_shards.dtype != object
-            and v_shards.dtype != object):
-        # attention() is batched over its leading B axis, so folding the
-        # three device axes into the batch runs the whole mesh in one call.
-        def fold(dense):
-            return dense.reshape((-1,) + dense.shape[4:])
+        def replay(qs, ks, vs):
+            return attention(qs, ks, vs, ks.shape[-3] - qs.shape[-3],
+                             scratch)
 
-        out = attention(fold(q.shards), fold(k_shards), fold(v_shards),
-                        q_offset)
-        b_loc = q.shards.shape[3]
-        shards = out.reshape(mesh.shape + (b_loc,) + out.shape[1:])
-
-        def replay_stacked(qs, ks, vs):
-            # The decode position is step-varying: rederive it from the
-            # KV view length (M - L), exactly what the model passes in.
-            # A captured program may hold replicated operands with mesh
-            # axes collapsed to size 1 (repro.mesh.replay_opt); the
-            # query's device grid is then the output's, and K/V are
-            # broadcast to it.
-            grid = qs.shape[:3]
-            if ks.shape[:3] != grid:
-                ks = np.broadcast_to(ks, grid + ks.shape[3:])
-                vs = np.broadcast_to(vs, grid + vs.shape[3:])
-            folded = _attention_fast(
-                qs.reshape((-1,) + qs.shape[4:]),
-                ks.reshape((-1,) + ks.shape[4:]),
-                vs.reshape((-1,) + vs.shape[4:]),
-                ks.shape[4] - qs.shape[4])
-            return folded.reshape(grid + (b_loc,) + folded.shape[1:])
-
-        record(mesh, replay_stacked, (q.shards, k_shards, v_shards),
-               shards, "attention", meta=("attention", b_loc),
+        record(mesh, replay, (q.shards, k_shards, v_shards), shards,
+               "attention", meta=("attention",),
                specs=(q.spec, None, None, out_spec))
         return ShardedTensor(mesh, out_spec, tuple(out_shape), shards)
 
@@ -193,30 +177,3 @@ def local_attention(mesh: VirtualMesh, out_spec: ShardSpec,
            (q.shards, k_shards, v_shards), shards, "attention",
            specs=(q.spec, None, None, out_spec))
     return ShardedTensor(mesh, out_spec, tuple(out_shape), shards)
-
-
-def _attention_fast(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                    q_offset: int) -> np.ndarray:
-    """Replay-path attention, bit-identical to ``reference.attention``.
-
-    Identical computation, except the single-query decode case
-    (``L == 1`` attending to its full history) skips building the causal
-    mask: the mask is provably all-True there, and ``np.where`` with an
-    all-True mask returns a fresh array with the same values and layout
-    as ``scores`` — so the softmax bits cannot change.
-    """
-    h, kv = q.shape[2], k.shape[2]
-    if kv != h:  # broadcast shared KV heads across the query-head groups
-        b, m, d = k.shape[0], k.shape[1], k.shape[3]
-        k = np.broadcast_to(k[:, :, :, None, :],
-                            (b, m, kv, h // kv, d)).reshape(b, m, h, d)
-        v = np.broadcast_to(v[:, :, :, None, :],
-                            (b, m, kv, h // kv, d)).reshape(b, m, h, d)
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = np.einsum("blhd,bmhd->bhlm", q, k) * scale
-    if q.shape[1] == 1 and q_offset + 1 == k.shape[1]:
-        probs = softmax(scores, axis=-1)
-    else:
-        probs = masked_softmax(
-            scores, causal_mask(q.shape[1], k.shape[1], q_offset))
-    return np.einsum("bhlm,bmhd->blhd", probs, v)

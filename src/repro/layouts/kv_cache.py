@@ -23,9 +23,11 @@ Section 3.1), so the buffer holds one copy per shard position — exactly
 the bytes of the global form — and appends are single whole-mesh slice
 writes.  A replica check guards the way in: an eager append or
 :meth:`~ShardedKVCache.load_prefix` keeps copy 0 of the incoming K/V
-and raises :class:`ShardingError` if the other copies disagree.  Eager
-:meth:`~ShardedKVCache.views` and :meth:`~ShardedKVCache.as_sharded`
-broadcast the one copy back over the full device grid, read-only.
+and raises :class:`ShardingError` if the other copies disagree.
+:meth:`~ShardedKVCache.views` hands attention the buffer's slice as it
+is (the attention kernel broadcasts its size-1 grid axes), and
+:meth:`~ShardedKVCache.as_sharded` broadcasts the one copy back over the
+full device grid, read-only.
 
 With an ``arena`` (:class:`repro.kvstore.arena.KVBufferArena`) the
 buffers are *leased* from a per-replica pool instead of freshly
@@ -240,24 +242,18 @@ class ShardedKVCache:
 
     def views(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-device ``[B_loc, length, K_loc, D]`` views — an object array
-        on the loop backend, a dense read-only full-grid view on the
-        stacked one."""
-        k_view = self._span(self.k, 0, self.length, full=True)
-        v_view = self._span(self.v, 0, self.length, full=True)
+        on the loop backend; on the stacked one, the buffers' slice (its
+        device grid size 1 on the spec's replicated axes), which the
+        attention kernel broadcasts against the query's grid."""
+        k_view = self._span(self.k, 0, self.length)
+        v_view = self._span(self.v, 0, self.length)
         recorder = getattr(self.mesh, "capture", None)
         if recorder is not None and recorder.recording:
             idx = recorder.cache_index(self)
             if idx is not None:
-                stacked = self.is_stacked
                 for name, view in (("k", k_view), ("v", v_view)):
-                    # Stacked replay reads the buffer itself, which the
-                    # tape optimizer records as collapsed on the spec's
-                    # replicated axes (replay_opt).
                     def replay(ctx, name=name):
                         cache = ctx.caches[idx]
-                        if stacked:
-                            return getattr(cache, name)[:, :, :, :,
-                                                        :cache.length]
                         return cache._span(getattr(cache, name), 0,
                                            cache.length)
 

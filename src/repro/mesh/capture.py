@@ -44,10 +44,9 @@ the tape into a :class:`CapturedProgram`:
 * **Tape optimization** — on the stacked backend every program
   additionally runs the tape optimizer in :mod:`repro.mesh.replay_opt`
   — prebound matmul runners, replica collapse (each replicated value
-  computed once, read from the sharding specs the hooks pass), flat
-  multiquery attention, in-place elementwise runners, indexed
-  collectives.  Every pass is bit-exact by construction and asserted
-  differentially.
+  computed once, read from the sharding specs the hooks pass), in-place
+  elementwise runners, indexed collectives.  Every pass is bit-exact by
+  construction and asserted differentially.
 * **Straight-line runner** — every program, on either backend, replays
   through source-generated Python that calls the recorded closures in
   tape order with values held in locals.

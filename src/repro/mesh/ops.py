@@ -209,15 +209,18 @@ def all_gather(t: ShardedTensor, axes: Sequence[str], dim: str
     remaining = _require_suffix(spec.axes_for(dim), axes, "all_gather")
     dim_idx = spec.dim_index(dim)
     new_spec = spec.with_dim_axes(dim, remaining)
-    kernel = stacked_kernels.all_gather if t.is_stacked else _loop_all_gather
-    shards = kernel(mesh, t.shards, axes, dim_idx)
-    shards = _fault_post(mesh, "all_gather", axes, shards)
+    if t.is_stacked:
+        meta = stacked_kernels.group_meta(mesh, axes)
+        run = lambda s: stacked_kernels.all_gather(  # noqa: E731
+            s, dim_idx, meta)
+    else:
+        run = lambda s: _loop_all_gather(mesh, s, axes, dim_idx)  # noqa: E731
+    shards = _fault_post(mesh, "all_gather", axes, run(t.shards))
     out = ShardedTensor(mesh, new_spec, t.global_shape, shards)
     _observe(mesh, tracer, start,
              CommRecord("all_gather", axes, mesh.group_size(axes),
                         out.per_chip_bytes), out)
-    record(mesh, lambda s: kernel(mesh, s, axes, dim_idx),
-           (t.shards,), out.shards, "all_gather", collective=True,
+    record(mesh, run, (t.shards,), out.shards, "all_gather", collective=True,
            meta=("all_gather", axes, dim_idx) if t.is_stacked else None,
            specs=(spec, new_spec))
     return out
@@ -240,19 +243,17 @@ def reduce_scatter(t: ShardedTensor, axes: Sequence[str], dim: str
     k = mesh.group_size(axes)
     payload = t.per_chip_bytes
     if t.is_stacked:
-        shards = stacked_kernels.reduce_scatter(mesh, t.shards, axes,
-                                                dim_idx)
-        replay = lambda s: stacked_kernels.reduce_scatter(  # noqa: E731
-            mesh, s, axes, dim_idx)
+        meta = stacked_kernels.group_meta(mesh, axes)
+        run = lambda s: stacked_kernels.reduce_scatter(  # noqa: E731
+            s, dim_idx, meta)
     else:
-        shards = _loop_reduce_scatter(mesh, t.shards, axes, dim_idx, k)
-        replay = lambda s: _loop_reduce_scatter(  # noqa: E731
+        run = lambda s: _loop_reduce_scatter(  # noqa: E731
             mesh, s, axes, dim_idx, k)
-    shards = _fault_post(mesh, "reduce_scatter", axes, shards)
+    shards = _fault_post(mesh, "reduce_scatter", axes, run(t.shards))
     out = ShardedTensor(mesh, new_spec, t.global_shape, shards)
     _observe(mesh, tracer, start,
              CommRecord("reduce_scatter", axes, k, payload), out)
-    record(mesh, replay, (t.shards,), out.shards, "reduce_scatter",
+    record(mesh, run, (t.shards,), out.shards, "reduce_scatter",
            collective=True,
            meta=("reduce_scatter", axes, dim_idx) if t.is_stacked
            else None, specs=(spec, new_spec))
@@ -276,15 +277,18 @@ def all_reduce(t: ShardedTensor, axes: Sequence[str]) -> ShardedTensor:
     new_partial = tuple(a for a in spec.partial_sum if a not in axes)
     new_spec = spec.with_partial_sum(new_partial)
     payload = t.per_chip_bytes
-    kernel = stacked_kernels.all_reduce if t.is_stacked else _loop_all_reduce
-    shards = kernel(mesh, t.shards, axes)
-    shards = _fault_post(mesh, "all_reduce", axes, shards)
+    if t.is_stacked:
+        meta = stacked_kernels.group_meta(mesh, axes)
+        run = lambda s: stacked_kernels.all_reduce(s, meta)  # noqa: E731
+    else:
+        run = lambda s: _loop_all_reduce(mesh, s, axes)  # noqa: E731
+    shards = _fault_post(mesh, "all_reduce", axes, run(t.shards))
     out = ShardedTensor(mesh, new_spec, t.global_shape, shards)
     _observe(mesh, tracer, start,
              CommRecord("all_reduce", axes, mesh.group_size(axes),
                         2 * payload), out)
-    record(mesh, lambda s: kernel(mesh, s, axes), (t.shards,),
-           out.shards, "all_reduce", collective=True,
+    record(mesh, run, (t.shards,), out.shards, "all_reduce",
+           collective=True,
            meta=("all_reduce", axes) if t.is_stacked else None,
            specs=(spec, new_spec))
     return out

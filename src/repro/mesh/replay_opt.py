@@ -31,18 +31,12 @@ while provably preserving every output bit:
   attention once per head shard, and ``to_global``/``from_global``
   replay through prebound index tables.  A consumer that needs the full
   grid gets a stride-0 broadcast view; see :func:`_collapse_replicas`.
-* **Flat multiquery attention** — the stacked decode attention
-  broadcast-materializes the shared KV head across the query-head
-  groups; for the captured multiquery case the same sums are computed
-  directly from the unexpanded ``[B, M, D]`` K/V via a
-  3-operand-subscript einsum, skipping the broadcast copy and the
-  (provably all-True) mask branch.
 * **Indexed collectives** — a recorded collective's data movement is
   traced once to an index table, so replay is one ``np.take`` (plus the
   same left-to-right reduction) instead of a chain of reshapes and
   transposes (:func:`repro.mesh.stacked.prebind_collective_indexed`;
-  shapes too large for a table get :func:`repro.mesh.stacked.
-  prebind_collective`, with its metadata resolved once).
+  shapes too large for a table keep the recorded kernel, whose group
+  metadata the op resolved once).
 
 The input projections are fused by the model, not here: a BLAS product
 split by columns does not give the bits of the full product, so a
@@ -73,12 +67,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mesh import stacked as stacked_kernels
-from repro.model.functional import causal_mask
-
-try:  # same C kernel np.einsum dispatches to; skips its Python wrapper
-    from numpy._core._multiarray_umath import c_einsum as _einsum
-except ImportError:  # pragma: no cover - older numpy layouts
-    _einsum = np.einsum
+from repro.model.functional import c_einsum as _einsum
 
 
 def optimize_tape(recorder, instrs, const, out_vids):
@@ -90,7 +79,6 @@ def optimize_tape(recorder, instrs, const, out_vids):
     """
     instrs = _merge_rope_slabs(recorder, instrs)
     instrs = _collapse_replicas(recorder, instrs, const, out_vids)
-    instrs = _flatten_attention(recorder, instrs)
     instrs = _prebind_einsums(recorder, instrs, const, out_vids)
     instrs = _inplace_rope(recorder, instrs, out_vids)
     instrs = _inplace_elementwise(recorder, instrs, out_vids)
@@ -436,130 +424,6 @@ def _collapse_replicas(recorder, instrs, const, out_vids):
 
 
 # ---------------------------------------------------------------------------
-# Flat multiquery decode attention
-# ---------------------------------------------------------------------------
-
-def _flat_mq_attention(out_shape, dtype):
-    # The query-side shapes are step-invariant, but the KV length ``m``
-    # grows with the cache fill (a program replays at any fill — the
-    # signature excludes it), so the score buffer is cached per ``m``;
-    # the scale is the same ``1/sqrt(d_head)`` scalar the eager path
-    # computes per call.  The einsums keep the mesh axes in the
-    # subscripts and read the strided Q and KV views directly (no
-    # per-call fold), and the second contraction writes straight into
-    # the contiguous output buffer.
-    lead = tuple(out_shape[:4])
-    bsz = int(np.prod(lead))
-    l, h, d = out_shape[4:]
-    out = np.empty(out_shape, dtype)
-    red = np.empty((bsz * h * l, 1), dtype)
-    scale = 1.0 / np.sqrt(out_shape[-1])
-    per_m = {}
-
-    def run(qs, ks, vs):
-        # Single query attending to its full history with one shared KV
-        # head: the mask is provably all-True and the KV broadcast over
-        # the query-head groups is expressed in the subscripts instead
-        # of materialized.  Contraction per output element is the same
-        # sum in the same order as the broadcast form (the mesh axes in
-        # the subscripts only relabel the outer loop), the softmax runs
-        # the same max/sub/exp/sum/div sequence in place on a collapsed
-        # view of the same rows, so the bits match (the differential
-        # tests assert it).
-        m = ks.shape[4]
-        bufs = per_m.get(m)
-        if bufs is None:
-            s7 = np.empty(lead + (h, l, m), dtype)
-            bufs = per_m[m] = (s7, s7.reshape(bsz * h * l, m))
-        s7, s2 = bufs
-        k = ks[:, :, :, :, :, 0, :]
-        v = vs[:, :, :, :, :, 0, :]
-        _einsum("wxyzlhd,wxyzmd->wxyzhlm", qs, k, out=s7)
-        np.multiply(s2, scale, out=s2)
-        # np.max/np.sum are Python wrappers over these same ufunc
-        # reductions (identical pairwise algorithm, identical bits).
-        np.maximum.reduce(s2, axis=-1, keepdims=True, out=red)
-        np.subtract(s2, red, out=s2)
-        np.exp(s2, out=s2)
-        np.add.reduce(s2, axis=-1, keepdims=True, out=red)
-        np.divide(s2, red, out=s2)
-        _einsum("wxyzhlm,wxyzmd->wxyzlhd", s7, v, out=out)
-        return out
-    run.out_buffer = out
-    return run
-
-
-def _flat_mq_prefill_attention(out_shape, dtype):
-    # Prefill (L > 1) attends through a causal mask, and the KV length
-    # ``m`` varies between replays (the same chunk program runs at any
-    # cache offset), so the score buffer and mask are cached per ``m``
-    # instead of preallocated.  The mask fill value is the same
-    # ``finfo.min`` that ``masked_softmax`` uses.
-    lead = tuple(out_shape[:4])
-    bsz = int(np.prod(lead))
-    l, h, d = out_shape[4:]
-    out = np.empty(out_shape, dtype)
-    red = np.empty((bsz * h, l, 1), dtype)
-    scale = 1.0 / np.sqrt(out_shape[-1])
-    neg = np.finfo(dtype).min
-    per_m = {}
-
-    def run(qs, ks, vs):
-        # Same subscripts-instead-of-broadcast contraction as the decode
-        # variant; the masking writes ``finfo.min`` into the same
-        # positions ``np.where(mask, scores, neg)`` would, and the
-        # softmax runs the same max/sub/exp/sum/div sequence in place
-        # on a collapsed view of the same rows, so the bits match (the
-        # differential tests assert it).
-        m = ks.shape[4]
-        cached = per_m.get(m)
-        if cached is None:
-            s7 = np.empty(lead + (h, l, m), dtype)
-            cached = (s7, s7.reshape(bsz * h, l, m),
-                      ~causal_mask(l, m, m - l))
-            per_m[m] = cached
-        s7, s3, dead = cached
-        k = ks[:, :, :, :, :, 0, :]
-        v = vs[:, :, :, :, :, 0, :]
-        _einsum("wxyzlhd,wxyzmd->wxyzhlm", qs, k, out=s7)
-        np.multiply(s3, scale, out=s3)
-        np.copyto(s3, neg, where=dead)
-        np.maximum.reduce(s3, axis=-1, keepdims=True, out=red)
-        np.subtract(s3, red, out=s3)
-        np.exp(s3, out=s3)
-        np.add.reduce(s3, axis=-1, keepdims=True, out=red)
-        np.divide(s3, red, out=s3)
-        _einsum("wxyzhlm,wxyzmd->wxyzlhd", s7, v, out=out)
-        return out
-    run.out_buffer = out
-    return run
-
-
-def _flatten_attention(recorder, instrs):
-    from repro.mesh.capture import _Instr
-
-    values = recorder._values
-    rewritten = []
-    for ins in instrs:
-        if (ins.meta is not None and ins.meta[0] == "attention"
-                and ins.out is not None and len(ins.inputs) == 3):
-            qs = values[ins.inputs[0]]
-            ks = values[ins.inputs[1]]
-            if qs.ndim == 7 and ks.ndim == 7 and ks.shape[5] == 1:
-                captured = values[ins.out]
-                if qs.shape[4] == 1:
-                    fn = _flat_mq_attention(captured.shape, captured.dtype)
-                else:
-                    fn = _flat_mq_prefill_attention(captured.shape,
-                                                    captured.dtype)
-                rewritten.append(_Instr(fn, ins.inputs, ins.out,
-                                        "attention_flat", False, False))
-                continue
-        rewritten.append(ins)
-    return rewritten
-
-
-# ---------------------------------------------------------------------------
 # Prebound einsums and in-place rope
 # ---------------------------------------------------------------------------
 
@@ -802,10 +666,10 @@ def _inplace_elementwise(recorder, instrs, out_vids):
 # ---------------------------------------------------------------------------
 
 def _prebind_collectives(recorder, instrs, out_vids):
-    """Swap recorded collectives to prebound (mostly indexed) closures.
+    """Swap recorded collectives to indexed closures where a table fits.
 
     Indexed closures return a per-instruction buffer reused across
-    replays, so a program output keeps the allocating meta-kernel form.
+    replays, so a program output keeps its recorded, allocating kernel.
     """
     from repro.mesh.capture import _Instr
 
@@ -815,19 +679,13 @@ def _prebind_collectives(recorder, instrs, out_vids):
     for ins in instrs:
         meta = ins.meta
         if (meta is not None and len(ins.inputs) == 1
-                and meta[0] in ("all_gather", "reduce_scatter",
-                                "all_reduce")):
-            dim_idx = meta[2] if len(meta) > 2 else None
+                and meta[0] in _COLLECTIVES and ins.out not in out_vids):
             operand = values[ins.inputs[0]]
-            fn = None
-            if ins.out not in out_vids:
-                fn = stacked_kernels.prebind_collective_indexed(
-                    recorder.mesh, meta[0], meta[1], dim_idx,
-                    operand.shape, operand.dtype, scratch=scratch,
-                    out_lead=values[ins.out].shape[:3])
-            if fn is None:
-                fn = stacked_kernels.prebind_collective(
-                    recorder.mesh, meta[0], meta[1], dim_idx)
+            fn = stacked_kernels.prebind_collective_indexed(
+                recorder.mesh, meta[0], meta[1],
+                meta[2] if len(meta) > 2 else None,
+                operand.shape, operand.dtype, scratch=scratch,
+                out_lead=values[ins.out].shape[:3])
             if fn is not None:
                 rewritten.append(_Instr(fn, ins.inputs, ins.out,
                                         ins.label, ins.collective,

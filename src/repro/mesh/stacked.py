@@ -126,6 +126,12 @@ def _axes_meta(mesh_shape: tuple[int, int, int], part: tuple[int, ...]):
     return rest, part, inverse, rest_shape, part_shape, k
 
 
+def group_meta(mesh, axes: Sequence[str]):
+    """The :func:`_axes_meta` of communication groups over ``axes``:
+    the resolved parameter the collectives below take."""
+    return _axes_meta(mesh.shape, tuple(mesh.axis_indices(axes)))
+
+
 def _group_view(mesh, shards: np.ndarray, axes: Sequence[str]):
     """Rearrange ``[d0, d1, d2, *local]`` to ``[rest..., K, *local]``.
 
@@ -133,7 +139,7 @@ def _group_view(mesh, shards: np.ndarray, axes: Sequence[str]):
     ``axes`` order (matching ``mesh.groups``/``rank_in_group``).  Returns
     the rearranged array plus the metadata needed by :func:`_ungroup`.
     """
-    meta = _axes_meta(mesh.shape, tuple(mesh.axis_indices(axes)))
+    meta = group_meta(mesh, axes)
     rest, part, _, rest_shape, _, k = meta
     moved = shards.transpose(rest + part + tuple(range(3, shards.ndim)))
     grouped = moved.reshape(rest_shape + (k,) + shards.shape[3:])
@@ -182,6 +188,11 @@ def _replicate(arr: np.ndarray, meta) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Collectives
 # ---------------------------------------------------------------------------
+#
+# ``all_gather``, ``reduce_scatter`` and ``all_reduce`` take their groups
+# already resolved (``meta``, from :func:`group_meta`): :mod:`repro.mesh.ops`
+# resolves them once per op and records the same call as its replay
+# closure.
 
 def _grouped_view_meta(shards: np.ndarray, meta):
     """:func:`_group_view` against already-resolved ``meta``."""
@@ -190,7 +201,8 @@ def _grouped_view_meta(shards: np.ndarray, meta):
     return moved.reshape(rest_shape + (k,) + shards.shape[3:])
 
 
-def _all_gather_meta(shards: np.ndarray, dim_idx: int, meta) -> np.ndarray:
+def all_gather(shards: np.ndarray, dim_idx: int, meta) -> np.ndarray:
+    """Concatenate each group's shards along ``dim_idx``, replicated."""
     grouped = _grouped_view_meta(shards, meta)
     nrest = len(meta[0])
     k = meta[5]
@@ -207,15 +219,8 @@ def _all_gather_meta(shards: np.ndarray, dim_idx: int, meta) -> np.ndarray:
                     materialize=False)
 
 
-def all_gather(mesh, shards: np.ndarray, axes: Sequence[str],
-               dim_idx: int) -> np.ndarray:
-    """Concatenate each group's shards along ``dim_idx``, replicated."""
-    meta = _axes_meta(mesh.shape, tuple(mesh.axis_indices(axes)))
-    return _all_gather_meta(shards, dim_idx, meta)
-
-
-def _reduce_scatter_meta(shards: np.ndarray, dim_idx: int,
-                         meta) -> np.ndarray:
+def reduce_scatter(shards: np.ndarray, dim_idx: int, meta) -> np.ndarray:
+    """Sum each group sequentially, scatter chunks of ``dim_idx`` by rank."""
     grouped = _grouped_view_meta(shards, meta)
     nrest = len(meta[0])
     k = meta[5]
@@ -229,50 +234,17 @@ def _reduce_scatter_meta(shards: np.ndarray, dim_idx: int,
     return _ungroup(out, meta, new_local)
 
 
-def reduce_scatter(mesh, shards: np.ndarray, axes: Sequence[str],
-                   dim_idx: int) -> np.ndarray:
-    """Sum each group sequentially, scatter chunks of ``dim_idx`` by rank."""
-    meta = _axes_meta(mesh.shape, tuple(mesh.axis_indices(axes)))
-    return _reduce_scatter_meta(shards, dim_idx, meta)
-
-
-def _all_reduce_meta(shards: np.ndarray, meta) -> np.ndarray:
+def all_reduce(shards: np.ndarray, meta) -> np.ndarray:
+    """Sum each group sequentially, replicating the total."""
     grouped = _grouped_view_meta(shards, meta)
     total = np.ascontiguousarray(_group_sum(grouped, len(meta[0])))
     return _ungroup(_replicate(total, meta), meta, shards.shape[3:],
                     materialize=False)
 
 
-def all_reduce(mesh, shards: np.ndarray, axes: Sequence[str]) -> np.ndarray:
-    """Sum each group sequentially, replicating the total."""
-    meta = _axes_meta(mesh.shape, tuple(mesh.axis_indices(axes)))
-    return _all_reduce_meta(shards, meta)
-
-
-def prebind_collective(mesh, kind: str, axes: Sequence[str],
-                       dim_idx: int | None = None):
-    """A single-argument collective closure with its metadata resolved.
-
-    The capture-replay optimizer swaps a recorded collective's generic
-    closure (which re-resolves ``_axes_meta`` per call) for one of
-    these: same kernel, same meta, precomputed once — so the per-replay
-    Python work drops to the kernel body itself.  Returns ``None`` for
-    kinds without a prebound form (the optimizer then leaves the
-    instruction untouched).
-    """
-    meta = _axes_meta(mesh.shape, tuple(mesh.axis_indices(axes)))
-    if kind == "all_gather":
-        return lambda s: _all_gather_meta(s, dim_idx, meta)
-    if kind == "reduce_scatter":
-        return lambda s: _reduce_scatter_meta(s, dim_idx, meta)
-    if kind == "all_reduce":
-        return lambda s: _all_reduce_meta(s, meta)
-    return None
-
-
 # One gather's worth of precomputed indices; above this the index table
 # (and the materialized replica copies it implies) stops being worth the
-# saved calls — prefill-sized tensors keep the meta-kernel form.
+# saved calls — prefill-sized tensors keep the recorded group kernel.
 _INDEXED_COLLECTIVE_LIMIT = 1 << 18
 
 
@@ -296,7 +268,7 @@ def _full_collective_table(mesh_shape: tuple[int, int, int],
     local = in_shape[3:]
 
     if kind == "all_gather":
-        table = np.ascontiguousarray(_all_gather_meta(probe, dim_idx, meta))
+        table = np.ascontiguousarray(all_gather(probe, dim_idx, meta))
         table.setflags(write=False)
         return table, table.shape
 
@@ -408,10 +380,9 @@ def prebind_collective_indexed(mesh, kind: str, axes: Sequence[str],
     element that lands there — after which replay is a single
     ``np.take`` per movement stage.  The reduction portion keeps the
     exact left-to-right sequential adds of :func:`_group_sum` (on rows
-    holding identical values), so every output bit matches the meta
-    kernels.  Returns ``None`` when the shape is too large for index
-    tables to pay off (the caller falls back to
-    :func:`prebind_collective`).
+    holding identical values), so every output bit matches the group
+    kernels above.  Returns ``None`` when the shape is too large for
+    index tables to pay off (the caller keeps the recorded kernel).
 
     ``in_shape`` may hold collapsed replicas (size-1 mesh axes) and
     ``out_lead``, the result's device grid, may ask for a collapsed
@@ -430,7 +401,7 @@ def prebind_collective_indexed(mesh, kind: str, axes: Sequence[str],
     full = in_shape[:3] == out_lead == mesh.shape
     if full and _axes_meta(mesh.shape, part)[5] < 2 \
             and kind != "all_gather":
-        return None  # nothing to reduce; the generic prebind handles it
+        return None  # nothing to reduce; the recorded kernel stays
     table, out_shape = _collective_index_table(
         mesh.shape, part, kind, dim_idx, in_shape, out_lead)
     dtype = np.dtype(dtype)

@@ -12,6 +12,11 @@ import numpy as np
 
 LOG2_E = float(np.log2(np.e))
 
+try:  # the C kernel np.einsum dispatches to, without its Python wrapper
+    from numpy._core._multiarray_umath import c_einsum
+except ImportError:  # pragma: no cover - older numpy layouts
+    c_einsum = np.einsum
+
 
 def rmsnorm(x: np.ndarray, scale: np.ndarray, eps: float = 1e-6
             ) -> np.ndarray:
@@ -46,14 +51,14 @@ def softmax_base2(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def causal_mask(q_len: int, kv_len: int, q_offset: int = 0) -> np.ndarray:
-    """Boolean mask [q_len, kv_len]: True where attention is allowed.
+    """Boolean mask [..., q_len, kv_len]: True where attention is allowed.
 
     Query position ``i`` (global position ``q_offset + i``) may attend to
-    kv positions ``<= q_offset + i``.
+    kv positions ``<= q_offset + i``.  ``q_offset`` may be an integer
+    array holding one offset per row; its shape then leads the mask's.
     """
-    q_pos = np.arange(q_len)[:, None] + q_offset
-    kv_pos = np.arange(kv_len)[None, :]
-    return kv_pos <= q_pos
+    q_pos = np.arange(q_len)[:, None] + np.asarray(q_offset)[..., None, None]
+    return np.arange(kv_len) <= q_pos
 
 
 def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:

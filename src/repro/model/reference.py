@@ -30,12 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.model.config import AttentionKind, FfnKind, ModelConfig
-from repro.model.functional import (
-    causal_mask,
-    masked_softmax,
-    rmsnorm,
-    swish,
-)
+from repro.model.functional import c_einsum as _einsum
+from repro.model.functional import causal_mask, rmsnorm, swish
 from repro.model.rope import apply_rope
 
 
@@ -139,32 +135,80 @@ class KVCache:
         return self.k[:, :self.length], self.v[:, :self.length]
 
 
-def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-              q_offset: int) -> np.ndarray:
+def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_offset,
+              scratch: dict | None = None) -> np.ndarray:
     """Causal scaled-dot-product attention with grouped KV heads.
 
+    The one attention kernel: the reference model, both mesh backends
+    (per device on the loop backend, over the whole device grid on the
+    stacked one), every captured replay and the slot engine call it.
+    Query head ``h`` reads KV head ``h // (H / K)``; the sharing is in the
+    einsum subscripts, so no KV head is broadcast-copied (Section 3.3).
+
     Args:
-        q: ``[B, L, H, D]`` queries.
-        k, v: ``[B, M, K, D]`` full key/value history (K divides H).
-        q_offset: Global position of the first query (for the causal mask).
+        q: ``[..., L, H, D]`` queries.
+        k, v: ``[..., M, K, D]`` full key/value history (K divides H).
+            Their leading axes broadcast to ``q``'s: a size-1 axis (a
+            collapsed replica of the device grid) reads one copy.
+        q_offset: Global position of the first query (for the causal
+            mask): a scalar, or an integer array of ``q``'s leading shape
+            holding one offset per row.
+        scratch: A dict the kernel keeps its buffers in, for a caller
+            that replays the same query shape: the output and reduction
+            buffers per query shape, the scores (and the mask of a
+            scalar offset) per KV length.  The returned array is then
+            the output buffer, overwritten by the next call.
 
     Returns:
-        ``[B, L, H, D]`` attention outputs.
+        ``[..., L, H, D]`` attention outputs.
     """
-    h, kv = q.shape[2], k.shape[2]
+    l, h, d = q.shape[-3:]
+    m, kv = k.shape[-3], k.shape[-2]
     if h % kv:
         raise ValueError(f"{h} query heads not divisible by {kv} KV heads")
-    if kv != h:  # broadcast shared KV heads across the query-head groups
-        b, m, d = k.shape[0], k.shape[1], k.shape[3]
-        k = np.broadcast_to(k[:, :, :, None, :],
-                            (b, m, kv, h // kv, d)).reshape(b, m, h, d)
-        v = np.broadcast_to(v[:, :, :, None, :],
-                            (b, m, kv, h // kv, d)).reshape(b, m, h, d)
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = np.einsum("blhd,bmhd->bhlm", q, k) * scale
-    mask = causal_mask(q.shape[1], k.shape[1], q_offset)
-    probs = masked_softmax(scores, mask)
-    return np.einsum("bhlm,bmhd->blhd", probs, v)
+    scratch = {} if scratch is None else scratch
+    fixed = scratch.get(q.shape)
+    if fixed is None:
+        out = np.empty(q.shape[:-2] + (kv, h // kv, d), q.dtype)
+        fixed = scratch[q.shape] = (
+            out, out.reshape(q.shape), np.empty((out.size // d, 1), q.dtype),
+            1.0 / np.sqrt(d), np.finfo(q.dtype).min, {})
+    out, result, red, scale, neg, per_m = fixed
+    rowwise = isinstance(q_offset, np.ndarray)
+    key = (m, None if rowwise else q_offset)
+    cached = per_m.get(key)
+    if cached is None:
+        scores = np.empty(q.shape[:-3] + (kv, h // kv, l, m), q.dtype)
+        cached = per_m[key] = (scores, scores.reshape(-1, m), None
+                               if rowwise else _hidden(l, m, q_offset))
+    scores, rows, hidden = cached
+    if rowwise:
+        hidden = _hidden(l, m, q_offset)
+    _einsum("...lkgd,...mkd->...kglm",
+            q.reshape(q.shape[:-2] + (kv, h // kv, d)), k, out=scores)
+    np.multiply(rows, scale, out=rows)
+    if hidden is not None:
+        np.copyto(scores, neg, where=hidden)
+    # masked_softmax's max, sub, exp, sum, div, written in place (np.max
+    # and np.sum wrap these same ufunc reductions, so the bits match).
+    np.maximum.reduce(rows, axis=-1, keepdims=True, out=red)
+    np.subtract(rows, red, out=rows)
+    np.exp(rows, out=rows)
+    np.add.reduce(rows, axis=-1, keepdims=True, out=red)
+    np.divide(rows, red, out=rows)
+    _einsum("...kglm,...mkd->...lkgd", scores, v, out=out)
+    return result
+
+
+def _hidden(l: int, m: int, q_offset) -> np.ndarray | None:
+    """Where the causal mask hides a key from a query, shaped against
+    ``[..., K, G, L, M]`` scores; ``None`` when every query sees its
+    whole history (the mask is all-True)."""
+    low = q_offset.min() if isinstance(q_offset, np.ndarray) else q_offset
+    if low >= m - 1:
+        return None
+    allowed = causal_mask(l, m, q_offset)
+    return ~allowed.reshape(allowed.shape[:-2] + (1, 1, l, m))
 
 
 class ReferenceTransformer:

@@ -8,10 +8,11 @@ requests are admitted into their slots without draining the batch.  This
 module implements that engine on the reference model.
 
 The enabling pieces are per-row positions (RoPE already accepts them) and
-a per-row attention mask (each slot attends to its own prefix only), with
-KV buffers indexed by per-slot write cursors.  Correctness bar: every
-request's tokens are identical to generating it alone, no matter how
-admissions interleave — asserted in ``tests/integration``.
+per-row causal offsets (the attention kernel takes one per row, so each
+slot attends to its own prefix only), with KV buffers indexed by per-slot
+write cursors.  Correctness bar: every request's tokens are identical to
+generating it alone, no matter how admissions interleave — asserted in
+``tests/integration``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.model.config import FfnKind
-from repro.model.functional import masked_softmax, rmsnorm, swish
-from repro.model.reference import ReferenceTransformer
+from repro.model.functional import rmsnorm, swish
+from repro.model.reference import ReferenceTransformer, attention
 from repro.model.rope import apply_rope
 from repro.model.sampling import greedy
 from repro.serving.chunked import DEFAULT_PREFILL_CHUNK, chunked_prefill
@@ -45,12 +46,8 @@ class SlotState:
         self.lengths = np.zeros(max_slots, dtype=np.int64)
         self.max_len = max_len
         self.max_slots = max_slots
-        # Step-invariant index tables, prepared once (the slot engine's
-        # analogue of the mesh step compiler's stable slots): the row
-        # index vector for cursor writes and the KV position row used to
-        # build each step's per-slot prefix mask.
+        # The row index vector for cursor writes, prepared once.
         self.rows = np.arange(max_slots)
-        self.kv_positions = np.arange(max_len)[None, :]
 
     def load_prefill(self, slot: int, caches) -> None:
         """Install a batch-1 prefill's caches into one slot."""
@@ -81,9 +78,6 @@ def slot_decode_step(model: ReferenceTransformer, tokens: np.ndarray,
     x = w.embedding[tokens][:, None, :]                    # [S, 1, E]
     max_kv = min(int(state_lengths.max()) + 1, state.max_len) \
         if len(state_lengths) else 1
-    kv_pos = state.kv_positions[:, :max_kv]
-    # Each slot sees its own prefix plus the token being written now.
-    mask = (kv_pos <= state_lengths[:, None])[:, None, None, :]
 
     for layer_idx, layer in enumerate(w.layers):
         def attn(y):
@@ -100,16 +94,10 @@ def slot_decode_step(model: ReferenceTransformer, tokens: np.ndarray,
             write_pos = np.minimum(state_lengths, state.max_len - 1)
             k_buf[rows, write_pos] = k_new[:, 0]
             v_buf[rows, write_pos] = v_new[:, 0]
-            k_all = k_buf[:, :max_kv]
-            v_all = v_buf[:, :max_kv]
-            h, kv = q.shape[2], k_all.shape[2]
-            if kv != h:
-                k_all = np.repeat(k_all, h // kv, axis=2)
-                v_all = np.repeat(v_all, h // kv, axis=2)
-            scores = np.einsum("blhd,bmhd->bhlm", q, k_all) \
-                / np.sqrt(cfg.d_head)
-            probs = masked_softmax(scores, mask)
-            out = np.einsum("bhlm,bmhd->blhd", probs, v_all)
+            # Each slot sees its own prefix plus the token being written
+            # now: its query sits at offset ``length``.
+            out = attention(q, k_buf[:, :max_kv], v_buf[:, :max_kv],
+                            state_lengths)
             return np.einsum("blhd,hde->ble", out, layer.wo)
 
         def ffn(y):

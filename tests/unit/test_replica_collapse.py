@@ -79,8 +79,7 @@ def positions(captures, label):
 
 
 def attention(captures):
-    return positions(captures, "attention") + positions(captures,
-                                                        "attention_flat")
+    return positions(captures, "attention")
 
 
 def rope_rows(captures):
@@ -231,7 +230,7 @@ class TestPrebound:
     def test_indexed_collectives_collapsed(self, kind, axes, dim_idx,
                                            in_rep, local):
         """Collapsed operand and result through the index tables: the
-        meta kernel's bits at every kept position, on 4x4x4 where a
+        eager kernel's bits at every kept position, on 4x4x4 where a
         fully collapsed sum has a single column (the ordered-row-sum
         edge case)."""
         mesh = VirtualMesh((4, 4, 4), "stacked")
@@ -241,7 +240,9 @@ class TestPrebound:
         first *= 10.0 ** rng.integers(-6, 6, first.shape)
         full = np.ascontiguousarray(
             np.broadcast_to(first, mesh.shape + local))
-        want = stacked.prebind_collective(mesh, kind, axes, dim_idx)(full)
+        meta = stacked.group_meta(mesh, axes)
+        want = (stacked.all_reduce(full, meta) if kind == "all_reduce"
+                else getattr(stacked, kind)(full, dim_idx, meta))
         out_rep = set(in_rep)
         if kind != "reduce_scatter":
             out_rep |= set(mesh.axis_indices(axes))
