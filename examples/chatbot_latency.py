@@ -7,8 +7,9 @@ tokens, and generate a 64-token response in a total of 1.9 seconds."
 
 This example (a) reproduces that number with the analytical model, using
 batch-1 incremental prefill plus batch-64 decode (the Section 4.4 mixture
-of batch sizes), and (b) demonstrates the same two-phase scheduling
-numerically with the ``TwoPhaseServer`` on a small model.
+of batch sizes), and (b) serves the same two-phase schedule numerically
+on a small model: a one-replica ``ClusterControlPlane`` on a 2x2x2
+virtual mesh prefills each request at batch 1 and decodes them together.
 
 Run:  python examples/chatbot_latency.py
 """
@@ -23,6 +24,7 @@ from repro import (
     LayoutPlan,
     Torus3D,
 )
+from repro.cluster import ClusterControlPlane, ClusterSubmission
 from repro.model import (
     PALM_540B,
     PALM_540B_PADDED,
@@ -30,7 +32,7 @@ from repro.model import (
     init_weights,
     tiny_test_config,
 )
-from repro.serving import Request, TwoPhaseServer
+from repro.serving import Request
 
 HISTORY_TOKENS = 1920
 USER_TOKENS = 64
@@ -67,24 +69,29 @@ def analytical_turn_latency():
 
 def numerical_two_phase_demo():
     """The same serving pattern, executed for real on a tiny model."""
-    config = tiny_test_config()
-    model = ReferenceTransformer(init_weights(config, seed=0))
-    server = TwoPhaseServer(model, decode_batch=4)
+    config = tiny_test_config(n_layers=2, d_model=16, d_ff=32, n_heads=8,
+                              d_head=8, vocab_size=32)
+    weights = init_weights(config, seed=0)
+    plane = ClusterControlPlane(weights, [(2, 2, 2)], decode_batch=4,
+                                prompt_len_hint=6)
     rng = np.random.default_rng(0)
     requests = [Request(i, rng.integers(0, config.vocab_size, size=6),
                         max_new_tokens=5) for i in range(4)]
-    completions = server.serve(requests)
-    print(f"\nTwoPhaseServer demo (tiny model): {server.prefill_count} "
-          f"batch-1 prefills merged into {server.decode_batches} "
-          f"batch-{len(requests)} decode group(s)")
-    for completion in completions:
-        print(f"  request {completion.request_id}: generated "
-              f"{[int(t) for t in completion.generated]}")
+    outcomes = plane.serve([ClusterSubmission(r) for r in requests])
+    replica = plane.replicas[0]
+    print(f"\nOne-replica plane demo (tiny model, 2x2x2 mesh): batch-1 "
+          f"prefill ({replica.prefill_model.plan.describe()}) feeding "
+          f"batch-{len(requests)} decode "
+          f"({replica.decode_model.plan.describe()})")
+    for outcome in outcomes:
+        print(f"  request {outcome.request_id}: generated "
+              f"{[int(t) for t in outcome.completion.generated]}")
     # Each reply is identical to what the user would get served alone.
-    for request, completion in zip(requests, completions):
+    model = ReferenceTransformer(weights)
+    for request, outcome in zip(requests, outcomes):
         solo = model.generate(request.prompt[None, :],
                               request.max_new_tokens)[0]
-        assert np.array_equal(completion.tokens, solo)
+        assert outcome.ok and np.array_equal(outcome.completion.tokens, solo)
     print("  (verified: batching changed no one's reply)")
 
 

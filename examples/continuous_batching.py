@@ -19,7 +19,7 @@ Run:  python examples/continuous_batching.py
 import numpy as np
 
 from repro.model import ReferenceTransformer, init_weights, tiny_test_config
-from repro.serving import ContinuousBatchingEngine, Request, TwoPhaseServer
+from repro.serving import ContinuousBatchingEngine, Request
 
 CONFIG = tiny_test_config()
 MODEL = ReferenceTransformer(init_weights(CONFIG, seed=0))

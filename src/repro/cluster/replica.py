@@ -45,7 +45,6 @@ from repro.mesh.faults import FaultPlan
 from repro.model.sampling import greedy
 from repro.partitioning.degraded import (
     build_deployment,
-    migrate_caches,
     plan_batch_group,
     replan_after_failure,
     select_degraded_plan,
@@ -493,8 +492,8 @@ class GroupRun:
         """
         if self.caches is None:
             raise ValueError("group has not prefilled; nothing to migrate")
-        migrated = migrate_caches(self.caches, self.replica.decode_model,
-                                  target.decode_model)
+        migrated = self.replica.decode_model.reshard_cache(
+            self.caches, target.decode_model)
         batch = migrated[0].global_shape[0]
         batch_group = plan_batch_group(target.decode_model.plan,
                                        Torus3D(*target.mesh.shape))

@@ -319,7 +319,7 @@ def reshard_kv(target, parts, *, axis: int = 0) -> None:
     if not hasattr(target, "load_prefix"):
         target.k[:, :length] = k
         target.v[:, :length] = v
-        target.length = length
+        target.lengths[:] = length
         return
     target.load_prefix(
         ShardedTensor.from_global(target.mesh, k, target.spec),

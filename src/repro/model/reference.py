@@ -105,18 +105,25 @@ def init_weights(config: ModelConfig, seed: int = 0,
 
 @dataclass
 class KVCache:
-    """Per-sequence attention history: ``k``/``v`` of ``[B, T, K, D]``."""
+    """Attention history: ``k``/``v`` of ``[B, T, K, D]``, row ``b``
+    filled to ``lengths[b]``.
+
+    Rows may sit at different lengths (a slot engine's sequences); a
+    forward pass appends each row at its own length, and the causal mask
+    hides every row's unfilled tail.
+    """
 
     k: np.ndarray
     v: np.ndarray
-    length: int = 0
+    lengths: np.ndarray              # [B] int64
 
     @classmethod
     def empty(cls, batch: int, max_len: int, n_kv_heads: int, d_head: int,
               dtype=np.float64) -> "KVCache":
         shape = (batch, max_len, n_kv_heads, d_head)
         return cls(k=np.zeros(shape, dtype=dtype),
-                   v=np.zeros(shape, dtype=dtype))
+                   v=np.zeros(shape, dtype=dtype),
+                   lengths=np.zeros(batch, dtype=np.int64))
 
     @property
     def max_len(self) -> int:
@@ -124,24 +131,31 @@ class KVCache:
 
     def append(self, k_new: np.ndarray, v_new: np.ndarray) -> None:
         n = k_new.shape[1]
-        if self.length + n > self.max_len:
+        longest = int(self.lengths.max())
+        if longest + n > self.max_len:
             raise ValueError(
-                f"KV cache overflow: {self.length} + {n} > {self.max_len}")
-        self.k[:, self.length:self.length + n] = k_new
-        self.v[:, self.length:self.length + n] = v_new
-        self.length += n
+                f"KV cache overflow: {longest} + {n} > {self.max_len}")
+        rows = np.arange(len(self.lengths))[:, None]
+        cols = self.lengths[:, None] + np.arange(n)
+        self.k[rows, cols] = k_new
+        self.v[rows, cols] = v_new
+        self.lengths += n
 
     def view(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.k[:, :self.length], self.v[:, :self.length]
+        """The history up to the longest row (shorter rows' tails are
+        masked by their causal offsets)."""
+        longest = int(self.lengths.max())
+        return self.k[:, :longest], self.v[:, :longest]
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_offset,
               scratch: dict | None = None) -> np.ndarray:
     """Causal scaled-dot-product attention with grouped KV heads.
 
-    The one attention kernel: the reference model, both mesh backends
-    (per device on the loop backend, over the whole device grid on the
-    stacked one), every captured replay and the slot engine call it.
+    The one attention kernel: the reference model (and through it the
+    slot engine), both mesh backends (per device on the loop backend,
+    over the whole device grid on the stacked one) and every captured
+    replay call it.
     Query head ``h`` reads KV head ``h // (H / K)``; the sharing is in the
     einsum subscripts, so no KV head is broadcast-copied (Section 3.3).
 
@@ -228,10 +242,10 @@ class ReferenceTransformer:
         theta = self.config.rope_theta
         q = apply_rope(q, positions, theta)
         k = apply_rope(k, positions, theta)
-        q_offset = cache.length
         cache.append(k, v)
         k_all, v_all = cache.view()
-        out = attention(q, k_all, v_all, q_offset)
+        # Each row's first query sits at its own pre-append length.
+        out = attention(q, k_all, v_all, positions[:, 0])
         return np.einsum("blhd,hde->ble", out, layer.wo)
 
     def _ffn(self, y: np.ndarray, layer: LayerWeights) -> np.ndarray:
@@ -266,11 +280,12 @@ class ReferenceTransformer:
         caches, and return logits ``[B, L, V]``.
 
         Used for both phases: prefill passes the whole prompt (L = prompt
-        length), decode passes one token per sequence (L = 1).
+        length), decode passes one token per sequence (L = 1).  Row ``b``
+        continues from its own cache length: its positions and causal
+        offset start there, so rows at different lengths share the pass.
         """
         w = self.weights
-        offset = caches[0].length
-        positions = np.arange(tokens.shape[1]) + offset
+        positions = caches[0].lengths[:, None] + np.arange(tokens.shape[1])
         x = w.embedding[tokens]
         for layer, cache in zip(w.layers, caches):
             x = self._block(x, layer, cache, positions)

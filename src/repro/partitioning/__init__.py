@@ -10,7 +10,6 @@ from repro.partitioning.degraded import (
     SubSlice,
     healthy_subslices,
     largest_healthy_subslice,
-    migrate_caches,
     plan_batch_group,
     replan_after_failure,
     select_degraded_plan,
@@ -24,7 +23,6 @@ __all__ = [
     "SubSlice",
     "healthy_subslices",
     "largest_healthy_subslice",
-    "migrate_caches",
     "plan_batch_group",
     "replan_after_failure",
     "select_degraded_plan",

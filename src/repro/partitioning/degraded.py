@@ -13,9 +13,10 @@ or more dead chips, we
    layout genuinely changes with the chip count — e.g. 2D weight-
    stationary only beats 1D past ``sqrt(n) > F/E``, Section 3.2.2); and
 3. **rebuild the sharded models** on the new mesh from the same host
-   weights, and optionally migrate live KV caches through
-   :func:`~repro.layouts.kv_cache.reshard_kv` — the same host-mediated
-   transfer as the Section 4.4 prefill->decode hand-off.
+   weights; live KV caches migrate through
+   :meth:`~repro.layouts.model.ShardedTransformer.reshard_cache` — the
+   same host-mediated transfer as the Section 4.4 prefill->decode
+   hand-off.
 
 Everything here is deterministic, so a replanned service produces
 bit-identical tokens to a fault-free run (greedy decoding does not depend
@@ -25,7 +26,7 @@ on the mesh shape).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from repro.events import REPLANNED, EventLog
 from repro.hardware.topology import Torus3D
@@ -40,7 +41,6 @@ from repro.partitioning.selector import (
 )
 
 if TYPE_CHECKING:  # avoid a layouts <-> partitioning import cycle
-    from repro.layouts.kv_cache import ShardedKVCache
     from repro.layouts.model import ShardedTransformer
     from repro.model.reference import TransformerWeights
 
@@ -326,18 +326,3 @@ def replan_after_failure(weights: TransformerWeights, mesh: VirtualMesh,
     raise ValueError(
         f"no healthy sub-slice of {mesh.shape} supports "
         f"{weights.config.name} (dead: {dead})") from last_error
-
-
-def migrate_caches(caches: Sequence[ShardedKVCache],
-                   source_model: ShardedTransformer,
-                   target_model: ShardedTransformer
-                   ) -> list[ShardedKVCache]:
-    """Move live KV caches from one deployment's mesh/plan to another's.
-
-    Host-mediated (one KV-sized copy) through
-    :meth:`ShardedTransformer.reshard_cache`, i.e.
-    :func:`~repro.layouts.kv_cache.reshard_kv`.  Only valid while the
-    source mesh's data is still readable (a planned drain) — after a chip *death* the in-flight caches are lost and
-    requests must re-prefill instead.
-    """
-    return source_model.reshard_cache(list(caches), target_model)

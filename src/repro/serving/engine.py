@@ -1,12 +1,12 @@
-"""Inference serving on top of the reference / sharded models.
+"""Requests and completions, shared by every serving engine.
 
-Implements the paper's Section 4.4 low-latency recipe: "batch size 1
-achieves the best latency in the prefill phase, but for the generate phase
-we can increase the batch size up to 64 with negligible latency impact
-... by pipelining a batch-1 prefill server into a batch-64 decoding
-server".  :class:`TwoPhaseServer` does exactly that: each request is
-prefilled alone, the resulting KV caches are merged into decode batches,
-and generation proceeds batched.
+The paper's Section 4.4 low-latency recipe — "pipelining a batch-1
+prefill server into a batch-64 decoding server" — is served on the mesh
+by :class:`~repro.cluster.replica.GroupRun` on a one-replica
+:class:`~repro.cluster.control_plane.ClusterControlPlane`, and on the
+reference model by
+:class:`~repro.serving.continuous.ContinuousBatchingEngine`.  Both take
+:class:`Request` and return :class:`Completion`.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from repro.model.reference import KVCache, ReferenceTransformer
-from repro.model.sampling import greedy
 
 
 @dataclass(frozen=True)
@@ -79,69 +76,3 @@ def require_unique_ids(requests: Sequence[Request]) -> None:
         if request.request_id in seen:
             raise ValueError(f"duplicate request id {request.request_id}")
         seen.add(request.request_id)
-
-
-def merge_caches(per_request: Sequence[Sequence[KVCache]]
-                 ) -> list[KVCache]:
-    """Concatenate per-request (batch-1) KV caches into one batched cache.
-
-    All requests must have the same cache length (the scheduler groups by
-    prompt length so this holds; real systems left-pad instead).
-    """
-    if not per_request:
-        raise ValueError("cannot merge an empty list of request caches")
-    lengths = {caches[0].length for caches in per_request}
-    if len(lengths) != 1:
-        raise ValueError(f"cannot merge caches of different lengths "
-                         f"{sorted(lengths)}; group requests by length")
-    merged = []
-    n_layers = len(per_request[0])
-    for layer in range(n_layers):
-        k = np.concatenate([c[layer].k for c in per_request], axis=0)
-        v = np.concatenate([c[layer].v for c in per_request], axis=0)
-        merged.append(KVCache(k=k, v=v, length=per_request[0][0].length))
-    return merged
-
-
-class TwoPhaseServer:
-    """Batch-1 prefill pipelined into batch-N decode (Section 4.4)."""
-
-    def __init__(self, model: ReferenceTransformer, decode_batch: int = 64):
-        if decode_batch < 1:
-            raise ValueError("decode_batch must be >= 1")
-        self.model = model
-        self.decode_batch = decode_batch
-        self.prefill_count = 0
-        self.decode_batches = 0
-
-    def _serve_group(self, group: list[Request]) -> list[Completion]:
-        n_steps = max(r.max_new_tokens for r in group)
-        max_len = len(group[0].prompt) + n_steps
-        # Phase 1: low-latency batch-1 prefill per request.
-        caches_per_request, first_logits = [], []
-        for request in group:
-            logits, caches = self.model.prefill(request.prompt[None, :],
-                                                max_len)
-            caches_per_request.append(caches)
-            first_logits.append(logits)
-            self.prefill_count += 1
-        # Phase 2: merge into one decode batch and generate together.
-        caches = merge_caches(caches_per_request)
-        self.decode_batches += 1
-        current = greedy(np.concatenate(first_logits, axis=0))
-        generated = [current[:, None]]
-        for _ in range(n_steps - 1):
-            current = greedy(self.model.decode_step(current, caches))
-            generated.append(current[:, None])
-        return group_completions(group, generated)
-
-    def serve(self, requests: Sequence[Request]) -> list[Completion]:
-        """Serve all requests; returns completions in request order."""
-        from repro.serving.scheduler import group_requests
-
-        require_unique_ids(requests)
-        completions: dict[int, Completion] = {}
-        for group in group_requests(requests, self.decode_batch):
-            for completion in self._serve_group(group):
-                completions[completion.request_id] = completion
-        return [completions[r.request_id] for r in requests]

@@ -1,14 +1,13 @@
 """The KV hand-off of two-phase serving on the partitioned model (§4.4).
 
-The reference ``TwoPhaseServer`` demonstrates the scheduling; on
-``ShardedTransformer`` backends the cluster's
-:class:`~repro.cluster.replica.GroupRun` runs the same recipe: a batch-1
-prefill model (head-sharded attention — a single sequence cannot be split
-over batch) feeds a batch-N decode model (batch-sharded multiquery).
-This module holds the cache merge in between (in place when both share
-one KV layout, host-mediated otherwise).  Weights are shared between the
-two models via :meth:`ShardedTransformer.with_plan` whenever their
-storage layouts match, exactly as deployed in the paper.
+The cluster's :class:`~repro.cluster.replica.GroupRun` serves the
+recipe on ``ShardedTransformer`` backends: a batch-1 prefill model
+(head-sharded attention — a single sequence cannot be split over batch)
+feeds a batch-N decode model (batch-sharded multiquery).  This module
+holds the cache merge in between (in place when both share one KV
+layout, host-mediated otherwise).  Weights are shared between the two
+models via :meth:`ShardedTransformer.with_plan` whenever their storage
+layouts match, exactly as deployed in the paper.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ def merge_sharded_caches(per_request: Sequence[Sequence[ShardedKVCache]],
                          ) -> list[ShardedKVCache]:
     """Concatenate per-request caches into the decode model's layout.
 
-    All caches must have equal length (the scheduler groups by prompt
-    length).  When every request cache already lives on the decode
+    All caches must have equal length (the control plane groups by
+    prompt length).  When every request cache already lives on the decode
     model's (stacked) mesh with the decode spec, and that spec does not
     shard B, the KV never leaves the page layout the buffers hold: a
     single request's caches *are* the decode caches, and a batch is one

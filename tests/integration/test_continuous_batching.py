@@ -16,11 +16,7 @@ from repro.model import (
     tiny_test_config,
 )
 from repro.serving import Request
-from repro.serving.continuous import (
-    ContinuousBatchingEngine,
-    SlotState,
-    slot_decode_step,
-)
+from repro.serving.continuous import ContinuousBatchingEngine
 
 CFG = tiny_test_config()
 MODEL = ReferenceTransformer(init_weights(CFG, seed=0))
@@ -37,54 +33,67 @@ def solo(request):
                           request.max_new_tokens)[0]
 
 
+def slot_caches(prompts, max_len):
+    """One cache row per prompt, each loaded from its batch-1 prefill as
+    the engine admits it; returns the caches and each row's solo
+    caches and first greedy token."""
+    caches = MODEL.new_cache(len(prompts), max_len)
+    solo_caches, tokens = [], []
+    for row, prompt in enumerate(prompts):
+        logits, prefilled = MODEL.prefill(np.array([prompt]), max_len)
+        for cache, part in zip(caches, prefilled):
+            cache.k[row], cache.v[row] = part.k[0], part.v[0]
+            cache.lengths[row] = part.lengths[0]
+        solo_caches.append(prefilled)
+        tokens.append(int(np.argmax(logits[0])))
+    return caches, solo_caches, np.array(tokens)
+
+
 class TestSlotDecodeStep:
+    """The engine's step: one reference ``decode_step`` over rows at
+    their own cache lengths."""
+
     def test_single_slot_matches_plain_decode(self):
-        prompt = np.array([[3, 1, 4, 1]])
-        logits_ref, caches = MODEL.prefill(prompt, 8)
-        state = SlotState(MODEL, max_slots=1, max_len=8)
-        state.load_prefill(0, caches)
-        token = np.argmax(logits_ref, -1)
-        step_ref = MODEL.decode_step(token, caches)
-        step_slot = slot_decode_step(MODEL, token, state,
-                                     np.array([True]))
-        np.testing.assert_allclose(step_slot, step_ref, rtol=1e-9,
-                                   atol=1e-12)
-        assert state.lengths[0] == 5
+        caches, (solo_caches,), token = slot_caches([[3, 1, 4, 1]], 8)
+        step_ref = MODEL.decode_step(token, solo_caches)
+        step_slot = MODEL.decode_step(token, caches)
+        np.testing.assert_array_equal(step_slot, step_ref)
+        np.testing.assert_array_equal(caches[0].lengths, [5])
 
     def test_heterogeneous_lengths_in_one_batch(self):
         """Slots with different context lengths decode exactly as solo."""
-        prompts = [np.array([[1, 2, 3]]), np.array([[7, 6, 5, 4, 3]])]
-        state = SlotState(MODEL, max_slots=2, max_len=10)
-        tokens, refs = [], []
-        for slot, prompt in enumerate(prompts):
-            logits, caches = MODEL.prefill(prompt, 10)
-            state.load_prefill(slot, caches)
-            token = np.argmax(logits, -1)
-            tokens.append(token[0])
-            refs.append(MODEL.decode_step(token, caches)[0])
-        step = slot_decode_step(MODEL, np.array(tokens), state,
-                                np.array([True, True]))
-        for slot in range(2):
-            np.testing.assert_allclose(step[slot], refs[slot], rtol=1e-9,
+        caches, solo_caches, tokens = slot_caches(
+            [[1, 2, 3], [7, 6, 5, 4, 3]], 10)
+        step = MODEL.decode_step(tokens, caches)
+        for row in range(2):
+            ref = MODEL.decode_step(tokens[row:row + 1], solo_caches[row])
+            np.testing.assert_allclose(step[row], ref[0], rtol=1e-9,
                                        atol=1e-12)
+        np.testing.assert_array_equal(caches[0].lengths, [4, 6])
 
     def test_inactive_slot_untouched(self):
-        prompt = np.array([[1, 2, 3]])
-        _, caches = MODEL.prefill(prompt, 8)
-        state = SlotState(MODEL, max_slots=2, max_len=8)
-        state.load_prefill(0, caches)
-        before = state.k[0][0, :3].copy()
-        slot_decode_step(MODEL, np.array([0, 0]), state,
-                         np.array([False, False]))
-        np.testing.assert_array_equal(state.lengths, [3, 0])
-        np.testing.assert_array_equal(state.k[0][0, :3], before)
+        """An idle slot keeps its cursor and its prefix; the active slot
+        advances."""
+        engine = ContinuousBatchingEngine(MODEL, max_slots=2, max_len=8)
+        caches, _, tokens = slot_caches([[1, 2, 3], [4, 5]], 8)
+        before = [(c.k[0, :3].copy(), c.v[0, :3].copy()) for c in caches]
+        engine._decode(tokens, caches, np.array([True, False]))
+        for cache, (k, v) in zip(caches, before):
+            np.testing.assert_array_equal(cache.lengths, [3, 3])
+            np.testing.assert_array_equal(cache.k[0, :3], k)
+            np.testing.assert_array_equal(cache.v[0, :3], v)
+        # A slot retired at capacity writes its throwaway entry in bounds
+        # and keeps its cursor.
+        for cache in caches:
+            cache.lengths[0] = 8
+        engine._decode(tokens, caches, np.array([True, False]))
+        np.testing.assert_array_equal(caches[0].lengths, [8, 4])
 
     def test_capacity_guard(self):
-        state = SlotState(MODEL, max_slots=1, max_len=3)
-        state.lengths[0] = 3
-        with pytest.raises(ValueError, match="capacity"):
-            slot_decode_step(MODEL, np.array([0]), state,
-                             np.array([True]))
+        caches = MODEL.new_cache(2, 3)
+        caches[0].lengths[0] = 3
+        with pytest.raises(ValueError, match="overflow"):
+            MODEL.decode_step(np.array([0, 0]), caches)
 
 
 class TestEngine:

@@ -39,7 +39,7 @@ from repro.model import (
     init_weights,
     tiny_test_config,
 )
-from repro.serving import Request, TwoPhaseServer
+from repro.serving import Request
 
 CFG = tiny_test_config(n_layers=2, d_model=16, d_ff=32, n_heads=8,
                        d_head=8, vocab_size=32)
@@ -53,8 +53,11 @@ def make_requests(n=4, length=6, n_new=5):
 
 
 def reference(requests):
-    return TwoPhaseServer(ReferenceTransformer(WEIGHTS),
-                          decode_batch=4).serve(requests)
+    """Each request's greedy tokens, generated alone on the reference
+    model."""
+    ref = ReferenceTransformer(WEIGHTS)
+    return [ref.generate(r.prompt[None, :], r.max_new_tokens)[0]
+            for r in requests]
 
 
 REQUESTS = make_requests()
@@ -93,7 +96,7 @@ def serve(requests, backend, fault_plan=None, policy=None):
 def assert_matches(outcomes, reference):
     assert all(o.status is ClusterRequestStatus.COMPLETED for o in outcomes)
     for outcome, want in zip(outcomes, reference):
-        np.testing.assert_array_equal(outcome.completion.tokens, want.tokens)
+        np.testing.assert_array_equal(outcome.completion.tokens, want)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

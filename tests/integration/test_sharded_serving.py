@@ -29,7 +29,7 @@ from repro.partitioning import (
     FfnLayoutKind,
     LayoutPlan,
 )
-from repro.serving import Request, TwoPhaseServer
+from repro.serving import Request
 from repro.serving.sharded import merge_sharded_caches
 
 CFG = tiny_test_config(n_layers=2, d_model=16, d_ff=32, n_heads=8,
@@ -53,22 +53,23 @@ def make_requests(n, length=4, n_new=3):
 
 
 def serve_both(requests, decode_batch=8):
-    """Serve on a one-replica plane and on the reference server."""
+    """Serve on a one-replica plane, and generate each request alone on
+    the reference model."""
     plane = ClusterControlPlane(WEIGHTS, [(2, 2, 2)],
                                 decode_batch=decode_batch)
-    reference = TwoPhaseServer(ReferenceTransformer(WEIGHTS),
-                               decode_batch=decode_batch)
+    reference = ReferenceTransformer(WEIGHTS)
     outcomes = plane.serve([ClusterSubmission(r) for r in requests])
     assert all(o.status is ClusterRequestStatus.COMPLETED for o in outcomes)
     return (plane.replicas[0], [o.completion for o in outcomes],
-            reference.serve(requests))
+            [reference.generate(r.prompt[None, :], r.max_new_tokens)[0]
+             for r in requests])
 
 
 class TestShardedTwoPhase:
     def test_matches_reference_server(self):
         replica, got, want = serve_both(make_requests(8))
         for g, w in zip(got, want):
-            np.testing.assert_array_equal(g.tokens, w.tokens)
+            np.testing.assert_array_equal(g.tokens, w)
         # The Section 4.4 deployment: batch-1 head-sharded prefill feeding
         # a batch-sharded multiquery decoder on one weight storage.
         prefill = replica.prefill_model
@@ -110,9 +111,9 @@ class TestShardedTwoPhase:
         requests = [Request(r.request_id, r.prompt, 2 + i % 4)
                     for i, r in enumerate(base)]
         _, got, want = serve_both(requests, decode_batch=8)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g.tokens, w.tokens)
-            assert g.n_generated == w.n_generated
+        for g, w, r in zip(got, want, requests):
+            np.testing.assert_array_equal(g.tokens, w)
+            assert g.n_generated == r.max_new_tokens
 
 
 class TestMergeShardedCaches:

@@ -35,7 +35,7 @@ from repro.events import (
 )
 from repro.mesh.faults import ChipKill, FaultPlan, StragglerFault
 from repro.model import ReferenceTransformer, init_weights, tiny_test_config
-from repro.serving import Request, TwoPhaseServer
+from repro.serving import Request
 
 CFG = tiny_test_config(n_layers=2, d_model=16, d_ff=32, n_heads=8,
                        d_head=8, vocab_size=32)
@@ -46,6 +46,15 @@ def make_requests(n=4, length=6, n_new=5, seed=42):
     rng = np.random.default_rng(seed)
     return [Request(i, rng.integers(0, CFG.vocab_size, size=length), n_new)
             for i in range(n)]
+
+
+def solo_tokens(requests):
+    """Greedy tokens (prompt + output) by request id, each request
+    generated alone on the reference model."""
+    ref = ReferenceTransformer(WEIGHTS)
+    return {r.request_id: ref.generate(r.prompt[None, :],
+                                       r.max_new_tokens)[0]
+            for r in requests}
 
 
 class TestTokenBucket:
@@ -229,10 +238,6 @@ class TestReplica:
 
 
 class TestGroupRun:
-    def _reference(self, requests):
-        return {c.request_id: c for c in TwoPhaseServer(
-            ReferenceTransformer(WEIGHTS), decode_batch=4).serve(requests)}
-
     def test_stepped_decode_matches_reference(self):
         requests = make_requests()
         replica = Replica("r0", WEIGHTS, (2, 2, 2), prompt_len_hint=6)
@@ -241,11 +246,11 @@ class TestGroupRun:
         assert elapsed > 0
         while not run.done:
             run.decode_step()
-        reference = self._reference(requests)
+        reference = solo_tokens(requests)
         for completion in run.completions():
             np.testing.assert_array_equal(
                 completion.tokens,
-                reference[completion.request_id].tokens)
+                reference[completion.request_id])
 
     def test_migrate_mid_decode_preserves_tokens(self):
         requests = make_requests()
@@ -259,11 +264,11 @@ class TestGroupRun:
         assert moved.steps_done == run.steps_done
         while not moved.done:
             moved.decode_step()
-        reference = self._reference(requests)
+        reference = solo_tokens(requests)
         for completion in moved.completions():
             np.testing.assert_array_equal(
                 completion.tokens,
-                reference[completion.request_id].tokens)
+                reference[completion.request_id])
 
     def test_migrate_before_prefill_rejected(self):
         requests = make_requests()
@@ -310,13 +315,12 @@ class TestControlPlaneBasics:
                                     prompt_len_hint=6)
         outcomes = plane.serve([ClusterSubmission(r, arrival_s=0.05 * i)
                                 for i, r in enumerate(requests)])
-        reference = {c.request_id: c for c in TwoPhaseServer(
-            ReferenceTransformer(WEIGHTS), decode_batch=4).serve(requests)}
+        reference = solo_tokens(requests)
         assert all(o.ok for o in outcomes)
         for outcome in outcomes:
             np.testing.assert_array_equal(
                 outcome.completion.tokens,
-                reference[outcome.request_id].tokens)
+                reference[outcome.request_id])
         # Both replicas served work (least-busy dispatch spreads load).
         assert len({o.replica for o in outcomes}) == 2
 

@@ -20,7 +20,6 @@ from repro.partitioning import (
     SubSlice,
     healthy_subslices,
     largest_healthy_subslice,
-    migrate_caches,
     plan_batch_group,
     replan_after_failure,
     select_degraded_plan,
@@ -160,7 +159,7 @@ class TestReplanAfterFailure:
         rng = np.random.default_rng(5)
         prompts = rng.integers(0, CFG.vocab_size, size=(8, 5))
         logits, caches = full.prefill(prompts, max_len=12)
-        moved = migrate_caches(caches, full, healthy.decode_model)
+        moved = full.reshard_cache(caches, healthy.decode_model)
 
         from repro.model.sampling import greedy
         current = greedy(logits)

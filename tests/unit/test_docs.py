@@ -105,7 +105,7 @@ class TestDottedNames:
 
     def test_bogus_name_detected(self, tmp_path, monkeypatch):
         doc = tmp_path / "README.md"
-        doc.write_text("`repro.serving.TwoPhaseServer` and "
+        doc.write_text("`repro.serving.ContinuousBatchingEngine` and "
                        "`repro.serving.chunked.chunked_prefill(...)` "
                        "resolve; `repro.serving.NoSuchServer(x)` and "
                        "`repro.no_such_module` do not")

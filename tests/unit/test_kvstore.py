@@ -257,11 +257,9 @@ class TestDifferentialReference:
         assert np.array_equal(warm2, cold2), \
             "cached prefill logits diverged from recompute"
         for warm_c, cold_c in zip(warm_caches, cold_caches):
-            assert warm_c.length == cold_c.length
-            assert np.array_equal(warm_c.k[:, :warm_c.length],
-                                  cold_c.k[:, :cold_c.length])
-            assert np.array_equal(warm_c.v[:, :warm_c.length],
-                                  cold_c.v[:, :cold_c.length])
+            assert np.array_equal(warm_c.lengths, cold_c.lengths)
+            assert np.array_equal(warm_c.k, cold_c.k)
+            assert np.array_equal(warm_c.v, cold_c.v)
         reuse2.lease.release()
         cold1, _ = _ref_prefill(p1, PAGE, 12)
         assert np.array_equal(warm1, cold1)

@@ -32,7 +32,7 @@ class TestKVCache:
         cache = KVCache.empty(2, 8, 1, 4)
         k = np.ones((2, 3, 1, 4))
         cache.append(k, 2 * k)
-        assert cache.length == 3
+        np.testing.assert_array_equal(cache.lengths, [3, 3])
         kv, vv = cache.view()
         assert kv.shape == (2, 3, 1, 4)
         np.testing.assert_array_equal(vv, 2.0)
@@ -41,6 +41,49 @@ class TestKVCache:
         cache = KVCache.empty(1, 2, 1, 4)
         with pytest.raises(ValueError, match="overflow"):
             cache.append(np.zeros((1, 3, 1, 4)), np.zeros((1, 3, 1, 4)))
+
+    def test_rows_append_at_their_own_lengths(self):
+        cache = KVCache.empty(2, 8, 1, 4)
+        cache.lengths[:] = [1, 3]
+        k = np.arange(16.0).reshape(2, 2, 1, 4)
+        cache.append(k, -k)
+        np.testing.assert_array_equal(cache.lengths, [3, 5])
+        np.testing.assert_array_equal(cache.k[0, 1:3], k[0])
+        np.testing.assert_array_equal(cache.k[1, 3:5], k[1])
+        np.testing.assert_array_equal(cache.v[1, 3:5], -k[1])
+        assert not cache.k[0, 3:].any() and not cache.k[1, :3].any()
+        assert cache.view()[0].shape == (2, 5, 1, 4)
+
+
+class TestPerRowPositions:
+    """Rows at different cache lengths share one forward pass."""
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_each_row_gets_its_solo_rope_rotation(self, chunk):
+        """Layer 0's keys are the rope-rotated projection of each token:
+        a row continuing from its own length in a mixed batch writes the
+        keys it writes alone, bit for bit."""
+        model = build()
+        rng = np.random.default_rng(0)
+        vocab = model.config.vocab_size
+        prefixes = [rng.integers(0, vocab, size=n) for n in (2, 5, 0)]
+        chunk_tokens = rng.integers(0, vocab, size=(3, chunk))
+        caches = model.new_cache(3, 12)
+        solo_keys = []
+        for row, prefix in enumerate(prefixes):
+            alone = model.new_cache(1, 12)
+            if len(prefix):
+                model.forward(prefix[None, :], alone)
+            for cache, part in zip(caches, alone):
+                cache.k[row], cache.v[row] = part.k[0], part.v[0]
+                cache.lengths[row] = part.lengths[0]
+            model.forward(chunk_tokens[row:row + 1], alone)
+            solo_keys.append(alone[0].k[0])
+        model.forward(chunk_tokens, caches)
+        for row, prefix in enumerate(prefixes):
+            n = len(prefix)
+            assert np.array_equal(caches[0].k[row, n:n + chunk],
+                                  solo_keys[row][n:n + chunk])
 
 
 class TestAttention:
