@@ -187,10 +187,6 @@ class AdmissionController:
     def backlog(self) -> int:
         return sum(len(q) for q in self._queues.values())
 
-    def backlog_per_class(self) -> dict[str, int]:
-        """Queue depth per class (every class, zeros included)."""
-        return {name: len(q) for name, q in self._queues.items()}
-
     def heads(self) -> list:
         """Head item of each non-empty queue, in strict priority order.
 

@@ -93,10 +93,10 @@ def sharded_rmsnorm(x: ShardedTensor, scale: ShardedTensor,
     return zip_shards(x.spec, x.global_shape, normalize, x, sumsq, scale)
 
 
-def sharded_rope(x: ShardedTensor, tables: tuple) -> ShardedTensor:
+def sharded_rope(x: ShardedTensor, table: np.ndarray) -> ShardedTensor:
     """Apply RoPE to a ``[B, L, heads, D]`` sharded tensor.
 
-    ``tables`` is the forward's ``(cos, sin)`` pair
+    ``table`` is the forward's complex rotation table
     (:func:`repro.model.rope.rope_tables`), built once per forward and
     shared by every rotation.  RoPE is elementwise per (position, head,
     dim-pair), so it is local for any sharding that keeps L and D
@@ -109,15 +109,15 @@ def sharded_rope(x: ShardedTensor, tables: tuple) -> ShardedTensor:
     # stacked backend one call covers the whole mesh.
     recorder = getattr(x.mesh, "capture", None)
     if recorder is None or not recorder.recording:
-        return x.map_shards(lambda s: apply_rope_cached(s, tables),
+        return x.map_shards(lambda s: apply_rope_cached(s, table),
                             elementwise=True)
     # Under capture, the generic map_shards hook would bake this step's
-    # tables into the program as a constant.  Suppress it and record one
-    # instruction with the tables as a tracked input (the model's table
-    # instruction recomputes them per replay).
+    # table into the program as a constant.  Suppress it and record one
+    # instruction with the table as a tracked input (the model's table
+    # instruction recomputes it per replay).
     mesh = x.mesh
     with recorder.suppress():
-        out = x.map_shards(lambda s: apply_rope_cached(s, tables),
+        out = x.map_shards(lambda s: apply_rope_cached(s, table),
                            elementwise=True)
     if x.is_stacked:
         replay, label = _rope_stacked, "rope_cached"
@@ -125,13 +125,13 @@ def sharded_rope(x: ShardedTensor, tables: tuple) -> ShardedTensor:
         replay = lambda tab, s: mesh.map_devices(  # noqa: E731
             lambda c: apply_rope_cached(s[c], tab))
         label = "rope"
-    recorder.record(replay, (tables, x.shards), out.shards, label,
+    recorder.record(replay, (table, x.shards), out.shards, label,
                     specs=(None, x.spec, x.spec))
     return out
 
 
-def _rope_stacked(tables, shards):
-    return apply_rope_cached(shards, tables)
+def _rope_stacked(table, shards):
+    return apply_rope_cached(shards, table)
 
 
 def local_attention(mesh: VirtualMesh, out_spec: ShardSpec,

@@ -309,10 +309,6 @@ class ShardedTransformer:
 
     # -- blocks ----------------------------------------------------------------
 
-    @property
-    def residual_spec(self):
-        return self._residual_spec
-
     def _gather_activations(self, y: ShardedTensor) -> ShardedTensor:
         if self._e_gather:
             return all_gather(y, self._e_gather, "E")
@@ -367,7 +363,8 @@ class ShardedTransformer:
 
     def _attn_partial(self, q: ShardedTensor, k: ShardedTensor,
                       v: ShardedTensor, layer: dict[str, ShardedTensor],
-                      cache: ShardedKVCache, rope: tuple) -> ShardedTensor:
+                      cache: ShardedKVCache, rope: np.ndarray
+                      ) -> ShardedTensor:
         """Attention from its Q/K/V projections to its partial output."""
         plan = self.plan
         # RoPE is linear, so it may be applied to partial sums.
@@ -415,7 +412,7 @@ class ShardedTransformer:
                               self._gathered(layer["wo"], "EFH"))
 
     def _block(self, x: ShardedTensor, i: int, cache: ShardedKVCache,
-               rope: tuple) -> ShardedTensor:
+               rope: np.ndarray) -> ShardedTensor:
         layer = self.layers[i]
         y = self._gather_activations(sharded_rmsnorm(x, layer["ln"]))
         if self.config.parallel_block:
@@ -472,8 +469,8 @@ class ShardedTransformer:
         seq_len, cfg = tokens.shape[1], self.config
 
         def tables(fill):
-            # One (cos, sin) pair per forward, shared by every layer's
-            # query and key rotations.
+            # One complex rotation table per forward, shared by every
+            # layer's query and key rotations.
             return rope_tables(np.arange(seq_len) + fill, cfg.d_head,
                                cfg.rope_theta)
 
@@ -482,7 +479,7 @@ class ShardedTransformer:
         # its cost is negligible next to the 2N matmul FLOPs, Section 2).
         emb = self.weights.embedding[tokens]
         if recorder is not None and recorder.recording:
-            # Step-varying program entry points: the rotation tables (of
+            # Step-varying program entry points: the rotation table (of
             # the cache fill) and the token embeddings are rederived from
             # the replay context.
             recorder.record(lambda ctx: tables(ctx.caches[0].length),

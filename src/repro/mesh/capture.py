@@ -36,7 +36,7 @@ the tape into a :class:`CapturedProgram`:
   and the program's final output stays freshly allocated so callers may
   hold logits across steps.
 * **Stable input slots** — the step-varying inputs (token ids, KV-cache
-  pages, and the RoPE tables the model derives from the cache fill)
+  pages, and the RoPE table the model derives from the cache fill)
   enter through a :class:`ReplayContext` bound per replay; cache
   instructions index ``ctx.caches``, so a program survives cache
   hand-off as long as the cache *layout* matches, and replays at any
@@ -646,7 +646,7 @@ def capture_chunk(model, tokens: np.ndarray, caches: Sequence
     ``tokens`` is ``[B, L]``; a decode step is the chunk with ``L == 1``.
     The chunk really runs (the caches advance exactly as usual), and the
     program replays any later chunk of the *same shape* at any cache
-    offset — the RoPE tables and KV-append instructions re-derive their
+    offset — the RoPE table and KV-append instructions re-derive their
     offsets from the live caches.  Returns ``(logits, program)`` with the
     eager chunk's full ``[B, L, V]`` logits; ``program`` is ``None`` when
     the chunk could not be captured.

@@ -528,7 +528,7 @@ def concat_weights(weights: Sequence[ShardedTensor]
     views = _column_views(mesh, cat, [w.local_shape[1:] for w in weights],
                           stacked)
     return cat, [ShardedTensor(mesh, w.spec, w.global_shape, shards)
-                 for w, (_, _, _, shards) in zip(weights, views)]
+                 for w, (_, shards) in zip(weights, views)]
 
 
 def fused_projection(x: ShardedTensor,
@@ -558,10 +558,9 @@ def fused_projection(x: ShardedTensor,
     tails = [spec.local_shape(shape, mesh.topology)[len(lhs) - 1:]
              for spec, shape in layouts]
     outs = []
-    for (spec, shape), (first, stop, replay_view, shards) in zip(
+    for (spec, shape), (replay_view, shards) in zip(
             layouts, _column_views(mesh, fused, tails, stacked)):
         record(mesh, replay_view, (fused,), shards, "projection_view",
-               meta=("columns", first, stop) if stacked else None,
                specs=(None, spec))
         outs.append(ShardedTensor(mesh, spec, shape, shards))
     if tracer is not None:
@@ -575,7 +574,7 @@ def fused_projection(x: ShardedTensor,
 def _column_views(mesh: VirtualMesh, cat: np.ndarray, tails, stacked: bool):
     """Consecutive column blocks of ``cat``'s trailing axis, one per
     entry of ``tails``, each unflattened to that tail: a list of
-    ``(start, stop, view closure, shards)``.  The closure maps the whole
+    ``(view closure, shards)``.  The closure maps the whole
     ``cat`` to the block (per device on the loop backend); on the stacked
     backend it is a pure view, marked ``const_view`` for the tape
     optimizer."""
@@ -591,7 +590,7 @@ def _column_views(mesh: VirtualMesh, cat: np.ndarray, tails, stacked: bool):
         else:
             def fn(f, view=view):
                 return mesh.map_devices(lambda c: view(f[c]))
-        out.append((start, stop, fn, fn(cat)))
+        out.append((fn, fn(cat)))
     return out
 
 

@@ -17,10 +17,9 @@ while provably preserving every output bit:
   weight's matrix view and the operand shapes resolved at capture
   (:func:`_fused_einsum`); other contractions call the C einsum kernel
   with bound subscripts.
-* **RoPE slabs** — the model builds one pair of cos/sin tables per
-  forward (:func:`repro.model.rope.rope_tables`) and every rotation reads
-  it; Q and K, adjacent columns of the model's fused projection, rotate
-  against it as one slab.
+* **In-place RoPE** — the model builds one complex rotation table per
+  forward (:func:`repro.model.rope.rope_tables`); every rotation is one
+  complex multiply against it, written into a reused buffer.
 * **Replica collapse** — a value replicated along a mesh axis (an axis
   missing from its sharding spec, Section 3.1) is held and computed
   once along it: the recorder reads each value's replicated axes from
@@ -77,14 +76,11 @@ def optimize_tape(recorder, instrs, const, out_vids):
     constants) and grows its value table for newly created constants and
     intermediates; ``const`` is extended in place for new constants.
     """
-    instrs = _merge_rope_slabs(recorder, instrs)
     instrs = _collapse_replicas(recorder, instrs, const, out_vids)
     instrs = _prebind_einsums(recorder, instrs, const, out_vids)
     instrs = _inplace_rope(recorder, instrs, out_vids)
     instrs = _inplace_elementwise(recorder, instrs, out_vids)
-    instrs = _prebind_collectives(recorder, instrs, out_vids)
-    instrs = _eliminate_dead(instrs, out_vids)
-    return instrs
+    return _prebind_collectives(recorder, instrs, out_vids)
 
 
 def _add_value(recorder, value, const=None):
@@ -93,104 +89,6 @@ def _add_value(recorder, value, const=None):
     if const is not None:
         const.add(vid)
     return vid
-
-
-# ---------------------------------------------------------------------------
-# Rope slab merge
-# ---------------------------------------------------------------------------
-
-def _slab_viewer(start: int, stop: int, rows: int, d: int):
-    def view(f):
-        return f[..., start:stop].reshape(f.shape[:-1] + (rows, d))
-    view.const_view = True
-    return view
-
-
-def _row_viewer(start: int, stop: int):
-    def view(r):
-        return r[..., start:stop, :]
-    view.const_view = True
-    return view
-
-
-def _merge_rope_slabs(recorder, instrs):
-    """Rotate adjacent projection columns (Q then K) in one call.
-
-    The model's fused input projection
-    (:func:`repro.mesh.ops.fused_projection`) hands out Q and K as
-    column views of one buffer, and both get rotated against the same
-    table.  Rotation is elementwise over ``d``-sized pairs, so rotating
-    the combined ``[..., rows, d]`` slab is bit-equal to rotating each
-    slice — one rotation call replaces two, and the originals become
-    row-views of the slab's output.
-    """
-    from repro.mesh.capture import _Instr
-
-    values = recorder._values
-    # Column views: value id -> (projection buffer, start, stop, shape).
-    view_map = {ins.out: (ins.inputs[0], ins.meta[1], ins.meta[2],
-                          values[ins.out].shape)
-                for ins in instrs if ins.meta and ins.meta[0] == "columns"}
-    groups: dict[tuple, list[int]] = {}
-    for i, ins in enumerate(instrs):
-        if ins.label != "rope_cached" or len(ins.inputs) != 2:
-            continue
-        entry = view_map.get(ins.inputs[1])
-        if entry is None:
-            continue
-        shape = entry[3]
-        if len(shape) < 2 or shape[-2] * shape[-1] != entry[2] - entry[1]:
-            continue
-        groups.setdefault((ins.inputs[0], entry[0], shape[-1]),
-                          []).append(i)
-
-    inserts: dict[int, list] = {}
-    rewrites: dict[int, object] = {}
-    for (tab_vid, fused_vid, d), members in groups.items():
-        members.sort(key=lambda i: view_map[instrs[i].inputs[1]][1])
-        run: list[int] = []
-        runs: list[list[int]] = []
-        for i in members:
-            if run and view_map[instrs[run[-1]].inputs[1]][2] \
-                    == view_map[instrs[i].inputs[1]][1]:
-                run.append(i)
-            else:
-                run = [i]
-                runs.append(run)
-        for run in runs:
-            if len(run) < 2:
-                continue
-            start = view_map[instrs[run[0]].inputs[1]][1]
-            stop = view_map[instrs[run[-1]].inputs[1]][2]
-            rows = (stop - start) // d
-            slab_captured = np.concatenate(
-                [values[instrs[i].inputs[1]] for i in run], axis=-2)
-            roped_captured = np.concatenate(
-                [values[instrs[i].out] for i in run], axis=-2)
-            slab_vid = _add_value(recorder, slab_captured)
-            roped_vid = _add_value(recorder, roped_captured)
-            slab = _Instr(_slab_viewer(start, stop, rows, d),
-                          (fused_vid,), slab_vid, "rope_slab",
-                          False, False)
-            rope = _Instr(instrs[run[0]].fn, (tab_vid, slab_vid),
-                          roped_vid, "rope_cached", False, False)
-            row = 0
-            for j, i in enumerate(run):
-                h = view_map[instrs[i].inputs[1]][3][-2]
-                rewrites[i] = _Instr(_row_viewer(row, row + h),
-                                     (roped_vid,), instrs[i].out,
-                                     "rope_view", False, False)
-                row += h
-            inserts[run[0]] = [slab, rope]
-
-    if not rewrites:
-        return instrs
-    rewritten = []
-    for i, ins in enumerate(instrs):
-        if i in inserts:
-            rewritten.extend(inserts[i])
-        rewritten.append(rewrites.get(i, ins))
-    return rewritten
 
 
 # ---------------------------------------------------------------------------
@@ -502,60 +400,16 @@ def _prebind_einsums(recorder, instrs, const, out_vids):
 
 
 def _rope_inplace_runner(shape, dtype):
-    """Rotation with preallocated output/scratch — same arithmetic as
-    :func:`repro.model.rope.apply_rope_cached`, each elementwise product
-    and sum computed on the same operands in the same order, just written
-    through ``out=`` into reused buffers (reuse follows the arena policy:
-    programs replay serially, every consumer reads within the step).
-
-    Large slabs (prefill chunks) are de-interleaved into contiguous
-    half-width scratch first: the products and sums then run on
-    contiguous data instead of stride-2 views of a strided projection
-    slab, and the results are written back into the interleaved output.
-    The copies move values verbatim and every product/sum sees the same
-    operands in the same order, so the bits are unchanged; for tiny
-    decode slabs the extra dispatches would dominate, so those keep the
-    direct strided form.
-    """
+    """:func:`repro.model.rope.apply_rope_cached`'s complex multiply
+    written through ``out=`` into a reused buffer (reuse follows the
+    arena policy: programs replay serially, every consumer reads within
+    the step) — the same ufunc on the same operands, so the same bits."""
     out = np.empty(shape, dtype)
-    even, odd = out[..., 0::2], out[..., 1::2]
-    tmp = np.empty(even.shape, dtype)
+    rotated = out.view(np.complex128)
 
-    if int(np.prod(shape)) >= 4096:
-        half = even.shape
-        x1b = np.empty(half, dtype)
-        x2b = np.empty(half, dtype)
-        oe = np.empty(half, dtype)
-        oo = np.empty(half, dtype)
-        cosb = np.empty(half, dtype)
-        sinb = np.empty(half, dtype)
-
-        def run(tab, x):
-            cos, sin = tab
-            np.copyto(x1b, x[..., 0::2])
-            np.copyto(x2b, x[..., 1::2])
-            np.copyto(cosb, cos)
-            np.copyto(sinb, sin)
-            np.multiply(x1b, cosb, out=oe)
-            np.multiply(x2b, sinb, out=tmp)
-            np.subtract(oe, tmp, out=oe)
-            np.multiply(x1b, sinb, out=oo)
-            np.multiply(x2b, cosb, out=tmp)
-            np.add(oo, tmp, out=oo)
-            even[...] = oe
-            odd[...] = oo
-            return out
-    else:
-        def run(tab, x):
-            cos, sin = tab
-            x1, x2 = x[..., 0::2], x[..., 1::2]
-            np.multiply(x1, cos, out=even)
-            np.multiply(x2, sin, out=tmp)
-            np.subtract(even, tmp, out=even)
-            np.multiply(x1, sin, out=odd)
-            np.multiply(x2, cos, out=tmp)
-            np.add(odd, tmp, out=odd)
-            return out
+    def run(table, x):
+        np.multiply(x.view(np.complex128), table, out=rotated)
+        return out
     run.out_buffer = out
     return run
 
@@ -706,11 +560,11 @@ def freeze_stable_views(instrs, template, out_vids):
     split (the split needs the view instructions): an instruction
     whose kernel writes through ``out=`` into a preallocated buffer
     produces the *same array object* on every replay, so any pure view
-    of it (``const_view``-marked projection columns and rope slices)
-    is itself the same object every time.  The view is computed once
-    here, stored in the value template, and its instruction dropped —
-    consumers read the live bytes through the frozen window exactly as
-    they would through a per-replay one.
+    of it (``const_view``-marked projection columns and replica
+    collapses) is itself the same object every time.  The view is
+    computed once here, stored in the value template, and its
+    instruction dropped — consumers read the live bytes through the
+    frozen window exactly as they would through a per-replay one.
     """
     stable: dict[int, np.ndarray] = {}
     for ins in instrs:
@@ -738,24 +592,3 @@ def freeze_stable_views(instrs, template, out_vids):
         kept.append(ins)
     return kept
 
-
-# ---------------------------------------------------------------------------
-# Dead-code elimination
-# ---------------------------------------------------------------------------
-
-def _eliminate_dead(instrs, out_vids):
-    """Drop pure instructions whose outputs nothing consumes.
-
-    Earlier passes strand instructions (a projection view whose only
-    consumer became a rope slab, say).  Side-effecting instructions —
-    ``out is None``, e.g. KV appends — are always kept.  Dead
-    collectives go too: the fault clock does not count executed
-    collectives, since every replay adds the program's captured count.
-    """
-    needed = set(out_vids)
-    kept_rev = []
-    for ins in reversed(instrs):
-        if ins.out is None or ins.out in needed:
-            kept_rev.append(ins)
-            needed.update(ins.inputs)
-    return kept_rev[::-1]

@@ -3,6 +3,11 @@
 RoPE acts elementwise per (position, head-dim-pair), so it commutes with
 sharding over batch or heads — which is what lets the partitioned attention
 layouts of Section 3.3 apply it locally on each chip.
+
+Each (even, odd) pair of a head vector is read as one complex number
+(real, imaginary), so a rotation is one complex multiply against a table
+of ``cos + i·sin``: :func:`apply_rope_cached` is the one kernel every
+path calls — the reference model, both mesh backends and captured replay.
 """
 
 from __future__ import annotations
@@ -19,31 +24,27 @@ def rope_frequencies(d_head: int, theta: float = 10_000.0) -> np.ndarray:
 
 
 def rope_tables(positions: np.ndarray, d_head: int,
-                theta: float = 10_000.0) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(cos, sin)`` rotation tables for ``positions``.
+                theta: float = 10_000.0) -> np.ndarray:
+    """The ``complex128`` rotation table ``cos + i·sin`` for ``positions``.
 
-    Shared by every query/key rotation at the same positions — the
-    capture-replay optimizer computes them once per step and feeds
-    :func:`apply_rope_cached`, which is bit-identical to
-    :func:`apply_rope` because the tables here are byte-for-byte the
-    arrays the direct path builds internally.
+    Shape ``[..., L, 1, d_head // 2]`` (the 1 broadcasts over heads), one
+    entry per (position, dimension pair).  A forward builds it once and
+    every query/key rotation at those positions reads it through
+    :func:`apply_rope_cached`.
     """
     freqs = rope_frequencies(d_head, theta)
-    angles = np.asarray(positions, dtype=np.float64)[..., None] * freqs
-    cos = np.cos(angles)[..., None, :]  # broadcast over the heads axis
-    sin = np.sin(angles)[..., None, :]
-    return cos, sin
+    angles = np.asarray(positions, dtype=np.float64)[..., None, None] * freqs
+    table = np.empty(angles.shape, np.complex128)
+    table.real = np.cos(angles)
+    table.imag = np.sin(angles)
+    return table
 
 
-def apply_rope_cached(x: np.ndarray,
-                      tables: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Rotate with precomputed tables; same ops as :func:`apply_rope`."""
-    cos, sin = tables
-    x1, x2 = x[..., 0::2], x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = x1 * cos - x2 * sin
-    out[..., 1::2] = x1 * sin + x2 * cos
-    return out
+def apply_rope_cached(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Rotate float64 ``x`` (last axis contiguous) by a :func:`rope_tables`
+    table: each pair ``(x1, x2)`` becomes
+    ``(x1·cos − x2·sin, x1·sin + x2·cos)``, one complex multiply."""
+    return (x.view(np.complex128) * table).view(np.float64)
 
 
 def apply_rope(x: np.ndarray, positions: np.ndarray,

@@ -78,17 +78,6 @@ class FfnLayoutKind(str, Enum):
         """Axes heads and d_ff stay sharded over after the gathers."""
         return tuple(a for a in self.head_axes if a not in self.gather_axes)
 
-    @property
-    def residual_e_axes(self) -> tuple[str, ...]:
-        """Axes the residual stream's E dim is sharded over."""
-        return {
-            FfnLayoutKind.WS_1D: ("x", "y", "z"),
-            FfnLayoutKind.WS_2D: ("x", "y", "z"),
-            FfnLayoutKind.WG_X: ("y", "z"),
-            FfnLayoutKind.WG_XY: ("z",),
-            FfnLayoutKind.WG_XYZ: (),
-        }[self]
-
 
 class AttentionLayoutKind(str, Enum):
     HEAD = "head"

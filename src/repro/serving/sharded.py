@@ -3,11 +3,14 @@
 The cluster's :class:`~repro.cluster.replica.GroupRun` serves the
 recipe on ``ShardedTransformer`` backends: a batch-1 prefill model
 (head-sharded attention — a single sequence cannot be split over batch)
-feeds a batch-N decode model (batch-sharded multiquery).  This module
-holds the cache merge in between (in place when both share one KV
-layout, host-mediated otherwise).  Weights are shared between the two
-models via :meth:`ShardedTransformer.with_plan` whenever their storage
-layouts match, exactly as deployed in the paper.
+feeds a batch-N decode model.  That decode model is head-sharded
+multiquery too in every benchmark and chaos scenario: they decode at
+``decode_batch=4``, and batch-sharded attention needs the batch to be a
+multiple of the chip count.  This module holds the cache merge in
+between (in place when both share one KV layout, host-mediated
+otherwise).  Weights are shared between the two models via
+:meth:`ShardedTransformer.with_plan` whenever their storage layouts
+match, exactly as deployed in the paper.
 """
 
 from __future__ import annotations

@@ -78,10 +78,6 @@ class ServingReport:
         return float(np.mean([r.latency_s for r in self.records]))
 
     @property
-    def throughput_rps(self) -> float:
-        return self.completed / self.duration_s
-
-    @property
     def utilization(self) -> float:
         return self.busy_s / self.duration_s
 

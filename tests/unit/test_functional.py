@@ -112,7 +112,21 @@ class TestRope:
         one = apply_rope(x, np.arange(4) + 7)
         # Same positions given per-batch explicitly.
         two = apply_rope(x, np.broadcast_to(np.arange(4) + 7, (2, 4)))
-        np.testing.assert_allclose(one, two)
+        np.testing.assert_array_equal(one, two)
+
+    def test_matches_pairwise_rotation(self):
+        """Each (even, odd) pair turns by +angle:
+        ``(x1·cos − x2·sin, x1·sin + x2·cos)``."""
+        x = np.random.default_rng(5).normal(size=(2, 5, 3, 8))
+        positions = np.array([0, 1, 7, 300, 4095])
+        angles = positions[:, None, None] * rope_frequencies(8)
+        cos, sin = np.cos(angles), np.sin(angles)
+        x1, x2 = x[..., 0::2], x[..., 1::2]
+        expected = np.empty_like(x)
+        expected[..., 0::2] = x1 * cos - x2 * sin
+        expected[..., 1::2] = x1 * sin + x2 * cos
+        np.testing.assert_allclose(apply_rope(x, positions), expected,
+                                   rtol=0, atol=1e-15)
 
 
 class TestSampling:

@@ -11,7 +11,7 @@ from repro.layouts import (
 )
 from repro.mesh import ShardedTensor, VirtualMesh
 from repro.model.functional import rmsnorm
-from repro.model.rope import apply_rope, rope_tables
+from repro.model.rope import apply_rope, apply_rope_cached, rope_tables
 from repro.sharding import parse
 
 RNG = np.random.default_rng(4)
@@ -58,8 +58,44 @@ class TestShardedRope:
         xt = ShardedTensor.from_global(mesh, x, "BLH_yzD")
         positions = np.arange(3) + 5
         out = sharded_rope(xt, rope_tables(positions, 4, 10_000.0))
-        np.testing.assert_allclose(out.to_global(),
-                                   apply_rope(x, positions, 10_000.0))
+        np.testing.assert_array_equal(out.to_global(),
+                                      apply_rope(x, positions, 10_000.0))
+
+    @pytest.mark.parametrize("d", [4, 64])
+    @pytest.mark.parametrize("backend", ["loop", "stacked"])
+    def test_any_layout_rotates_to_the_whole_arrays_bits(self, backend, d):
+        """The one kernel's bits must not depend on where the operand
+        sits: per-device shards, row and head slices, projection columns
+        and an ``out=`` write into a strided view all give the whole
+        array's bits."""
+        b, l, h = 4, 5, 8
+        table = rope_tables(np.array([0, 1, 7, 300, 4095]), d)
+        # Q as the model hands it out: columns of a wider fused
+        # projection buffer (here Q|K|V with one K/V head each).
+        fused = RNG.normal(size=(b, l, (h + 2) * d))
+        columns = fused[..., :h * d].reshape(b, l, h, d)
+        x = columns.copy()
+        whole = apply_rope_cached(x, table)
+
+        np.testing.assert_array_equal(apply_rope_cached(columns, table),
+                                      whole)
+        np.testing.assert_array_equal(apply_rope_cached(x[1:3], table),
+                                      whole[1:3])
+        np.testing.assert_array_equal(apply_rope_cached(x[:, :, 2:5], table),
+                                      whole[:, :, 2:5])
+        wide = np.zeros((b, l, h, 3 * d))
+        strided = wide[..., d:2 * d]
+        np.multiply(x.view(np.complex128), table,
+                    out=strided.view(np.complex128))
+        np.testing.assert_array_equal(strided, whole)
+
+        mesh = VirtualMesh((2, 2, 2), backend)
+        xt = ShardedTensor.from_global(mesh, x, "B_xLH_yzD")
+        out = sharded_rope(xt, table)
+        np.testing.assert_array_equal(out.to_global(), whole)
+        for c in mesh.devices():
+            np.testing.assert_array_equal(
+                out.shards[c], apply_rope_cached(xt.shards[c], table))
 
     def test_rejects_sharded_d(self):
         mesh = VirtualMesh((1, 2, 1))

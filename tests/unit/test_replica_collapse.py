@@ -8,9 +8,9 @@ once along it, and stays bit-identical to eager execution:
   of 64 positions and the vocab einsum on 1; Model B (2x2x2,
   WS-1D/head) runs attention on all 8 and the vocab einsum on 1;
 * each block of either deployment issues one input projection
-  (Q|K|V|in|gate, the model's Section 3.4 fusion) and one rope call,
-  on the Q|K slab of its output, against the one pair of rotation
-  tables the model builds per forward;
+  (Q|K|V|in|gate, the model's Section 3.4 fusion) and two rope calls,
+  one on the Q and one on the K columns of its output, against the one
+  rotation table the model builds per forward;
 * loop-backend programs are untouched: no optimizer, every instruction
   on the whole mesh;
 * decode steps and prefill chunks of both deployments, at batch 1 and
@@ -83,21 +83,21 @@ def attention(captures):
 
 
 def rope_rows(captures):
-    """Heads each rope call of the last capture rotates together."""
+    """Heads each rope call of the last capture rotates."""
     recorder, program = captures[-1]
     return [recorder._values[ins.out].shape[-2] for ins in program._instrs
             if ins.label in ("rope", "rope_cached", "rope_inplace")]
 
 
-def one_projection_and_rope_per_block(captures):
+def one_projection_and_q_k_ropes_per_block(captures):
     """One rotation-table build per step, one fused projection per
-    block, and one rope call per block on its Q|K slab: one local query
-    head (16 heads over 16 chips on A, 8 over 8 on B) plus the shared
-    multiquery K head."""
+    block, and one rope call each for its Q and its K, each on one local
+    head: the local query head (16 heads over 16 chips on A, 8 over 8 on
+    B), then the shared multiquery K head."""
     assert len(positions(captures, "projection")) == 2
     assert [ins.label for ins in captures[-1][1]._instrs].count(
         "rope_tables") == 1
-    assert rope_rows(captures) == [1 + 1] * 2
+    assert rope_rows(captures) == [1, 1] * 2
 
 
 class TestWhatCollapses:
@@ -105,7 +105,7 @@ class TestWhatCollapses:
         decode_program("A")
         assert attention(collapsed_replicas_are_real) == [16, 16]
         assert positions(collapsed_replicas_are_real, VOCAB) == [1]
-        one_projection_and_rope_per_block(collapsed_replicas_are_real)
+        one_projection_and_q_k_ropes_per_block(collapsed_replicas_are_real)
 
     def test_model_b_decode(self, collapsed_replicas_are_real):
         decode_program("B")
@@ -115,7 +115,7 @@ class TestWhatCollapses:
         # The head gather and every norm statistic: one copy each.
         assert set(positions(captures, "all_gather")) == {1}
         assert set(positions(captures, "all_reduce")) == {1}
-        one_projection_and_rope_per_block(captures)
+        one_projection_and_q_k_ropes_per_block(captures)
 
     @pytest.mark.parametrize("name", DEPLOYMENTS)
     def test_loop_programs_unchanged(self, name,
