@@ -30,15 +30,17 @@ def zip_shards(out_spec: ShardSpec, out_shape: Sequence[int],
     normalization step, where specs differ in rank.
 
     With ``elementwise=True`` the caller additionally promises that ``fn``
-    broadcasts over arbitrary leading axes; on the stacked backend it is
-    then applied once to the dense shard arrays instead of per device.
+    broadcasts over arbitrary leading axes and accepts an ``out=``
+    buffer (a ufunc such as ``np.multiply``); on the stacked backend it
+    is then applied once to the dense shard arrays instead of per
+    device, and replays into an arena buffer.
     """
     mesh = tensors[0].mesh
     inputs = tuple(t.shards for t in tensors)
     specs = tuple(t.spec for t in tensors) + (out_spec,)
     if elementwise and all(t.is_stacked for t in tensors):
         shards = fn(*inputs)
-        record(mesh, fn, inputs, shards, "zip_shards",
+        record(mesh, fn, inputs, shards, fn.__name__, arena=True,
                meta=("elementwise",), specs=specs)
         return ShardedTensor(mesh, out_spec, tuple(out_shape), shards)
     shards = mesh.map_devices(
@@ -74,15 +76,19 @@ def sharded_rmsnorm(x: ShardedTensor, scale: ShardedTensor,
     if x.is_stacked and sumsq.is_stacked and scale.is_stacked:
         # One whole-mesh broadcast: scale is a per-device [E_loc] vector, so
         # it needs explicit singleton B/L axes against the dense
-        # [mesh..., B, L, E_loc] activations.
-        def stacked_norm(xs, ss, sc):
-            rms = np.sqrt(ss[..., None] / e_size + eps)
-            return xs * sc[:, :, :, None, None, :] / rms
+        # [mesh..., B, L, E_loc] activations.  Same ufuncs in the same
+        # order as ``normalize`` below; replay passes ``out``.
+        def stacked_norm(xs, ss, sc, out=None):
+            rms = np.divide(ss[..., None], e_size)
+            np.add(rms, eps, out=rms)
+            np.sqrt(rms, out=rms)
+            out = np.multiply(xs, sc[:, :, :, None, None, :], out=out)
+            return np.divide(out, rms, out=out)
 
         shards = stacked_norm(x.shards, sumsq.shards, scale.shards)
         record(x.mesh, stacked_norm,
                (x.shards, sumsq.shards, scale.shards), shards, "rmsnorm",
-               meta=("rmsnorm", e_size, eps),
+               arena=True, meta=("elementwise",),
                specs=(x.spec, sumsq.spec, scale.spec, x.spec))
         return ShardedTensor(x.mesh, x.spec, x.global_shape, shards)
 
@@ -105,33 +111,25 @@ def sharded_rope(x: ShardedTensor, table: np.ndarray) -> ShardedTensor:
     for dim in ("L", "D"):
         if x.spec.axes_for(dim):
             raise ValueError(f"RoPE requires unsharded {dim}, got {x.spec}")
-    # apply_rope_cached broadcasts over arbitrary leading axes, so on the
-    # stacked backend one call covers the whole mesh.
-    recorder = getattr(x.mesh, "capture", None)
-    if recorder is None or not recorder.recording:
-        return x.map_shards(lambda s: apply_rope_cached(s, table),
-                            elementwise=True)
-    # Under capture, the generic map_shards hook would bake this step's
-    # table into the program as a constant.  Suppress it and record one
-    # instruction with the table as a tracked input (the model's table
-    # instruction recomputes it per replay).
+    # The table is a tracked input, not a baked-in constant: under
+    # capture the model's table instruction recomputes it per replay.
     mesh = x.mesh
-    with recorder.suppress():
-        out = x.map_shards(lambda s: apply_rope_cached(s, table),
-                           elementwise=True)
+    specs = (x.spec, None, x.spec)
     if x.is_stacked:
-        replay, label = _rope_stacked, "rope_cached"
+        # apply_rope_cached broadcasts over arbitrary leading axes, so one
+        # call covers the whole mesh, and replays into an arena buffer.
+        shards = apply_rope_cached(x.shards, table)
+        record(mesh, apply_rope_cached, (x.shards, table), shards,
+               "rope_cached", arena=True, meta=("elementwise",),
+               specs=specs)
     else:
-        replay = lambda tab, s: mesh.map_devices(  # noqa: E731
-            lambda c: apply_rope_cached(s[c], tab))
-        label = "rope"
-    recorder.record(replay, (table, x.shards), out.shards, label,
-                    specs=(None, x.spec, x.spec))
-    return out
-
-
-def _rope_stacked(table, shards):
-    return apply_rope_cached(shards, table)
+        shards = mesh.map_devices(
+            lambda c: apply_rope_cached(x.shards[c], table))
+        record(mesh,
+               lambda s, tab: mesh.map_devices(
+                   lambda c: apply_rope_cached(s[c], tab)),
+               (x.shards, table), shards, "rope", specs=specs)
+    return ShardedTensor(mesh, x.spec, x.global_shape, shards)
 
 
 def local_attention(mesh: VirtualMesh, out_spec: ShardSpec,

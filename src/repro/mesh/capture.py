@@ -30,8 +30,10 @@ the tape into a :class:`CapturedProgram`:
   count at decode — and is trivially bit-exact, because the constant is
   the very array the eager step produced.
 * **Buffer arena** — instructions whose kernels accept an output buffer
-  (batched einsums, residual adds) get a preallocated arena buffer
-  matching their captured output, eliminating per-step allocation churn.
+  (batched einsums, residual adds, and the elementwise kernels: Swish,
+  the SwiGLU product, RMSNorm and RoPE, each its eager kernel called
+  with ``out=``) get a preallocated arena buffer matching their
+  captured output, eliminating per-step allocation churn.
   Buffers are reused *across* steps, never within one (the tape is SSA),
   and the program's final output stays freshly allocated so callers may
   hold logits across steps.
@@ -44,9 +46,9 @@ the tape into a :class:`CapturedProgram`:
 * **Tape optimization** — on the stacked backend every program
   additionally runs the tape optimizer in :mod:`repro.mesh.replay_opt`
   — prebound matmul runners, replica collapse (each replicated value
-  computed once, read from the sharding specs the hooks pass), in-place
-  elementwise runners, indexed collectives.  Every pass is bit-exact by
-  construction and asserted differentially.
+  computed once, read from the sharding specs the hooks pass), indexed
+  collectives.  Every pass is bit-exact by construction and asserted
+  differentially.
 * **Straight-line runner** — every program, on either backend, replays
   through source-generated Python that calls the recorded closures in
   tape order with values held in locals.
@@ -517,7 +519,10 @@ class StepRecorder:
         arrays (same kernel, resolved parameters baked in).  ``output``
         of ``None`` marks a side-effecting instruction (cache writes).
         With ``arena=True``, ``fn`` additionally accepts an ``out=``
-        keyword buffer.  Pass :attr:`CTX` as an input for closures over
+        keyword buffer of ``output``'s shape and dtype, writes its
+        result there and returns it: a live instruction that is not the
+        program output replays into one such buffer, reused every
+        replay.  Pass :attr:`CTX` as an input for closures over
         the step-varying replay context.  ``meta`` optionally carries
         the op's resolved parameters for the tape optimizer
         (:mod:`repro.mesh.replay_opt`); it never affects plain replay.

@@ -17,9 +17,6 @@ while provably preserving every output bit:
   weight's matrix view and the operand shapes resolved at capture
   (:func:`_fused_einsum`); other contractions call the C einsum kernel
   with bound subscripts.
-* **In-place RoPE** — the model builds one complex rotation table per
-  forward (:func:`repro.model.rope.rope_tables`); every rotation is one
-  complex multiply against it, written into a reused buffer.
 * **Replica collapse** — a value replicated along a mesh axis (an axis
   missing from its sharding spec, Section 3.1) is held and computed
   once along it: the recorder reads each value's replicated axes from
@@ -36,6 +33,10 @@ while provably preserving every output bit:
   transposes (:func:`repro.mesh.stacked.prebind_collective_indexed`;
   shapes too large for a table keep the recorded kernel, whose group
   metadata the op resolved once).
+
+Elementwise kernels need no pass: Swish, the SwiGLU product, RMSNorm
+and RoPE are recorded as their eager kernels, which replay through
+``out=`` into the capture arena's buffers.
 
 The input projections are fused by the model, not here: a BLAS product
 split by columns does not give the bits of the full product, so a
@@ -78,8 +79,6 @@ def optimize_tape(recorder, instrs, const, out_vids):
     """
     instrs = _collapse_replicas(recorder, instrs, const, out_vids)
     instrs = _prebind_einsums(recorder, instrs, const, out_vids)
-    instrs = _inplace_rope(recorder, instrs, out_vids)
-    instrs = _inplace_elementwise(recorder, instrs, out_vids)
     return _prebind_collectives(recorder, instrs, out_vids)
 
 
@@ -131,8 +130,7 @@ def _kind(ins) -> str:
     :func:`_collapse_replicas`)."""
     meta = ins.meta
     tag = meta[0] if meta else None
-    if tag in ("einsum", "rmsnorm", "elementwise") \
-            or ins.label == "rope_cached":
+    if tag in ("einsum", "elementwise"):
         return "pointwise"
     if getattr(ins.fn, "const_view", False):
         return "view"
@@ -178,9 +176,10 @@ def _collapse_replicas(recorder, instrs, const, out_vids):
     instruction producing a program output gets fresh full copies, so
     the output is full and freshly allocated as before.  Kernels write
     only into buffers of their own (possibly collapsed) shape — arena
-    buffers and runner scratch — never through a slice or broadcast
-    view.  Bit-exact: each remaining position runs the same kernel on
-    the same operand values (a replica's copy) in the same order.  The
+    buffers, and the prebound matmuls' and indexed collectives' own —
+    never through a slice or broadcast view.  Bit-exact: each remaining
+    position runs the same kernel on the same operand values (a
+    replica's copy) in the same order.  The
     analysis reads specs only, never array contents; what it collapsed
     is left in :attr:`StepRecorder.collapsed` for tests to check against
     the captured arrays.
@@ -322,7 +321,7 @@ def _collapse_replicas(recorder, instrs, const, out_vids):
 
 
 # ---------------------------------------------------------------------------
-# Prebound einsums and in-place rope
+# Prebound einsums
 # ---------------------------------------------------------------------------
 
 def _fused_einsum(lhs: str, rhs: str, out_sub: str, x: np.ndarray,
@@ -396,122 +395,6 @@ def _prebind_einsums(recorder, instrs, const, out_vids):
                                         False, False))
                 continue
         rewritten.append(ins)
-    return rewritten
-
-
-def _rope_inplace_runner(shape, dtype):
-    """:func:`repro.model.rope.apply_rope_cached`'s complex multiply
-    written through ``out=`` into a reused buffer (reuse follows the
-    arena policy: programs replay serially, every consumer reads within
-    the step) — the same ufunc on the same operands, so the same bits."""
-    out = np.empty(shape, dtype)
-    rotated = out.view(np.complex128)
-
-    def run(table, x):
-        np.multiply(x.view(np.complex128), table, out=rotated)
-        return out
-    run.out_buffer = out
-    return run
-
-
-def _inplace_rope(recorder, instrs, out_vids):
-    from repro.mesh.capture import _Instr
-
-    values = recorder._values
-    rewritten = []
-    for ins in instrs:
-        if (ins.label == "rope_cached" and len(ins.inputs) == 2
-                and ins.out is not None and ins.out not in out_vids):
-            captured = values[ins.out]
-            fn = _rope_inplace_runner(captured.shape, captured.dtype)
-            rewritten.append(_Instr(fn, ins.inputs, ins.out,
-                                    "rope_inplace", False, False))
-            continue
-        rewritten.append(ins)
-    return rewritten
-
-
-def _swish_runner(shape, dtype):
-    """``x / (1.0 + exp(-x))`` through a preallocated buffer — same three
-    elementwise ops on the same operands (float addition is commutative
-    under IEEE rounding, so ``exp(-x) + 1.0`` is ``1.0 + exp(-x)``)."""
-    out = np.empty(shape, dtype)
-
-    def run(x):
-        np.negative(x, out=out)
-        np.exp(out, out=out)
-        np.add(out, 1.0, out=out)
-        np.divide(x, out, out=out)
-        return out
-    run.out_buffer = out
-    return run
-
-
-def _mul_runner(shape, dtype):
-    out = np.empty(shape, dtype)
-
-    def run(a, b):
-        np.multiply(a, b, out=out)
-        return out
-    run.out_buffer = out
-    return run
-
-
-def _norm_runner(e_size, eps, out_shape, ss_shape, dtype):
-    """The stacked RMSNorm body with preallocated output and rms scratch:
-    ``sqrt(ss / e + eps)`` then ``(x * scale) / rms``, each op on the same
-    operands in the same order as the recorded closure."""
-    out = np.empty(out_shape, dtype)
-    rbuf = np.empty(tuple(ss_shape) + (1,), dtype)
-
-    def run(xs, ss, sc):
-        np.divide(ss[..., None], e_size, out=rbuf)
-        np.add(rbuf, eps, out=rbuf)
-        np.sqrt(rbuf, out=rbuf)
-        np.multiply(xs, sc[:, :, :, None, None, :], out=out)
-        np.divide(out, rbuf, out=out)
-        return out
-    run.out_buffer = out
-    return run
-
-
-def _inplace_elementwise(recorder, instrs, out_vids):
-    """Rewrite recognized elementwise closures to buffered in-place runs.
-
-    Stacked elementwise ``map_shards``/``zip_shards`` record the user
-    function itself, so Swish and the SwiGLU gate product are matched by
-    identity; the stacked RMSNorm is matched by its meta tag.  Each
-    rewrite performs the identical elementwise arithmetic, only writing
-    through ``out=`` into buffers reused under the arena policy.
-    """
-    from repro.mesh.capture import _Instr
-    from repro.model import functional
-
-    values = recorder._values
-    rewritten = []
-    for ins in instrs:
-        if ins.out is None or ins.out in out_vids:
-            rewritten.append(ins)
-            continue
-        captured = values[ins.out]
-        if ins.fn is functional.swish and len(ins.inputs) == 1:
-            fn = _swish_runner(captured.shape, captured.dtype)
-            label = "swish_inplace"
-        elif ins.fn is np.multiply and len(ins.inputs) == 2 \
-                and values[ins.inputs[0]].shape == captured.shape \
-                and values[ins.inputs[1]].shape == captured.shape:
-            fn = _mul_runner(captured.shape, captured.dtype)
-            label = "mul_inplace"
-        elif (ins.meta is not None and ins.meta[0] == "rmsnorm"
-                and len(ins.inputs) == 3):
-            fn = _norm_runner(ins.meta[1], ins.meta[2], captured.shape,
-                              values[ins.inputs[1]].shape, captured.dtype)
-            label = "rmsnorm_inplace"
-        else:
-            rewritten.append(ins)
-            continue
-        rewritten.append(_Instr(fn, ins.inputs, ins.out, label,
-                                False, False))
     return rewritten
 
 

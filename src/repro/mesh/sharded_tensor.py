@@ -198,34 +198,33 @@ class ShardedTensor:
 
         With ``elementwise=True`` the caller additionally promises that
         ``fn`` broadcasts over arbitrary leading axes (true for anything
-        acting pointwise or over trailing dims only); on the stacked
-        backend this applies ``fn`` once to the whole dense array instead
-        of once per device.
+        acting pointwise or over trailing dims only) and accepts an
+        ``out=`` buffer; on the stacked backend this applies ``fn`` once
+        to the whole dense array instead of once per device, and replays
+        it into an arena buffer.
         """
         mesh = self.mesh
-        if self.is_stacked:
-            if elementwise:
-                shards = fn(self.shards)
-                replay = fn
-            else:
-                def replay(dense):
-                    results = [fn(dense[coord]) for coord in mesh.devices()]
-                    return np.stack(results).reshape(
-                        mesh.shape + results[0].shape)
-                shards = replay(self.shards)
+        fast = self.is_stacked and elementwise
+        if fast:
+            shards = fn(self.shards)
+            replay = fn
+        elif self.is_stacked:
+            def replay(dense):
+                results = [fn(dense[coord]) for coord in mesh.devices()]
+                return np.stack(results).reshape(
+                    mesh.shape + results[0].shape)
+            shards = replay(self.shards)
         else:
             shards = mesh.map_devices(lambda c: fn(self.shards[c]))
             replay = lambda s: mesh.map_devices(  # noqa: E731
                 lambda c: fn(s[c]))
         out_spec = spec or self.spec
-        record(mesh, replay, (self.shards,), shards, "map_shards",
-               meta=("elementwise",) if self.is_stacked and elementwise
-               else None, specs=(self.spec, out_spec))
+        record(mesh, replay, (self.shards,), shards,
+               fn.__name__ if fast else "map_shards", arena=fast,
+               meta=("elementwise",) if fast else None,
+               specs=(self.spec, out_spec))
         return ShardedTensor(mesh, out_spec,
                              global_shape or self.global_shape, shards)
-
-    def astype(self, dtype) -> "ShardedTensor":
-        return self.map_shards(lambda s: s.astype(dtype), elementwise=True)
 
     def __add__(self, other: "ShardedTensor") -> "ShardedTensor":
         if not isinstance(other, ShardedTensor):

@@ -25,9 +25,18 @@ def rmsnorm(x: np.ndarray, scale: np.ndarray, eps: float = 1e-6
     return x * scale / np.sqrt(variance + eps)
 
 
-def swish(x: np.ndarray) -> np.ndarray:
-    """Swish / SiLU: ``x * sigmoid(x)``."""
-    return x / (1.0 + np.exp(-x))
+def swish(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Swish / SiLU: ``x * sigmoid(x)``, as ``x / (1.0 + exp(-x))``.
+
+    Four ufuncs on one buffer — ``out`` when given (captured replay
+    passes an arena buffer), else one fresh array.  Adding ``1.0`` after
+    ``exp`` gives the bits of ``1.0 + exp(-x)``: IEEE addition is
+    commutative.
+    """
+    out = np.negative(x, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    return np.divide(x, out, out=out)
 
 
 def swish_base2(x: np.ndarray) -> np.ndarray:

@@ -40,11 +40,20 @@ def rope_tables(positions: np.ndarray, d_head: int,
     return table
 
 
-def apply_rope_cached(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+def apply_rope_cached(x: np.ndarray, table: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Rotate float64 ``x`` (last axis contiguous) by a :func:`rope_tables`
     table: each pair ``(x1, x2)`` becomes
-    ``(x1·cos − x2·sin, x1·sin + x2·cos)``, one complex multiply."""
-    return (x.view(np.complex128) * table).view(np.float64)
+    ``(x1·cos − x2·sin, x1·sin + x2·cos)``, one complex multiply.
+
+    With ``out`` (float64, last axis contiguous; captured replay passes
+    an arena buffer) the product is written into its complex view and
+    ``out`` is returned.
+    """
+    if out is None:
+        return (x.view(np.complex128) * table).view(np.float64)
+    np.multiply(x.view(np.complex128), table, out=out.view(np.complex128))
+    return out
 
 
 def apply_rope(x: np.ndarray, positions: np.ndarray,

@@ -44,6 +44,19 @@ class TestFunctional:
         np.testing.assert_allclose(swish_base2(x), swish(x),
                                    rtol=1e-10, atol=1e-12)
 
+    def test_swish_keeps_the_one_expression_bits(self):
+        """The in-place kernel, allocating or into ``out=``, gives the bits
+        of ``x / (1.0 + exp(-x))`` — overflowing ``exp`` included."""
+        rng = np.random.default_rng(7)
+        x = rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-8, 4,
+                                                                   100_000)
+        with np.errstate(over="ignore"):
+            expected = x / (1.0 + np.exp(-x))
+            buf = np.empty_like(x)
+            np.testing.assert_array_equal(swish(x), expected)
+            assert swish(x, out=buf) is buf
+        np.testing.assert_array_equal(buf, expected)
+
     @given(finite_arrays)
     def test_softmax_rows_sum_to_one(self, x):
         np.testing.assert_allclose(softmax(x).sum(-1), 1.0)

@@ -13,6 +13,9 @@ once along it, and stays bit-identical to eager execution:
   rotation table the model builds per forward;
 * loop-backend programs are untouched: no optimizer, every instruction
   on the whole mesh;
+* every elementwise kernel of either deployment's decode and prefill
+  programs (RMSNorm, Swish, the SwiGLU product, RoPE) replays into an
+  arena buffer of its own, not a fresh allocation per step;
 * decode steps and prefill chunks of both deployments, at batch 1 and
   4, replay eager logits and KV caches bit for bit;
 * the prebound ``to_global``/``from_global`` and the indexed collectives
@@ -69,6 +72,15 @@ def decode_program(name, backend="stacked"):
     return program
 
 
+def prefill_program(name):
+    """Capture one batch-1, four-token prefill chunk of deployment
+    ``name``."""
+    model = deploy(name)
+    chunk = np.random.default_rng(1).integers(0, 32, size=(1, 4))
+    _, program = capture_chunk(model, chunk, model.new_cache(1, 12))
+    return program
+
+
 def positions(captures, label):
     """Device-grid positions each ``label`` instruction of the last
     capture computes per replay (its output's leading three axes as the
@@ -86,7 +98,7 @@ def rope_rows(captures):
     """Heads each rope call of the last capture rotates."""
     recorder, program = captures[-1]
     return [recorder._values[ins.out].shape[-2] for ins in program._instrs
-            if ins.label in ("rope", "rope_cached", "rope_inplace")]
+            if ins.label in ("rope", "rope_cached")]
 
 
 def one_projection_and_q_k_ropes_per_block(captures):
@@ -116,6 +128,17 @@ class TestWhatCollapses:
         assert set(positions(captures, "all_gather")) == {1}
         assert set(positions(captures, "all_reduce")) == {1}
         one_projection_and_q_k_ropes_per_block(captures)
+
+    @pytest.mark.parametrize("name", DEPLOYMENTS)
+    @pytest.mark.parametrize("capture", [decode_program, prefill_program])
+    def test_elementwise_kernels_own_arena_buffers(self, name, capture):
+        """Without its buffer a kernel still replays the right bits, just
+        into a fresh allocation every step — so check the buffers."""
+        kernels = [ins for ins in capture(name)._instrs if ins.label in
+                   ("rmsnorm", "swish", "multiply", "rope_cached")]
+        assert {ins.label for ins in kernels} == {
+            "rmsnorm", "swish", "multiply", "rope_cached"}
+        assert all(ins.buffer is not None for ins in kernels)
 
     @pytest.mark.parametrize("name", DEPLOYMENTS)
     def test_loop_programs_unchanged(self, name,
