@@ -12,43 +12,30 @@ from repro.mesh import (
     all_reduce,
     sharded_einsum,
 )
-from repro.mesh.sharded_tensor import record
-from repro.mesh.stacked import is_stacked
+from repro.mesh.sharded_tensor import run_local
 from repro.model.reference import attention
 from repro.model.rope import apply_rope_cached
 from repro.sharding.spec import ShardSpec
 
 
 def zip_shards(out_spec: ShardSpec, out_shape: Sequence[int],
-               fn: Callable[..., np.ndarray], *tensors: ShardedTensor,
-               elementwise: bool = False) -> ShardedTensor:
+               fn: Callable[..., np.ndarray],
+               *tensors: ShardedTensor) -> ShardedTensor:
     """Combine several sharded tensors device-wise with ``fn``.
 
     The caller asserts (by providing ``out_spec``) that ``fn`` is local —
     i.e. its output at each device depends only on that device's shards and
-    is sharded as described.  Used for broadcast arithmetic like the
-    normalization step, where specs differ in rank.
-
-    With ``elementwise=True`` the caller additionally promises that ``fn``
-    broadcasts over arbitrary leading axes and accepts an ``out=``
-    buffer (a ufunc such as ``np.multiply``); on the stacked backend it
-    is then applied once to the dense shard arrays instead of per
-    device, and replays into an arena buffer.
+    is sharded as described.  ``fn`` acts on trailing axes and broadcasts
+    over leading ones (a ufunc such as ``np.multiply``, or ``swish``), so
+    it runs once over the whole device grid on stacked shards; it also
+    takes an ``out=`` buffer, into which a stacked capture replays it.
+    Runs through :func:`repro.mesh.sharded_tensor.run_local`, recorded
+    under ``fn``'s name.
     """
     mesh = tensors[0].mesh
-    inputs = tuple(t.shards for t in tensors)
-    specs = tuple(t.spec for t in tensors) + (out_spec,)
-    if elementwise and all(t.is_stacked for t in tensors):
-        shards = fn(*inputs)
-        record(mesh, fn, inputs, shards, fn.__name__, arena=True,
-               meta=("elementwise",), specs=specs)
-        return ShardedTensor(mesh, out_spec, tuple(out_shape), shards)
-    shards = mesh.map_devices(
-        lambda c: fn(*(t.shards[c] for t in tensors)))
-    record(mesh,
-           lambda *arrs: mesh.map_devices(
-               lambda c: fn(*(a[c] for a in arrs))),
-           inputs, shards, "zip_shards", specs=specs)
+    shards = run_local(mesh, fn, [t.shards for t in tensors], fn.__name__,
+                       specs=tuple(t.spec for t in tensors) + (out_spec,),
+                       arena=True, meta=("elementwise",))
     return ShardedTensor(mesh, out_spec, tuple(out_shape), shards)
 
 
@@ -73,30 +60,16 @@ def sharded_rmsnorm(x: ShardedTensor, scale: ShardedTensor,
         sumsq = all_reduce(sumsq, e_axes)
     e_size = x.dim_size("E")
 
-    if x.is_stacked and sumsq.is_stacked and scale.is_stacked:
-        # One whole-mesh broadcast: scale is a per-device [E_loc] vector, so
-        # it needs explicit singleton B/L axes against the dense
-        # [mesh..., B, L, E_loc] activations.  Same ufuncs in the same
-        # order as ``normalize`` below; replay passes ``out``.
-        def stacked_norm(xs, ss, sc, out=None):
-            rms = np.divide(ss[..., None], e_size)
-            np.add(rms, eps, out=rms)
-            np.sqrt(rms, out=rms)
-            out = np.multiply(xs, sc[:, :, :, None, None, :], out=out)
-            return np.divide(out, rms, out=out)
+    # ``sc`` is a per-device [E_loc] vector: explicit singleton B/L axes
+    # broadcast it against the [..., B, L, E_loc] activations.
+    def rmsnorm(xs, ss, sc, out=None):
+        rms = np.divide(ss[..., None], e_size)
+        np.add(rms, eps, out=rms)
+        np.sqrt(rms, out=rms)
+        out = np.multiply(xs, sc[..., None, None, :], out=out)
+        return np.divide(out, rms, out=out)
 
-        shards = stacked_norm(x.shards, sumsq.shards, scale.shards)
-        record(x.mesh, stacked_norm,
-               (x.shards, sumsq.shards, scale.shards), shards, "rmsnorm",
-               arena=True, meta=("elementwise",),
-               specs=(x.spec, sumsq.spec, scale.spec, x.spec))
-        return ShardedTensor(x.mesh, x.spec, x.global_shape, shards)
-
-    def normalize(x_shard, ss_shard, scale_shard):
-        rms = np.sqrt(ss_shard[..., None] / e_size + eps)
-        return x_shard * scale_shard / rms
-
-    return zip_shards(x.spec, x.global_shape, normalize, x, sumsq, scale)
+    return zip_shards(x.spec, x.global_shape, rmsnorm, x, sumsq, scale)
 
 
 def sharded_rope(x: ShardedTensor, table: np.ndarray) -> ShardedTensor:
@@ -104,7 +77,10 @@ def sharded_rope(x: ShardedTensor, table: np.ndarray) -> ShardedTensor:
 
     ``table`` is the forward's complex rotation table
     (:func:`repro.model.rope.rope_tables`), built once per forward and
-    shared by every rotation.  RoPE is elementwise per (position, head,
+    shared by every rotation; it is the same on every device, so
+    :func:`repro.mesh.sharded_tensor.run_local` passes it whole to
+    :func:`repro.model.rope.apply_rope_cached`, which broadcasts over
+    the device grid.  RoPE is elementwise per (position, head,
     dim-pair), so it is local for any sharding that keeps L and D
     unsharded (all layouts here do).
     """
@@ -113,65 +89,39 @@ def sharded_rope(x: ShardedTensor, table: np.ndarray) -> ShardedTensor:
             raise ValueError(f"RoPE requires unsharded {dim}, got {x.spec}")
     # The table is a tracked input, not a baked-in constant: under
     # capture the model's table instruction recomputes it per replay.
-    mesh = x.mesh
-    specs = (x.spec, None, x.spec)
-    if x.is_stacked:
-        # apply_rope_cached broadcasts over arbitrary leading axes, so one
-        # call covers the whole mesh, and replays into an arena buffer.
-        shards = apply_rope_cached(x.shards, table)
-        record(mesh, apply_rope_cached, (x.shards, table), shards,
-               "rope_cached", arena=True, meta=("elementwise",),
-               specs=specs)
-    else:
-        shards = mesh.map_devices(
-            lambda c: apply_rope_cached(x.shards[c], table))
-        record(mesh,
-               lambda s, tab: mesh.map_devices(
-                   lambda c: apply_rope_cached(s[c], tab)),
-               (x.shards, table), shards, "rope", specs=specs)
-    return ShardedTensor(mesh, x.spec, x.global_shape, shards)
+    shards = run_local(x.mesh, apply_rope_cached, (x.shards,), "rope_cached",
+                       whole=(table,), specs=(x.spec, None, x.spec),
+                       arena=True, meta=("elementwise",))
+    return ShardedTensor(x.mesh, x.spec, x.global_shape, shards)
 
 
 def local_attention(mesh: VirtualMesh, out_spec: ShardSpec,
                     out_shape: Sequence[int],
                     q: ShardedTensor,
-                    k_shards: np.ndarray, v_shards: np.ndarray,
-                    q_offset: int) -> ShardedTensor:
+                    k_shards: np.ndarray, v_shards: np.ndarray
+                    ) -> ShardedTensor:
     """Per-device causal attention over already co-located Q/K/V shards.
 
     ``k_shards``/``v_shards`` hold per-device ``[B, M, K, D]`` buffers (a
-    view of the sharded KV cache) — object arrays on the loop backend; on
-    the stacked one, the cache buffer itself, whose device grid is size 1
-    on every axis the KV spec replicates.  Both backends call the one
-    kernel, :func:`repro.model.reference.attention`: per device on the
-    loop backend, once over the whole grid on the stacked one, where the
-    K/V grid broadcasts against the query's.  The softmax and the
+    view of the sharded KV cache, which already holds the new tokens) —
+    object arrays on the loop backend; on the stacked one, the cache
+    buffer itself, whose device grid is size 1 on every axis the KV spec
+    replicates and broadcasts against the query's.  The one kernel,
+    :func:`repro.model.reference.attention`, runs through
+    :func:`repro.mesh.sharded_tensor.run_local`, the queries' causal
+    offset derived as ``M - L`` from the operands.  The softmax and the
     attention matmuls are strictly local; correctness of the layout is
     therefore exactly the claim that Q and KV are sharded compatibly,
     which the calling layout establishes and the equivalence tests
-    verify.  The replay closures re-derive the step-varying offset from
-    the KV view length (``M - L``), exactly what the model passes in.
+    verify.
     """
-    if q.is_stacked and is_stacked(k_shards) and is_stacked(v_shards):
-        shards = attention(q.shards, k_shards, v_shards, q_offset)
-        # The replay closure keeps its buffers across replays.
-        scratch: dict = {}
+    def kernel(qs, ks, vs, scratch=None):
+        return attention(qs, ks, vs, ks.shape[-3] - qs.shape[-3], scratch)
 
-        def replay(qs, ks, vs):
-            return attention(qs, ks, vs, ks.shape[-3] - qs.shape[-3],
-                             scratch)
-
-        record(mesh, replay, (q.shards, k_shards, v_shards), shards,
-               "attention", meta=("attention",),
-               specs=(q.spec, None, None, out_spec))
-        return ShardedTensor(mesh, out_spec, tuple(out_shape), shards)
-
-    shards = mesh.map_devices(
-        lambda c: attention(q.shards[c], k_shards[c], v_shards[c], q_offset))
-    record(mesh,
-           lambda qs, ks, vs: mesh.map_devices(
-               lambda c: attention(qs[c], ks[c], vs[c],
-                                   ks[c].shape[1] - qs[c].shape[1])),
-           (q.shards, k_shards, v_shards), shards, "attention",
-           specs=(q.spec, None, None, out_spec))
+    scratch: dict = {}
+    shards = run_local(
+        mesh, kernel, (q.shards, k_shards, v_shards), "attention",
+        specs=(q.spec, None, None, out_spec), meta=("attention",),
+        # Stacked replay reuses scratch buffers; its output aliases them.
+        replay=lambda qs, ks, vs: kernel(qs, ks, vs, scratch))
     return ShardedTensor(mesh, out_spec, tuple(out_shape), shards)

@@ -23,7 +23,8 @@ Section 3.1), so the buffer holds one copy per shard position — exactly
 the bytes of the global form — and appends are single whole-mesh slice
 writes.  A replica check guards the way in: an eager append or
 :meth:`~ShardedKVCache.load_prefix` keeps copy 0 of the incoming K/V
-and raises :class:`ShardingError` if the other copies disagree.
+and raises :class:`ShardingError` if the other copies disagree; a
+replayed append stores through the same writer, without the check.
 :meth:`~ShardedKVCache.views` hands attention the buffer's slice as it
 is (the attention kernel broadcasts its size-1 grid axes), and
 :meth:`~ShardedKVCache.as_sharded` broadcasts the one copy back over the
@@ -146,57 +147,50 @@ class ShardedKVCache:
         copy 0 of each replicated axis, the other copies checked equal
         to it (a disagreement raises :class:`ShardingError`)."""
         if self.is_stacked:
+            k, v = (collapse_replicas(self.spec, t.shards) for t in (k, v))
+        else:
+            k, v = k.shards, v.shards
+        self._store(k, v, start, stop)
+
+    def _store(self, ks: np.ndarray, vs: np.ndarray, start: int,
+               stop: int) -> None:
+        """The cache's writer: positions ``[start, stop)`` from K/V shards
+        in the buffers' layout (stacked: one copy of each replicated
+        axis); the filled length becomes ``stop``."""
+        if stop > self.max_len:
+            raise ShardingError(
+                f"KV cache overflow: {start} + {stop - start} > "
+                f"{self.max_len}")
+        if self.is_stacked:
             # One whole-mesh write: M is dense axis 4 (after the three
             # device axes and B).
-            self.k[:, :, :, :, start:stop] = collapse_replicas(self.spec,
-                                                               k.shards)
-            self.v[:, :, :, :, start:stop] = collapse_replicas(self.spec,
-                                                               v.shards)
+            self.k[:, :, :, :, start:stop] = ks
+            self.v[:, :, :, :, start:stop] = vs
         else:
             for coord in self.mesh.devices():
-                self.k[coord][:, start:stop] = k.shards[coord]
-                self.v[coord][:, start:stop] = v.shards[coord]
+                self.k[coord][:, start:stop] = ks[coord]
+                self.v[coord][:, start:stop] = vs[coord]
+        self.length = stop
 
-    def append(self, k_new: ShardedTensor, v_new: ShardedTensor) -> int:
-        """Append new tokens' K/V; returns the query offset (old length)."""
+    def append(self, k_new: ShardedTensor, v_new: ShardedTensor) -> None:
+        """Append new tokens' K/V."""
         self._check_compatible(k_new)
         self._check_compatible(v_new)
         n = k_new.dim_size("L")
-        if self.length + n > self.max_len:
-            raise ShardingError(
-                f"KV cache overflow: {self.length} + {n} > {self.max_len}")
-        offset = self.length
-        self._fill(k_new, v_new, offset, offset + n)
-        self.length = offset + n
+        self._fill(k_new, v_new, self.length, self.length + n)
 
         recorder = getattr(self.mesh, "capture", None)
         if recorder is not None and recorder.recording:
             idx = recorder.cache_index(self)
             if idx is not None:
-                # Stacked: the tape optimizer hands this instruction
-                # copy 0 of each replicated axis (replay_opt), so replay
-                # writes the buffer's one copy without a check.
-                def replay(ctx, ks, vs, idx=idx, n=n,
-                           stacked=self.is_stacked):
+                # Replay stores without the eager append's replica check.
+                def replay(ctx, ks, vs, idx=idx, n=n):
                     cache = ctx.caches[idx]
-                    if cache.length + n > cache.max_len:
-                        raise ShardingError(
-                            f"KV cache overflow: {cache.length} + {n} > "
-                            f"{cache.max_len}")
-                    s, e = cache.length, cache.length + n
-                    if stacked:
-                        cache.k[:, :, :, :, s:e] = ks
-                        cache.v[:, :, :, :, s:e] = vs
-                    else:
-                        for coord in cache.mesh.devices():
-                            cache.k[coord][:, s:e] = ks[coord]
-                            cache.v[coord][:, s:e] = vs[coord]
-                    cache.length = e
+                    cache._store(ks, vs, cache.length, cache.length + n)
 
                 recorder.record(replay, (recorder.CTX, k_new.shards,
                                          v_new.shards), None, "kv_append",
                                 specs=(None, k_new.spec, v_new.spec))
-        return offset
 
     def load_prefix(self, k_t: ShardedTensor, v_t: ShardedTensor,
                     length: int) -> None:
@@ -204,7 +198,6 @@ class ShardedKVCache:
         tensors whose M extent is ``length`` (cache hand-off/resharding),
         replicas checked as :meth:`append` checks them."""
         self._fill(k_t, v_t, 0, length)
-        self.length = length
 
     def read(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Positions ``[start, stop)`` of K/V in :attr:`page_layout`.

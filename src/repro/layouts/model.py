@@ -350,13 +350,11 @@ class ShardedTransformer:
         w_out = self._gathered(layer["w_out"], "EFH")
         if self._f_rs:
             h = reduce_scatter(h, self._f_rs, "F")
-        h = h.map_shards(swish, elementwise=True)
+        h = zip_shards(h.spec, h.global_shape, swish, h)
         for gate in gates:
             if self._f_rs:
                 gate = reduce_scatter(gate, self._f_rs, "F")
-            h = zip_shards(h.spec, h.global_shape,
-                           np.multiply, h, gate,
-                           elementwise=True)
+            h = zip_shards(h.spec, h.global_shape, np.multiply, h, gate)
         if self._f_rs:
             h = all_gather(h, self._f_rs, "F")
         return sharded_einsum("blf,fe->ble", h, w_out)
@@ -398,10 +396,10 @@ class ShardedTransformer:
             k = all_reduce(k, ("x",))
             v = all_reduce(v, ("x",))
 
-        offset = cache.append(k, v)
+        cache.append(k, v)
         k_view, v_view = cache.views()
         out = local_attention(self.mesh, q.spec, q.global_shape, q,
-                              k_view, v_view, offset)
+                              k_view, v_view)
 
         if batch_attention and not plan.ffn.is_weight_gathered:
             if self._stored_hidden:

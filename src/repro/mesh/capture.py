@@ -452,7 +452,6 @@ class StepRecorder:
         self.caches = list(caches)
         self.broken: str | None = None
         self.collectives = 0
-        self._suppressed = 0
         self._instrs: list[_Instr] = []
         self._values: list[Any] = [None]       # vid 0 reserved for CTX
         self._vid_of: dict[int, int] = {}
@@ -466,18 +465,8 @@ class StepRecorder:
 
     @property
     def recording(self) -> bool:
-        """False while suppressed (inside an op recorded at a coarser
-        granularity) or after the capture broke."""
-        return self._suppressed == 0 and self.broken is None
-
-    @contextmanager
-    def suppress(self):
-        """Hide inner hook calls from an op recorded as one instruction."""
-        self._suppressed += 1
-        try:
-            yield
-        finally:
-            self._suppressed -= 1
+        """False after the capture broke."""
+        return self.broken is None
 
     def mark_broken(self, reason: str) -> None:
         if self.broken is None:

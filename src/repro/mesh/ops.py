@@ -21,10 +21,14 @@ is additionally recorded as a structured :class:`repro.observability.Span`
 with wall-clock timing and modeled cost; with no tracer the hook is a
 single ``getattr`` per op.
 
-Each collective has two implementations sharing one spec computation: the
-per-group Python loop below (the semantics oracle) and the vectorized
-stacked-shard kernels in :mod:`repro.mesh.stacked`, selected by the
-operand's shard representation.  The two are bit-identical by contract.
+Each collective is its spec arithmetic plus a ``(stacked, loop)`` kernel
+pair: the vectorized stacked-shard kernel in :mod:`repro.mesh.stacked`
+and the per-group Python loop below (the semantics oracle), bit-identical
+by contract.  One driver, :func:`_collective`, runs what they share —
+the fault hooks, the kernel the operand's shard representation selects,
+the comm log and span, and the capture record of the closure that ran.
+Contractions go through the device-local dispatcher,
+:func:`repro.mesh.sharded_tensor.run_local`, the same way.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.mesh import stacked as stacked_kernels
-from repro.mesh.sharded_tensor import ShardedTensor, record
+from repro.mesh.sharded_tensor import ShardedTensor, record, run_local
 from repro.mesh.virtual_mesh import VirtualMesh
 from repro.sharding.spec import ShardingError, ShardSpec
 
@@ -124,18 +128,55 @@ def _require_suffix(dim_axes: tuple[str, ...], axes: Sequence[str],
     return dim_axes[:len(dim_axes) - len(axes)]
 
 
+def _collective(t: ShardedTensor, op: str, axes: tuple[str, ...],
+                new_spec: ShardSpec, payload: int, kernels, *params,
+                meta: tuple | None = None) -> ShardedTensor:
+    """Run one collective: the steps every collective shares, once.
+
+    ``kernels`` is the op's ``(stacked, loop)`` pair, each called as
+    ``kernel(shards, *params, groups)`` with the communication groups
+    over ``axes`` resolved for it: :func:`repro.mesh.stacked.group_meta`
+    for the stacked kernel, the coordinate lists of
+    :meth:`VirtualMesh.groups` for the loop one.  The kernel runs
+    between the fault hooks, is logged (with the per-chip ``payload``)
+    and traced, and the closure that ran is recorded for replay, with
+    ``meta`` when stacked.
+    """
+    mesh = t.mesh
+    tracer, start = _trace_start(mesh)
+    _fault_pre(mesh, op, axes)
+    stacked = t.is_stacked
+    if stacked:
+        kernel, groups = kernels[0], stacked_kernels.group_meta(mesh, axes)
+    else:
+        kernel, groups = kernels[1], list(mesh.groups(axes))
+
+    def run(shards):
+        return kernel(shards, *params, groups)
+
+    shards = run(t.shards)
+    if op != "split":  # a local reshard moves no payload to corrupt
+        shards = _fault_post(mesh, op, axes, shards)
+    out = ShardedTensor(mesh, new_spec, t.global_shape, shards)
+    _observe(mesh, tracer, start,
+             CommRecord(op, axes, mesh.group_size(axes), payload), out)
+    record(mesh, run, (t.shards,), shards, op, collective=True,
+           meta=meta if stacked else None, specs=(t.spec, new_spec))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Per-group loop kernels (the semantics oracle)
 #
-# Extracted to module level so a captured program can replay them directly:
-# each takes the raw shards and the already-resolved group parameters, like
-# its vectorized twin in :mod:`repro.mesh.stacked`.
+# Each takes the object array of shards, the op's parameters and the
+# coordinate lists of its communication groups, like its vectorized twin
+# in :mod:`repro.mesh.stacked` takes the resolved group metadata.
 # ---------------------------------------------------------------------------
 
-def _loop_all_gather(mesh: VirtualMesh, shards_in: np.ndarray,
-                     axes: tuple[str, ...], dim_idx: int) -> np.ndarray:
-    shards = mesh.empty_shards()
-    for group in mesh.groups(axes):
+def _loop_all_gather(shards_in: np.ndarray, dim_idx: int,
+                     groups: list) -> np.ndarray:
+    shards = np.empty_like(shards_in)
+    for group in groups:
         gathered = np.concatenate([shards_in[c] for c in group],
                                   axis=dim_idx)
         for coord in group:
@@ -143,24 +184,22 @@ def _loop_all_gather(mesh: VirtualMesh, shards_in: np.ndarray,
     return shards
 
 
-def _loop_reduce_scatter(mesh: VirtualMesh, shards_in: np.ndarray,
-                         axes: tuple[str, ...], dim_idx: int,
-                         k: int) -> np.ndarray:
-    shards = mesh.empty_shards()
-    for group in mesh.groups(axes):
+def _loop_reduce_scatter(shards_in: np.ndarray, dim_idx: int,
+                         groups: list) -> np.ndarray:
+    shards = np.empty_like(shards_in)
+    for group in groups:
         total = shards_in[group[0]]
         for coord in group[1:]:
             total = total + shards_in[coord]
-        chunks = np.split(total, k, axis=dim_idx)
+        chunks = np.split(total, len(group), axis=dim_idx)
         for rank, coord in enumerate(group):
             shards[coord] = np.ascontiguousarray(chunks[rank])
     return shards
 
 
-def _loop_all_reduce(mesh: VirtualMesh, shards_in: np.ndarray,
-                     axes: tuple[str, ...]) -> np.ndarray:
-    shards = mesh.empty_shards()
-    for group in mesh.groups(axes):
+def _loop_all_reduce(shards_in: np.ndarray, groups: list) -> np.ndarray:
+    shards = np.empty_like(shards_in)
+    for group in groups:
         total = shards_in[group[0]]
         for coord in group[1:]:
             total = total + shards_in[coord]
@@ -169,28 +208,28 @@ def _loop_all_reduce(mesh: VirtualMesh, shards_in: np.ndarray,
     return shards
 
 
-def _loop_all_to_all(mesh: VirtualMesh, shards_in: np.ndarray,
-                     axes: tuple[str, ...], src_idx: int, dst_idx: int,
-                     k: int) -> np.ndarray:
-    shards = mesh.empty_shards()
-    for group in mesh.groups(axes):
+def _loop_all_to_all(shards_in: np.ndarray, src_idx: int, dst_idx: int,
+                     groups: list) -> np.ndarray:
+    shards = np.empty_like(shards_in)
+    for group in groups:
         # Assemble the group-local view along src_dim, then re-slice
         # dst_dim.
         assembled = np.concatenate([shards_in[c] for c in group],
                                    axis=src_idx)
-        chunks = np.split(assembled, k, axis=dst_idx)
+        chunks = np.split(assembled, len(group), axis=dst_idx)
         for rank, coord in enumerate(group):
             shards[coord] = np.ascontiguousarray(chunks[rank])
     return shards
 
 
-def _loop_split(mesh: VirtualMesh, shards_in: np.ndarray,
-                axes: tuple[str, ...], dim_idx: int, k: int) -> np.ndarray:
-    shards = mesh.empty_shards()
-    for group in mesh.groups(axes):
+def _loop_split(shards_in: np.ndarray, dim_idx: int,
+                groups: list) -> np.ndarray:
+    shards = np.empty_like(shards_in)
+    for group in groups:
         for rank, coord in enumerate(group):
             # Each device keeps its own slice of its own replica.
-            local_chunks = np.split(shards_in[coord], k, axis=dim_idx)
+            local_chunks = np.split(shards_in[coord], len(group),
+                                    axis=dim_idx)
             shards[coord] = np.ascontiguousarray(local_chunks[rank])
     return shards
 
@@ -203,36 +242,21 @@ def all_gather(t: ShardedTensor, axes: Sequence[str], dim: str
     shards, replicated over the gathered axes.
     """
     axes = tuple(axes)
-    mesh, spec = t.mesh, t.spec
-    tracer, start = _trace_start(mesh)
-    _fault_pre(mesh, "all_gather", axes)
-    remaining = _require_suffix(spec.axes_for(dim), axes, "all_gather")
-    dim_idx = spec.dim_index(dim)
-    new_spec = spec.with_dim_axes(dim, remaining)
-    if t.is_stacked:
-        meta = stacked_kernels.group_meta(mesh, axes)
-        run = lambda s: stacked_kernels.all_gather(  # noqa: E731
-            s, dim_idx, meta)
-    else:
-        run = lambda s: _loop_all_gather(mesh, s, axes, dim_idx)  # noqa: E731
-    shards = _fault_post(mesh, "all_gather", axes, run(t.shards))
-    out = ShardedTensor(mesh, new_spec, t.global_shape, shards)
-    _observe(mesh, tracer, start,
-             CommRecord("all_gather", axes, mesh.group_size(axes),
-                        out.per_chip_bytes), out)
-    record(mesh, run, (t.shards,), out.shards, "all_gather", collective=True,
-           meta=("all_gather", axes, dim_idx) if t.is_stacked else None,
-           specs=(spec, new_spec))
-    return out
+    remaining = _require_suffix(t.spec.axes_for(dim), axes, "all_gather")
+    dim_idx = t.spec.dim_index(dim)
+    # The payload is the per-chip output: the group's shards.
+    return _collective(t, "all_gather", axes,
+                       t.spec.with_dim_axes(dim, remaining),
+                       t.per_chip_bytes * t.mesh.group_size(axes),
+                       (stacked_kernels.all_gather, _loop_all_gather),
+                       dim_idx, meta=("all_gather", axes, dim_idx))
 
 
 def reduce_scatter(t: ShardedTensor, axes: Sequence[str], dim: str
                    ) -> ShardedTensor:
     """Sum partial sums over ``axes`` and scatter the result into ``dim``."""
     axes = tuple(axes)
-    mesh, spec = t.mesh, t.spec
-    tracer, start = _trace_start(mesh)
-    _fault_pre(mesh, "reduce_scatter", axes)
+    spec = t.spec
     if not set(axes) <= set(spec.partial_sum):
         raise ShardingError(
             f"reduce_scatter axes {axes} not all partial-sum axes of {spec}")
@@ -240,24 +264,9 @@ def reduce_scatter(t: ShardedTensor, axes: Sequence[str], dim: str
     new_partial = tuple(a for a in spec.partial_sum if a not in axes)
     new_spec = spec.with_partial_sum(new_partial).with_dim_axes(
         dim, spec.axes_for(dim) + axes)
-    k = mesh.group_size(axes)
-    payload = t.per_chip_bytes
-    if t.is_stacked:
-        meta = stacked_kernels.group_meta(mesh, axes)
-        run = lambda s: stacked_kernels.reduce_scatter(  # noqa: E731
-            s, dim_idx, meta)
-    else:
-        run = lambda s: _loop_reduce_scatter(  # noqa: E731
-            mesh, s, axes, dim_idx, k)
-    shards = _fault_post(mesh, "reduce_scatter", axes, run(t.shards))
-    out = ShardedTensor(mesh, new_spec, t.global_shape, shards)
-    _observe(mesh, tracer, start,
-             CommRecord("reduce_scatter", axes, k, payload), out)
-    record(mesh, run, (t.shards,), out.shards, "reduce_scatter",
-           collective=True,
-           meta=("reduce_scatter", axes, dim_idx) if t.is_stacked
-           else None, specs=(spec, new_spec))
-    return out
+    return _collective(t, "reduce_scatter", axes, new_spec, t.per_chip_bytes,
+                       (stacked_kernels.reduce_scatter, _loop_reduce_scatter),
+                       dim_idx, meta=("reduce_scatter", axes, dim_idx))
 
 
 def all_reduce(t: ShardedTensor, axes: Sequence[str]) -> ShardedTensor:
@@ -268,30 +277,16 @@ def all_reduce(t: ShardedTensor, axes: Sequence[str]) -> ShardedTensor:
     this equivalence.
     """
     axes = tuple(axes)
-    mesh, spec = t.mesh, t.spec
-    tracer, start = _trace_start(mesh)
-    _fault_pre(mesh, "all_reduce", axes)
+    spec = t.spec
     if not set(axes) <= set(spec.partial_sum):
         raise ShardingError(
             f"all_reduce axes {axes} not all partial-sum axes of {spec}")
     new_partial = tuple(a for a in spec.partial_sum if a not in axes)
-    new_spec = spec.with_partial_sum(new_partial)
-    payload = t.per_chip_bytes
-    if t.is_stacked:
-        meta = stacked_kernels.group_meta(mesh, axes)
-        run = lambda s: stacked_kernels.all_reduce(s, meta)  # noqa: E731
-    else:
-        run = lambda s: _loop_all_reduce(mesh, s, axes)  # noqa: E731
-    shards = _fault_post(mesh, "all_reduce", axes, run(t.shards))
-    out = ShardedTensor(mesh, new_spec, t.global_shape, shards)
-    _observe(mesh, tracer, start,
-             CommRecord("all_reduce", axes, mesh.group_size(axes),
-                        2 * payload), out)
-    record(mesh, run, (t.shards,), out.shards, "all_reduce",
-           collective=True,
-           meta=("all_reduce", axes) if t.is_stacked else None,
-           specs=(spec, new_spec))
-    return out
+    return _collective(t, "all_reduce", axes,
+                       spec.with_partial_sum(new_partial),
+                       2 * t.per_chip_bytes,
+                       (stacked_kernels.all_reduce, _loop_all_reduce),
+                       meta=("all_reduce", axes))
 
 
 def all_to_all(t: ShardedTensor, axes: Sequence[str], src_dim: str,
@@ -302,35 +297,16 @@ def all_to_all(t: ShardedTensor, axes: Sequence[str], src_dim: str,
     pair in a group exchanges one block directly.
     """
     axes = tuple(axes)
-    mesh, spec = t.mesh, t.spec
-    tracer, start = _trace_start(mesh)
-    _fault_pre(mesh, "all_to_all", axes)
+    spec = t.spec
     if src_dim == dst_dim:
         raise ShardingError("all_to_all src_dim and dst_dim must differ")
     src_remaining = _require_suffix(spec.axes_for(src_dim), axes,
                                     "all_to_all")
-    src_idx = spec.dim_index(src_dim)
-    dst_idx = spec.dim_index(dst_dim)
     new_spec = spec.with_dim_axes(src_dim, src_remaining).with_dim_axes(
         dst_dim, spec.axes_for(dst_dim) + axes)
-    k = mesh.group_size(axes)
-    payload = t.per_chip_bytes
-    if t.is_stacked:
-        shards = stacked_kernels.all_to_all(mesh, t.shards, axes, src_idx,
-                                            dst_idx)
-        replay = lambda s: stacked_kernels.all_to_all(  # noqa: E731
-            mesh, s, axes, src_idx, dst_idx)
-    else:
-        shards = _loop_all_to_all(mesh, t.shards, axes, src_idx, dst_idx, k)
-        replay = lambda s: _loop_all_to_all(  # noqa: E731
-            mesh, s, axes, src_idx, dst_idx, k)
-    shards = _fault_post(mesh, "all_to_all", axes, shards)
-    out = ShardedTensor(mesh, new_spec, t.global_shape, shards)
-    _observe(mesh, tracer, start,
-             CommRecord("all_to_all", axes, k, payload), out)
-    record(mesh, replay, (t.shards,), out.shards, "all_to_all",
-           collective=True, specs=(spec, new_spec))
-    return out
+    return _collective(t, "all_to_all", axes, new_spec, t.per_chip_bytes,
+                       (stacked_kernels.all_to_all, _loop_all_to_all),
+                       spec.dim_index(src_dim), spec.dim_index(dst_dim))
 
 
 def split(t: ShardedTensor, axes: Sequence[str], dim: str) -> ShardedTensor:
@@ -341,28 +317,14 @@ def split(t: ShardedTensor, axes: Sequence[str], dim: str) -> ShardedTensor:
     along axes they were replicated on (Section 3.3).
     """
     axes = tuple(axes)
-    mesh, spec = t.mesh, t.spec
-    tracer, start = _trace_start(mesh)
-    _fault_pre(mesh, "split", axes)
-    used = set(spec.mesh_axes_used)
-    if used & set(axes):
+    spec = t.spec
+    if set(spec.mesh_axes_used) & set(axes):
         raise ShardingError(
             f"split axes {axes} overlap axes already used by {spec}")
-    dim_idx = spec.dim_index(dim)
     new_spec = spec.with_dim_axes(dim, spec.axes_for(dim) + axes)
-    k = mesh.group_size(axes)
-    if t.is_stacked:
-        shards = stacked_kernels.split(mesh, t.shards, axes, dim_idx)
-        replay = lambda s: stacked_kernels.split(  # noqa: E731
-            mesh, s, axes, dim_idx)
-    else:
-        shards = _loop_split(mesh, t.shards, axes, dim_idx, k)
-        replay = lambda s: _loop_split(mesh, s, axes, dim_idx, k)  # noqa: E731
-    out = ShardedTensor(mesh, new_spec, t.global_shape, shards)
-    _observe(mesh, tracer, start, CommRecord("split", axes, k, 0), out)
-    record(mesh, replay, (t.shards,), out.shards, "split",
-           collective=True, specs=(spec, new_spec))
-    return out
+    return _collective(t, "split", axes, new_spec, 0,
+                       (stacked_kernels.split, _loop_split),
+                       spec.dim_index(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -477,33 +439,25 @@ def sharded_einsum(subscripts: str, a: ShardedTensor, b: ShardedTensor
     out_spec, out_shape = einsum_output_layout(subscripts, a, b)
     mesh = a.mesh
     tracer, start = _trace_start(mesh)
-    letters = _parse_subscripts(subscripts)
-    shards, replay, stacked = _contract(mesh, letters, a.shards, b.shards)
+    shards = _contract(mesh, _parse_subscripts(subscripts), a.shards,
+                       b.shards, f"einsum:{subscripts}",
+                       (a.spec, b.spec, out_spec))
     out = ShardedTensor(mesh, out_spec, out_shape, shards)
     if tracer is not None:
         tracer.compute(subscripts, flops=_einsum_local_flops(subscripts, a, b),
                        elements=int(out.shards[0, 0, 0].size), start_s=start)
-    record(mesh, replay, (a.shards, b.shards), out.shards,
-           f"einsum:{subscripts}", arena=stacked,
-           meta=("einsum",) + letters if stacked else None,
-           specs=(a.spec, b.spec, out_spec))
     return out
 
 
 def _contract(mesh: VirtualMesh, letters: tuple[str, str, str],
-              a: np.ndarray, b: np.ndarray):
-    """``(shards, replay closure, stacked)`` of one local contraction:
+              a: np.ndarray, b: np.ndarray, label: str, specs: tuple):
+    """One local contraction through :func:`run_local`:
     :func:`repro.mesh.stacked.contract` once over the device grid, or
-    once per device on the loop backend."""
-    contract = stacked_kernels.contract
-    if a.dtype != object and b.dtype != object:
-        def replay(x, y, out=None):
-            return contract(*letters, x, y, out=out)
-        return contract(*letters, a, b), replay, True
-
-    def replay(x, y):
-        return mesh.map_devices(lambda c: contract(*letters, x[c], y[c]))
-    return replay(a, b), replay, False
+    once per device."""
+    def contract(x, y, out=None):
+        return stacked_kernels.contract(*letters, x, y, out=out)
+    return run_local(mesh, contract, (a, b), label, specs=specs, arena=True,
+                     meta=("einsum",) + letters)
 
 
 def concat_weights(weights: Sequence[ShardedTensor]
@@ -519,16 +473,17 @@ def concat_weights(weights: Sequence[ShardedTensor]
     def flat(shard, lead):
         return shard.reshape(shard.shape[:lead] + (-1,))
     mesh = weights[0].mesh
-    stacked = all(w.is_stacked for w in weights)
-    if stacked:  # the device axes and E lead
+    views = _column_views([w.local_shape[1:] for w in weights])
+    if all(w.is_stacked for w in weights):  # the device axes and E lead
         cat = np.concatenate([flat(w.shards, 4) for w in weights], axis=-1)
+        parts = [view(cat) for view in views]
     else:
         cat = mesh.map_devices(lambda c: np.concatenate(
             [flat(w.shards[c], 1) for w in weights], axis=-1))
-    views = _column_views(mesh, cat, [w.local_shape[1:] for w in weights],
-                          stacked)
+        parts = [mesh.map_devices(lambda c, view=view: view(cat[c]))
+                 for view in views]
     return cat, [ShardedTensor(mesh, w.spec, w.global_shape, shards)
-                 for w, (_, shards) in zip(weights, views)]
+                 for w, shards in zip(weights, parts)]
 
 
 def fused_projection(x: ShardedTensor,
@@ -551,18 +506,14 @@ def fused_projection(x: ShardedTensor,
     # ``ble,ez->blz``: z runs over every part's flattened columns.
     letters = (lhs, lhs[-1] + "z", lhs[:-1] + "z")
     layouts = [einsum_output_layout(subs, x, w) for subs, w in parts]
-    fused, replay, stacked = _contract(mesh, letters, x.shards, w_cat)
-    record(mesh, replay, (x.shards, w_cat), fused, "projection",
-           arena=stacked, meta=("einsum",) + letters if stacked else None,
-           specs=(x.spec, None, None))
+    fused = _contract(mesh, letters, x.shards, w_cat, "projection",
+                      (x.spec, None, None))
     tails = [spec.local_shape(shape, mesh.topology)[len(lhs) - 1:]
              for spec, shape in layouts]
-    outs = []
-    for (spec, shape), (replay_view, shards) in zip(
-            layouts, _column_views(mesh, fused, tails, stacked)):
-        record(mesh, replay_view, (fused,), shards, "projection_view",
-               specs=(None, spec))
-        outs.append(ShardedTensor(mesh, spec, shape, shards))
+    outs = [ShardedTensor(mesh, spec, shape,
+                          run_local(mesh, view, (fused,), "projection_view",
+                                    specs=(None, spec)))
+            for (spec, shape), view in zip(layouts, _column_views(tails))]
     if tracer is not None:
         tracer.compute("projection",
                        flops=sum(_einsum_local_flops(subs, x, w)
@@ -571,26 +522,19 @@ def fused_projection(x: ShardedTensor,
     return outs
 
 
-def _column_views(mesh: VirtualMesh, cat: np.ndarray, tails, stacked: bool):
-    """Consecutive column blocks of ``cat``'s trailing axis, one per
-    entry of ``tails``, each unflattened to that tail: a list of
-    ``(view closure, shards)``.  The closure maps the whole
-    ``cat`` to the block (per device on the loop backend); on the stacked
-    backend it is a pure view, marked ``const_view`` for the tape
-    optimizer."""
+def _column_views(tails) -> list:
+    """Views of consecutive column blocks of a trailing axis, one per
+    entry of ``tails``, each unflattened to that tail.  Each maps an
+    array (or one device's shard) to its block; a pure view, marked
+    ``const_view`` for the tape optimizer."""
     out, stop = [], 0
     for tail in tails:
         start, stop = stop, stop + math.prod(tail)
 
         def view(f, start=start, stop=stop, tail=tuple(tail)):
             return f[..., start:stop].reshape(f.shape[:-1] + tail)
-        if stacked:
-            view.const_view = True
-            fn = view
-        else:
-            def fn(f, view=view):
-                return mesh.map_devices(lambda c: view(f[c]))
-        out.append((fn, fn(cat)))
+        view.const_view = True
+        out.append(view)
     return out
 
 

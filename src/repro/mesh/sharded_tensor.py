@@ -11,11 +11,13 @@ Two shard representations are supported, chosen by the mesh backend:
 * **loop** — an object array of one numpy array per device;
 * **stacked** — one dense array of shape ``mesh.shape + local_shape``.
 
-Indexing ``t.shards[coord]`` yields that device's shard in either case, so
-per-device code works on both; the stacked form additionally lets the
-collectives and einsums in :mod:`repro.mesh.stacked` run as single
-whole-mesh numpy ops.  Mixed-representation arithmetic falls back to the
-per-device path.
+Indexing ``t.shards[coord]`` yields that device's shard in either case.
+Every device-local kernel runs through one dispatcher, :func:`run_local`:
+the kernel acts on trailing axes and broadcasts over leading ones, so it
+runs once over the whole device grid when every shard operand is
+stacked, and once per device otherwise (the loop backend, or a
+hand-built object array on a stacked mesh).  Either way the closure that
+ran is the one recorded for replay.
 """
 
 from __future__ import annotations
@@ -46,6 +48,51 @@ def record(mesh: VirtualMesh, fn, inputs: tuple, output, label: str, *,
     if recorder is not None:
         recorder.record(fn, inputs, output, label, collective=collective,
                         arena=arena, meta=meta, specs=specs)
+
+
+def run_local(mesh: VirtualMesh, fn: Callable, shards: Sequence, label: str,
+              *, specs: tuple, whole: tuple = (), arena: bool = False,
+              meta: tuple | None = None, replay: Callable | None = None):
+    """Run the device-local kernel ``fn`` and record the closure that ran.
+
+    ``fn(*shards, *whole)`` acts on trailing axes and broadcasts over
+    leading ones; ``whole`` holds inputs that are the same on every
+    device (the RoPE table), passed as they are.  When every array in
+    ``shards`` is stacked, ``fn`` runs once over the device grid and is
+    itself recorded, with ``arena`` (``fn`` then also takes ``out=``)
+    and ``meta`` for the tape optimizer — or ``replay`` in its place,
+    when given.  Otherwise ``fn`` runs once per device and that
+    per-device loop is recorded, an opaque instruction to the optimizer.
+    Returns the output shards; ``specs`` is as for :func:`record`.
+    """
+    inputs = tuple(shards) + whole
+    if all(stacked_kernels.is_stacked(s) for s in shards):
+        out = fn(*inputs)
+        record(mesh, replay or fn, inputs, out, label, arena=arena,
+               meta=meta, specs=specs)
+        return out
+    n = len(shards)
+
+    def per_device(*arrays):
+        return mesh.map_devices(
+            lambda c: fn(*(a[c] for a in arrays[:n]), *arrays[n:]))
+
+    out = per_device(*inputs)
+    record(mesh, per_device, inputs, out, label, specs=specs)
+    return out
+
+
+def _loop_from_global(mesh: VirtualMesh, array: np.ndarray, spec: ShardSpec,
+                      local: tuple[int, ...]) -> np.ndarray:
+    """Loop-backend sharding (see :meth:`ShardedTensor.from_global`)."""
+    def make(coord):
+        slices = []
+        for dim_idx, axes in enumerate(spec.axes):
+            rank = mesh.rank_in_group(coord, axes)
+            size = local[dim_idx]
+            slices.append(slice(rank * size, (rank + 1) * size))
+        return np.ascontiguousarray(array[tuple(slices)])
+    return mesh.map_devices(make)
 
 
 def _loop_to_global(mesh: VirtualMesh, spec: ShardSpec,
@@ -93,7 +140,7 @@ class ShardedTensor:
         self.global_shape = tuple(global_shape)
         self.shards = shards
         expected = spec.local_shape(self.global_shape, mesh.topology)
-        if shards.dtype != object:
+        if self.is_stacked:
             if shards.shape != mesh.shape + expected:
                 raise ShardingError(
                     f"stacked shards have shape {shards.shape}, spec "
@@ -125,36 +172,19 @@ class ShardedTensor:
             raise ShardingError(
                 "cannot construct a partial-sum tensor from a global array")
         local = spec.local_shape(array.shape, mesh.topology)
-
         if mesh.backend == "stacked":
-            shards = stacked_kernels.from_global(mesh, array, spec, local)
-            record(mesh,
-                   lambda g: stacked_kernels.from_global(mesh, g, spec,
-                                                         local),
-                   (array,), shards, f"from_global:{spec}",
-                   meta=("from_global", spec, local), specs=(None, spec))
-            return cls(mesh, spec, array.shape, shards)
+            kernel, meta = (stacked_kernels.from_global,
+                            ("from_global", spec, local))
+        else:
+            kernel, meta = _loop_from_global, None
 
-        def make_shards(global_array):
-            def make(coord):
-                slices = []
-                for dim_idx, axes in enumerate(spec.axes):
-                    rank = mesh.rank_in_group(coord, axes)
-                    size = local[dim_idx]
-                    slices.append(slice(rank * size, (rank + 1) * size))
-                return np.ascontiguousarray(global_array[tuple(slices)])
-            return mesh.map_devices(make)
+        def run(global_array):
+            return kernel(mesh, global_array, spec, local)
 
-        shards = make_shards(array)
-        record(mesh, make_shards, (array,), shards, f"from_global:{spec}",
-               specs=(None, spec))
+        shards = run(array)
+        record(mesh, run, (array,), shards, f"from_global:{spec}",
+               meta=meta, specs=(None, spec))
         return cls(mesh, spec, array.shape, shards)
-
-    @classmethod
-    def replicated(cls, mesh: VirtualMesh, array: np.ndarray,
-                   dims: str) -> "ShardedTensor":
-        """Replicate a global array on every device."""
-        return cls.from_global(mesh, array, ShardSpec.replicated(dims))
 
     # -- reassembly ---------------------------------------------------------
 
@@ -168,63 +198,19 @@ class ShardedTensor:
         mesh, spec = self.mesh, self.spec
         gshape = self.global_shape
         if self.is_stacked:
-            out = stacked_kernels.to_global(mesh, spec, gshape, self.shards,
-                                            check_replication)
-            kernel = stacked_kernels.to_global
+            kernel, meta = stacked_kernels.to_global, ("to_global", spec,
+                                                       gshape)
         else:
-            out = _loop_to_global(mesh, spec, gshape, self.shards,
-                                  check_replication)
-            kernel = _loop_to_global
+            kernel, meta = _loop_to_global, None
+        out = kernel(mesh, spec, gshape, self.shards, check_replication)
         # Replay skips the replication check: the captured step already
         # verified it, and replay reproduces the same bits by contract.
         record(mesh, lambda s: kernel(mesh, spec, gshape, s, False),
-               (self.shards,), out, f"to_global:{spec}",
-               meta=("to_global", spec, gshape) if self.is_stacked
-               else None, specs=(spec,))
+               (self.shards,), out, f"to_global:{spec}", meta=meta,
+               specs=(spec,))
         return out
 
     # -- elementwise / structural helpers ----------------------------------
-
-    def map_shards(self, fn: Callable[[np.ndarray], np.ndarray],
-                   spec: ShardSpec | None = None,
-                   global_shape: Sequence[int] | None = None,
-                   *, elementwise: bool = False) -> "ShardedTensor":
-        """Apply a per-device function to every shard.
-
-        ``fn`` must be shape-preserving unless a new ``spec``/
-        ``global_shape`` describing the result is given.  Elementwise
-        functions commute with sharding but not with partial sums; callers
-        must not apply nonlinear ``fn`` to partial-sum tensors (asserted).
-
-        With ``elementwise=True`` the caller additionally promises that
-        ``fn`` broadcasts over arbitrary leading axes (true for anything
-        acting pointwise or over trailing dims only) and accepts an
-        ``out=`` buffer; on the stacked backend this applies ``fn`` once
-        to the whole dense array instead of once per device, and replays
-        it into an arena buffer.
-        """
-        mesh = self.mesh
-        fast = self.is_stacked and elementwise
-        if fast:
-            shards = fn(self.shards)
-            replay = fn
-        elif self.is_stacked:
-            def replay(dense):
-                results = [fn(dense[coord]) for coord in mesh.devices()]
-                return np.stack(results).reshape(
-                    mesh.shape + results[0].shape)
-            shards = replay(self.shards)
-        else:
-            shards = mesh.map_devices(lambda c: fn(self.shards[c]))
-            replay = lambda s: mesh.map_devices(  # noqa: E731
-                lambda c: fn(s[c]))
-        out_spec = spec or self.spec
-        record(mesh, replay, (self.shards,), shards,
-               fn.__name__ if fast else "map_shards", arena=fast,
-               meta=("elementwise",) if fast else None,
-               specs=(self.spec, out_spec))
-        return ShardedTensor(mesh, out_spec,
-                             global_shape or self.global_shape, shards)
 
     def __add__(self, other: "ShardedTensor") -> "ShardedTensor":
         if not isinstance(other, ShardedTensor):
@@ -232,21 +218,10 @@ class ShardedTensor:
         if self.spec != other.spec or self.global_shape != other.global_shape:
             raise ShardingError(
                 f"cannot add tensors with specs {self.spec} vs {other.spec}")
-        mesh = self.mesh
-        if self.is_stacked and other.is_stacked:
-            shards = self.shards + other.shards
-            record(mesh, lambda x, y, out=None: np.add(x, y, out=out),
-                   (self.shards, other.shards), shards, "add", arena=True,
-                   meta=("elementwise",),
-                   specs=(self.spec, self.spec, self.spec))
-        else:
-            shards = mesh.map_devices(
-                lambda c: self.shards[c] + other.shards[c])
-            record(mesh,
-                   lambda x, y: mesh.map_devices(lambda c: x[c] + y[c]),
-                   (self.shards, other.shards), shards, "add",
-                   specs=(self.spec, self.spec, self.spec))
-        return ShardedTensor(mesh, self.spec, self.global_shape, shards)
+        shards = run_local(self.mesh, np.add, (self.shards, other.shards),
+                           "add", specs=(self.spec,) * 3, arena=True,
+                           meta=("elementwise",))
+        return ShardedTensor(self.mesh, self.spec, self.global_shape, shards)
 
     @property
     def local_shape(self) -> tuple[int, ...]:

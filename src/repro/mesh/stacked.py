@@ -72,35 +72,6 @@ def is_stacked(shards: np.ndarray) -> bool:
     return isinstance(shards, np.ndarray) and shards.dtype != object
 
 
-def stack_shards(mesh, shards: np.ndarray) -> np.ndarray:
-    """Convert an object array of per-device shards to the dense form."""
-    if is_stacked(shards):
-        return shards
-    first = shards[0, 0, 0]
-    out = np.empty(mesh.shape + first.shape, dtype=first.dtype)
-    for coord in mesh.devices():
-        out[coord] = shards[coord]
-    return out
-
-
-def unstack_shards(mesh, dense: np.ndarray) -> np.ndarray:
-    """Convert a dense stacked array to an object array of per-device
-    shards.
-
-    A contiguous slice of ``dense`` is kept as a view; only
-    non-contiguous slices (e.g. of a transposed stacked array) are
-    copied, so the common unstack of a freshly materialized stacked
-    tensor allocates nothing.
-    """
-    out = mesh.empty_shards()
-    for coord in mesh.devices():
-        shard = dense[coord]
-        if not shard.flags["C_CONTIGUOUS"]:
-            shard = np.ascontiguousarray(shard)
-        out[coord] = shard
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Device-axis rearrangement
 # ---------------------------------------------------------------------------
@@ -130,20 +101,6 @@ def group_meta(mesh, axes: Sequence[str]):
     """The :func:`_axes_meta` of communication groups over ``axes``:
     the resolved parameter the collectives below take."""
     return _axes_meta(mesh.shape, tuple(mesh.axis_indices(axes)))
-
-
-def _group_view(mesh, shards: np.ndarray, axes: Sequence[str]):
-    """Rearrange ``[d0, d1, d2, *local]`` to ``[rest..., K, *local]``.
-
-    The merged ``K`` axis enumerates each communication group row-major in
-    ``axes`` order (matching ``mesh.groups``/``rank_in_group``).  Returns
-    the rearranged array plus the metadata needed by :func:`_ungroup`.
-    """
-    meta = group_meta(mesh, axes)
-    rest, part, _, rest_shape, _, k = meta
-    moved = shards.transpose(rest + part + tuple(range(3, shards.ndim)))
-    grouped = moved.reshape(rest_shape + (k,) + shards.shape[3:])
-    return grouped, meta
 
 
 def _ungroup(arr: np.ndarray, meta, new_local: Sequence[int],
@@ -189,13 +146,18 @@ def _replicate(arr: np.ndarray, meta) -> np.ndarray:
 # Collectives
 # ---------------------------------------------------------------------------
 #
-# ``all_gather``, ``reduce_scatter`` and ``all_reduce`` take their groups
-# already resolved (``meta``, from :func:`group_meta`): :mod:`repro.mesh.ops`
-# resolves them once per op and records the same call as its replay
-# closure.
+# Every collective takes its groups already resolved (``meta``, from
+# :func:`group_meta`): :mod:`repro.mesh.ops` resolves them once per op and
+# records the same call as its replay closure.
 
-def _grouped_view_meta(shards: np.ndarray, meta):
-    """:func:`_group_view` against already-resolved ``meta``."""
+def _group_view(shards: np.ndarray, meta):
+    """Rearrange ``[d0, d1, d2, *local]`` to ``[rest..., K, *local]``.
+
+    The merged ``K`` axis enumerates each communication group row-major in
+    the group axes' order (matching ``mesh.groups``/``rank_in_group``);
+    ``meta`` is the groups' :func:`group_meta`, which :func:`_ungroup`
+    takes to undo it.
+    """
     rest, part, _, rest_shape, _, k = meta
     moved = shards.transpose(rest + part + tuple(range(3, shards.ndim)))
     return moved.reshape(rest_shape + (k,) + shards.shape[3:])
@@ -203,7 +165,7 @@ def _grouped_view_meta(shards: np.ndarray, meta):
 
 def all_gather(shards: np.ndarray, dim_idx: int, meta) -> np.ndarray:
     """Concatenate each group's shards along ``dim_idx``, replicated."""
-    grouped = _grouped_view_meta(shards, meta)
+    grouped = _group_view(shards, meta)
     nrest = len(meta[0])
     k = meta[5]
     local = shards.shape[3:]
@@ -221,7 +183,7 @@ def all_gather(shards: np.ndarray, dim_idx: int, meta) -> np.ndarray:
 
 def reduce_scatter(shards: np.ndarray, dim_idx: int, meta) -> np.ndarray:
     """Sum each group sequentially, scatter chunks of ``dim_idx`` by rank."""
-    grouped = _grouped_view_meta(shards, meta)
+    grouped = _group_view(shards, meta)
     nrest = len(meta[0])
     k = meta[5]
     local = shards.shape[3:]
@@ -236,7 +198,7 @@ def reduce_scatter(shards: np.ndarray, dim_idx: int, meta) -> np.ndarray:
 
 def all_reduce(shards: np.ndarray, meta) -> np.ndarray:
     """Sum each group sequentially, replicating the total."""
-    grouped = _grouped_view_meta(shards, meta)
+    grouped = _group_view(shards, meta)
     total = np.ascontiguousarray(_group_sum(grouped, len(meta[0])))
     return _ungroup(_replicate(total, meta), meta, shards.shape[3:],
                     materialize=False)
@@ -272,7 +234,7 @@ def _full_collective_table(mesh_shape: tuple[int, int, int],
         table.setflags(write=False)
         return table, table.shape
 
-    gidx = np.ascontiguousarray(_grouped_view_meta(probe, meta))
+    gidx = np.ascontiguousarray(_group_view(probe, meta))
     rows = tuple((slice(None),) * nrest + (rank,) for rank in range(k))
     summed_shape = meta[3] + local
     probe2 = np.arange(int(np.prod(summed_shape))).reshape(summed_shape)
@@ -427,10 +389,10 @@ def prebind_collective_indexed(mesh, kind: str, axes: Sequence[str],
     return run
 
 
-def all_to_all(mesh, shards: np.ndarray, axes: Sequence[str],
-               src_idx: int, dst_idx: int) -> np.ndarray:
+def all_to_all(shards: np.ndarray, src_idx: int, dst_idx: int,
+               meta) -> np.ndarray:
     """Gather into ``src_idx``, scatter out of ``dst_idx`` (per group)."""
-    grouped, meta = _group_view(mesh, shards, axes)
+    grouped = _group_view(shards, meta)
     nrest = len(meta[0])
     k = meta[5]
     local = shards.shape[3:]
@@ -446,10 +408,9 @@ def all_to_all(mesh, shards: np.ndarray, axes: Sequence[str],
     return _ungroup(out, meta, new_local)
 
 
-def split(mesh, shards: np.ndarray, axes: Sequence[str],
-          dim_idx: int) -> np.ndarray:
+def split(shards: np.ndarray, dim_idx: int, meta) -> np.ndarray:
     """Each device keeps its own rank's chunk of its replica (no comm)."""
-    grouped, meta = _group_view(mesh, shards, axes)
+    grouped = _group_view(shards, meta)
     nrest = len(meta[0])
     k = meta[5]
     local = shards.shape[3:]

@@ -65,14 +65,13 @@ def spy_kernel(monkeypatch):
 
 
 def spy_layer(monkeypatch):
-    """Record ``(global Q, offset, global output)`` per sharded attention."""
+    """Record ``(global Q, global output)`` per sharded attention."""
     calls = []
     real = layouts_model.local_attention
 
-    def spy(mesh, out_spec, out_shape, q, k_shards, v_shards, q_offset):
-        out = real(mesh, out_spec, out_shape, q, k_shards, v_shards,
-                   q_offset)
-        calls.append((q.to_global(), q_offset, out.to_global()))
+    def spy(mesh, out_spec, out_shape, q, k_shards, v_shards):
+        out = real(mesh, out_spec, out_shape, q, k_shards, v_shards)
+        calls.append((q.to_global(), out.to_global()))
         return out
 
     monkeypatch.setattr(layouts_model, "local_attention", spy)
@@ -97,10 +96,11 @@ def test_every_path_gives_the_kernel_bits(case, backend, chunk,
     calls = spy_layer(monkeypatch)
     model.forward(first, eager_caches)
     assert len(calls) == config.n_layers
-    for (q, offset, out), cache in zip(calls, eager_caches):
+    # The chunk's queries follow the 3-token prompt.
+    for (q, out), cache in zip(calls, eager_caches):
         k, v = (t.to_global() for t in cache.as_sharded())
-        assert k.shape[1] == offset + chunk
-        assert bits_equal(out, attention(q, k, v, offset))
+        assert k.shape[1] == 3 + chunk
+        assert bits_equal(out, attention(q, k, v, 3))
 
     # Captured replay vs the eager step it replays.
     _, program = capture_chunk(model, first, caches)

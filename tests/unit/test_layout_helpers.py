@@ -112,7 +112,7 @@ class TestZipShards:
         at = ShardedTensor.from_global(mesh, a, "BE_y")
         bt = ShardedTensor.from_global(mesh, b, "B")
         out = zip_shards(at.spec, at.global_shape,
-                         lambda x, y: x * y[:, None], at, bt)
+                         lambda x, y: x * y[..., None], at, bt)
         np.testing.assert_allclose(out.to_global(), a * b[:, None])
 
 
@@ -128,6 +128,6 @@ class TestLocalAttention:
         k_shards = mesh.map_devices(lambda c: k)
         v_shards = mesh.map_devices(lambda c: v)
         out = local_attention(mesh, qt.spec, q.shape, qt, k_shards,
-                              v_shards, q_offset=2)
+                              v_shards)
         np.testing.assert_allclose(out.to_global(),
                                    attention(q, k, v, 2), rtol=1e-10)

@@ -32,7 +32,8 @@ from repro.mesh import (
     sharded_einsum,
     split,
 )
-from repro.model import init_weights
+from repro.mesh.capture import capturing
+from repro.model import init_weights, tiny_test_config
 from repro.partitioning import (
     AttentionLayoutKind,
     FfnLayoutKind,
@@ -267,6 +268,40 @@ def test_decode_logits_identical(shape):
     for loop, stacked in zip(*runs):
         assert loop.dtype == stacked.dtype
         np.testing.assert_array_equal(loop, stacked)
+
+# The serving benchmark's models and the plans its deployments pick at
+# decode batch 4.
+BENCH_DEPLOYMENTS = {
+    "A": (dict(n_layers=2, d_model=64, d_ff=128, n_heads=16, d_head=4,
+               vocab_size=32), (4, 4, 4),
+          LayoutPlan(FfnLayoutKind.WS_2D, AttentionLayoutKind.HEAD)),
+    "B": (dict(n_layers=2, d_model=16, d_ff=32, n_heads=8, d_head=8,
+               vocab_size=32), (2, 2, 2),
+          LayoutPlan(FfnLayoutKind.WS_1D, AttentionLayoutKind.HEAD)),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 4], ids=["decode", "prefill"])
+@pytest.mark.parametrize("name", BENCH_DEPLOYMENTS)
+def test_backends_record_the_same_ops(name, chunk):
+    """Every mesh op runs through one dispatcher that records the closure
+    that ran, so both backends' raw capture tapes list the same ops."""
+    config, shape, plan = BENCH_DEPLOYMENTS[name]
+    weights = init_weights(tiny_test_config(**config), seed=0)
+    rng = np.random.default_rng(2)
+    prompt = rng.integers(0, 32, size=(4, 5))
+    tokens = rng.integers(0, 32, size=(4, chunk))
+    tapes = []
+    for backend in BACKENDS:
+        model = ShardedTransformer(weights, VirtualMesh(shape, backend),
+                                   plan)
+        _, caches = model.prefill(prompt, 12)
+        with capturing(model.mesh, caches) as recorder:
+            model.forward(tokens, caches)
+        tapes.append([ins.label for ins in recorder._instrs])
+    assert tapes[0] == tapes[1]
+    assert len(tapes[0]) > 50
+
 
 # ---------------------------------------------------------------------------
 # Memoization satellites

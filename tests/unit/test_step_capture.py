@@ -6,11 +6,9 @@ later steps **bit-identically** on both mesh backends,
 on any mesh of the same shape with the same weights, invalidates on any
 shape/plan/weights/batch-shape change, falls back to eager
 execution whenever a scheduled fault is live, and emits one condensed
-``kind="replay"`` span per step.  Alongside it, the satellite:
-``stack_shards``/``unstack_shards`` round-trips (including the no-copy
-contiguous unstack).  Every stacked capture here is also checked by
-:mod:`tests.unit.replica_check`: what the optimizer collapsed is really
-replicated in the eager step's arrays.
+``kind="replay"`` span per step.  Every stacked capture here is also
+checked by :mod:`tests.unit.replica_check`: what the optimizer collapsed
+is really replicated in the eager step's arrays.
 """
 
 import dataclasses
@@ -39,7 +37,6 @@ from repro.mesh.faults import (
     CollectiveTimeout,
     FaultPlan,
 )
-from repro.mesh.stacked import stack_shards, unstack_shards
 from repro.model import init_weights, tiny_test_config
 from repro.partitioning import (
     AttentionLayoutKind,
@@ -388,53 +385,3 @@ class TestReplaySpan:
         # Condensed means condensed: no per-op collective spans leaked.
         assert not [s for s in tracer.spans if s.kind == "collective"]
 
-
-class TestStackUnstackShards:
-    """Satellites: the no-copy contiguous unstack and round-trips."""
-
-    def test_contiguous_unstack_is_a_view(self):
-        mesh = VirtualMesh((1, 2, 2), backend="stacked")
-        dense = np.empty(mesh.shape + (3, 5))
-        dense[...] = np.arange(4 * 3 * 5).reshape(dense.shape)
-        shards = unstack_shards(mesh, dense)
-        for coord in mesh.devices():
-            assert shards[coord].base is dense  # view, not a copy
-            assert np.array_equal(shards[coord], dense[coord])
-
-    def test_noncontiguous_unstack_copies_correctly(self):
-        mesh = VirtualMesh((1, 2, 2), backend="stacked")
-        dense = np.arange(4 * 3 * 5, dtype=np.float64).reshape(
-            mesh.shape + (3, 5))
-        swapped = dense.swapaxes(-1, -2)  # slices are not C-contiguous
-        shards = unstack_shards(mesh, swapped)
-        for coord in mesh.devices():
-            assert shards[coord].flags["C_CONTIGUOUS"]
-            assert np.array_equal(shards[coord], swapped[coord])
-
-    def test_round_trip_noncontiguous_shards(self):
-        mesh = VirtualMesh((1, 2, 2), backend="loop")
-        rng = np.random.default_rng(0)
-        shards = mesh.empty_shards()
-        for coord in mesh.devices():
-            shards[coord] = rng.normal(size=(5, 3)).T  # F-contiguous
-        dense = stack_shards(mesh, shards)
-        assert dense.shape == mesh.shape + (3, 5)
-        back = unstack_shards(mesh, dense)
-        for coord in mesh.devices():
-            assert np.array_equal(back[coord], shards[coord])
-
-    def test_round_trip_zero_size_shards(self):
-        mesh = VirtualMesh((1, 1, 2), backend="loop")
-        shards = mesh.empty_shards()
-        for coord in mesh.devices():
-            shards[coord] = np.zeros((0, 4))
-        dense = stack_shards(mesh, shards)
-        assert dense.shape == mesh.shape + (0, 4)
-        back = unstack_shards(mesh, dense)
-        for coord in mesh.devices():
-            assert back[coord].shape == (0, 4)
-
-    def test_stack_of_stacked_is_identity(self):
-        mesh = VirtualMesh((1, 1, 2), backend="stacked")
-        dense = np.ones(mesh.shape + (2, 2))
-        assert stack_shards(mesh, dense) is dense
