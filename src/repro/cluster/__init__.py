@@ -12,6 +12,8 @@ the simulated substrate so every behavior is deterministic and testable:
   errors, never timeouts;
 - :mod:`~repro.cluster.control_plane` — dispatch, failover, planned
   drain and hedged decode over a virtual clock;
+- :mod:`~repro.cluster.pricing` — :class:`CostModel`, the one place
+  that prices a virtual-clock charge;
 - :mod:`~repro.cluster.workload` — seeded trace-driven load generation
   (diurnal curves, bursts, heavy-tailed lengths, priority mixes);
 - :mod:`~repro.cluster.autoscaler` — the SLO-aware scaling loop and the

@@ -37,14 +37,11 @@ from repro.cluster.control_plane import (
     ClusterRequestStatus,
 )
 from repro.cluster.disagg import default_pools
+from repro.cluster.pricing import SLOW_COSTS
 from repro.cluster.workload import TRACES, generate_trace
 from repro.model import init_weights, tiny_test_config
 from repro.observability.metrics import slo_summary
-from repro.serving.resilient import CostModel
 
-#: Virtual replica speed for every bench run: slow enough that the
-#: traces' bursts create real queueing pressure on a small fleet.
-BENCH_COSTS = CostModel(prefill_s=0.05, decode_step_s=0.01)
 BENCH_CLUSTER_POLICY = ClusterPolicy(max_batch_wait_s=0.05)
 
 #: Per-trace control policies.  ``flash-crowd`` pins the fleet at one
@@ -79,7 +76,7 @@ def _serve(trace: str, seed: int, backend: str,
     plane = ClusterControlPlane(
         weights, [(2, 2, 2)] * n_replicas, backend=backend,
         decode_batch=4, classes=spec.priority_classes(),
-        costs=BENCH_COSTS, policy=BENCH_CLUSTER_POLICY,
+        costs=SLOW_COSTS, policy=BENCH_CLUSTER_POLICY,
         autoscaler=autoscaler)
     outcomes = plane.serve(submissions)
     return plane, outcomes
@@ -239,15 +236,14 @@ def autoscale_bench(*, backend: str = "loop", seed: int = 0,
 
 # -- disaggregated prefill/decode vs colocated (BENCH_disagg.json) ----------
 
-#: The disagg benchmark's cost model: the bench fleet speed plus the
+#: The disagg benchmark's cost model: :data:`SLOW_COSTS` plus the
 #: Section 3.2 specialization payoff — a pool steered to its phase's
 #: end of the Pareto frontier (2D weight-stationary prefill,
 #: weight-gathered decode) runs that phase at 0.6x the balanced cost.
 #: Colocated replicas stay on the balanced plan (one plan must serve
 #: both phases), so they keep the exact legacy numbers.
-DISAGG_COSTS = CostModel(
-    prefill_s=0.05, decode_step_s=0.01,
-    prefill_profile_factors=(("weight-stationary", 0.6),),
+DISAGG_COSTS = replace(
+    SLOW_COSTS, prefill_profile_factors=(("weight-stationary", 0.6),),
     decode_profile_factors=(("weight-gathered", 0.6),))
 
 #: Pool shapes for the benchmark fleet: one prefill replica and one
@@ -424,7 +420,7 @@ def _serve_prefix(trace: str, seed: int, backend: str, shape,
         replace(BENCH_CLUSTER_POLICY, kvstore_pages=0)
     plane = ClusterControlPlane(
         weights, [shape], backend=backend, decode_batch=4,
-        classes=spec.priority_classes(), costs=BENCH_COSTS, policy=policy)
+        classes=spec.priority_classes(), costs=SLOW_COSTS, policy=policy)
     outcomes = plane.serve(submissions)
     return plane, outcomes
 

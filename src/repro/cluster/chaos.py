@@ -77,6 +77,7 @@ from repro.cluster.control_plane import (
 )
 from repro.cluster.disagg import PoolPartition, PoolSpec, default_pools
 from repro.cluster.journal import JournalTruncated, replay_journal
+from repro.cluster.pricing import SLOW_COSTS, CostModel
 from repro.cluster.workload import TRACES, generate_trace
 from repro.mesh.faults import (
     ChipKill,
@@ -91,7 +92,6 @@ from repro.observability.metrics import (
 )
 from repro.observability.spans import record_marks
 from repro.serving.engine import Request
-from repro.serving.resilient import CostModel
 
 Coord = tuple[int, int, int]
 
@@ -246,7 +246,7 @@ SCENARIOS: dict[str, ChaosScenario] = {s.name: s for s in (
             min_replicas=1, max_replicas=1, scale_out_pressure=6.0,
             brownout_enter_pressure=8.0, brownout_exit_pressure=2.0,
             recover_after=2),
-        costs=CostModel(prefill_s=0.05, decode_step_s=0.01),
+        costs=SLOW_COSTS,
         policy=ClusterPolicy(max_batch_wait_s=0.05),
         allow_rejections=True,
         expect_brownout=True,
@@ -265,7 +265,7 @@ SCENARIOS: dict[str, ChaosScenario] = {s.name: s for s in (
             min_replicas=2, max_replicas=3, scale_out_pressure=1.0,
             scale_in_pressure=0.5, up_after=2, down_after=4,
             spinup_s=0.1),
-        costs=CostModel(prefill_s=0.05, decode_step_s=0.01),
+        costs=SLOW_COSTS,
         policy=ClusterPolicy(max_batch_wait_s=0.05),
         expect_failovers=True,
         expect_scale_out=True,
@@ -341,7 +341,7 @@ SCENARIOS: dict[str, ChaosScenario] = {s.name: s for s in (
         classes=TRACES["chatbot-sessions"].priority_classes(),
         fault_plans=((0, FaultPlan(faults=(
             ChipKill(chip=(0, 1, 0), at_step=2, phase="decode"),))),),
-        costs=CostModel(prefill_s=0.05, decode_step_s=0.01),
+        costs=SLOW_COSTS,
         policy=ClusterPolicy(max_batch_wait_s=0.05),
         expect_failovers=True,
         expect_page_hits=True,
@@ -359,7 +359,7 @@ SCENARIOS: dict[str, ChaosScenario] = {s.name: s for s in (
             min_replicas=2, max_replicas=2, scale_out_pressure=6.0,
             brownout_enter_pressure=8.0, brownout_exit_pressure=2.0,
             recover_after=2),
-        costs=CostModel(prefill_s=0.05, decode_step_s=0.01),
+        costs=SLOW_COSTS,
         policy=ClusterPolicy(max_batch_wait_s=0.05),
         allow_rejections=True,
         expect_brownout=True,

@@ -32,9 +32,10 @@ place, on the replica replanned around any dead chip):
   (``pool_of``) is empty on a colocated plane, where every replica runs
   both phases.
 
-Time is *virtual* throughout: every model invocation charges its
-:class:`~repro.serving.resilient.CostModel` cost (scaled by replica
-degradation, plus injected straggler delay).  Each dispatched group is
+Time is *virtual* throughout: every model invocation, failover, drain,
+plan switch, restart and KV handoff is priced by one call on the plane's
+:class:`~repro.cluster.pricing.CostModel` (injected straggler delay,
+retry backoff and autoscaler spin-up add to it).  Each dispatched group is
 a :class:`GroupTask`; the plane advances one group (and its hedge) to
 completion before it dispatches the next, so replicas never serve at
 the same modeled time — ``busy_until_s`` only sets when each may start.
@@ -72,7 +73,6 @@ from repro.cluster.disagg import (
     HandoffAborted,
     PoolPartition,
     PoolSpec,
-    handoff_transfer_s,
 )
 from repro.cluster.journal import (
     ControlPlaneState,
@@ -82,24 +82,19 @@ from repro.cluster.journal import (
     replay_journal,
     token_crc,
 )
+from repro.cluster.pricing import CostModel
 from repro.cluster.replica import GroupRun, Replica, ReplicaHealth
 from repro.mesh.capture import ProgramStore
 from repro.mesh.faults import FaultPlan, MeshFault, ReplicaCrashed
 from repro.observability.spans import Tracer
 from repro.serving.backoff import jittered_backoff_s
 from repro.serving.engine import Completion, Request, require_unique_ids
-from repro.serving.resilient import CostModel
 
 Coord = tuple[int, int, int]
 
-# Control-plane overheads and hedging thresholds, in virtual seconds.
-FAILOVER_OVERHEAD_S = 0.05  # detect + re-dispatch cost
-DRAIN_MIGRATE_S = 0.02      # host-mediated KV transfer cost
+# Hedging thresholds.
 HEDGE_SLOWDOWN = 3.0        # observed/expected step-time ratio
 HEDGE_AFTER_STEPS = 2       # consecutive slow steps to hedge
-PLAN_SWITCH_S = 0.01        # decode-plan reshard (host-side)
-COLD_RESTART_S = 0.25       # process death: re-shard + re-init
-WARM_REJOIN_S = 0.05        # journal-guided rejoin (cache inval)
 
 
 @dataclass(frozen=True)
@@ -195,14 +190,12 @@ class RestartSpec:
     the mesh replans around it — a restart takes the whole replica
     process down at ``at_s``.  A group running there at that moment
     fails over (re-prefill elsewhere); the replica itself comes back
-    after the policy's restart downtime:
+    after the downtime :meth:`CostModel.restart` prices for ``mode``:
 
     * ``mode="cold"`` — full restart: re-shard the weights, rebuild
-      both phase models, empty capture caches
-      (``COLD_RESTART_S``).
+      both phase models, empty capture caches.
     * ``mode="warm"`` — journal-guided rejoin: the process state
-      survives, only the capture caches are invalidated
-      (``WARM_REJOIN_S``).
+      survives, only the capture caches are invalidated.
     """
 
     at_s: float
@@ -606,8 +599,7 @@ class ClusterControlPlane:
     def _restart_replica(self, replica: Replica, t: float,
                          mode: str) -> None:
         replica.restart(mode)
-        downtime = COLD_RESTART_S if mode == "cold" else WARM_REJOIN_S
-        ready = max(replica.busy_until_s, t) + downtime
+        ready = max(replica.busy_until_s, t) + self.costs.restart(mode)
         replica.busy_until_s = ready
         self.restarts += 1
         self.journal.record(ev.REPLICA_REJOINED, t_s=t, replica=replica.name,
@@ -791,7 +783,7 @@ class ClusterControlPlane:
         come back); colocated or collapsed, to the target decode
         profile.  Plan switches happen only at group boundaries (never
         mid-decode, the KV layout must stay put) and charge
-        ``PLAN_SWITCH_S``.
+        :meth:`CostModel.plan_switch`.
         """
         if self.pool_of and not self.pools_collapsed:
             switched = self._steer_to_pool(replica, t)
@@ -799,7 +791,7 @@ class ClusterControlPlane:
             desired = self.target_profile or "balanced"
             switched = replica.profile != desired and \
                 replica.switch_profile(desired, t)
-        return PLAN_SWITCH_S if switched else 0.0
+        return self.costs.plan_switch() if switched else 0.0
 
     def _steer_to_pool(self, replica: Replica, t: float) -> bool:
         """Switch a pooled replica's prefill and decode plans to its
@@ -1007,8 +999,7 @@ class ClusterControlPlane:
         self._set_now(task.t)
         self.decode_tokens += len(run.group)
         self._autoscale(task.t)
-        expected = self.costs.decode_cost_s(run.replica.profile) \
-            * run.replica.scale
+        expected = self.costs.decode_step(run.replica)
         task.slow_steps = task.slow_steps + 1 \
             if dt > HEDGE_SLOWDOWN * expected else 0
         if not task.hedged and self.hedging_enabled and \
@@ -1071,7 +1062,7 @@ class ClusterControlPlane:
                     ev.FAILOVER, t_s=t, group=gid, mode="re-prefill",
                     source=run.replica.name, target=target.name,
                     error=error)
-                task.t = max(t + FAILOVER_OVERHEAD_S,
+                task.t = max(t + self.costs.failover(),
                              target.busy_until_s)
                 task.run = GroupRun(target, run.group)
                 return
@@ -1234,7 +1225,7 @@ class ClusterControlPlane:
                 # A.1 link (storage traded for transfer, the Mooncake
                 # recipe applied to the handoff).
                 uncached, saved = self._uncached_bytes(run, target)
-                transfer_s = handoff_transfer_s(uncached)
+                transfer_s = self.costs.handoff(uncached)
                 # The source is occupied until the transfer completes
                 # (a drain or scale-in of it waits at least that long);
                 # decode starts at whichever of transfer-done /
@@ -1398,12 +1389,11 @@ class ClusterControlPlane:
         try:
             new_run = run.migrate_to(target)
             mode = "cache-migration"
-            t = max(t + DRAIN_MIGRATE_S, target.busy_until_s)
+            t = max(t + self.costs.drain(), target.busy_until_s)
         except ValueError as exc:
             new_run = GroupRun(target, run.group)
             mode = "re-prefill"
-            t = max(t + FAILOVER_OVERHEAD_S,
-                    target.busy_until_s)
+            t = max(t + self.costs.failover(), target.busy_until_s)
             self.journal.record(ev.FAULT_DETECTED, t_s=t, replica=source.name,
                                 error="CacheMigrationFailed",
                                 detail=str(exc))

@@ -37,6 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.cluster.pricing import CostModel
 from repro.events import PLAN_SWITCHED, REPLICA_HEALTH, EventLog
 from repro.hardware.topology import Torus3D
 from repro.mesh import VirtualMesh
@@ -54,7 +55,6 @@ from repro.partitioning.degraded import (
 from repro.partitioning.selector import Phase
 from repro.serving.chunked import DEFAULT_PREFILL_CHUNK, chunked_prefill
 from repro.serving.engine import Completion, Request, group_completions
-from repro.serving.resilient import CostModel
 from repro.serving.sharded import merge_sharded_caches
 
 Coord = tuple[int, int, int]
@@ -411,9 +411,8 @@ class GroupRun:
                 if reuse is not None and reuse.lease is not None:
                     self.leases.append(reuse.lease)
                     computed_frac = reuse.computed_fraction
-            elapsed += replica.costs.prefill_cost_s(
-                replica.prefill_profile) * replica.scale \
-                * computed_frac + (replica.delay_s() - before)
+            elapsed += replica.costs.prefill(replica, computed_frac) \
+                + (replica.delay_s() - before)
             caches_per_request.append(caches)
             first_logits.append(logits)
 
@@ -443,8 +442,7 @@ class GroupRun:
         replica.advance("decode")
         logits = replica.step_compiler.decode_step(
             replica.decode_model, self.current, self.caches)
-        elapsed = replica.costs.decode_cost_s(replica.profile) \
-            * replica.scale \
+        elapsed = replica.costs.decode_step(replica) \
             + (replica.delay_s() - before)
         self.current = greedy(logits)
         self.generated.append(self.current[:, None])

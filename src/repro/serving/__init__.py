@@ -3,13 +3,11 @@
 from repro.serving.chunked import chunked_prefill, chunked_prefill_cost
 from repro.serving.continuous import ContinuousBatchingEngine
 from repro.serving.engine import Completion, Request
-from repro.serving.resilient import CostModel
 from repro.serving.sharded import merge_sharded_caches
 
 __all__ = [
     "Completion",
     "ContinuousBatchingEngine",
-    "CostModel",
     "Request",
     "chunked_prefill",
     "chunked_prefill_cost",

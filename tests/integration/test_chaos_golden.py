@@ -34,8 +34,14 @@ def test_golden_covers_every_run():
                                     for run in tool.all_runs())
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("run", tool.all_runs(),
-                         ids=lambda run: tool.key(*run))
+def _tier(run):
+    """Each scenario's stacked seed-0 run is in tier-1, so ``pytest -x``
+    checks every scenario's clock; the other runs are ``slow``."""
+    _, backend, seed = run
+    marks = () if (backend, seed) == ("stacked", 0) else pytest.mark.slow
+    return pytest.param(run, marks=marks, id=tool.key(*run))
+
+
+@pytest.mark.parametrize("run", [_tier(run) for run in tool.all_runs()])
 def test_run_matches_golden(run):
     assert tool.run_digests(*run) == GOLDEN[tool.key(*run)]
