@@ -34,7 +34,6 @@ def zip_shards(out_spec: ShardSpec, out_shape: Sequence[int],
     """
     mesh = tensors[0].mesh
     shards = run_local(mesh, fn, [t.shards for t in tensors], fn.__name__,
-                       specs=tuple(t.spec for t in tensors) + (out_spec,),
                        arena=True, meta=("elementwise",))
     return ShardedTensor(mesh, out_spec, tuple(out_shape), shards)
 
@@ -90,8 +89,7 @@ def sharded_rope(x: ShardedTensor, table: np.ndarray) -> ShardedTensor:
     # The table is a tracked input, not a baked-in constant: under
     # capture the model's table instruction recomputes it per replay.
     shards = run_local(x.mesh, apply_rope_cached, (x.shards,), "rope_cached",
-                       whole=(table,), specs=(x.spec, None, x.spec),
-                       arena=True, meta=("elementwise",))
+                       whole=(table,), arena=True, meta=("elementwise",))
     return ShardedTensor(x.mesh, x.spec, x.global_shape, shards)
 
 
@@ -105,8 +103,8 @@ def local_attention(mesh: VirtualMesh, out_spec: ShardSpec,
     ``k_shards``/``v_shards`` hold per-device ``[B, M, K, D]`` buffers (a
     view of the sharded KV cache, which already holds the new tokens) —
     object arrays on the loop backend; on the stacked one, the cache
-    buffer itself, whose device grid is size 1 on every axis the KV spec
-    replicates and broadcasts against the query's.  The one kernel,
+    buffer itself, whose device grid, like the query's, is size 1 on
+    every axis its spec replicates; the two broadcast.  The one kernel,
     :func:`repro.model.reference.attention`, runs through
     :func:`repro.mesh.sharded_tensor.run_local`, the queries' causal
     offset derived as ``M - L`` from the operands.  The softmax and the
@@ -121,7 +119,7 @@ def local_attention(mesh: VirtualMesh, out_spec: ShardSpec,
     scratch: dict = {}
     shards = run_local(
         mesh, kernel, (q.shards, k_shards, v_shards), "attention",
-        specs=(q.spec, None, None, out_spec), meta=("attention",),
+        meta=("attention",),
         # Stacked replay reuses scratch buffers; its output aliases them.
         replay=lambda qs, ks, vs: kernel(qs, ks, vs, scratch))
     return ShardedTensor(mesh, out_spec, tuple(out_shape), shards)

@@ -17,18 +17,17 @@ sharding spec for the ``B`` and ``K`` dims (``M`` — the time dim — and
 The buffers follow the mesh backend.  On the ``loop`` backend (the
 oracle) they are an object array of per-device buffers.  On the
 ``stacked`` backend each is one dense array in the cache's **page
-layout**: the device grid with every mesh axis the spec leaves
-unsharded at size 1 (a missing axis is one the value is replicated on,
-Section 3.1), so the buffer holds one copy per shard position — exactly
-the bytes of the global form — and appends are single whole-mesh slice
-writes.  A replica check guards the way in: an eager append or
-:meth:`~ShardedKVCache.load_prefix` keeps copy 0 of the incoming K/V
-and raises :class:`ShardingError` if the other copies disagree; a
-replayed append stores through the same writer, without the check.
-:meth:`~ShardedKVCache.views` hands attention the buffer's slice as it
-is (the attention kernel broadcasts its size-1 grid axes), and
-:meth:`~ShardedKVCache.as_sharded` broadcasts the one copy back over the
-full device grid, read-only.
+layout**: the stacked layout of every value (:mod:`repro.mesh.stacked`),
+the device grid with every mesh axis the spec leaves unsharded at size
+1 (a missing axis is one the value is replicated on, Section 3.1), so
+the buffer holds one copy per shard position — exactly the bytes of
+the global form — and appends are single whole-mesh slice writes.
+Incoming K/V already hold one copy; an eager append or
+:meth:`~ShardedKVCache.load_prefix` of a widened one (see
+:meth:`repro.mesh.faults.FaultState.post_collective`) keeps copy 0 and
+raises :class:`ShardingError` if the other copies disagree.
+:meth:`~ShardedKVCache.views` and :meth:`~ShardedKVCache.as_sharded`
+hand out the buffers' slices as they are.
 
 With an ``arena`` (:class:`repro.kvstore.arena.KVBufferArena`) the
 buffers are *leased* from a per-replica pool instead of freshly
@@ -144,8 +143,9 @@ class ShardedKVCache:
     def _fill(self, k: ShardedTensor, v: ShardedTensor, start: int,
               stop: int) -> None:
         """Write positions ``[start, stop)`` from sharded K/V.  Stacked:
-        copy 0 of each replicated axis, the other copies checked equal
-        to it (a disagreement raises :class:`ShardingError`)."""
+        one copy of each replicated axis — of a widened value copy 0, the
+        other copies checked bit for bit against it (a disagreement
+        raises :class:`ShardingError`)."""
         if self.is_stacked:
             k, v = (collapse_replicas(self.spec, t.shards) for t in (k, v))
         else:
@@ -183,14 +183,12 @@ class ShardedKVCache:
         if recorder is not None and recorder.recording:
             idx = recorder.cache_index(self)
             if idx is not None:
-                # Replay stores without the eager append's replica check.
                 def replay(ctx, ks, vs, idx=idx, n=n):
                     cache = ctx.caches[idx]
                     cache._store(ks, vs, cache.length, cache.length + n)
 
                 recorder.record(replay, (recorder.CTX, k_new.shards,
-                                         v_new.shards), None, "kv_append",
-                                specs=(None, k_new.spec, v_new.spec))
+                                         v_new.shards), None, "kv_append")
 
     def load_prefix(self, k_t: ShardedTensor, v_t: ShardedTensor,
                     length: int) -> None:
@@ -220,24 +218,18 @@ class ShardedKVCache:
         self.v[:, :, :, rows, :length] = v
         self.length = length
 
-    def _span(self, buffer: np.ndarray, start: int, stop: int,
-              full: bool = False) -> np.ndarray:
+    def _span(self, buffer: np.ndarray, start: int, stop: int) -> np.ndarray:
         """Positions ``[start, stop)`` of ``buffer`` (``self.k`` or
         ``self.v``): per-device views on the loop backend; on the stacked
-        one, the buffer's slice — with ``full``, broadcast read-only over
-        the full device grid."""
+        one, the buffer's slice."""
         if not self.is_stacked:
             return self.mesh.map_devices(lambda c: buffer[c][:, start:stop])
-        span = buffer[:, :, :, :, start:stop]
-        if full:
-            return np.broadcast_to(span, self.mesh.shape + span.shape[3:])
-        return span
+        return buffer[:, :, :, :, start:stop]
 
     def views(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-device ``[B_loc, length, K_loc, D]`` views — an object array
-        on the loop backend; on the stacked one, the buffers' slice (its
-        device grid size 1 on the spec's replicated axes), which the
-        attention kernel broadcasts against the query's grid."""
+        on the loop backend; on the stacked one, the buffers' slice, which
+        the attention kernel broadcasts against the query's grid."""
         k_view = self._span(self.k, 0, self.length)
         v_view = self._span(self.v, 0, self.length)
         recorder = getattr(self.mesh, "capture", None)
@@ -251,20 +243,18 @@ class ShardedKVCache:
                                            cache.length)
 
                     recorder.record(replay, (recorder.CTX,), view,
-                                    f"kv_view_{name}", meta=("kv_view",),
-                                    specs=(None, self.spec))
+                                    f"kv_view_{name}", meta=("kv_view",))
         return k_view, v_view
 
     def as_sharded(self, start: int = 0, stop: int | None = None
                    ) -> tuple[ShardedTensor, ShardedTensor]:
         """Positions ``[start, stop)`` (default: the filled prefix) as
-        sharded tensors over views of the buffers (read-only full-grid
-        views on the stacked backend)."""
+        sharded tensors over views of the buffers."""
         stop = self.length if stop is None else stop
         shape = (self.global_shape[0], stop - start, *self.global_shape[2:])
         spec = ShardSpec(("B", "M", "K", "D"), self.spec.axes)
         return tuple(ShardedTensor(self.mesh, spec, shape,
-                                   self._span(buffer, start, stop, full=True))
+                                   self._span(buffer, start, stop))
                      for buffer in (self.k, self.v))
 
 

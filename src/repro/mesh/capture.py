@@ -45,10 +45,11 @@ the tape into a :class:`CapturedProgram`:
   cache offset.
 * **Tape optimization** — on the stacked backend every program
   additionally runs the tape optimizer in :mod:`repro.mesh.replay_opt`
-  — prebound matmul runners, replica collapse (each replicated value
-  computed once, read from the sharding specs the hooks pass), indexed
-  collectives.  Every pass is bit-exact by construction and asserted
-  differentially.
+  — prebound matmul runners, indexed collectives and ``to_global``/
+  ``from_global`` tables.  Every pass is bit-exact by construction and
+  asserted differentially.  A replicated value needs no pass: stacked
+  kernels hold one copy of it along every replicated mesh axis eagerly
+  (:mod:`repro.mesh.stacked`), so the tape records it that way.
 * **Straight-line runner** — every program, on either backend, replays
   through source-generated Python that calls the recorded closures in
   tape order with values held in locals.
@@ -141,8 +142,6 @@ from functools import lru_cache
 from typing import Any, Callable, Sequence
 
 import numpy as np
-
-from repro.mesh.stacked import replicated_axes
 
 
 class CaptureError(RuntimeError):
@@ -456,12 +455,6 @@ class StepRecorder:
         self._values: list[Any] = [None]       # vid 0 reserved for CTX
         self._vid_of: dict[int, int] = {}
         self._const: set[int] = set()
-        #: Replicated device axes of each mesh value, from the sharding
-        #: specs the hooks pass (``None``: not a mesh array).
-        self.reps: dict[int, tuple[int, ...] | None] = {0: None}
-        #: What the stacked optimizer collapsed: value id -> (the
-        #: captured array, the device axes replay keeps one copy of).
-        self.collapsed: dict[int, tuple[np.ndarray, frozenset]] = {}
 
     @property
     def recording(self) -> bool:
@@ -500,8 +493,7 @@ class StepRecorder:
 
     def record(self, fn: Callable, inputs: Sequence, output,
                label: str = "", *, collective: bool = False,
-               arena: bool = False, meta: tuple | None = None,
-               specs: Sequence | None = None) -> None:
+               arena: bool = False, meta: tuple | None = None) -> None:
         """Append one instruction.
 
         ``fn`` must recompute ``output`` bit-identically from the input
@@ -515,18 +507,11 @@ class StepRecorder:
         the step-varying replay context.  ``meta`` optionally carries
         the op's resolved parameters for the tape optimizer
         (:mod:`repro.mesh.replay_opt`); it never affects plain replay.
-        ``specs`` lists the :class:`~repro.sharding.spec.ShardSpec` of
-        each input and then of the output (``None``: no information);
-        the optimizer reads each mesh value's replicated axes from them.
         """
         if not self.recording:
             return
         ins = tuple(0 if x is self.CTX else self._vid(x) for x in inputs)
         out = self._define(output) if output is not None else None
-        if specs is not None:
-            for vid, spec in zip(ins + (out,), specs):
-                if spec is not None and vid and vid not in self.reps:
-                    self.reps[vid] = replicated_axes(spec)
         if collective:
             self.collectives += 1
         self._instrs.append(_Instr(fn, ins, out, label, collective, arena,

@@ -329,8 +329,15 @@ class FaultState:
                     raise CollectiveTimeout(op, axes, self.step)
 
     def post_collective(self, op: str, axes: tuple[str, ...],
-                        shards: np.ndarray) -> np.ndarray:
-        """Post-compute hook: apply (and detect) payload corruption."""
+                        shards: np.ndarray,
+                        mesh_shape: tuple[int, int, int]) -> np.ndarray:
+        """Post-compute hook: apply (and detect) payload corruption.
+
+        Corruption hits one chip's copy, so a stacked result holding one
+        copy along a replicated axis is first widened to ``mesh_shape``
+        on every axis: the other chips keep the clean copy, and
+        ``to_global``'s replica check sees them disagree.
+        """
         for index, fault in enumerate(self.plan.faults):
             if not isinstance(fault, CollectiveFault) or \
                     fault.kind != "corrupt":
@@ -339,13 +346,17 @@ class FaultState:
                     not self._matches(index, fault, op, axes):
                 continue
             self._announce(index, fault, op)
+            # A fresh array (not in-place): on the loop backend a group's
+            # replicas may alias one array, and only this chip's copy is
+            # corrupt.
+            if shards.dtype == object:
+                shards = shards.copy()
+            else:
+                shards = np.array(np.broadcast_to(
+                    shards, tuple(mesh_shape) + shards.shape[3:]))
             shard = shards[fault.chip]
             noise = fault.magnitude * (1.0 + np.abs(
                 self._rng.standard_normal(np.shape(shard))))
-            # Assignment (not in-place add): on the loop backend a group's
-            # replicas may alias one array, and only this chip's copy is
-            # corrupt.
-            shards = shards.copy()
             shards[fault.chip] = shard + noise
             if fault.detected:
                 raise CollectiveCorruption(op, axes, fault.chip, self.step)

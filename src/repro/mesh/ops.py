@@ -113,7 +113,7 @@ def _fault_post(mesh: VirtualMesh, op: str, axes: tuple[str, ...],
     state = getattr(mesh, "fault_state", None)
     if state is None:
         return shards
-    return state.post_collective(op, axes, shards)
+    return state.post_collective(op, axes, shards, mesh.shape)
 
 
 def _require_suffix(dim_axes: tuple[str, ...], axes: Sequence[str],
@@ -136,7 +136,8 @@ def _collective(t: ShardedTensor, op: str, axes: tuple[str, ...],
     ``kernels`` is the op's ``(stacked, loop)`` pair, each called as
     ``kernel(shards, *params, groups)`` with the communication groups
     over ``axes`` resolved for it: :func:`repro.mesh.stacked.group_meta`
-    for the stacked kernel, the coordinate lists of
+    on the operand's device grid for the stacked kernel, the coordinate
+    lists of
     :meth:`VirtualMesh.groups` for the loop one.  The kernel runs
     between the fault hooks, is logged (with the per-chip ``payload``)
     and traced, and the closure that ran is recorded for replay, with
@@ -147,7 +148,8 @@ def _collective(t: ShardedTensor, op: str, axes: tuple[str, ...],
     _fault_pre(mesh, op, axes)
     stacked = t.is_stacked
     if stacked:
-        kernel, groups = kernels[0], stacked_kernels.group_meta(mesh, axes)
+        kernel = kernels[0]
+        groups = stacked_kernels.group_meta(mesh, axes, t.shards.shape[:3])
     else:
         kernel, groups = kernels[1], list(mesh.groups(axes))
 
@@ -161,7 +163,7 @@ def _collective(t: ShardedTensor, op: str, axes: tuple[str, ...],
     _observe(mesh, tracer, start,
              CommRecord(op, axes, mesh.group_size(axes), payload), out)
     record(mesh, run, (t.shards,), shards, op, collective=True,
-           meta=meta if stacked else None, specs=(t.spec, new_spec))
+           meta=meta if stacked else None)
     return out
 
 
@@ -440,8 +442,7 @@ def sharded_einsum(subscripts: str, a: ShardedTensor, b: ShardedTensor
     mesh = a.mesh
     tracer, start = _trace_start(mesh)
     shards = _contract(mesh, _parse_subscripts(subscripts), a.shards,
-                       b.shards, f"einsum:{subscripts}",
-                       (a.spec, b.spec, out_spec))
+                       b.shards, f"einsum:{subscripts}")
     out = ShardedTensor(mesh, out_spec, out_shape, shards)
     if tracer is not None:
         tracer.compute(subscripts, flops=_einsum_local_flops(subscripts, a, b),
@@ -450,13 +451,13 @@ def sharded_einsum(subscripts: str, a: ShardedTensor, b: ShardedTensor
 
 
 def _contract(mesh: VirtualMesh, letters: tuple[str, str, str],
-              a: np.ndarray, b: np.ndarray, label: str, specs: tuple):
+              a: np.ndarray, b: np.ndarray, label: str):
     """One local contraction through :func:`run_local`:
     :func:`repro.mesh.stacked.contract` once over the device grid, or
     once per device."""
     def contract(x, y, out=None):
         return stacked_kernels.contract(*letters, x, y, out=out)
-    return run_local(mesh, contract, (a, b), label, specs=specs, arena=True,
+    return run_local(mesh, contract, (a, b), label, arena=True,
                      meta=("einsum",) + letters)
 
 
@@ -467,16 +468,23 @@ def concat_weights(weights: Sequence[ShardedTensor]
     into one trailing axis — and each weight re-based as a view of that
     concatenation, so a weight and its concatenation are one copy.
 
-    Stacked shards give one dense array, loop shards an object array:
-    the ``w_cat`` operand of :func:`fused_projection`.
+    Stacked shards give one dense array on the weights' common device
+    grid: a weight replicated along an axis another weight shards (a
+    multiquery K/V projection beside the head-sharded Q) is broadcast
+    there, and its view keeps one copy.  Loop shards give an object
+    array.  This is the ``w_cat`` operand of :func:`fused_projection`.
     """
     def flat(shard, lead):
         return shard.reshape(shard.shape[:lead] + (-1,))
     mesh = weights[0].mesh
     views = _column_views([w.local_shape[1:] for w in weights])
     if all(w.is_stacked for w in weights):  # the device axes and E lead
-        cat = np.concatenate([flat(w.shards, 4) for w in weights], axis=-1)
-        parts = [view(cat) for view in views]
+        grid = np.broadcast_shapes(*(w.shards.shape[:3] for w in weights))
+        cat = np.concatenate(
+            [np.broadcast_to(f, grid + f.shape[3:])
+             for f in (flat(w.shards, 4) for w in weights)], axis=-1)
+        parts = [view(cat)[tuple(slice(0, n) for n in w.shards.shape[:3])]
+                 for w, view in zip(weights, views)]
     else:
         cat = mesh.map_devices(lambda c: np.concatenate(
             [flat(w.shards[c], 1) for w in weights], axis=-1))
@@ -499,6 +507,12 @@ def fused_projection(x: ShardedTensor,
     :func:`sharded_einsum` would give it.  This is the Section 3.4
     parallel-block fusion: the attention and FFN input projections of
     one block run as one larger matmul.
+
+    On the common grid of ``w_cat`` a part replicated along an axis
+    another part shards (multiquery K/V beside Q) comes out full there;
+    its view keeps copy 0 (:func:`repro.mesh.stacked.collapse_replicas`),
+    the other copies checked bit for bit when run eagerly — a replay
+    records the unchecked view.
     """
     mesh = x.mesh
     tracer, start = _trace_start(mesh)
@@ -506,20 +520,35 @@ def fused_projection(x: ShardedTensor,
     # ``ble,ez->blz``: z runs over every part's flattened columns.
     letters = (lhs, lhs[-1] + "z", lhs[:-1] + "z")
     layouts = [einsum_output_layout(subs, x, w) for subs, w in parts]
-    fused = _contract(mesh, letters, x.shards, w_cat, "projection",
-                      (x.spec, None, None))
+    fused = _contract(mesh, letters, x.shards, w_cat, "projection")
     tails = [spec.local_shape(shape, mesh.topology)[len(lhs) - 1:]
              for spec, shape in layouts]
-    outs = [ShardedTensor(mesh, spec, shape,
-                          run_local(mesh, view, (fused,), "projection_view",
-                                    specs=(None, spec)))
-            for (spec, shape), view in zip(layouts, _column_views(tails))]
+    outs = []
+    for (spec, shape), view in zip(layouts, _column_views(tails)):
+        replay = None
+        if stacked_kernels.is_stacked(fused):
+            view, replay = _one_copy_views(spec, view)
+        outs.append(ShardedTensor(mesh, spec, shape, run_local(
+            mesh, view, (fused,), "projection_view", replay=replay)))
     if tracer is not None:
         tracer.compute("projection",
                        flops=sum(_einsum_local_flops(subs, x, w)
                                  for subs, w in parts),
                        elements=int(np.size(fused[0, 0, 0])), start_s=start)
     return outs
+
+
+def _one_copy_views(spec: ShardSpec, view):
+    """``(checked, unchecked)``: the column ``view`` cut to one copy along
+    each axis ``spec`` replicates, with and without the replica check.
+    The unchecked one is a pure view, marked ``const_view``."""
+    def checked(f):
+        return stacked_kernels.collapse_replicas(spec, view(f))
+
+    def unchecked(f):
+        return stacked_kernels.collapse_replicas(spec, view(f), False)
+    unchecked.const_view = True
+    return checked, unchecked
 
 
 def _column_views(tails) -> list:

@@ -17,22 +17,21 @@ while provably preserving every output bit:
   weight's matrix view and the operand shapes resolved at capture
   (:func:`_fused_einsum`); other contractions call the C einsum kernel
   with bound subscripts.
-* **Replica collapse** — a value replicated along a mesh axis (an axis
-  missing from its sharding spec, Section 3.1) is held and computed
-  once along it: the recorder reads each value's replicated axes from
-  the specs at the capture hooks, and einsums, attention, norm, rope,
-  elementwise kernels and indexed collectives run on a size-1 slice of
-  those axes, with constants stored collapsed.  The logits head runs on
-  one device position instead of every one, head-sharded multiquery
-  attention once per head shard, and ``to_global``/``from_global``
-  replay through prebound index tables.  A consumer that needs the full
-  grid gets a stride-0 broadcast view; see :func:`_collapse_replicas`.
 * **Indexed collectives** — a recorded collective's data movement is
   traced once to an index table, so replay is one ``np.take`` (plus the
   same left-to-right reduction) instead of a chain of reshapes and
   transposes (:func:`repro.mesh.stacked.prebind_collective_indexed`;
   shapes too large for a table keep the recorded kernel, whose group
-  metadata the op resolved once).
+  metadata the op resolved once).  ``to_global`` and ``from_global``
+  replay through index tables the same way.
+
+A replicated value needs no pass either: a stacked array holds one copy
+along every mesh axis its sharding spec replicates (an axis missing
+from the spec, Section 3.1), eager and replayed alike
+(:mod:`repro.mesh.stacked`), so capture records the logits head on one
+device position, head-sharded multiquery attention once per head shard
+and every replicated collective result once per group, and the tables
+and prebound matmuls above are traced on those shapes.
 
 Elementwise kernels need no pass: Swish, the SwiGLU product, RMSNorm
 and RoPE are recorded as their eager kernels, which replay through
@@ -74,250 +73,10 @@ def optimize_tape(recorder, instrs, const, out_vids):
     """Rewrite the post-folding instruction list; returns the new list.
 
     ``recorder`` supplies the captured values (for shapes and weight
-    constants) and grows its value table for newly created constants and
-    intermediates; ``const`` is extended in place for new constants.
+    constants); ``const`` holds the constant value ids.
     """
-    instrs = _collapse_replicas(recorder, instrs, const, out_vids)
     instrs = _prebind_einsums(recorder, instrs, const, out_vids)
     return _prebind_collectives(recorder, instrs, out_vids)
-
-
-def _add_value(recorder, value, const=None):
-    vid = len(recorder._values)
-    recorder._values.append(value)
-    if const is not None:
-        const.add(vid)
-    return vid
-
-
-# ---------------------------------------------------------------------------
-# Replica collapse
-# ---------------------------------------------------------------------------
-
-_COLLECTIVES = ("all_gather", "reduce_scatter", "all_reduce")
-
-# Sets of device axes are 3-bit masks here (bit i: axis i of x, y, z).
-#: Basic index per mask keeping copy 0 (as a size-1 axis) of each axis.
-_GRID_INDEX = tuple(tuple(slice(0, 1) if mask >> i & 1 else slice(None)
-                          for i in range(3)) for mask in range(8))
-#: The mask of every sorted axis tuple (``StepRecorder.reps`` entries).
-_MASKS = {tuple(i for i in range(3) if mask >> i & 1): mask
-          for mask in range(8)}
-
-
-def _collapser(mask: int):
-    index = _GRID_INDEX[mask]
-
-    def view(x):
-        return x[index]
-    view.const_view = True
-    return view
-
-
-def _widener(grid):
-    def view(x):
-        return np.broadcast_to(x, grid + x.shape[3:])
-    view.const_view = True
-    return view
-
-
-def _materializer(grid):
-    return lambda x: np.array(np.broadcast_to(x, grid + x.shape[3:]))
-
-
-def _kind(ins) -> str:
-    """How an instruction's kernel treats the device grid (see
-    :func:`_collapse_replicas`)."""
-    meta = ins.meta
-    tag = meta[0] if meta else None
-    if tag in ("einsum", "elementwise"):
-        return "pointwise"
-    if getattr(ins.fn, "const_view", False):
-        return "view"
-    if tag in _COLLECTIVES:
-        return "collective"
-    if tag in ("attention", "kv_view", "to_global", "from_global"):
-        return tag
-    if ins.label == "kv_append":
-        return "kv_append"
-    return "opaque"
-
-
-def _collapse_replicas(recorder, instrs, const, out_vids):
-    """Run each per-device kernel once per distinct value.
-
-    A mesh axis missing from a value's sharding spec (Section 3.1) is
-    one the value is replicated on: every device along it holds the
-    same copy, so the stacked backend's whole-mesh kernels compute it
-    once per device for nothing.  The recorder knows each value's
-    replicated axes from the specs the hooks pass (:attr:`StepRecorder.
-    reps`); values this optimizer created take the intersection of their
-    inputs'.  Where the tape allows, the program holds a replicated
-    value *collapsed* — size 1 on those axes — and its consumers run on
-    the collapsed grid:
-
-    * pointwise kernels (einsums with the device grid as a broadcast
-      batch, norm, rope, elementwise) and views run on size-1 slices of
-      every axis all their mesh operands share with the output; a
-      constant operand is stored collapsed, a live one is sliced by a
-      view (frozen when its source is a fixed buffer);
-    * attention runs on the collapsed grid its operands share, K/V
-      broadcast to the query's;
-    * a KV view is the cache buffer itself, which holds one copy of
-      the spec's replicated axes (:mod:`repro.layouts.kv_cache`); a KV
-      append gets its K/V cut to that one copy;
-    * indexed collectives (and ``from_global``) produce one copy of a
-      replicated result, reading any collapsed operand through their
-      index tables — the same rank-ordered sums on fewer positions;
-    * ``to_global`` reads the one copy, through a prebound index table.
-
-    Anything else, and a collective too large for an index table, gets
-    full operands through a stride-0 ``np.broadcast_to`` view; the
-    instruction producing a program output gets fresh full copies, so
-    the output is full and freshly allocated as before.  Kernels write
-    only into buffers of their own (possibly collapsed) shape — arena
-    buffers, and the prebound matmuls' and indexed collectives' own —
-    never through a slice or broadcast view.  Bit-exact: each remaining
-    position runs the same kernel on the same operand values (a
-    replica's copy) in the same order.  The
-    analysis reads specs only, never array contents; what it collapsed
-    is left in :attr:`StepRecorder.collapsed` for tests to check against
-    the captured arrays.
-    """
-    from repro.mesh.capture import _Instr
-
-    mesh = recorder.mesh
-    values = recorder._values
-    grid = tuple(mesh.shape)
-    # Replicated axes per mesh value, leaving out axes of size 1 (None:
-    # not a mesh array; missing: nothing known, so nothing replicated),
-    # and collapsed axes per value.
-    wide = sum(1 << i for i, n in enumerate(grid) if n > 1)
-    masks = {vid: None if axes is None else wide & _MASKS[axes]
-             for vid, axes in recorder.reps.items()}
-    forms: dict[int, int] = {}
-    derived: dict[tuple, int] = {}
-    collapsed = recorder.collapsed
-    out: list = []
-    rep = masks.get
-
-    def note(vid, mask):
-        full, seen = collapsed.get(vid, (values[vid], frozenset()))
-        collapsed[vid] = (full, seen | {i for i in range(3) if mask >> i & 1})
-
-    def collapse_output(vid, mask):
-        if mask:
-            note(vid, mask)
-            values[vid] = values[vid][_GRID_INDEX[mask]]
-            forms[vid] = mask
-
-    def derive(vid, fn, label, new_form, key):
-        """A view (or copy) of ``vid`` — a new constant when ``vid`` is
-        one, else a new instruction — memoized per ``key``."""
-        if key not in derived:
-            new = _add_value(recorder, fn(values[vid]),
-                             const if vid in const else None)
-            masks[new] = rep(vid, 0)
-            forms[new] = new_form
-            if vid not in const:
-                out.append(_Instr(fn, (vid,), new, label, False, False))
-            derived[key] = new
-        return derived[key]
-
-    def narrow(vid, mask):
-        """``vid`` cut to copy 0 on ``mask`` (beyond its form)."""
-        form = forms.get(vid, 0)
-        mask &= ~form
-        if not mask:
-            return vid
-        note(vid, mask)
-        return derive(vid, _collapser(mask), "collapse", form | mask,
-                      (vid, "narrow", mask))
-
-    def widen(vid, keep=0, fresh=False):
-        """``vid`` broadcast back over its collapsed axes not in
-        ``keep`` (a read-only stride-0 view, or a fresh copy)."""
-        form = forms.get(vid, 0)
-        if not form & ~keep:
-            return vid
-        target = tuple(1 if (form & keep) >> i & 1 else n
-                       for i, n in enumerate(grid))
-        fn = _materializer(target) if fresh else _widener(target)
-        return derive(vid, fn, "widen", form & keep, (vid, fresh, target))
-
-    for ins in instrs:
-        kind = _kind(ins)
-        inputs = ins.inputs
-        mesh_in = [v for v in inputs if rep(v, 0) is not None]
-        if ins.out is not None and ins.out not in masks:
-            if not mesh_in or kind == "to_global":
-                masks[ins.out] = None
-            elif kind in ("pointwise", "view"):
-                mask = 7
-                for v in mesh_in:
-                    mask &= rep(v, 0)
-                masks[ins.out] = mask
-        if ins.out in out_vids and kind != "to_global":
-            kind = "output"
-
-        fn = ins.fn
-        if kind == "pointwise" and mesh_in:
-            mask = rep(ins.out, 0)
-            for v in mesh_in:
-                mask &= rep(v, 0)
-            if mask:
-                inputs = tuple(narrow(v, mask) if v in mesh_in else v
-                               for v in inputs)
-                mesh_in = [v for v in inputs if rep(v, 0) is not None]
-            # The kernel broadcasts: its output is collapsed wherever
-            # every mesh operand is.
-            mask = 7
-            for v in mesh_in:
-                mask &= forms.get(v, 0)
-            collapse_output(ins.out, mask)
-        elif kind == "view":
-            collapse_output(ins.out, forms.get(inputs[0], 0))
-        elif kind == "attention":
-            q, k, v = inputs
-            mask = rep(ins.out, 0) & rep(q, 0) & rep(k, 0) & rep(v, 0)
-            inputs = (narrow(widen(q, keep=mask), mask),
-                      narrow(k, mask), narrow(v, mask))
-            collapse_output(ins.out, mask)
-        elif kind == "kv_view":
-            collapse_output(ins.out, rep(ins.out, 0))
-        elif kind == "kv_append":
-            inputs = tuple(narrow(v, rep(v, 0)) if v in mesh_in else v
-                           for v in inputs)
-        elif kind == "collective":
-            if stacked_kernels.collective_indexable(
-                    mesh, ins.meta[0], values[inputs[0]].shape[3:]):
-                collapse_output(ins.out, rep(ins.out, 0))
-            else:
-                inputs = (widen(inputs[0]),)
-        elif kind == "to_global":
-            _, spec, gshape = ins.meta
-            fn = stacked_kernels.prebind_to_global(
-                spec, gshape, values[inputs[0]].shape) or fn
-        elif kind == "from_global":
-            _, spec, local = ins.meta
-            mask = rep(ins.out, 0)
-            prebound = stacked_kernels.prebind_from_global(
-                mesh, spec, values[inputs[0]].shape, local,
-                values[ins.out].dtype,
-                tuple(1 if mask >> i & 1 else n for i, n in enumerate(grid)))
-            if prebound is not None:
-                fn = prebound
-                collapse_output(ins.out, mask)
-        elif kind in ("opaque", "output"):
-            inputs = tuple(widen(v, fresh=kind == "output")
-                           if v in mesh_in else v for v in inputs)
-
-        if fn is ins.fn and inputs == ins.inputs:
-            out.append(ins)
-        else:
-            out.append(_Instr(fn, inputs, ins.out, ins.label,
-                              ins.collective, ins.arena, ins.meta))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -402,33 +161,48 @@ def _prebind_einsums(recorder, instrs, const, out_vids):
 # Prebound collectives
 # ---------------------------------------------------------------------------
 
-def _prebind_collectives(recorder, instrs, out_vids):
-    """Swap recorded collectives to indexed closures where a table fits.
+_COLLECTIVES = ("all_gather", "reduce_scatter", "all_reduce")
 
-    Indexed closures return a per-instruction buffer reused across
-    replays, so a program output keeps its recorded, allocating kernel.
+
+def _prebind_collectives(recorder, instrs, out_vids):
+    """Swap recorded collectives, ``to_global`` and ``from_global`` to
+    indexed closures where a table fits.
+
+    Indexed collectives and ``from_global`` return a per-instruction
+    buffer reused across replays, so a program output keeps its
+    recorded, allocating kernel; a prebound ``to_global`` (the logits)
+    allocates its result every call.  The prebound ``to_global`` skips
+    the replica check, as the recorded one does.
     """
     from repro.mesh.capture import _Instr
 
+    mesh = recorder.mesh
     values = recorder._values
     scratch: dict = {}
     rewritten = []
     for ins in instrs:
         meta = ins.meta
-        if (meta is not None and len(ins.inputs) == 1
-                and meta[0] in _COLLECTIVES and ins.out not in out_vids):
+        fn = None
+        if meta is not None and len(ins.inputs) == 1:
             operand = values[ins.inputs[0]]
-            fn = stacked_kernels.prebind_collective_indexed(
-                recorder.mesh, meta[0], meta[1],
-                meta[2] if len(meta) > 2 else None,
-                operand.shape, operand.dtype, scratch=scratch,
-                out_lead=values[ins.out].shape[:3])
-            if fn is not None:
-                rewritten.append(_Instr(fn, ins.inputs, ins.out,
-                                        ins.label, ins.collective,
-                                        ins.arena))
-                continue
-        rewritten.append(ins)
+            reused = ins.out not in out_vids
+            if meta[0] == "to_global":
+                fn = stacked_kernels.prebind_to_global(meta[1], meta[2],
+                                                       operand.shape)
+            elif meta[0] == "from_global" and reused:
+                fn = stacked_kernels.prebind_from_global(
+                    mesh, meta[1], operand.shape, meta[2],
+                    values[ins.out].dtype)
+            elif meta[0] in _COLLECTIVES and reused:
+                fn = stacked_kernels.prebind_collective_indexed(
+                    mesh, meta[0], meta[1],
+                    meta[2] if len(meta) > 2 else None,
+                    operand.shape, operand.dtype, scratch=scratch)
+        if fn is None:
+            rewritten.append(ins)
+        else:
+            rewritten.append(_Instr(fn, ins.inputs, ins.out, ins.label,
+                                    ins.collective, ins.arena))
     return rewritten
 
 
@@ -443,8 +217,9 @@ def freeze_stable_views(instrs, template, out_vids):
     split (the split needs the view instructions): an instruction
     whose kernel writes through ``out=`` into a preallocated buffer
     produces the *same array object* on every replay, so any pure view
-    of it (``const_view``-marked projection columns and replica
-    collapses) is itself the same object every time.  The view is
+    of it (the ``const_view``-marked projection columns, each cut to
+    one copy along its replicated axes) is itself the same object every
+    time.  The view is
     computed once here, stored in the value template, and its
     instruction dropped — consumers read the live bytes through the
     frozen window exactly as they would through a per-replay one.

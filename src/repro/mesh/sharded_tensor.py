@@ -3,15 +3,21 @@
 A :class:`ShardedTensor` pairs a sharding spec (Section 3.1 notation) with
 per-device numpy shards.  ``from_global``/``to_global`` define the
 authoritative layout semantics; ``to_global`` additionally *verifies* that
-replicated copies are identical, which catches layout-algebra bugs in the
-partitioned model implementations.
+replicated copies are identical, bit for bit, which catches layout-algebra
+bugs in the partitioned model implementations.
 
 Two shard representations are supported, chosen by the mesh backend:
 
-* **loop** — an object array of one numpy array per device;
-* **stacked** — one dense array of shape ``mesh.shape + local_shape``.
+* **loop** — an object array of one numpy array per device, every
+  replica its own entry;
+* **stacked** — one dense array of the device grid then
+  ``local_shape``, holding one copy along every mesh axis the spec
+  replicates: the grid is size 1 there and the mesh size elsewhere (see
+  :mod:`repro.mesh.stacked`).  The one exception is a value widened to
+  the mesh size before fault injection corrupts one chip's copy
+  (:meth:`repro.mesh.faults.FaultState.post_collective`), so that
+  ``to_global``'s replica check still sees the corruption.
 
-Indexing ``t.shards[coord]`` yields that device's shard in either case.
 Every device-local kernel runs through one dispatcher, :func:`run_local`:
 the kernel acts on trailing axes and broadcasts over leading ones, so it
 runs once over the whole device grid when every shard operand is
@@ -33,7 +39,7 @@ from repro.sharding.spec import ShardingError, ShardSpec, parse
 
 def record(mesh: VirtualMesh, fn, inputs: tuple, output, label: str, *,
            collective: bool = False, arena: bool = False,
-           meta: tuple | None = None, specs: tuple | None = None) -> None:
+           meta: tuple | None = None) -> None:
     """Capture-recorder hook (duck-typed like ``tracer``/``fault_state``).
 
     With a :class:`repro.mesh.capture.StepRecorder` installed as
@@ -41,17 +47,16 @@ def record(mesh: VirtualMesh, fn, inputs: tuple, output, label: str, *,
     resolved kernel and its parameters — as one replay instruction
     mapping the input shard arrays to the output shard array.  One
     ``getattr`` when capture is off.  ``meta`` optionally carries the
-    resolved op parameters for the tape optimizer, and ``specs`` the
-    input and output sharding specs.
+    resolved op parameters for the tape optimizer.
     """
     recorder = getattr(mesh, "capture", None)
     if recorder is not None:
         recorder.record(fn, inputs, output, label, collective=collective,
-                        arena=arena, meta=meta, specs=specs)
+                        arena=arena, meta=meta)
 
 
 def run_local(mesh: VirtualMesh, fn: Callable, shards: Sequence, label: str,
-              *, specs: tuple, whole: tuple = (), arena: bool = False,
+              *, whole: tuple = (), arena: bool = False,
               meta: tuple | None = None, replay: Callable | None = None):
     """Run the device-local kernel ``fn`` and record the closure that ran.
 
@@ -63,22 +68,25 @@ def run_local(mesh: VirtualMesh, fn: Callable, shards: Sequence, label: str,
     and ``meta`` for the tape optimizer — or ``replay`` in its place,
     when given.  Otherwise ``fn`` runs once per device and that
     per-device loop is recorded, an opaque instruction to the optimizer.
-    Returns the output shards; ``specs`` is as for :func:`record`.
+    Returns the output shards: stacked, a grid that is size 1 wherever
+    every operand's is, since ``fn`` broadcasts.
     """
     inputs = tuple(shards) + whole
     if all(stacked_kernels.is_stacked(s) for s in shards):
         out = fn(*inputs)
         record(mesh, replay or fn, inputs, out, label, arena=arena,
-               meta=meta, specs=specs)
+               meta=meta)
         return out
     n = len(shards)
 
     def per_device(*arrays):
-        return mesh.map_devices(
-            lambda c: fn(*(a[c] for a in arrays[:n]), *arrays[n:]))
+        # A stacked operand is read at copy 0 along its size-1 axes.
+        return mesh.map_devices(lambda c: fn(*(
+            a[tuple(i if m > 1 else 0 for i, m in zip(c, a.shape))]
+            for a in arrays[:n]), *arrays[n:]))
 
     out = per_device(*inputs)
-    record(mesh, per_device, inputs, out, label, specs=specs)
+    record(mesh, per_device, inputs, out, label)
     return out
 
 
@@ -109,8 +117,8 @@ def _loop_to_global(mesh: VirtualMesh, spec: ShardSpec,
         key = pos + (psum_rank,)
         shard = shards_in[coord]
         if key in seen:
-            if check_replication and not np.array_equal(seen[key], shard,
-                                                        equal_nan=True):
+            if check_replication and not stacked_kernels.same_bits(
+                    seen[key], shard):
                 raise ShardingError(
                     f"replicas disagree at shard position {pos} "
                     f"(partial-sum rank {psum_rank}) for spec {spec}")
@@ -141,11 +149,15 @@ class ShardedTensor:
         self.shards = shards
         expected = spec.local_shape(self.global_shape, mesh.topology)
         if self.is_stacked:
-            if shards.shape != mesh.shape + expected:
+            if shards.shape[3:] != expected or not \
+                    stacked_kernels.holds_spec(spec, mesh.shape,
+                                               shards.shape[:3]):
+                grid = tuple(1 if i in stacked_kernels.replicated_axes(spec)
+                             else n for i, n in enumerate(mesh.shape))
                 raise ShardingError(
                     f"stacked shards have shape {shards.shape}, spec "
                     f"{spec} with global {self.global_shape} expects "
-                    f"{mesh.shape + expected}")
+                    f"{grid + expected}")
             return
         for coord in mesh.devices():
             shard = shards[coord]
@@ -183,7 +195,7 @@ class ShardedTensor:
 
         shards = run(array)
         record(mesh, run, (array,), shards, f"from_global:{spec}",
-               meta=meta, specs=(None, spec))
+               meta=meta)
         return cls(mesh, spec, array.shape, shards)
 
     # -- reassembly ---------------------------------------------------------
@@ -206,8 +218,7 @@ class ShardedTensor:
         # Replay skips the replication check: the captured step already
         # verified it, and replay reproduces the same bits by contract.
         record(mesh, lambda s: kernel(mesh, spec, gshape, s, False),
-               (self.shards,), out, f"to_global:{spec}", meta=meta,
-               specs=(spec,))
+               (self.shards,), out, f"to_global:{spec}", meta=meta)
         return out
 
     # -- elementwise / structural helpers ----------------------------------
@@ -219,8 +230,7 @@ class ShardedTensor:
             raise ShardingError(
                 f"cannot add tensors with specs {self.spec} vs {other.spec}")
         shards = run_local(self.mesh, np.add, (self.shards, other.shards),
-                           "add", specs=(self.spec,) * 3, arena=True,
-                           meta=("elementwise",))
+                           "add", arena=True, meta=("elementwise",))
         return ShardedTensor(self.mesh, self.spec, self.global_shape, shards)
 
     @property

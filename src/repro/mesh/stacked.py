@@ -1,15 +1,21 @@
 """Vectorized kernels for the stacked-shard mesh backend.
 
 A *stacked* :class:`~repro.mesh.sharded_tensor.ShardedTensor` keeps all of
-its per-device shards in one dense numpy array of shape ``mesh.shape +
-local_shape`` — the three device axes leading.  Indexing with a device
-coordinate still yields that device's shard (as a view), so every
-loop-backend code path remains valid on stacked tensors; the kernels here
-additionally turn each collective into a single reshape/transpose/reduce
-over the device axes instead of a Python loop over communication groups,
-and each sharded contraction into one call over the whole device grid
-(:func:`contract`: a batched BLAS ``np.matmul`` for weight contractions,
-``np.einsum`` otherwise).
+its per-device shards in one dense numpy array, the three device axes
+leading.  The device grid holds **one copy along every mesh axis the
+spec replicates** (an axis missing from the spec, Section 3.1): size 1
+there, the mesh size on every axis the spec shards or partially sums.
+Every kernel here reads and writes that layout — the device-local
+kernels broadcast their size-1 grid axes, each collective takes its
+group metadata from its operand's grid and returns one copy of a
+replicated result, and :func:`from_global` stores one copy — so a
+replicated value is computed and stored once, eager and replayed.
+Indexing the grid with a device coordinate, cut to 0 on a size-1 axis,
+yields that device's shard (as a view).  Each collective is a single
+reshape/transpose/reduce over the device axes instead of a Python loop
+over communication groups, and each sharded contraction one call over
+the whole device grid (:func:`contract`: a batched BLAS ``np.matmul``
+for weight contractions, ``np.einsum`` otherwise).
 
 Bit-exactness contract
 ----------------------
@@ -27,8 +33,8 @@ asserts exact equality).  Two details make that hold:
   device grid as leading batch axes, and capture-replay runners make its
   ``np.matmul`` call with the same operand shapes.  A batched
   ``np.matmul`` runs one BLAS product per batch entry, so its bits equal
-  the per-device product's, replicas held as stride-0 or collapsed
-  size-1 batch axes included (``tests/unit/test_contraction_kernel.py``).
+  the per-device product's, replicas held as size-1 batch axes
+  included (``tests/unit/test_contraction_kernel.py``).
   What the bits *do* depend on is the product each device runs:
   - A product split by columns can differ in the low bits from the
     full product's columns, so a fused projection must be fused
@@ -77,49 +83,53 @@ def is_stacked(shards: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _axes_meta(mesh_shape: tuple[int, int, int], part: tuple[int, ...]):
-    """Precomputed device-axis bookkeeping for a (mesh, axes) pair.
+def _axes_meta(mesh_shape: tuple[int, int, int], part: tuple[int, ...],
+               grid: tuple[int, int, int]):
+    """Precomputed device-axis bookkeeping for groups over the device axes
+    ``part`` of an operand held on device ``grid``.
 
-    Returns ``(rest, part, inverse, rest_shape, part_shape, k)`` where
-    ``inverse`` undoes the ``rest + part`` device-axis permutation.  Every
-    collective needs this tiny computation; memoizing it (a handful of
-    distinct keys per model) keeps the per-call Python work to two dict
-    lookups.
+    Returns ``(rest, part, inverse, rest_shape, part_shape, k, grid,
+    reduced)``.  ``grid`` is the operand's grid with the group axes at
+    their mesh size (an operand replicated along them, as a
+    :func:`split` reads, is broadcast to it); ``reduced`` is that grid
+    with the group axes at size 1, the grid of a result replicated over
+    each group.  ``inverse`` undoes the ``rest + part`` device-axis
+    permutation.  Every collective needs this tiny computation;
+    memoizing it (a handful of distinct keys per model) keeps the
+    per-call Python work to a dict lookup.
     """
+    grid = tuple(mesh_shape[i] if i in part else n
+                 for i, n in enumerate(grid))
     rest = tuple(i for i in range(3) if i not in part)
     order = rest + part
     inverse = tuple(order.index(d) for d in range(3))
-    rest_shape = tuple(mesh_shape[i] for i in rest)
-    part_shape = tuple(mesh_shape[i] for i in part)
-    k = 1
-    for size in part_shape:
-        k *= size
-    return rest, part, inverse, rest_shape, part_shape, k
+    rest_shape = tuple(grid[i] for i in rest)
+    part_shape = tuple(grid[i] for i in part)
+    reduced = tuple(1 if i in part else n for i, n in enumerate(grid))
+    return (rest, part, inverse, rest_shape, part_shape,
+            math.prod(part_shape), grid, reduced)
 
 
-def group_meta(mesh, axes: Sequence[str]):
-    """The :func:`_axes_meta` of communication groups over ``axes``:
-    the resolved parameter the collectives below take."""
-    return _axes_meta(mesh.shape, tuple(mesh.axis_indices(axes)))
+def group_meta(mesh, axes: Sequence[str], grid: Sequence[int]):
+    """The :func:`_axes_meta` of communication groups over ``axes`` for
+    an operand on device ``grid``: the resolved parameter the
+    collectives below take."""
+    return _axes_meta(mesh.shape, tuple(mesh.axis_indices(axes)),
+                      tuple(grid))
 
 
-def _ungroup(arr: np.ndarray, meta, new_local: Sequence[int],
-             materialize: bool = True) -> np.ndarray:
+def _ungroup(arr: np.ndarray, meta, new_local: Sequence[int]) -> np.ndarray:
     """Inverse of :func:`_group_view` for a (possibly new) local shape.
 
     ``np.einsum``'s reduction order — and therefore its low bits — depends
-    on operand strides, so stacked results must present each device's
-    local block with the same (C-contiguous) layout the loop backend
-    produces.  ``materialize=True`` copies per device to guarantee that.
-    Replicating collectives instead copy once per *group* before
-    broadcasting and pass ``materialize=False``: the device-axis transpose
-    below only permutes (possibly zero-stride) device axes, leaving each
-    local block contiguous, so replicas stay O(result-per-group) views.
+    on operand strides, so stacked results present each device's local
+    block with the same (C-contiguous) layout the loop backend produces:
+    the result is copied to C order.
     """
-    _, _, inverse, rest_shape, part_shape, _ = meta
+    _, _, inverse, rest_shape, part_shape, _, _, _ = meta
     arr = arr.reshape(rest_shape + part_shape + tuple(new_local))
-    out = arr.transpose(inverse + tuple(range(3, arr.ndim)))
-    return np.ascontiguousarray(out) if materialize else out
+    return np.ascontiguousarray(
+        arr.transpose(inverse + tuple(range(3, arr.ndim))))
 
 
 def _group_sum(grouped: np.ndarray, group_axis: int) -> np.ndarray:
@@ -134,21 +144,16 @@ def _group_sum(grouped: np.ndarray, group_axis: int) -> np.ndarray:
     return total
 
 
-def _replicate(arr: np.ndarray, meta) -> np.ndarray:
-    """Broadcast a per-group result ``[rest..., *local]`` over the group."""
-    _, _, _, rest_shape, _, k = meta
-    local = arr.shape[len(rest_shape):]
-    expanded = arr.reshape(rest_shape + (1,) + local)
-    return np.broadcast_to(expanded, rest_shape + (k,) + local)
-
-
 # ---------------------------------------------------------------------------
 # Collectives
 # ---------------------------------------------------------------------------
 #
 # Every collective takes its groups already resolved (``meta``, from
-# :func:`group_meta`): :mod:`repro.mesh.ops` resolves them once per op and
-# records the same call as its replay closure.
+# :func:`group_meta` on the operand's grid): :mod:`repro.mesh.ops`
+# resolves them once per op and records the same call as its replay
+# closure.  An operand holds one copy along every mesh axis its spec
+# replicates, and so does the result: all-gather and all-reduce results,
+# replicated over each group, keep one copy per group.
 
 def _group_view(shards: np.ndarray, meta):
     """Rearrange ``[d0, d1, d2, *local]`` to ``[rest..., K, *local]``.
@@ -158,13 +163,14 @@ def _group_view(shards: np.ndarray, meta):
     ``meta`` is the groups' :func:`group_meta`, which :func:`_ungroup`
     takes to undo it.
     """
-    rest, part, _, rest_shape, _, k = meta
+    rest, part, _, rest_shape, _, k, _, _ = meta
     moved = shards.transpose(rest + part + tuple(range(3, shards.ndim)))
     return moved.reshape(rest_shape + (k,) + shards.shape[3:])
 
 
 def all_gather(shards: np.ndarray, dim_idx: int, meta) -> np.ndarray:
-    """Concatenate each group's shards along ``dim_idx``, replicated."""
+    """Concatenate each group's shards along ``dim_idx``: one copy per
+    group, size 1 on the group axes."""
     grouped = _group_view(shards, meta)
     nrest = len(meta[0])
     k = meta[5]
@@ -174,11 +180,9 @@ def all_gather(shards: np.ndarray, dim_idx: int, meta) -> np.ndarray:
     merged = np.moveaxis(grouped, nrest, nrest + dim_idx)
     new_local = (local[:dim_idx] + (k * local[dim_idx],)
                  + local[dim_idx + 1:])
-    # One copy per group (not per replica): the broadcast replicas then
-    # share contiguous local blocks, matching the loop backend's layout.
-    gathered = np.ascontiguousarray(merged.reshape(meta[3] + new_local))
-    return _ungroup(_replicate(gathered, meta), meta, new_local,
-                    materialize=False)
+    # The rest axes keep their ascending device order, so size-1 group
+    # axes drop into place without a transpose.
+    return np.ascontiguousarray(merged.reshape(meta[7] + new_local))
 
 
 def reduce_scatter(shards: np.ndarray, dim_idx: int, meta) -> np.ndarray:
@@ -197,100 +201,27 @@ def reduce_scatter(shards: np.ndarray, dim_idx: int, meta) -> np.ndarray:
 
 
 def all_reduce(shards: np.ndarray, meta) -> np.ndarray:
-    """Sum each group sequentially, replicating the total."""
-    grouped = _group_view(shards, meta)
-    total = np.ascontiguousarray(_group_sum(grouped, len(meta[0])))
-    return _ungroup(_replicate(total, meta), meta, shards.shape[3:],
-                    materialize=False)
+    """Sum each group sequentially: one copy of each group's total."""
+    total = _group_sum(_group_view(shards, meta), len(meta[0]))
+    return np.ascontiguousarray(total).reshape(meta[7] + shards.shape[3:])
 
 
-# One gather's worth of precomputed indices; above this the index table
-# (and the materialized replica copies it implies) stops being worth the
-# saved calls — prefill-sized tensors keep the recorded group kernel.
+# One gather's worth of precomputed indices (counted over the whole mesh);
+# above this the index table stops being worth the saved calls —
+# prefill-sized tensors keep the recorded group kernel.
 _INDEXED_COLLECTIVE_LIMIT = 1 << 18
-
-
-def collective_indexable(mesh, kind: str, local_shape) -> bool:
-    """True when :func:`prebind_collective_indexed` can trace ``kind`` on
-    an operand with per-device shape ``local_shape``."""
-    return (kind in ("all_gather", "all_reduce", "reduce_scatter")
-            and math.prod(mesh.shape) * math.prod(local_shape)
-            <= _INDEXED_COLLECTIVE_LIMIT)
-
-
-@lru_cache(maxsize=128)
-def _full_collective_table(mesh_shape: tuple[int, int, int],
-                           part: tuple[int, ...], kind: str,
-                           dim_idx: int | None, in_shape: tuple[int, ...]):
-    """``(table, out_shape)`` of one indexed collective on full operands."""
-    meta = _axes_meta(mesh_shape, part)
-    nrest = len(meta[0])
-    k = meta[5]
-    probe = np.arange(int(np.prod(in_shape))).reshape(in_shape)
-    local = in_shape[3:]
-
-    if kind == "all_gather":
-        table = np.ascontiguousarray(all_gather(probe, dim_idx, meta))
-        table.setflags(write=False)
-        return table, table.shape
-
-    gidx = np.ascontiguousarray(_group_view(probe, meta))
-    rows = tuple((slice(None),) * nrest + (rank,) for rank in range(k))
-    summed_shape = meta[3] + local
-    probe2 = np.arange(int(np.prod(summed_shape))).reshape(summed_shape)
-
-    if kind == "all_reduce":
-        ridx = np.ascontiguousarray(
-            _ungroup(_replicate(probe2, meta), meta, local,
-                     materialize=False))
-    else:
-        chunk = local[dim_idx] // k
-        split = probe2.reshape(meta[3] + local[:dim_idx] + (k, chunk)
-                               + local[dim_idx + 1:])
-        moved = np.moveaxis(split, nrest + dim_idx, nrest)
-        new_local = local[:dim_idx] + (chunk,) + local[dim_idx + 1:]
-        ridx = np.ascontiguousarray(_ungroup(moved, meta, new_local))
-
-    # Combined table: output position ``o`` sums ``in_flat[comb[r, o]]``
-    # over ranks ``r`` in ascending order — the same operands in the same
-    # order as the sequential row adds of ``_group_sum`` (an outer-axis
-    # ``add.reduce`` accumulates in index order; pairwise blocking only
-    # applies to innermost-axis reductions).  One gather, one reduction.
-    rflat = ridx.reshape(-1)
-    comb = np.stack([
-        np.ascontiguousarray(gidx[row]).reshape(-1)[rflat] for row in rows])
-    comb.setflags(write=False)
-    return comb, ridx.shape
-
-
-def _remap_collapsed(flat: np.ndarray, full_shape: tuple[int, ...],
-                     shape: tuple[int, ...]) -> np.ndarray:
-    """Flat indices into a ``full_shape`` array, re-aimed at the same
-    elements of its ``shape`` form, whose size-1 mesh axes are collapsed
-    replicas: every index on a collapsed axis reads copy 0."""
-    coords = np.unravel_index(flat, full_shape)
-    coords = tuple(c if n == full else np.zeros_like(c)
-                   for c, n, full in zip(coords, shape, full_shape))
-    return np.ravel_multi_index(coords, shape)
-
-
-def _grid_slice(lead) -> tuple:
-    return tuple(slice(0, n) for n in lead)
 
 
 @lru_cache(maxsize=128)
 def _collective_index_table(mesh_shape: tuple[int, int, int],
                             part: tuple[int, ...], kind: str,
-                            dim_idx: int | None, in_shape: tuple[int, ...],
-                            out_lead: tuple[int, int, int]):
+                            dim_idx: int | None, in_shape: tuple[int, ...]):
     """``(table, out_shape)`` of one indexed collective, read-only.
 
-    ``in_shape`` is the operand as a program holds it: a mesh axis of
-    size 1 where the mesh is wider is a collapsed replica (see
-    :mod:`repro.mesh.replay_opt`), read at copy 0.  ``out_lead`` is the
-    device grid of the result: a size-1 axis keeps only the copy at
-    index 0 of a replicated result.  Both are index arithmetic on the
-    full-operand table; a reduction keeps every rank, in order.
+    ``in_shape`` is the operand as a program holds it, one copy along
+    each axis its spec replicates.  The table is the group kernel above
+    run on an ``arange`` probe of that shape, so it reads and writes the
+    same copies the kernel does; a reduction keeps every rank, in order.
 
     Memoized process-wide: every program that replays the same
     collective on the same mesh and operand shape (each layer of a
@@ -299,20 +230,38 @@ def _collective_index_table(mesh_shape: tuple[int, int, int],
     frozen (``writeable=False``) because every caller holds the same
     array.
     """
-    full_in = mesh_shape + in_shape[3:]
-    table, full_out = _full_collective_table(mesh_shape, part, kind,
-                                             dim_idx, full_in)
-    if in_shape == full_in and out_lead == mesh_shape:
-        return table, full_out
+    meta = _axes_meta(mesh_shape, part, in_shape[:3])
+    probe = np.arange(math.prod(in_shape)).reshape(in_shape)
     if kind == "all_gather":
-        table = table[_grid_slice(out_lead)]
+        table = all_gather(probe, dim_idx, meta)
+        table.setflags(write=False)
+        return table, table.shape
+
+    nrest, k, local = len(meta[0]), meta[5], in_shape[3:]
+    gidx = np.ascontiguousarray(_group_view(probe, meta))
+    summed_shape = meta[3] + local
+    order = np.arange(math.prod(summed_shape)).reshape(summed_shape)
+    if kind == "all_reduce":
+        ridx = order.reshape(meta[7] + local)
     else:
-        k = table.shape[0]
-        table = table.reshape((k,) + full_out)
-        table = table[(slice(None),) + _grid_slice(out_lead)].reshape(k, -1)
-    table = np.ascontiguousarray(_remap_collapsed(table, full_in, in_shape))
-    table.setflags(write=False)
-    return table, out_lead + full_out[3:]
+        chunk = local[dim_idx] // k
+        split = order.reshape(meta[3] + local[:dim_idx] + (k, chunk)
+                              + local[dim_idx + 1:])
+        moved = np.moveaxis(split, nrest + dim_idx, nrest)
+        ridx = _ungroup(moved, meta,
+                        local[:dim_idx] + (chunk,) + local[dim_idx + 1:])
+
+    # Combined table: output position ``o`` sums ``in_flat[comb[r, o]]``
+    # over ranks ``r`` in ascending order — the same operands in the same
+    # order as the sequential row adds of ``_group_sum`` (an outer-axis
+    # ``add.reduce`` accumulates in index order; pairwise blocking only
+    # applies to innermost-axis reductions).  One gather, one reduction.
+    rflat = ridx.reshape(-1)
+    comb = np.stack([
+        np.ascontiguousarray(gidx[(slice(None),) * nrest + (rank,)])
+        .reshape(-1)[rflat] for rank in range(k)])
+    comb.setflags(write=False)
+    return comb, ridx.shape
 
 
 def _ordered_row_sum(rows: np.ndarray, out: np.ndarray) -> None:
@@ -331,24 +280,19 @@ def _ordered_row_sum(rows: np.ndarray, out: np.ndarray) -> None:
 
 def prebind_collective_indexed(mesh, kind: str, axes: Sequence[str],
                                dim_idx: int | None, in_shape,
-                               dtype=np.float64, *, scratch: dict,
-                               out_lead: tuple[int, int, int]):
+                               dtype=np.float64, *, scratch: dict):
     """A collective closure with its data movement traced to one gather.
 
-    The movement portions of a collective (grouping, scattering,
-    replication) are pure permutations-with-duplication of the input
-    elements, so running the existing kernels once over an ``arange``
-    probe yields, at each output position, the flat *index* of the input
-    element that lands there — after which replay is a single
-    ``np.take`` per movement stage.  The reduction portion keeps the
-    exact left-to-right sequential adds of :func:`_group_sum` (on rows
-    holding identical values), so every output bit matches the group
-    kernels above.  Returns ``None`` when the shape is too large for
-    index tables to pay off (the caller keeps the recorded kernel).
-
-    ``in_shape`` may hold collapsed replicas (size-1 mesh axes) and
-    ``out_lead``, the result's device grid, may ask for a collapsed
-    result; see :func:`_collective_index_table`.
+    The movement portions of a collective (grouping, scattering) are
+    pure permutations-with-duplication of the input elements, so running
+    the existing kernels once over an ``arange`` probe yields, at each
+    output position, the flat *index* of the input element that lands
+    there — after which replay is a single ``np.take`` per movement
+    stage.  The reduction portion keeps the exact left-to-right
+    sequential adds of :func:`_group_sum`, so every output bit matches
+    the group kernels above.  Returns ``None`` when the shape is too
+    large for index tables to pay off, or a group of one leaves nothing
+    to reduce (the caller keeps the recorded kernel).
 
     The index tables are shared process-wide
     (:func:`_collective_index_table`); each closure owns its output
@@ -356,16 +300,16 @@ def prebind_collective_indexed(mesh, kind: str, axes: Sequence[str],
     the closure returns, so closures of one program — which replays
     serially — share one per (shape, dtype) through ``scratch``.
     """
-    in_shape, out_lead = tuple(in_shape), tuple(out_lead)
-    if not collective_indexable(mesh, kind, in_shape[3:]):
+    in_shape = tuple(in_shape)
+    if (kind not in ("all_gather", "all_reduce", "reduce_scatter")
+            or math.prod(mesh.shape) * math.prod(in_shape[3:])
+            > _INDEXED_COLLECTIVE_LIMIT):
         return None
     part = tuple(mesh.axis_indices(axes))
-    full = in_shape[:3] == out_lead == mesh.shape
-    if full and _axes_meta(mesh.shape, part)[5] < 2 \
-            and kind != "all_gather":
-        return None  # nothing to reduce; the recorded kernel stays
+    if kind != "all_gather" and mesh.group_size(axes) < 2:
+        return None
     table, out_shape = _collective_index_table(
-        mesh.shape, part, kind, dim_idx, in_shape, out_lead)
+        mesh.shape, part, kind, dim_idx, in_shape)
     dtype = np.dtype(dtype)
     obuf = np.empty(out_shape, dtype)
 
@@ -409,7 +353,11 @@ def all_to_all(shards: np.ndarray, src_idx: int, dst_idx: int,
 
 
 def split(shards: np.ndarray, dim_idx: int, meta) -> np.ndarray:
-    """Each device keeps its own rank's chunk of its replica (no comm)."""
+    """Each device keeps its own rank's chunk of its replica (no comm).
+
+    The operand is replicated along the group axes, so it holds one copy
+    there; it is read through a broadcast over each group."""
+    shards = np.broadcast_to(shards, meta[6] + shards.shape[3:])
     grouped = _group_view(shards, meta)
     nrest = len(meta[0])
     k = meta[5]
@@ -481,10 +429,11 @@ def contract(lhs: str, rhs: str, out_subs: str, a: np.ndarray,
 
     Axes of ``a`` and ``b`` before the subscripted ones are batch axes
     that broadcast — the three device axes of stacked shards, none for
-    one device's shard — so replicated operands held as zero-stride
-    views cost no copies.  A :func:`matmul_form` contraction is one BLAS
-    ``np.matmul`` of ``[..., M, C]`` by ``[..., C, N]`` (the transposed
-    form reads ``b`` through a transposed view); any other is one
+    one device's shard — so an operand holding one copy along a
+    replicated axis is read by every position of the other.  A
+    :func:`matmul_form` contraction is one BLAS ``np.matmul`` of
+    ``[..., M, C]`` by ``[..., C, N]`` (the transposed form reads ``b``
+    through a transposed view); any other is one
     ``np.einsum``.  ``out`` (a capture-replay buffer, C-contiguous)
     receives the result without changing the kernel.  See the module's
     bit-exactness contract.
@@ -514,9 +463,9 @@ def from_global(mesh, array: np.ndarray, spec,
                 local: Sequence[int]) -> np.ndarray:
     """Shard a global array into the dense stacked representation.
 
-    Splits every sharded dim into its (row-major) axis factors, transposes
-    the factors into device-axis position, and broadcasts over any mesh
-    axes the spec does not use (replication).
+    Splits every sharded dim into its (row-major) axis factors and
+    transposes the factors into device-axis position; a mesh axis the
+    spec does not use (replication) is size 1.
     """
     return _from_global_dense(mesh.shape, array, spec, tuple(local))
 
@@ -538,7 +487,6 @@ def _from_global_dense(mesh_shape: tuple[int, int, int], array: np.ndarray,
     for i, axis in enumerate(AXIS_NAMES):
         if axis not in axis_pos:
             arr = np.expand_dims(arr, i)
-    arr = np.broadcast_to(arr, mesh_shape + local)
     return np.ascontiguousarray(arr)
 
 
@@ -551,36 +499,61 @@ def replicated_axes(spec) -> tuple[int, ...]:
     return tuple(i for i, a in enumerate(AXIS_NAMES) if a not in used)
 
 
+@lru_cache(maxsize=1024)
+def holds_spec(spec, mesh_shape: tuple[int, int, int],
+               grid: tuple[int, int, int]) -> bool:
+    """True when a stacked array on device ``grid`` may hold a value of
+    ``spec``: the mesh size on every axis, or size 1 (one copy) on an
+    axis the spec replicates."""
+    rep = replicated_axes(spec)
+    return all(n == size or (n == 1 and i in rep)
+               for i, (n, size) in enumerate(zip(grid, mesh_shape)))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when ``a`` and ``b`` (broadcast together) hold the same bit
+    patterns: ``-0.0`` is not a copy of ``0.0``, and a NaN is a copy
+    only of a NaN with the same payload."""
+    if a.dtype != b.dtype:
+        return False
+    bits = f"V{a.dtype.itemsize}"
+    return bool((a.view(bits) == b.view(bits)).all())
+
+
+@lru_cache(maxsize=None)
+def _copy_zero(spec) -> tuple:
+    """The basic index keeping copy 0, as a size-1 axis, of every device
+    axis ``spec`` replicates."""
+    rep = replicated_axes(spec)
+    return tuple(slice(0, 1) if i in rep else slice(None) for i in range(3))
+
+
 def collapse_replicas(spec, shards: np.ndarray,
                       check: bool = True) -> np.ndarray:
-    """The first-seen replica of a stacked array, as a view.
+    """One copy of a stacked array along each axis ``spec`` replicates.
 
-    Every mesh axis the spec neither shards nor partially sums is cut to
-    its all-zero coordinate, kept as a size-1 axis.  With ``check``, the
-    other replicas must equal that copy (NaNs matching NaNs), else
-    :class:`~repro.sharding.spec.ShardingError`.
+    An array already holding one copy is returned as it is.  One that is
+    full along such an axis (a widened value, see
+    :meth:`repro.mesh.faults.FaultState.post_collective`, or a column of
+    a fused projection) is cut to its all-zero coordinate, as a size-1
+    view.  With ``check``, the other copies must have the same bits
+    (:func:`same_bits`), else :class:`~repro.sharding.spec.ShardingError`.
     """
     from repro.sharding.spec import ShardingError
 
-    rep_idx = replicated_axes(spec)
-    if not any(shards.shape[i] > 1 for i in rep_idx):
+    first = shards[_copy_zero(spec)]
+    if first.shape == shards.shape:
         return shards
-    first = shards[tuple(slice(0, 1) if i in rep_idx else slice(None)
-                         for i in range(3))]
-    if check:
-        equal = shards == first
-        if not equal.all() and shards.dtype.kind in "fc":
-            equal |= np.isnan(shards) & np.isnan(first)
-        if not equal.all():
-            raise ShardingError(
-                f"replicas disagree for spec {spec} on mesh "
-                f"{shards.shape[:3]}")
+    if check and not same_bits(shards, first):
+        raise ShardingError(
+            f"replicas disagree for spec {spec} on mesh "
+            f"{shards.shape[:3]}")
     return first
 
 
 def reassemble(spec, shards: np.ndarray) -> np.ndarray:
-    """The global array of a stacked array whose replicated mesh axes
-    may already be collapsed to size 1 (:func:`collapse_replicas`).
+    """The global array of a stacked array (one copy along each axis
+    ``spec`` replicates; of a wider array, copy 0 is read).
 
     Keeps the first replica, sums partial axes sequentially in row-major
     device order (the loop backend's addition order, so bit-identical),
@@ -644,8 +617,8 @@ def _to_global_table(spec, global_shape: tuple[int, ...],
 def prebind_to_global(spec, global_shape: Sequence[int], in_shape):
     """:func:`to_global` without the replica check, traced to one gather.
 
-    ``in_shape`` is the operand as a captured program holds it, whose
-    replicated mesh axes may be collapsed to size 1.  Replay is one
+    ``in_shape`` is the operand as a captured program holds it, one copy
+    along each replicated mesh axis.  Replay is one
     ``np.take`` of a table resolved here, plus, for partial sums, the
     rank-ordered row sum that :func:`reassemble` performs, so the bits
     match.  Every call returns a fresh array (it may be the program
@@ -668,29 +641,21 @@ def prebind_to_global(spec, global_shape: Sequence[int], in_shape):
 @lru_cache(maxsize=128)
 def _from_global_table(mesh_shape: tuple[int, int, int], spec,
                        global_shape: tuple[int, ...],
-                       local: tuple[int, ...],
-                       out_lead: tuple[int, int, int]) -> np.ndarray:
-    probe = np.arange(int(np.prod(global_shape))).reshape(global_shape)
-    table = np.ascontiguousarray(
-        _from_global_dense(mesh_shape, probe, spec, local)[
-            _grid_slice(out_lead)])
+                       local: tuple[int, ...]) -> np.ndarray:
+    probe = np.arange(math.prod(global_shape)).reshape(global_shape)
+    table = _from_global_dense(mesh_shape, probe, spec, local)
     table.setflags(write=False)
     return table
 
 
 def prebind_from_global(mesh, spec, global_shape: Sequence[int],
-                        local: Sequence[int], dtype,
-                        out_lead: tuple[int, int, int]):
+                        local: Sequence[int], dtype):
     """:func:`from_global` traced to one gather into a reused buffer.
-
-    ``out_lead`` is the result's device grid: size 1 on a mesh axis the
-    spec leaves replicated keeps one copy.  ``None`` when too large for
-    a table.
-    """
+    ``None`` when too large for a table."""
     if math.prod(mesh.shape) * math.prod(local) > _INDEXED_COLLECTIVE_LIMIT:
         return None
     table = _from_global_table(mesh.shape, spec, tuple(global_shape),
-                               tuple(local), tuple(out_lead))
+                               tuple(local))
     obuf = np.empty(table.shape, dtype)
 
     def run(g):
@@ -704,8 +669,9 @@ def to_global(mesh, spec, global_shape: Sequence[int], shards: np.ndarray,
               check_replication: bool = True) -> np.ndarray:
     """Reassemble the global array from a dense stacked representation.
 
-    Mirrors the loop backend exactly: replicas are checked for equality
-    against the first-seen (all-zero replica coordinate) copy, partial
+    Mirrors the loop backend exactly: one copy is read along each
+    replicated axis — any other copies a widened array holds are checked
+    bit for bit against it (:func:`collapse_replicas`) — partial
     sums accumulate sequentially in row-major device order, and sharded
     dims are reassembled by inverting :func:`from_global`.
     """

@@ -27,9 +27,7 @@ The v2 contract on top of ``test_step_capture.py``'s single-step replay:
   and tracer and not A's, never hits for a collected weights object
   whose id was reused, spares a scaled-out replica every capture its
   plane already holds, is never shared between planes, and serializes
-  concurrent replays of one program on many cache sets;
-* every value a stacked program keeps one copy of is really replicated
-  in the eager step's arrays (:mod:`tests.unit.replica_check`).
+  concurrent replays of one program on many cache sets.
 """
 
 import dataclasses
@@ -66,7 +64,6 @@ from repro.partitioning.degraded import (
 from repro.partitioning.selector import Phase
 from repro.serving import Request
 from repro.serving.chunked import chunked_prefill
-from tests.unit.replica_check import collapsed_replicas_are_real  # noqa: F401
 
 CFG = tiny_test_config(n_layers=2, d_model=16, d_ff=32, n_heads=8,
                        d_head=8, vocab_size=32)

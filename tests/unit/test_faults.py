@@ -20,7 +20,8 @@ from repro.mesh import (
     clear_faults,
 )
 from repro.mesh.virtual_mesh import BACKENDS
-from repro.sharding import parse
+from repro.sharding import ShardingError, parse
+from tests.unit.grid import every_device
 
 RNG = np.random.default_rng(0)
 
@@ -119,7 +120,8 @@ class TestCollectiveFaults:
         x = RNG.standard_normal((8,))
         replicated = ShardedTensor.from_global(mesh, x / 2, parse("D"))
         spec = parse("D").with_partial_sum(("x",))
-        t = ShardedTensor(mesh, spec, x.shape, replicated.shards)
+        # One copy per replicated axis: broadcast over the partial x.
+        t = ShardedTensor(mesh, spec, x.shape, every_device(replicated))
         clean = all_reduce(t, ("x",)).to_global()
         np.testing.assert_allclose(clean, x)
         mesh.install_faults(FaultPlan(faults=(
@@ -127,6 +129,9 @@ class TestCollectiveFaults:
                             detected=False),)))
         dirty = all_reduce(t, ("x",))
         assert not np.allclose(clean, dirty.shards[0, 0, 0])
+        # Only chip (0, 0, 0)'s copy is corrupt: the replicas disagree.
+        with pytest.raises(ShardingError, match="replicas disagree"):
+            dirty.to_global()
 
     def test_unknown_kind_rejected(self, backend):
         with pytest.raises(ValueError, match="kind"):

@@ -53,6 +53,7 @@ from repro.partitioning.degraded import build_deployment
 from repro.serving import Request
 from repro.serving.chunked import chunked_prefill
 from repro.sharding.spec import ShardingError
+from tests.unit.grid import every_device, widened
 
 CFG = tiny_test_config(n_layers=2, d_model=16, d_ff=32, n_heads=8,
                        d_head=8, vocab_size=32)
@@ -467,7 +468,7 @@ def reload_with_disagreeing_replica(cache, position):
     copies as given; a stacked cache checks them on the way in."""
     k, v = cache.as_sharded()
     if cache.is_stacked:
-        shards = np.array(k.shards)
+        shards = np.array(every_device(k))
         shards[-1, -1, -1, 0, position, 0, 0] += 1.0
     else:
         shards = cache.mesh.map_devices(lambda c: k.shards[c].copy())
@@ -615,6 +616,7 @@ class TestOneLayout:
         before = cache.k.copy()
         k_new = ShardedTensor.from_global(
             mesh, np.ones((4, 1, 4, 2)), spec.replace("M", "L"))
+        k_new = widened(k_new)
         k_new.shards[-1, -1, -1, 0, 0, 0, 0] += 1.0
         with pytest.raises(ShardingError, match="replicas disagree"):
             cache.append(k_new, k_new)
@@ -633,9 +635,10 @@ class TestPerChipBytes:
         for spec in self.SPECS:
             cache = ShardedKVCache(mesh, spec, batch=4, max_len=8,
                                    n_kv_heads=4, d_head=2)
-            k, v = cache.as_sharded(0, cache.max_len)
+            k, v = (every_device(t) for t in cache.as_sharded(
+                0, cache.max_len))
             for coord in mesh.devices():
-                actual = k.shards[coord].nbytes + v.shards[coord].nbytes
+                actual = k[coord].nbytes + v[coord].nbytes
                 assert cache.per_chip_bytes() == actual, \
                     f"per_chip_bytes wrong for {spec} on {shape} {backend}"
 

@@ -39,6 +39,7 @@ from repro.partitioning import (
     FfnLayoutKind,
     LayoutPlan,
 )
+from tests.unit.grid import every_device
 
 MESH_SHAPE = (2, 2, 2)
 DTYPES = (np.float64, np.float32, np.int64)
@@ -68,11 +69,13 @@ def make_pair(x, spec, mesh_shape=MESH_SHAPE):
 
 
 def assert_bit_identical(t_loop, t_stacked):
-    """Every device's shard matches exactly: dtype, shape, and bits."""
+    """Every device's shard matches exactly: dtype, shape, and bits (the
+    stacked shards broadcast from their one copy per replicated axis)."""
     assert str(t_loop.spec) == str(t_stacked.spec)
     assert t_loop.global_shape == t_stacked.global_shape
+    stacked = every_device(t_stacked)
     for coord in np.ndindex(t_loop.mesh.shape):
-        a, b = t_loop.shards[coord], np.asarray(t_stacked.shards[coord])
+        a, b = t_loop.shards[coord], np.asarray(stacked[coord])
         assert a.dtype == b.dtype, (coord, a.dtype, b.dtype)
         assert a.shape == b.shape, (coord, a.shape, b.shape)
         assert np.array_equal(a, b), f"shards differ at device {coord}"

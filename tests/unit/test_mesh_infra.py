@@ -17,6 +17,7 @@ from repro.partitioning import (
     LayoutPlan,
 )
 from repro.sharding import ShardingError
+from tests.unit.grid import widened
 
 RNG = np.random.default_rng(6)
 
@@ -111,6 +112,7 @@ class TestSpmdDivergenceDetection:
             weights, mesh,
             LayoutPlan(FfnLayoutKind.WS_2D, AttentionLayoutKind.HEAD))
         # Corrupt one chip's copy of the (replicated) embedding table.
+        model.embedding = widened(model.embedding)
         model.embedding.shards[1, 0, 0] = \
             model.embedding.shards[1, 0, 0] + 100.0
         prompt = np.zeros((8, 2), dtype=int)
@@ -136,7 +138,7 @@ class TestSpmdDivergenceDetection:
     def test_corrupted_activation_detected_without_check_skip(self):
         mesh = VirtualMesh((1, 2, 2))
         x = RNG.normal(size=(4, 8))
-        t = ShardedTensor.from_global(mesh, x, "BE_y")
+        t = widened(ShardedTensor.from_global(mesh, x, "BE_y"))
         t.shards[0, 1, 1][:] += 1.0  # one replica along z diverges
         with pytest.raises(ShardingError):
             t.to_global()

@@ -23,6 +23,7 @@ from repro.mesh import (
     split,
 )
 from repro.sharding import ShardingError, parse
+from tests.unit.grid import every_device, widened
 
 RNG = np.random.default_rng(0)
 
@@ -65,7 +66,7 @@ class TestShardedTensor:
     def test_replication_inconsistency_detected(self):
         mesh = mesh222()
         x = RNG.normal(size=(4, 4))
-        t = ShardedTensor.from_global(mesh, x, "BE_x")
+        t = widened(ShardedTensor.from_global(mesh, x, "BE_x"))
         t.shards[0, 1, 0] = t.shards[0, 1, 0] + 1.0  # corrupt one replica
         with pytest.raises(ShardingError, match="replicas disagree"):
             t.to_global()
@@ -119,7 +120,7 @@ class TestAllGather:
         np.testing.assert_array_equal(g.to_global(), x)
         # Every device now holds the full tensor.
         for coord in mesh.devices():
-            np.testing.assert_array_equal(g.shards[coord], x)
+            np.testing.assert_array_equal(every_device(g)[coord], x)
 
     def test_requires_suffix(self):
         mesh = mesh222()
@@ -340,4 +341,5 @@ def test_property_gather_then_split_restores_layout(mt):
     s = split(g, ("y",), "E")
     assert s.spec == t.spec
     for coord in mesh.devices():
-        np.testing.assert_array_equal(s.shards[coord], t.shards[coord])
+        np.testing.assert_array_equal(every_device(s)[coord],
+                                      every_device(t)[coord])

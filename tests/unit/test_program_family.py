@@ -23,7 +23,6 @@ from repro.mesh import BACKENDS, VirtualMesh
 from repro.mesh.capture import StepCompiler
 from repro.model import init_weights, tiny_test_config
 from repro.partitioning import AttentionLayoutKind, FfnLayoutKind, LayoutPlan
-from tests.unit.replica_check import collapsed_replicas_are_real  # noqa: F401
 
 # The serving benchmark's Model B deployment (2x2x2, WS-1D/head), whose
 # prefill and decode plans coincide.

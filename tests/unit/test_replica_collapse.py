@@ -1,12 +1,13 @@
-"""Replica-collapsed captured programs (``repro.mesh.replay_opt``).
+"""One copy of a replicated value, eager and captured (``repro.mesh``).
 
-A stacked-backend program computes a value replicated along a mesh axis
-once along it, and stays bit-identical to eager execution:
+A stacked tensor holds one copy along every mesh axis its spec
+replicates, so a captured program computes each replicated value once
+and stays bit-identical to eager execution:
 
-* what collapses is pinned on the serving benchmark's two deployments:
-  Model A (4x4x4, WS-2D/head) decoding at batch 1 runs attention on 16
-  of 64 positions and the vocab einsum on 1; Model B (2x2x2,
-  WS-1D/head) runs attention on all 8 and the vocab einsum on 1;
+* what a program computes once is pinned on the serving benchmark's two
+  deployments: Model A (4x4x4, WS-2D/head) decoding at batch 1 runs
+  attention on 16 of 64 positions and the vocab einsum on 1; Model B
+  (2x2x2, WS-1D/head) runs attention on all 8 and the vocab einsum on 1;
 * each block of either deployment issues one input projection
   (Q|K|V|in|gate, the model's Section 3.4 fusion) and two rope calls,
   one on the Q and one on the K columns of its output, against the one
@@ -18,27 +19,26 @@ once along it, and stays bit-identical to eager execution:
   arena buffer of its own, not a fresh allocation per step;
 * decode steps and prefill chunks of both deployments, at batch 1 and
   4, replay eager logits and KV caches bit for bit;
+* every stacked tensor of a fault-free forward and capture of either
+  deployment holds one copy along each axis its spec replicates;
 * the prebound ``to_global``/``from_global`` and the indexed collectives
-  equal the generic kernels on full and collapsed operands, partial sums
-  included, down to a single-column reduction;
-* the replication checker (:mod:`tests.unit.replica_check`, also run by
-  every capture here) rejects a replica claim the arrays do not bear
-  out.
+  equal the group kernels on one-copy and widened operands, partial
+  sums included, down to a single-column reduction;
+* the fused projection's check of the copies it narrows rejects a
+  replica claim the arrays do not bear out, bit for bit: ``-0.0`` is not
+  a copy of ``0.0``.
 """
 
 import numpy as np
 import pytest
 
 from repro.layouts import ShardedTransformer
-from repro.mesh import VirtualMesh, stacked
-from repro.mesh.capture import capture_chunk
+from repro.mesh import ShardedTensor, VirtualMesh, stacked
+from repro.mesh.capture import capturing
+from repro.mesh.ops import concat_weights, fused_projection
 from repro.model import init_weights, tiny_test_config
 from repro.partitioning import AttentionLayoutKind, FfnLayoutKind, LayoutPlan
-from repro.sharding.spec import parse
-from tests.unit.replica_check import (  # noqa: F401
-    collapsed_replicas_are_real,
-    replica_mismatches,
-)
+from repro.sharding.spec import ShardingError, parse
 
 # The serving benchmark's models and the plans its deployments pick.
 MODEL_A = tiny_test_config(n_layers=2, d_model=64, d_ff=128, n_heads=16,
@@ -62,14 +62,19 @@ def deploy(name, backend="stacked"):
                               plan)
 
 
+def capture(model, tokens, caches):
+    """``(recorder, program)`` of one captured forward chunk."""
+    with capturing(model.mesh, caches) as recorder:
+        logits = model.forward(tokens, caches)
+    return recorder, recorder.finalize(logits)
+
+
 def decode_program(name, backend="stacked"):
     """Capture one batch-1 decode step of deployment ``name``."""
     model = deploy(name, backend)
     prompt = np.random.default_rng(1).integers(0, 32, size=(1, 5))
     logits, caches = model.prefill(prompt, 12)
-    _, program = capture_chunk(model, np.argmax(logits, -1)[:, None],
-                               caches)
-    return program
+    return capture(model, np.argmax(logits, -1)[:, None], caches)
 
 
 def prefill_program(name):
@@ -77,78 +82,95 @@ def prefill_program(name):
     ``name``."""
     model = deploy(name)
     chunk = np.random.default_rng(1).integers(0, 32, size=(1, 4))
-    _, program = capture_chunk(model, chunk, model.new_cache(1, 12))
-    return program
+    return capture(model, chunk, model.new_cache(1, 12))
 
 
-def positions(captures, label):
-    """Device-grid positions each ``label`` instruction of the last
-    capture computes per replay (its output's leading three axes as the
-    program holds it)."""
-    recorder, program = captures[-1]
+def positions(captured, label):
+    """Device-grid positions each ``label`` instruction of a capture
+    computes per replay (its output's leading three axes as the program
+    holds it)."""
+    recorder, program = captured
     return [int(np.prod(np.shape(recorder._values[ins.out])[:3]))
             for ins in program._instrs if ins.label == label]
 
 
-def attention(captures):
-    return positions(captures, "attention")
+def attention(captured):
+    return positions(captured, "attention")
 
 
-def rope_rows(captures):
-    """Heads each rope call of the last capture rotates."""
-    recorder, program = captures[-1]
+def rope_rows(captured):
+    """Heads each rope call of a capture rotates."""
+    recorder, program = captured
     return [recorder._values[ins.out].shape[-2] for ins in program._instrs
             if ins.label in ("rope", "rope_cached")]
 
 
-def one_projection_and_q_k_ropes_per_block(captures):
+def one_projection_and_q_k_ropes_per_block(captured):
     """One rotation-table build per step, one fused projection per
     block, and one rope call each for its Q and its K, each on one local
     head: the local query head (16 heads over 16 chips on A, 8 over 8 on
     B), then the shared multiquery K head."""
-    assert len(positions(captures, "projection")) == 2
-    assert [ins.label for ins in captures[-1][1]._instrs].count(
+    assert len(positions(captured, "projection")) == 2
+    assert [ins.label for ins in captured[1]._instrs].count(
         "rope_tables") == 1
-    assert rope_rows(captures) == [1, 1] * 2
+    assert rope_rows(captured) == [1, 1] * 2
 
 
 class TestWhatCollapses:
-    def test_model_a_decode(self, collapsed_replicas_are_real):
-        decode_program("A")
-        assert attention(collapsed_replicas_are_real) == [16, 16]
-        assert positions(collapsed_replicas_are_real, VOCAB) == [1]
-        one_projection_and_q_k_ropes_per_block(collapsed_replicas_are_real)
+    def test_model_a_decode(self):
+        captured = decode_program("A")
+        assert attention(captured) == [16, 16]
+        assert positions(captured, VOCAB) == [1]
+        one_projection_and_q_k_ropes_per_block(captured)
 
-    def test_model_b_decode(self, collapsed_replicas_are_real):
-        decode_program("B")
-        captures = collapsed_replicas_are_real
-        assert attention(captures) == [8, 8]
-        assert positions(captures, VOCAB) == [1]
+    def test_model_b_decode(self):
+        captured = decode_program("B")
+        assert attention(captured) == [8, 8]
+        assert positions(captured, VOCAB) == [1]
         # The head gather and every norm statistic: one copy each.
-        assert set(positions(captures, "all_gather")) == {1}
-        assert set(positions(captures, "all_reduce")) == {1}
-        one_projection_and_q_k_ropes_per_block(captures)
+        assert set(positions(captured, "all_gather")) == {1}
+        assert set(positions(captured, "all_reduce")) == {1}
+        one_projection_and_q_k_ropes_per_block(captured)
 
     @pytest.mark.parametrize("name", DEPLOYMENTS)
     @pytest.mark.parametrize("capture", [decode_program, prefill_program])
     def test_elementwise_kernels_own_arena_buffers(self, name, capture):
         """Without its buffer a kernel still replays the right bits, just
         into a fresh allocation every step — so check the buffers."""
-        kernels = [ins for ins in capture(name)._instrs if ins.label in
+        kernels = [ins for ins in capture(name)[1]._instrs if ins.label in
                    ("rmsnorm", "swish", "multiply", "rope_cached")]
         assert {ins.label for ins in kernels} == {
             "rmsnorm", "swish", "multiply", "rope_cached"}
         assert all(ins.buffer is not None for ins in kernels)
 
     @pytest.mark.parametrize("name", DEPLOYMENTS)
-    def test_loop_programs_unchanged(self, name,
-                                     collapsed_replicas_are_real):
-        program = decode_program(name, backend="loop")
-        recorder, _ = collapsed_replicas_are_real[-1]
+    def test_loop_programs_unchanged(self, name):
+        captured = decode_program(name, backend="loop")
         n_devices = int(np.prod(DEPLOYMENTS[name][1]))
-        assert not program.optimized and not recorder.collapsed
-        assert attention(collapsed_replicas_are_real) == [n_devices] * 2
-        assert positions(collapsed_replicas_are_real, VOCAB) == [n_devices]
+        assert not captured[1].optimized
+        assert attention(captured) == [n_devices] * 2
+        assert positions(captured, VOCAB) == [n_devices]
+
+
+class TestOneCopy:
+    @pytest.mark.parametrize("name", DEPLOYMENTS)
+    def test_every_stacked_tensor_holds_one_copy(self, name, monkeypatch):
+        """Weight placement, an eager prefill and a captured decode step:
+        every stacked tensor built is size 1 on each axis its spec
+        replicates (and the mesh size elsewhere)."""
+        grids = []
+        init = ShardedTensor.__init__
+
+        def recording(self, mesh, spec, global_shape, shards):
+            init(self, mesh, spec, global_shape, shards)
+            rep = stacked.replicated_axes(self.spec)
+            grids.append((str(self.spec), shards.shape[:3], tuple(
+                1 if i in rep else n for i, n in enumerate(mesh.shape))))
+
+        monkeypatch.setattr(ShardedTensor, "__init__", recording)
+        decode_program(name)
+        assert len(grids) > 100
+        assert [entry for entry in grids if entry[1] != entry[2]] == []
 
 
 def caches_equal(a_caches, b_caches):
@@ -160,7 +182,7 @@ def caches_equal(a_caches, b_caches):
 class TestBitIdentity:
     @pytest.mark.parametrize("name", DEPLOYMENTS)
     @pytest.mark.parametrize("batch", [1, 4])
-    def test_decode_steps(self, name, batch, collapsed_replicas_are_real):
+    def test_decode_steps(self, name, batch):
         model = deploy(name)
         prompt = np.random.default_rng(batch).integers(0, 32,
                                                        size=(batch, 5))
@@ -168,8 +190,9 @@ class TestBitIdentity:
         _, caches = model.prefill(prompt, 12)
         tok = np.argmax(logits, -1)
         eager = model.decode_step(tok, eager_caches)
-        _, program = capture_chunk(model, tok[:, None], caches)
-        assert collapsed_replicas_are_real[-1][0].collapsed
+        captured = capture(model, tok[:, None], caches)
+        program = captured[1]
+        assert positions(captured, VOCAB) == [1]
         tok = np.argmax(eager, -1)
         for _ in range(4):
             eager = model.decode_step(tok, eager_caches)
@@ -187,7 +210,9 @@ class TestBitIdentity:
         eager_caches = model.new_cache(batch, 12)
         caches = model.new_cache(batch, 12)
         eager = model.forward(chunks[0], eager_caches)
-        got, program = capture_chunk(model, chunks[0], caches)
+        with capturing(model.mesh, caches) as recorder:
+            got = model.forward(chunks[0], caches)
+        program = recorder.finalize(got)
         assert np.array_equal(got, eager)
         for chunk in chunks[1:]:
             eager = model.forward(chunk, eager_caches)
@@ -237,11 +262,11 @@ class TestPrebound:
         array = np.random.default_rng(1).standard_normal(gshape)
         want = stacked.from_global(mesh, array, spec, local)
         rep = stacked.replicated_axes(spec)
-        lead = tuple(1 if i in rep else n
-                     for i, n in enumerate(mesh.shape))
+        assert want.shape[:3] == tuple(1 if i in rep else n
+                                       for i, n in enumerate(mesh.shape))
         got = stacked.prebind_from_global(mesh, spec, gshape, local,
-                                          array.dtype, lead)(array)
-        assert bits_equal(got, want[tuple(slice(0, n) for n in lead)])
+                                          array.dtype)(array)
+        assert bits_equal(got, want)
 
     @pytest.mark.parametrize("kind, axes, dim_idx, in_rep, local", [
         ("all_reduce", ("x", "y", "z"), None, (), (1, 1)),
@@ -252,10 +277,10 @@ class TestPrebound:
     ])
     def test_indexed_collectives_collapsed(self, kind, axes, dim_idx,
                                            in_rep, local):
-        """Collapsed operand and result through the index tables: the
-        eager kernel's bits at every kept position, on 4x4x4 where a
-        fully collapsed sum has a single column (the ordered-row-sum
-        edge case)."""
+        """One-copy and widened operands through the index tables: the
+        group kernel's bits, and the widened operand's result at every
+        copy, on 4x4x4 where a sum kept once has a single column (the
+        ordered-row-sum edge case)."""
         mesh = VirtualMesh((4, 4, 4), "stacked")
         rng = np.random.default_rng(2)
         first = rng.standard_normal(
@@ -263,34 +288,51 @@ class TestPrebound:
         first *= 10.0 ** rng.integers(-6, 6, first.shape)
         full = np.ascontiguousarray(
             np.broadcast_to(first, mesh.shape + local))
-        meta = stacked.group_meta(mesh, axes)
-        want = (stacked.all_reduce(full, meta) if kind == "all_reduce"
-                else getattr(stacked, kind)(full, dim_idx, meta))
-        out_rep = set(in_rep)
-        if kind != "reduce_scatter":
-            out_rep |= set(mesh.axis_indices(axes))
-        out_lead = tuple(1 if i in out_rep else 4 for i in range(3))
-        for operand, lead in ((full, out_lead), (first, out_lead),
-                              (first, mesh.shape)):
+
+        def kernel(operand):
+            meta = stacked.group_meta(mesh, axes, operand.shape[:3])
+            if kind == "all_reduce":
+                return stacked.all_reduce(operand, meta)
+            return getattr(stacked, kind)(operand, dim_idx, meta)
+
+        want = kernel(full)
+        for operand in (full, first):
             run = stacked.prebind_collective_indexed(
-                mesh, kind, axes, dim_idx, operand.shape, scratch={},
-                out_lead=lead)
-            assert bits_equal(run(operand), np.ascontiguousarray(
-                want[tuple(slice(0, n) for n in lead)]))
+                mesh, kind, axes, dim_idx, operand.shape, scratch={})
+            got = kernel(operand)
+            assert bits_equal(run(operand), got)
+            assert bits_equal(np.ascontiguousarray(np.broadcast_to(
+                got, want.shape)), want)
 
 
 class TestChecker:
+    """The fused projection narrows a part replicated along an axis
+    another part shards to one copy, checking the other copies."""
+
     def test_rejects_a_false_replica_claim(self):
-        """Claim an axis the array is not replicated on: the checker
-        names it."""
+        """Multiquery K beside head-sharded Q: K's columns are one copy
+        along x only if every copy agrees, bit for bit."""
+        mesh = VirtualMesh((2, 2, 2), "stacked")
         rng = np.random.default_rng(3)
-        real = np.broadcast_to(rng.standard_normal((1, 2, 1, 3)),
-                               (2, 2, 2, 3))
-        assert replica_mismatches({7: (real, frozenset({0, 2}))}) == []
-        assert replica_mismatches({7: (real, frozenset({1}))}) == [
-            "value 7 differs along device axes [1]"]
+        x = ShardedTensor.from_global(mesh, rng.standard_normal((1, 2, 4)),
+                                      "BLE")
+        wq = ShardedTensor.from_global(
+            mesh, rng.standard_normal((4, 2, 3)), "EH_xD")
+        wk = ShardedTensor.from_global(
+            mesh, rng.standard_normal((4, 1, 3)), "EKD")
+        w_cat, _ = concat_weights([wq, wk])
+        parts = [("ble,ehd->blhd", wq), ("ble,ekd->blkd", wk)]
+        q, k = fused_projection(x, parts, w_cat)
+        assert k.shards.shape[:3] == (1, 1, 1)
+        np.testing.assert_allclose(k.to_global(), np.einsum(
+            "ble,ekd->blkd", x.to_global(), wk.to_global()), rtol=1e-12)
+        w_cat = w_cat.copy()
+        w_cat[1, 0, 0, :, -1] += 1.0  # copy 1 of a K column differs
+        with pytest.raises(ShardingError, match="replicas disagree"):
+            fused_projection(x, parts, w_cat)
 
     def test_negative_zero_is_not_a_replica_of_zero(self):
         arr = np.zeros((2, 1, 1, 1))
         arr[1] = -0.0
-        assert replica_mismatches({1: (arr, frozenset({0}))})
+        with pytest.raises(ShardingError, match="replicas disagree"):
+            stacked.collapse_replicas(parse("D"), arr)

@@ -6,9 +6,7 @@ later steps **bit-identically** on both mesh backends,
 on any mesh of the same shape with the same weights, invalidates on any
 shape/plan/weights/batch-shape change, falls back to eager
 execution whenever a scheduled fault is live, and emits one condensed
-``kind="replay"`` span per step.  Every stacked capture here is also
-checked by :mod:`tests.unit.replica_check`: what the optimizer collapsed
-is really replicated in the eager step's arrays.
+``kind="replay"`` span per step.
 """
 
 import dataclasses
@@ -43,7 +41,6 @@ from repro.partitioning import (
     FfnLayoutKind,
     LayoutPlan,
 )
-from tests.unit.replica_check import collapsed_replicas_are_real  # noqa: F401
 
 CFG = tiny_test_config(n_layers=2, d_model=16, d_ff=32, n_heads=8,
                        d_head=8, vocab_size=32)
