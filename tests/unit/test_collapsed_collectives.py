@@ -35,6 +35,7 @@ from repro.mesh import (
     stacked,
 )
 from repro.sharding.spec import ShardSpec
+from tests.unit.grid import every_device
 
 AXES = ("x", "y", "z")
 MESHES = [(2, 2, 2), (1, 2, 2), (2, 2, 1), (4, 4, 4)]
@@ -98,13 +99,13 @@ def operands(draw, op):
 
 def twins(shape, spec, gshape, shards):
     """The stacked tensor and its loop twin, the operand widened."""
+    stacked_t = ShardedTensor(VirtualMesh(shape, "stacked"), spec, gshape,
+                              shards)
     loop_mesh = VirtualMesh(shape, "loop")
-    wide = np.broadcast_to(shards, shape + shards.shape[3:])
-    loop_shards = loop_mesh.map_devices(
-        lambda c: np.ascontiguousarray(wide[c]))
-    return (ShardedTensor(VirtualMesh(shape, "stacked"), spec, gshape,
-                          shards),
-            ShardedTensor(loop_mesh, spec, gshape, loop_shards))
+    wide = every_device(stacked_t)
+    return stacked_t, ShardedTensor(loop_mesh, spec, gshape,
+                                    loop_mesh.map_devices(
+                                        lambda c: np.array(wide[c])))
 
 
 def assert_twins(got: ShardedTensor, want: ShardedTensor):
@@ -112,10 +113,9 @@ def assert_twins(got: ShardedTensor, want: ShardedTensor):
     assert (got.spec, got.global_shape) == (want.spec, want.global_shape)
     assert all(got.shards.shape[i] == 1
                for i in stacked.replicated_axes(got.spec))
-    wide = np.broadcast_to(got.shards, want.mesh.shape + got.shards.shape[3:])
+    wide = every_device(got)
     for coord in want.mesh.devices():
-        assert same_bits(np.ascontiguousarray(wide[coord]),
-                         want.shards[coord])
+        assert same_bits(np.array(wide[coord]), want.shards[coord])
 
 
 OPS = {"all_gather": all_gather, "reduce_scatter": reduce_scatter,
