@@ -74,9 +74,10 @@ def sharded_rmsnorm(x: ShardedTensor, scale: ShardedTensor,
 def sharded_rope(x: ShardedTensor, table: np.ndarray) -> ShardedTensor:
     """Apply RoPE to a ``[B, L, heads, D]`` sharded tensor.
 
-    ``table`` is the forward's complex rotation table
-    (:func:`repro.model.rope.rope_tables`), built once per forward and
-    shared by every rotation; it is the same on every device, so
+    ``table`` holds the forward's rows of the complex rotation table
+    (a slice of :func:`repro.model.rope.rope_table`, built once per
+    ``(d_head, theta)`` and shared by every forward and replay); it is
+    the same on every device, so
     :func:`repro.mesh.sharded_tensor.run_local` passes it whole to
     :func:`repro.model.rope.apply_rope_cached`, which broadcasts over
     the device grid.  RoPE is elementwise per (position, head,
@@ -87,7 +88,7 @@ def sharded_rope(x: ShardedTensor, table: np.ndarray) -> ShardedTensor:
         if x.spec.axes_for(dim):
             raise ValueError(f"RoPE requires unsharded {dim}, got {x.spec}")
     # The table is a tracked input, not a baked-in constant: under
-    # capture the model's table instruction recomputes it per replay.
+    # capture the model's table instruction re-slices it per replay.
     shards = run_local(x.mesh, apply_rope_cached, (x.shards,), "rope_cached",
                        whole=(table,), arena=True, meta=("elementwise",))
     return ShardedTensor(x.mesh, x.spec, x.global_shape, shards)

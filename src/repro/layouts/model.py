@@ -63,7 +63,7 @@ from repro.mesh.ops import concat_weights, fused_projection
 from repro.model.config import AttentionKind, FfnKind
 from repro.model.functional import swish
 from repro.model.reference import LayerWeights, TransformerWeights
-from repro.model.rope import rope_tables
+from repro.model.rope import rope_table
 from repro.partitioning.plan import (
     AttentionLayoutKind,
     FfnLayoutKind,
@@ -466,21 +466,24 @@ class ShardedTransformer:
         recorder = getattr(self.mesh, "capture", None)
         seq_len, cfg = tokens.shape[1], self.config
 
-        def tables(fill):
-            # One complex rotation table per forward, shared by every
-            # layer's query and key rotations.
-            return rope_tables(np.arange(seq_len) + fill, cfg.d_head,
-                               cfg.rope_theta)
+        def tables(cache):
+            # The chunk's rows [fill, fill + L) of the shared rotation
+            # table (sized to the cache's capacity, so built once), read
+            # by every layer's query and key rotations.
+            fill = cache.length
+            stop = fill + seq_len
+            return rope_table(cfg.d_head, cfg.rope_theta,
+                              max(stop, cache.max_len))[fill:stop]
 
-        rope = tables(caches[0].length)
+        rope = tables(caches[0])
         # Embedding lookup is modeled host-side (a gather, not a matmul —
         # its cost is negligible next to the 2N matmul FLOPs, Section 2).
         emb = self.weights.embedding[tokens]
         if recorder is not None and recorder.recording:
-            # Step-varying program entry points: the rotation table (of
+            # Step-varying program entry points: the rotation rows (of
             # the cache fill) and the token embeddings are rederived from
             # the replay context.
-            recorder.record(lambda ctx: tables(ctx.caches[0].length),
+            recorder.record(lambda ctx: tables(ctx.caches[0]),
                             (recorder.CTX,), rope, "rope_tables")
             recorder.record(
                 lambda ctx, w=self.weights.embedding: w[ctx.tokens],

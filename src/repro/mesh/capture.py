@@ -38,15 +38,17 @@ the tape into a :class:`CapturedProgram`:
   and the program's final output stays freshly allocated so callers may
   hold logits across steps.
 * **Stable input slots** — the step-varying inputs (token ids, KV-cache
-  pages, and the RoPE table the model derives from the cache fill)
-  enter through a :class:`ReplayContext` bound per replay; cache
-  instructions index ``ctx.caches``, so a program survives cache
-  hand-off as long as the cache *layout* matches, and replays at any
-  cache offset.
+  pages, and the RoPE rows the model slices at the cache fill from its
+  one shared table, :func:`repro.model.rope.rope_table`) enter through
+  a :class:`ReplayContext` bound per replay; cache instructions index
+  ``ctx.caches``, so a program survives cache hand-off as long as the
+  cache *layout* matches, and replays at any cache offset.
 * **Tape optimization** — on the stacked backend every program
   additionally runs the tape optimizer in :mod:`repro.mesh.replay_opt`
   — prebound matmul runners, indexed collectives and ``to_global``/
-  ``from_global`` tables.  Every pass is bit-exact by construction and
+  ``from_global`` tables.  A collective's table is the one its eager
+  op already ran through, so tracing a step does the kernel work of
+  replaying it.  Every pass is bit-exact by construction and
   asserted differentially.  A replicated value needs no pass: stacked
   kernels hold one copy of it along every replicated mesh axis eagerly
   (:mod:`repro.mesh.stacked`), so the tape records it that way.
@@ -92,9 +94,10 @@ The serving hot path is covered end to end:
   arrays — its fused input-projection weights included, concatenated
   once per deployment by :class:`~repro.layouts.ShardedTransformer` —
   so every program of a deployment reads the same constants, and every
-  program in the process shares the read-only collective index tables
-  (:func:`repro.mesh.stacked.prebind_collective_indexed`), so capture
-  pays for each once.
+  eager step and program in the process shares the read-only
+  collective index tables (:func:`repro.mesh.stacked.
+  indexed_collective`), so capture pays for each once — and nothing
+  when an eager step already traced that shape.
 
 Interplay with the rest of the stack:
 
@@ -625,7 +628,7 @@ def capture_chunk(model, tokens: np.ndarray, caches: Sequence
     ``tokens`` is ``[B, L]``; a decode step is the chunk with ``L == 1``.
     The chunk really runs (the caches advance exactly as usual), and the
     program replays any later chunk of the *same shape* at any cache
-    offset — the RoPE table and KV-append instructions re-derive their
+    offset — the RoPE rows and KV-append instructions re-derive their
     offsets from the live caches.  Returns ``(logits, program)`` with the
     eager chunk's full ``[B, L, V]`` logits; ``program`` is ``None`` when
     the chunk could not be captured.

@@ -138,23 +138,32 @@ def _collective(t: ShardedTensor, op: str, axes: tuple[str, ...],
     over ``axes`` resolved for it: :func:`repro.mesh.stacked.group_meta`
     on the operand's device grid for the stacked kernel, the coordinate
     lists of
-    :meth:`VirtualMesh.groups` for the loop one.  The kernel runs
-    between the fault hooks, is logged (with the per-chip ``payload``)
-    and traced, and the closure that ran is recorded for replay, with
-    ``meta`` when stacked.
+    :meth:`VirtualMesh.groups` for the loop one.  A stacked op with a
+    ``meta`` (all-gather, reduce-scatter, all-reduce) runs instead as
+    one gather through its memoized index table where one fits
+    (:func:`repro.mesh.stacked.indexed_collective`): the table replay
+    binds, so tracing a step does the kernel work of replaying it.  The
+    kernel runs between the fault hooks, is logged (with the per-chip
+    ``payload``) and traced, and the closure that ran is recorded for
+    replay, with ``meta`` when stacked.
     """
     mesh = t.mesh
     tracer, start = _trace_start(mesh)
     _fault_pre(mesh, op, axes)
     stacked = t.is_stacked
-    if stacked:
-        kernel = kernels[0]
-        groups = stacked_kernels.group_meta(mesh, axes, t.shards.shape[:3])
-    else:
-        kernel, groups = kernels[1], list(mesh.groups(axes))
+    run = None
+    if stacked and meta is not None:
+        run = stacked_kernels.indexed_collective(mesh, meta, t.shards.shape)
+    if run is None:
+        if stacked:
+            kernel = kernels[0]
+            groups = stacked_kernels.group_meta(mesh, axes,
+                                                t.shards.shape[:3])
+        else:
+            kernel, groups = kernels[1], list(mesh.groups(axes))
 
-    def run(shards):
-        return kernel(shards, *params, groups)
+        def run(shards):
+            return kernel(shards, *params, groups)
 
     shards = run(t.shards)
     if op != "split":  # a local reshard moves no payload to corrupt

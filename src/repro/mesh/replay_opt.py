@@ -17,11 +17,14 @@ while provably preserving every output bit:
   weight's matrix view and the operand shapes resolved at capture
   (:func:`_fused_einsum`); other contractions call the C einsum kernel
   with bound subscripts.
-* **Indexed collectives** — a recorded collective's data movement is
-  traced once to an index table, so replay is one ``np.take`` (plus the
-  same left-to-right reduction) instead of a chain of reshapes and
-  transposes (:func:`repro.mesh.stacked.prebind_collective_indexed`;
-  shapes too large for a table keep the recorded kernel, whose group
+* **Indexed collectives** — a collective's data movement is traced
+  once to an index table, so it runs as one ``np.take`` (plus the same
+  left-to-right reduction) instead of a chain of reshapes and
+  transposes.  The eager op already ran that gather
+  (:func:`repro.mesh.stacked.indexed_collective`); replay binds reused
+  buffers to the table its recorded closure carries
+  (:func:`repro.mesh.stacked.prebind_collective_indexed`; shapes too
+  large for a table keep the recorded group kernel, whose group
   metadata the op resolved once).  ``to_global`` and ``from_global``
   replay through index tables the same way.
 
@@ -161,18 +164,18 @@ def _prebind_einsums(recorder, instrs, const, out_vids):
 # Prebound collectives
 # ---------------------------------------------------------------------------
 
-_COLLECTIVES = ("all_gather", "reduce_scatter", "all_reduce")
-
-
 def _prebind_collectives(recorder, instrs, out_vids):
     """Swap recorded collectives, ``to_global`` and ``from_global`` to
     indexed closures where a table fits.
 
-    Indexed collectives and ``from_global`` return a per-instruction
-    buffer reused across replays, so a program output keeps its
-    recorded, allocating kernel; a prebound ``to_global`` (the logits)
-    allocates its result every call.  The prebound ``to_global`` skips
-    the replica check, as the recorded one does.
+    A collective that ran eagerly as one gather recorded a closure
+    carrying its index table (:func:`repro.mesh.stacked.
+    indexed_collective`); its replay form binds reused buffers to that
+    same table.  Indexed collectives and ``from_global`` return a
+    per-instruction buffer reused across replays, so a program output
+    keeps its recorded, allocating closure; a prebound ``to_global``
+    (the logits) allocates its result every call.  The prebound
+    ``to_global`` skips the replica check, as the recorded one does.
     """
     from repro.mesh.capture import _Instr
 
@@ -193,11 +196,9 @@ def _prebind_collectives(recorder, instrs, out_vids):
                 fn = stacked_kernels.prebind_from_global(
                     mesh, meta[1], operand.shape, meta[2],
                     values[ins.out].dtype)
-            elif meta[0] in _COLLECTIVES and reused:
+            elif reused and hasattr(ins.fn, "index_table"):
                 fn = stacked_kernels.prebind_collective_indexed(
-                    mesh, meta[0], meta[1],
-                    meta[2] if len(meta) > 2 else None,
-                    operand.shape, operand.dtype, scratch=scratch)
+                    ins.fn, operand.dtype, scratch=scratch)
         if fn is None:
             rewritten.append(ins)
         else:

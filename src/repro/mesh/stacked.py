@@ -13,9 +13,11 @@ replicated value is computed and stored once, eager and replayed.
 Indexing the grid with a device coordinate, cut to 0 on a size-1 axis,
 yields that device's shard (as a view).  Each collective is a single
 reshape/transpose/reduce over the device axes instead of a Python loop
-over communication groups, and each sharded contraction one call over
-the whole device grid (:func:`contract`: a batched BLAS ``np.matmul``
-for weight contractions, ``np.einsum`` otherwise).
+over communication groups — below a size limit, one gather through an
+index table traced from that kernel (:func:`indexed_collective`), the
+same table eagerly and in replay — and each sharded contraction one
+call over the whole device grid (:func:`contract`: a batched BLAS
+``np.matmul`` for weight contractions, ``np.einsum`` otherwise).
 
 Bit-exactness contract
 ----------------------
@@ -207,8 +209,8 @@ def all_reduce(shards: np.ndarray, meta) -> np.ndarray:
 
 
 # One gather's worth of precomputed indices (counted over the whole mesh);
-# above this the index table stops being worth the saved calls —
-# prefill-sized tensors keep the recorded group kernel.
+# above this the index table stops being worth the saved calls, and the
+# collective runs its group kernel, eagerly and in replay alike.
 _INDEXED_COLLECTIVE_LIMIT = 1 << 18
 
 
@@ -218,17 +220,18 @@ def _collective_index_table(mesh_shape: tuple[int, int, int],
                             dim_idx: int | None, in_shape: tuple[int, ...]):
     """``(table, out_shape)`` of one indexed collective, read-only.
 
-    ``in_shape`` is the operand as a program holds it, one copy along
-    each axis its spec replicates.  The table is the group kernel above
-    run on an ``arange`` probe of that shape, so it reads and writes the
-    same copies the kernel does; a reduction keeps every rank, in order.
+    ``in_shape`` is the operand's stacked shape, one copy along each
+    axis its spec replicates (or the mesh size, for a fault-widened
+    operand).  The table is the group kernel above run on an ``arange``
+    probe of that shape, so it reads and writes the same copies the
+    kernel does; a reduction keeps every rank, in order.
 
-    Memoized process-wide: every program that replays the same
-    collective on the same mesh and operand shape (each layer of a
-    model, each program of a deployment, each replica of a fleet) shares
-    one table instead of re-tracing and storing its own.  The table is
-    frozen (``writeable=False``) because every caller holds the same
-    array.
+    Memoized process-wide: every eager step and every program that runs
+    the same collective on the same mesh and operand shape (each layer
+    of a model, each program of a deployment, each replica of a fleet)
+    shares one table instead of re-tracing and storing its own.  The
+    table is frozen (``writeable=False``) because every caller holds the
+    same array.
     """
     meta = _axes_meta(mesh_shape, part, in_shape[:3])
     probe = np.arange(math.prod(in_shape)).reshape(in_shape)
@@ -278,46 +281,67 @@ def _ordered_row_sum(rows: np.ndarray, out: np.ndarray) -> None:
         out[0] = np.add.accumulate(rows[:, 0])[-1]
 
 
-def prebind_collective_indexed(mesh, kind: str, axes: Sequence[str],
-                               dim_idx: int | None, in_shape,
-                               dtype=np.float64, *, scratch: dict):
-    """A collective closure with its data movement traced to one gather.
+def indexed_collective(mesh, meta: tuple, in_shape):
+    """A collective with its data movement traced to one gather, or
+    ``None`` when it keeps its group kernel.
 
-    The movement portions of a collective (grouping, scattering) are
-    pure permutations-with-duplication of the input elements, so running
-    the existing kernels once over an ``arange`` probe yields, at each
-    output position, the flat *index* of the input element that lands
-    there — after which replay is a single ``np.take`` per movement
-    stage.  The reduction portion keeps the exact left-to-right
-    sequential adds of :func:`_group_sum`, so every output bit matches
-    the group kernels above.  Returns ``None`` when the shape is too
-    large for index tables to pay off, or a group of one leaves nothing
-    to reduce (the caller keeps the recorded kernel).
+    ``meta`` is the op as :mod:`repro.mesh.ops` records it,
+    ``(kind, axes)`` or ``(kind, axes, dim_idx)`` for an ``all_gather``,
+    ``reduce_scatter`` or ``all_reduce``; ``in_shape`` is the operand's
+    stacked shape.  The movement portions of a collective (grouping,
+    scattering) are pure permutations-with-duplication of the input
+    elements, so the group kernel run once over an ``arange`` probe
+    yields, at each output position, the flat *index* of the input
+    element that lands there (:func:`_collective_index_table`) — after
+    which the collective is a single ``np.take``.  The reduction portion
+    keeps the exact left-to-right sequential adds of :func:`_group_sum`
+    (:func:`_ordered_row_sum`), so every output bit matches the group
+    kernels above.  Returns ``None`` when the shape is too large for an
+    index table to pay off, or a group of one leaves nothing to reduce.
 
-    The index tables are shared process-wide
-    (:func:`_collective_index_table`); each closure owns its output
-    buffer.  Reductions gather into a scratch buffer that is dead once
-    the closure returns, so closures of one program — which replays
-    serially — share one per (shape, dtype) through ``scratch``.
+    The closure allocates its result — an eager step's, or a captured
+    program's output — and carries ``index_table`` and ``out_shape``,
+    which :func:`prebind_collective_indexed` binds to reused buffers.
     """
+    kind, axes = meta[:2]
     in_shape = tuple(in_shape)
-    if (kind not in ("all_gather", "all_reduce", "reduce_scatter")
-            or math.prod(mesh.shape) * math.prod(in_shape[3:])
-            > _INDEXED_COLLECTIVE_LIMIT):
-        return None
-    part = tuple(mesh.axis_indices(axes))
-    if kind != "all_gather" and mesh.group_size(axes) < 2:
+    if (math.prod(mesh.shape) * math.prod(in_shape[3:])
+            > _INDEXED_COLLECTIVE_LIMIT
+            or kind != "all_gather" and mesh.group_size(axes) < 2):
         return None
     table, out_shape = _collective_index_table(
-        mesh.shape, part, kind, dim_idx, in_shape)
-    dtype = np.dtype(dtype)
-    obuf = np.empty(out_shape, dtype)
-
+        mesh.shape, mesh.axis_indices(axes), kind,
+        meta[2] if len(meta) > 2 else None, in_shape)
     if kind == "all_gather":
+        def run(a):
+            return a.reshape(-1).take(table)
+    else:
+        def run(a):
+            out = np.empty(out_shape, a.dtype)
+            _ordered_row_sum(a.reshape(-1).take(table), out.reshape(-1))
+            return out
+    run.index_table = table
+    run.out_shape = out_shape
+    return run
+
+
+def prebind_collective_indexed(indexed, dtype, *, scratch: dict):
+    """The replay form of an :func:`indexed_collective` closure: the
+    same table, gathering into buffers reused across replays.
+
+    Each closure owns its output buffer.  Reductions gather into a
+    scratch buffer that is dead once the closure returns, so closures of
+    one program — which replays serially — share one per (shape, dtype)
+    through ``scratch``.
+    """
+    table, dtype = indexed.index_table, np.dtype(dtype)
+    obuf = np.empty(indexed.out_shape, dtype)
+
+    if table.shape == obuf.shape:  # a gather's table is its output
         def run(a):
             a.reshape(-1).take(table, out=obuf)
             return obuf
-    else:
+    else:  # a reduction's table has one row per rank
         key = (table.shape, dtype)
         if key not in scratch:
             scratch[key] = np.empty(table.shape, dtype)

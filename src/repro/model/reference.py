@@ -32,7 +32,7 @@ import numpy as np
 from repro.model.config import AttentionKind, FfnKind, ModelConfig
 from repro.model.functional import c_einsum as _einsum
 from repro.model.functional import causal_mask, rmsnorm, swish
-from repro.model.rope import apply_rope
+from repro.model.rope import apply_rope_cached, rope_table
 
 
 @dataclass
@@ -235,13 +235,12 @@ class ReferenceTransformer:
     # -- layer pieces -------------------------------------------------------
 
     def _attn(self, y: np.ndarray, layer: LayerWeights, cache: KVCache,
-              positions: np.ndarray) -> np.ndarray:
+              positions: np.ndarray, rope: np.ndarray) -> np.ndarray:
         q = np.einsum("ble,ehd->blhd", y, layer.wq)
         k = np.einsum("ble,ekd->blkd", y, layer.wk)
         v = np.einsum("ble,ekd->blkd", y, layer.wv)
-        theta = self.config.rope_theta
-        q = apply_rope(q, positions, theta)
-        k = apply_rope(k, positions, theta)
+        q = apply_rope_cached(q, rope)
+        k = apply_rope_cached(k, rope)
         cache.append(k, v)
         k_all, v_all = cache.view()
         # Each row's first query sits at its own pre-append length.
@@ -255,15 +254,15 @@ class ReferenceTransformer:
         return hidden @ layer.w_out
 
     def _block(self, x: np.ndarray, layer: LayerWeights, cache: KVCache,
-               positions: np.ndarray) -> np.ndarray:
+               positions: np.ndarray, rope: np.ndarray) -> np.ndarray:
         if self.config.parallel_block:
             # One shared norm; attention and FFN applied in parallel and
             # summed (Section 3.4).
             y = rmsnorm(x, layer.ln_scale)
-            return x + self._attn(y, layer, cache, positions) + \
+            return x + self._attn(y, layer, cache, positions, rope) + \
                 self._ffn(y, layer)
         x = x + self._attn(rmsnorm(x, layer.ln_scale), layer, cache,
-                           positions)
+                           positions, rope)
         return x + self._ffn(rmsnorm(x, layer.ln2_scale), layer)
 
     # -- public API -----------------------------------------------------------
@@ -284,11 +283,16 @@ class ReferenceTransformer:
         continues from its own cache length: its positions and causal
         offset start there, so rows at different lengths share the pass.
         """
-        w = self.weights
+        w, cfg = self.weights, self.config
         positions = caches[0].lengths[:, None] + np.arange(tokens.shape[1])
+        # Each row's rotations, gathered once per forward from the shared
+        # table (which covers the cache's capacity, or past it, where the
+        # append then raises the overflow).
+        rows = max(int(positions.max(initial=0)) + 1, caches[0].max_len)
+        rope = rope_table(cfg.d_head, cfg.rope_theta, rows)[positions]
         x = w.embedding[tokens]
         for layer, cache in zip(w.layers, caches):
-            x = self._block(x, layer, cache, positions)
+            x = self._block(x, layer, cache, positions, rope)
         x = rmsnorm(x, w.final_ln_scale)
         return np.einsum("ble,ve->blv", x, w.embedding)
 

@@ -14,7 +14,9 @@ The v2 contract on top of ``test_step_capture.py``'s single-step replay:
   decode plan the selector returns on 2x2x2 and 4x4x4, at batch sizes
   1-4, and again after a replica's profile switch re-captures;
 * capture state is shared safely: collective index tables by identity
-  across programs and read-only; every program of a deployment reads
+  across programs and read-only, and eager forwards read the same
+  memoized tables (a second eager forward, or a capture of a traced
+  shape, derives none); every program of a deployment reads
   the model's one concatenation of its fused input-projection weights,
   and a rebuilt model's programs never read the old model's;
 * the bucketed program cache bounds itself by LRU eviction and counts
@@ -44,7 +46,7 @@ from repro.cluster import ClusterControlPlane
 from repro.cluster.replica import GroupRun, Replica
 from repro.hardware.topology import Torus3D
 from repro.layouts import ShardedTransformer
-from repro.mesh import BACKENDS, VirtualMesh
+from repro.mesh import BACKENDS, VirtualMesh, stacked
 from repro.mesh.capture import (
     ProgramStore,
     StepCompiler,
@@ -514,6 +516,22 @@ class TestSharedCaptureState:
         for table in tables[0].values():
             with pytest.raises(ValueError, match="read-only"):
                 table[...] = 0
+
+    def test_eager_forwards_read_the_memoized_tables(self):
+        """Eager stacked collectives run through the index-table memo: a
+        second eager forward of a deployment only hits it, and capturing
+        a shape already traced derives no new table."""
+        memo = stacked._collective_index_table
+        model, caches, tok = build()
+        model.decode_step(tok, caches)
+        warm = memo.cache_info()
+        model.decode_step(tok, caches)
+        again = memo.cache_info()
+        assert again.hits > warm.hits and again.misses == warm.misses
+        _, program = capture_chunk(model, tok[:, None], caches)
+        assert any(hasattr(ins.fn, "index_table")
+                   for ins in program._instrs)
+        assert memo.cache_info().misses == warm.misses
 
     def test_fused_weights_shared_by_a_compilers_programs(self):
         model = fresh_model(plan=WS2D_HEAD)

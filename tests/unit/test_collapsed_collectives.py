@@ -14,6 +14,15 @@ every stacked collective — ``all_gather``, ``reduce_scatter``,
   ``prebind_to_global``, ``prebind_from_global``), give the same bits
   through the table.
 
+An all-gather, reduce-scatter or all-reduce runs eagerly through that
+same memoized table (:func:`repro.mesh.stacked.indexed_collective`), so
+the public ops exercise it.  They must also match their loop twin
+
+* on a fault-widened operand, full size on a replicated axis as
+  :meth:`repro.mesh.faults.FaultState.post_collective` leaves it, with
+  one chip's copy corrupted;
+* above the table size limit, where they run the group kernel instead.
+
 Examples are drawn under the suite's derandomized Hypothesis profile
 (``tests/conftest.py``).
 """
@@ -21,6 +30,7 @@ Examples are drawn under the suite's derandomized Hypothesis profile
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -35,7 +45,7 @@ from repro.mesh import (
     stacked,
 )
 from repro.sharding.spec import ShardSpec
-from tests.unit.grid import every_device
+from tests.unit.grid import every_device, widened
 
 AXES = ("x", "y", "z")
 MESHES = [(2, 2, 2), (1, 2, 2), (2, 2, 1), (4, 4, 4)]
@@ -131,10 +141,57 @@ def test_collective_matches_loop_twin(case):
     assert_twins(got, OPS[op](l, *args))
     if op in INDEXED:
         dim_idx = spec.dim_index(args[1]) if len(args) > 1 else None
-        run = stacked.prebind_collective_indexed(
-            s.mesh, op, args[0], dim_idx, shards.shape, scratch={})
+        run = stacked.indexed_collective(s.mesh, (op, args[0], dim_idx),
+                                         shards.shape)
         if run is not None:
-            assert same_bits(run(shards), got.shards)
+            replay = stacked.prebind_collective_indexed(run, shards.dtype,
+                                                        scratch={})
+            assert same_bits(replay(shards), got.shards)
+
+
+INDEXED_OPS = st.sampled_from(INDEXED).flatmap(
+    lambda op: st.tuples(st.just(op), operands(op)))
+
+
+def assert_device_twins(got: ShardedTensor, want: ShardedTensor):
+    """Bit-equal on every device, whatever grid ``got`` holds."""
+    assert (got.spec, got.global_shape) == (want.spec, want.global_shape)
+    wide = every_device(got)
+    for coord in want.mesh.devices():
+        assert same_bits(np.array(wide[coord]), want.shards[coord])
+
+
+@given(INDEXED_OPS, st.data())
+def test_fault_widened_operand_matches_loop_twin(case, data):
+    op, (shape, spec, gshape, shards, args) = case
+    s = widened(ShardedTensor(VirtualMesh(shape, "stacked"), spec, gshape,
+                              shards))
+    chip = data.draw(st.tuples(*(st.integers(0, n - 1) for n in shape)))
+    s.shards[chip] += 1.0  # one chip's copy corrupted
+    s, l = twins(shape, spec, gshape, s.shards)
+    assert_device_twins(OPS[op](s, *args), OPS[op](l, *args))
+
+
+@given(INDEXED_OPS)
+def test_above_table_limit_runs_group_kernel(case):
+    op, (shape, spec, gshape, shards, args) = case
+    s, l = twins(shape, spec, gshape, shards)
+    ran = []
+    kernel = getattr(stacked, op)
+
+    def spy(*a):
+        ran.append(op)
+        return kernel(*a)
+
+    memo = stacked._collective_index_table.cache_info()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stacked, "_INDEXED_COLLECTIVE_LIMIT",
+                      math.prod(shape) * math.prod(shards.shape[3:]) - 1)
+        patch.setattr(stacked, op, spy)
+        got = OPS[op](s, *args)
+    assert ran == [op]
+    assert stacked._collective_index_table.cache_info()[:2] == memo[:2]
+    assert_twins(got, OPS[op](l, *args))
 
 
 @given(operands("global"), st.booleans())

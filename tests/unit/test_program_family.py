@@ -10,18 +10,18 @@ mesh backends:
   logits and KV caches bit for bit;
 * the first quiet decode step is captured (no eager warm-up step), and
   every later step replays;
-* an eager forward builds its RoPE tables once, for every layer's query
-  and key rotations.
+* one RoPE table serves the deployment: the first forward builds it
+  over the cache's capacity, and every later forward, capture and
+  replay slices it.
 """
 
 import numpy as np
 import pytest
 
-import repro.layouts.model as sharded_model
 from repro.layouts import ShardedTransformer
 from repro.mesh import BACKENDS, VirtualMesh
-from repro.mesh.capture import StepCompiler
-from repro.model import init_weights, tiny_test_config
+from repro.mesh.capture import ReplayContext, StepCompiler
+from repro.model import init_weights, rope, tiny_test_config
 from repro.partitioning import AttentionLayoutKind, FfnLayoutKind, LayoutPlan
 
 # The serving benchmark's Model B deployment (2x2x2, WS-1D/head), whose
@@ -98,18 +98,33 @@ def test_first_quiet_decode_step_captures(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_eager_forward_builds_rope_tables_once(backend, monkeypatch):
+def test_one_rope_table_serves_every_forward_and_replay(backend,
+                                                        monkeypatch):
     calls = []
-    rope_tables = sharded_model.rope_tables
+    rope_tables = rope.rope_tables
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return rope_tables(*args, **kwargs)
 
-    monkeypatch.setattr(sharded_model, "rope_tables", counting)
+    monkeypatch.setattr(rope, "_TABLES", {})
+    monkeypatch.setattr(rope, "rope_tables", counting)
     model, caches, tok = deployment(backend)
-    assert len(calls) == 1  # the prefill: one forward over 4 tokens
-    assert np.array_equal(calls[0], np.arange(PROMPT.shape[1]))
-    model.decode_step(tok, caches)
-    assert len(calls) == 2
-    assert np.array_equal(calls[1], [PROMPT.shape[1]])
+    # The prefill builds the one table, over the cache's capacity.
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], np.arange(caches[0].max_len))
+    table = rope._TABLES[CFG.d_head, CFG.rope_theta]
+    tok = np.argmax(model.decode_step(tok, caches), -1)
+    compiler = StepCompiler()
+    for _ in range(3):  # a capture, then replays
+        tok = np.argmax(compiler.decode_step(model, tok, caches), -1)
+    assert (compiler.captures, compiler.replays) == (1, 2)
+    assert len(calls) == 1
+    assert rope._TABLES == {(CFG.d_head, CFG.rope_theta): table}
+    # The replayed table instruction slices rows of that table.
+    program, = compiler._programs.values()
+    slicer, = (ins.fn for ins in program._instrs
+               if ins.label == "rope_tables")
+    rows = slicer(ReplayContext(None, caches))
+    assert rows.base is table
+    assert np.array_equal(rows, table[caches[0].length:][:1])

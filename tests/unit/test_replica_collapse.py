@@ -10,8 +10,8 @@ and stays bit-identical to eager execution:
   (2x2x2, WS-1D/head) runs attention on all 8 and the vocab einsum on 1;
 * each block of either deployment issues one input projection
   (Q|K|V|in|gate, the model's Section 3.4 fusion) and two rope calls,
-  one on the Q and one on the K columns of its output, against the one
-  rotation table the model builds per forward;
+  one on the Q and one on the K columns of its output, against the
+  rows of the shared rotation table the forward slices once;
 * loop-backend programs are untouched: no optimizer, every instruction
   on the whole mesh;
 * every elementwise kernel of either deployment's decode and prefill
@@ -106,7 +106,7 @@ def rope_rows(captured):
 
 
 def one_projection_and_q_k_ropes_per_block(captured):
-    """One rotation-table build per step, one fused projection per
+    """One rotation-table slice per step, one fused projection per
     block, and one rope call each for its Q and its K, each on one local
     head: the local query head (16 heads over 16 chips on A, 8 over 8 on
     B), then the shared multiquery K head."""
@@ -297,10 +297,13 @@ class TestPrebound:
 
         want = kernel(full)
         for operand in (full, first):
-            run = stacked.prebind_collective_indexed(
-                mesh, kind, axes, dim_idx, operand.shape, scratch={})
+            run = stacked.indexed_collective(mesh, (kind, axes, dim_idx),
+                                             operand.shape)
+            replay = stacked.prebind_collective_indexed(run, operand.dtype,
+                                                        scratch={})
             got = kernel(operand)
             assert bits_equal(run(operand), got)
+            assert bits_equal(replay(operand), got)
             assert bits_equal(np.ascontiguousarray(np.broadcast_to(
                 got, want.shape)), want)
 
