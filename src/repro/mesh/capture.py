@@ -45,13 +45,14 @@ the tape into a :class:`CapturedProgram`:
   cache *layout* matches, and replays at any cache offset.
 * **Tape optimization** — on the stacked backend every program
   additionally runs the tape optimizer in :mod:`repro.mesh.replay_opt`
-  — prebound matmul runners, indexed collectives and ``to_global``/
-  ``from_global`` tables.  A collective's table is the one its eager
-  op already ran through, so tracing a step does the kernel work of
-  replaying it.  Every pass is bit-exact by construction and
-  asserted differentially.  A replicated value needs no pass: stacked
-  kernels hold one copy of it along every replicated mesh axis eagerly
-  (:mod:`repro.mesh.stacked`), so the tape records it that way.
+  — prebound matmul runners, and collectives and ``to_global``/
+  ``from_global`` run as one ufunc over strided views.  A collective's
+  view recipe is the one its eager op already ran, so tracing a step
+  does the kernel work of replaying it.  Every pass is bit-exact by
+  construction and asserted differentially.  A replicated value needs
+  no pass: stacked kernels hold one copy of it along every replicated
+  mesh axis eagerly (:mod:`repro.mesh.stacked`), so the tape records it
+  that way.
 * **Straight-line runner** — every program, on either backend, replays
   through source-generated Python that calls the recorded closures in
   tape order with values held in locals.
@@ -94,10 +95,10 @@ The serving hot path is covered end to end:
   arrays — its fused input-projection weights included, concatenated
   once per deployment by :class:`~repro.layouts.ShardedTransformer` —
   so every program of a deployment reads the same constants, and every
-  eager step and program in the process shares the read-only
-  collective index tables (:func:`repro.mesh.stacked.
-  indexed_collective`), so capture pays for each once — and nothing
-  when an eager step already traced that shape.
+  eager step and program in the process shares the immutable
+  collective view recipes (:func:`repro.mesh.stacked.view_recipe`), so
+  capture pays for each once — and nothing when an eager step already
+  ran that shape.
 
 Interplay with the rest of the stack:
 
@@ -589,7 +590,8 @@ class StepRecorder:
                 captured = self._values[ins.out]
                 ins.buffer = np.empty(captured.shape, captured.dtype)
         if optimized:
-            kept = replay_opt.freeze_stable_views(kept, template, out_vids)
+            kept = replay_opt.freeze_stable_views(self, kept, template,
+                                                  out_vids)
 
         if signature is None:
             signature = ProgramSignature(backend=self.mesh.backend,

@@ -139,22 +139,21 @@ def _collective(t: ShardedTensor, op: str, axes: tuple[str, ...],
     on the operand's device grid for the stacked kernel, the coordinate
     lists of
     :meth:`VirtualMesh.groups` for the loop one.  A stacked op with a
-    ``meta`` (all-gather, reduce-scatter, all-reduce) runs instead as
-    one gather through its memoized index table where one fits
-    (:func:`repro.mesh.stacked.indexed_collective`): the table replay
-    binds, so tracing a step does the kernel work of replaying it.  The
-    kernel runs between the fault hooks, is logged (with the per-chip
-    ``payload``) and traced, and the closure that ran is recorded for
-    replay, with ``meta`` when stacked.
+    ``meta`` (all-gather, reduce-scatter, all-reduce) has no stacked
+    kernel: it runs as one ufunc over strided views of its operand and
+    result (:func:`repro.mesh.stacked.collective`), the memoized recipe
+    replay binds, so tracing a step does the kernel work of replaying
+    it.  The kernel runs between the fault hooks, is logged (with the
+    per-chip ``payload``) and traced, and the closure that ran is
+    recorded for replay, with ``meta`` when stacked.
     """
     mesh = t.mesh
     tracer, start = _trace_start(mesh)
     _fault_pre(mesh, op, axes)
     stacked = t.is_stacked
-    run = None
     if stacked and meta is not None:
-        run = stacked_kernels.indexed_collective(mesh, meta, t.shards.shape)
-    if run is None:
+        run = stacked_kernels.collective(mesh.shape, meta)
+    else:
         if stacked:
             kernel = kernels[0]
             groups = stacked_kernels.group_meta(mesh, axes,
@@ -259,7 +258,7 @@ def all_gather(t: ShardedTensor, axes: Sequence[str], dim: str
     return _collective(t, "all_gather", axes,
                        t.spec.with_dim_axes(dim, remaining),
                        t.per_chip_bytes * t.mesh.group_size(axes),
-                       (stacked_kernels.all_gather, _loop_all_gather),
+                       (None, _loop_all_gather),
                        dim_idx, meta=("all_gather", axes, dim_idx))
 
 
@@ -276,7 +275,7 @@ def reduce_scatter(t: ShardedTensor, axes: Sequence[str], dim: str
     new_spec = spec.with_partial_sum(new_partial).with_dim_axes(
         dim, spec.axes_for(dim) + axes)
     return _collective(t, "reduce_scatter", axes, new_spec, t.per_chip_bytes,
-                       (stacked_kernels.reduce_scatter, _loop_reduce_scatter),
+                       (None, _loop_reduce_scatter),
                        dim_idx, meta=("reduce_scatter", axes, dim_idx))
 
 
@@ -296,7 +295,7 @@ def all_reduce(t: ShardedTensor, axes: Sequence[str]) -> ShardedTensor:
     return _collective(t, "all_reduce", axes,
                        spec.with_partial_sum(new_partial),
                        2 * t.per_chip_bytes,
-                       (stacked_kernels.all_reduce, _loop_all_reduce),
+                       (None, _loop_all_reduce),
                        meta=("all_reduce", axes))
 
 

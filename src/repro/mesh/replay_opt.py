@@ -17,24 +17,25 @@ while provably preserving every output bit:
   weight's matrix view and the operand shapes resolved at capture
   (:func:`_fused_einsum`); other contractions call the C einsum kernel
   with bound subscripts.
-* **Indexed collectives** — a collective's data movement is traced
-  once to an index table, so it runs as one ``np.take`` (plus the same
-  left-to-right reduction) instead of a chain of reshapes and
-  transposes.  The eager op already ran that gather
-  (:func:`repro.mesh.stacked.indexed_collective`); replay binds reused
-  buffers to the table its recorded closure carries
-  (:func:`repro.mesh.stacked.prebind_collective_indexed`; shapes too
-  large for a table keep the recorded group kernel, whose group
-  metadata the op resolved once).  ``to_global`` and ``from_global``
-  replay through index tables the same way.
+* **View collectives** — an all-gather, reduce-scatter or all-reduce
+  replays as one ufunc between strided views of its operand and of a
+  buffer it owns: the view recipe its eager op already ran
+  (:func:`repro.mesh.stacked.view_recipe`), bound to a reused buffer
+  (:func:`repro.mesh.stacked.replay_kernel`).  Where the operand is a
+  fixed buffer — an arena output, another replay kernel's buffer or a
+  frozen view of one — its view is bound at capture too, so the
+  replayed collective is a single numpy call.  ``to_global`` and
+  ``from_global`` replay through view recipes the same way.  The swap
+  happens in :func:`freeze_stable_views`, once the fixed buffers are
+  known.
 
 A replicated value needs no pass either: a stacked array holds one copy
 along every mesh axis its sharding spec replicates (an axis missing
 from the spec, Section 3.1), eager and replayed alike
 (:mod:`repro.mesh.stacked`), so capture records the logits head on one
 device position, head-sharded multiquery attention once per head shard
-and every replicated collective result once per group, and the tables
-and prebound matmuls above are traced on those shapes.
+and every replicated collective result once per group, and the recipes
+and prebound matmuls above are resolved on those shapes.
 
 Elementwise kernels need no pass: Swish, the SwiGLU product, RMSNorm
 and RoPE are recorded as their eager kernels, which replay through
@@ -47,9 +48,9 @@ execution.  :class:`~repro.layouts.ShardedTransformer` issues each
 block's projection against weights concatenated once per deployment
 (:func:`repro.mesh.ops.fused_projection`), so every program of the
 deployment reads the same constant.  Capture cost is paid once per
-shared value, not once per program: the index tables are memoized
-process-wide as read-only arrays, and the reduction scratch is one
-buffer per (shape, dtype) within a program.
+shared value, not once per program: the view recipes are memoized
+process-wide as immutable tuples, and the rank-major scratch is one
+buffer per (size, dtype) within a program.
 
 All passes are *conservative pattern matchers*: anything unrecognized
 (loop-backend instructions, sharded-weight layouts) is left untouched.
@@ -78,8 +79,7 @@ def optimize_tape(recorder, instrs, const, out_vids):
     ``recorder`` supplies the captured values (for shapes and weight
     constants); ``const`` holds the constant value ids.
     """
-    instrs = _prebind_einsums(recorder, instrs, const, out_vids)
-    return _prebind_collectives(recorder, instrs, out_vids)
+    return _prebind_einsums(recorder, instrs, const, out_vids)
 
 
 # ---------------------------------------------------------------------------
@@ -161,58 +161,45 @@ def _prebind_einsums(recorder, instrs, const, out_vids):
 
 
 # ---------------------------------------------------------------------------
-# Prebound collectives
+# View freezing and collective binding
 # ---------------------------------------------------------------------------
 
-def _prebind_collectives(recorder, instrs, out_vids):
-    """Swap recorded collectives, ``to_global`` and ``from_global`` to
-    indexed closures where a table fits.
+_VIEW_OPS = ("all_gather", "reduce_scatter", "all_reduce", "from_global",
+             "to_global")
 
-    A collective that ran eagerly as one gather recorded a closure
-    carrying its index table (:func:`repro.mesh.stacked.
-    indexed_collective`); its replay form binds reused buffers to that
-    same table.  Indexed collectives and ``from_global`` return a
-    per-instruction buffer reused across replays, so a program output
-    keeps its recorded, allocating closure; a prebound ``to_global``
-    (the logits) allocates its result every call.  The prebound
-    ``to_global`` skips the replica check, as the recorded one does.
+
+def _bind_collective(ins, mesh_shape, values, stable, scratch, out_vids):
+    """Swap a recorded collective, ``to_global`` or ``from_global`` to
+    its replay kernel, in place.
+
+    Each runs the view recipe its eager op ran
+    (:func:`repro.mesh.stacked.view_recipe`) through
+    :func:`repro.mesh.stacked.replay_kernel`, into a per-instruction
+    buffer reused across replays, with the operand's view bound when the
+    operand is one of the ``stable`` arrays.  A program output keeps its
+    recorded, allocating closure, because that buffer is reused.
+    ``to_global`` (the logits) runs the eager recipe kernel, which
+    allocates its result every call and, as the recorded closure does,
+    skips the replica check.
     """
-    from repro.mesh.capture import _Instr
-
-    mesh = recorder.mesh
-    values = recorder._values
-    scratch: dict = {}
-    rewritten = []
-    for ins in instrs:
-        meta = ins.meta
-        fn = None
-        if meta is not None and len(ins.inputs) == 1:
-            operand = values[ins.inputs[0]]
-            reused = ins.out not in out_vids
-            if meta[0] == "to_global":
-                fn = stacked_kernels.prebind_to_global(meta[1], meta[2],
-                                                       operand.shape)
-            elif meta[0] == "from_global" and reused:
-                fn = stacked_kernels.prebind_from_global(
-                    mesh, meta[1], operand.shape, meta[2],
-                    values[ins.out].dtype)
-            elif reused and hasattr(ins.fn, "index_table"):
-                fn = stacked_kernels.prebind_collective_indexed(
-                    ins.fn, operand.dtype, scratch=scratch)
-        if fn is None:
-            rewritten.append(ins)
-        else:
-            rewritten.append(_Instr(fn, ins.inputs, ins.out, ins.label,
-                                    ins.collective, ins.arena))
-    return rewritten
+    meta = ins.meta
+    if meta is None or meta[0] not in _VIEW_OPS or len(ins.inputs) != 1:
+        return
+    if meta[0] == "to_global":
+        fn = stacked_kernels.collective(mesh_shape, meta)
+    elif ins.out in out_vids:
+        return
+    else:
+        vid, out = ins.inputs[0], values[ins.out]
+        fn = stacked_kernels.replay_kernel(
+            mesh_shape, meta, stable.get(vid, values[vid]), scratch,
+            np.empty(out.shape, out.dtype), vid in stable)
+    ins.fn, ins.meta = fn, None
 
 
-# ---------------------------------------------------------------------------
-# View freezing
-# ---------------------------------------------------------------------------
-
-def freeze_stable_views(instrs, template, out_vids):
-    """Hoist views of fixed arena buffers out of the replay loop.
+def freeze_stable_views(recorder, instrs, template, out_vids):
+    """Hoist views of fixed buffers out of the replay loop, and bind the
+    collectives to them.
 
     Called from ``finalize`` *after* arena allocation and the body/head
     split (the split needs the view instructions): an instruction
@@ -220,34 +207,35 @@ def freeze_stable_views(instrs, template, out_vids):
     produces the *same array object* on every replay, so any pure view
     of it (the ``const_view``-marked projection columns, each cut to
     one copy along its replicated axes) is itself the same object every
-    time.  The view is
-    computed once here, stored in the value template, and its
-    instruction dropped — consumers read the live bytes through the
-    frozen window exactly as they would through a per-replay one.
+    time.  The view is computed once here, stored in the value template,
+    and its instruction dropped — consumers read the live bytes through
+    the frozen window exactly as they would through a per-replay one.
+    Collectives become their replay kernels here
+    (:func:`_bind_collective`), in tape order, so each knows whether its
+    operand is fixed and binds its view at capture, never on a first
+    replay; their buffers are fixed in turn.  Rank-major scratch is one
+    buffer per (size, dtype) within a program.
     """
+    mesh_shape, values = recorder.mesh.shape, recorder._values
     stable: dict[int, np.ndarray] = {}
-    for ins in instrs:
-        if ins.out is None:
-            continue
-        if ins.buffer is not None:
-            stable[ins.out] = ins.buffer
-        else:
-            buf = getattr(ins.fn, "out_buffer", None)
-            if buf is not None:
-                stable[ins.out] = buf
-
+    scratch: dict = {}
     kept = []
     for ins in instrs:
-        if (getattr(ins.fn, "const_view", False) and len(ins.inputs) == 1
-                and ins.inputs[0] in stable and ins.out is not None
-                and ins.out not in out_vids):
-            frozen = ins.fn(stable[ins.inputs[0]])
+        src = stable.get(ins.inputs[0]) if len(ins.inputs) == 1 else None
+        if (getattr(ins.fn, "const_view", False) and src is not None
+                and ins.out is not None and ins.out not in out_vids):
+            frozen = ins.fn(src)
             # A reshape that could not stay a view would be a stale
             # snapshot, not a window — only freeze genuine views.
-            if np.shares_memory(frozen, stable[ins.inputs[0]]):
+            if np.shares_memory(frozen, src):
                 template[ins.out] = frozen
                 stable[ins.out] = frozen
                 continue
+        _bind_collective(ins, mesh_shape, values, stable, scratch, out_vids)
+        if ins.out is not None:
+            buf = ins.buffer if ins.buffer is not None \
+                else getattr(ins.fn, "out_buffer", None)
+            if buf is not None:
+                stable[ins.out] = buf
         kept.append(ins)
     return kept
-

@@ -11,13 +11,15 @@ group metadata from its operand's grid and returns one copy of a
 replicated result, and :func:`from_global` stores one copy — so a
 replicated value is computed and stored once, eager and replayed.
 Indexing the grid with a device coordinate, cut to 0 on a size-1 axis,
-yields that device's shard (as a view).  Each collective is a single
-reshape/transpose/reduce over the device axes instead of a Python loop
-over communication groups — below a size limit, one gather through an
-index table traced from that kernel (:func:`indexed_collective`), the
-same table eagerly and in replay — and each sharded contraction one
-call over the whole device grid (:func:`contract`: a batched BLAS
-``np.matmul`` for weight contractions, ``np.einsum`` otherwise).
+yields that device's shard (as a view).  Each collective is one call
+over the device axes instead of a Python loop over communication
+groups: an all-gather, reduce-scatter or all-reduce — and the
+conversions to and from global arrays — is one ufunc between a strided
+view of its operand and one of its result (:func:`view_recipe`), the
+same recipe eagerly and in replay; ``all_to_all`` and ``split`` are a
+reshape/transpose each.  Each sharded contraction is one call over the
+whole device grid (:func:`contract`: a batched BLAS ``np.matmul`` for
+weight contractions, ``np.einsum`` otherwise).
 
 Bit-exactness contract
 ----------------------
@@ -25,11 +27,22 @@ The stacked backend is required to produce *bit-identical* shards to the
 loop backend (the differential suite in ``tests/unit/test_mesh_backends.py``
 asserts exact equality).  Two details make that hold:
 
-* Group reductions accumulate **sequentially, left to right in group
-  order** (a short Python loop over the group axis — at most the mesh
-  axis-size product of additions, each itself a whole-mesh vectorized
-  add), rather than ``np.sum``, whose pairwise summation could reassociate
-  floating-point adds.
+* Group reductions keep the loop's **rank order**: each sum starts from
+  rank 0's value and adds ranks left to right in group order.  A
+  reduction is one ``np.add.reduce`` over a view whose axis 0 walks the
+  group's ranks, started from ``-0.0`` (``x + -0.0`` is ``x`` bit for
+  bit, where numpy's default start, ``0.0``, turns an all ``-0.0`` sum
+  into ``0.0``).  numpy adds along an outer axis in index order, but
+  sums its innermost loop pairwise, which reassociates the adds.  So a
+  recipe reduces its operand in place only while some other axis of
+  the operand view, of more than one element, has a smaller stride
+  than the rank axis (the guard); otherwise, or when the ranks do not
+  form one strided axis (a ``(z, y)`` group), it copies the operand
+  rank-major into scratch first, where the guard holds.  A reduction to
+  a single element has no other axis: it runs ``np.add.accumulate``,
+  sequential by definition.  Every result is written C-contiguous, the
+  layout the loop backend produces, because later einsum and BLAS calls
+  read operand layout.
 * Both backends contract through the one kernel, :func:`contract`: the
   loop backend calls it per device, the stacked backend once with the
   device grid as leading batch axes, and capture-replay runners make its
@@ -68,7 +81,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,13 +103,11 @@ def _axes_meta(mesh_shape: tuple[int, int, int], part: tuple[int, ...],
     """Precomputed device-axis bookkeeping for groups over the device axes
     ``part`` of an operand held on device ``grid``.
 
-    Returns ``(rest, part, inverse, rest_shape, part_shape, k, grid,
-    reduced)``.  ``grid`` is the operand's grid with the group axes at
-    their mesh size (an operand replicated along them, as a
-    :func:`split` reads, is broadcast to it); ``reduced`` is that grid
-    with the group axes at size 1, the grid of a result replicated over
-    each group.  ``inverse`` undoes the ``rest + part`` device-axis
-    permutation.  Every collective needs this tiny computation;
+    Returns ``(rest, part, inverse, rest_shape, part_shape, k, grid)``.
+    ``grid`` is the operand's grid with the group axes at their mesh
+    size (an operand replicated along them, as a :func:`split` reads, is
+    broadcast to it).  ``inverse`` undoes the ``rest + part`` device-axis
+    permutation.  Each group-kernel collective needs this tiny computation;
     memoizing it (a handful of distinct keys per model) keeps the
     per-call Python work to a dict lookup.
     """
@@ -107,9 +118,8 @@ def _axes_meta(mesh_shape: tuple[int, int, int], part: tuple[int, ...],
     inverse = tuple(order.index(d) for d in range(3))
     rest_shape = tuple(grid[i] for i in rest)
     part_shape = tuple(grid[i] for i in part)
-    reduced = tuple(1 if i in part else n for i, n in enumerate(grid))
     return (rest, part, inverse, rest_shape, part_shape,
-            math.prod(part_shape), grid, reduced)
+            math.prod(part_shape), grid)
 
 
 def group_meta(mesh, axes: Sequence[str], grid: Sequence[int]):
@@ -128,34 +138,21 @@ def _ungroup(arr: np.ndarray, meta, new_local: Sequence[int]) -> np.ndarray:
     block with the same (C-contiguous) layout the loop backend produces:
     the result is copied to C order.
     """
-    _, _, inverse, rest_shape, part_shape, _, _, _ = meta
+    _, _, inverse, rest_shape, part_shape, _, _ = meta
     arr = arr.reshape(rest_shape + part_shape + tuple(new_local))
     return np.ascontiguousarray(
         arr.transpose(inverse + tuple(range(3, arr.ndim))))
 
 
-def _group_sum(grouped: np.ndarray, group_axis: int) -> np.ndarray:
-    """Left-to-right sequential sum over one axis (loop-order bit-exact)."""
-    k = grouped.shape[group_axis]
-    index = [slice(None)] * grouped.ndim
-    index[group_axis] = 0
-    total = grouped[tuple(index)]
-    for rank in range(1, k):
-        index[group_axis] = rank
-        total = total + grouped[tuple(index)]
-    return total
-
-
 # ---------------------------------------------------------------------------
-# Collectives
+# Group-kernel collectives
 # ---------------------------------------------------------------------------
 #
-# Every collective takes its groups already resolved (``meta``, from
-# :func:`group_meta` on the operand's grid): :mod:`repro.mesh.ops`
-# resolves them once per op and records the same call as its replay
-# closure.  An operand holds one copy along every mesh axis its spec
-# replicates, and so does the result: all-gather and all-reduce results,
-# replicated over each group, keep one copy per group.
+# ``all_to_all`` and ``split`` take their groups already resolved
+# (``meta``, from :func:`group_meta` on the operand's grid):
+# :mod:`repro.mesh.ops` resolves them once per op and records the same
+# call as its replay closure.  An operand holds one copy along every
+# mesh axis its spec replicates, and so does the result.
 
 def _group_view(shards: np.ndarray, meta):
     """Rearrange ``[d0, d1, d2, *local]`` to ``[rest..., K, *local]``.
@@ -165,196 +162,9 @@ def _group_view(shards: np.ndarray, meta):
     ``meta`` is the groups' :func:`group_meta`, which :func:`_ungroup`
     takes to undo it.
     """
-    rest, part, _, rest_shape, _, k, _, _ = meta
+    rest, part, _, rest_shape, _, k, _ = meta
     moved = shards.transpose(rest + part + tuple(range(3, shards.ndim)))
     return moved.reshape(rest_shape + (k,) + shards.shape[3:])
-
-
-def all_gather(shards: np.ndarray, dim_idx: int, meta) -> np.ndarray:
-    """Concatenate each group's shards along ``dim_idx``: one copy per
-    group, size 1 on the group axes."""
-    grouped = _group_view(shards, meta)
-    nrest = len(meta[0])
-    k = meta[5]
-    local = shards.shape[3:]
-    # Move the group axis to sit immediately before the gathered dim, then
-    # merge them: concatenation in group order == reshape of (K, l_d).
-    merged = np.moveaxis(grouped, nrest, nrest + dim_idx)
-    new_local = (local[:dim_idx] + (k * local[dim_idx],)
-                 + local[dim_idx + 1:])
-    # The rest axes keep their ascending device order, so size-1 group
-    # axes drop into place without a transpose.
-    return np.ascontiguousarray(merged.reshape(meta[7] + new_local))
-
-
-def reduce_scatter(shards: np.ndarray, dim_idx: int, meta) -> np.ndarray:
-    """Sum each group sequentially, scatter chunks of ``dim_idx`` by rank."""
-    grouped = _group_view(shards, meta)
-    nrest = len(meta[0])
-    k = meta[5]
-    local = shards.shape[3:]
-    total = _group_sum(grouped, nrest)
-    chunk = local[dim_idx] // k
-    split = total.reshape(meta[3] + local[:dim_idx] + (k, chunk)
-                          + local[dim_idx + 1:])
-    out = np.moveaxis(split, nrest + dim_idx, nrest)
-    new_local = local[:dim_idx] + (chunk,) + local[dim_idx + 1:]
-    return _ungroup(out, meta, new_local)
-
-
-def all_reduce(shards: np.ndarray, meta) -> np.ndarray:
-    """Sum each group sequentially: one copy of each group's total."""
-    total = _group_sum(_group_view(shards, meta), len(meta[0]))
-    return np.ascontiguousarray(total).reshape(meta[7] + shards.shape[3:])
-
-
-# One gather's worth of precomputed indices (counted over the whole mesh);
-# above this the index table stops being worth the saved calls, and the
-# collective runs its group kernel, eagerly and in replay alike.
-_INDEXED_COLLECTIVE_LIMIT = 1 << 18
-
-
-@lru_cache(maxsize=128)
-def _collective_index_table(mesh_shape: tuple[int, int, int],
-                            part: tuple[int, ...], kind: str,
-                            dim_idx: int | None, in_shape: tuple[int, ...]):
-    """``(table, out_shape)`` of one indexed collective, read-only.
-
-    ``in_shape`` is the operand's stacked shape, one copy along each
-    axis its spec replicates (or the mesh size, for a fault-widened
-    operand).  The table is the group kernel above run on an ``arange``
-    probe of that shape, so it reads and writes the same copies the
-    kernel does; a reduction keeps every rank, in order.
-
-    Memoized process-wide: every eager step and every program that runs
-    the same collective on the same mesh and operand shape (each layer
-    of a model, each program of a deployment, each replica of a fleet)
-    shares one table instead of re-tracing and storing its own.  The
-    table is frozen (``writeable=False``) because every caller holds the
-    same array.
-    """
-    meta = _axes_meta(mesh_shape, part, in_shape[:3])
-    probe = np.arange(math.prod(in_shape)).reshape(in_shape)
-    if kind == "all_gather":
-        table = all_gather(probe, dim_idx, meta)
-        table.setflags(write=False)
-        return table, table.shape
-
-    nrest, k, local = len(meta[0]), meta[5], in_shape[3:]
-    gidx = np.ascontiguousarray(_group_view(probe, meta))
-    summed_shape = meta[3] + local
-    order = np.arange(math.prod(summed_shape)).reshape(summed_shape)
-    if kind == "all_reduce":
-        ridx = order.reshape(meta[7] + local)
-    else:
-        chunk = local[dim_idx] // k
-        split = order.reshape(meta[3] + local[:dim_idx] + (k, chunk)
-                              + local[dim_idx + 1:])
-        moved = np.moveaxis(split, nrest + dim_idx, nrest)
-        ridx = _ungroup(moved, meta,
-                        local[:dim_idx] + (chunk,) + local[dim_idx + 1:])
-
-    # Combined table: output position ``o`` sums ``in_flat[comb[r, o]]``
-    # over ranks ``r`` in ascending order — the same operands in the same
-    # order as the sequential row adds of ``_group_sum`` (an outer-axis
-    # ``add.reduce`` accumulates in index order; pairwise blocking only
-    # applies to innermost-axis reductions).  One gather, one reduction.
-    rflat = ridx.reshape(-1)
-    comb = np.stack([
-        np.ascontiguousarray(gidx[(slice(None),) * nrest + (rank,)])
-        .reshape(-1)[rflat] for rank in range(k)])
-    comb.setflags(write=False)
-    return comb, ridx.shape
-
-
-def _ordered_row_sum(rows: np.ndarray, out: np.ndarray) -> None:
-    """``out[:] = rows[0] + rows[1] + ...``, left to right per column.
-
-    An outer-axis ``add.reduce`` keeps that order only while a column
-    axis remains: with a single column numpy drops it and the reduction
-    becomes an innermost, pairwise one.  That case accumulates instead,
-    which is sequential by definition.
-    """
-    if rows.shape[1] > 1:
-        np.add.reduce(rows, axis=0, out=out)
-    else:
-        out[0] = np.add.accumulate(rows[:, 0])[-1]
-
-
-def indexed_collective(mesh, meta: tuple, in_shape):
-    """A collective with its data movement traced to one gather, or
-    ``None`` when it keeps its group kernel.
-
-    ``meta`` is the op as :mod:`repro.mesh.ops` records it,
-    ``(kind, axes)`` or ``(kind, axes, dim_idx)`` for an ``all_gather``,
-    ``reduce_scatter`` or ``all_reduce``; ``in_shape`` is the operand's
-    stacked shape.  The movement portions of a collective (grouping,
-    scattering) are pure permutations-with-duplication of the input
-    elements, so the group kernel run once over an ``arange`` probe
-    yields, at each output position, the flat *index* of the input
-    element that lands there (:func:`_collective_index_table`) — after
-    which the collective is a single ``np.take``.  The reduction portion
-    keeps the exact left-to-right sequential adds of :func:`_group_sum`
-    (:func:`_ordered_row_sum`), so every output bit matches the group
-    kernels above.  Returns ``None`` when the shape is too large for an
-    index table to pay off, or a group of one leaves nothing to reduce.
-
-    The closure allocates its result — an eager step's, or a captured
-    program's output — and carries ``index_table`` and ``out_shape``,
-    which :func:`prebind_collective_indexed` binds to reused buffers.
-    """
-    kind, axes = meta[:2]
-    in_shape = tuple(in_shape)
-    if (math.prod(mesh.shape) * math.prod(in_shape[3:])
-            > _INDEXED_COLLECTIVE_LIMIT
-            or kind != "all_gather" and mesh.group_size(axes) < 2):
-        return None
-    table, out_shape = _collective_index_table(
-        mesh.shape, mesh.axis_indices(axes), kind,
-        meta[2] if len(meta) > 2 else None, in_shape)
-    if kind == "all_gather":
-        def run(a):
-            return a.reshape(-1).take(table)
-    else:
-        def run(a):
-            out = np.empty(out_shape, a.dtype)
-            _ordered_row_sum(a.reshape(-1).take(table), out.reshape(-1))
-            return out
-    run.index_table = table
-    run.out_shape = out_shape
-    return run
-
-
-def prebind_collective_indexed(indexed, dtype, *, scratch: dict):
-    """The replay form of an :func:`indexed_collective` closure: the
-    same table, gathering into buffers reused across replays.
-
-    Each closure owns its output buffer.  Reductions gather into a
-    scratch buffer that is dead once the closure returns, so closures of
-    one program — which replays serially — share one per (shape, dtype)
-    through ``scratch``.
-    """
-    table, dtype = indexed.index_table, np.dtype(dtype)
-    obuf = np.empty(indexed.out_shape, dtype)
-
-    if table.shape == obuf.shape:  # a gather's table is its output
-        def run(a):
-            a.reshape(-1).take(table, out=obuf)
-            return obuf
-    else:  # a reduction's table has one row per rank
-        key = (table.shape, dtype)
-        if key not in scratch:
-            scratch[key] = np.empty(table.shape, dtype)
-        gbuf = scratch[key]
-        oflat = obuf.reshape(-1)
-
-        def run(a):
-            a.reshape(-1).take(table, out=gbuf)
-            _ordered_row_sum(gbuf, oflat)
-            return obuf
-    run.index_table = table
-    run.out_buffer = obuf
-    return run
 
 
 def all_to_all(shards: np.ndarray, src_idx: int, dst_idx: int,
@@ -396,6 +206,278 @@ def split(shards: np.ndarray, dim_idx: int, meta) -> np.ndarray:
     out = np.moveaxis(diag, 0, nrest)
     new_local = local[:dim_idx] + (chunk,) + local[dim_idx + 1:]
     return _ungroup(out, meta, new_local)
+
+
+# ---------------------------------------------------------------------------
+# View recipes: collectives and global conversions as one ufunc each
+# ---------------------------------------------------------------------------
+
+class Recipe(NamedTuple):
+    """An all-gather, reduce-scatter, all-reduce or global conversion on
+    an operand of one shape and strides, as two strided views.
+
+    The source is the operand indexed by ``index`` and reshaped to
+    ``pre`` (each when set), transposed by ``perm`` — the *wide* view,
+    a reduction's rank axes leading in group order — and reshaped to
+    ``shape``: for a reduction, one rank axis and then the result's
+    axes.  The result is a C-contiguous ``out_shape`` array, written
+    through ``out.reshape(dst_split).transpose(dst_perm)``.  ``op`` is
+    ``"copy"``, ``"reduce"`` or ``"accumulate"`` (a reduction to one
+    element).  Unless ``direct``, the wide view is first copied
+    rank-major into scratch, and the scratch is reduced.
+    """
+
+    index: tuple | None
+    pre: tuple[int, ...] | None
+    perm: tuple[int, ...]
+    wide: tuple[int, ...]
+    shape: tuple[int, ...]
+    out_shape: tuple[int, ...]
+    dst_split: tuple[int, ...]
+    dst_perm: tuple[int, ...]
+    op: str
+    direct: bool
+
+
+def _recipe(shape, strides, index, pre, perm, n_rank, out_shape,
+            dst_split, dst_perm) -> Recipe:
+    """The :class:`Recipe` of these views, its op and path chosen.
+
+    ``shape``/``strides`` describe the operand after ``index`` and
+    ``pre`` (a reduction has neither a ``pre`` nor more than size-1
+    cuts from ``index``, so its strides are the operand's).  The first
+    ``n_rank`` axes of ``perm`` are summed over, in order.
+    """
+    wide = tuple(shape[p] for p in perm)
+    dst = tuple(dst_split[p] for p in dst_perm)
+    k = math.prod(wide[:n_rank])
+    if k == 1:  # nothing to add: a copy
+        return Recipe(index, pre, perm, wide, dst, out_shape, dst_split,
+                      dst_perm, "copy", True)
+    ranks = [(n, strides[p]) for n, p in zip(wide, perm[:n_rank]) if n > 1]
+    # The rank axes form one strided axis when each steps over the next.
+    direct = all(s == n * t for (_, s), (n, t) in zip(ranks, ranks[1:]))
+    if math.prod(dst) == 1:
+        op = "accumulate"
+    else:
+        # An outer-axis add.reduce adds ranks in index order only while
+        # some axis of the result is inner to the rank axis: innermost,
+        # numpy sums pairwise.
+        op, step = "reduce", abs(ranks[-1][1])
+        direct = direct and any(
+            n > 1 and abs(strides[p]) < step
+            for n, p in zip(wide[n_rank:], perm[n_rank:]))
+    return Recipe(index, pre, perm, wide, (k,) + dst, out_shape, dst_split,
+                  dst_perm, op, direct)
+
+
+def _dim_split(spec, sizes, local):
+    """``(split, pos)``: every global dim of ``spec`` split into its mesh
+    axis factors (row-major, sizes from ``sizes``) and its local size,
+    and the position in ``split`` of each device axis (0-2) and local
+    dim (3 + d)."""
+    split: list[int] = []
+    pos: dict[int, int] = {}
+    for d, axes in enumerate(spec.axes):
+        for axis in axes:
+            pos[AXIS_NAMES.index(axis)] = len(split)
+            split.append(sizes[AXIS_NAMES.index(axis)])
+        pos[3 + d] = len(split)
+        split.append(local[d])
+    return tuple(split), pos
+
+
+@lru_cache(maxsize=512)
+def view_recipe(mesh_shape: tuple[int, int, int], meta: tuple,
+                shape: tuple[int, ...], strides: tuple[int, ...]) -> Recipe:
+    """The :class:`Recipe` of ``meta`` on an operand of ``shape`` and
+    ``strides`` on a mesh of ``mesh_shape``.
+
+    ``meta`` is the op as :mod:`repro.mesh.ops` and
+    :class:`~repro.mesh.sharded_tensor.ShardedTensor` record it:
+    ``("all_gather", axes, dim_idx)``, ``("reduce_scatter", axes,
+    dim_idx)``, ``("all_reduce", axes)``, ``("to_global", spec,
+    global_shape)`` or ``("from_global", spec, local)`` — whose operand
+    is the global array.  A stacked operand holds one copy along every
+    axis its spec replicates, or the mesh size there (a fault-widened
+    one; ``to_global`` reads copy 0).  Memoized process-wide: each
+    layer, program and replica that runs the same op on the same layout
+    shares one recipe.
+    """
+    kind = meta[0]
+    if kind == "from_global":
+        spec, local = meta[1], tuple(meta[2])
+        split, pos = _dim_split(spec, mesh_shape, local)
+        used = tuple(i for i in range(3) if i in pos)
+        dst = tuple(mesh_shape[i] for i in used) + local
+        return _recipe(split, None, None, split,
+                       tuple(pos[i] for i in used + tuple(
+                           range(3, 3 + len(local)))), 0,
+                       tuple(mesh_shape[i] if i in pos else 1
+                             for i in range(3)) + local,
+                       dst, tuple(range(len(dst))))
+    grid, local = shape[:3], shape[3:]
+    locs = tuple(range(3, len(shape)))
+    if kind == "to_global":
+        spec = meta[1]
+        rep = replicated_axes(spec)
+        index = None
+        if any(grid[i] > 1 for i in rep):
+            index = _copy_zero(spec)
+            shape = tuple(1 if i in rep else n for i, n in enumerate(grid)) \
+                + local
+        psum = tuple(i for i, a in enumerate(AXIS_NAMES)
+                     if a in spec.partial_sum)
+        shard = tuple(i for i in range(3) if i not in rep + psum)
+        split, pos = _dim_split(spec, grid, local)
+        return _recipe(shape, strides, index, None, psum + shard + rep + locs,
+                       len(psum), tuple(meta[2]), split,
+                       tuple(pos[i] for i in shard + locs))
+
+    part = tuple(AXIS_NAMES.index(a) for a in meta[1])
+    rest = tuple(i for i in range(3) if i not in part)
+    rest_shape = tuple(grid[i] for i in rest)
+    part_shape = tuple(grid[i] for i in part)
+    reduced = tuple(1 if i in part else n for i, n in enumerate(grid))
+    nr, npart, nl = len(rest), len(part), len(local)
+    if kind == "all_gather":
+        # The gathered dim of the result splits into (ranks..., l_d),
+        # whose rank axes are read next to the operand's other device
+        # axes.
+        d = meta[2]
+        k = math.prod(part_shape)
+        return _recipe(
+            shape, strides, None, None, rest + part + locs, 0,
+            reduced + local[:d] + (k * local[d],) + local[d + 1:],
+            rest_shape + local[:d] + part_shape + local[d:],
+            (*range(nr), *range(nr + d, nr + d + npart), *range(nr, nr + d),
+             *range(nr + d + npart, nr + npart + nl)))
+    if kind == "all_reduce":
+        return _recipe(shape, strides, None, None, part + rest + locs, npart,
+                       reduced + local, rest_shape + local,
+                       tuple(range(nr + nl)))
+    # reduce_scatter: rank r of each group keeps chunk r of the sum.
+    d = meta[2]
+    out_shape = grid + local[:d] + (local[d] // math.prod(part_shape),) \
+        + local[d + 1:]
+    return _recipe(shape, strides, None, None, part + rest + locs, npart,
+                   out_shape, out_shape, rest + locs[:d] + part + locs[d:])
+
+
+def _wide(r: Recipe, a: np.ndarray) -> np.ndarray:
+    if r.index is not None:
+        a = a[r.index]
+    if r.pre is not None:
+        a = a.reshape(r.pre)
+    return a.transpose(r.perm)
+
+
+_add_reduce = np.add.reduce
+
+
+def _apply(op: str, src: np.ndarray, dst: np.ndarray) -> None:
+    if op == "copy":
+        dst[...] = src
+    elif op == "reduce":
+        # Started from -0.0, the additive identity of every float (x +
+        # -0.0 is x, bit for bit): rank 0's value, then each later rank.
+        _add_reduce(src, 0, None, dst, False, -0.0)
+    else:
+        dst[...] = np.add.accumulate(src, 0)[-1]
+
+
+def execute(r: Recipe, a: np.ndarray) -> np.ndarray:
+    """Recipe ``r`` on ``a``, into a fresh C-contiguous result."""
+    out = np.empty(r.out_shape, a.dtype)
+    src = _wide(r, a)
+    if not r.direct:
+        rows = np.empty(r.wide, a.dtype)
+        rows[...] = src
+        src = rows
+    _apply(r.op, src.reshape(r.shape),
+           out.reshape(r.dst_split).transpose(r.dst_perm))
+    return out
+
+
+def collective(mesh_shape: tuple[int, int, int], meta: tuple):
+    """The eager stacked kernel of ``meta`` (see :func:`view_recipe`):
+    ``run(a)`` runs the recipe of ``a``'s layout into a fresh array."""
+    def run(a):
+        return execute(view_recipe(mesh_shape, meta, a.shape, a.strides), a)
+    return run
+
+
+def kernel(r: Recipe, out: np.ndarray, scratch: np.ndarray | None,
+           operand: np.ndarray | None):
+    """``run(a)``: :func:`execute` into ``out``, a C-contiguous buffer
+    reused across calls, which ``run`` returns.
+
+    A recipe that is not direct copies into ``scratch``, a flat buffer
+    of ``prod(r.wide)`` elements.  ``operand`` (or ``None``) is an array
+    every call will pass: its source view is bound now, and ``run``
+    ignores its argument — one ufunc call per replay.  ``run`` carries
+    ``recipe`` and ``out_buffer``.
+    """
+    dst = out.reshape(r.dst_split).transpose(r.dst_perm)
+    op, shape, fixed = r.op, r.shape, None
+    if operand is not None:
+        fixed = _wide(r, operand)
+        if r.direct:
+            fixed = fixed.reshape(shape)
+            if not np.may_share_memory(fixed, operand):
+                fixed = None  # a copy would be a stale snapshot
+    if not r.direct:
+        wide, rows = scratch.reshape(r.wide), scratch.reshape(shape)
+
+        def run(a):
+            wide[...] = _wide(r, a) if fixed is None else fixed
+            _apply(op, rows, dst)
+            return out
+    elif fixed is None:
+        def run(a):
+            _apply(op, _wide(r, a).reshape(shape), dst)
+            return out
+    elif op == "reduce":
+        def run(a):
+            _add_reduce(fixed, 0, None, dst, False, -0.0)
+            return out
+    else:
+        def run(a):
+            _apply(op, fixed, dst)
+            return out
+    run.recipe, run.out_buffer = r, out
+    return run
+
+
+def replay_kernel(mesh_shape: tuple[int, int, int], meta: tuple,
+                  operand: np.ndarray, scratch: dict, out: np.ndarray,
+                  fixed: bool):
+    """The replay form of ``meta``: its :func:`kernel` into ``out`` on
+    operands laid out like ``operand`` — or, when ``fixed``, on
+    ``operand`` itself, an array every replay passes, its view bound
+    now.
+
+    Rank-major scratch is dead once the closure returns, so closures of
+    one program — which replays serially — share one buffer per (size,
+    dtype) through ``scratch``.  An unbound kernel given an operand of
+    another layout runs that layout's recipe.
+    """
+    def build(a, bound):
+        r = view_recipe(mesh_shape, meta, a.shape, a.strides)
+        key = (math.prod(r.wide), a.dtype)
+        if not r.direct and key not in scratch:
+            scratch[key] = np.empty(*key)
+        return kernel(r, out, scratch.get(key), a if bound else None)
+
+    fast = build(operand, fixed)
+    if fixed:
+        return fast
+    layout = operand.strides
+
+    def run(a):
+        return (fast if a.strides == layout else build(a, False))(a)
+    run.recipe, run.out_buffer = fast.recipe, out
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -488,30 +570,13 @@ def from_global(mesh, array: np.ndarray, spec,
     """Shard a global array into the dense stacked representation.
 
     Splits every sharded dim into its (row-major) axis factors and
-    transposes the factors into device-axis position; a mesh axis the
-    spec does not use (replication) is size 1.
+    copies the factors into device-axis position (one
+    :func:`view_recipe`); a mesh axis the spec does not use
+    (replication) is size 1.
     """
-    return _from_global_dense(mesh.shape, array, spec, tuple(local))
-
-
-def _from_global_dense(mesh_shape: tuple[int, int, int], array: np.ndarray,
-                       spec, local: tuple[int, ...]) -> np.ndarray:
-    shape: list[int] = []
-    axis_pos: dict[str, int] = {}
-    dim_pos: list[int] = []
-    for axes, loc in zip(spec.axes, local):
-        for axis in axes:
-            axis_pos[axis] = len(shape)
-            shape.append(mesh_shape[AXIS_NAMES.index(axis)])
-        dim_pos.append(len(shape))
-        shape.append(loc)
-    arr = array.reshape(shape)
-    used = [a for a in AXIS_NAMES if a in axis_pos]
-    arr = arr.transpose([axis_pos[a] for a in used] + dim_pos)
-    for i, axis in enumerate(AXIS_NAMES):
-        if axis not in axis_pos:
-            arr = np.expand_dims(arr, i)
-    return np.ascontiguousarray(arr)
+    return execute(view_recipe(mesh.shape, ("from_global", spec,
+                                            tuple(local)),
+                               array.shape, array.strides), array)
 
 
 @lru_cache(maxsize=None)
@@ -579,114 +644,17 @@ def reassemble(spec, shards: np.ndarray) -> np.ndarray:
     """The global array of a stacked array (one copy along each axis
     ``spec`` replicates; of a wider array, copy 0 is read).
 
-    Keeps the first replica, sums partial axes sequentially in row-major
-    device order (the loop backend's addition order, so bit-identical),
-    and inverts :func:`from_global` on the sharded dims.  May return a
-    view of ``shards``.
+    Keeps the first replica, sums partial axes in row-major device
+    order (the loop backend's addition order, so bit-identical), and
+    inverts :func:`from_global` on the sharded dims: the
+    :func:`view_recipe` replay's ``to_global`` runs, into a fresh array.
     """
-    return _reassemble(spec, shards, lambda parts: _group_sum(parts, 0))
-
-
-def _reassemble(spec, shards: np.ndarray, reduce) -> np.ndarray:
-    """:func:`reassemble` with the partial-sum reduction ``reduce``
-    (applied to the ``[k, ...]`` stack of partial sums) pluggable."""
-    psum_axes = set(spec.partial_sum)
-    rep_idx = replicated_axes(spec)
-    arr = shards[tuple(0 if i in rep_idx else slice(None)
-                       for i in range(3))]
-    remaining = [a for i, a in enumerate(AXIS_NAMES) if i not in rep_idx]
-    psum_positions = [remaining.index(a) for a in AXIS_NAMES
-                      if a in psum_axes]
-    if psum_positions:
-        arr = np.moveaxis(arr, psum_positions, range(len(psum_positions)))
-        k = int(np.prod(arr.shape[:len(psum_positions)]))
-        arr = arr.reshape((k,) + arr.shape[len(psum_positions):])
-        arr = reduce(arr)
-        remaining = [a for a in remaining if a not in psum_axes]
-
-    # remaining now lists the sharding axes in device-axis order; move each
-    # factor next to its dim and merge.
-    pos = {a: i for i, a in enumerate(remaining)}
-    nshard = len(remaining)
-    perm: list[int] = []
-    shape: list[int] = []
-    for d, axes in enumerate(spec.axes):
-        perm.extend(pos[a] for a in axes)
-        perm.append(nshard + d)
-        shape.append(int(np.prod([arr.shape[pos[a]] for a in axes]))
-                     * arr.shape[nshard + d])
-    return arr.transpose(perm).reshape(shape)
-
-
-@lru_cache(maxsize=128)
-def _to_global_table(spec, global_shape: tuple[int, ...],
-                     in_shape: tuple[int, ...]) -> np.ndarray:
-    """Flat operand indices of :func:`reassemble`: ``global_shape``
-    without partial sums, else one row per partial-sum rank."""
-    probe = np.arange(int(np.prod(in_shape))).reshape(in_shape)
-    if not spec.partial_sum:
-        table = np.ascontiguousarray(
-            _reassemble(spec, probe, None).reshape(global_shape))
-    else:
-        k = int(np.prod([in_shape[AXIS_NAMES.index(a)]
-                         for a in spec.partial_sum]))
-        table = np.stack([
-            np.ascontiguousarray(
-                _reassemble(spec, probe, lambda parts, r=r: parts[r])
-            ).reshape(-1) for r in range(k)])
-    table.setflags(write=False)
-    return table
-
-
-def prebind_to_global(spec, global_shape: Sequence[int], in_shape):
-    """:func:`to_global` without the replica check, traced to one gather.
-
-    ``in_shape`` is the operand as a captured program holds it, one copy
-    along each replicated mesh axis.  Replay is one
-    ``np.take`` of a table resolved here, plus, for partial sums, the
-    rank-ordered row sum that :func:`reassemble` performs, so the bits
-    match.  Every call returns a fresh array (it may be the program
-    output).  ``None`` when the operand is too large for a table.
-    """
-    in_shape, gshape = tuple(in_shape), tuple(global_shape)
-    if math.prod(in_shape) > _INDEXED_COLLECTIVE_LIMIT:
-        return None
-    table = _to_global_table(spec, gshape, in_shape)
-    if not spec.partial_sum:
-        return lambda a: a.reshape(-1).take(table)
-
-    def run(a):
-        out = np.empty(gshape, a.dtype)
-        _ordered_row_sum(a.reshape(-1).take(table), out.reshape(-1))
-        return out
-    return run
-
-
-@lru_cache(maxsize=128)
-def _from_global_table(mesh_shape: tuple[int, int, int], spec,
-                       global_shape: tuple[int, ...],
-                       local: tuple[int, ...]) -> np.ndarray:
-    probe = np.arange(math.prod(global_shape)).reshape(global_shape)
-    table = _from_global_dense(mesh_shape, probe, spec, local)
-    table.setflags(write=False)
-    return table
-
-
-def prebind_from_global(mesh, spec, global_shape: Sequence[int],
-                        local: Sequence[int], dtype):
-    """:func:`from_global` traced to one gather into a reused buffer.
-    ``None`` when too large for a table."""
-    if math.prod(mesh.shape) * math.prod(local) > _INDEXED_COLLECTIVE_LIMIT:
-        return None
-    table = _from_global_table(mesh.shape, spec, tuple(global_shape),
-                               tuple(local))
-    obuf = np.empty(table.shape, dtype)
-
-    def run(g):
-        g.reshape(-1).take(table, out=obuf)
-        return obuf
-    run.out_buffer = obuf
-    return run
+    grid = shards.shape[:3]
+    gshape = tuple(
+        math.prod(grid[AXIS_NAMES.index(a)] for a in axes) * n
+        for axes, n in zip(spec.axes, shards.shape[3:]))
+    return execute(view_recipe(grid, ("to_global", spec, gshape),
+                               shards.shape, shards.strides), shards)
 
 
 def to_global(mesh, spec, global_shape: Sequence[int], shards: np.ndarray,
@@ -696,9 +664,10 @@ def to_global(mesh, spec, global_shape: Sequence[int], shards: np.ndarray,
     Mirrors the loop backend exactly: one copy is read along each
     replicated axis — any other copies a widened array holds are checked
     bit for bit against it (:func:`collapse_replicas`) — partial
-    sums accumulate sequentially in row-major device order, and sharded
-    dims are reassembled by inverting :func:`from_global`.
+    sums accumulate in row-major device order, and sharded dims are
+    reassembled by inverting :func:`from_global`.
     """
-    arr = reassemble(spec, collapse_replicas(spec, shards,
-                                             check_replication))
-    return np.array(arr.reshape(tuple(global_shape)))
+    arr = collapse_replicas(spec, shards, check_replication)
+    return execute(view_recipe(mesh.shape, ("to_global", spec,
+                                            tuple(global_shape)),
+                               arr.shape, arr.strides), arr)

@@ -7,6 +7,10 @@ each captured program's instruction signature (see
 and replay == eager suites compare two paths of one revision; this test
 compares every path against the committed bits, so a change that moves
 all paths alike — a last-ulp logit shift — fails here.
+
+The stacked programs' collectives are pinned too: how many run as one
+ufunc over a view of their operand and how many copy it rank-major
+first, so a refactor cannot drop them to the slow path unnoticed.
 """
 
 import importlib.util
@@ -42,3 +46,26 @@ def test_run_matches_golden(run):
     prefix = "/".join(run) + "/"
     assert got == {key: value for key, value in GOLDEN.items()
                    if key.startswith(prefix)}
+
+
+#: Per deployment, for its decode program and its prefill program alike:
+#: the all-gathers, reduce-scatters and all-reduces that run as one ufunc
+#: over a view of their operand, and those that copy it rank-major first
+#: (``repro.mesh.stacked.view_recipe``).
+FAST_PATH = {"A-4x4x4-b4": (20, 0), "B-2x2x2-b4": (8, 0),
+             "B-2x2x2-b8": (8, 0), "gqa4-2x2x2-b8": (22, 0)}
+
+
+@pytest.mark.parametrize("name", sorted(FAST_PATH))
+def test_collectives_run_on_views(name):
+    from repro.mesh.capture import capture_chunk
+
+    assert FAST_PATH.keys() == tool.DEPLOYMENTS.keys()
+    model = tool.build(name, "stacked")
+    caches = model.new_cache(tool.DEPLOYMENTS[name][3], tool.MAX_LEN)
+    for kind, (first, _) in tool._chunks(name):
+        _, program = capture_chunk(model, first, caches)
+        recipes = [ins.fn.recipe for ins in program._instrs
+                   if ins.collective and hasattr(ins.fn, "recipe")]
+        assert (sum(r.direct for r in recipes),
+                sum(not r.direct for r in recipes)) == FAST_PATH[name], kind

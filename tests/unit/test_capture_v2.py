@@ -13,9 +13,9 @@ The v2 contract on top of ``test_step_capture.py``'s single-step replay:
   optimizer) matches eager logits and KV caches bit for bit under every
   decode plan the selector returns on 2x2x2 and 4x4x4, at batch sizes
   1-4, and again after a replica's profile switch re-captures;
-* capture state is shared safely: collective index tables by identity
-  across programs and read-only, and eager forwards read the same
-  memoized tables (a second eager forward, or a capture of a traced
+* capture state is shared safely: collective view recipes by identity
+  across programs and immutable, and eager forwards read the same
+  memoized recipes (a second eager forward, or a capture of a traced
   shape, derives none); every program of a deployment reads
   the model's one concatenation of its fused input-projection weights,
   and a rebuilt model's programs never read the old model's;
@@ -501,27 +501,27 @@ class TestOptimizedDecode:
 
 
 class TestSharedCaptureState:
-    """Index tables and fused projection weights are shared, and safely
+    """View recipes and fused projection weights are shared, and safely
     so."""
 
-    def test_index_tables_shared_by_identity_and_read_only(self):
-        tables = []
+    def test_view_recipes_shared_by_identity_and_immutable(self):
+        recipes = []
         for _ in range(2):  # two deployments, two meshes, two programs
             model, caches, tok = build()
             _, program = capture_chunk(model, tok[:, None], caches)
-            tables.append({id(t): t for t in (
-                getattr(ins.fn, "index_table", None)
-                for ins in program._instrs) if t is not None})
-        assert tables[0] and tables[0].keys() == tables[1].keys()
-        for table in tables[0].values():
-            with pytest.raises(ValueError, match="read-only"):
-                table[...] = 0
+            recipes.append({id(r): r for r in (
+                getattr(ins.fn, "recipe", None)
+                for ins in program._instrs) if r is not None})
+        assert recipes[0] and recipes[0].keys() == recipes[1].keys()
+        for recipe in recipes[0].values():
+            with pytest.raises(AttributeError):
+                recipe.direct = False
 
-    def test_eager_forwards_read_the_memoized_tables(self):
-        """Eager stacked collectives run through the index-table memo: a
+    def test_eager_forwards_read_the_memoized_recipes(self):
+        """Eager stacked collectives run through the view-recipe memo: a
         second eager forward of a deployment only hits it, and capturing
-        a shape already traced derives no new table."""
-        memo = stacked._collective_index_table
+        a shape already traced derives no new recipe."""
+        memo = stacked.view_recipe
         model, caches, tok = build()
         model.decode_step(tok, caches)
         warm = memo.cache_info()
@@ -529,8 +529,7 @@ class TestSharedCaptureState:
         again = memo.cache_info()
         assert again.hits > warm.hits and again.misses == warm.misses
         _, program = capture_chunk(model, tok[:, None], caches)
-        assert any(hasattr(ins.fn, "index_table")
-                   for ins in program._instrs)
+        assert any(hasattr(ins.fn, "recipe") for ins in program._instrs)
         assert memo.cache_info().misses == warm.misses
 
     def test_fused_weights_shared_by_a_compilers_programs(self):
@@ -568,7 +567,7 @@ class TestSharedCaptureState:
         assert not fused_weight_ids(compiler.program) & stale
 
     def test_concurrent_replays_sharing_index_tables_match_serial(self):
-        """Programs of distinct deployments share read-only index tables
+        """Programs of distinct deployments share immutable view recipes
         but own their buffers: replaying them on more threads than cores
         gives each exactly its serial logits."""
         n_programs, steps = 4, 30

@@ -1,27 +1,32 @@
 """Stacked collectives on operands that hold one copy per replicated axis.
 
 A stacked tensor is size 1 on every mesh axis its spec replicates.  For
-random meshes (size-1 axes included), specs, local shapes and data,
-every stacked collective — ``all_gather``, ``reduce_scatter``,
-``all_reduce``, ``all_to_all``, ``split`` — and ``from_global`` /
-``to_global`` must
+random meshes (size-1 axes included), specs, local shapes, operand
+layouts and data (``-0.0`` and NaN payloads included), every stacked
+collective — ``all_gather``, ``reduce_scatter``, ``all_reduce``,
+``all_to_all``, ``split`` — and ``from_global`` / ``to_global`` must
 
 * equal its loop-backend twin bit for bit, the loop operand being the
   stacked one widened to every device;
 * return one copy (size 1) on every axis the result's spec replicates;
-* and, where replay traces it to an index table
-  (:func:`repro.mesh.stacked.prebind_collective_indexed`,
-  ``prebind_to_global``, ``prebind_from_global``), give the same bits
-  through the table.
+* and, where it runs as a view recipe (:func:`repro.mesh.stacked.
+  view_recipe`: an all-gather, reduce-scatter, all-reduce or global
+  conversion), give the same bits through its replay closure
+  (:func:`repro.mesh.stacked.replay_kernel`), with the operand passed
+  per call and with its view bound once.
 
-An all-gather, reduce-scatter or all-reduce runs eagerly through that
-same memoized table (:func:`repro.mesh.stacked.indexed_collective`), so
-the public ops exercise it.  They must also match their loop twin
+Operands come C-contiguous, as a strided column view of a wider buffer
+(as a fused projection hands them out), or with the device axes
+innermost in memory, where a reduction's rank axis has the smallest
+stride and the recipe must take its rank-major copy.  The recipes must
+also match their loop twin
 
 * on a fault-widened operand, full size on a replicated axis as
   :meth:`repro.mesh.faults.FaultState.post_collective` leaves it, with
   one chip's copy corrupted;
-* above the table size limit, where they run the group kernel instead.
+* on groups whose ranks cannot form one strided axis (``(z, y)``,
+  ``(x, z)``), on reductions to a single element, and on operands far
+  larger than the decode shapes.
 
 Examples are drawn under the suite's derandomized Hypothesis profile
 (``tests/conftest.py``).
@@ -49,7 +54,7 @@ from tests.unit.grid import every_device, widened
 
 AXES = ("x", "y", "z")
 MESHES = [(2, 2, 2), (1, 2, 2), (2, 2, 1), (4, 4, 4)]
-INDEXED = ("all_gather", "reduce_scatter", "all_reduce")
+VIEW = ("all_gather", "reduce_scatter", "all_reduce")  # view recipes
 
 
 def same_bits(a, b):
@@ -58,20 +63,23 @@ def same_bits(a, b):
 
 
 @st.composite
-def operands(draw, op):
+def operands(draw, op, meshes=MESHES, roles=None):
     """``(mesh shape, spec, global shape, one-copy shards, op args)``.
 
     Each mesh axis shards dim A or B, partially sums, or is replicated
-    (the collapse mask); the op's own axes are drawn to fit its rules.
+    (the collapse mask), unless ``roles`` fixes that; the op's own axes
+    are drawn to fit its rules.
     """
-    shape = draw(st.sampled_from(MESHES))
+    shape = draw(st.sampled_from(meshes))
     need = {"all_gather": "A", "all_to_all": "A", "reduce_scatter": "psum",
             "all_reduce": "psum", "split": "rep"}.get(op)
-    roles = [draw(st.sampled_from(["A", "B", "psum", "rep"]))
-             for _ in AXES]
+    if roles is None:
+        roles = [draw(st.sampled_from(["A", "B", "psum", "rep"]))
+                 for _ in AXES]
     if op == "global":
         roles = ["rep" if r == "psum" else r for r in roles]
     if need is not None and need not in roles:
+        roles = list(roles)
         roles[draw(st.integers(0, 2))] = need
     order = draw(st.permutations(AXES))
     by_role = {r: tuple(a for a in order if roles[AXES.index(a)] == r)
@@ -102,9 +110,40 @@ def operands(draw, op):
     gshape = (local[0] * size(spec.axes[0]), local[1] * size(spec.axes[1]))
     grid = tuple(1 if r == "rep" else n for r, n in zip(roles, shape))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
-    shards = rng.standard_normal(grid + tuple(local))
-    shards *= 10.0 ** rng.integers(-4, 5, shards.shape)
+    shards = special_values(rng, grid + tuple(local))
     return shape, spec, gshape, shards, args
+
+
+def special_values(rng, shape):
+    """Normal draws over many decades, with ``-0.0`` entries, a slab of
+    ``-0.0`` (summed over every rank, its bits survive only a sum that
+    starts from rank 0's value) and NaNs with distinct payloads."""
+    values = rng.standard_normal(shape)
+    values *= 10.0 ** rng.integers(-4, 5, shape)
+    values[rng.random(shape) < 0.1] = -0.0
+    values[..., 0] = -0.0
+    nans = rng.random(shape) < 0.02
+    payloads = 0x7FF8000000000000 + rng.integers(1, 1 << 40, nans.sum())
+    values[nans] = payloads.astype(np.uint64).view(np.float64)
+    return values
+
+
+LAYOUTS = st.sampled_from(["contiguous", "column", "rank-inner"])
+
+
+def laid_out(shards, layout):
+    """The same values as a C-contiguous array, a column view of a wider
+    buffer, or with the device axes innermost in memory."""
+    if layout == "column":
+        wide = np.full(shards.shape[:-1] + (shards.shape[-1] + 3,), 7.0)
+        wide[..., 2:-1] = shards
+        return wide[..., 2:-1]
+    if layout == "rank-inner":
+        n = shards.ndim
+        moved = np.ascontiguousarray(shards.transpose(
+            tuple(range(3, n)) + (0, 1, 2)))
+        return moved.transpose((n - 3, n - 2, n - 1) + tuple(range(n - 3)))
+    return np.ascontiguousarray(shards)
 
 
 def twins(shape, spec, gshape, shards):
@@ -132,25 +171,56 @@ OPS = {"all_gather": all_gather, "reduce_scatter": reduce_scatter,
        "all_reduce": all_reduce, "all_to_all": all_to_all, "split": split}
 
 
+def op_meta(op, spec, args):
+    """The op's ``meta`` as :mod:`repro.mesh.ops` records it."""
+    if op == "all_reduce":
+        return (op, tuple(args[0]))
+    return (op, tuple(args[0]), spec.dim_index(args[1]))
+
+
+def assert_replay(mesh, meta, operand, want):
+    """The replay closure of ``meta`` gives ``want``'s bits, fed the
+    operand per call and with its view bound (``to_global`` replays
+    its allocating eager kernel)."""
+    if meta[0] == "to_global":
+        assert same_bits(stacked.collective(mesh.shape, meta)(operand), want)
+        return
+    for fixed in (False, True):
+        buf = np.full(want.shape, np.nan)
+        run = stacked.replay_kernel(mesh.shape, meta, operand, {}, buf,
+                                    fixed)
+        assert same_bits(run(operand), want)
+
+
 @given(st.sampled_from(sorted(OPS)).flatmap(
-    lambda op: st.tuples(st.just(op), operands(op))))
-def test_collective_matches_loop_twin(case):
+    lambda op: st.tuples(st.just(op), operands(op))), LAYOUTS)
+def test_collective_matches_loop_twin(case, layout):
     op, (shape, spec, gshape, shards, args) = case
+    shards = laid_out(shards, layout)
     s, l = twins(shape, spec, gshape, shards)
     got = OPS[op](s, *args)
     assert_twins(got, OPS[op](l, *args))
-    if op in INDEXED:
-        dim_idx = spec.dim_index(args[1]) if len(args) > 1 else None
-        run = stacked.indexed_collective(s.mesh, (op, args[0], dim_idx),
-                                         shards.shape)
-        if run is not None:
-            replay = stacked.prebind_collective_indexed(run, shards.dtype,
-                                                        scratch={})
-            assert same_bits(replay(shards), got.shards)
+    if op in VIEW:
+        assert_replay(s.mesh, op_meta(op, spec, args), shards, got.shards)
 
 
-INDEXED_OPS = st.sampled_from(INDEXED).flatmap(
+VIEW_OPS = st.sampled_from(VIEW).flatmap(
     lambda op: st.tuples(st.just(op), operands(op)))
+
+
+@given(st.sampled_from(["reduce_scatter", "all_reduce"]).flatmap(
+    lambda op: st.tuples(st.just(op), operands(
+        op, [(2, 2, 2), (4, 4, 4)], ["psum"] * 3))), LAYOUTS)
+def test_large_group_reductions_match_loop_twin(case, layout):
+    """Groups of up to 64 ranks, on every layout: where the rank axis is
+    innermost in memory numpy would sum it pairwise, so the recipe must
+    copy rank-major first."""
+    op, (shape, spec, gshape, shards, args) = case
+    shards = laid_out(shards, layout)
+    s, l = twins(shape, spec, gshape, shards)
+    got = OPS[op](s, *args)
+    assert_twins(got, OPS[op](l, *args))
+    assert_replay(s.mesh, op_meta(op, spec, args), shards, got.shards)
 
 
 def assert_device_twins(got: ShardedTensor, want: ShardedTensor):
@@ -161,7 +231,7 @@ def assert_device_twins(got: ShardedTensor, want: ShardedTensor):
         assert same_bits(np.array(wide[coord]), want.shards[coord])
 
 
-@given(INDEXED_OPS, st.data())
+@given(VIEW_OPS, st.data())
 def test_fault_widened_operand_matches_loop_twin(case, data):
     op, (shape, spec, gshape, shards, args) = case
     s = widened(ShardedTensor(VirtualMesh(shape, "stacked"), spec, gshape,
@@ -169,42 +239,70 @@ def test_fault_widened_operand_matches_loop_twin(case, data):
     chip = data.draw(st.tuples(*(st.integers(0, n - 1) for n in shape)))
     s.shards[chip] += 1.0  # one chip's copy corrupted
     s, l = twins(shape, spec, gshape, s.shards)
-    assert_device_twins(OPS[op](s, *args), OPS[op](l, *args))
+    got = OPS[op](s, *args)
+    assert_device_twins(got, OPS[op](l, *args))
+    assert_replay(s.mesh, op_meta(op, spec, args), s.shards, got.shards)
 
 
-@given(INDEXED_OPS)
-def test_above_table_limit_runs_group_kernel(case):
-    op, (shape, spec, gshape, shards, args) = case
+# (mesh, spec, op, args, local, layout, direct): groups whose ranks form
+# no strided axis, single-element reductions, a rank axis innermost in
+# memory, and operands far above the decode shapes.
+EDGES = [
+    ((2, 2, 2), ShardSpec(("A", "B"), ((), ()), ("x", "y", "z")),
+     "all_reduce", (("z", "y"),), (3, 2), "contiguous", False),
+    ((4, 4, 4), ShardSpec(("A", "B"), ((), ()), ("x", "y", "z")),
+     "reduce_scatter", (("x", "z"), "B"), (2, 32), "column", False),
+    ((4, 2, 2), ShardSpec(("A", "B"), (("z", "x"), ()), ()),
+     "all_gather", (("z", "x"), "A"), (2, 3), "contiguous", True),
+    ((2, 2, 2), ShardSpec(("A", "B"), ((), ()), ("x", "y", "z")),
+     "all_reduce", (("x", "y", "z"),), (1, 1), "contiguous", True),
+    ((4, 4, 4), ShardSpec(("A", "B"), ((), ()), ("x", "z")),
+     "all_reduce", (("x", "z"),), (1, 1), "contiguous", True),
+    ((2, 2, 2), ShardSpec(("A", "B"), ((), ()), ("y", "x")),
+     "all_reduce", (("y", "x"),), (1, 1), "contiguous", False),
+    ((2, 2, 2), ShardSpec(("A", "B"), ((), ()), ("x", "y", "z")),
+     "all_reduce", (("x", "y", "z"),), (3, 2), "rank-inner", False),
+    ((4, 4, 4), ShardSpec(("A", "B"), (("x",), ()), ("y", "z")),
+     "reduce_scatter", (("y", "z"), "B"), (2, 32), "rank-inner", False),
+    ((4, 4, 4), ShardSpec(("A", "B"), (("x",), ()), ("y", "z")),
+     "all_reduce", (("y", "z"),), (48, 96), "contiguous", True),
+    ((4, 4, 4), ShardSpec(("A", "B"), ((), ("x",)), ("y", "z")),
+     "reduce_scatter", (("y", "z"), "A"), (64, 80), "column", True),
+    ((4, 4, 4), ShardSpec(("A", "B"), (("y", "z"), ()), ()),
+     "all_gather", (("y", "z"), "A"), (64, 80), "contiguous", True),
+]
+
+
+@pytest.mark.parametrize("shape, spec, op, args, local, layout, direct",
+                         EDGES)
+def test_edge_layouts_match_loop_twin(shape, spec, op, args, local, layout,
+                                      direct):
+    size = {a: n for a, n in zip(AXES, shape)}
+    gshape = tuple(n * math.prod(size[a] for a in axes)
+                   for n, axes in zip(local, spec.axes))
+    grid = tuple(1 if i in stacked.replicated_axes(spec) else n
+                 for i, n in enumerate(shape))
+    shards = laid_out(special_values(
+        np.random.default_rng(3), grid + local), layout)
     s, l = twins(shape, spec, gshape, shards)
-    ran = []
-    kernel = getattr(stacked, op)
-
-    def spy(*a):
-        ran.append(op)
-        return kernel(*a)
-
-    memo = stacked._collective_index_table.cache_info()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(stacked, "_INDEXED_COLLECTIVE_LIMIT",
-                      math.prod(shape) * math.prod(shards.shape[3:]) - 1)
-        patch.setattr(stacked, op, spy)
-        got = OPS[op](s, *args)
-    assert ran == [op]
-    assert stacked._collective_index_table.cache_info()[:2] == memo[:2]
+    got = OPS[op](s, *args)
     assert_twins(got, OPS[op](l, *args))
+    meta = op_meta(op, spec, args)
+    assert stacked.view_recipe(shape, meta, shards.shape,
+                               shards.strides).direct == direct
+    assert_replay(s.mesh, meta, shards, got.shards)
 
 
-@given(operands("global"), st.booleans())
-def test_global_conversions_match_loop_twin(case, with_psum):
+@given(operands("global"), st.booleans(), LAYOUTS)
+def test_global_conversions_match_loop_twin(case, with_psum, layout):
     shape, spec, gshape, shards, _ = case
-    array = np.random.default_rng(0).standard_normal(gshape)
+    array = special_values(np.random.default_rng(0), gshape)
     s_mesh = VirtualMesh(shape, "stacked")
     got = ShardedTensor.from_global(s_mesh, array, spec)
     assert_twins(got, ShardedTensor.from_global(VirtualMesh(shape, "loop"),
                                                 array, spec))
-    run = stacked.prebind_from_global(s_mesh, spec, gshape, got.local_shape,
-                                      array.dtype)
-    assert same_bits(run(array), got.shards)
+    assert_replay(s_mesh, ("from_global", spec, got.local_shape), array,
+                  got.shards)
 
     if with_psum:  # a replicated axis turned partial: one copy per rank
         rep = stacked.replicated_axes(spec)
@@ -216,8 +314,8 @@ def test_global_conversions_match_loop_twin(case, with_psum):
             shards = shards * np.arange(1, shape[rep[0]] + 1).reshape(
                 tuple(-1 if i == rep[0] else 1 for i in range(3))
                 + (1, 1))
+    shards = laid_out(shards, layout)
     s, l = twins(shape, spec, gshape, shards)
     want = l.to_global()
     assert same_bits(s.to_global(), want)
-    assert same_bits(stacked.prebind_to_global(spec, gshape, shards.shape)(
-        shards), want)
+    assert_replay(s_mesh, ("to_global", spec, gshape), shards, want)

@@ -21,9 +21,10 @@ and stays bit-identical to eager execution:
   4, replay eager logits and KV caches bit for bit;
 * every stacked tensor of a fault-free forward and capture of either
   deployment holds one copy along each axis its spec replicates;
-* the prebound ``to_global``/``from_global`` and the indexed collectives
-  equal the group kernels on one-copy and widened operands, partial
-  sums included, down to a single-column reduction;
+* the replay ``to_global``/``from_global`` and the view-recipe
+  collectives equal the eager conversions and the loop kernels on
+  one-copy and widened operands, partial sums included, down to a
+  single-column reduction;
 * the fused projection's check of the copies it narrows rejects a
   replica claim the arrays do not bear out, bit for bit: ``-0.0`` is not
   a copy of ``0.0``.
@@ -34,6 +35,7 @@ import pytest
 
 from repro.layouts import ShardedTransformer
 from repro.mesh import ShardedTensor, VirtualMesh, stacked
+from repro.mesh import ops as mesh_ops
 from repro.mesh.capture import capturing
 from repro.mesh.ops import concat_weights, fused_projection
 from repro.model import init_weights, tiny_test_config
@@ -248,10 +250,9 @@ class TestPrebound:
         full, first = replicated(mesh, spec, local,
                                  np.random.default_rng(0))
         want = stacked.to_global(mesh, spec, gshape, full, False)
+        replay = stacked.collective(mesh.shape, ("to_global", spec, gshape))
         for operand in (full, first):
-            got = stacked.prebind_to_global(spec, gshape,
-                                            operand.shape)(operand)
-            assert bits_equal(got, want)
+            assert bits_equal(replay(operand), want)
 
     @pytest.mark.parametrize("text", SPECS)
     def test_from_global_collapsed(self, text):
@@ -264,9 +265,11 @@ class TestPrebound:
         rep = stacked.replicated_axes(spec)
         assert want.shape[:3] == tuple(1 if i in rep else n
                                        for i, n in enumerate(mesh.shape))
-        got = stacked.prebind_from_global(mesh, spec, gshape, local,
-                                          array.dtype)(array)
-        assert bits_equal(got, want)
+        for fixed in (False, True):
+            got = stacked.replay_kernel(
+                mesh.shape, ("from_global", spec, local), array, {},
+                np.empty_like(want), fixed)(array)
+            assert bits_equal(got, want)
 
     @pytest.mark.parametrize("kind, axes, dim_idx, in_rep, local", [
         ("all_reduce", ("x", "y", "z"), None, (), (1, 1)),
@@ -277,10 +280,10 @@ class TestPrebound:
     ])
     def test_indexed_collectives_collapsed(self, kind, axes, dim_idx,
                                            in_rep, local):
-        """One-copy and widened operands through the index tables: the
-        group kernel's bits, and the widened operand's result at every
-        copy, on 4x4x4 where a sum kept once has a single column (the
-        ordered-row-sum edge case)."""
+        """One-copy and widened operands through the view recipes that
+        replaced the index tables: the loop kernel's bits at every copy,
+        eager and through the replay closure, on 4x4x4 where a sum kept
+        once has a single element (the accumulate edge case)."""
         mesh = VirtualMesh((4, 4, 4), "stacked")
         rng = np.random.default_rng(2)
         first = rng.standard_normal(
@@ -288,24 +291,21 @@ class TestPrebound:
         first *= 10.0 ** rng.integers(-6, 6, first.shape)
         full = np.ascontiguousarray(
             np.broadcast_to(first, mesh.shape + local))
-
-        def kernel(operand):
-            meta = stacked.group_meta(mesh, axes, operand.shape[:3])
-            if kind == "all_reduce":
-                return stacked.all_reduce(operand, meta)
-            return getattr(stacked, kind)(operand, dim_idx, meta)
-
-        want = kernel(full)
+        groups = list(mesh.groups(axes))
+        loop = getattr(mesh_ops, f"_loop_{kind}")
+        params = () if kind == "all_reduce" else (dim_idx,)
+        want = loop(mesh.map_devices(lambda c: full[c]), *params, groups)
+        meta = (kind, axes) + params
         for operand in (full, first):
-            run = stacked.indexed_collective(mesh, (kind, axes, dim_idx),
-                                             operand.shape)
-            replay = stacked.prebind_collective_indexed(run, operand.dtype,
-                                                        scratch={})
-            got = kernel(operand)
-            assert bits_equal(run(operand), got)
-            assert bits_equal(replay(operand), got)
-            assert bits_equal(np.ascontiguousarray(np.broadcast_to(
-                got, want.shape)), want)
+            got = stacked.collective(mesh.shape, meta)(operand)
+            for fixed in (False, True):
+                run = stacked.replay_kernel(mesh.shape, meta, operand, {},
+                                            np.empty_like(got), fixed)
+                assert bits_equal(run(operand), got)
+            wide = np.broadcast_to(got, mesh.shape + got.shape[3:])
+            for coord in mesh.devices():
+                assert bits_equal(np.ascontiguousarray(wide[coord]),
+                                  want[coord])
 
 
 class TestChecker:
