@@ -177,23 +177,25 @@ def _bind_collective(ins, mesh_shape, values, stable, scratch, out_vids):
     :func:`repro.mesh.stacked.replay_kernel`, into a per-instruction
     buffer reused across replays, with the operand's view bound when the
     operand is one of the ``stable`` arrays.  A program output keeps its
-    recorded, allocating closure, because that buffer is reused.
-    ``to_global`` (the logits) runs the eager recipe kernel, which
-    allocates its result every call and, as the recorded closure does,
-    skips the replica check.
+    recorded, allocating closure, because that buffer is reused — except
+    ``to_global`` (the logits), which returns a fresh copy of its buffer
+    every call and, as the recorded closure does, skips the replica
+    check.
     """
     meta = ins.meta
     if meta is None or meta[0] not in _VIEW_OPS or len(ins.inputs) != 1:
         return
-    if meta[0] == "to_global":
-        fn = stacked_kernels.collective(mesh_shape, meta)
-    elif ins.out in out_vids:
+    if meta[0] != "to_global" and ins.out in out_vids:
         return
-    else:
-        vid, out = ins.inputs[0], values[ins.out]
-        fn = stacked_kernels.replay_kernel(
-            mesh_shape, meta, stable.get(vid, values[vid]), scratch,
-            np.empty(out.shape, out.dtype), vid in stable)
+    vid, out = ins.inputs[0], values[ins.out]
+    fn = stacked_kernels.replay_kernel(
+        mesh_shape, meta, stable.get(vid, values[vid]), scratch,
+        np.empty(out.shape, out.dtype), vid in stable)
+    if meta[0] == "to_global":
+        kernel = fn
+
+        def fn(a):
+            return kernel(a).copy()
     ins.fn, ins.meta = fn, None
 
 

@@ -30,6 +30,8 @@ and stays bit-identical to eager execution:
   a copy of ``0.0``.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -250,9 +252,13 @@ class TestPrebound:
         full, first = replicated(mesh, spec, local,
                                  np.random.default_rng(0))
         want = stacked.to_global(mesh, spec, gshape, full, False)
-        replay = stacked.collective(mesh.shape, ("to_global", spec, gshape))
-        for operand in (full, first):
-            assert bits_equal(replay(operand), want)
+        for operand, fixed in itertools.product((full, first),
+                                                (False, True)):
+            run = stacked.replay_kernel(mesh.shape,
+                                        ("to_global", spec, gshape),
+                                        operand, {}, np.empty_like(want),
+                                        fixed)
+            assert bits_equal(run(operand), want)
 
     @pytest.mark.parametrize("text", SPECS)
     def test_from_global_collapsed(self, text):
